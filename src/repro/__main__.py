@@ -6,33 +6,26 @@ Usage::
     python -m repro table2               # print one experiment
     python -m repro all                  # print everything
     python -m repro report [PATH]        # (re)write EXPERIMENTS.md
-    python -m repro service [options]    # run the streaming pipeline demo
-    python -m repro multitenant [opts]   # sharded multi-tenant service demo
-    python -m repro trace [options]      # traced pipeline run -> Perfetto JSON
+    python -m repro service [options]    # run the streaming service once
+    python -m repro trace [options]      # traced service run -> Perfetto JSON
     python -m repro health [options]     # SLO health report for a short run
     python -m repro perfgate [options]   # BENCH_*.json vs committed baselines
 
 service options (all optional)::
 
-    --frames N        frames to stream (default 128)
-    --workers N       recovery workers (default 4)
-    --drop-rate R     injected uplink drop probability (default 0.0)
-    --corrupt-rate R  injected corruption probability (default 0.0)
-    --mode M          symmetric | hhe (default symmetric)
-    --json            emit the metrics snapshot as JSON instead of a summary
+    --tenants N              distinct tenant key schedules (default 1)
+    --sessions-per-tenant N  concurrent sessions each (default 1)
+    --frames N               frames per session (default 128)
+    --shards N               uplink queues, each with its own workers (default 1)
+    --workers N              recovery workers per shard (default 4)
+    --hot-tenant             make tenant 0 offer 4x the sessions of the rest
+    --drop-rate R            injected uplink drop probability (default 0.0)
+    --corrupt-rate R         injected corruption probability (default 0.0)
+    --mode M                 symmetric | hhe (default symmetric)
+    --json                   emit the result as JSON instead of a summary
 
-multitenant options (all optional)::
-
-    --tenants N            distinct tenant key schedules (default 4)
-    --sessions-per-tenant N  concurrent sessions each (default 16)
-    --frames N             frames per session (default 4)
-    --shards N             worker shards (default 2)
-    --workers N            workers per shard (default 1)
-    --drop-rate R          injected uplink drop probability (default 0.0)
-    --hot-tenant           make tenant 0 offer 4x the sessions of the rest
-    --budget-rows N        global prepared/materials cache budget (default 4096)
-    --mode M               symmetric | hhe (default symmetric)
-    --json                 emit the full result as JSON
+The defaults are one camera stream; ``--tenants 4 --sessions-per-tenant 16
+--frames 4 --shards 2 --workers 1`` is a small fleet on the same loop.
 
 trace options (all optional)::
 
@@ -59,7 +52,7 @@ health options (all optional)::
     --json                 emit the HealthReport as JSON
     --out PATH             also write the JSON report to PATH
 
-The health command streams a short multi-tenant run through a fresh
+The health command streams a short two-shard run through a fresh
 registry/tracer/flight-recorder, folds the per-tenant SLO windows (p99
 latency, frame loss, minimum modeled noise headroom in hhe mode) and the
 incident ring into a HealthReport, and exits 0 iff healthy.
@@ -73,151 +66,119 @@ from __future__ import annotations
 import sys
 
 
+def _parse_options(command: str, argv, opts: dict):
+    """Fill ``opts`` from ``--name [value]`` arguments, typed by each default.
+
+    Boolean options are flags; a ``None`` default takes a string. Returns
+    None after reporting an unknown option.
+    """
+    it = iter(argv)
+    for arg in it:
+        name = arg.lstrip("-")
+        if name not in opts:
+            print(f"unknown {command} option {arg!r}", file=sys.stderr)
+            return None
+        default = opts[name]
+        if isinstance(default, bool):
+            opts[name] = True
+        else:
+            opts[name] = next(it) if default is None else type(default)(next(it))
+    return opts
+
+
+def _service_config(mode: str, frames: int, workers: int, tenants: int = 1,
+                    sessions: int = 1, shards: int = 1, hot_tenant: bool = False):
+    """The CLI's service shape; ``hhe`` mode streams 4x4 tiles at PASTA_MICRO."""
+    from repro.apps.video import Resolution
+    from repro.pasta.params import PASTA_MICRO, PASTA_TOY
+    from repro.service import TILE8, ServiceConfig, TenantSpec
+
+    hhe = mode == "hhe"
+    ladder = (Resolution("TILE4", 4, 4),) if hhe else (TILE8,)
+    specs = tuple(
+        TenantSpec(
+            f"tenant-{i:02d}",
+            sessions=sessions * (4 if hot_tenant and i == 0 else 1),
+            frames_per_session=frames,
+            ladder=ladder,
+        )
+        for i in range(tenants)
+    )
+    return ServiceConfig(
+        tenants=specs,
+        params=PASTA_MICRO if hhe else PASTA_TOY,
+        n_shards=shards,
+        workers_per_shard=workers,
+        batch_frames=4 if hhe else 32,
+        worker_batch=4 if hhe else 32,
+        queue_capacity=128,
+        mode=mode,
+    )
+
+
 def service_main(argv) -> int:
     """Run the streaming transciphering service once and report metrics."""
     import json
 
     from repro.obs import MetricsRegistry
-    from repro.pasta.params import PASTA_MICRO, PASTA_TOY
-    from repro.service import FaultPlan, ServiceConfig, StreamingPipeline, TILE8
-    from repro.apps.video import Resolution
+    from repro.service import FaultPlan, Service
 
-    opts = {"frames": 128, "workers": 4, "drop-rate": 0.0, "corrupt-rate": 0.0,
-            "mode": "symmetric", "json": False}
-    it = iter(argv)
-    for arg in it:
-        name = arg.lstrip("-")
-        if name == "json":
-            opts["json"] = True
-        elif name in ("frames", "workers"):
-            opts[name] = int(next(it))
-        elif name in ("drop-rate", "corrupt-rate"):
-            opts[name] = float(next(it))
-        elif name == "mode":
-            opts["mode"] = next(it)
-        else:
-            print(f"unknown service option {arg!r}", file=sys.stderr)
-            return 2
-
-    hhe = opts["mode"] == "hhe"
-    config = ServiceConfig(
-        params=PASTA_MICRO if hhe else PASTA_TOY,
-        resolution=Resolution("TILE4", 4, 4) if hhe else TILE8,
-        n_frames=opts["frames"],
-        n_workers=opts["workers"],
-        batch_frames=4 if hhe else 32,
-        worker_batch=4 if hhe else 32,
-        queue_capacity=128,
-        mode=opts["mode"],
+    opts = _parse_options("service", argv, {
+        "tenants": 1, "sessions-per-tenant": 1, "frames": 128, "shards": 1, "workers": 4,
+        "hot-tenant": False, "drop-rate": 0.0, "corrupt-rate": 0.0, "mode": "symmetric",
+        "json": False,
+    })
+    if opts is None:
+        return 2
+    config = _service_config(
+        opts["mode"], opts["frames"], opts["workers"], tenants=opts["tenants"],
+        sessions=opts["sessions-per-tenant"], shards=opts["shards"],
+        hot_tenant=opts["hot-tenant"],
     )
     plan = FaultPlan(seed=1, drop_rate=opts["drop-rate"], corrupt_rate=opts["corrupt-rate"])
     registry = MetricsRegistry()
-    result = StreamingPipeline(config, plan, registry=registry).run()
-
-    if opts["json"]:
-        print(json.dumps({"fps": result.fps, "frames": len(result.frames),
-                          "metrics": result.metrics}, indent=2))
-        return 0
-    retried = sum(1 for n in result.attempts.values() if n > 1)
-    print(f"streaming service ({config.mode}, {config.params.name}, "
-          f"{config.resolution.name}, {config.n_workers} workers)")
-    print(f"  frames recovered  {len(result.frames)}/{config.n_frames}")
-    print(f"  sustained rate    {result.fps:.1f} frames/s over {result.duration_seconds:.2f}s")
-    print(f"  frames retried    {retried}")
-    for name in ("service.uplink.dropped", "service.crc.rejected", "service.retries",
-                 "service.frames.duplicate", "service.degradation.steps"):
-        value = result.metrics.get(name, {}).get("value", 0)
-        print(f"  {name:<26} {value}")
-    for stage in ("service.encrypt.seconds", "service.recover.seconds",
-                  "service.frame_latency.seconds"):
-        hist = result.metrics.get(stage)
-        if hist and hist["count"]:
-            print(f"  {stage:<30} p50 {hist['p50'] * 1e3:7.2f} ms   "
-                  f"p99 {hist['p99'] * 1e3:7.2f} ms")
-    return 0
-
-
-def multitenant_main(argv) -> int:
-    """Run the sharded multi-tenant service once and report per-tenant stats."""
-    import json
-
-    from repro.obs import MetricsRegistry
-    from repro.pasta.params import PASTA_MICRO, PASTA_TOY
-    from repro.service import FaultPlan, MultiTenantConfig, MultiTenantService, TenantSpec
-
-    opts = {"tenants": 4, "sessions-per-tenant": 16, "frames": 4, "shards": 2,
-            "workers": 1, "drop-rate": 0.0, "hot-tenant": False,
-            "budget-rows": 4096, "mode": "symmetric", "json": False}
-    it = iter(argv)
-    for arg in it:
-        name = arg.lstrip("-")
-        if name in ("json", "hot-tenant"):
-            opts[name] = True
-        elif name in ("tenants", "sessions-per-tenant", "frames", "shards",
-                      "workers", "budget-rows"):
-            opts[name] = int(next(it))
-        elif name == "drop-rate":
-            opts[name] = float(next(it))
-        elif name == "mode":
-            opts["mode"] = next(it)
-        else:
-            print(f"unknown multitenant option {arg!r}", file=sys.stderr)
-            return 2
-
-    hhe = opts["mode"] == "hhe"
-    specs = tuple(
-        TenantSpec(
-            f"tenant-{i:02d}",
-            sessions=opts["sessions-per-tenant"] * (4 if opts["hot-tenant"] and i == 0 else 1),
-            frames_per_session=opts["frames"],
-        )
-        for i in range(opts["tenants"])
-    )
-    config = MultiTenantConfig(
-        tenants=specs,
-        params=PASTA_MICRO if hhe else PASTA_TOY,
-        n_shards=opts["shards"],
-        workers_per_shard=opts["workers"],
-        mode=opts["mode"],
-        engine_cache_blocks=opts["budget-rows"],
-        prepared_cache_rows=opts["budget-rows"],
-    )
-    plan = FaultPlan(seed=1, drop_rate=opts["drop-rate"])
-    registry = MetricsRegistry()
-    result = MultiTenantService(config, plan, registry=registry).run()
+    result = Service(config, plan, registry=registry).run()
 
     if opts["json"]:
         print(json.dumps({
-            "sessions_per_s": result.sessions_per_s,
             "frames_per_s": result.frames_per_s,
-            "frames_recovered": result.frames_recovered,
-            "frames_lost": result.frames_lost,
+            "sessions_per_s": result.sessions_per_s,
+            "frames_recovered": len(result.frames),
             "shed_frames": result.shed_frames,
             "admission_deferred": result.admission_deferred,
+            "degradation_steps": result.degradation_steps,
             "tenant_latency": result.tenant_latency,
-            "cache_budgets": result.cache_budgets,
+            "metrics": result.metrics,
         }, indent=2))
         return 0
-    print(f"multi-tenant service ({config.mode}, {config.params.name}, "
-          f"{len(specs)} tenants, {config.total_sessions} sessions, "
-          f"{config.n_shards} shards)")
-    print(f"  sessions completed {result.sessions_completed}/{config.total_sessions} "
-          f"({result.sessions_per_s:.1f}/s)")
-    print(f"  frames recovered   {result.frames_recovered}/{config.total_frames} "
-          f"({result.frames_per_s:.1f}/s), {result.frames_lost} lost")
-    print(f"  shed frames        {result.shed_frames}")
-    print(f"  sessions deferred  {result.admission_deferred}")
+    sessions = sum(spec.sessions for spec in config.tenants)
+    retried = sum(1 for n in result.attempts.values() if n > 1)
+    print(f"streaming service ({config.mode}, {config.params.name}, "
+          f"{len(config.tenants)} tenants, {sessions} sessions, "
+          f"{config.n_shards} shards x {config.workers_per_shard} workers)")
+    print(f"  frames recovered  {len(result.frames)}/{len(result.attempts)} "
+          f"({result.frames_per_s:.1f}/s over {result.duration_seconds:.2f}s)")
+    print(f"  sessions          {result.sessions_per_s:.1f}/s, "
+          f"{result.admission_deferred} admission deferrals")
+    print(f"  frames retried    {retried}")
+    for name in ("service.uplink.dropped", "service.crc.rejected", "service.retries",
+                 "service.frames.duplicate", "service.shed.frames",
+                 "service.degradation.steps"):
+        total = sum(metric.value for metric in registry.collect(name))
+        print(f"  {name:<26} {total}")
+    for stage in ("service.encrypt.seconds", "service.recover.seconds"):
+        hist = result.metrics.get(stage)
+        if hist and hist["count"]:
+            print(f"  {stage:<26} p50 {hist['p50'] * 1e3:7.2f} ms   "
+                  f"p99 {hist['p99'] * 1e3:7.2f} ms")
     for tenant, summary in sorted(result.tenant_latency.items()):
-        print(f"  {tenant:<12} p50 {summary['p50'] * 1e3:7.2f} ms   "
+        print(f"  {tenant:<26} p50 {summary['p50'] * 1e3:7.2f} ms   "
               f"p99 {summary['p99'] * 1e3:7.2f} ms   ({int(summary['count'])} frames)")
-    for name, snap in result.cache_budgets.items():
-        print(f"  budget {name:<16} {snap['total']:.0f}/{snap['capacity']:.0f} used, "
-              f"owners {snap['owners']}")
     return 0
 
 
 def trace_main(argv) -> int:
-    """Run one traced pipeline pass; export Perfetto JSON + cycle report."""
+    """Run one traced service pass; export Perfetto JSON + cycle report."""
     from repro.obs import (
         FlightRecorder,
         MetricsRegistry,
@@ -229,36 +190,15 @@ def trace_main(argv) -> int:
         write_chrome_trace,
     )
     from repro.obs.cycles import attribute
-    from repro.pasta.params import PASTA_MICRO, PASTA_TOY
-    from repro.service import FaultPlan, ServiceConfig, StreamingPipeline, TILE8
-    from repro.apps.video import Resolution
+    from repro.service import FaultPlan, Service
 
-    opts = {"out": "trace.json", "metrics-out": None, "frames": 64, "workers": 4,
-            "drop-rate": 0.0, "mode": "symmetric", "tolerance": 0.25}
-    it = iter(argv)
-    for arg in it:
-        name = arg.lstrip("-")
-        if name in ("frames", "workers"):
-            opts[name] = int(next(it))
-        elif name in ("drop-rate", "tolerance"):
-            opts[name] = float(next(it))
-        elif name in ("out", "metrics-out", "mode"):
-            opts[name] = next(it)
-        else:
-            print(f"unknown trace option {arg!r}", file=sys.stderr)
-            return 2
-
-    hhe = opts["mode"] == "hhe"
-    config = ServiceConfig(
-        params=PASTA_MICRO if hhe else PASTA_TOY,
-        resolution=Resolution("TILE4", 4, 4) if hhe else TILE8,
-        n_frames=opts["frames"],
-        n_workers=opts["workers"],
-        batch_frames=4 if hhe else 32,
-        worker_batch=4 if hhe else 32,
-        queue_capacity=128,
-        mode=opts["mode"],
-    )
+    opts = _parse_options("trace", argv, {
+        "out": "trace.json", "metrics-out": None, "frames": 64, "workers": 4,
+        "drop-rate": 0.0, "mode": "symmetric", "tolerance": 0.25,
+    })
+    if opts is None:
+        return 2
+    config = _service_config(opts["mode"], opts["frames"], opts["workers"])
     plan = FaultPlan(seed=1, drop_rate=opts["drop-rate"])
 
     # Fresh registry + tracer + flight recorder for exactly this run; the
@@ -270,7 +210,7 @@ def trace_main(argv) -> int:
     previous_registry = set_registry(MetricsRegistry())
     previous_recorder = set_flight_recorder(recorder)
     try:
-        result = StreamingPipeline(config, plan).run()
+        result = Service(config, plan).run()
     finally:
         registry = set_registry(previous_registry)
         set_tracer(previous_tracer)
@@ -284,9 +224,9 @@ def trace_main(argv) -> int:
             fh.write(prometheus_text(registry, recorder=recorder))
 
     report = attribute(tracer.finished_spans(), tolerance=opts["tolerance"])
-    print(f"traced pipeline run ({config.mode}, {config.params.name}, "
-          f"{config.n_workers} workers): {len(result.frames)}/{config.n_frames} frames, "
-          f"{result.fps:.1f} frames/s")
+    print(f"traced service run ({config.mode}, {config.params.name}, "
+          f"{config.workers_per_shard} workers): {len(result.frames)}/{opts['frames']} frames, "
+          f"{result.frames_per_s:.1f} frames/s")
     print(f"  {n_spans} spans -> {opts['out']}  (open at https://ui.perfetto.dev)")
     if opts["metrics-out"]:
         print(f"  metrics -> {opts['metrics-out']} (Prometheus text)")
@@ -313,40 +253,17 @@ def health_main(argv) -> int:
         set_registry,
         set_tracer,
     )
-    from repro.pasta.params import PASTA_MICRO, PASTA_TOY
-    from repro.service import FaultPlan, MultiTenantConfig, MultiTenantService, TenantSpec
+    from repro.service import FaultPlan, Service
 
-    opts = {"tenants": 2, "sessions-per-tenant": 2, "frames": 4, "drop-rate": 0.0,
-            "mode": "symmetric", "json": False, "out": None}
-    it = iter(argv)
-    for arg in it:
-        name = arg.lstrip("-")
-        if name == "json":
-            opts["json"] = True
-        elif name in ("tenants", "sessions-per-tenant", "frames"):
-            opts[name] = int(next(it))
-        elif name == "drop-rate":
-            opts[name] = float(next(it))
-        elif name in ("mode", "out"):
-            opts[name] = next(it)
-        else:
-            print(f"unknown health option {arg!r}", file=sys.stderr)
-            return 2
-
-    hhe = opts["mode"] == "hhe"
-    specs = tuple(
-        TenantSpec(
-            f"tenant-{i:02d}",
-            sessions=opts["sessions-per-tenant"],
-            frames_per_session=opts["frames"],
-        )
-        for i in range(opts["tenants"])
-    )
-    config = MultiTenantConfig(
-        tenants=specs,
-        params=PASTA_MICRO if hhe else PASTA_TOY,
-        n_shards=2,
-        mode=opts["mode"],
+    opts = _parse_options("health", argv, {
+        "tenants": 2, "sessions-per-tenant": 2, "frames": 4, "drop-rate": 0.0,
+        "mode": "symmetric", "json": False, "out": None,
+    })
+    if opts is None:
+        return 2
+    config = _service_config(
+        opts["mode"], opts["frames"], workers=1, tenants=opts["tenants"],
+        sessions=opts["sessions-per-tenant"], shards=2,
     )
     plan = FaultPlan(seed=1, drop_rate=opts["drop-rate"])
 
@@ -359,7 +276,7 @@ def health_main(argv) -> int:
     previous_tracer = set_tracer(tracer)
     previous_recorder = set_flight_recorder(recorder)
     try:
-        MultiTenantService(config, plan, registry=registry, tracer=tracer).run()
+        Service(config, plan, registry=registry, tracer=tracer).run()
     finally:
         set_registry(previous_registry)
         set_tracer(previous_tracer)
@@ -390,8 +307,6 @@ def main(argv=None) -> int:
     command = argv[0]
     if command == "service":
         return service_main(argv[1:])
-    if command == "multitenant":
-        return multitenant_main(argv[1:])
     if command == "trace":
         return trace_main(argv[1:])
     if command == "health":

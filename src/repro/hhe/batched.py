@@ -61,7 +61,7 @@ from repro.pasta.params import PastaParams
 #: Default prepared-plaintext budget, in slot rows (one encoded plaintext
 #: polynomial = one row; a tensor matrix costs t*t rows, a row stack t).
 #: Applied per server when no shared :class:`CacheBudget` is given — the
-#: multi-tenant service passes ONE budget to every tenant's server so the
+#: streaming service passes ONE budget to every tenant's server so the
 #: aggregate stays bounded however many tenants are live.
 DEFAULT_PREPARED_ROWS = 4096
 
@@ -180,7 +180,7 @@ class BatchedHheServer:
         # every tenant gets its own server. They are now :class:`BudgetedLru`
         # instances costed in slot rows against ONE shared
         # :class:`CacheBudget` — per-server by default, process-global when
-        # the multi-tenant front end passes its budget in — with eviction
+        # the streaming service passes its budget in — with eviction
         # pressure applied to whichever tenant holds the most rows, so a hot
         # tenant cannot push a cold one below its fair share.
         self.tenant = tenant

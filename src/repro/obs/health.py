@@ -315,10 +315,8 @@ def evaluate_health(
     """Fold the registry + recorder into a :class:`HealthReport`.
 
     Tenants are enumerated from the ``service.tenant.frame_latency.seconds``
-    label family; the single-tenant pipeline (no tenant labels) reports as
-    the pseudo-tenant ``default`` from its unlabeled latency histogram.
-    A window with no data for an objective skips that objective rather
-    than fabricating a violation.
+    label family. A window with no data for an objective skips that
+    objective rather than fabricating a violation.
     """
     from repro.obs.metrics import get_registry
 
@@ -331,18 +329,6 @@ def evaluate_health(
     tenants = _label_values(latency, "tenant")
 
     statuses: List[SloStatus] = []
-    if not tenants:
-        solo = registry.collect("service.frame_latency.seconds")
-        if solo:
-            statuses.append(
-                _score(
-                    "default",
-                    solo[0],
-                    _labeled(lost, **{}),
-                    _min_headroom(headroom, tenant=None),
-                    policy,
-                )
-            )
     for tenant in sorted(tenants):
         statuses.append(
             _score(
@@ -365,10 +351,10 @@ def evaluate_health(
     )
 
 
-def _min_headroom(headroom_metrics: Sequence, tenant: Optional[str]) -> Optional[float]:
+def _min_headroom(headroom_metrics: Sequence, tenant: str) -> Optional[float]:
     mins: List[float] = []
     for metric in headroom_metrics:
-        if tenant is not None and metric.labels.get("tenant") != tenant:
+        if metric.labels.get("tenant") != tenant:
             continue
         value = _finite(metric.summary().get("min"))
         if value is not None:

@@ -309,7 +309,7 @@ class MetricsRegistry:
     def collect(self, name: str) -> List[object]:
         """Every metric instance with base name ``name``, across label sets.
 
-        The per-tenant consumers (multi-tenant service, fairness bench)
+        The per-tenant consumers (the streaming service, fairness bench)
         enumerate e.g. all ``service.tenant.frame_latency.seconds{tenant=x}``
         children without knowing the tenant ids up front.
         """

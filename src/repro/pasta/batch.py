@@ -34,13 +34,12 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field as dataclass_field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
 from repro.errors import ParameterError
 from repro.ff.sampling import SamplerStats
-from repro.utils.budget import CacheBudget
 from repro.keccak.vectorized import batched_shake128
 from repro.pasta.cipher import BlockMaterials, LayerMaterials
 from repro.pasta.matgen import generate_matrix
@@ -268,29 +267,14 @@ class KeystreamEngine:
     any matrices already materialized for it.
     """
 
-    def __init__(
-        self,
-        params: PastaParams,
-        cache_size: int = DEFAULT_CACHE_BLOCKS,
-        budget: Optional[CacheBudget] = None,
-        owner: str = "default",
-    ):
+    def __init__(self, params: PastaParams, cache_size: int = DEFAULT_CACHE_BLOCKS):
         if cache_size < 0:
             raise ParameterError(f"cache_size must be >= 0, got {cache_size}")
         self.params = params
         self.cache_size = cache_size
-        #: Optional shared cross-engine bound (cost unit: one cached block).
-        #: The multi-tenant service hands every tenant's engine the same
-        #: :class:`CacheBudget`, so aggregate materials memory stays bounded
-        #: however many tenant engines exist; ``cache_size`` remains the
-        #: per-engine bound on top.
-        self.budget = budget
-        self.owner = owner
         self._cache: "OrderedDict[Tuple[int, int], _CacheEntry]" = OrderedDict()
         self._hits = 0
         self._misses = 0
-        if budget is not None:
-            budget.register(owner, self._evict_one_block)
         # Engines are shared per parameter set (get_engine) and the
         # streaming service hits them from worker threads: every access to
         # the OrderedDict or the hit/miss counters goes through this lock.
@@ -311,44 +295,20 @@ class KeystreamEngine:
 
     def clear_cache(self) -> None:
         with self._lock:
-            freed = len(self._cache)
             self._cache.clear()
             self._hits = 0
             self._misses = 0
-        if self.budget is not None and freed:
-            self.budget.release(self.owner, float(freed))
-
-    def _evict_one_block(self) -> float:
-        """Shared-budget callback: drop the least-recently-used block."""
-        with self._lock:
-            if not self._cache:
-                return 0.0
-            self._cache.popitem(last=False)
-            return 1.0
 
     def _insert(self, nonce: int, counter: int, entry: _CacheEntry) -> None:
-        """Install one derived entry (takes the lock; don't call holding it).
-
-        Budget accounting settles *after* the store lock is released — the
-        budget's evictors take engine locks, so the one-way ordering
-        (budget -> engine) must never be inverted here.
-        """
+        """Install one derived entry (takes the lock; don't call holding it)."""
         if self.cache_size == 0:
             return
         key = (nonce, counter)
-        evicted = 0
         with self._lock:
-            fresh = key not in self._cache
             self._cache[key] = entry
             self._cache.move_to_end(key)
             while len(self._cache) > self.cache_size:
                 self._cache.popitem(last=False)
-                evicted += 1
-        if self.budget is not None:
-            if evicted:
-                self.budget.release(self.owner, float(evicted))
-            if fresh:
-                self.budget.charge(self.owner, 1.0)
 
     def _entries_pairs(self, pairs: Sequence[Tuple[int, int]]) -> List[_CacheEntry]:
         """Cached entries for every (nonce, counter) pair, batch-deriving misses."""
@@ -542,37 +502,23 @@ class KeystreamEngine:
         return xl
 
 
-_ENGINES: Dict[Tuple[PastaParams, Optional[str]], KeystreamEngine] = {}
+_ENGINES: Dict[PastaParams, KeystreamEngine] = {}
 _ENGINES_LOCK = threading.Lock()
 
 
-def get_engine(
-    params: PastaParams,
-    cache_size: Optional[int] = None,
-    tenant: Optional[str] = None,
-    budget: Optional[CacheBudget] = None,
-) -> KeystreamEngine:
-    """The shared per-(parameter-set, tenant) engine (created on first use).
+def get_engine(params: PastaParams) -> KeystreamEngine:
+    """The engine shared per parameter set (created on first use).
 
-    ``cache_size``/``budget`` only apply when the engine is first created;
-    pass them to :class:`KeystreamEngine` directly for a private instance.
-    ``tenant=None`` (the default) is the anonymous single-tenant engine the
-    non-service callers share. Distinct tenants get distinct engines —
-    cache entries and keystream state never cross a tenant boundary — and
-    the multi-tenant service passes one :class:`CacheBudget` so their
-    aggregate materials stay globally bounded. Safe to call from concurrent
+    The cipher's streaming API and the batched HHE server both draw on it,
+    so they hit one :data:`DEFAULT_CACHE_BLOCKS` materials cache. Construct
+    a :class:`KeystreamEngine` directly for a private instance, such as the
+    cache-less one the streaming service uses. Safe to call from concurrent
     threads: a check-then-create race would otherwise hand two callers
     *different* engines, splitting the shared cache.
     """
     with _ENGINES_LOCK:
-        key = (params, tenant)
-        engine = _ENGINES.get(key)
+        engine = _ENGINES.get(params)
         if engine is None:
-            engine = KeystreamEngine(
-                params,
-                DEFAULT_CACHE_BLOCKS if cache_size is None else cache_size,
-                budget=budget,
-                owner=tenant if tenant is not None else "default",
-            )
-            _ENGINES[key] = engine
+            engine = KeystreamEngine(params)
+            _ENGINES[params] = engine
         return engine

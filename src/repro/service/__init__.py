@@ -1,10 +1,11 @@
 """Streaming transciphering service: pipelined HHE with faults and retries.
 
-See :mod:`repro.service.pipeline` for the single-tenant architecture
-overview, :mod:`repro.service.faults` for the deterministic uplink fault
-model, and :mod:`repro.service.tenants` for the multi-tenant sharded
-front end (sessions, shard routing, admission control, load shedding,
-global cache budgets).
+One service loop (:class:`Service`, in :mod:`repro.service.pipeline`)
+serves every configuration: a single camera stream is one tenant with one
+session on one shard, and a fleet is more tenants, sessions and shards.
+:mod:`repro.service.tenants` holds the tenancy pieces the loop drives
+(tenant keys, shard routing, admission control) and
+:mod:`repro.service.faults` the deterministic uplink fault model.
 """
 
 from repro.service.faults import (
@@ -15,26 +16,21 @@ from repro.service.faults import (
     corrupt_payload,
 )
 from repro.service.pipeline import (
-    TILE8,
-    TILE16,
     HheRecovery,
-    PipelineResult,
     RecoveredFrame,
+    Service,
     ServiceConfig,
-    StreamingPipeline,
-    SymmetricRecovery,
+    ServiceResult,
     WireFrame,
     backoff_jitter_fraction,
     pack_frames,
     unpack_frames,
 )
 from repro.service.tenants import (
+    TILE8,
+    TILE16,
     AdmissionController,
-    MultiTenantConfig,
-    MultiTenantResult,
-    MultiTenantService,
     ShardRouter,
-    TenantRuntime,
     TenantSpec,
     derive_tenant_key,
 )
@@ -44,19 +40,14 @@ __all__ = [
     "FaultAction",
     "FaultPlan",
     "HheRecovery",
-    "MultiTenantConfig",
-    "MultiTenantResult",
-    "MultiTenantService",
     "NO_FAULTS",
-    "PipelineResult",
     "RecoveredFrame",
+    "Service",
     "ServiceConfig",
+    "ServiceResult",
     "ShardRouter",
-    "StreamingPipeline",
-    "SymmetricRecovery",
     "TILE16",
     "TILE8",
-    "TenantRuntime",
     "TenantSpec",
     "WireFrame",
     "backoff_jitter_fraction",

@@ -1,61 +1,69 @@
-"""Streaming transciphering pipeline: producer -> uplink -> worker pool -> sink.
+"""The streaming transciphering service: producer -> shard uplinks -> workers -> sink.
 
-This is the system view the paper's Sec. V link budget abstracts away: an
-edge camera PASTA-encrypts a stream of frame tiles and ships them over a
+This is the system view the paper's Sec. V link budget abstracts away:
+edge cameras PASTA-encrypt streams of frame tiles and ship them over a
 lossy uplink to a recovery pool, which turns them back into plaintext (or,
 in ``hhe`` mode, into BFV ciphertexts via real batched transciphering,
-decrypted client-side for verification). The moving parts:
+decrypted client-side for verification). There is one loop; tenancy,
+shards and admission are configuration. A single camera stream is one
+:class:`~repro.service.tenants.TenantSpec` with one session on one shard.
 
-* **Producer** (client). Frames become ready on a schedule heap; the
-  producer collects up to ``batch_frames`` ready frames, synthesizes and
-  packs them with vectorized SHAKE/numpy, draws a **fresh nonce per
-  transmission** from a :class:`~repro.apps.video.NonceSequence`, and
-  derives keystream for the whole batch in one
+* **Producer** (clients). Admitted sessions' frames become ready on a
+  schedule heap; the producer collects up to ``batch_frames`` ready frames,
+  synthesizes and packs them with vectorized SHAKE/numpy, draws a **fresh
+  nonce per transmission** from the tenant's
+  :class:`~repro.apps.video.NonceSequence` (shared by all its sessions, so
+  no ``(key, nonce)`` pair repeats), and derives keystream for each
+  tenant's share of the batch in one
   :meth:`~repro.pasta.batch.KeystreamEngine.keystream_pairs` call — the
-  cross-frame amortization that gives the pipeline its throughput edge
+  cross-frame amortization that gives the service its throughput edge
   over a per-frame encrypt loop.
-* **Uplink**. A bounded queue models the radio link; a
+* **Uplink**. One bounded queue per shard models the radio link. Each
+  session is routed to its shard once, when the service is built, and each
+  producer batch is handed to the uplinks in one burst after its encrypt
+  span, so workers drain whole batches. A
   :class:`~repro.service.faults.FaultPlan` deterministically drops,
   corrupts, or delays transmissions. Drops and over-timeout delays are
-  retried with bounded exponential backoff; corruption is caught by CRC
-  at the receiver, which NACKs back to the producer. Retries re-encrypt
-  under a fresh nonce, never the consumed one.
-* **Workers** (recovery pool). ``n_workers`` threads drain the uplink
-  queue in small batches and recover frames with a private cache-less
-  engine (the fused streaming path) or the batched HHE server.
-* **Sink**. Reorders by frame id, de-duplicates late deliveries, and
-  acknowledges; the run completes when every frame has been recovered.
+  retried with bounded, jittered exponential backoff; corruption is caught
+  by CRC at the receiver, which NACKs back to the producer. Retries
+  re-encrypt under a fresh nonce, never the consumed one.
+* **Workers** (recovery pool). ``workers_per_shard`` threads per shard
+  drain their queue in small batches and recover each tenant's frames with
+  one pass of a shared cache-less keystream engine (the fused streaming
+  path) or the tenant's batched HHE server.
+* **Sink**. De-duplicates late deliveries, acknowledges, and completes a
+  session once all its frames are in; the run completes when every
+  session has.
 
-**Backpressure and degradation.** The bounded uplink queue pushes back on
-the producer; if a put stalls past ``saturation_put_timeout`` the producer
-downshifts to the next resolution in ``degradation_ladder`` — exactly one
-step per saturation episode (the episode ends when a put succeeds
-promptly again), so a long stall cannot slam the ladder to the floor.
+**Saturation.** A put that stalls past ``put_timeout`` *sheds* the frame:
+the same wire (same nonce, same fault verdict) is re-offered after a
+jittered backoff, so the producer never blocks behind one hot shard and no
+frame is lost. The first shed of a tenant's saturation episode moves its
+new frames one rung down its resolution ladder — exactly one step per
+episode (the episode ends when one of its puts succeeds), while in-flight
+and retried frames keep their resolution.
 
-Everything reports into :mod:`repro.obs`: per-stage latency histograms
-(`service.synthesize/encrypt/recover/frame_latency .seconds`), fault and
-retry counters, queue-depth gauges (maintained by the queue operations'
-own put/get accounting, not sampled ``qsize()``), and worker idle time
-(`service.worker.idle.seconds`) so pool starvation is visible.
-
-**Tracing.** Every stage also records a hierarchical span
-(:mod:`repro.obs.trace`): the producer's ``service.produce.batch`` span
-nests ``service.synthesize`` and ``service.encrypt``, which in turn nests
-the keystream engine's ``pasta.keystream`` span (with its modeled-cycle
-annotation). The encrypt span's context crosses the thread boundary
-explicitly — each :class:`WireFrame` carries it through the uplink queue —
-so a worker's ``service.recover`` span joins the trace of the batch that
-produced its frames. ``repro trace`` exports the buffer as Perfetto JSON.
+Everything reports into :mod:`repro.obs`: stage spans and histograms
+(``service.run`` > ``service.produce.batch`` > ``service.synthesize`` and
+per-tenant ``service.encrypt``; per-tenant ``service.recover`` on the
+workers, parented across the thread hop by the
+:class:`~repro.obs.SpanContext` each :class:`WireFrame` carries),
+tenant-labeled latency (``service.tenant.frame_latency.seconds``), fault,
+retry and shed counters, per-shard ``service.uplink.depth`` gauges kept
+by the queue operations' own put/get accounting, and worker idle time.
+``repro trace`` exports the span buffer as Perfetto JSON.
 """
 
 from __future__ import annotations
 
 import heapq
+import itertools
 import queue
 import struct
 import threading
 import time
-from dataclasses import dataclass, field
+from collections import Counter, deque
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -72,39 +80,46 @@ from repro.obs import (
     get_tracer,
 )
 from repro.pasta.batch import KeystreamEngine
-from repro.pasta.cipher import random_key
 from repro.pasta.params import PASTA_TOY, PastaParams
-from repro.service.faults import (
-    NO_FAULTS,
-    FaultAction,
-    FaultPlan,
-    checksum,
-    corrupt_payload,
+from repro.service.faults import NO_FAULTS, FaultAction, FaultPlan, checksum, corrupt_payload
+from repro.service.tenants import (
+    AdmissionController,
+    ShardRouter,
+    TenantSpec,
+    derive_tenant_key,
 )
+from repro.utils.budget import CacheBudget
 
 __all__ = [
-    "TILE8",
-    "TILE16",
     "ServiceConfig",
     "WireFrame",
     "RecoveredFrame",
-    "PipelineResult",
-    "SymmetricRecovery",
+    "ServiceResult",
     "HheRecovery",
-    "StreamingPipeline",
+    "Service",
     "backoff_jitter_fraction",
     "pack_frames",
     "unpack_frames",
 ]
 
-#: Camera tiles the toy-parameter service streams (a full frame is shipped
-#: as independent tiles; degradation drops to the smaller tile).
-TILE16 = Resolution("TILE16", 16, 16)
-TILE8 = Resolution("TILE8", 8, 8)
+#: Deployment seeds for the tenants' PASTA keys, their BFV keys (``hhe``
+#: mode) and shard placement.
+KEY_SEED = b"service-v1"
+FHE_SEED = b"service-fhe"
+ROUTER_SEED = 0
 
-#: Key-derivation domain for the service's PASTA key (kept distinct from
-#: the HHE protocol's client domains; see repro.hhe.protocol).
-SERVICE_KEY_DOMAIN = b"service-v1-pasta-key|"
+#: Hard wall-clock bound on :meth:`Service.run`.
+RUN_TIMEOUT_SECONDS = 600.0
+
+#: Prepared-plaintext rows all tenants' HHE servers share (``hhe`` mode).
+PREPARED_CACHE_ROWS = 4096
+
+#: BFV ring and modulus of the ``hhe`` mode's toy parameters. The packed
+#: BSGS evaluator's Galois keyswitches cost more noise than the tensor
+#: path: at 230 bits its modeled headroom is -33 bits (measured +27), at
+#: 290 bits it is +27 (measured +87), so health probes stay in budget.
+HHE_RING_N = 256
+HHE_LOG2_Q = 290
 
 #: Domain for the deterministic backoff jitter draw (SHAKE over
 #: ``(frame_id, attempt)``), so retry schedules reproduce run to run.
@@ -164,20 +179,17 @@ class WireFrame:
     """One transmission attempt as it crosses the modeled uplink."""
 
     frame_id: int
+    tenant: str  #: whose key encrypted the payload
+    session: int  #: which of the tenant's sessions sent it
     attempt: int
     nonce: int
     resolution: Resolution
     payload: bytes  #: ciphertext elements as little-endian uint32
     crc: int  #: CRC-32 of the *sent* payload (pre-corruption)
-    not_before: float  #: monotonic time before which delivery must not complete
+    not_before: float = 0.0  #: monotonic time before which delivery must not complete
     #: trace context of the producing encrypt span; carried through the
     #: uplink queue so worker-side spans join the producer's trace.
     trace: Optional[SpanContext] = None
-    #: Multi-tenant identity (repro.service.tenants): which tenant's key
-    #: encrypted this payload, and which of its sessions sent it. ``None``
-    #: for the single-tenant StreamingPipeline.
-    tenant: Optional[str] = None
-    session: Optional[int] = None
 
 
 @dataclass
@@ -185,6 +197,7 @@ class RecoveredFrame:
     """A frame after recovery, as the sink acknowledges it."""
 
     frame_id: int
+    tenant: str
     attempt: int
     nonce: int
     resolution: Resolution
@@ -192,23 +205,42 @@ class RecoveredFrame:
 
 
 @dataclass
-class _FrameState:
-    resolution: Resolution
-    created_at: float
+class _Session:
+    tenant_id: str
+    index: int
+    shard: int  #: routed once, when the service is built
+    frame_uids: List[int]
+    outstanding: set
+    admitted_at: float = 0.0
+
+
+@dataclass
+class _FrameJob:
+    """One offered frame, across all its transmissions."""
+
+    uid: int  #: service-wide frame id (fault plan and synthesis key)
+    session: _Session
+    created_at: float = 0.0  #: admission time; latency is measured from it
+    resolution: Optional[Resolution] = None  #: fixed at the first transmission
     attempts: int = 0
     nonces: List[int] = field(default_factory=list)
 
 
 @dataclass
-class PipelineResult:
-    """Outcome of one :meth:`StreamingPipeline.run`."""
+class ServiceResult:
+    """Outcome of one :meth:`Service.run`."""
 
-    frames: List[RecoveredFrame]  #: in frame-id order, one per source frame
+    frames: List[RecoveredFrame]  #: in frame-id order, one per offered frame
     duration_seconds: float
-    fps: float
-    degradation_steps: int
-    attempts: Dict[int, int]  #: frame_id -> transmissions used
-    nonces: Dict[int, List[int]]  #: frame_id -> every nonce consumed for it
+    frames_per_s: float
+    sessions_per_s: float
+    degradation_steps: int  #: ladder steps taken, over all tenants
+    shed_frames: int
+    admission_deferred: int
+    #: tenant -> {count, mean, p50, p99} frame latency from admission (seconds).
+    tenant_latency: Dict[str, Dict[str, float]]
+    attempts: Dict[int, int]  #: frame id -> transmissions used
+    nonces: Dict[int, List[int]]  #: frame id -> every nonce consumed for it
     metrics: Dict[str, dict]  #: obs registry snapshot at completion
 
 
@@ -217,15 +249,20 @@ class PipelineResult:
 
 @dataclass
 class ServiceConfig:
-    """Knobs for the streaming pipeline (defaults sized for toy params)."""
+    """Knobs for the service (defaults sized for toy params).
 
+    The default is the single camera stream: one tenant, one session, one
+    shard with four workers.
+    """
+
+    tenants: Tuple[TenantSpec, ...] = (TenantSpec("camera", frames_per_session=64),)
     params: PastaParams = PASTA_TOY
-    resolution: Resolution = TILE8
-    n_frames: int = 64
-    n_workers: int = 4
-    batch_frames: int = 32  #: frames per producer encrypt pass
+    n_shards: int = 1
+    workers_per_shard: int = 4
+    batch_frames: int = 32  #: frames per producer encrypt pass (across tenants)
     worker_batch: int = 8  #: frames a worker drains per recovery pass
-    queue_capacity: int = 64  #: uplink queue bound (backpressure)
+    queue_capacity: int = 64  #: per-shard uplink bound (backpressure)
+    max_active_sessions: int = 1024  #: admission bound on in-flight sessions
     timeout_seconds: float = 0.01  #: sender's delivery timeout (drop detection)
     max_retries: int = 8  #: transmissions beyond the first before aborting
     backoff_base_seconds: float = 0.002
@@ -236,20 +273,24 @@ class ServiceConfig:
     #: back the thundering herd: every frame dropped in one batch would
     #: retry at the identical instant against the uplink queue.
     backoff_jitter: float = 0.5
-    saturation_put_timeout: float = 0.05  #: stalled put => saturation episode
-    degradation_ladder: Tuple[Resolution, ...] = ()  #: fallbacks, highest first
+    put_timeout: float = 0.02  #: a put stalled this long sheds the frame
     mode: str = "symmetric"  #: "symmetric" (shared key) or "hhe" (BFV transcipher)
-    key_seed: bytes = b"service-demo"
-    fhe_seed: bytes = b"service-fhe"
-    run_timeout_seconds: float = 300.0  #: hard wall-clock bound on run()
 
     def __post_init__(self):
+        if not self.tenants:
+            raise ParameterError("at least one TenantSpec required")
+        ids = [t.tenant_id for t in self.tenants]
+        if len(set(ids)) != len(ids):
+            raise ParameterError(f"duplicate tenant ids in {ids}")
         if self.mode not in ("symmetric", "hhe"):
             raise ParameterError(f"unknown service mode {self.mode!r}")
-        if self.n_workers < 1 or self.batch_frames < 1 or self.worker_batch < 1:
-            raise ParameterError("n_workers, batch_frames, worker_batch must be >= 1")
-        if self.queue_capacity < 1:
-            raise ParameterError("queue_capacity must be >= 1")
+        counts = (self.n_shards, self.workers_per_shard, self.batch_frames,
+                  self.worker_batch, self.queue_capacity, self.max_active_sessions)
+        if min(counts) < 1:
+            raise ParameterError(
+                "n_shards, workers_per_shard, batch_frames, worker_batch, "
+                "queue_capacity and max_active_sessions must be >= 1"
+            )
         if self.max_retries < 0:
             raise ParameterError("max_retries must be >= 0")
         if not 0.0 <= self.backoff_jitter <= 1.0:
@@ -258,38 +299,7 @@ class ServiceConfig:
             )
 
 
-# -- recovery backends -----------------------------------------------------------
-
-
-class SymmetricRecovery:
-    """Shared-key receiver: batched keystream subtraction on a private engine.
-
-    ``cache_size=0`` selects the engine's fused streaming path — the
-    steady-state service never revisits a (nonce, counter) window, so a
-    materials cache would only add assembly overhead.
-    """
-
-    def __init__(self, params: PastaParams, key: np.ndarray):
-        self.params = params
-        self.key = key
-        self.engine = KeystreamEngine(params, cache_size=0)
-
-    def recover_batch(self, frames: Sequence[Tuple[WireFrame, np.ndarray]]) -> List[np.ndarray]:
-        t = self.params.t
-        pairs: List[Tuple[int, int]] = []
-        spans: List[int] = []
-        for wire, elements in frames:
-            n_blocks = -(-len(elements) // t)
-            pairs.extend((wire.nonce, counter) for counter in range(n_blocks))
-            spans.append(n_blocks)
-        keystream = self.engine.keystream_pairs(self.key, pairs)
-        out: List[np.ndarray] = []
-        row = 0
-        for (_, elements), n_blocks in zip(frames, spans):
-            flat = keystream[row : row + n_blocks].reshape(-1)[: len(elements)]
-            row += n_blocks
-            out.append((elements - flat) % self.params.p)
-        return out
+# -- HHE recovery ----------------------------------------------------------------
 
 
 class HheRecovery:
@@ -307,10 +317,8 @@ class HheRecovery:
         params: PastaParams,
         key: np.ndarray,
         fhe_seed: bytes,
-        n: int = 256,
-        log2_q: int = 230,
-        tenant: str = "default",
-        prepared_budget: Optional["CacheBudget"] = None,
+        tenant: str,
+        prepared_budget: CacheBudget,
     ):
         from repro.fhe import Bfv, toy_parameters
         from repro.fhe.batching import BatchEncoder
@@ -321,9 +329,14 @@ class HheRecovery:
         )
 
         self.params = params
-        bfv = toy_parameters(params.p, n=n, log2_q=log2_q)
+        bfv = toy_parameters(params.p, n=HHE_RING_N, log2_q=HHE_LOG2_Q)
         self.scheme = Bfv(bfv, seed=fhe_seed)
         self.sk, pk, rlk = self.scheme.keygen()
+        # Rotation keys select the packed BSGS evaluator; without them the
+        # server falls back to the slower tensor path.
+        galois = self.scheme.rotation_keygen(
+            self.sk, BatchedHheServer.required_rotation_steps(params, HHE_RING_N)
+        )
         self.encoder = BatchEncoder(bfv.n, params.p)
         encrypted_key = encrypt_key_batched(self.scheme, pk, self.encoder, [int(k) for k in key])
         self.server = BatchedHheServer(
@@ -332,6 +345,7 @@ class HheRecovery:
             rlk,
             self.encoder,
             encrypted_key,
+            galois_keys=galois,
             tenant=tenant,
             prepared_budget=prepared_budget,
         )
@@ -351,11 +365,15 @@ class HheRecovery:
         return out
 
 
-# -- the pipeline ----------------------------------------------------------------
+# -- the service -----------------------------------------------------------------
 
 
-class StreamingPipeline:
-    """Producer / worker-pool / sink pipeline over the modeled uplink.
+class Service:
+    """Producer / sharded worker pool / sink over per-tenant key schedules.
+
+    The closed-loop simulation: every configured session is eventually
+    admitted, streamed, recovered bit-exactly, and acknowledged. Faults,
+    shedding and admission deferrals delay frames; nothing loses them.
 
     ``worker_gate`` is a test hook: when given, workers only consume while
     the event is set, which lets a test hold the pool to force uplink
@@ -367,8 +385,8 @@ class StreamingPipeline:
         config: ServiceConfig,
         fault_plan: FaultPlan = NO_FAULTS,
         registry: Optional[MetricsRegistry] = None,
-        worker_gate: Optional[threading.Event] = None,
         tracer: Optional[Tracer] = None,
+        worker_gate: Optional[threading.Event] = None,
     ):
         self.config = config
         self.plan = fault_plan
@@ -377,55 +395,81 @@ class StreamingPipeline:
         self._gate = worker_gate
 
         params = config.params
-        self.key = random_key(params, SERVICE_KEY_DOMAIN + config.key_seed)
-        self._client_engine = KeystreamEngine(params, cache_size=0)
+        self.admission = AdmissionController(config.max_active_sessions, registry=self.obs)
+        self._specs = {spec.tenant_id: spec for spec in config.tenants}
+        self._keys = {
+            tid: derive_tenant_key(params, tid, KEY_SEED) for tid in self._specs
+        }
+        #: One sequence per tenant KEY: its sessions share it, so concurrent
+        #: sessions can never reuse a (key, nonce) pair.
+        self._nonces = {tid: NonceSequence() for tid in self._specs}
+        #: Client and recovery side both derive fresh (nonce, counter) pairs
+        #: that are never asked for again, so one cache-less engine (the
+        #: fused streaming path) serves every tenant and holds no state.
+        self._engine = KeystreamEngine(params, cache_size=0)
+        self.prepared_budget: Optional[CacheBudget] = None
+        self.hhe: Dict[str, HheRecovery] = {}
         if config.mode == "hhe":
-            self.recovery = HheRecovery(params, self.key, config.fhe_seed)
-        else:
-            self.recovery = SymmetricRecovery(params, self.key)
+            self.prepared_budget = CacheBudget(PREPARED_CACHE_ROWS)
+            self.hhe = {
+                tid: HheRecovery(
+                    params,
+                    key,
+                    FHE_SEED + b"|" + tid.encode(),
+                    tenant=tid,
+                    prepared_budget=self.prepared_budget,
+                )
+                for tid, key in self._keys.items()
+            }
+        #: Current ladder rung per tenant, and the tenants inside a
+        #: saturation episode (both producer-thread only).
+        self._rung = dict.fromkeys(self._specs, 0)
+        self._saturated: set = set()
+        self.degradation_steps = 0
+        self.shed_frames = 0
 
-        self._nonces = NonceSequence()
-        self._uplink_q: "queue.Queue[WireFrame]" = queue.Queue(maxsize=config.queue_capacity)
-        self._result_q: "queue.Queue[RecoveredFrame]" = queue.Queue(maxsize=2 * config.queue_capacity)
+        # The offered load is the configuration: materialize every session
+        # and frame up front; arrival is governed by admission.
+        router = ShardRouter(config.n_shards, seed=ROUTER_SEED)
+        self._frames: Dict[int, _FrameJob] = {}
+        self._sessions: List[_Session] = []
+        uids = itertools.count()
+        for spec in config.tenants:
+            for index in range(spec.sessions):
+                frame_uids = [next(uids) for _ in range(spec.frames_per_session)]
+                session = _Session(
+                    tenant_id=spec.tenant_id,
+                    index=index,
+                    shard=router.shard_of(spec.tenant_id, index),
+                    frame_uids=frame_uids,
+                    outstanding=set(frame_uids),
+                )
+                self._sessions.append(session)
+                for uid in frame_uids:
+                    self._frames[uid] = _FrameJob(uid=uid, session=session)
+        # Admission order is round-robin ACROSS tenants (session 0 of every
+        # tenant, then session 1, ...; the sort is stable): a tenant with a
+        # deep session backlog waits on its own earlier sessions and never
+        # starves another tenant's admission.
+        self._pending = deque(sorted(self._sessions, key=lambda s: s.index))
+
+        self._uplinks: List["queue.Queue[WireFrame]"] = [
+            queue.Queue(maxsize=config.queue_capacity) for _ in range(config.n_shards)
+        ]
+        self._result_q: "queue.Queue[RecoveredFrame]" = queue.Queue()
         self._retry_q: "queue.Queue[Tuple[float, int, int]]" = queue.Queue()
+        #: Shed wires waiting to be re-offered: (ready_time, seq, wire).
+        self._deferred: List[Tuple[float, int, WireFrame]] = []
+        self._deferred_seq = itertools.count()
 
         self._lock = threading.Lock()
-        self._state: Dict[int, _FrameState] = {}
-        self._outstanding = set(range(config.n_frames))
         self._recovered: Dict[int, RecoveredFrame] = {}
-        self._ladder: Tuple[Resolution, ...] = (config.resolution,) + tuple(config.degradation_ladder)
-        self._ladder_idx = 0
-        self._in_saturation = False
-        self.degradation_steps = 0
-
+        self._completed_sessions = 0
         self._done = threading.Event()
         self._stop = threading.Event()
         self._failure: Optional[BaseException] = None
-        if not self._outstanding:
-            self._done.set()
 
     # -- shared helpers ----------------------------------------------------------
-
-    def _backoff(self, frame_id: int, attempt: int) -> float:
-        """Bounded exponential backoff, jittered per ``(frame_id, attempt)``.
-
-        The exponential delay alone is deterministic *and identical* for
-        every frame on the same attempt number, so a batch of co-dropped
-        frames used to retry at the same instant — a synchronized storm
-        against the uplink queue. The SHAKE-seeded jitter keys on the frame
-        id, spreading co-dropped frames apart, while staying a pure
-        function of ``(frame_id, attempt)`` so runs remain reproducible.
-        """
-        if attempt <= 0:
-            return 0.0
-        base = min(
-            self.config.backoff_base_seconds * (2 ** (attempt - 1)),
-            self.config.backoff_max_seconds,
-        )
-        jitter = self.config.backoff_jitter
-        if jitter <= 0.0:
-            return base
-        return base * (1.0 + jitter * backoff_jitter_fraction(frame_id, attempt))
 
     def _fail(self, exc: BaseException) -> None:
         with self._lock:
@@ -434,217 +478,26 @@ class StreamingPipeline:
         self._stop.set()
         self._done.set()
 
-    def _frame_state(self, frame_id: int, now: float) -> _FrameState:
-        with self._lock:
-            state = self._state.get(frame_id)
-            if state is None:
-                state = _FrameState(resolution=self._ladder[self._ladder_idx], created_at=now)
-                self._state[frame_id] = state
-            return state
+    def _backoff(self, frame_id: int, attempt: int) -> float:
+        """Bounded exponential backoff, jittered per ``(frame_id, attempt)``.
 
-    # -- producer ----------------------------------------------------------------
-
-    def _produce(self) -> None:
+        The exponential delay alone is deterministic *and identical* for
+        every frame on the same attempt number, so a batch of co-dropped
+        frames would retry at the same instant — a synchronized storm
+        against the uplink queue. The SHAKE-seeded jitter keys on the frame
+        id, spreading co-dropped frames apart, while staying a pure
+        function of ``(frame_id, attempt)`` so runs remain reproducible.
+        """
+        if attempt <= 0:
+            return 0.0
         cfg = self.config
-        heap: List[Tuple[float, int, int]] = [(0.0, fid, 0) for fid in range(cfg.n_frames)]
-        heapq.heapify(heap)
-        try:
-            while not self._stop.is_set():
-                while True:
-                    try:
-                        heapq.heappush(heap, self._retry_q.get_nowait())
-                    except queue.Empty:
-                        break
-                if self._done.is_set():
-                    break
-                now = time.monotonic()
-                batch: List[Tuple[float, int, int]] = []
-                while heap and heap[0][0] <= now and len(batch) < cfg.batch_frames:
-                    batch.append(heapq.heappop(heap))
-                if not batch:
-                    wait = 0.005
-                    if heap:
-                        wait = min(wait, max(heap[0][0] - now, 0.0005))
-                    try:
-                        heapq.heappush(heap, self._retry_q.get(timeout=wait))
-                    except queue.Empty:
-                        pass
-                    continue
-                self._encrypt_and_send(batch, now)
-        except ServiceError as exc:
-            self._fail(exc)
-        except BaseException as exc:  # surface worker-thread-style crashes too
-            self._fail(ServiceError(f"producer failed: {exc!r}"))
-
-    def _encrypt_and_send(self, batch: Sequence[Tuple[float, int, int]], now: float) -> None:
-        cfg = self.config
-        params = cfg.params
-        obs = self.obs
-        tracer = self.tracer
-        t = params.t
-
-        # Resolve per-frame state; retries keep their original resolution.
-        jobs: List[Tuple[int, int, _FrameState]] = []
-        for _, frame_id, attempt in batch:
-            if attempt > cfg.max_retries:
-                raise ServiceError(
-                    f"frame {frame_id} exceeded {cfg.max_retries} retries"
-                )
-            state = self._frame_state(frame_id, now)
-            jobs.append((frame_id, attempt, state))
-
-        with tracer.span(
-            "service.produce.batch",
-            metric="service.produce.batch.seconds",
-            registry=obs,
-            variant=params.name,
-            omega=params.modulus_bits,
-            mode=cfg.mode,
-            frames=len(jobs),
-        ):
-            # Synthesize + pack, grouped by resolution (one vectorized pass each).
-            elements_of: Dict[int, np.ndarray] = {}
-            by_res: Dict[str, List[Tuple[int, Resolution]]] = {}
-            for frame_id, _, state in jobs:
-                by_res.setdefault(state.resolution.name, []).append((frame_id, state.resolution))
-            with tracer.span(
-                "service.synthesize",
-                metric="service.synthesize.seconds",
-                registry=obs,
-                frames=len(jobs),
-            ):
-                for group in by_res.values():
-                    resolution = group[0][1]
-                    pixels = synthetic_frames_batch(resolution, [fid for fid, _ in group])
-                    packed = pack_frames(pixels, params.p)
-                    for row, (fid, _) in enumerate(group):
-                        elements_of[fid] = packed[row]
-
-            # One cross-frame keystream pass covers the whole batch; the
-            # engine's pasta.keystream span nests under this one.
-            with tracer.span(
-                "service.encrypt",
-                metric="service.encrypt.seconds",
-                registry=obs,
-                variant=params.name,
-                omega=params.modulus_bits,
-                frames=len(jobs),
-            ) as encrypt_span:
-                pairs: List[Tuple[int, int]] = []
-                spans: List[int] = []
-                nonce_of: Dict[int, int] = {}
-                for frame_id, attempt, state in jobs:
-                    nonce = self._nonces.next()  # fresh per transmission, retries included
-                    nonce_of[frame_id] = nonce
-                    n_blocks = -(-len(elements_of[frame_id]) // t)
-                    pairs.extend((nonce, counter) for counter in range(n_blocks))
-                    spans.append(n_blocks)
-                encrypt_span.set_attribute("lanes", len(pairs))
-                keystream = self._client_engine.keystream_pairs(self.key, pairs)
-                trace_ctx = encrypt_span.context
-                wires: List[WireFrame] = []
-                row = 0
-                for (frame_id, attempt, state), n_blocks in zip(jobs, spans):
-                    elements = elements_of[frame_id]
-                    flat = keystream[row : row + n_blocks].reshape(-1)[: len(elements)]
-                    row += n_blocks
-                    ciphertext = (elements + flat) % params.p
-                    payload = ciphertext.astype("<u4").tobytes()
-                    with self._lock:
-                        state.attempts = attempt + 1
-                        state.nonces.append(nonce_of[frame_id])
-                    wires.append(
-                        WireFrame(
-                            frame_id=frame_id,
-                            attempt=attempt,
-                            nonce=nonce_of[frame_id],
-                            resolution=state.resolution,
-                            payload=payload,
-                            crc=checksum(payload),
-                            not_before=0.0,
-                            trace=trace_ctx,
-                        )
-                    )
-            obs.counter("service.frames.sent").inc(len(wires))
-            obs.histogram("service.batch.frames").observe(len(wires))
-
-            for wire in wires:
-                self._send(wire)
-
-    def _send(self, wire: WireFrame) -> None:
-        cfg = self.config
-        obs = self.obs
-        now = time.monotonic()
-        action = self.plan.action(wire.frame_id, wire.attempt)
-
-        if action is FaultAction.DROP:
-            obs.counter("service.uplink.dropped").inc()
-            self._schedule_retry(wire, now + cfg.timeout_seconds)
-            return
-
-        if action is FaultAction.CORRUPT:
-            obs.counter("service.uplink.corrupted").inc()
-            wire = WireFrame(
-                frame_id=wire.frame_id,
-                attempt=wire.attempt,
-                nonce=wire.nonce,
-                resolution=wire.resolution,
-                payload=corrupt_payload(wire.payload, wire.frame_id, wire.attempt),
-                crc=wire.crc,
-                not_before=wire.not_before,
-                trace=wire.trace,
-            )
-        elif action is FaultAction.DELAY:
-            obs.counter("service.uplink.delayed").inc()
-            wire = WireFrame(
-                frame_id=wire.frame_id,
-                attempt=wire.attempt,
-                nonce=wire.nonce,
-                resolution=wire.resolution,
-                payload=wire.payload,
-                crc=wire.crc,
-                not_before=now + self.plan.delay_seconds,
-                trace=wire.trace,
-            )
-            if self.plan.delay_seconds > cfg.timeout_seconds:
-                # The sender's timer fires before the late delivery lands:
-                # it retransmits, and the sink de-duplicates the straggler.
-                self._schedule_retry(wire, now + cfg.timeout_seconds)
-
-        delivered = False
-        try:
-            self._uplink_q.put(wire, timeout=cfg.saturation_put_timeout)
-            delivered = True
-        except queue.Full:
-            obs.counter("service.saturation.events").inc()
-            get_flight_recorder().record(
-                "load_shed",
-                frame_id=wire.frame_id,
-                attempt=wire.attempt,
-                queue_capacity=cfg.queue_capacity,
-            )
-            if not self._in_saturation:
-                self._in_saturation = True
-                self._downshift()
-            while not self._stop.is_set():
-                try:
-                    self._uplink_q.put(wire, timeout=0.05)
-                    delivered = True
-                    break
-                except queue.Full:
-                    continue
-        else:
-            self._in_saturation = False
-        if delivered:
-            # Depth from the put's own accounting: a sampled qsize() after
-            # the fact races concurrent worker gets and under-reports the
-            # high-water mark the gauge exists to expose.
-            depth = obs.gauge("service.uplink.depth")
-            depth.add(1)
-            get_flight_recorder().sample("service.uplink.depth", depth.value)
+        base = min(cfg.backoff_base_seconds * (2 ** (attempt - 1)), cfg.backoff_max_seconds)
+        if cfg.backoff_jitter <= 0.0:
+            return base
+        return base * (1.0 + cfg.backoff_jitter * backoff_jitter_fraction(frame_id, attempt))
 
     def _schedule_retry(self, wire: WireFrame, earliest: float) -> None:
-        self.obs.counter("service.retries").inc()
+        self.obs.counter("service.retries", tenant=wire.tenant).inc()
         get_flight_recorder().record(
             "retry",
             severity="info",
@@ -655,22 +508,251 @@ class StreamingPipeline:
         ready = earliest + self._backoff(wire.frame_id, wire.attempt + 1)
         self._retry_q.put((ready, wire.frame_id, wire.attempt + 1))
 
-    def _downshift(self) -> None:
-        """One degradation step: new frames use the next-smaller resolution."""
+    def _keystreams(self, tenant_id: str, frames: Sequence[Tuple[int, int]]) -> List[np.ndarray]:
+        """Flat keystream for each ``(nonce, n_elements)`` frame, in one engine pass."""
+        t = self.config.params.t
+        pairs = [(nonce, c) for nonce, n in frames for c in range(-(-n // t))]
+        rows = self._engine.keystream_pairs(self._keys[tenant_id], pairs)
+        out: List[np.ndarray] = []
+        row = 0
+        for _, n in frames:
+            n_blocks = -(-n // t)
+            out.append(rows[row : row + n_blocks].reshape(-1)[:n])
+            row += n_blocks
+        return out
+
+    # -- admission ---------------------------------------------------------------
+
+    def _admit_sessions(self, heap: List[Tuple[float, int, int]], now: float) -> None:
+        """Admit pending sessions while the controller has room."""
+        while self._pending and self.admission.try_admit():
+            session = self._pending.popleft()
+            session.admitted_at = now
+            self.obs.counter("service.sessions.admitted", tenant=session.tenant_id).inc()
+            for uid in session.frame_uids:
+                self._frames[uid].created_at = now
+                heapq.heappush(heap, (now, uid, 0))
+            if not session.frame_uids:
+                self._session_done(session, now)
+
+    def _session_done(self, session: _Session, now: float) -> None:
+        self.admission.release()
+        self.obs.histogram(
+            "service.session.duration.seconds", tenant=session.tenant_id
+        ).observe(now - session.admitted_at)
         with self._lock:
-            if self._ladder_idx + 1 < len(self._ladder):
-                self._ladder_idx += 1
-                self.degradation_steps += 1
-                self.obs.counter("service.degradation.steps").inc()
+            self._completed_sessions += 1
+            finished = self._completed_sessions == len(self._sessions)
+        if finished:
+            self._done.set()
 
-    # -- workers -----------------------------------------------------------------
+    # -- producer ----------------------------------------------------------------
 
-    def _worker(self) -> None:
+    def _produce(self) -> None:
+        cfg = self.config
+        heap: List[Tuple[float, int, int]] = []
+        try:
+            while not self._stop.is_set():
+                while True:
+                    try:
+                        heapq.heappush(heap, self._retry_q.get_nowait())
+                    except queue.Empty:
+                        break
+                now = time.monotonic()
+                self._admit_sessions(heap, now)
+                if self._done.is_set():
+                    break
+                while self._deferred and self._deferred[0][0] <= now:
+                    self._offer(heapq.heappop(self._deferred)[2], redraw_fault=False)
+                batch: List[Tuple[float, int, int]] = []
+                while heap and heap[0][0] <= now and len(batch) < cfg.batch_frames:
+                    batch.append(heapq.heappop(heap))
+                if not batch:
+                    wait = 0.005
+                    for pending in (heap, self._deferred):
+                        if pending:
+                            wait = min(wait, max(pending[0][0] - now, 0.0005))
+                    try:
+                        heapq.heappush(heap, self._retry_q.get(timeout=wait))
+                    except queue.Empty:
+                        pass
+                    continue
+                self._encrypt_and_send(batch)
+        except ServiceError as exc:
+            self._fail(exc)
+        except Exception as exc:
+            self._fail(ServiceError(f"producer failed: {exc!r}"))
+
+    def _encrypt_and_send(self, batch: Sequence[Tuple[float, int, int]]) -> None:
+        cfg = self.config
+        params = cfg.params
+        by_tenant: Dict[str, List[Tuple[_FrameJob, int]]] = {}
+        for _, uid, attempt in batch:
+            if attempt > cfg.max_retries:
+                raise ServiceError(f"frame {uid} exceeded {cfg.max_retries} retries")
+            job = self._frames[uid]
+            tenant_id = job.session.tenant_id
+            if job.resolution is None:  # retries keep their first resolution
+                job.resolution = self._specs[tenant_id].ladder[self._rung[tenant_id]]
+            by_tenant.setdefault(tenant_id, []).append((job, attempt))
+
+        with self.tracer.span(
+            "service.produce.batch",
+            metric="service.produce.batch.seconds",
+            registry=self.obs,
+            variant=params.name,
+            omega=params.modulus_bits,
+            mode=cfg.mode,
+            frames=len(batch),
+            tenants=len(by_tenant),
+        ):
+            elements_of = self._synthesize([job for jobs in by_tenant.values() for job, _ in jobs])
+            wires: List[WireFrame] = []
+            for tenant_id, jobs in by_tenant.items():
+                wires.extend(self._encrypt(tenant_id, jobs, elements_of))
+            # One burst per batch, after the encrypt spans: wires reach the
+            # queues together, so workers drain whole batches instead of
+            # waking once per frame.
+            for wire in wires:
+                self._offer(wire)
+
+    def _synthesize(self, jobs: Sequence[_FrameJob]) -> Dict[int, np.ndarray]:
+        """Synthesize + pack, one vectorized pass per resolution."""
+        by_res: Dict[Resolution, List[int]] = {}
+        for job in jobs:
+            by_res.setdefault(job.resolution, []).append(job.uid)
+        elements_of: Dict[int, np.ndarray] = {}
+        with self.tracer.span(
+            "service.synthesize",
+            metric="service.synthesize.seconds",
+            registry=self.obs,
+            frames=len(jobs),
+        ):
+            for resolution, uids in by_res.items():
+                packed = pack_frames(synthetic_frames_batch(resolution, uids), self.config.params.p)
+                elements_of.update(zip(uids, packed))
+        return elements_of
+
+    def _encrypt(
+        self,
+        tenant_id: str,
+        jobs: Sequence[Tuple[_FrameJob, int]],
+        elements_of: Dict[int, np.ndarray],
+    ) -> List[WireFrame]:
+        """One cross-session keystream pass for a tenant's share of the batch."""
+        params = self.config.params
+        nonces = self._nonces[tenant_id]
+        with self.tracer.span(
+            "service.encrypt",
+            metric="service.encrypt.seconds",
+            registry=self.obs,
+            variant=params.name,
+            omega=params.modulus_bits,
+            tenant=tenant_id,
+            frames=len(jobs),
+        ) as span:
+            # Fresh nonce per transmission, retries included.
+            sent = [(job, attempt, nonces.next()) for job, attempt in jobs]
+            frames = [(nonce, len(elements_of[job.uid])) for job, _, nonce in sent]
+            span.set_attribute("lanes", sum(-(-n // params.t) for _, n in frames))
+            keystreams = self._keystreams(tenant_id, frames)
+            wires: List[WireFrame] = []
+            for (job, attempt, nonce), keystream in zip(sent, keystreams):
+                payload = ((elements_of[job.uid] + keystream) % params.p).astype("<u4").tobytes()
+                with self._lock:
+                    job.attempts = attempt + 1
+                    job.nonces.append(nonce)
+                wires.append(
+                    WireFrame(
+                        frame_id=job.uid,
+                        tenant=tenant_id,
+                        session=job.session.index,
+                        attempt=attempt,
+                        nonce=nonce,
+                        resolution=job.resolution,
+                        payload=payload,
+                        crc=checksum(payload),
+                        trace=span.context,
+                    )
+                )
+        self.obs.counter("service.frames.sent", tenant=tenant_id).inc(len(wires))
+        return wires
+
+    def _offer(self, wire: WireFrame, redraw_fault: bool = True) -> None:
+        """Fault-inject (once per attempt) and put on the session's shard."""
         cfg = self.config
         obs = self.obs
+        now = time.monotonic()
+        if redraw_fault:
+            action = self.plan.action(wire.frame_id, wire.attempt)
+            if action is FaultAction.DROP:
+                obs.counter("service.uplink.dropped", tenant=wire.tenant).inc()
+                self._schedule_retry(wire, now + cfg.timeout_seconds)
+                return
+            if action is FaultAction.CORRUPT:
+                obs.counter("service.uplink.corrupted", tenant=wire.tenant).inc()
+                wire = replace(
+                    wire, payload=corrupt_payload(wire.payload, wire.frame_id, wire.attempt)
+                )
+            elif action is FaultAction.DELAY:
+                obs.counter("service.uplink.delayed", tenant=wire.tenant).inc()
+                wire = replace(wire, not_before=now + self.plan.delay_seconds)
+                if self.plan.delay_seconds > cfg.timeout_seconds:
+                    # The sender's timer fires before the late delivery lands:
+                    # it retransmits, and the sink de-duplicates the straggler.
+                    self._schedule_retry(wire, now + cfg.timeout_seconds)
+
+        shard = self._frames[wire.frame_id].session.shard
+        try:
+            self._uplinks[shard].put(wire, timeout=cfg.put_timeout)
+        except queue.Full:
+            self._shed(wire, shard, now)
+            return
+        self._saturated.discard(wire.tenant)
+        # Depth from the put's own accounting: a sampled qsize() after the
+        # fact races concurrent worker gets and under-reports the
+        # high-water mark the gauge exists to expose.
+        depth = obs.gauge("service.uplink.depth", shard=shard)
+        depth.add(1)
+        get_flight_recorder().sample(f"service.uplink.depth/shard{shard}", depth.value)
+
+    def _shed(self, wire: WireFrame, shard: int, now: float) -> None:
+        """Re-offer a wire its full shard refused, after a jittered backoff.
+
+        The *same* wire comes back: its nonce and fault verdict belong to
+        the transmission attempt, not to the queue put. The first shed of a
+        tenant's saturation episode moves its new frames one ladder rung
+        down.
+        """
+        tenant_id = wire.tenant
+        self.shed_frames += 1
+        self.obs.counter("service.shed.frames", tenant=tenant_id).inc()
+        get_flight_recorder().record(
+            "load_shed",
+            tenant=tenant_id,
+            shard=shard,
+            frame_id=wire.frame_id,
+            attempt=wire.attempt,
+        )
+        if tenant_id not in self._saturated:
+            self._saturated.add(tenant_id)
+            if self._rung[tenant_id] + 1 < len(self._specs[tenant_id].ladder):
+                self._rung[tenant_id] += 1
+                self.degradation_steps += 1
+                self.obs.counter("service.degradation.steps", tenant=tenant_id).inc()
+        ready = now + self._backoff(wire.frame_id, max(wire.attempt, 1))
+        heapq.heappush(self._deferred, (ready, next(self._deferred_seq), wire))
+
+    # -- shard workers -----------------------------------------------------------
+
+    def _worker(self, shard: int) -> None:
+        cfg = self.config
+        obs = self.obs
+        uplink = self._uplinks[shard]
         idle = obs.histogram(
             "service.worker.idle.seconds",
             help="time a worker spends waiting for uplink frames",
+            shard=shard,
         )
         try:
             while not self._stop.is_set():
@@ -679,64 +761,73 @@ class StreamingPipeline:
                     idle.observe(time.perf_counter() - idle_start)
                     continue
                 try:
-                    first = self._uplink_q.get(timeout=0.05)
+                    wires = [uplink.get(timeout=0.05)]
                 except queue.Empty:
                     idle.observe(time.perf_counter() - idle_start)
                     continue
-                wires = [first]
                 while len(wires) < cfg.worker_batch:
                     try:
-                        wires.append(self._uplink_q.get_nowait())
+                        wires.append(uplink.get_nowait())
                     except queue.Empty:
                         break
                 idle.observe(time.perf_counter() - idle_start)
                 # Mirror of the producer-side add: each get accounts for
                 # itself rather than trusting a racy qsize() sample.
-                depth = obs.gauge("service.uplink.depth")
+                depth = obs.gauge("service.uplink.depth", shard=shard)
                 depth.add(-len(wires))
-                get_flight_recorder().sample("service.uplink.depth", depth.value)
-                self._recover(wires)
-        except BaseException as exc:
-            self._fail(ServiceError(f"worker failed: {exc!r}"))
+                get_flight_recorder().sample(f"service.uplink.depth/shard{shard}", depth.value)
+                self._recover(shard, wires)
+        except Exception as exc:
+            self._fail(ServiceError(f"shard {shard} worker failed: {exc!r}"))
 
-    def _recover(self, wires: Sequence[WireFrame]) -> None:
+    def _recover(self, shard: int, wires: Sequence[WireFrame]) -> None:
         obs = self.obs
         params = self.config.params
         now = time.monotonic()
-        valid: List[Tuple[WireFrame, np.ndarray]] = []
+        by_tenant: Dict[str, List[Tuple[WireFrame, np.ndarray]]] = {}
         for wire in wires:
             if wire.not_before > now:
                 time.sleep(wire.not_before - now)
                 now = time.monotonic()
             if checksum(wire.payload) != wire.crc:
-                obs.counter("service.crc.rejected").inc()
+                obs.counter("service.crc.rejected", tenant=wire.tenant).inc()
                 self._schedule_retry(wire, now)
                 continue
             elements = np.frombuffer(wire.payload, dtype="<u4").astype(np.int64)
-            valid.append((wire, elements))
-        if not valid:
-            return
-        # Explicit cross-thread propagation: the wire carries the producing
-        # encrypt span's context; the recover span joins that trace even
-        # though it runs on a worker thread. A drained batch can mix wires
-        # from several producer batches — parent on the first and record
-        # how many distinct traces fed it.
-        parent = valid[0][0].trace
-        with self.tracer.span(
-            "service.recover",
-            metric="service.recover.seconds",
-            registry=obs,
-            parent=parent,
-            frames=len(valid),
-            source_traces=len({w.trace.trace_id for w, _ in valid if w.trace is not None}),
-            mode=self.config.mode,
-        ):
-            recovered = self.recovery.recover_batch(valid)
+            by_tenant.setdefault(wire.tenant, []).append((wire, elements))
+        for tenant_id, valid in by_tenant.items():
+            # Explicit cross-thread propagation: the wire carries the producing
+            # encrypt span's context, so the recover span joins that trace
+            # even though it runs on a worker thread. A drained batch can mix
+            # wires from several producer batches — parent on the first and
+            # record how many distinct traces fed it.
+            with self.tracer.span(
+                "service.recover",
+                metric="service.recover.seconds",
+                registry=obs,
+                parent=valid[0][0].trace,
+                tenant=tenant_id,
+                shard=shard,
+                frames=len(valid),
+                source_traces=len({w.trace.trace_id for w, _ in valid if w.trace is not None}),
+                mode=self.config.mode,
+            ):
+                if tenant_id in self.hhe:
+                    recovered = self.hhe[tenant_id].recover_batch(valid)
+                else:
+                    keystreams = self._keystreams(
+                        tenant_id, [(wire.nonce, len(elements)) for wire, elements in valid]
+                    )
+                    recovered = [
+                        (elements - keystream) % params.p
+                        for (_, elements), keystream in zip(valid, keystreams)
+                    ]
             for (wire, _), elements in zip(valid, recovered):
                 pixels = unpack_frames(elements[None, :], params.p)[0]
                 self._result_q.put(
                     RecoveredFrame(
                         frame_id=wire.frame_id,
+                        tenant=tenant_id,
                         attempt=wire.attempt,
                         nonce=wire.nonce,
                         resolution=wire.resolution,
@@ -755,34 +846,41 @@ class StreamingPipeline:
                 except queue.Empty:
                     continue
                 now = time.monotonic()
+                job = self._frames[frame.frame_id]
                 with self._lock:
                     if frame.frame_id in self._recovered:
-                        obs.counter("service.frames.duplicate").inc()
+                        obs.counter("service.frames.duplicate", tenant=frame.tenant).inc()
                         continue
                     self._recovered[frame.frame_id] = frame
-                    self._outstanding.discard(frame.frame_id)
-                    state = self._state.get(frame.frame_id)
-                    finished = not self._outstanding
-                obs.counter("service.frames.recovered").inc()
-                if state is not None:
-                    obs.histogram("service.frame_latency.seconds").observe(now - state.created_at)
-                if finished:
-                    self._done.set()
-        except BaseException as exc:
+                    job.session.outstanding.discard(frame.frame_id)
+                    session_done = not job.session.outstanding
+                obs.counter("service.frames.recovered", tenant=frame.tenant).inc()
+                obs.histogram(
+                    "service.tenant.frame_latency.seconds", tenant=frame.tenant
+                ).observe(now - job.created_at)
+                if session_done:
+                    self._session_done(job.session, now)
+        except Exception as exc:
             self._fail(ServiceError(f"sink failed: {exc!r}"))
 
     # -- orchestration -----------------------------------------------------------
 
-    def run(self) -> PipelineResult:
-        """Stream every frame through the pipeline; block until acknowledged.
+    def run(self) -> ServiceResult:
+        """Stream every session's frames to completion; block until acknowledged.
 
         Raises :class:`ServiceError` if a frame exhausts its retries, a
-        stage crashes, or the run exceeds ``run_timeout_seconds``.
+        stage crashes, or the run exceeds :data:`RUN_TIMEOUT_SECONDS`.
         """
         cfg = self.config
         threads = [
-            threading.Thread(target=self._worker, name=f"service-worker-{i}", daemon=True)
-            for i in range(cfg.n_workers)
+            threading.Thread(
+                target=self._worker,
+                args=(shard,),
+                name=f"service-worker-{shard}.{w}",
+                daemon=True,
+            )
+            for shard in range(cfg.n_shards)
+            for w in range(cfg.workers_per_shard)
         ]
         threads.append(threading.Thread(target=self._sink, name="service-sink", daemon=True))
         start = time.perf_counter()
@@ -795,12 +893,15 @@ class StreamingPipeline:
             variant=cfg.params.name,
             omega=cfg.params.modulus_bits,
             mode=cfg.mode,
-            frames=cfg.n_frames,
-            workers=cfg.n_workers,
+            tenants=len(cfg.tenants),
+            sessions=len(self._sessions),
+            frames=len(self._frames),
+            shards=cfg.n_shards,
+            workers=cfg.workers_per_shard,
         ):
             self._produce()
-        if not self._done.wait(timeout=cfg.run_timeout_seconds):
-            self._fail(ServiceError(f"pipeline stalled past {cfg.run_timeout_seconds}s"))
+        if not self._done.wait(timeout=RUN_TIMEOUT_SECONDS):
+            self._fail(ServiceError(f"service stalled past {RUN_TIMEOUT_SECONDS}s"))
         duration = time.perf_counter() - start
         self._stop.set()
         for thread in threads:
@@ -809,20 +910,33 @@ class StreamingPipeline:
             raise self._failure
 
         with self._lock:
-            frames = [self._recovered[fid] for fid in sorted(self._recovered)]
-            attempts = {fid: state.attempts for fid, state in self._state.items()}
-            nonces = {fid: list(state.nonces) for fid, state in self._state.items()}
-        fps = cfg.n_frames / duration if duration > 0 else 0.0
-        self.obs.gauge("service.fps").set(fps)
-        # Frame-loss accounting for the SLO window: a successful run always
-        # reaches zero (run() raises otherwise), but the gauge makes the
-        # invariant externally checkable rather than implied.
-        self.obs.gauge("service.frames.lost").set(cfg.n_frames - len(frames))
-        return PipelineResult(
+            frames = [self._recovered[uid] for uid in sorted(self._recovered)]
+            attempts = {uid: job.attempts for uid, job in self._frames.items()}
+            nonces = {uid: list(job.nonces) for uid, job in self._frames.items()}
+        recovered = Counter(frame.tenant for frame in frames)
+        tenant_latency: Dict[str, Dict[str, float]] = {}
+        for spec in cfg.tenants:
+            summary = self.obs.histogram(
+                "service.tenant.frame_latency.seconds", tenant=spec.tenant_id
+            ).summary()
+            tenant_latency[spec.tenant_id] = {k: summary[k] for k in ("count", "mean", "p50", "p99")}
+            # Per-tenant loss gauge for the SLO window: a successful run always
+            # reaches zero (run() raises otherwise), but the gauge makes the
+            # invariant externally checkable rather than implied.
+            offered = spec.sessions * spec.frames_per_session
+            self.obs.gauge("service.frames.lost", tenant=spec.tenant_id).set(
+                offered - recovered[spec.tenant_id]
+            )
+        rate = 1.0 / duration if duration > 0 else 0.0
+        return ServiceResult(
             frames=frames,
             duration_seconds=duration,
-            fps=fps,
+            frames_per_s=len(self._frames) * rate,
+            sessions_per_s=len(self._sessions) * rate,
             degradation_steps=self.degradation_steps,
+            shed_frames=self.shed_frames,
+            admission_deferred=self.admission.deferred,
+            tenant_latency=tenant_latency,
             attempts=attempts,
             nonces=nonces,
             metrics=self.obs.snapshot(),

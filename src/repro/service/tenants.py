@@ -1,90 +1,50 @@
-"""Multi-tenant sharded transciphering front end.
+"""Tenancy pieces of the streaming service: who sends what, and where it lands.
 
-:class:`~repro.service.pipeline.StreamingPipeline` serves one client with
-one key. This module is the "millions of users" story layered on top of
-it: many **tenants** (edge fleets, each with its own PASTA key schedule)
-open many concurrent **sessions** (streams of frames), and a sharded
-recovery tier transciphers them all under one global resource envelope.
-The moving parts:
+None of these run a loop; :class:`~repro.service.pipeline.Service` drives
+them. Many **tenants** (edge fleets, each with its own PASTA key) open
+**sessions** (streams of frames); a single camera stream is one tenant
+with one session.
 
-* **Session layer.** Each tenant derives its key once
-  (domain-separated from its tenant id), owns a monotonic
-  :class:`~repro.apps.video.NonceSequence` shared by its sessions (no
-  nonce ever repeats under one key, however many sessions are live), and
-  gets private keystream engines — cache entries and keystream state
-  never cross a tenant boundary.
-* **Shard router.** ``shard_of(tenant, session)`` is a SHAKE hash onto
-  one of ``n_shards`` worker shards, so a session's frames always land on
-  the same bounded uplink queue and the load of many sessions spreads
-  deterministically.
-* **Admission control.** At most ``max_active_sessions`` sessions are in
-  flight; later sessions queue and are admitted as slots free
-  (``service.admission.deferred`` counts the waits, rejected == never:
-  the simulation is closed-loop).
-* **Load shedding.** When a shard's uplink queue stays full past
-  ``shed_put_timeout``, the frame is *shed*: the producer re-offers it
-  after a jittered backoff instead of blocking the whole batch behind one
-  hot shard (``service.shed.frames{tenant=...}``). Shedding defers, never
-  drops — runs complete with zero frame loss.
-* **Global cache budget.** Every tenant's recovery engine charges its
-  materials cache to ONE :class:`~repro.utils.budget.CacheBudget`
-  (likewise every tenant's :class:`~repro.hhe.batched.BatchedHheServer`
-  charges its prepared-plaintext rows in ``hhe`` mode), so aggregate
-  cache memory is bounded by configuration, not by tenant count, and a
-  hot tenant's evictions land on itself once others are inside their fair
-  share.
-
-Everything reports per-tenant into :mod:`repro.obs` (``tenant=`` labels
-on latency histograms and shed counters) so the fairness story is
-measurable, not asserted: see ``benchmarks/test_multitenant.py``.
+* **Tenant keys.** :func:`derive_tenant_key` is domain-separated from the
+  tenant id, so two tenants never share key material.
+* **Shard router.** ``shard_of(tenant, session)`` is a SHAKE hash onto one
+  of ``n_shards`` uplink queues, so a session's frames always land on the
+  same shard and placement is reproducible.
+* **Admission control.** At most ``max_active`` sessions are in flight;
+  later sessions wait and are admitted as slots free (deferred, never
+  rejected: the service is closed-loop).
 """
 
 from __future__ import annotations
 
-import heapq
-import queue
 import struct
 import threading
-import time
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Optional, Tuple
 
 import numpy as np
 
-from repro.apps.video import NonceSequence, Resolution, synthetic_frames_batch
+from repro.apps.video import Resolution
 from repro.errors import ParameterError, ServiceError
 from repro.keccak.shake import shake128
-from repro.obs import (
-    MetricsRegistry,
-    Tracer,
-    get_flight_recorder,
-    get_registry,
-    get_tracer,
-)
-from repro.pasta.batch import KeystreamEngine
+from repro.obs import MetricsRegistry, get_registry
 from repro.pasta.cipher import random_key
-from repro.pasta.params import PASTA_TOY, PastaParams
-from repro.service.faults import FaultAction, FaultPlan, NO_FAULTS, checksum, corrupt_payload
-from repro.service.pipeline import (
-    TILE8,
-    WireFrame,
-    backoff_jitter_fraction,
-    pack_frames,
-    unpack_frames,
-)
-from repro.utils.budget import CacheBudget
+from repro.pasta.params import PastaParams
 
 __all__ = [
+    "TILE8",
+    "TILE16",
     "TENANT_KEY_DOMAIN",
     "TenantSpec",
-    "MultiTenantConfig",
     "ShardRouter",
     "AdmissionController",
-    "TenantRuntime",
-    "MultiTenantResult",
-    "MultiTenantService",
     "derive_tenant_key",
 ]
+
+#: Camera tiles the toy-parameter service streams (a full frame is shipped
+#: as independent tiles; degradation drops to the smaller tile).
+TILE16 = Resolution("TILE16", 16, 16)
+TILE8 = Resolution("TILE8", 8, 8)
 
 #: Domain separation for per-tenant PASTA keys: two tenants (or the same
 #: tenant id under different deployment seeds) never share key material.
@@ -96,91 +56,36 @@ def derive_tenant_key(params: PastaParams, tenant_id: str, seed: bytes = b"") ->
     return random_key(params, TENANT_KEY_DOMAIN + tenant_id.encode() + b"|" + seed)
 
 
-# -- configuration ---------------------------------------------------------------
-
-
 @dataclass(frozen=True)
 class TenantSpec:
-    """One tenant's offered load: how many sessions of how many frames."""
+    """One tenant's offered load: sessions of frames, and its resolution ladder.
+
+    ``ladder[0]`` is the resolution the tenant's frames start at; the rest
+    are fallbacks, highest first. Each saturation episode moves the
+    tenant's *new* frames one rung down.
+    """
 
     tenant_id: str
     sessions: int = 1
     frames_per_session: int = 8
-    resolution: Resolution = TILE8
+    ladder: Tuple[Resolution, ...] = (TILE8,)
 
     def __post_init__(self):
         if not self.tenant_id:
             raise ParameterError("tenant_id must be non-empty")
-        if self.sessions < 1 or self.frames_per_session < 1:
-            raise ParameterError("sessions and frames_per_session must be >= 1")
-
-
-@dataclass
-class MultiTenantConfig:
-    """Knobs for the sharded multi-tenant service."""
-
-    tenants: Tuple[TenantSpec, ...]
-    params: PastaParams = PASTA_TOY
-    n_shards: int = 2
-    workers_per_shard: int = 1
-    batch_frames: int = 32  #: frames per producer encrypt pass (across tenants)
-    worker_batch: int = 16  #: frames a shard worker drains per recovery pass
-    queue_capacity: int = 64  #: per-shard uplink bound (backpressure)
-    max_active_sessions: int = 1024  #: admission bound on in-flight sessions
-    timeout_seconds: float = 0.01
-    max_retries: int = 8
-    backoff_base_seconds: float = 0.002
-    backoff_max_seconds: float = 0.05
-    backoff_jitter: float = 0.5
-    shed_put_timeout: float = 0.02  #: stalled shard put => shed the frame
-    mode: str = "symmetric"  #: "symmetric" or "hhe" (per-tenant BFV transcipher)
-    key_seed: bytes = b"multitenant-demo"
-    #: Global cache budgets shared by EVERY tenant: keystream materials in
-    #: blocks, prepared plaintexts in slot rows (hhe mode). Aggregate cache
-    #: memory is bounded by these two numbers regardless of tenant count.
-    engine_cache_blocks: int = 256
-    prepared_cache_rows: int = 4096
-    router_seed: int = 0
-    run_timeout_seconds: float = 600.0
-
-    def __post_init__(self):
-        if not self.tenants:
-            raise ParameterError("at least one TenantSpec required")
-        ids = [t.tenant_id for t in self.tenants]
-        if len(set(ids)) != len(ids):
-            raise ParameterError(f"duplicate tenant ids in {ids}")
-        if self.mode not in ("symmetric", "hhe"):
-            raise ParameterError(f"unknown service mode {self.mode!r}")
-        if self.n_shards < 1 or self.workers_per_shard < 1:
-            raise ParameterError("n_shards and workers_per_shard must be >= 1")
-        if self.batch_frames < 1 or self.worker_batch < 1 or self.queue_capacity < 1:
-            raise ParameterError("batch_frames, worker_batch, queue_capacity must be >= 1")
-        if self.max_active_sessions < 1:
-            raise ParameterError("max_active_sessions must be >= 1")
-        if self.max_retries < 0:
-            raise ParameterError("max_retries must be >= 0")
-        if not 0.0 <= self.backoff_jitter <= 1.0:
-            raise ParameterError(f"backoff_jitter must be in [0, 1], got {self.backoff_jitter}")
-
-    @property
-    def total_sessions(self) -> int:
-        return sum(t.sessions for t in self.tenants)
-
-    @property
-    def total_frames(self) -> int:
-        return sum(t.sessions * t.frames_per_session for t in self.tenants)
-
-
-# -- routing and admission -------------------------------------------------------
+        if self.sessions < 1 or self.frames_per_session < 0:
+            raise ParameterError("sessions must be >= 1 and frames_per_session >= 0")
+        if not self.ladder:
+            raise ParameterError("ladder needs at least one resolution")
 
 
 class ShardRouter:
     """Deterministic session -> shard assignment (SHAKE hash).
 
-    A session's frames always land on one shard (ordered recovery, warm
-    per-tenant state), and the mapping is a pure function of
-    ``(seed, tenant_id, session)`` so a run is reproducible and a restarted
-    router re-derives the same placement.
+    A session's frames always land on one shard (ordered recovery), and
+    the mapping is a pure function of ``(seed, tenant_id, session)`` so a
+    run is reproducible and a restarted router re-derives the same
+    placement.
     """
 
     def __init__(self, n_shards: int, seed: int = 0):
@@ -235,653 +140,3 @@ class AdmissionController:
     def deferred(self) -> int:
         with self._lock:
             return self._deferred
-
-
-# -- per-tenant runtime ----------------------------------------------------------
-
-
-class TenantRuntime:
-    """One tenant's keys, nonces, and budget-charged engines."""
-
-    def __init__(
-        self,
-        spec: TenantSpec,
-        params: PastaParams,
-        key_seed: bytes,
-        engine_budget: CacheBudget,
-        prepared_budget: Optional[CacheBudget] = None,
-        mode: str = "symmetric",
-        fhe_seed: bytes = b"multitenant-fhe",
-    ):
-        self.spec = spec
-        self.params = params
-        self.key = derive_tenant_key(params, spec.tenant_id, key_seed)
-        #: One sequence per tenant KEY: sessions share it, so concurrent
-        #: sessions can never reuse a (key, nonce) pair.
-        self.nonces = NonceSequence()
-        #: Client-side engine: fused streaming path, nothing cached.
-        self.client_engine = KeystreamEngine(params, cache_size=0)
-        #: Recovery-side engine: caches materials against the GLOBAL budget.
-        self.recovery_engine = KeystreamEngine(
-            params,
-            cache_size=int(engine_budget.capacity),
-            budget=engine_budget,
-            owner=spec.tenant_id,
-        )
-        self.hhe = None
-        if mode == "hhe":
-            from repro.service.pipeline import HheRecovery
-
-            # Tenant identity + the shared budget flow into the batched
-            # server so every tenant's prepared rows draw from one pool.
-            self.hhe = HheRecovery(
-                params,
-                self.key,
-                fhe_seed + b"|" + spec.tenant_id.encode(),
-                tenant=spec.tenant_id,
-                prepared_budget=prepared_budget,
-            )
-
-    def recover_elements(
-        self, wires_elements: Sequence[Tuple[WireFrame, np.ndarray]]
-    ) -> List[np.ndarray]:
-        """Keystream-subtract (or transcipher+decrypt) a batch of frames."""
-        if self.hhe is not None:
-            return self.hhe.recover_batch(wires_elements)
-        t = self.params.t
-        pairs: List[Tuple[int, int]] = []
-        spans: List[int] = []
-        for wire, elements in wires_elements:
-            n_blocks = -(-len(elements) // t)
-            pairs.extend((wire.nonce, counter) for counter in range(n_blocks))
-            spans.append(n_blocks)
-        keystream = self.recovery_engine.keystream_pairs(self.key, pairs)
-        out: List[np.ndarray] = []
-        row = 0
-        for (_, elements), n_blocks in zip(wires_elements, spans):
-            flat = keystream[row : row + n_blocks].reshape(-1)[: len(elements)]
-            row += n_blocks
-            out.append((elements - flat) % self.params.p)
-        return out
-
-
-# -- frame/session records -------------------------------------------------------
-
-
-@dataclass
-class _FrameJob:
-    """One logical frame of one session, across all its transmissions."""
-
-    uid: int  #: globally unique frame id (fault plan + synthesis seed key)
-    tenant_id: str
-    session: int
-    resolution: Resolution
-    created_at: float = 0.0
-    attempts: int = 0
-    nonces: List[int] = field(default_factory=list)
-
-
-@dataclass
-class _SessionState:
-    tenant_id: str
-    session: int
-    shard: int
-    frame_uids: List[int]
-    outstanding: set = field(default_factory=set)
-    admitted_at: float = 0.0
-    completed_at: float = 0.0
-
-
-@dataclass
-class MultiTenantResult:
-    """Outcome of one :meth:`MultiTenantService.run`."""
-
-    duration_seconds: float
-    sessions_completed: int
-    frames_recovered: int
-    frames_lost: int
-    sessions_per_s: float
-    frames_per_s: float
-    shed_frames: int
-    admission_deferred: int
-    #: tenant -> {count, p50, p99, mean} frame-latency summary (seconds).
-    tenant_latency: Dict[str, Dict[str, float]]
-    #: engine-blocks and (hhe) prepared-rows budget snapshots at completion.
-    cache_budgets: Dict[str, dict]
-    attempts: Dict[int, int]  #: frame uid -> transmissions used
-    metrics: Dict[str, dict]
-
-
-# -- the service -----------------------------------------------------------------
-
-
-class MultiTenantService:
-    """Producer / sharded worker tier / sink over per-tenant key schedules.
-
-    The closed-loop simulation: every configured session is eventually
-    admitted, streamed, recovered bit-exactly, and acknowledged. Faults,
-    shedding and admission deferrals delay frames; nothing loses them.
-    """
-
-    def __init__(
-        self,
-        config: MultiTenantConfig,
-        fault_plan: FaultPlan = NO_FAULTS,
-        registry: Optional[MetricsRegistry] = None,
-        tracer: Optional[Tracer] = None,
-    ):
-        self.config = config
-        self.plan = fault_plan
-        self.obs = registry if registry is not None else get_registry()
-        self.tracer = tracer if tracer is not None else get_tracer()
-
-        self.engine_budget = CacheBudget(config.engine_cache_blocks)
-        self.prepared_budget = (
-            CacheBudget(config.prepared_cache_rows) if config.mode == "hhe" else None
-        )
-        self.router = ShardRouter(config.n_shards, seed=config.router_seed)
-        self.admission = AdmissionController(config.max_active_sessions, registry=self.obs)
-
-        self.tenants: Dict[str, TenantRuntime] = {
-            spec.tenant_id: TenantRuntime(
-                spec,
-                config.params,
-                config.key_seed,
-                self.engine_budget,
-                prepared_budget=self.prepared_budget,
-                mode=config.mode,
-            )
-            for spec in config.tenants
-        }
-
-        # Materialize every session and frame job up front (the offered
-        # load is the configuration; arrival is governed by admission).
-        self._frames: Dict[int, _FrameJob] = {}
-        self._sessions: List[_SessionState] = []
-        uid = 0
-        for spec in config.tenants:
-            for s in range(spec.sessions):
-                shard = self.router.shard_of(spec.tenant_id, s)
-                uids = []
-                for _ in range(spec.frames_per_session):
-                    self._frames[uid] = _FrameJob(
-                        uid=uid,
-                        tenant_id=spec.tenant_id,
-                        session=s,
-                        resolution=spec.resolution,
-                    )
-                    uids.append(uid)
-                    uid += 1
-                self._sessions.append(
-                    _SessionState(
-                        tenant_id=spec.tenant_id,
-                        session=s,
-                        shard=shard,
-                        frame_uids=uids,
-                        outstanding=set(uids),
-                    )
-                )
-        self._session_of: Dict[int, _SessionState] = {}
-        for state in self._sessions:
-            for fid in state.frame_uids:
-                self._session_of[fid] = state
-
-        self._uplinks: List["queue.Queue[WireFrame]"] = [
-            queue.Queue(maxsize=config.queue_capacity) for _ in range(config.n_shards)
-        ]
-        self._result_q: "queue.Queue[Tuple[WireFrame, bytes]]" = queue.Queue()
-        self._retry_q: "queue.Queue[Tuple[float, int, int]]" = queue.Queue()
-        #: Shed wires re-offered after a backoff: (ready_time, seq, wire).
-        self._deferred: List[Tuple[float, int, WireFrame]] = []
-        self._deferred_seq = 0
-
-        self._lock = threading.Lock()
-        # Admission order is round-robin ACROSS tenants (session 0 of every
-        # tenant, then session 1, ...): a tenant with a deep session backlog
-        # waits on its own earlier sessions, never starves another tenant's
-        # admission — the first half of the fairness story (the cache
-        # budget's fair-share eviction is the second).
-        by_tenant: Dict[str, List[_SessionState]] = {}
-        for state in self._sessions:
-            by_tenant.setdefault(state.tenant_id, []).append(state)
-        self._pending_sessions: List[_SessionState] = [
-            states[i]
-            for i in range(max(len(s) for s in by_tenant.values()))
-            for states in by_tenant.values()
-            if i < len(states)
-        ]
-        self._completed_sessions = 0
-        self._recovered: Dict[int, bytes] = {}
-        self._done = threading.Event()
-        self._stop = threading.Event()
-        self._failure: Optional[BaseException] = None
-
-    # -- shared helpers ----------------------------------------------------------
-
-    def _fail(self, exc: BaseException) -> None:
-        with self._lock:
-            if self._failure is None:
-                self._failure = exc
-        self._stop.set()
-        self._done.set()
-
-    def _backoff(self, uid: int, attempt: int) -> float:
-        """Jittered bounded exponential backoff (see StreamingPipeline)."""
-        if attempt <= 0:
-            return 0.0
-        cfg = self.config
-        base = min(
-            cfg.backoff_base_seconds * (2 ** (attempt - 1)), cfg.backoff_max_seconds
-        )
-        if cfg.backoff_jitter <= 0.0:
-            return base
-        return base * (1.0 + cfg.backoff_jitter * backoff_jitter_fraction(uid, attempt))
-
-    def _schedule_retry(self, wire: WireFrame, earliest: float) -> None:
-        self.obs.counter("service.retries", tenant=wire.tenant).inc()
-        get_flight_recorder().record(
-            "retry",
-            severity="info",
-            tenant=wire.tenant,
-            frame_id=wire.frame_id,
-            attempt=wire.attempt + 1,
-        )
-        ready = earliest + self._backoff(wire.frame_id, wire.attempt + 1)
-        self._retry_q.put((ready, wire.frame_id, wire.attempt + 1))
-
-    # -- admission ---------------------------------------------------------------
-
-    def _admit_sessions(self, heap: List[Tuple[float, int, int]], now: float) -> None:
-        """Admit as many pending sessions as the controller allows."""
-        while True:
-            with self._lock:
-                if not self._pending_sessions:
-                    return
-                state = self._pending_sessions[0]
-            if not self.admission.try_admit():
-                return
-            with self._lock:
-                self._pending_sessions.pop(0)
-                state.admitted_at = now
-            self.obs.counter("service.sessions.admitted", tenant=state.tenant_id).inc()
-            for fid in state.frame_uids:
-                self._frames[fid].created_at = now
-                heapq.heappush(heap, (now, fid, 0))
-
-    def _session_done(self, state: _SessionState, now: float) -> bool:
-        """Mark completion; returns True when the whole run is finished."""
-        state.completed_at = now
-        self.admission.release()
-        latency = now - state.admitted_at
-        self.obs.histogram(
-            "service.session.duration.seconds", tenant=state.tenant_id
-        ).observe(latency)
-        with self._lock:
-            self._completed_sessions += 1
-            return self._completed_sessions == len(self._sessions)
-
-    # -- producer ----------------------------------------------------------------
-
-    def _produce(self) -> None:
-        cfg = self.config
-        heap: List[Tuple[float, int, int]] = []
-        try:
-            self._admit_sessions(heap, time.monotonic())
-            while not self._stop.is_set():
-                while True:
-                    try:
-                        heapq.heappush(heap, self._retry_q.get_nowait())
-                    except queue.Empty:
-                        break
-                if self._done.is_set():
-                    break
-                now = time.monotonic()
-                self._admit_sessions(heap, now)
-                # Re-offer shed wires whose backoff expired.
-                while self._deferred and self._deferred[0][0] <= now:
-                    _, _, wire = heapq.heappop(self._deferred)
-                    self._offer(wire, redraw_fault=False)
-                batch: List[Tuple[float, int, int]] = []
-                while heap and heap[0][0] <= now and len(batch) < cfg.batch_frames:
-                    batch.append(heapq.heappop(heap))
-                if not batch:
-                    wait = 0.005
-                    if heap:
-                        wait = min(wait, max(heap[0][0] - now, 0.0005))
-                    if self._deferred:
-                        wait = min(wait, max(self._deferred[0][0] - now, 0.0005))
-                    try:
-                        heapq.heappush(heap, self._retry_q.get(timeout=wait))
-                    except queue.Empty:
-                        pass
-                    continue
-                self._encrypt_and_send(batch, now)
-        except ServiceError as exc:
-            self._fail(exc)
-        except BaseException as exc:
-            self._fail(ServiceError(f"producer failed: {exc!r}"))
-
-    def _encrypt_and_send(self, batch: Sequence[Tuple[float, int, int]], now: float) -> None:
-        cfg = self.config
-        params = cfg.params
-        t = params.t
-
-        by_tenant: Dict[str, List[Tuple[int, int]]] = {}
-        for _, uid, attempt in batch:
-            if attempt > cfg.max_retries:
-                raise ServiceError(f"frame {uid} exceeded {cfg.max_retries} retries")
-            by_tenant.setdefault(self._frames[uid].tenant_id, []).append((uid, attempt))
-
-        with self.tracer.span(
-            "service.mt.produce.batch",
-            metric="service.mt.produce.batch.seconds",
-            registry=self.obs,
-            variant=params.name,
-            frames=len(batch),
-            tenants=len(by_tenant),
-        ):
-            for tenant_id, jobs in by_tenant.items():
-                runtime = self.tenants[tenant_id]
-                # Synthesize + pack per resolution (one vectorized pass each).
-                elements_of: Dict[int, np.ndarray] = {}
-                by_res: Dict[str, List[int]] = {}
-                res_of: Dict[str, Resolution] = {}
-                for uid, _ in jobs:
-                    job = self._frames[uid]
-                    by_res.setdefault(job.resolution.name, []).append(uid)
-                    res_of[job.resolution.name] = job.resolution
-                for res_name, uids in by_res.items():
-                    pixels = synthetic_frames_batch(res_of[res_name], uids)
-                    packed = pack_frames(pixels, params.p)
-                    for row, uid in enumerate(uids):
-                        elements_of[uid] = packed[row]
-
-                # One cross-session keystream pass per tenant (one key).
-                with self.tracer.span(
-                    "service.mt.encrypt",
-                    metric="service.mt.encrypt.seconds",
-                    registry=self.obs,
-                    tenant=tenant_id,
-                    frames=len(jobs),
-                ) as encrypt_span:
-                    pairs: List[Tuple[int, int]] = []
-                    spans: List[int] = []
-                    nonce_of: Dict[int, int] = {}
-                    for uid, attempt in jobs:
-                        nonce = runtime.nonces.next()  # fresh per transmission
-                        nonce_of[uid] = nonce
-                        n_blocks = -(-len(elements_of[uid]) // t)
-                        pairs.extend((nonce, c) for c in range(n_blocks))
-                        spans.append(n_blocks)
-                    keystream = runtime.client_engine.keystream_pairs(runtime.key, pairs)
-                    row = 0
-                    for (uid, attempt), n_blocks in zip(jobs, spans):
-                        job = self._frames[uid]
-                        elements = elements_of[uid]
-                        flat = keystream[row : row + n_blocks].reshape(-1)[: len(elements)]
-                        row += n_blocks
-                        payload = ((elements + flat) % params.p).astype("<u4").tobytes()
-                        with self._lock:
-                            job.attempts = attempt + 1
-                            job.nonces.append(nonce_of[uid])
-                        wire = WireFrame(
-                            frame_id=uid,
-                            attempt=attempt,
-                            nonce=nonce_of[uid],
-                            resolution=job.resolution,
-                            payload=payload,
-                            crc=checksum(payload),
-                            not_before=0.0,
-                            trace=encrypt_span.context,
-                            tenant=tenant_id,
-                            session=job.session,
-                        )
-                        self.obs.counter("service.frames.sent", tenant=tenant_id).inc()
-                        self._offer(wire)
-
-    def _offer(self, wire: WireFrame, redraw_fault: bool = True) -> None:
-        """Fault-inject (once per attempt) and route to the session's shard.
-
-        A full shard queue sheds the frame: it goes back on the deferred
-        heap with a jittered backoff instead of blocking the producer, and
-        the *same* wire is re-offered later — the fault verdict and nonce
-        belong to the transmission attempt, not to the queue put.
-        """
-        cfg = self.config
-        now = time.monotonic()
-        if redraw_fault:
-            action = self.plan.action(wire.frame_id, wire.attempt)
-            if action is FaultAction.DROP:
-                self.obs.counter("service.uplink.dropped", tenant=wire.tenant).inc()
-                self._schedule_retry(wire, now + cfg.timeout_seconds)
-                return
-            if action is FaultAction.CORRUPT:
-                self.obs.counter("service.uplink.corrupted", tenant=wire.tenant).inc()
-                wire = WireFrame(
-                    frame_id=wire.frame_id,
-                    attempt=wire.attempt,
-                    nonce=wire.nonce,
-                    resolution=wire.resolution,
-                    payload=corrupt_payload(wire.payload, wire.frame_id, wire.attempt),
-                    crc=wire.crc,
-                    not_before=wire.not_before,
-                    trace=wire.trace,
-                    tenant=wire.tenant,
-                    session=wire.session,
-                )
-            elif action is FaultAction.DELAY:
-                self.obs.counter("service.uplink.delayed", tenant=wire.tenant).inc()
-                wire = WireFrame(
-                    frame_id=wire.frame_id,
-                    attempt=wire.attempt,
-                    nonce=wire.nonce,
-                    resolution=wire.resolution,
-                    payload=wire.payload,
-                    crc=wire.crc,
-                    not_before=now + self.plan.delay_seconds,
-                    trace=wire.trace,
-                    tenant=wire.tenant,
-                    session=wire.session,
-                )
-                if self.plan.delay_seconds > cfg.timeout_seconds:
-                    self._schedule_retry(wire, now + cfg.timeout_seconds)
-
-        shard = self.router.shard_of(wire.tenant, wire.session)
-        try:
-            self._uplinks[shard].put(wire, timeout=cfg.shed_put_timeout)
-        except queue.Full:
-            # Load shedding: re-offer after a jittered backoff; the counter
-            # is per tenant so a hot tenant's pressure is attributable.
-            self.obs.counter("service.shed.frames", tenant=wire.tenant).inc()
-            get_flight_recorder().record(
-                "load_shed",
-                tenant=wire.tenant,
-                shard=shard,
-                frame_id=wire.frame_id,
-                attempt=wire.attempt,
-            )
-            with self._lock:
-                self._deferred_seq += 1
-                seq = self._deferred_seq
-            ready = now + self._backoff(wire.frame_id, max(wire.attempt, 1))
-            heapq.heappush(self._deferred, (ready, seq, wire))
-            return
-        depth = self.obs.gauge("service.uplink.depth", shard=shard)
-        depth.add(1)
-        get_flight_recorder().sample(f"service.uplink.depth/shard{shard}", depth.value)
-
-    # -- shard workers -----------------------------------------------------------
-
-    def _worker(self, shard: int) -> None:
-        cfg = self.config
-        obs = self.obs
-        uplink = self._uplinks[shard]
-        idle = obs.histogram("service.worker.idle.seconds", shard=shard)
-        try:
-            while not self._stop.is_set():
-                idle_start = time.perf_counter()
-                try:
-                    first = uplink.get(timeout=0.05)
-                except queue.Empty:
-                    idle.observe(time.perf_counter() - idle_start)
-                    continue
-                wires = [first]
-                while len(wires) < cfg.worker_batch:
-                    try:
-                        wires.append(uplink.get_nowait())
-                    except queue.Empty:
-                        break
-                idle.observe(time.perf_counter() - idle_start)
-                depth = obs.gauge("service.uplink.depth", shard=shard)
-                depth.add(-len(wires))
-                get_flight_recorder().sample(
-                    f"service.uplink.depth/shard{shard}", depth.value
-                )
-                self._recover(shard, wires)
-        except BaseException as exc:
-            self._fail(ServiceError(f"shard {shard} worker failed: {exc!r}"))
-
-    def _recover(self, shard: int, wires: Sequence[WireFrame]) -> None:
-        obs = self.obs
-        params = self.config.params
-        now = time.monotonic()
-        by_tenant: Dict[str, List[Tuple[WireFrame, np.ndarray]]] = {}
-        for wire in wires:
-            if wire.not_before > now:
-                time.sleep(wire.not_before - now)
-                now = time.monotonic()
-            if checksum(wire.payload) != wire.crc:
-                obs.counter("service.crc.rejected", tenant=wire.tenant).inc()
-                self._schedule_retry(wire, now)
-                continue
-            elements = np.frombuffer(wire.payload, dtype="<u4").astype(np.int64)
-            by_tenant.setdefault(wire.tenant, []).append((wire, elements))
-        for tenant_id, valid in by_tenant.items():
-            runtime = self.tenants[tenant_id]
-            with self.tracer.span(
-                "service.mt.recover",
-                metric="service.mt.recover.seconds",
-                registry=obs,
-                parent=valid[0][0].trace,
-                tenant=tenant_id,
-                shard=shard,
-                frames=len(valid),
-            ):
-                recovered = runtime.recover_elements(valid)
-            for (wire, _), elements in zip(valid, recovered):
-                pixels = unpack_frames(elements[None, :], params.p)[0]
-                self._result_q.put((wire, pixels[: wire.resolution.pixels].tobytes()))
-
-    # -- sink --------------------------------------------------------------------
-
-    def _sink(self) -> None:
-        obs = self.obs
-        try:
-            while not self._stop.is_set():
-                try:
-                    wire, pixels = self._result_q.get(timeout=0.05)
-                except queue.Empty:
-                    continue
-                now = time.monotonic()
-                uid = wire.frame_id
-                state = self._session_of[uid]
-                with self._lock:
-                    if uid in self._recovered:
-                        obs.counter("service.frames.duplicate", tenant=wire.tenant).inc()
-                        continue
-                    self._recovered[uid] = pixels
-                    state.outstanding.discard(uid)
-                    session_done = not state.outstanding
-                job = self._frames[uid]
-                obs.counter("service.frames.recovered", tenant=wire.tenant).inc()
-                obs.histogram(
-                    "service.tenant.frame_latency.seconds", tenant=wire.tenant
-                ).observe(now - job.created_at)
-                if session_done and self._session_done(state, now):
-                    self._done.set()
-        except BaseException as exc:
-            self._fail(ServiceError(f"sink failed: {exc!r}"))
-
-    # -- orchestration -----------------------------------------------------------
-
-    def run(self) -> MultiTenantResult:
-        """Stream every session's frames to completion; block until done."""
-        cfg = self.config
-        threads = [
-            threading.Thread(
-                target=self._worker,
-                args=(shard,),
-                name=f"mt-shard-{shard}-worker-{w}",
-                daemon=True,
-            )
-            for shard in range(cfg.n_shards)
-            for w in range(cfg.workers_per_shard)
-        ]
-        threads.append(threading.Thread(target=self._sink, name="mt-sink", daemon=True))
-        start = time.perf_counter()
-        for thread in threads:
-            thread.start()
-        with self.tracer.span(
-            "service.mt.run",
-            metric="service.mt.run.seconds",
-            registry=self.obs,
-            variant=cfg.params.name,
-            mode=cfg.mode,
-            tenants=len(cfg.tenants),
-            sessions=cfg.total_sessions,
-            shards=cfg.n_shards,
-        ):
-            self._produce()
-        if not self._done.wait(timeout=cfg.run_timeout_seconds):
-            self._fail(ServiceError(f"service stalled past {cfg.run_timeout_seconds}s"))
-        duration = time.perf_counter() - start
-        self._stop.set()
-        for thread in threads:
-            thread.join(timeout=5.0)
-        if self._failure is not None:
-            raise self._failure
-
-        tenant_latency: Dict[str, Dict[str, float]] = {}
-        for spec in cfg.tenants:
-            hist = self.obs.histogram(
-                "service.tenant.frame_latency.seconds", tenant=spec.tenant_id
-            )
-            summary = hist.summary()
-            tenant_latency[spec.tenant_id] = {
-                k: summary[k] for k in ("count", "mean", "p50", "p99")
-            }
-            # Per-tenant loss gauge for the SLO window: offered minus
-            # recovered, observable after the run without re-deriving it.
-            expected = spec.sessions * spec.frames_per_session
-            self.obs.gauge("service.frames.lost", tenant=spec.tenant_id).set(
-                expected - int(summary["count"])
-            )
-        budgets = {"engine_blocks": dict(self.engine_budget.snapshot())}
-        if self.prepared_budget is not None:
-            budgets["prepared_rows"] = dict(self.prepared_budget.snapshot())
-        shed = sum(
-            self.obs.counter("service.shed.frames", tenant=s.tenant_id).value
-            for s in cfg.tenants
-        )
-        with self._lock:
-            recovered = len(self._recovered)
-            attempts = {uid: job.attempts for uid, job in self._frames.items()}
-        return MultiTenantResult(
-            duration_seconds=duration,
-            sessions_completed=self._completed_sessions,
-            frames_recovered=recovered,
-            frames_lost=cfg.total_frames - recovered,
-            sessions_per_s=cfg.total_sessions / duration if duration > 0 else 0.0,
-            frames_per_s=cfg.total_frames / duration if duration > 0 else 0.0,
-            shed_frames=shed,
-            admission_deferred=self.admission.deferred,
-            tenant_latency=tenant_latency,
-            cache_budgets=budgets,
-            attempts=attempts,
-            metrics=self.obs.snapshot(),
-        )
-
-    def recovered_pixels(self, uid: int) -> bytes:
-        """The sink's recovered bytes for one frame (tests/verification)."""
-        with self._lock:
-            return self._recovered[uid]

@@ -1,7 +1,7 @@
 """Globally bounded, owner-fair cache budgeting.
 
-The multi-tenant service hands every tenant its own prepared-plaintext and
-keystream-materials caches. Per-cache ``maxsize`` bounds compose badly:
+The streaming service hands every tenant its own HHE server with its own
+prepared-plaintext caches. Per-cache ``maxsize`` bounds compose badly:
 each bound is individually reasonable, but the *aggregate* grows linearly
 with the tenant count — the memory blowup ROADMAP item 1 calls out for
 the per-server ``lru_cache`` closures. A :class:`CacheBudget` is the fix:

@@ -53,15 +53,15 @@ class TestTraceCommand:
         ks = [e for e in events if e["name"] == "pasta.keystream"]
         assert all(e["args"]["modeled_cycles"] > 0 for e in ks)
 
-        # The uplink queue depth sampled by the pipeline rides along as a
-        # Perfetto counter track sharing the span epoch.
+        # The shard's uplink queue depth sampled by the service rides along
+        # as a Perfetto counter track sharing the span epoch.
         counters = [e for e in doc["traceEvents"] if e["ph"] == "C"]
-        assert "service.uplink.depth" in {e["name"] for e in counters}
+        assert "service.uplink.depth/shard0" in {e["name"] for e in counters}
         assert all(e["ts"] >= 0 for e in counters)
 
         prom = metrics_out.read_text()
         assert "# TYPE service_encrypt_seconds summary" in prom
-        assert "service_frames_recovered_total 16" in prom
+        assert 'service_frames_recovered_total{tenant="tenant-00"} 16' in prom
         assert "service_uplink_depth_max" in prom
         # The flight recorder renders even when the run had no incidents.
         assert "repro_flight_events_dropped_total 0" in prom

@@ -149,13 +149,6 @@ class TestEvaluateHealth:
         assert s.frame_loss is None and s.min_headroom_bits is None
         assert s.ok and report.healthy
 
-    def test_single_tenant_pipeline_scores_pseudo_tenant(self):
-        reg = MetricsRegistry()
-        reg.histogram("service.frame_latency.seconds").observe(0.05)
-        report = evaluate_health(registry=reg, recorder=FlightRecorder())
-        assert [s.tenant for s in report.statuses] == ["default"]
-        assert report.healthy
-
     def test_no_traffic_still_reports(self):
         report = evaluate_health(registry=MetricsRegistry(), recorder=FlightRecorder())
         assert report.statuses == ()

@@ -1,4 +1,8 @@
-"""Tests for the streaming transciphering service (repro.service).
+"""Tests for the streaming transciphering service loop (repro.service).
+
+Most tests run the single camera stream: one tenant, one session, one
+shard. The property test at the end runs small fleets through the same
+loop.
 
 The fault tests lean on two determinism guarantees: synthetic frame
 content is a pure function of (resolution, frame_id), and the fault plan
@@ -9,41 +13,52 @@ be bit-exact with a no-fault run regardless of thread interleaving.
 import threading
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.apps.video import Resolution, synthetic_frame
 from repro.errors import ParameterError, ServiceError
-from repro.obs import get_registry, get_tracer
+from repro.obs import MetricsRegistry, get_registry, get_tracer
 from repro.pasta.params import PASTA_MICRO, PASTA_TOY
 from repro.service import (
     NO_FAULTS,
     FaultAction,
     FaultPlan,
+    Service,
     ServiceConfig,
-    StreamingPipeline,
     TILE8,
     TILE16,
+    TenantSpec,
     checksum,
     corrupt_payload,
 )
 
 # The conftest autouse fixture installs a fresh default registry and
-# tracer per test, so the pipeline (and these tests) just use the
+# tracer per test, so the service (and these tests) just use the
 # globals — no per-test registry plumbing or resets needed.
 
+TENANT = "camera"
 
-def run_pipeline(plan=NO_FAULTS, **overrides):
+
+def stream_config(n_frames=24, ladder=(TILE8,), **overrides):
+    """One camera stream: one tenant, one session, one shard."""
     defaults = dict(
-        n_frames=24,
-        resolution=TILE8,
-        n_workers=4,
+        tenants=(TenantSpec(TENANT, frames_per_session=n_frames, ladder=ladder),),
+        workers_per_shard=4,
         batch_frames=8,
         timeout_seconds=0.002,
         backoff_base_seconds=0.001,
         backoff_max_seconds=0.01,
     )
     defaults.update(overrides)
-    config = ServiceConfig(**defaults)
-    return StreamingPipeline(config, plan).run()
+    return ServiceConfig(**defaults)
+
+
+def run_pipeline(plan=NO_FAULTS, **overrides):
+    return Service(stream_config(**overrides), plan).run()
+
+
+def counter(name):
+    return get_registry().counter(name, tenant=TENANT).value
 
 
 def expected_pixels(frame):
@@ -99,14 +114,15 @@ class TestCleanRun:
         result = run_pipeline()
         snap = result.metrics
         for stage in ("service.synthesize.seconds", "service.encrypt.seconds",
-                      "service.recover.seconds", "service.frame_latency.seconds",
-                      "service.worker.idle.seconds"):
+                      "service.recover.seconds",
+                      f'service.tenant.frame_latency.seconds{{tenant="{TENANT}"}}',
+                      'service.worker.idle.seconds{shard="0"}'):
             assert snap[stage]["count"] > 0, stage
-        assert snap["service.frames.recovered"]["value"] == 24
+        assert snap[f'service.frames.recovered{{tenant="{TENANT}"}}']["value"] == 24
 
     def test_uplink_depth_balances_to_zero(self):
         run_pipeline()
-        depth = get_registry().gauge("service.uplink.depth")
+        depth = get_registry().gauge("service.uplink.depth", shard=0)
         # Every producer-side put was matched by a worker-side drain, and
         # the queue genuinely held frames at some point.
         assert depth.value == 0
@@ -144,7 +160,7 @@ class TestFaultRecovery:
     def test_corruption_detected_and_retried(self):
         plan = FaultPlan(corrupt_at=frozenset({(1, 0), (12, 0)}))
         result = run_pipeline(plan)
-        assert get_registry().counter("service.crc.rejected").value == 2
+        assert counter("service.crc.rejected") == 2
         for frame in result.frames:
             assert frame.pixels == expected_pixels(frame)
 
@@ -160,53 +176,44 @@ class TestFaultRecovery:
         result = run_pipeline(plan, timeout_seconds=0.002)
         assert len(result.frames) == 24
         # the delayed original AND its retransmit both arrive; one is dropped
-        registry = get_registry()
-        assert (
-            registry.counter("service.frames.duplicate").value
-            + registry.counter("service.frames.recovered").value
-            >= 25
-        )
+        assert counter("service.frames.duplicate") + counter("service.frames.recovered") >= 25
 
     def test_retries_exhausted_raises(self):
         plan = FaultPlan(drop_at=frozenset({(0, a) for a in range(10)}))
-        config = ServiceConfig(
+        config = stream_config(
             n_frames=2,
-            resolution=TILE8,
             max_retries=3,
             timeout_seconds=0.001,
             backoff_base_seconds=0.0005,
             backoff_max_seconds=0.002,
         )
         with pytest.raises(ServiceError):
-            StreamingPipeline(config, plan).run()
+            Service(config, plan).run()
 
 
 class TestBackpressureDegradation:
     def test_saturation_triggers_exactly_one_downshift(self):
         gate = threading.Event()  # workers held until we release them
-        registry = get_registry()
-        config = ServiceConfig(
-            n_frames=24,
-            resolution=TILE16,
-            degradation_ladder=(TILE8,),
-            n_workers=2,
+        config = stream_config(
+            ladder=(TILE16, TILE8),
+            workers_per_shard=2,
             batch_frames=4,
             queue_capacity=2,
-            saturation_put_timeout=0.01,
+            put_timeout=0.01,
         )
-        pipeline = StreamingPipeline(config, NO_FAULTS, worker_gate=gate)
-        runner = threading.Thread(target=lambda: setattr(pipeline, "_test_result", pipeline.run()))
+        service = Service(config, NO_FAULTS, worker_gate=gate)
+        runner = threading.Thread(target=lambda: setattr(service, "_test_result", service.run()))
         runner.start()
         # Wait until the producer has actually hit a full queue.
         for _ in range(400):
-            if registry.counter("service.saturation.events").value >= 1:
+            if counter("service.shed.frames") >= 1:
                 break
             threading.Event().wait(0.005)
         gate.set()
         runner.join(timeout=60)
         assert not runner.is_alive()
-        result = pipeline._test_result
-        assert registry.counter("service.saturation.events").value >= 1
+        result = service._test_result
+        assert counter("service.shed.frames") >= 1
         # One continuous saturation episode => exactly one ladder step.
         assert result.degradation_steps == 1
         assert len(result.frames) == 24
@@ -216,7 +223,7 @@ class TestBackpressureDegradation:
             assert frame.pixels == expected_pixels(frame)
 
     def test_no_downshift_without_ladder(self):
-        result = run_pipeline(queue_capacity=1, saturation_put_timeout=0.001)
+        result = run_pipeline(queue_capacity=1, put_timeout=0.001)
         assert result.degradation_steps == 0
         assert len(result.frames) == 24
 
@@ -227,16 +234,19 @@ class TestHheMode:
         # 4x4 tile -> 8 elements -> 4 full PASTA_MICRO blocks per frame.
         tile = Resolution("TILE4", 4, 4)
         plan = FaultPlan(drop_at=frozenset({(1, 0)}))
-        result = run_pipeline(
-            plan,
-            params=PASTA_MICRO,
-            resolution=tile,
+        config = stream_config(
             n_frames=3,
-            n_workers=1,
+            ladder=(tile,),
+            params=PASTA_MICRO,
+            workers_per_shard=1,
             batch_frames=3,
             worker_batch=3,
             mode="hhe",
         )
+        service = Service(config, plan)
+        result = service.run()
+        # The service generates rotation keys, so recovery runs packed BSGS.
+        assert service.hhe[TENANT].server.eval_engine == "bsgs"
         assert len(result.frames) == 3
         for frame in result.frames:
             assert frame.pixels == expected_pixels(frame)
@@ -316,9 +326,11 @@ class TestConfigValidation:
 
     def test_bad_counts(self):
         with pytest.raises(ParameterError):
-            ServiceConfig(n_workers=0)
+            ServiceConfig(workers_per_shard=0)
         with pytest.raises(ParameterError):
             ServiceConfig(queue_capacity=0)
+        with pytest.raises(ParameterError):
+            ServiceConfig(n_shards=0)
 
 
 class TestBackoffJitter:
@@ -334,7 +346,7 @@ class TestBackoffJitter:
     def _pipeline(self, **overrides):
         defaults = dict(n_frames=4, backoff_base_seconds=0.004, backoff_max_seconds=0.04)
         defaults.update(overrides)
-        return StreamingPipeline(ServiceConfig(**defaults))
+        return Service(stream_config(**defaults))
 
     def test_co_dropped_frames_get_distinct_ready_times(self):
         # Frames dropped in the same batch share the attempt number; the
@@ -388,3 +400,50 @@ class TestBackoffJitter:
         assert len(result.frames) == 16
         for frame in result.frames:
             assert frame.pixels == expected_pixels(frame)
+
+
+class TestServiceProperties:
+    """Any small fleet on a faulty uplink: the loop's end-to-end contract."""
+
+    @settings(max_examples=8, deadline=None)
+    @given(
+        tenants=st.integers(1, 3),
+        sessions=st.integers(1, 3),
+        shards=st.integers(1, 2),
+        workers=st.integers(1, 2),
+        drop_rate=st.floats(0.0, 0.2),
+        corrupt_rate=st.floats(0.0, 0.2),
+        seed=st.integers(0, 2**16),
+    )
+    def test_lossless_bit_exact_and_nonce_fresh(
+        self, tenants, sessions, shards, workers, drop_rate, corrupt_rate, seed
+    ):
+        frames_per_session = 3
+        config = ServiceConfig(
+            tenants=tuple(
+                TenantSpec(f"t{i}", sessions=sessions, frames_per_session=frames_per_session)
+                for i in range(tenants)
+            ),
+            n_shards=shards,
+            workers_per_shard=workers,
+            batch_frames=8,
+            worker_batch=4,
+            timeout_seconds=0.002,
+            # Up to 40% of attempts fault: 16 retries keep a frame's chance
+            # of exhausting them below 1e-6.
+            max_retries=16,
+            backoff_base_seconds=0.001,
+            backoff_max_seconds=0.01,
+        )
+        registry = MetricsRegistry()
+        plan = FaultPlan(seed=seed, drop_rate=drop_rate, corrupt_rate=corrupt_rate)
+        result = Service(config, plan, registry=registry).run()
+
+        assert len(result.frames) == tenants * sessions * frames_per_session
+        for frame in result.frames:
+            assert frame.pixels == expected_pixels(frame)
+        tenant_of = {frame.frame_id: frame.tenant for frame in result.frames}
+        used = [(tenant_of[uid], n) for uid, nonces in result.nonces.items() for n in nonces]
+        assert len(used) == len(set(used)), "a (tenant, nonce) pair was reused"
+        depths = registry.collect("service.uplink.depth")
+        assert depths and all(gauge.value == 0 for gauge in depths)
