@@ -258,10 +258,10 @@ def synthetic_frames_batch(resolution: Resolution, seeds: Sequence[int]) -> np.n
     if len(seeds) == 0:
         return np.zeros((0, resolution.pixels), dtype=np.uint8)
     suffix = resolution.name.encode()
-    shake = batched_shake128(
-        [b"frame|" + int(seed).to_bytes(8, "big") + suffix for seed in seeds]
-    )
     n_blocks = -(-resolution.pixels // SHAKE128_RATE_BYTES)
+    shake = batched_shake128(
+        [b"frame|" + int(seed).to_bytes(8, "big") + suffix for seed in seeds], n_blocks
+    )
     chunks = [
         shake.squeeze_words_block().view(np.uint8).reshape(len(seeds), -1)
         for _ in range(n_blocks)

@@ -165,8 +165,8 @@ class BatchedHheServer:
         #: keyswitch path — the perf baseline and the parity comparator.
         self.hoisted = bool(hoisted)
         #: Shared batched keystream engine: materials and matrices for the
-        #: public (nonce, counter) schedule come from its LRU, so serving
-        #: the same stream twice never re-derives them.
+        #: public (nonce, counter) schedule come from its LRU, so the
+        #: schedule builders of one frame derive each block once.
         self.engine = get_engine(params)
 
         # Prepared-plaintext caches keyed by the public schedule. The affine
@@ -240,9 +240,8 @@ class BatchedHheServer:
             nonce: int, counters: Tuple[int, ...], layer: int, side: str
         ):
             def build():
-                mats = np.stack(
-                    [np.asarray(self.engine.matrix(nonce, c, layer, side)) for c in counters],
-                    axis=-1,
+                mats = np.moveaxis(
+                    self.engine.matrices(nonce, counters, layer, side), 0, -1
                 )  # (t, t, B): slot b carries block b's matrix entry
                 encoded = self.encoder.encode_rows(mats.reshape(t * t, len(counters)))
                 return self.scheme.prepare_matrix(encoded.reshape(t, t, self.encoder.n))
@@ -369,9 +368,7 @@ class BatchedHheServer:
             def build():
                 bs, giants = self._bsgs
                 n_blocks = len(counters)
-                mats = np.stack(
-                    [np.asarray(self.engine.matrix(nonce, c, layer, side)) for c in counters]
-                )  # (n_blocks, t, t)
+                mats = self.engine.matrices(nonce, counters, layer, side)  # (n_blocks, t, t)
                 rows = np.zeros((giants * bs, half), dtype=mats.dtype)
                 j = np.arange(t)
                 for d in range(min(giants * bs, t)):

@@ -21,7 +21,7 @@ from repro.keccak.shake import (
     shake256,
 )
 from repro.keccak.sponge import KeccakSponge
-from repro.keccak.vectorized import BatchedShake, batched_shake128, keccak_f1600_batch
+from repro.keccak.vectorized import BatchedShake, batched_shake128
 
 __all__ = [
     "KECCAK_ROUNDS",
@@ -40,7 +40,6 @@ __all__ = [
     "UnrolledNaiveKeccakCore",
     "batched_shake128",
     "keccak_f1600",
-    "keccak_f1600_batch",
     "keccak_round",
     "sha3_256",
     "sha3_512",

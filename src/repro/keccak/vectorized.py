@@ -1,161 +1,110 @@
-"""Batch-vectorized Keccak-f[1600]: N sponge states permuted at once.
+"""Batched SHAKE: N independent XOF lanes squeezed in lockstep.
 
-The scalar permutation (:mod:`repro.keccak.permutation`) walks 25 Python
-integers through theta/rho/pi/chi/iota one lane at a time — fine for one
-block, hopeless for a keystream server. This module holds the *same*
-permutation expressed over a ``(N, 25)`` ``uint64`` numpy array: every
-xor, rotation, and chi-step broadcasts across the batch axis, so one pass
-through the 24 rounds advances N independent sponges. This is the software
-analogue of the paper's hardware overlap — the accelerator hides XOF
-latency behind MatMul; we hide Python interpreter overhead behind numpy's
-SIMD loops (paper Sec. IV-B; same trick Presto/DNA-HHE use for HHE-cipher
-throughput on CPUs).
+The batched keystream engine reads, for every block of a frame, the word
+stream ``shake128(seed).words()`` of that block's seed. The scalar sponge
+(:mod:`repro.keccak.sponge` over :mod:`repro.keccak.permutation`) is the
+reference oracle and the hardware model's datapath, but it walks 25 Python
+integers through every round, far too slow for hundreds of lanes per
+frame. Here each lane is squeezed by one sized C digest,
+``hashlib.shake_128(seed).digest(n)``, into one ``(N, W)`` little-endian
+``uint64`` word buffer, handed out one rate block (21 words at the
+SHAKE128 rate) per :meth:`BatchedShake.squeeze_words_block` call. This is
+the software form of the paper's XOF front end (Sec. IV-B, Fig. 3).
 
-Bit-exactness is non-negotiable: ``keccak_f1600_batch`` must agree with
-:func:`repro.keccak.permutation.keccak_f1600` lane-for-lane (hypothesis
-tests cross-check both against ``hashlib``'s SHAKE implementations).
+A digest cannot be resumed, so the caller states how many rate blocks it
+expects to read, plus a margin. Reading past the end re-digests every lane
+at twice the length: the words are the same either way, only the cost
+changes.
 
-Lane layout matches FIPS 202: index ``x + 5*y`` along the last axis, so a
-``(N, 25)`` array reshaped to ``(N, 5, 5)`` is indexed ``[lane, y, x]``.
+``permutation_count`` keeps the lockstep sponge's cadence: the absorb
+permutation exposes the first block and every later block costs one more,
+exactly the count the scalar sponge reports after reading the same words.
+The tests pin every lane to the scalar sponge and to ``hashlib``.
 """
 
 from __future__ import annotations
 
-from typing import List, Sequence
+import hashlib
+from typing import Sequence
 
 import numpy as np
 
-from repro.keccak.permutation import KECCAK_ROUNDS, RHO_OFFSETS, ROUND_CONSTANTS
-
 __all__ = [
-    "keccak_f1600_batch",
     "BatchedShake",
     "batched_shake128",
 ]
 
-_RC = np.array(ROUND_CONSTANTS, dtype=np.uint64)
-
-# rho+pi as one gather: target lane i takes source lane _PI_SRC[i] rotated
-# left by _PI_ROT[i].  b[y + 5*((2x+3y)%5)] = rotl(a[x+5y], rho[x+5y]).
-_PI_SRC = np.zeros(25, dtype=np.intp)
-_PI_ROT = np.zeros(25, dtype=np.uint64)
-for _x in range(5):
-    for _y in range(5):
-        _src = _x + 5 * _y
-        _dst = _y + 5 * ((2 * _x + 3 * _y) % 5)
-        _PI_SRC[_dst] = _src
-        _PI_ROT[_dst] = RHO_OFFSETS[_src]
-# Complementary right-shift counts; (64 - r) % 64 keeps the r = 0 lane legal
-# (shifting a uint64 by 64 is undefined in the underlying C loop).
-_PI_ROT_C = (np.uint64(64) - _PI_ROT) % np.uint64(64)
-
-_ONE = np.uint64(1)
-_SIXTY_THREE = np.uint64(63)
-
-# Cyclic x-index gathers (cheaper than np.roll's Python-side dispatch).
-_X_M1 = np.array([(x - 1) % 5 for x in range(5)], dtype=np.intp)
-_X_P1 = np.array([(x + 1) % 5 for x in range(5)], dtype=np.intp)
-_X_P2 = np.array([(x + 2) % 5 for x in range(5)], dtype=np.intp)
-
-
-def _rotl_batch(lanes: np.ndarray, left: np.ndarray, right: np.ndarray) -> np.ndarray:
-    """Per-lane rotate-left with precomputed (left, right) shift counts."""
-    return (lanes << left) | (lanes >> right)
-
-
-def keccak_f1600_batch(states: np.ndarray) -> np.ndarray:
-    """Apply Keccak-f[1600] to every row of a ``(N, 25)`` uint64 array.
-
-    Returns a new array; the input is not modified. Row ``n`` of the result
-    equals ``keccak_f1600(states[n])`` exactly.
-    """
-    s = np.asarray(states, dtype=np.uint64)
-    if s.ndim != 2 or s.shape[1] != 25:
-        raise ValueError(f"batched Keccak state must have shape (N, 25), got {s.shape}")
-    s = s.copy()
-    n = s.shape[0]
-    grid = s.reshape(n, 5, 5)  # [lane, y, x]
-    for rc in _RC:
-        # theta: column parities, broadcast back over y.
-        c = grid[:, 0] ^ grid[:, 1] ^ grid[:, 2] ^ grid[:, 3] ^ grid[:, 4]  # (N, 5) by x
-        d = c[:, _X_M1] ^ _rotl_batch(c[:, _X_P1], _ONE, _SIXTY_THREE)
-        grid ^= d[:, None, :]
-        # rho + pi: one gather + per-lane rotation.
-        b = _rotl_batch(s[:, _PI_SRC], _PI_ROT, _PI_ROT_C)
-        # chi: row-wise nonlinear step along x.
-        bg = b.reshape(n, 5, 5)
-        s = (bg ^ (~bg[:, :, _X_P1] & bg[:, :, _X_P2])).reshape(n, 25)
-        # iota
-        s[:, 0] ^= rc
-        grid = s.reshape(n, 5, 5)
-    return s
+#: Rate in bytes -> the C SHAKE instance with that rate.
+_SHAKES = {168: hashlib.shake_128, 136: hashlib.shake_256}
 
 
 class BatchedShake:
     """N independent SHAKE XOF streams squeezed in lockstep.
 
-    Each row is seeded with its own message; all messages must fit in a
-    single rate block (true for every PASTA per-block seed, which is 43
-    bytes against SHAKE128's 168-byte rate). The squeeze schedule per row
-    is identical to the scalar :class:`repro.keccak.shake.Shake`, so row
-    ``n``'s word stream is bit-exact with ``shake128(seeds[n]).words()``.
+    Each row is seeded with its own message, which must fit in a single
+    rate block so that one absorb permutation per lane is the whole absorb
+    cost (true for every PASTA per-block seed: 43 bytes against SHAKE128's
+    168-byte rate). Row ``n``'s word stream is bit-exact with
+    ``shake128(seeds[n]).words()``.
 
     Parameters
     ----------
     rate_bytes:
-        Sponge rate (168 for SHAKE128).
+        Sponge rate (168 for SHAKE128, 136 for SHAKE256).
     seeds:
         One short byte string per batch row.
+    blocks:
+        Rate blocks to digest up front: the number the caller expects to
+        squeeze, plus a margin.
     """
 
-    def __init__(self, rate_bytes: int, seeds: Sequence[bytes]):
-        if not 0 < rate_bytes < 200 or rate_bytes % 8 != 0:
-            raise ValueError(f"rate must be a positive multiple of 8 below 200, got {rate_bytes}")
+    def __init__(self, rate_bytes: int, seeds: Sequence[bytes], blocks: int = 1):
+        if rate_bytes not in _SHAKES:
+            raise ValueError(f"rate must be one of {sorted(_SHAKES)} bytes, got {rate_bytes}")
         if not seeds:
             raise ValueError("at least one seed is required")
-        self.rate_bytes = rate_bytes
-        self.rate_words = rate_bytes // 8
-        self.n = len(seeds)
-        blocks = np.zeros((self.n, 200), dtype=np.uint8)
         for i, seed in enumerate(seeds):
             if len(seed) >= rate_bytes:
                 raise ValueError(
                     f"seed {i} has {len(seed)} bytes; single-block absorb requires"
                     f" < {rate_bytes}"
                 )
-            blocks[i, : len(seed)] = np.frombuffer(seed, dtype=np.uint8)
-            blocks[i, len(seed)] = 0x1F  # SHAKE domain suffix + pad10*1 start
-            blocks[i, rate_bytes - 1] ^= 0x80  # pad10*1 end
-        # Absorb = xor into the all-zero state, then one permutation.
-        self._state = keccak_f1600_batch(blocks.view("<u8").reshape(self.n, 25))
-        self.permutation_count = 1
-        self._emitted_blocks = 1
+        self.rate_bytes = rate_bytes
+        self.rate_words = rate_bytes // 8
+        self.n = len(seeds)
+        self._xofs = [_SHAKES[rate_bytes](bytes(seed)) for seed in seeds]
+        self._emitted_blocks = 0
+        self._digest(max(1, blocks))
+
+    def _digest(self, blocks: int) -> None:
+        """(Re-)digest every lane to ``blocks`` rate blocks of output."""
+        raw = b"".join(xof.digest(blocks * self.rate_bytes) for xof in self._xofs)
+        self._words = np.frombuffer(raw, dtype="<u8").reshape(self.n, blocks * self.rate_words)
+        self._blocks = blocks
+
+    @property
+    def permutation_count(self) -> int:
+        """Keccak-f permutations of the modeled sponge: absorb + squeezes."""
+        return max(1, self._emitted_blocks)
 
     def squeeze_words_block(self) -> np.ndarray:
         """Return the next ``(N, rate_words)`` matrix of 64-bit output words.
 
-        The first call returns the words exposed by the absorb permutation;
-        each later call costs exactly one more batched permutation — the
-        same cadence as the scalar sponge (21 words per permutation at the
-        SHAKE128 rate).
+        The matrix is a read-only view of the digest buffer. The first call
+        returns the words exposed by the absorb permutation; each later
+        call stands for one more permutation of every lane (21 words per
+        permutation at the SHAKE128 rate).
         """
-        if self._emitted_blocks > self.permutation_count:
-            self._state = keccak_f1600_batch(self._state)
-            self.permutation_count += 1
+        k = self._emitted_blocks
+        if k == self._blocks:
+            self._digest(2 * self._blocks)
         self._emitted_blocks += 1
-        return self._state[:, : self.rate_words].copy()
+        w = self.rate_words
+        return self._words[:, k * w : (k + 1) * w]
 
 
-def batched_shake128(seeds: Sequence[bytes]) -> BatchedShake:
-    """SHAKE128 lockstep batch (rate 1344 bits — PASTA's XOF)."""
+def batched_shake128(seeds: Sequence[bytes], blocks: int = 1) -> BatchedShake:
+    """SHAKE128 lockstep batch (rate 1344 bits, PASTA's XOF)."""
     from repro.keccak.shake import SHAKE128_RATE_BYTES
 
-    return BatchedShake(SHAKE128_RATE_BYTES, seeds)
-
-
-def keccak_f1600_many(states: Sequence[Sequence[int]]) -> List[List[int]]:
-    """Convenience wrapper: batch-permute plain Python lane lists."""
-    arr = np.array(
-        [[lane & 0xFFFFFFFFFFFFFFFF for lane in state] for state in states], dtype=np.uint64
-    )
-    return [[int(lane) for lane in row] for row in keccak_f1600_batch(arr)]
+    return BatchedShake(SHAKE128_RATE_BYTES, seeds, blocks)

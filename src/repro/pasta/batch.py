@@ -2,31 +2,36 @@
 
 The scalar path (:mod:`repro.pasta.cipher`) derives one block at a time:
 one Python Keccak permutation per 21 XOF words, one Python loop iteration
-per rejection-sampled coefficient, one mat-vec per affine layer. That is
-the repository's dominant cost center — every eval table, the HHE server,
-and the video benchmark sit behind it. This engine converts the whole
-pipeline to data-parallel execution, mirroring how the paper's hardware
-overlaps XOF squeezing, rejection sampling, and MatMul across blocks:
+per rejection-sampled coefficient, one mat-vec per affine layer. It stays
+the reference oracle. This engine runs the same pipeline data-parallel
+across blocks, mirroring how the paper's hardware overlaps XOF squeezing,
+rejection sampling, and MatMul (Fig. 3):
 
-* **XOF**: N sponge states advance in lockstep through the vectorized
-  Keccak-f[1600] (:mod:`repro.keccak.vectorized`) — one ``(N, 25)``
-  permutation replaces N scalar ones.
-* **Sampling**: whole ``(N, W)`` word matrices are masked and filtered at
-  once (paper Sec. IV-B), and the variable-length take of accepted words
-  runs across *all* lanes in one cumulative-count pass — no Python loop
-  over lanes anywhere on the sampling path.
+* **XOF**: every lane is squeezed by one sized C SHAKE128 digest into one
+  ``(N, W)`` word buffer (:mod:`repro.keccak.vectorized`), sized from the
+  parameters' expected demand.
+* **Sampling**: each draw masks and ranks only a window of buffer columns,
+  from the slowest lane's pointer to the fastest lane's plus a margin, and
+  takes the accepted words of *all* lanes in one cumulative-count pass, no
+  Python loop over lanes. The window widens when a lane runs short; the
+  stream grows only when the whole buffer is short, exactly when a
+  full-buffer scan would grow it, so squeezes and every accept/reject
+  decision match the scalar sampler.
 * **MatGen / MatMul**: the sequential-matrix recurrence and the affine
   layers run across the batch axis (``einsum`` with overflow-safe
   accumulation from :meth:`repro.ff.prime.PrimeField.batched_mat_vec`).
-* **Caching**: a per-``(nonce, counter)`` LRU keeps both the sampled
-  materials and the materialized matrices, so repeated transciphering of
-  the same stream — the HHE server re-deriving what the client already
-  derived — never regenerates them.
+* **One keystream path**: :meth:`KeystreamEngine.keystream_pairs` stays in
+  stacked arrays from XOF words to keystream rows for every engine and
+  field width; it neither reads nor fills the LRU.
+* **Caching**: a per-``(nonce, counter)`` LRU keeps sampled materials and
+  materialized matrices for :meth:`KeystreamEngine.materials`,
+  :meth:`~KeystreamEngine.materials_pairs` and
+  :meth:`~KeystreamEngine.matrices`, which the HHE server reads several
+  times while preparing one frame's schedule.
 
 Everything is bit-exact with the scalar golden model: same word stream per
 lane, same accept/reject decisions, same field arithmetic. The test suite
-asserts equality block-for-block and the benchmark records the speedup
-(target >= 5x at batch 64 for PASTA-3).
+asserts equality block-for-block.
 """
 
 from __future__ import annotations
@@ -40,9 +45,9 @@ import numpy as np
 
 from repro.errors import ParameterError
 from repro.ff.sampling import SamplerStats
+from repro.keccak.shake import SHAKE128_RATE_BYTES
 from repro.keccak.vectorized import batched_shake128
 from repro.pasta.cipher import BlockMaterials, LayerMaterials
-from repro.pasta.matgen import generate_matrix
 from repro.pasta.params import PastaParams
 from repro.pasta.xof import encode_block_seed
 
@@ -65,14 +70,16 @@ class _BatchWordStream:
     """Lockstep XOF word buffers with per-lane consumption pointers.
 
     Lane ``n`` sees exactly the word stream ``shake128(seed_n).words()``
-    would produce; the batch only changes *when* permutations happen, never
-    what each lane reads.
+    would produce; the batch only changes *when* words are squeezed, never
+    what each lane reads. ``shake`` is the word source: anything with
+    ``n``, ``rate_words`` and ``squeeze_words_block()``, normally a
+    :class:`~repro.keccak.vectorized.BatchedShake`.
     """
 
-    def __init__(self, seeds: Sequence[bytes]):
-        self._shake = batched_shake128(seeds)
-        self.n = len(seeds)
-        self.rate_words = self._shake.rate_words
+    def __init__(self, shake):
+        self._shake = shake
+        self.n = shake.n
+        self.rate_words = shake.rate_words
         self._buf = np.empty((self.n, 0), dtype=np.uint64)
         self.pos = np.zeros(self.n, dtype=np.intp)
 
@@ -85,9 +92,9 @@ class _BatchWordStream:
         new = [self._shake.squeeze_words_block() for _ in range(blocks)]
         self._buf = np.concatenate([self._buf, *new], axis=1)
 
-    def words(self) -> np.ndarray:
-        """The full ``(N, W)`` buffer (consumed words included)."""
-        return self._buf
+    def words(self, lo: int, hi: int) -> np.ndarray:
+        """Buffer columns ``[lo, hi)`` of every lane (consumed words included)."""
+        return self._buf[:, lo:hi]
 
 
 def _sample_draw(
@@ -98,25 +105,40 @@ def _sample_draw(
     Returns ``(values, rejected)`` with shapes ``(N, count)`` and ``(N,)``.
     The decisions are identical to running ``RejectionSampler.sample`` on
     each lane's scalar word stream: a lane's draw starts at its private
-    consumption pointer and takes its first ``count`` accepted words. The
-    take itself is one cumulative-count pass over the whole ``(N, W)``
-    buffer — no per-lane Python loop.
+    consumption pointer and takes its first ``count`` accepted words.
+
+    Only a window of columns is masked and ranked: from the slowest lane's
+    pointer to the fastest lane's pointer plus about twice the draw's
+    expected words. When a lane runs short inside the window, the window
+    widens; the stream grows only when the window already reaches the end
+    of the buffer, i.e. when the whole buffer is short. A window that
+    starts at the slowest pointer holds every lane's unconsumed words up to
+    its end, so growth happens exactly when a full-buffer scan would grow.
     """
+    pos = stream.pos
+    lo = int(pos.min())
+    reach = max(1, int(2 * count * sampler.expected_words_per_element))
     while True:
-        values, ok = sampler.candidates_batch(stream.words(), min_value)
-        # Mask out words each lane already consumed, then rank the rest.
-        avail = ok & (np.arange(stream.capacity)[None, :] >= stream.pos[:, None])
-        cum = np.cumsum(avail, axis=1)
-        if stream.capacity and int(cum[:, -1].min()) >= count:
-            break
-        # Some lane is short on accepted words — squeeze another batch for
-        # every lane (lanes are in lockstep; extra words stay buffered).
-        stream.grow()
+        hi = min(int(pos.max()) + reach, stream.capacity)
+        if hi > lo:
+            values, ok = sampler.candidates_batch(stream.words(lo, hi), min_value)
+            # Mask out words each lane already consumed, then rank the rest.
+            avail = ok & (np.arange(lo, hi)[None, :] >= pos[:, None])
+            cum = np.cumsum(avail, axis=1)
+            if int(cum[:, -1].min()) >= count:
+                break
+        if hi < stream.capacity:
+            reach *= 2  # a lane runs short inside the window: widen it
+        else:
+            # The whole buffer is short for some lane: squeeze another batch
+            # for every lane (lanes are in lockstep; extra words stay buffered).
+            stream.grow()
     take = avail & (cum <= count)
-    lane_idx, word_idx = np.nonzero(take)  # row-major: lane-grouped, ascending
-    out = values[lane_idx, word_idx].reshape(stream.n, count)
-    ends = word_idx.reshape(stream.n, count)[:, -1] + 1
-    rejected = ends - stream.pos - count
+    flat = np.flatnonzero(take)  # row-major: lane-grouped, ascending
+    out = values.reshape(-1)[flat].reshape(stream.n, count)
+    last = flat.reshape(stream.n, count)[:, -1] - np.arange(stream.n) * (hi - lo)
+    ends = lo + last + 1
+    rejected = ends - pos - count
     stream.pos = ends.astype(np.intp)
     return out, rejected
 
@@ -134,11 +156,14 @@ def _derive_layer_arrays(
     """
     sampler = params.sampler
     t = params.t
-    stream = _BatchWordStream([encode_block_seed(params, no, co) for no, co in pairs])
     # Pre-squeeze roughly the expected demand in one go; the sampler grows
-    # the buffer on demand for unlucky lanes.
+    # the buffer on demand for unlucky lanes. The digest behind it carries
+    # another eighth, so that growth almost never has to re-digest.
     expected_words = params.coefficients_per_block * sampler.expected_words_per_element
-    stream.grow(max(1, int(np.ceil(expected_words * 1.05 / stream.rate_words))))
+    blocks = max(1, int(np.ceil(expected_words * 1.05 / (SHAKE128_RATE_BYTES // 8))))
+    seeds = [encode_block_seed(params, no, co) for no, co in pairs]
+    stream = _BatchWordStream(batched_shake128(seeds, blocks + blocks // 8 + 1))
+    stream.grow(blocks)
 
     rejected = np.zeros(len(pairs), dtype=np.int64)
     layer_values: List[List[np.ndarray]] = []
@@ -157,49 +182,35 @@ def generate_block_materials_pairs(
 ) -> List[BlockMaterials]:
     """Batched materials derivation over arbitrary ``(nonce, counter)`` pairs.
 
-    The generalization of :func:`generate_block_materials_batch` that the
-    streaming service leans on: lanes need not share a nonce, so one
-    vectorized Keccak/sampling pass can cover many in-flight *frames*, not
-    just consecutive counters of one frame. Bit-exact with the scalar
-    derivation (values, sampler statistics, and permutation counts
-    included).
+    The generalization of :func:`generate_block_materials_batch`: lanes
+    need not share a nonce, so one vectorized XOF/sampling pass can cover
+    many in-flight *frames*, not just consecutive counters of one frame.
+    Bit-exact with the scalar derivation (values, sampler statistics, and
+    permutation counts included).
     """
     pairs = [(int(n), int(c)) for n, c in pairs]
     if not pairs:
         return []
-    field = params.field
+    dtype = params.field.dtype
     layer_values, rejected, stream = _derive_layer_arrays(params, pairs)
-
-    use_int64 = field.dtype is np.int64
-    out: List[BlockMaterials] = []
-    for lane, (nonce, counter) in enumerate(pairs):
-        layers = []
-        for vectors in layer_values:
-            arrays = []
-            for values in vectors:
-                if use_int64:
-                    arrays.append(values[lane].astype(np.int64))
-                else:
-                    arrays.append(field.array(int(v) for v in values[lane]))
-            layers.append(
-                LayerMaterials(alpha_l=arrays[0], alpha_r=arrays[1], rc_l=arrays[2], rc_r=arrays[3])
-            )
-        words_consumed = int(stream.pos[lane])
-        out.append(
-            BlockMaterials(
-                params=params,
-                nonce=nonce,
-                counter=counter,
-                layers=tuple(layers),
-                stats=SamplerStats(
-                    accepted=params.coefficients_per_block, rejected=int(rejected[lane])
-                ),
-                # Scalar sponges squeeze lazily: consuming w words costs
-                # ceil(w / 21) permutations (absorb included).
-                permutations=-(-words_consumed // stream.rate_words),
-            )
+    return [
+        BlockMaterials(
+            params=params,
+            nonce=nonce,
+            counter=counter,
+            layers=tuple(
+                LayerMaterials(*(values[lane].astype(dtype) for values in vectors))
+                for vectors in layer_values
+            ),
+            stats=SamplerStats(
+                accepted=params.coefficients_per_block, rejected=int(rejected[lane])
+            ),
+            # Scalar sponges squeeze lazily: consuming w words costs
+            # ceil(w / 21) permutations (absorb included).
+            permutations=-(-int(stream.pos[lane]) // stream.rate_words),
         )
-    return out
+        for lane, (nonce, counter) in enumerate(pairs)
+    ]
 
 
 def generate_block_materials_batch(
@@ -260,11 +271,13 @@ class CacheInfo:
 class KeystreamEngine:
     """Batched keystream generation for one parameter set, with an LRU.
 
-    The engine is shared per :class:`PastaParams` (see :func:`get_engine`)
-    so every consumer — the cipher's streaming API, the batched HHE
-    server, the video pipeline — hits one materials cache. Keys are
-    ``(nonce, counter)``; values carry the block's sampled materials and
-    any matrices already materialized for it.
+    :meth:`keystream_pairs` (and :meth:`keystream_blocks`) derive every
+    block fresh in stacked arrays and never touch the LRU: a client
+    encrypts each ``(nonce, counter)`` once. The LRU, keyed by
+    ``(nonce, counter)``, serves :meth:`materials`, :meth:`materials_pairs`
+    and :meth:`matrices`; each entry carries the block's sampled materials
+    and any matrices already materialized for it, which the HHE server
+    reads several times while preparing one frame's schedule.
     """
 
     def __init__(self, params: PastaParams, cache_size: int = DEFAULT_CACHE_BLOCKS):
@@ -301,8 +314,6 @@ class KeystreamEngine:
 
     def _insert(self, nonce: int, counter: int, entry: _CacheEntry) -> None:
         """Install one derived entry (takes the lock; don't call holding it)."""
-        if self.cache_size == 0:
-            return
         key = (nonce, counter)
         with self._lock:
             self._cache[key] = entry
@@ -347,25 +358,13 @@ class KeystreamEngine:
         """Block materials for arbitrary (nonce, counter) pairs (cache-backed)."""
         return [e.materials for e in self._entries_pairs(pairs)]
 
-    def matrix(self, nonce: int, counter: int, layer: int, side: str) -> np.ndarray:
-        """One materialized affine matrix, cached alongside its materials."""
-        (entry,) = self._entries(nonce, [counter])
-        key = (layer, side)
-        if key not in entry.matrices:
-            alpha = getattr(entry.materials.layers[layer], f"alpha_{side}")
-            entry.matrices[key] = generate_matrix(self.params.field, alpha)
-        return entry.matrices[key]
+    def matrices(self, nonce: int, counters: Sequence[int], layer: int, side: str) -> np.ndarray:
+        """``(B, t, t)`` affine matrices of one layer side for B counters.
 
-    def matrix_l(self, nonce: int, counter: int, layer: int) -> np.ndarray:
-        return self.matrix(nonce, counter, layer, "l")
-
-    def matrix_r(self, nonce: int, counter: int, layer: int) -> np.ndarray:
-        return self.matrix(nonce, counter, layer, "r")
-
-    def _stacked_matrices(
-        self, entries: List[_CacheEntry], layer: int, side: str
-    ) -> np.ndarray:
-        """(N, t, t) matrices for one layer/side, filling cache gaps batched."""
+        The matrices not yet cached are materialized in one batched pass
+        and kept beside their materials in the LRU.
+        """
+        entries = self._entries(nonce, counters)
         key = (layer, side)
         todo = [i for i, e in enumerate(entries) if key not in e.matrices]
         if todo:
@@ -378,7 +377,21 @@ class KeystreamEngine:
             if len(todo) == len(entries):
                 # All fresh, already in batch order — skip the re-stack copy.
                 return mats
+        if len(entries) == 1:
+            # One cached block: a view, not a copy. The scalar HHE server
+            # reads one entry of it per (row, column) handle.
+            return entries[0].matrices[key][None]
         return np.stack([e.matrices[key] for e in entries])
+
+    def matrix(self, nonce: int, counter: int, layer: int, side: str) -> np.ndarray:
+        """One materialized affine matrix: :meth:`matrices` for one counter."""
+        return self.matrices(nonce, [counter], layer, side)[0]
+
+    def matrix_l(self, nonce: int, counter: int, layer: int) -> np.ndarray:
+        return self.matrix(nonce, counter, layer, "l")
+
+    def matrix_r(self, nonce: int, counter: int, layer: int) -> np.ndarray:
+        return self.matrix(nonce, counter, layer, "r")
 
     def keystream_blocks(
         self, key: np.ndarray, nonce: int, counter0: int, n_blocks: int
@@ -386,8 +399,8 @@ class KeystreamEngine:
         """Keystream for ``n_blocks`` consecutive counters as ``(n, t)``.
 
         Row ``i`` equals the scalar ``Pasta.keystream_block(nonce,
-        counter0 + i)`` exactly; the whole batch shares each permutation,
-        sampling pass, and affine ``einsum``.
+        counter0 + i)`` exactly; the whole batch shares each XOF digest
+        pass, sampling pass, and affine ``einsum``.
         """
         return self.keystream_pairs(
             key, [(nonce, c) for c in range(counter0, counter0 + n_blocks)]
@@ -400,8 +413,9 @@ class KeystreamEngine:
 
         The cross-frame workhorse of the streaming service: one vectorized
         pass covers blocks of *different* nonces (frames), so steady-state
-        throughput amortizes the per-pass Keccak/sampling overhead over
-        every frame currently in flight, not just one frame's blocks.
+        throughput amortizes the per-pass XOF/sampling overhead over every
+        frame currently in flight, not just one frame's blocks. Every block
+        is derived fresh, without reading or filling the LRU.
         """
         from repro.obs import get_registry, get_tracer
         from repro.obs.cycles import modeled_cycle_attributes
@@ -424,66 +438,31 @@ class KeystreamEngine:
     def _keystream_pairs(
         self, key: np.ndarray, pairs: Sequence[Tuple[int, int]]
     ) -> np.ndarray:
-        params = self.params
-        field = params.field
-        n_blocks = len(pairs)
-        if n_blocks <= 0:
-            return field.zeros(0, params.t)
-        if self.cache_size == 0 and field.dtype is np.int64:
-            # Streaming fast path: a cache-less engine serves fresh
-            # (nonce, counter) pairs that will never be asked for again, so
-            # skip per-block BlockMaterials assembly entirely and stay in
-            # stacked array-land from XOF words to keystream rows.
-            with self._lock:
-                self._misses += n_blocks
-            layer_values, _, _ = _derive_layer_arrays(
-                params, [(int(no), int(co)) for no, co in pairs]
-            )
-            alphas = {}
-            rcs = {}
-            for layer, (al, ar, rl, rr) in enumerate(layer_values):
-                alphas[(layer, "l")] = al.astype(np.int64)
-                alphas[(layer, "r")] = ar.astype(np.int64)
-                rcs[(layer, "l")] = rl.astype(np.int64)
-                rcs[(layer, "r")] = rr.astype(np.int64)
-            return self._keystream_rounds(
-                key,
-                n_blocks,
-                lambda layer, side: batched_sequential_matrices(params, alphas[(layer, side)]),
-                lambda layer, side: rcs[(layer, side)],
-            )
-        entries = self._entries_pairs(pairs)
-        return self._keystream_rounds(
-            key,
-            n_blocks,
-            lambda layer, side: self._stacked_matrices(entries, layer, side),
-            lambda layer, side: np.stack(
-                [getattr(e.materials.layers[layer], f"rc_{side}") for e in entries]
-            ),
-        )
-
-    def _keystream_rounds(self, key, n_blocks: int, mats_of, rc_of) -> np.ndarray:
-        """The PASTA round schedule over stacked per-block state rows.
-
-        ``mats_of(layer, side)`` / ``rc_of(layer, side)`` supply the
-        ``(N, t, t)`` matrices and ``(N, t)`` round constants; both the
-        cache-backed and the fused streaming path feed this one loop.
-        """
+        """The PASTA round schedule over stacked per-block state rows."""
         params = self.params
         field = params.field
         p = field.p
         t = params.t
+        n_blocks = len(pairs)
+        if n_blocks <= 0:
+            return field.zeros(0, t)
+        layer_values, _, _ = _derive_layer_arrays(
+            params, [(int(no), int(co)) for no, co in pairs]
+        )
+
+        def affine(x: np.ndarray, layer: int, side: int) -> np.ndarray:
+            # layer_values[layer] is (alpha_L, alpha_R, rc_L, rc_R); side 0 = L.
+            alpha = layer_values[layer][side].astype(field.dtype)
+            rc = layer_values[layer][2 + side].astype(field.dtype)
+            mats = batched_sequential_matrices(params, alpha)
+            return (field.batched_mat_vec(mats, x) + rc) % p
 
         state = np.tile(np.asarray(key).reshape(1, -1), (n_blocks, 1))
         xl = state[:, :t] % p
         xr = state[:, t:] % p
-
-        def affine(x: np.ndarray, layer: int, side: str) -> np.ndarray:
-            return (field.batched_mat_vec(mats_of(layer, side), x) + rc_of(layer, side)) % p
-
         for i in range(params.rounds):
-            xl = affine(xl, i, "l")
-            xr = affine(xr, i, "r")
+            xl = affine(xl, i, 0)
+            xr = affine(xr, i, 1)
             s = (xl + xr) % p
             xl = (xl + s) % p
             xr = (xr + s) % p
@@ -495,8 +474,8 @@ class KeystreamEngine:
                 full = ((full * full % p) * full) % p
             xl, xr = full[:, :t], full[:, t:]
         last = params.rounds
-        xl = affine(xl, last, "l")
-        xr = affine(xr, last, "r")
+        xl = affine(xl, last, 0)
+        xr = affine(xr, last, 1)
         s = (xl + xr) % p
         xl = (xl + s) % p
         return xl
@@ -509,12 +488,16 @@ _ENGINES_LOCK = threading.Lock()
 def get_engine(params: PastaParams) -> KeystreamEngine:
     """The engine shared per parameter set (created on first use).
 
-    The cipher's streaming API and the batched HHE server both draw on it,
-    so they hit one :data:`DEFAULT_CACHE_BLOCKS` materials cache. Construct
-    a :class:`KeystreamEngine` directly for a private instance, such as the
-    cache-less one the streaming service uses. Safe to call from concurrent
-    threads: a check-then-create race would otherwise hand two callers
-    *different* engines, splitting the shared cache.
+    The cipher's streaming API derives its keystream on it (without the
+    LRU), and the batched HHE servers of one parameter set share its
+    :data:`DEFAULT_CACHE_BLOCKS` materials cache, which serves the repeated
+    reads of one frame's schedule. A client and a server run on different
+    machines in deployment, so nothing the client derives is reused by the
+    server. Construct a :class:`KeystreamEngine` directly for a private
+    instance, such as the cache-less one the streaming service uses. Safe
+    to call from concurrent threads: a check-then-create race would
+    otherwise hand two callers *different* engines, splitting the shared
+    cache.
     """
     with _ENGINES_LOCK:
         engine = _ENGINES.get(params)

@@ -138,10 +138,11 @@ class Pasta:
     def keystream_blocks(self, nonce: int, counter0: int, n_blocks: int) -> np.ndarray:
         """Keystream for ``n_blocks`` consecutive counters as an ``(n, t)`` array.
 
-        Runs on the batched engine (:mod:`repro.pasta.batch`): one
-        vectorized Keccak/sampling/MatMul pass for the whole batch, backed
-        by the shared per-``(nonce, counter)`` materials cache. Bit-exact
-        with calling :meth:`keystream_block` per counter.
+        Runs on the batched engine (:mod:`repro.pasta.batch`): one sized
+        XOF digest per block, then windowed rejection sampling and one
+        MatGen/MatMul pass per layer side, each across the whole batch.
+        Every block is derived fresh; nothing is cached. Bit-exact with
+        calling :meth:`keystream_block` per counter.
         """
         from repro.pasta.batch import get_engine
 
@@ -173,9 +174,20 @@ class Pasta:
 
     # -- block operations -----------------------------------------------------
 
+    def _elements(self, values: Sequence[int]) -> np.ndarray:
+        """``values`` as field elements; :class:`ParameterError` if any lies
+        outside [0, p) (one vectorized check, no silent reduction)."""
+        arr = np.asarray(values)
+        if arr.dtype.kind not in "iu":
+            arr = np.asarray(values, dtype=object)
+        p = self.field.p
+        if arr.size and not ((arr >= 0) & (arr < p)).all():
+            raise ParameterError(f"elements must lie in [0, {p})")
+        return arr.astype(self.field.dtype)
+
     def encrypt_block(self, message: Sequence[int], nonce: int, counter: int) -> np.ndarray:
         """Encrypt up to t field elements: ``c = m + KS``."""
-        m = self.field.array(message)
+        m = self._elements(message)
         if m.shape[0] > self.params.t:
             raise ParameterError(f"block holds at most t={self.params.t} elements")
         ks = self.keystream_block(nonce, counter)
@@ -183,7 +195,7 @@ class Pasta:
 
     def decrypt_block(self, ciphertext: Sequence[int], nonce: int, counter: int) -> np.ndarray:
         """Decrypt up to t field elements: ``m = c - KS``."""
-        c = self.field.array(ciphertext)
+        c = self._elements(ciphertext)
         if c.shape[0] > self.params.t:
             raise ParameterError(f"block holds at most t={self.params.t} elements")
         ks = self.keystream_block(nonce, counter)
@@ -204,12 +216,13 @@ class Pasta:
         ``allow_nonce_reuse=True`` only when re-encrypting the *same*
         message deterministically (e.g. benchmarks, idempotent retries).
         """
-        self._guard_nonce(nonce, self._block_count(len(message)), allow_nonce_reuse)
-        return self._stream(message, nonce, encrypt=True)
+        arr = self._elements(message)
+        self._guard_nonce(nonce, self._block_count(arr.shape[0]), allow_nonce_reuse)
+        return self._stream(arr, nonce, encrypt=True)
 
     def decrypt(self, ciphertext: Sequence[int], nonce: int) -> np.ndarray:
         """Inverse of :meth:`encrypt` under the same nonce."""
-        return self._stream(ciphertext, nonce, encrypt=False)
+        return self._stream(self._elements(ciphertext), nonce, encrypt=False)
 
     def _block_count(self, n_elements: int) -> int:
         return max(1, -(-n_elements // self.params.t))
@@ -224,17 +237,12 @@ class Pasta:
             )
         self._used_nonces[nonce] = max(used, n_blocks)
 
-    def _stream(self, data: Sequence[int], nonce: int, encrypt: bool) -> np.ndarray:
-        arr = self.field.array(data)
-        t = self.params.t
-        n_blocks = -(-arr.shape[0] // t)
-        out = self.field.zeros(arr.shape[0])
+    def _stream(self, arr: np.ndarray, nonce: int, encrypt: bool) -> np.ndarray:
+        """Add (or subtract) the keystream of counters 0, 1, ... to ``arr``."""
+        n = arr.shape[0]
+        ks = self.keystream_blocks(nonce, 0, -(-n // self.params.t)).reshape(-1)[:n]
         op = self.field.vec_add if encrypt else self.field.vec_sub
-        ks = self.keystream_blocks(nonce, 0, n_blocks)
-        for counter, start in enumerate(range(0, arr.shape[0], t)):
-            chunk = arr[start : start + t]
-            out[start : start + chunk.shape[0]] = op(chunk, ks[counter, : chunk.shape[0]])
-        return out
+        return op(arr, ks)
 
 
 def random_key(params: PastaParams, seed: bytes = b"pasta-key") -> np.ndarray:

@@ -1,10 +1,11 @@
-"""Vectorized Keccak vs the scalar permutation vs hashlib (ground truth).
+"""Batched SHAKE vs the scalar sponge vs hashlib (ground truth).
 
-The batched engine is only admissible because ``keccak_f1600_batch`` is
-bit-exact with :func:`repro.keccak.permutation.keccak_f1600`, which the
-existing suite already cross-checks against FIPS 202 vectors. Here both are
-additionally pinned to ``hashlib``'s SHAKE128/SHAKE256 as an independent
-implementation, over hypothesis-generated batch sizes and messages.
+The batched engine reads its XOF words from :class:`BatchedShake`, which
+squeezes every lane with one sized C digest. Each lane must be bit-exact
+with the scalar :func:`repro.keccak.shake.shake128` word stream (the
+reference oracle, itself cross-checked against FIPS 202 vectors) and with
+``hashlib``'s SHAKE128, over hypothesis-generated batch sizes and
+messages, including reads past the sized digest.
 """
 
 import hashlib
@@ -18,67 +19,8 @@ from repro.keccak import (
     SHAKE128_RATE_BYTES,
     BatchedShake,
     batched_shake128,
-    keccak_f1600,
-    keccak_f1600_batch,
     shake128,
 )
-from repro.keccak.vectorized import keccak_f1600_many
-
-_U64 = (1 << 64) - 1
-
-
-def _scalar_rows(states):
-    return [keccak_f1600(list(row)) for row in states]
-
-
-class TestBatchPermutation:
-    def test_zero_state_matches_scalar(self):
-        batch = keccak_f1600_batch(np.zeros((1, 25), dtype=np.uint64))
-        assert [int(x) for x in batch[0]] == keccak_f1600([0] * 25)
-
-    def test_shape_validation(self):
-        with pytest.raises(ValueError):
-            keccak_f1600_batch(np.zeros((25,), dtype=np.uint64))
-        with pytest.raises(ValueError):
-            keccak_f1600_batch(np.zeros((2, 24), dtype=np.uint64))
-
-    def test_input_not_mutated(self):
-        states = np.arange(50, dtype=np.uint64).reshape(2, 25)
-        before = states.copy()
-        keccak_f1600_batch(states)
-        assert np.array_equal(states, before)
-
-    @given(
-        st.lists(
-            st.lists(st.integers(min_value=0, max_value=_U64), min_size=25, max_size=25),
-            min_size=1,
-            max_size=8,
-        )
-    )
-    def test_matches_scalar_lane_for_lane(self, states):
-        batch = keccak_f1600_batch(np.array(states, dtype=np.uint64))
-        expected = _scalar_rows(states)
-        for n in range(len(states)):
-            assert [int(x) for x in batch[n]] == expected[n]
-
-    @given(
-        st.lists(
-            st.lists(st.integers(min_value=0, max_value=_U64), min_size=25, max_size=25),
-            min_size=1,
-            max_size=4,
-        )
-    )
-    def test_many_wrapper(self, states):
-        assert keccak_f1600_many(states) == _scalar_rows(states)
-
-    def test_batch_rows_independent(self):
-        """Permuting a row alone or inside a batch gives the same result."""
-        rng = np.random.default_rng(7)
-        states = rng.integers(0, 1 << 64, size=(6, 25), dtype=np.uint64)
-        full = keccak_f1600_batch(states)
-        for n in range(6):
-            alone = keccak_f1600_batch(states[n : n + 1])
-            assert np.array_equal(full[n], alone[0])
 
 
 class TestBatchedShake:
@@ -118,6 +60,22 @@ class TestBatchedShake:
         for n, seed in enumerate(seeds):
             raw = words[n].astype("<u8").tobytes()
             assert raw == hashlib.shake_128(seed).digest(len(raw))
+
+    @given(
+        st.lists(st.binary(min_size=0, max_size=SHAKE128_RATE_BYTES - 1), min_size=1, max_size=4),
+        st.integers(min_value=1, max_value=3),
+        st.integers(min_value=1, max_value=5),
+    )
+    def test_squeeze_past_sized_digest(self, seeds, sized, extra):
+        """Reading past the digest re-digests longer: same words, same cadence."""
+        batch = batched_shake128(seeds, sized)
+        blocks = sized + extra
+        got = np.concatenate([batch.squeeze_words_block() for _ in range(blocks)], axis=1)
+        assert got.shape == (len(seeds), blocks * batch.rate_words)
+        assert batch.permutation_count == blocks
+        for n, seed in enumerate(seeds):
+            words = shake128(seed).words()
+            assert [int(w) for w in got[n]] == [next(words) for _ in range(got.shape[1])]
 
     def test_permutation_cadence_matches_scalar(self):
         """One permutation per 21-word block, absorb included — the exact

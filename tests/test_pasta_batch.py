@@ -9,7 +9,7 @@ semantics and the nonce-reuse guard that rides along in this change.
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ParameterError
@@ -20,13 +20,15 @@ from repro.pasta import (
     PASTA_TOY,
     KeystreamEngine,
     Pasta,
+    PastaParams,
     batched_sequential_matrices,
     generate_block_materials,
     generate_block_materials_batch,
+    generate_block_materials_pairs,
     get_engine,
     random_key,
 )
-from repro.pasta.batch import DEFAULT_CACHE_BLOCKS
+from repro.pasta.batch import DEFAULT_CACHE_BLOCKS, _BatchWordStream, _sample_draw
 from repro.pasta.matgen import generate_matrix
 
 
@@ -136,16 +138,18 @@ class TestKeystreamEngine:
 
     def test_cache_hits_and_misses(self):
         engine = KeystreamEngine(PASTA_TOY, cache_size=8)
-        key = random_key(PASTA_TOY)
-        engine.keystream_blocks(key, 0, 0, 4)
+        engine.materials(0, range(4))
         info = engine.cache_info()
         assert (info.hits, info.misses, info.size) == (0, 4, 4)
-        engine.keystream_blocks(key, 0, 0, 4)
+        engine.materials_pairs([(0, c) for c in range(4)])
         info = engine.cache_info()
         assert (info.hits, info.misses) == (4, 4)
-        engine.keystream_blocks(key, 0, 2, 4)  # counters 2-5: two hits, two misses
+        engine.materials(0, range(2, 6))  # counters 2-5: two hits, two misses
         info = engine.cache_info()
         assert (info.hits, info.misses, info.size) == (6, 6, 6)
+        # The keystream path derives fresh and leaves the LRU alone.
+        engine.keystream_blocks(random_key(PASTA_TOY), 0, 0, 4)
+        assert engine.cache_info() == info
 
     def test_cache_eviction_lru(self):
         engine = KeystreamEngine(PASTA_TOY, cache_size=2)
@@ -213,6 +217,122 @@ class TestKeystreamEngine:
             assert [int(x) for x in ks[i]] == [int(x) for x in expected]
 
 
+#: A 5-bit prime: 1 in 32 masked words is a zero candidate, which every
+#: alpha draw must reject (at p = 65537 that happens once per 2^17 words).
+PASTA_P17 = PastaParams(name="pasta-p17", t=4, rounds=2, p=17, secure=False)
+
+
+class _WordSource:
+    """Hand-built lane words standing in for ``BatchedShake``."""
+
+    def __init__(self, words: np.ndarray, rate_words: int):
+        self.words = words
+        self.n = words.shape[0]
+        self.rate_words = rate_words
+        self.squeezed = 0
+
+    def squeeze_words_block(self) -> np.ndarray:
+        k, w = self.squeezed, self.rate_words
+        self.squeezed += 1
+        return self.words[:, k * w : (k + 1) * w].copy()
+
+
+class _RecordingSampler(RejectionSampler):
+    """Records ``(window width, blocks squeezed)`` per candidates_batch call."""
+
+    def __init__(self, p: int, source: _WordSource):
+        super().__init__(p)
+        self.source = source
+        self.calls = []
+
+    def candidates_batch(self, words, min_value=0):
+        self.calls.append((words.shape[1], self.source.squeezed))
+        return super().candidates_batch(words, min_value)
+
+
+def _full_buffer_blocks(lanes, draws, count, sampler, rate_words, blocks):
+    """Blocks a full-buffer scan squeezes: grow one block while any lane
+    has fewer than ``count`` accepted words left in the buffer."""
+    pos = [0] * len(lanes)
+    for min_value in draws:
+        while any(
+            sum(sampler.candidate(w, min_value)[1] for w in lane[pos[i] : blocks * rate_words])
+            < count
+            for i, lane in enumerate(lanes)
+        ):
+            blocks += 1
+        for i, lane in enumerate(lanes):
+            taken = 0
+            while taken < count:
+                taken += sampler.candidate(lane[pos[i]], min_value)[1]
+                pos[i] += 1
+    return blocks
+
+
+class TestRareSamplerBranches:
+    """Zero candidates in alpha draws, window widening, and stream growth."""
+
+    @given(st.integers(min_value=1, max_value=300), st.integers(min_value=0, max_value=2**32 - 1))
+    @settings(max_examples=8)
+    def test_five_bit_prime_matches_scalar(self, lanes, seed):
+        params = PASTA_P17
+        rng = np.random.default_rng(seed)
+        pairs = [(int(n), int(c)) for n, c in rng.integers(0, 2**63, size=(lanes, 2))]
+        key = random_key(params, b"p17|%d" % seed)
+        cipher = Pasta(params, key)
+        batched = generate_block_materials_pairs(params, pairs)
+        keystream = KeystreamEngine(params, cache_size=0).keystream_pairs(key, pairs)
+        for (nonce, counter), materials, row in zip(pairs, batched, keystream):
+            scalar = generate_block_materials(params, nonce, counter)
+            _assert_materials_equal(materials, scalar)
+            expected = cipher.keystream_block(nonce, counter, materials=scalar)
+            assert [int(x) for x in row] == [int(x) for x in expected]
+
+    def test_hand_built_stream(self):
+        """A zero candidate opens an alpha draw, a long reject run widens the
+        window, and short lanes grow the stream exactly when a full-buffer
+        scan would."""
+        rate_words, count = 4, 2
+        zero = (1 << 40) | 32  # masks to the zero candidate
+        reject = 31  # >= p after masking
+        lanes = [
+            [3, 4, zero, 6] + [7] * 36,  # alpha draw 2 opens on a zero candidate
+            [5, 5] + [reject] * 12 + [5] * 26,  # 12 rejects: wider than the window
+            [reject] * 5 + [2] * 35,  # short after one block: the stream grows
+        ]
+        source = _WordSource(np.array(lanes, dtype=np.uint64), rate_words)
+        sampler = _RecordingSampler(17, source)
+        stream = _BatchWordStream(source)
+        stream.grow(1)
+        draws = (1, 1, 0, 0)  # alpha_L, alpha_R, rc_L, rc_R
+
+        scalar = [iter(lane) for lane in lanes]
+        consumed = [0] * len(lanes)
+        widened = []
+        for draw, min_value in enumerate(draws):
+            sampler.calls.clear()
+            values, rejected = _sample_draw(stream, sampler, count, min_value)
+            for i, words in enumerate(scalar):
+                expected, stats = sampler.sample(words, count, min_value)
+                assert [int(v) for v in values[i]] == expected
+                assert int(rejected[i]) == stats.rejected
+                consumed[i] += stats.words_consumed
+            calls = sampler.calls
+            widened += [
+                draw
+                for (w1, s1), (w2, s2) in zip(calls, calls[1:])
+                if w2 > w1 and s2 == s1
+            ]
+            if draw == 1:
+                assert int(rejected[0]) == 1  # the zero candidate, rejected
+        assert stream.pos.tolist() == consumed
+        assert widened  # some lane ran short inside the window, not the buffer
+        assert source.squeezed == _full_buffer_blocks(
+            lanes, draws, count, sampler, rate_words, blocks=1
+        )
+        assert source.squeezed > 1
+
+
 class TestConcurrentAccess:
     """The shared engine is hit from service worker threads concurrently.
 
@@ -220,7 +340,8 @@ class TestConcurrentAccess:
     corrupt the LRU order, raise KeyError mid-eviction, or lose counter
     increments. The regression: many barrier-started threads hammering
     overlapping schedules must produce exact keystreams and consistent
-    cache accounting.
+    cache accounting (the LRU serves ``materials_pairs``; the keystream
+    path never touches it).
     """
 
     def test_concurrent_keystreams_are_exact(self):
@@ -249,6 +370,9 @@ class TestConcurrentAccess:
                     for row, pair in zip(ks, sched):
                         if [int(x) for x in row] != expected[pair]:
                             failures.append((pair, [int(x) for x in row]))
+                    for m, pair in zip(engine.materials_pairs(sched), sched):
+                        if (m.nonce, m.counter) != pair:
+                            failures.append((pair, (m.nonce, m.counter)))
             except Exception as exc:  # KeyError from racing eviction, etc.
                 failures.append(exc)
 
@@ -256,7 +380,8 @@ class TestConcurrentAccess:
         for th in threads:
             th.start()
         for th in threads:
-            th.join()
+            th.join(timeout=120)
+        assert not any(th.is_alive() for th in threads)
         assert not failures, failures[:3]
 
         info = engine.cache_info()
@@ -268,8 +393,7 @@ class TestConcurrentAccess:
         import threading
 
         from repro.pasta.batch import _ENGINES
-        from repro.pasta.params import PastaParams
-
+        
         params = PASTA_TOY
         fresh = PastaParams(
             name="toy-threads", t=params.t, rounds=params.rounds, p=params.p, secure=False

@@ -114,6 +114,38 @@ class TestStreaming:
         assert list(whole) == list(block0) + list(block1) + list(block2)
 
 
+class TestElementRange:
+    """Elements outside [0, p) are refused, never silently reduced."""
+
+    @pytest.mark.parametrize(
+        "values",
+        [
+            [PASTA_TOY.p, 1, 5],
+            [-1, 0, 5],
+            np.array([3, PASTA_TOY.p + 7], dtype=np.int64),
+            [2**70, 1],
+        ],
+        ids=["p", "negative", "int64-array", "bigint"],
+    )
+    def test_out_of_range_raises(self, toy_key, values):
+        cipher = Pasta(PASTA_TOY, toy_key)
+        with pytest.raises(ParameterError, match="elements"):
+            cipher.encrypt(values, nonce=1)
+        with pytest.raises(ParameterError, match="elements"):
+            cipher.decrypt(values, 1)
+        with pytest.raises(ParameterError, match="elements"):
+            cipher.encrypt_block(values, 1, 0)
+        with pytest.raises(ParameterError, match="elements"):
+            cipher.decrypt_block(values, 1, 0)
+        # A refused message consumes no nonce.
+        assert [int(x) for x in cipher.decrypt(cipher.encrypt([0, 7], 1), 1)] == [0, 7]
+
+    def test_field_bounds_roundtrip(self, toy_key):
+        cipher = Pasta(PASTA_TOY, toy_key)
+        msg = [0, PASTA_TOY.p - 1] * 3
+        assert [int(x) for x in cipher.decrypt(cipher.encrypt(msg, 2), 2)] == msg
+
+
 class TestKeyHandling:
     def test_wrong_key_size(self):
         with pytest.raises(ParameterError):
