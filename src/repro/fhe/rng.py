@@ -1,57 +1,83 @@
-"""Deterministic randomness for the FHE substrate, built on our own SHAKE256.
+"""Deterministic randomness for the FHE substrate, from one SHAKE256 stream.
 
 Keeping the sampler inside the repository (instead of ``random``/``secrets``)
-makes every FHE test and example reproducible bit-for-bit and exercises the
-Keccak substrate once more. This is a *functional* sampler for a research
-model — not a hardened CSPRNG deployment.
+makes every FHE test and example reproducible bit-for-bit. The stream is
+read through :class:`repro.keccak.vectorized.ShakeReader`, sized C
+``hashlib`` digests that are byte-for-byte the scalar
+``shake256(b"repro-fhe-rng|" + seed)`` stream, and each sampler decodes
+whole byte runs with numpy. Every sampler consumes exactly the bytes of the
+one-sample-at-a-time rule it documents, so keys, ciphertexts and noise
+budgets are those of a scalar-sponge sampler; ``tests/test_fhe_rng.py``
+pins both against such a copy. This is a *functional* sampler for a
+research model — not a hardened CSPRNG deployment.
 """
 
 from __future__ import annotations
 
 from typing import List
 
-from repro.keccak.shake import shake256
+import numpy as np
+
+from repro.keccak.vectorized import ShakeReader
+
+#: Bit offsets of the four 2-bit trit candidates in a byte, in draw order.
+_TRIT_SHIFTS = np.array([0, 2, 4, 6], dtype=np.uint8)
 
 
 class PolyRng:
     """Seeded sampler for the polynomial distributions BFV needs."""
 
     def __init__(self, seed: bytes):
-        self._shake = shake256(b"repro-fhe-rng|" + seed)
+        self._stream = ShakeReader(b"repro-fhe-rng|" + seed)
 
-    def _read_int(self, nbytes: int) -> int:
-        return int.from_bytes(self._shake.read(nbytes), "little")
+    def _bytes(self, count: int) -> np.ndarray:
+        return np.frombuffer(self._stream.read(count), dtype=np.uint8)
 
     def uniform_mod(self, modulus: int, count: int) -> List[int]:
-        """Uniform integers in [0, modulus) by rejection sampling."""
+        """Uniform integers in [0, modulus) by rejection sampling.
+
+        Each candidate is the next ``nbytes`` little-endian bytes, kept
+        (reduced mod ``modulus``) when below the largest multiple of
+        ``modulus`` that fits. A run reads one candidate per value still
+        missing, so no byte past the last kept candidate is consumed.
+        """
         nbytes = (modulus.bit_length() + 7) // 8 + 1
         bound = (1 << (8 * nbytes)) // modulus * modulus
         out: List[int] = []
         while len(out) < count:
-            value = self._read_int(nbytes)
-            if value < bound:
-                out.append(value % modulus)
+            raw = self._stream.read(nbytes * (count - len(out)))
+            values = (
+                int.from_bytes(raw[i : i + nbytes], "little") for i in range(0, len(raw), nbytes)
+            )
+            out += [v % modulus for v in values if v < bound]
         return out
 
     def ternary(self, count: int) -> List[int]:
-        """Uniform ternary secrets in {-1, 0, 1}."""
+        """Uniform ternary secrets in {-1, 0, 1}.
+
+        Each byte holds four 2-bit candidates, low bits first; the fourth
+        symbol (3) is rejected for uniformity. Candidates left in the byte
+        that completes the draw are discarded. A run reads one byte per
+        four values still missing, so it never reads past that byte.
+        """
         out: List[int] = []
         while len(out) < count:
-            byte = self._read_int(1)
-            for shift in (0, 2, 4, 6):
-                trit = (byte >> shift) & 0x3
-                if trit < 3:  # reject the 4th symbol for uniformity
-                    out.append(trit - 1)
-                    if len(out) == count:
-                        break
+            raw = self._bytes(-(-(count - len(out)) // 4))
+            trits = (raw[:, None] >> _TRIT_SHIFTS) & 3
+            kept = trits[trits < 3][: count - len(out)]
+            out += (kept.astype(np.int64) - 1).tolist()
         return out
 
     def centered_binomial(self, eta: int, count: int) -> List[int]:
-        """Centered binomial noise with parameter ``eta`` (variance eta/2)."""
-        out: List[int] = []
-        while len(out) < count:
-            bits = self._read_int((2 * eta + 7) // 8)
-            a = sum((bits >> i) & 1 for i in range(eta))
-            b = sum((bits >> (eta + i)) & 1 for i in range(eta))
-            out.append(a - b)
-        return out
+        """Centered binomial noise with parameter ``eta`` (variance eta/2).
+
+        Each sample reads ``ceil(2 eta / 8)`` bytes as a little-endian
+        integer: the popcount of its low ``eta`` bits minus that of the next
+        ``eta``.
+        """
+        nbytes = (2 * eta + 7) // 8
+        raw = self._bytes(nbytes * count).reshape(count, nbytes)
+        bits = np.unpackbits(raw, axis=1, bitorder="little")
+        a = bits[:, :eta].sum(axis=1, dtype=np.int64)
+        b = bits[:, eta : 2 * eta].sum(axis=1, dtype=np.int64)
+        return (a - b).tolist()

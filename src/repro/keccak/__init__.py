@@ -21,7 +21,7 @@ from repro.keccak.shake import (
     shake256,
 )
 from repro.keccak.sponge import KeccakSponge
-from repro.keccak.vectorized import BatchedShake, batched_shake128
+from repro.keccak.vectorized import BatchedShake, ShakeReader, batched_shake128
 
 __all__ = [
     "KECCAK_ROUNDS",
@@ -36,6 +36,7 @@ __all__ = [
     "NaiveKeccakCore",
     "OverlappedKeccakCore",
     "Shake",
+    "ShakeReader",
     "TimedWord",
     "UnrolledNaiveKeccakCore",
     "batched_shake128",

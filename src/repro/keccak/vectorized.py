@@ -20,6 +20,13 @@ changes.
 permutation exposes the first block and every later block costs one more,
 exactly the count the scalar sponge reports after reading the same words.
 The tests pin every lane to the scalar sponge and to ``hashlib``.
+
+:class:`ShakeReader` is the one-lane byte form of the same idea, for the
+SHAKE256 host streams read in sizes a caller cannot predict (the FHE
+sampler :class:`repro.fhe.rng.PolyRng` and
+:func:`repro.pasta.cipher.random_key`): it digests what the caller reads
+and regrows by doubling, so its bytes are ``shake256(seed).read`` byte for
+byte, for seeds of any length.
 """
 
 from __future__ import annotations
@@ -31,6 +38,7 @@ import numpy as np
 
 __all__ = [
     "BatchedShake",
+    "ShakeReader",
     "batched_shake128",
 ]
 
@@ -101,6 +109,35 @@ class BatchedShake:
         self._emitted_blocks += 1
         w = self.rate_words
         return self._words[:, k * w : (k + 1) * w]
+
+
+class ShakeReader:
+    """One SHAKE256 byte stream, read in order through sized C digests.
+
+    Any sequence of :meth:`read` calls returns the bytes that the scalar
+    ``shake256(seed).read`` returns for the same calls. The first read
+    digests exactly the bytes asked for. A read that passes the end
+    re-digests the stream from the start at twice the length (or at the
+    read's end, if that is further): a digest cannot be resumed, but its
+    prefix never changes. Only the unread tail is kept between reads.
+    Unlike :class:`BatchedShake`, the seed may be of any length.
+    """
+
+    def __init__(self, seed: bytes):
+        self._xof = hashlib.shake_256(bytes(seed))
+        self._digested = 0  #: bytes in the last digest
+        self._offset = 0  #: stream offset of the first unread byte
+        self._tail = bytearray()  #: digested bytes not yet read
+
+    def read(self, count: int) -> bytes:
+        """The next ``count`` bytes of the stream."""
+        if count > len(self._tail):
+            self._digested = max(self._offset + count, 2 * self._digested)
+            self._tail = bytearray(memoryview(self._xof.digest(self._digested))[self._offset :])
+        out = bytes(self._tail[:count])
+        del self._tail[:count]  # amortized O(count): the bytearray moves its start
+        self._offset += count
+        return out
 
 
 def batched_shake128(seeds: Sequence[bytes], blocks: int = 1) -> BatchedShake:

@@ -21,6 +21,7 @@ import numpy as np
 
 from repro.errors import ParameterError
 from repro.ff.sampling import SamplerStats
+from repro.keccak.vectorized import ShakeReader
 from repro.pasta import layers as L
 from repro.pasta.matgen import generate_matrix
 from repro.pasta.params import PastaParams
@@ -246,9 +247,17 @@ class Pasta:
 
 
 def random_key(params: PastaParams, seed: bytes = b"pasta-key") -> np.ndarray:
-    """Deterministic pseudo-random key (for tests/examples), via SHAKE256."""
-    from repro.keccak.shake import shake256
+    """Deterministic pseudo-random key (for tests/examples), via SHAKE256.
 
-    words = shake256(b"key-derivation|" + seed).words()
-    key, _ = params.sampler.sample(words, params.key_size)
+    The key is ``params.sampler.sample`` over the 64-bit words of
+    ``shake256(b"key-derivation|" + seed)``, read through sized C digests
+    and masked and filtered one run of words at a time: each run reads one
+    word per key element still missing.
+    """
+    stream = ShakeReader(b"key-derivation|" + seed)
+    key: List[int] = []
+    while len(key) < params.key_size:
+        words = np.frombuffer(stream.read(8 * (params.key_size - len(key))), dtype="<u8")
+        values, accepted = params.sampler.candidates_batch(words)
+        key += values[accepted].tolist()
     return params.field.array(key)

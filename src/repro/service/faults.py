@@ -21,13 +21,13 @@ fault on an exact transmission.
 from __future__ import annotations
 
 import enum
+import hashlib
 import struct
 import zlib
 from dataclasses import dataclass, field
 from typing import FrozenSet, Tuple
 
 from repro.errors import ParameterError
-from repro.keccak.shake import shake128
 
 __all__ = ["FaultAction", "FaultPlan", "NO_FAULTS", "checksum", "corrupt_payload"]
 
@@ -74,9 +74,9 @@ class FaultPlan:
             raise ParameterError("delay_seconds must be non-negative")
 
     def _uniform(self, frame_id: int, attempt: int) -> float:
-        digest = shake128(
+        digest = hashlib.shake_128(
             b"uplink-fault|" + struct.pack(">QQQ", self.seed, frame_id, attempt)
-        ).read(8)
+        ).digest(8)
         return int.from_bytes(digest, "big") / 2**64
 
     def action(self, frame_id: int, attempt: int) -> FaultAction:
@@ -112,7 +112,7 @@ def corrupt_payload(payload: bytes, frame_id: int, attempt: int) -> bytes:
     """Flip one deterministically chosen bit of the payload."""
     if not payload:
         return payload
-    digest = shake128(b"uplink-bitflip|" + struct.pack(">QQ", frame_id, attempt)).read(8)
+    digest = hashlib.shake_128(b"uplink-bitflip|" + struct.pack(">QQ", frame_id, attempt)).digest(8)
     bit = int.from_bytes(digest, "big") % (len(payload) * 8)
     out = bytearray(payload)
     out[bit // 8] ^= 1 << (bit % 8)

@@ -56,6 +56,7 @@ by the queue operations' own put/get accounting, and worker idle time.
 
 from __future__ import annotations
 
+import hashlib
 import heapq
 import itertools
 import queue
@@ -133,11 +134,9 @@ def backoff_jitter_fraction(frame_id: int, attempt: int) -> float:
     verdicts — so co-dropped frames spread out while the schedule stays
     bit-reproducible across runs and thread interleavings.
     """
-    from repro.keccak.shake import shake128
-
-    digest = shake128(
+    digest = hashlib.shake_128(
         BACKOFF_JITTER_DOMAIN + struct.pack(">QQ", frame_id, attempt)
-    ).read(8)
+    ).digest(8)
     return int.from_bytes(digest, "big") / 2**64
 
 

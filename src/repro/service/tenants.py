@@ -17,6 +17,7 @@ with one session.
 
 from __future__ import annotations
 
+import hashlib
 import struct
 import threading
 from dataclasses import dataclass
@@ -26,7 +27,6 @@ import numpy as np
 
 from repro.apps.video import Resolution
 from repro.errors import ParameterError, ServiceError
-from repro.keccak.shake import shake128
 from repro.obs import MetricsRegistry, get_registry
 from repro.pasta.cipher import random_key
 from repro.pasta.params import PastaParams
@@ -95,12 +95,12 @@ class ShardRouter:
         self.seed = seed
 
     def shard_of(self, tenant_id: str, session: int) -> int:
-        digest = shake128(
+        digest = hashlib.shake_128(
             b"service-v1-shard|"
             + struct.pack(">Q", self.seed)
             + tenant_id.encode()
             + struct.pack(">Q", session)
-        ).read(8)
+        ).digest(8)
         return int.from_bytes(digest, "big") % self.n_shards
 
 

@@ -10,6 +10,7 @@ is a pure function of (frame_id, attempt). Recovered output must therefore
 be bit-exact with a no-fault run regardless of thread interleaving.
 """
 
+import struct
 import threading
 
 import pytest
@@ -17,6 +18,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.apps.video import Resolution, synthetic_frame
 from repro.errors import ParameterError, ServiceError
+from repro.keccak.shake import shake128
 from repro.obs import MetricsRegistry, get_registry, get_tracer
 from repro.pasta.params import PASTA_MICRO, PASTA_TOY
 from repro.service import (
@@ -25,12 +27,15 @@ from repro.service import (
     FaultPlan,
     Service,
     ServiceConfig,
+    ShardRouter,
     TILE8,
     TILE16,
     TenantSpec,
+    backoff_jitter_fraction,
     checksum,
     corrupt_payload,
 )
+from repro.service.pipeline import BACKOFF_JITTER_DOMAIN
 
 # The conftest autouse fixture installs a fresh default registry and
 # tracer per test, so the service (and these tests) just use the
@@ -95,6 +100,40 @@ class TestFaultPlan:
         diff = [a ^ b for a, b in zip(payload, mangled)]
         assert sum(bin(d).count("1") for d in diff) == 1
         assert checksum(mangled) != checksum(payload)
+
+
+class TestOneShotDraws:
+    @given(
+        st.integers(0, 2**64 - 1),
+        st.integers(0, 2**64 - 1),
+        st.integers(0, 2**64 - 1),
+        st.text(max_size=12),
+        st.integers(0, 2**64 - 1),
+        st.integers(1, 9),
+        st.binary(min_size=1, max_size=40),
+    )
+    def test_match_scalar_shake128(
+        self, seed, frame_id, attempt, tenant, session, n_shards, payload
+    ):
+        """Fault verdicts, bit flips, jitter and routing: the scalar sponge's draws."""
+
+        def scalar(msg: bytes) -> int:
+            return int.from_bytes(shake128(msg).read(8), "big")
+
+        pair = struct.pack(">QQ", frame_id, attempt)
+        u = scalar(b"uplink-fault|" + struct.pack(">Q", seed) + pair) / 2**64
+        assert FaultPlan(seed=seed)._uniform(frame_id, attempt) == u
+        bit = scalar(b"uplink-bitflip|" + pair) % (len(payload) * 8)
+        flipped = bytearray(payload)
+        flipped[bit // 8] ^= 1 << (bit % 8)
+        assert corrupt_payload(payload, frame_id, attempt) == bytes(flipped)
+        jitter = scalar(BACKOFF_JITTER_DOMAIN + pair) / 2**64
+        assert backoff_jitter_fraction(frame_id, attempt) == jitter
+        shard = scalar(
+            b"service-v1-shard|" + struct.pack(">Q", seed) + tenant.encode()
+            + struct.pack(">Q", session)
+        ) % n_shards
+        assert ShardRouter(n_shards, seed).shard_of(tenant, session) == shard
 
 
 class TestCleanRun:
