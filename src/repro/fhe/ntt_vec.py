@@ -9,20 +9,43 @@ datapaths use, where no multi-precision coefficient ever reaches the hot
 path.
 
 Overflow policy mirrors ``ff/prime.py``: the int64 fast path is gated on a
-per-prime predicate (a butterfly product of two reduced residues, plus the
-reduced carry headroom, must fit in a signed 64-bit integer — true for the
-default ~30-bit chains). Chains with any wider prime (up to the 60-bit
-``P60``) fall back to object-dtype numpy, which keeps the same vectorized
-shape with exact big-int elements.
+per-prime predicate (a product of two reduced residues, plus the reduced
+carry headroom, must fit in a signed 64-bit integer — true for the default
+~30-bit chains; the RNS arithmetic around the transform relies on it).
+Chains with any wider prime (up to the 60-bit ``P60``) fall back to
+object-dtype numpy, which keeps the same vectorized shape with exact
+big-int elements.
 
-The int64 path uses *lazy reduction*: butterfly sums and differences are
-left unreduced across stages while the per-prime headroom bound holds
-(:func:`lazy_stage_budget`), so each stage pays one modular reduction (the
-twiddle product) instead of three. Deferred int64 arithmetic is exact and
-numpy's ``%`` is canonical on negative operands, so the outputs are
-bit-identical to the eager transform. Both transforms write a fresh output
-array — the caller's matrix is never copied up front (:meth:`VecNtt._check`
-only converts on dtype mismatch) and never mutated.
+The int64 path is division-free. Each twiddle product ``x * w`` is reduced
+to the *centered* residue ``t = x*w - rint(x * (w/q)) * q``, with ``w/q``
+precomputed in float64 per twiddle (Shoup's precomputed quotient, as in the
+lazy butterflies of Harvey, "Faster arithmetic for number-theoretic
+transforms", 2014). Both integer products are taken in wrapping uint64
+arithmetic: ``t`` is exact modulo 2^64 and small, so its int64 view is the
+true value however far ``x * w`` overflowed.
+
+The bound: with ``u = 2^-53`` the float quotient is within ``3u|x|`` of
+``x*w/q``, so ``|t| <= q/2 + 3u*q*|x|``, below ``q`` while ``|x| < 2^50``.
+Butterfly sums and differences are left unreduced. From inputs below ``q``
+in magnitude, forward (Cooley-Tukey) stages add one product each, so values
+stay below ``(0.501 log2 N + 1) q`` (there ``3u|x| < 0.001``); inverse
+(Gentleman-Sande) stages double the sum branch and reduce the difference
+branch, so values stay below ``N q``. Hence the int64 kernel requires
+``N (q - 1) < 2^50`` (N <= 2^18 at the widest prime
+:func:`butterfly_fits_int64` admits); other chains take the object path.
+Nothing is reduced mid-transform: the forward canonicalizes once at the
+end, and the inverse folds ``n^-1`` into its last stage, whose centered
+products need only a sign fold.
+
+Stages run in constant geometry: a forward stage pairs the two halves of
+each row and interleaves its outputs, an inverse stage pairs adjacent
+entries and writes halves. The slot permutation rotates one bit per stage
+and is the identity after ``log2 N`` stages, so outputs keep the in-place
+transform's bit-reversed order while every stage is a few numpy calls with
+``N/2``-long inner loops, whatever the stack shape. Scratch is allocated
+per call (one instance is shared across threads), as one block, so a call
+touches few fresh pages; the caller's matrix is never copied up front
+(:meth:`VecNtt._check` only converts on dtype mismatch) and never mutated.
 """
 
 from __future__ import annotations
@@ -36,10 +59,16 @@ from repro.errors import ParameterError
 from repro.fhe.ntt import get_ntt
 
 _INT64_MAX = (1 << 63) - 1
+#: Magnitude below which every float quotient keeps its product under q.
+_FLOAT_QUOTIENT_LIMIT = 1 << 50
+#: Adding 1.5 * 2^52 rounds a float64 of magnitude < 2^51 to the nearest
+#: integer k (ties to even), and the sum's bit pattern is ``_ROUND_BITS + k``.
+_ROUND = 1.5 * 2.0**52
+_ROUND_BITS = np.float64(_ROUND).view(np.uint64)
 
 
 def butterfly_fits_int64(q: int) -> bool:
-    """True iff a twiddle product of reduced residues mod ``q`` fits int64.
+    """True iff a product of reduced residues mod ``q`` fits int64.
 
     Same shape as ``PrimeField``'s chunk-reduce predicate: ``(q-1)^2`` for
     the product plus ``(q-1)`` headroom for an already-reduced addend.
@@ -47,25 +76,9 @@ def butterfly_fits_int64(q: int) -> bool:
     return (q - 1) * (q - 1) + (q - 1) <= _INT64_MAX
 
 
-def lazy_stage_budget(q: int) -> int:
-    """Max magnitude multiplier a lazy butterfly may carry into a stage.
-
-    An unreduced value entering a stage is bounded by ``m * (q - 1)`` in
-    magnitude for some multiplier ``m``; the twiddle product then reaches
-    ``m * (q - 1)^2`` before its reduction. The largest safe ``m`` — with
-    one reduced addend of headroom, matching :func:`butterfly_fits_int64`
-    at ``m = 1`` — is::
-
-        budget(q) = (2^63 - 1 - (q - 1)) // (q - 1)^2
-
-    A forward (CT) stage grows the multiplier by one (it adds one reduced
-    twiddle product); an inverse (GS) stage doubles it (two unreduced
-    operands are summed). Whenever the multiplier would exceed the budget,
-    the whole matrix is reduced canonically and the count restarts at one.
-    ``budget(q) >= 1`` iff ``butterfly_fits_int64(q)``, so every int64
-    chain admits at least the eager schedule.
-    """
-    return (_INT64_MAX - (q - 1)) // ((q - 1) * (q - 1))
+def _rotr(idx: np.ndarray, amount: int, bits: int) -> np.ndarray:
+    """Rotate ``bits``-bit indices right by ``amount`` (``0 <= amount <= bits``)."""
+    return ((idx >> amount) | (idx << (bits - amount))) & ((1 << bits) - 1)
 
 
 class VecNtt:
@@ -77,8 +90,8 @@ class VecNtt:
     so the vectorized and scalar transforms are bit-identical per prime.
 
     Inputs are residue matrices: every entry must be bounded by ``q_i`` in
-    magnitude (canonical residues always are), which anchors the lazy
-    multiplier bookkeeping at one on entry.
+    magnitude (canonical residues always are), which anchors the int64
+    kernel's static bound (module docstring).
     """
 
     def __init__(self, n: int, primes: Sequence[int]):
@@ -87,33 +100,54 @@ class VecNtt:
         self.n = n
         self.primes = tuple(int(q) for q in primes)
         contexts = [get_ntt(n, q) for q in self.primes]  # validates each prime
-        self.dtype = np.int64 if all(butterfly_fits_int64(q) for q in self.primes) else object
+        fits = all(
+            butterfly_fits_int64(q) and n * (q - 1) < _FLOAT_QUOTIENT_LIMIT
+            for q in self.primes
+        )
+        self.dtype = np.int64 if fits else object
         L = len(self.primes)
         self._q = np.array(self.primes, dtype=self.dtype).reshape(L, 1, 1)
         self._q_col = self._q.reshape(L, 1)
         self._psis = np.array([c._psis for c in contexts], dtype=self.dtype)
         self._psis_inv = np.array([c._psis_inv for c in contexts], dtype=self.dtype)
         self._n_inv = np.array([c.n_inv for c in contexts], dtype=self.dtype).reshape(L, 1)
-        #: Per-prime lazy-stage predicate; the chain schedule uses the min.
-        self.lazy_budgets = tuple(lazy_stage_budget(q) for q in self.primes)
-        self._budget = min(self.lazy_budgets) if self.dtype is np.int64 else 1
-        # Per-stage twiddle views, precomputed once. Forward stage s has
-        # m = 2^s groups; stage 0's twiddle is a scalar per prime.
-        self._fwd_w0 = self._psis[:, 1:2]  # (L, 1)
-        fwd = []
-        m, t = 2, n // 4
-        while m < n:
-            fwd.append((m, t, self._psis[:, m : 2 * m].reshape(L, m, 1)))
-            m, t = m * 2, t // 2
-        self._fwd_stages = tuple(fwd)
-        # Inverse stage 0 pairs adjacent coefficients (t = 1, h = n/2).
-        self._inv_w0 = self._psis_inv[:, n // 2 : n]  # (L, n // 2)
+        if self.dtype is np.int64:
+            self._build_kernel_tables(n)
+
+    def _build_kernel_tables(self, n: int) -> None:
+        """Per-stage ``(w, w/q)`` pairs in constant-geometry order.
+
+        Each table is ``(1, L, N/2)``: an unstacked call's operands then match
+        it in shape, which spares numpy the broadcasting set-up per call.
+        """
+        q = self._q_col
+        self._q_u64 = q.astype(np.uint64)
+        first = np.arange(n // 2)
+        bits = n.bit_length() - 1
+
+        def table(w: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+            return w.astype(np.uint64)[None], (w / q)[None]
+
+        # Before forward stage s, in-place index j sits at rotl^s(j): stage s
+        # pairs slots (k, k + N/2), in-place j = rotr^s(k) of group
+        # j // (2t) = j >> (bits - s), whose twiddle is psis[2^s + group].
+        self._fwd = tuple(
+            table(self._psis[:, (1 << s) + (_rotr(first, s, bits) >> (bits - s))])
+            for s in range(bits)
+        )
+        # Before inverse stage s, in-place index j sits at rotr^s(j): stage s
+        # pairs slots (2k, 2k + 1), in-place j = rotl^s(2k) of group
+        # j // 2^(s+1), whose twiddle is psis_inv[N/2^(s+1) + group].
         inv = []
-        h, t = n // 4, 2
-        while h >= 1:
-            inv.append((h, t, self._psis_inv[:, h : 2 * h].reshape(L, h, 1)))
-            h, t = h // 2, t * 2
-        self._inv_stages = tuple(inv)
+        for s in range(bits):
+            j = _rotr(2 * first, bits - s, bits)
+            w = self._psis_inv[:, (n >> (s + 1)) + (j >> (s + 1))]
+            if s == bits - 1:  # last stage: fold in n^-1
+                w = w * self._n_inv % q
+            inv.append(table(w))
+        self._inv = tuple(inv)
+        self._n_inv_table = table(self._n_inv)
+        self._one_table = table(np.ones_like(q))
 
     def _check(self, mat: np.ndarray) -> np.ndarray:
         mat = np.asarray(mat)
@@ -125,6 +159,38 @@ class VecNtt:
         if mat.dtype == self.dtype:
             return mat
         return np.array(mat, dtype=self.dtype)
+
+    def _centered_product(self, quot: np.ndarray):
+        """``product(x, table, out)``: ``out = x * w`` reduced to the centered
+        residue (module docstring), through float64 scratch ``quot`` shaped
+        like ``x``. ``out`` is a uint64 view and may alias ``x``; views of the
+        scratch are made once per transform, not once per stage.
+        """
+        bits, q = quot.view(np.uint64), self._q_u64
+
+        def product(x: np.ndarray, table, out: np.ndarray) -> None:
+            w, w_over_q = table
+            quot[...] = x
+            np.multiply(quot, w_over_q, out=quot)
+            np.add(quot, _ROUND, out=quot)
+            np.subtract(bits, _ROUND_BITS, out=bits)
+            np.multiply(bits, q, out=bits)
+            np.multiply(x.view(np.uint64), w, out=out)
+            np.subtract(out, bits, out=out)
+
+        return product
+
+    def _fold_negatives(self, x: np.ndarray, scratch: np.ndarray) -> None:
+        """Centered residues in (-q, q) -> canonical [0, q), in place.
+
+        As uint64 a negative ``r`` reads ``2^64 + r`` and ``r + q`` wraps to
+        the canonical value, while a non-negative ``r`` is already the
+        smaller one, so the minimum is canonical either way.
+        """
+        r = x.view(np.uint64)
+        s = scratch.view(np.uint64)
+        np.add(r, self._q_u64, out=s)
+        np.minimum(r, s, out=r)
 
     def forward(self, mat: np.ndarray) -> np.ndarray:
         """Coefficient rows -> bit-reversed NTT rows (CT butterflies).
@@ -138,31 +204,36 @@ class VecNtt:
         L, n = a.shape[-2:]
         if self.dtype is object:
             return self._forward_eager(np.array(a, dtype=object), lead, L, n)
-        out = np.empty(a.shape, dtype=np.int64)
-        budget = self._budget
-        # Stage 0 (m = 1) reads the caller's matrix and writes the fresh
-        # output; every later stage mutates the contiguous output in place.
         half = n // 2
-        u = a[..., :half]
-        v = (a[..., half:] * self._fwd_w0) % self._q_col
-        out[..., :half] = u + v
-        out[..., half:] = u - v
-        mult = 2
-        for m, t, w in self._fwd_stages:
-            if mult > budget:
-                out %= self._q_col
-                mult = 1
-            view = out.reshape(lead + (L, m, 2, t))
-            u = view[..., 0, :]
-            v = (view[..., 1, :] * w) % self._q
-            total = u + v
-            diff = u - v
-            view[..., 0, :] = total
-            view[..., 1, :] = diff
-            mult += 1
-        if mult > 1:
-            out %= self._q_col
-        return out
+        x = a.reshape((-1, L, n))  # stage 0 reads the caller's matrix, never writes it
+        out = np.empty(x.shape, np.int64)
+        # One scratch block per call: the other ping-pong buffer, the float
+        # quotients and the twiddle products.
+        scratch = np.empty(x.size * 5 // 2, np.int64)
+        other = scratch[: x.size].reshape(x.shape)
+        quot = scratch[x.size : 2 * x.size].view(np.float64)
+        prod = scratch[2 * x.size :].reshape(x.shape[:-1] + (half,))
+        product = self._centered_product(quot[: prod.size].reshape(prod.shape))
+        prod_bits = prod.view(np.uint64)
+        # Each buffer's halves (read by a stage) and even/odd slots (written
+        # by one), viewed once per transform.
+        halves = [(b[..., :half], b[..., half:]) for b in (x, out, other)]
+        interleaved = [b.reshape(prod.shape + (2,)) for b in (out, other)]
+        slots = [(p[..., 0], p[..., 1]) for p in interleaved]
+        top, bottom = halves[0]
+        stages = len(self._fwd)
+        for s, table in enumerate(self._fwd):
+            dst = (stages - s) & 1  # the last stage lands in `other`
+            product(bottom, table, prod_bits)
+            even, odd = slots[dst]
+            np.add(top, prod, out=even)
+            np.subtract(top, prod, out=odd)
+            top, bottom = halves[1 + dst]
+        # One canonicalization: reduce the unreduced sums, then fold signs.
+        reduce = self._centered_product(quot.reshape(x.shape))
+        reduce(other, self._one_table, out.view(np.uint64))
+        self._fold_negatives(out, other)
+        return out.reshape(lead + (L, n))
 
     def _forward_eager(self, a: np.ndarray, lead: tuple, L: int, n: int) -> np.ndarray:
         t, m = n, 1
@@ -189,32 +260,35 @@ class VecNtt:
         L, n = a.shape[-2:]
         if self.dtype is object:
             return self._inverse_eager(np.array(a, dtype=object), lead, L, n)
-        out = np.empty(a.shape, dtype=np.int64)
-        budget = self._budget
-        # Stage 0 (t = 1) pairs adjacent coefficients: strided reads of the
-        # caller's matrix, writes into the fresh output.
-        u = a[..., 0::2]
-        v = a[..., 1::2]
-        total = u + v
-        diff = ((u - v) * self._inv_w0) % self._q_col
-        out[..., 0::2] = total
-        out[..., 1::2] = diff
-        mult = 2
-        for h, t, w in self._inv_stages:
-            if mult > budget:
-                out %= self._q_col
-                mult = 1
-            view = out.reshape(lead + (L, h, 2, t))
-            u = view[..., 0, :]
-            v = view[..., 1, :]
-            total = u + v
-            diff = ((u - v) * w) % self._q
-            view[..., 0, :] = total
-            view[..., 1, :] = diff
-            mult *= 2
-        if mult > budget:
-            out %= self._q_col
-        return (out * self._n_inv) % self._q_col
+        half = n // 2
+        x = a.reshape((-1, L, n))  # stage 0 reads the caller's matrix, never writes it
+        out = np.empty(x.shape, np.int64)
+        # One scratch block per call: the other ping-pong buffer and the
+        # float quotients.
+        scratch = np.empty(x.size * 3 // 2, np.int64)
+        other = scratch[: x.size].reshape(x.shape)
+        quot = scratch[x.size :].view(np.float64).reshape(x.shape[:-1] + (half,))
+        product = self._centered_product(quot)
+        # Each buffer's adjacent pairs (read by a stage) and halves (written
+        # by one), viewed once per transform.
+        pairs = [(b[..., 0::2], b[..., 1::2]) for b in (x, other, out)]
+        halves = [
+            (b[..., :half], b[..., half:], b.view(np.uint64)[..., half:]) for b in (other, out)
+        ]
+        u, v = pairs[0]
+        stages = len(self._inv)
+        for s, table in enumerate(self._inv):
+            dst = (stages - s) & 1  # the last stage lands in `out`
+            total, diff, diff_bits = halves[dst]
+            np.subtract(u, v, out=diff)
+            np.add(u, v, out=total)
+            product(diff, table, diff_bits)
+            u, v = pairs[1 + dst]
+        # The last stage's twiddles carry n^-1; its sums get it here.
+        total = out[..., :half]
+        product(total, self._n_inv_table, total.view(np.uint64))
+        self._fold_negatives(out, other)
+        return out.reshape(lead + (L, n))
 
     def _inverse_eager(self, a: np.ndarray, lead: tuple, L: int, n: int) -> np.ndarray:
         t, m = 1, n

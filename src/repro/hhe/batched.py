@@ -55,6 +55,7 @@ from repro.fhe.galois import (
 )
 from repro.hhe.backend import BfvOpCounts
 from repro.pasta.batch import get_engine
+from repro.pasta.cipher import field_elements
 from repro.pasta.decrypt_circuit import bsgs_split
 from repro.pasta.params import PastaParams
 
@@ -743,6 +744,8 @@ class BatchedHheServer:
         for block in ciphertext_blocks:
             if len(block) != t:
                 raise ParameterError("batched transciphering requires full t-element blocks")
+        # The engines reduce elements mod p (or truncate them) unchecked.
+        field_elements(ciphertext_blocks, params.p)
 
         # One batched derivation for every block's materials; matrices are
         # materialized through (and retained by) the engine's LRU cache, and

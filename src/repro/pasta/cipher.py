@@ -14,6 +14,7 @@ same words.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import Iterator, List, Optional, Sequence, Tuple
 
@@ -26,6 +27,24 @@ from repro.pasta import layers as L
 from repro.pasta.matgen import generate_matrix
 from repro.pasta.params import PastaParams
 from repro.pasta.xof import block_xof
+
+
+def field_elements(values, p: int) -> np.ndarray:
+    """``values`` as an integer array; :class:`ParameterError` unless every
+    element is an integer in [0, p).
+
+    One vectorized check at the trust boundary: nothing is reduced mod p and
+    no non-integer is truncated. Integer-dtype input stays on numpy; any
+    other input (floats, Python ints past int64) is checked element-wise.
+    """
+    arr = np.asarray(values)
+    if arr.dtype.kind not in "iu":
+        arr = np.asarray(values, dtype=object)
+        if not all(isinstance(v, numbers.Integral) for v in arr.flat):
+            raise ParameterError("elements must be integers")
+    if arr.size and not ((arr >= 0) & (arr < p)).all():
+        raise ParameterError(f"elements must lie in [0, {p})")
+    return arr
 
 
 @dataclass(frozen=True)
@@ -176,15 +195,8 @@ class Pasta:
     # -- block operations -----------------------------------------------------
 
     def _elements(self, values: Sequence[int]) -> np.ndarray:
-        """``values`` as field elements; :class:`ParameterError` if any lies
-        outside [0, p) (one vectorized check, no silent reduction)."""
-        arr = np.asarray(values)
-        if arr.dtype.kind not in "iu":
-            arr = np.asarray(values, dtype=object)
-        p = self.field.p
-        if arr.size and not ((arr >= 0) & (arr < p)).all():
-            raise ParameterError(f"elements must lie in [0, {p})")
-        return arr.astype(self.field.dtype)
+        """``values`` as field elements (:func:`field_elements`)."""
+        return field_elements(values, self.field.p).astype(self.field.dtype)
 
     def encrypt_block(self, message: Sequence[int], nonce: int, counter: int) -> np.ndarray:
         """Encrypt up to t field elements: ``c = m + KS``."""

@@ -141,6 +141,33 @@ class TestBatchedTransciphering:
             assert scheme.noise_budget_bits(sk, out) > 10
 
 
+class TestElementRangeCheck:
+    """The server refuses what ``Pasta.decrypt`` refuses: every element must
+    be an integer in [0, p), on every engine, before any evaluation."""
+
+    @pytest.fixture(scope="class")
+    def servers(self, ctx):
+        scheme, sk, pk, rlk, encoder = ctx
+        key = random_key(PASTA_MICRO, b"range-check")
+        enc_key = encrypt_key_batched(scheme, pk, encoder, key)
+        galois = scheme.rotation_keygen(
+            sk, BatchedHheServer.required_rotation_steps(PASTA_MICRO, encoder.n)
+        )
+        return {
+            eng: BatchedHheServer(
+                PASTA_MICRO, scheme, rlk, encoder, enc_key,
+                engine=eng, galois_keys=galois if eng == "bsgs" else None,
+            )
+            for eng in ("scalar", "tensor", "bsgs")
+        }
+
+    @pytest.mark.parametrize("engine", ["scalar", "tensor", "bsgs"])
+    @pytest.mark.parametrize("bad", [P, -1, P + 5, 1.5], ids=["p", "minus-one", "p-plus-c", "float"])
+    def test_bad_element_rejected(self, servers, engine, bad):
+        with pytest.raises(ParameterError, match="elements must"):
+            servers[engine].transcipher_blocks([[5, 6], [7, bad]], 3, [0, 1])
+
+
 class TestEvalEngineSelection:
     def test_unknown_engine_rejected(self, ctx):
         scheme, _, pk, rlk, encoder = ctx

@@ -1,12 +1,20 @@
-"""Lazy-reduction guarantees of the vectorized NTT (repro.fhe.ntt_vec).
+"""Guarantees of the vectorized NTT's division-free int64 kernel (repro.fhe.ntt_vec).
 
-The int64 fast path defers butterfly reductions across stages inside the
-:func:`lazy_stage_budget` headroom. These tests pin the three properties
-the optimization must not trade away: bit-exactness against the eager
-per-prime scalar transform, the no-copy ``_check`` contract the keyswitch
-hot path relies on, and non-mutation of caller inputs (the RNS engine
-feeds *cached* coefficient matrices into ``forward``).
+The int64 path reduces every twiddle product to a centered residue with a
+precomputed float quotient and leaves butterfly sums unreduced under a
+static bound. These tests pin the properties the kernel must not trade
+away, on the chains the system runs (BatchEncoder's p = 65537, the
+hhe_frame chain, the 30-bit default, the widest prime the int64 path
+admits) and on stacked inputs: bit-exactness against the eager per-prime
+scalar transform, the no-copy ``_check`` contract the keyswitch hot path
+relies on, non-mutation of caller inputs (the RNS engine feeds *cached*
+coefficient matrices into ``forward``), and one shared instance across
+threads (``get_vec_ntt`` hands the same object to every service worker).
 """
+
+import os
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -14,96 +22,113 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ParameterError
+from repro.ff.primality import is_prime
 from repro.fhe.ntt import get_ntt
-from repro.fhe.ntt_vec import (
-    VecNtt,
-    butterfly_fits_int64,
-    lazy_stage_budget,
-)
+from repro.fhe.ntt_vec import VecNtt, butterfly_fits_int64, get_vec_ntt
 from repro.fhe.rns import ntt_prime_chain
 
 N = 64
 
-#: A deliberately mixed chain: a tiny prime (huge lazy budget) next to a
-#: ~30-bit prime (budget 7), so the chain schedule exercises the min.
-CHAIN = ntt_prime_chain(N, min_bits=90, prime_bits=30)
+
+def _widest_admitted_primes(n, count):
+    """The ``count`` largest primes = 1 (mod 2n) that butterfly_fits_int64 admits."""
+    top = 3037000500
+    assert butterfly_fits_int64(top) and not butterfly_fits_int64(top + 1)
+    candidate = top - (top - 1) % (2 * n)
+    primes = []
+    while len(primes) < count:
+        if is_prime(candidate):
+            primes.append(candidate)
+        candidate -= 2 * n
+    return tuple(primes)
+
+
+#: (N, chain) for every prime width the int64 kernel serves.
+CHAINS = {
+    "batch-encoder-65537": (512, (65537,)),
+    "hhe-frame-26bit": (512, ntt_prime_chain(512, min_bits=240, prime_bits=26)),
+    "default-30bit": (N, ntt_prime_chain(N, min_bits=90)),
+    "widest-admitted": (N, _widest_admitted_primes(N, 2)),
+}
+LEADS = ((), (32,), (4, 8))
 WIDE_CHAIN = ntt_prime_chain(N, min_bits=120, prime_bits=60)  # object dtype
 
 
-def _random_residues(rng, primes, shape_lead=()):
-    mats = [rng.integers(0, q, size=N, dtype=np.int64) for q in primes]
-    mat = np.stack(mats)
-    if shape_lead:
-        mat = np.broadcast_to(mat, shape_lead + mat.shape).copy()
+def _residues(rng, n, primes, lead=()):
+    """Random canonical residues; in a stack, the first three matrices are
+    all zeros, all q - 1 and alternating 0 / q - 1 next to the random ones."""
+    q = np.array(primes, dtype=np.int64).reshape(-1, 1)
+    mat = rng.integers(0, 1 << 62, size=lead + (len(primes), n)) % q
+    flat = mat.reshape((-1, len(primes), n))
+    if flat.shape[0] >= 3:
+        flat[0] = 0
+        flat[1] = q - 1
+        flat[2] = 0
+        flat[2, :, 1::2] = (q - 1)
     return mat
 
 
-class TestBudgetFormula:
-    @given(bits=st.integers(min_value=12, max_value=31))
-    @settings(max_examples=24, deadline=None)
-    def test_budget_matches_closed_form(self, bits):
-        (q,) = ntt_prime_chain(N, min_bits=2, prime_bits=bits)
-        assert lazy_stage_budget(q) == ((1 << 63) - 1 - (q - 1)) // ((q - 1) ** 2)
+def _cases(seed):
+    rng = np.random.default_rng(seed)
+    for n, primes in CHAINS.values():
+        ntt = get_vec_ntt(n, primes)
+        for lead in LEADS:
+            yield ntt, primes, _residues(rng, n, primes, lead)
 
-    def test_budget_positive_iff_butterfly_fits(self):
-        for q in CHAIN + WIDE_CHAIN:
-            assert (lazy_stage_budget(q) >= 1) == butterfly_fits_int64(q)
 
-    def test_chain_budget_is_min_over_primes(self):
-        ntt = VecNtt(N, CHAIN)
-        assert ntt.lazy_budgets == tuple(lazy_stage_budget(q) for q in CHAIN)
-        assert ntt._budget == min(ntt.lazy_budgets)
-        # The mixed chain must actually defer: some stage skips a reduce.
-        assert ntt._budget >= 1
+def _assert_rows_match_scalar(ntt, primes, mat, out, direction):
+    assert out.dtype == np.int64 and out.shape == mat.shape
+    for index in np.ndindex(mat.shape[:-1]):
+        scalar = get_ntt(ntt.n, primes[index[-1]])
+        ref = getattr(scalar, direction)([int(x) for x in mat[index]])
+        assert out[index].tolist() == ref, index
 
-    def test_small_primes_get_large_budgets(self):
-        # A ~30-bit prime keeps a one-digit budget; a 17-bit one defers the
-        # whole transform (budget >> log2 N).
-        (q30,) = ntt_prime_chain(N, min_bits=2, prime_bits=30)
-        (q17,) = ntt_prime_chain(N, min_bits=2, prime_bits=17)
-        assert 1 <= lazy_stage_budget(q30) < 16
-        assert lazy_stage_budget(q17) > N
+
+class TestStaticBound:
+    def test_widest_prime_all_max_inputs_exact_at_n4096(self):
+        # The largest magnitudes the kernel can meet: every input at q - 1,
+        # the widest admitted prime, and N = 4096 (twelve stages of growth).
+        n = 4096
+        primes = _widest_admitted_primes(n, 1)
+        ntt = VecNtt(n, primes)
+        assert ntt.dtype is np.int64
+        mat = np.full((1, n), primes[0] - 1, dtype=np.int64)
+        for direction in ("forward", "inverse"):
+            _assert_rows_match_scalar(ntt, primes, mat, getattr(ntt, direction)(mat), direction)
 
 
 class TestBitExactness:
-    """Lazy int64 transforms match the eager scalar reference, row by row."""
+    """Division-free int64 transforms match the eager scalar reference, row by row."""
 
     @given(seed=st.integers(min_value=0, max_value=2**32 - 1))
-    @settings(max_examples=16, deadline=None)
+    @settings(max_examples=3, deadline=None)
     def test_forward_matches_scalar_reference(self, seed):
-        rng = np.random.default_rng(seed)
-        mat = _random_residues(rng, CHAIN)
-        out = VecNtt(N, CHAIN).forward(mat)
-        assert out.dtype == np.int64
-        for i, q in enumerate(CHAIN):
-            ref = get_ntt(N, q).forward([int(x) for x in mat[i]])
-            assert [int(x) for x in out[i]] == ref
+        for ntt, primes, mat in _cases(seed):
+            _assert_rows_match_scalar(ntt, primes, mat, ntt.forward(mat), "forward")
 
     @given(seed=st.integers(min_value=0, max_value=2**32 - 1))
-    @settings(max_examples=16, deadline=None)
+    @settings(max_examples=3, deadline=None)
     def test_inverse_matches_scalar_reference(self, seed):
-        rng = np.random.default_rng(seed)
-        mat = _random_residues(rng, CHAIN)
-        out = VecNtt(N, CHAIN).inverse(mat)
-        for i, q in enumerate(CHAIN):
-            ref = get_ntt(N, q).inverse([int(x) for x in mat[i]])
-            assert [int(x) for x in out[i]] == ref
+        for ntt, primes, mat in _cases(seed):
+            _assert_rows_match_scalar(ntt, primes, mat, ntt.inverse(mat), "inverse")
 
     @given(seed=st.integers(min_value=0, max_value=2**32 - 1))
     @settings(max_examples=8, deadline=None)
     def test_roundtrip_and_stacked_leads(self, seed):
-        rng = np.random.default_rng(seed)
-        ntt = VecNtt(N, CHAIN)
-        mat = _random_residues(rng, CHAIN, shape_lead=(2, 3))
-        assert np.array_equal(ntt.inverse(ntt.forward(mat)), mat)
+        for ntt, _, mat in _cases(seed):
+            assert np.array_equal(ntt.inverse(ntt.forward(mat)), mat)
+            # A stack is its matrices transformed one at a time.
+            flat = mat.reshape((-1,) + mat.shape[-2:])
+            for direction in (ntt.forward, ntt.inverse):
+                stacked = direction(mat).reshape(flat.shape)
+                for i in range(flat.shape[0]):
+                    assert np.array_equal(stacked[i], direction(flat[i]))
 
     def test_outputs_are_canonical_residues(self):
-        rng = np.random.default_rng(7)
-        ntt = VecNtt(N, CHAIN)
-        mat = _random_residues(rng, CHAIN)
-        q_col = np.array(CHAIN).reshape(-1, 1)
-        for out in (ntt.forward(mat), ntt.inverse(mat)):
-            assert (out >= 0).all() and (out < q_col).all()
+        for ntt, primes, mat in _cases(7):
+            q_col = np.array(primes).reshape(-1, 1)
+            for out in (ntt.forward(mat), ntt.inverse(mat)):
+                assert (out >= 0).all() and (out < q_col).all()
 
     def test_object_dtype_chain_matches_scalar_reference(self):
         rng = np.random.default_rng(11)
@@ -125,38 +150,37 @@ class TestNoCopyContract:
     def test_check_returns_same_object_on_matching_dtype(self):
         # The keyswitch hot path hands already-int64 residue matrices to
         # the transform; the pre-fix unconditional copy was pure overhead.
-        ntt = VecNtt(N, CHAIN)
-        mat = np.zeros((len(CHAIN), N), dtype=np.int64)
+        _, chain = CHAINS["default-30bit"]
+        ntt = VecNtt(N, chain)
+        mat = np.zeros((len(chain), N), dtype=np.int64)
         assert ntt._check(mat) is mat
 
     def test_check_converts_on_dtype_mismatch(self):
-        ntt = VecNtt(N, CHAIN)
-        mat = np.zeros((len(CHAIN), N), dtype=object)
+        _, chain = CHAINS["default-30bit"]
+        ntt = VecNtt(N, chain)
+        mat = np.zeros((len(chain), N), dtype=object)
         out = ntt._check(mat)
         assert out is not mat and out.dtype == np.int64
 
     def test_check_rejects_wrong_shape(self):
-        ntt = VecNtt(N, CHAIN)
+        _, chain = CHAINS["default-30bit"]
+        ntt = VecNtt(N, chain)
         with pytest.raises(ParameterError, match="residue matrix"):
-            ntt._check(np.zeros((len(CHAIN), N + 1), dtype=np.int64))
+            ntt._check(np.zeros((len(chain), N + 1), dtype=np.int64))
 
     def test_forward_does_not_mutate_caller_input(self):
         # RnsPoly.eval_mat() feeds its *cached* coefficient matrix into
-        # forward; an in-place stage 0 would corrupt every later use.
-        rng = np.random.default_rng(3)
-        ntt = VecNtt(N, CHAIN)
-        mat = _random_residues(rng, CHAIN)
-        snapshot = mat.copy()
-        ntt.forward(mat)
-        assert np.array_equal(mat, snapshot)
+        # forward; a stage writing into its input would corrupt every later use.
+        for ntt, _, mat in _cases(3):
+            snapshot = mat.copy()
+            ntt.forward(mat)
+            assert np.array_equal(mat, snapshot)
 
     def test_inverse_does_not_mutate_caller_input(self):
-        rng = np.random.default_rng(4)
-        ntt = VecNtt(N, CHAIN)
-        mat = _random_residues(rng, CHAIN)
-        snapshot = mat.copy()
-        ntt.inverse(mat)
-        assert np.array_equal(mat, snapshot)
+        for ntt, _, mat in _cases(4):
+            snapshot = mat.copy()
+            ntt.inverse(mat)
+            assert np.array_equal(mat, snapshot)
 
     def test_object_paths_do_not_mutate_caller_input(self):
         ntt = VecNtt(N, WIDE_CHAIN)
@@ -167,3 +191,37 @@ class TestNoCopyContract:
         ntt.forward(mat)
         ntt.inverse(mat)
         assert np.array_equal(mat, snapshot)
+
+
+class TestSharedInstance:
+    def test_threads_on_one_instance_match_serial_results(self):
+        # More threads than cores on the one cached instance, switching as
+        # often as the interpreter allows: scratch kept on the instance
+        # would be overwritten mid-transform by another thread.
+        n, primes = CHAINS["hhe-frame-26bit"]
+        ntt = get_vec_ntt(n, primes)
+        rng = np.random.default_rng(21)
+        threads = max(8, (os.cpu_count() or 1) + 2)
+        inputs = [_residues(rng, n, primes, (2, 2)) for _ in range(threads)]
+        serial = [(ntt.forward(x), ntt.inverse(x)) for x in inputs]
+        results = [[] for _ in inputs]
+
+        def work(i):
+            for _ in range(6):
+                results[i].append((ntt.forward(inputs[i]), ntt.inverse(inputs[i])))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(i,)) for i in range(len(inputs))]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        for (fwd, inv), runs in zip(serial, results):
+            assert len(runs) == 6
+            for got_fwd, got_inv in runs:
+                assert np.array_equal(got_fwd, fwd) and np.array_equal(got_inv, inv)

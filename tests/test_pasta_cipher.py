@@ -115,7 +115,8 @@ class TestStreaming:
 
 
 class TestElementRange:
-    """Elements outside [0, p) are refused, never silently reduced."""
+    """Elements outside [0, p), or not integers, are refused, never silently
+    reduced or truncated."""
 
     @pytest.mark.parametrize(
         "values",
@@ -124,8 +125,9 @@ class TestElementRange:
             [-1, 0, 5],
             np.array([3, PASTA_TOY.p + 7], dtype=np.int64),
             [2**70, 1],
+            [1.5, 2],
         ],
-        ids=["p", "negative", "int64-array", "bigint"],
+        ids=["p", "negative", "int64-array", "bigint", "float"],
     )
     def test_out_of_range_raises(self, toy_key, values):
         cipher = Pasta(PASTA_TOY, toy_key)
