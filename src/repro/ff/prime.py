@@ -183,10 +183,12 @@ class PrimeField:
         """Per-row matrix-vector products: ``out[n] = mats[n] @ vecs[n] mod p``.
 
         ``mats`` is ``(N, r, t)``, ``vecs`` is ``(N, t)``; the result is
-        ``(N, r)``. This is the batched affine-layer workhorse of
-        :mod:`repro.pasta.batch`. The int64 path gates on the accumulation
-        predicate (not the single-product one) and falls back to the same
-        chunked reduction as :meth:`mat_vec` near the modulus bound.
+        ``(N, r)``. No production path calls it since the batched keystream
+        went matrix-free (:meth:`batched_dot`); the frame benchmark's
+        ``bench/layers.py`` still wraps it as its ``ff.matvec`` layer. The
+        int64 path gates on the accumulation predicate (not the
+        single-product one) and falls back to the same chunked reduction as
+        :meth:`mat_vec` near the modulus bound.
         """
         inner = mats.shape[-1]
         if self._mul_fits_int64:
@@ -203,6 +205,29 @@ class PrimeField:
         for n in range(mats.shape[0]):
             out[n] = (mats[n].astype(object) @ vecs[n].astype(object)) % self.p
         return out
+
+    def batched_dot(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Per-lane dot products along the leading axis, lanes innermost.
+
+        ``a`` and ``b`` are ``(k, N)``; ``out[n] = sum_j a[j, n] * b[j, n]
+        mod p``. The step of the matrix-free affine layer in
+        :func:`repro.pasta.matgen.recurrence_mat_vec`. Same overflow rules
+        as :meth:`batched_mat_vec`: one int64 ``einsum`` when the k-term
+        accumulation fits, ``_acc_chunk``-term partial sums when only single
+        products do, and big-int object arithmetic otherwise.
+        """
+        inner = a.shape[0]
+        if self._mul_fits_int64:
+            if self.mul_accumulate_fits_int64(inner):
+                return np.einsum("kn,kn->n", a, b) % self.p
+            chunk = self._acc_chunk
+            acc = np.zeros(a.shape[1:], dtype=np.int64)
+            for start in range(0, inner, chunk):
+                end = min(start + chunk, inner)
+                acc = (acc + np.einsum("kn,kn->n", a[start:end], b[start:end])) % self.p
+            return acc
+        prods = np.asarray(a, dtype=object) * np.asarray(b, dtype=object)
+        return prods.sum(axis=0) % self.p
 
     # -- misc ----------------------------------------------------------------
 

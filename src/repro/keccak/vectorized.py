@@ -8,8 +8,10 @@ integers through every round, far too slow for hundreds of lanes per
 frame. Here each lane is squeezed by one sized C digest,
 ``hashlib.shake_128(seed).digest(n)``, into one ``(N, W)`` little-endian
 ``uint64`` word buffer, handed out one rate block (21 words at the
-SHAKE128 rate) per :meth:`BatchedShake.squeeze_words_block` call. This is
-the software form of the paper's XOF front end (Sec. IV-B, Fig. 3).
+SHAKE128 rate) per :meth:`BatchedShake.squeeze_words_block` call; the
+blocks squeezed so far can also be read in place with
+:meth:`BatchedShake.words`. This is the software form of the paper's XOF
+front end (Sec. IV-B, Fig. 3).
 
 A digest cannot be resumed, so the caller states how many rate blocks it
 expects to read, plus a margin. Reading past the end re-digests every lane
@@ -109,6 +111,19 @@ class BatchedShake:
         self._emitted_blocks += 1
         w = self.rate_words
         return self._words[:, k * w : (k + 1) * w]
+
+    def words(self, lo: int, hi: int) -> np.ndarray:
+        """Word columns ``[lo, hi)`` of every lane, as a read-only view.
+
+        Only words of blocks already squeezed can be read, so reading
+        never changes :attr:`permutation_count`.
+        """
+        if not 0 <= lo <= hi <= self._emitted_blocks * self.rate_words:
+            raise ValueError(
+                f"words [{lo}, {hi}) not within the"
+                f" {self._emitted_blocks * self.rate_words} squeezed so far"
+            )
+        return self._words[:, lo:hi]
 
 
 class ShakeReader:

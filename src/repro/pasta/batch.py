@@ -9,17 +9,23 @@ rejection sampling, and MatMul (Fig. 3):
 
 * **XOF**: every lane is squeezed by one sized C SHAKE128 digest into one
   ``(N, W)`` word buffer (:mod:`repro.keccak.vectorized`), sized from the
-  parameters' expected demand.
+  parameters' expected demand. The sampler reads views of that buffer;
+  no word is copied.
 * **Sampling**: each draw masks and ranks only a window of buffer columns,
   from the slowest lane's pointer to the fastest lane's plus a margin, and
   takes the accepted words of *all* lanes in one cumulative-count pass, no
   Python loop over lanes. The window widens when a lane runs short; the
-  stream grows only when the whole buffer is short, exactly when a
-  full-buffer scan would grow it, so squeezes and every accept/reject
-  decision match the scalar sampler.
-* **MatGen / MatMul**: the sequential-matrix recurrence and the affine
-  layers run across the batch axis (``einsum`` with overflow-safe
-  accumulation from :meth:`repro.ff.prime.PrimeField.batched_mat_vec`).
+  stream squeezes another block only when the whole squeezed stream is
+  short, exactly when a full-buffer scan would, so squeezes and every
+  accept/reject decision match the scalar sampler.
+* **MatGen / MatMul**: the client keystream builds no matrix. Each affine
+  layer side continues the Eq. (1) recurrence from the state
+  (:func:`repro.pasta.matgen.recurrence_mat_vec`): t per-lane dot products
+  of length t over a ``(2t, N)`` buffer, lanes innermost, with the field's
+  overflow-safe accumulation (:meth:`repro.ff.prime.PrimeField.batched_dot`).
+  :meth:`KeystreamEngine.matrices` still materializes the ``(N, t, t)``
+  matrices (:func:`batched_sequential_matrices`) for the HHE server, which
+  needs their diagonals.
 * **One keystream path**: :meth:`KeystreamEngine.keystream_pairs` stays in
   stacked arrays from XOF words to keystream rows for every engine and
   field width; it neither reads nor fills the LRU.
@@ -48,6 +54,7 @@ from repro.ff.sampling import SamplerStats
 from repro.keccak.shake import SHAKE128_RATE_BYTES
 from repro.keccak.vectorized import batched_shake128
 from repro.pasta.cipher import BlockMaterials, LayerMaterials
+from repro.pasta.matgen import recurrence_mat_vec
 from repro.pasta.params import PastaParams
 from repro.pasta.xof import encode_block_seed
 
@@ -67,34 +74,32 @@ DEFAULT_CACHE_BLOCKS = 64
 
 
 class _BatchWordStream:
-    """Lockstep XOF word buffers with per-lane consumption pointers.
+    """Lockstep XOF word streams with per-lane consumption pointers.
 
     Lane ``n`` sees exactly the word stream ``shake128(seed_n).words()``
     would produce; the batch only changes *when* words are squeezed, never
     what each lane reads. ``shake`` is the word source: anything with
-    ``n``, ``rate_words`` and ``squeeze_words_block()``, normally a
-    :class:`~repro.keccak.vectorized.BatchedShake`.
+    ``n``, ``rate_words``, ``squeeze_words_block()`` and ``words(lo, hi)``,
+    normally a :class:`~repro.keccak.vectorized.BatchedShake`, whose
+    digest buffer the words are read from in place.
     """
 
     def __init__(self, shake):
         self._shake = shake
         self.n = shake.n
         self.rate_words = shake.rate_words
-        self._buf = np.empty((self.n, 0), dtype=np.uint64)
+        self.capacity = 0  #: words squeezed so far on every lane
         self.pos = np.zeros(self.n, dtype=np.intp)
-
-    @property
-    def capacity(self) -> int:
-        return self._buf.shape[1]
 
     def grow(self, blocks: int = 1) -> None:
         """Squeeze ``blocks`` more 21-word batches onto every lane."""
-        new = [self._shake.squeeze_words_block() for _ in range(blocks)]
-        self._buf = np.concatenate([self._buf, *new], axis=1)
+        for _ in range(blocks):
+            self._shake.squeeze_words_block()
+        self.capacity += blocks * self.rate_words
 
     def words(self, lo: int, hi: int) -> np.ndarray:
-        """Buffer columns ``[lo, hi)`` of every lane (consumed words included)."""
-        return self._buf[:, lo:hi]
+        """Columns ``[lo, hi)`` of every lane (consumed words included)."""
+        return self._shake.words(lo, hi)
 
 
 def _sample_draw(
@@ -400,7 +405,7 @@ class KeystreamEngine:
 
         Row ``i`` equals the scalar ``Pasta.keystream_block(nonce,
         counter0 + i)`` exactly; the whole batch shares each XOF digest
-        pass, sampling pass, and affine ``einsum``.
+        pass, sampling pass, and affine recurrence step.
         """
         return self.keystream_pairs(
             key, [(nonce, c) for c in range(counter0, counter0 + n_blocks)]
@@ -438,7 +443,7 @@ class KeystreamEngine:
     def _keystream_pairs(
         self, key: np.ndarray, pairs: Sequence[Tuple[int, int]]
     ) -> np.ndarray:
-        """The PASTA round schedule over stacked per-block state rows."""
+        """The PASTA round schedule over stacked state columns, one per block."""
         params = self.params
         field = params.field
         p = field.p
@@ -452,33 +457,32 @@ class KeystreamEngine:
 
         def affine(x: np.ndarray, layer: int, side: int) -> np.ndarray:
             # layer_values[layer] is (alpha_L, alpha_R, rc_L, rc_R); side 0 = L.
-            alpha = layer_values[layer][side].astype(field.dtype)
-            rc = layer_values[layer][2 + side].astype(field.dtype)
-            mats = batched_sequential_matrices(params, alpha)
-            return (field.batched_mat_vec(mats, x) + rc) % p
+            alpha = layer_values[layer][side].T.astype(field.dtype, order="C")
+            rc = layer_values[layer][2 + side].T.astype(field.dtype, order="C")
+            return (recurrence_mat_vec(field, alpha, x) + rc) % p
 
-        state = np.tile(np.asarray(key).reshape(1, -1), (n_blocks, 1))
-        xl = state[:, :t] % p
-        xr = state[:, t:] % p
+        # Lanes innermost, (t, N) per half, as the affine recurrence wants.
+        state = np.repeat(np.asarray(key).reshape(-1, 1), n_blocks, axis=1)
+        xl = state[:t] % p
+        xr = state[t:] % p
         for i in range(params.rounds):
             xl = affine(xl, i, 0)
             xr = affine(xr, i, 1)
             s = (xl + xr) % p
             xl = (xl + s) % p
             xr = (xr + s) % p
-            full = np.concatenate([xl, xr], axis=1)
+            full = np.concatenate([xl, xr])
             if i < params.rounds - 1:
-                squares = (full[:, :-1] * full[:, :-1]) % p
-                full[:, 1:] = (full[:, 1:] + squares) % p
+                squares = (full[:-1] * full[:-1]) % p
+                full[1:] = (full[1:] + squares) % p
             else:
                 full = ((full * full % p) * full) % p
-            xl, xr = full[:, :t], full[:, t:]
+            xl, xr = full[:t], full[t:]
         last = params.rounds
         xl = affine(xl, last, 0)
         xr = affine(xr, last, 1)
         s = (xl + xr) % p
-        xl = (xl + s) % p
-        return xl
+        return np.ascontiguousarray(((xl + s) % p).T)
 
 
 _ENGINES: Dict[PastaParams, KeystreamEngine] = {}

@@ -159,10 +159,12 @@ class Pasta:
         """Keystream for ``n_blocks`` consecutive counters as an ``(n, t)`` array.
 
         Runs on the batched engine (:mod:`repro.pasta.batch`): one sized
-        XOF digest per block, then windowed rejection sampling and one
-        MatGen/MatMul pass per layer side, each across the whole batch.
-        Every block is derived fresh; nothing is cached. Bit-exact with
-        calling :meth:`keystream_block` per counter.
+        XOF digest per block, then windowed rejection sampling, then per
+        layer side the matrix-free affine recurrence
+        (:func:`repro.pasta.matgen.recurrence_mat_vec`), each across the
+        whole batch. Every block is derived fresh; nothing is cached.
+        Bit-exact with calling :meth:`keystream_block` per counter, which
+        streams the matrix rows instead.
         """
         from repro.pasta.batch import get_engine
 

@@ -81,6 +81,7 @@ from repro.obs import (
     get_tracer,
 )
 from repro.pasta.batch import KeystreamEngine
+from repro.pasta.cipher import field_elements
 from repro.pasta.params import PASTA_TOY, PastaParams
 from repro.service.faults import NO_FAULTS, FaultAction, FaultPlan, checksum, corrupt_payload
 from repro.service.tenants import (
@@ -354,8 +355,6 @@ class HheRecovery:
         t = self.params.t
         out: List[np.ndarray] = []
         for wire, elements in frames:
-            if len(elements) % t:
-                raise ParameterError("hhe mode requires full t-element blocks per frame")
             blocks = elements.reshape(-1, t).tolist()
             counters = list(range(len(blocks)))
             result = self.server.transcipher_blocks(blocks, wire.nonce, counters)
@@ -779,6 +778,21 @@ class Service:
         except Exception as exc:
             self._fail(ServiceError(f"shard {shard} worker failed: {exc!r}"))
 
+    def _decode(self, wire: WireFrame) -> np.ndarray:
+        """A wire's ciphertext elements, or :class:`ParameterError` unless the
+        payload is whole ``<u4`` words of elements in [0, p) and, in ``hhe``
+        mode, whole t-element blocks."""
+        params = self.config.params
+        if len(wire.payload) % 4:
+            raise ParameterError(f"payload of {len(wire.payload)} bytes is not whole <u4 words")
+        elements = np.frombuffer(wire.payload, dtype="<u4")
+        elements = field_elements(elements, params.p).astype(np.int64)
+        if self.config.mode == "hhe" and len(elements) % params.t:
+            raise ParameterError(
+                f"{len(elements)} elements are not whole {params.t}-element blocks"
+            )
+        return elements
+
     def _recover(self, shard: int, wires: Sequence[WireFrame]) -> None:
         obs = self.obs
         params = self.config.params
@@ -792,7 +806,21 @@ class Service:
                 obs.counter("service.crc.rejected", tenant=wire.tenant).inc()
                 self._schedule_retry(wire, now)
                 continue
-            elements = np.frombuffer(wire.payload, dtype="<u4").astype(np.int64)
+            try:
+                elements = self._decode(wire)
+            except ParameterError as exc:
+                # CRC-valid but not a ciphertext of this service: quarantine
+                # the frame and retry it, as for a CRC failure.
+                obs.counter("service.frames.poisoned", tenant=wire.tenant).inc()
+                get_flight_recorder().record(
+                    "poisoned_frame",
+                    tenant=wire.tenant,
+                    frame_id=wire.frame_id,
+                    attempt=wire.attempt,
+                    reason=str(exc),
+                )
+                self._schedule_retry(wire, now)
+                continue
             by_tenant.setdefault(wire.tenant, []).append((wire, elements))
         for tenant_id, valid in by_tenant.items():
             # Explicit cross-thread propagation: the wire carries the producing

@@ -172,6 +172,19 @@ class TestAccumulationOverflowBoundary:
         for n in range(2):
             assert [int(x) for x in got[n]] == [int(x) for x in expected]
 
+    @pytest.mark.parametrize(
+        "p, k",
+        [(P31, 128), (P17, 128), (P54, 32)],
+        ids=["chunked-p31", "einsum-p17", "object-p54"],
+    )
+    def test_batched_dot_worst_case(self, p, k):
+        """batched_dot matches the big-int ground truth on all-(p-1) inputs
+        in each accumulation regime: chunked, one einsum, and object."""
+        field = PrimeField(p)
+        a = field.array([p - 1] * (k * 3)).reshape(k, 3)
+        got = field.batched_dot(a, a)
+        assert [int(x) for x in got] == [(p - 1) ** 2 * k % p] * 3
+
     def test_mat_vec_worst_case(self):
         field = PrimeField(self.P31)
         t = 128

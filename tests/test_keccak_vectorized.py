@@ -77,6 +77,18 @@ class TestBatchedShake:
             words = shake128(seed).words()
             assert [int(w) for w in got[n]] == [next(words) for _ in range(got.shape[1])]
 
+    def test_words_reads_squeezed_blocks_in_place(self):
+        """``words`` serves the squeezed blocks, across a re-digest, and
+        nothing beyond them; reading costs no permutation."""
+        batch = batched_shake128([b"a", b"b"], 1)
+        got = np.concatenate([batch.squeeze_words_block() for _ in range(3)], axis=1)
+        w = 3 * batch.rate_words
+        assert np.array_equal(batch.words(0, w), got)
+        assert np.array_equal(batch.words(5, 30), got[:, 5:30])
+        assert batch.permutation_count == 3
+        with pytest.raises(ValueError):
+            batch.words(0, w + 1)
+
     def test_permutation_cadence_matches_scalar(self):
         """One permutation per 21-word block, absorb included — the exact
         count the scalar sponge reports after consuming the same words."""

@@ -12,11 +12,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.apps.video import QQVGA, synthetic_frames_batch
 from repro.errors import ParameterError
 from repro.ff.sampling import RejectionSampler
 from repro.pasta import (
     PASTA_4,
     PASTA_4_33,
+    PASTA_4_54,
     PASTA_TOY,
     KeystreamEngine,
     Pasta,
@@ -30,6 +32,7 @@ from repro.pasta import (
 )
 from repro.pasta.batch import DEFAULT_CACHE_BLOCKS, _BatchWordStream, _sample_draw
 from repro.pasta.matgen import generate_matrix
+from repro.service.pipeline import pack_frames
 
 
 def _assert_materials_equal(batched, scalar):
@@ -117,14 +120,30 @@ class TestKeystreamEngine:
             expected = cipher.keystream_block(7, 2 + i)
             assert [int(x) for x in ks[i]] == [int(x) for x in expected]
 
-    def test_keystream_object_dtype_params(self):
-        key = random_key(PASTA_4_33)
-        cipher = Pasta(PASTA_4_33, key)
-        engine = KeystreamEngine(PASTA_4_33)
+    @pytest.mark.parametrize("params", [PASTA_4_33, PASTA_4_54], ids=lambda p: p.name)
+    def test_keystream_object_dtype_params(self, params):
+        key = random_key(params)
+        cipher = Pasta(params, key)
+        engine = KeystreamEngine(params)
         ks = engine.keystream_blocks(key, nonce=0, counter0=0, n_blocks=2)
         for i in range(2):
             expected = cipher.keystream_block(0, i)
             assert [int(x) for x in ks[i]] == [int(x) for x in expected]
+
+    def test_qqvga_frame_against_scalar_cipher(self, pasta4_key):
+        """A whole packed QQVGA frame (300 PASTA-4 blocks) in one encrypt:
+        first, last and two middle blocks against the scalar cipher."""
+        pixels = synthetic_frames_batch(QQVGA, [17])
+        elements = pack_frames(pixels, PASTA_4.p)[0]
+        cipher = Pasta(PASTA_4, pasta4_key)
+        ciphertext = cipher.encrypt(elements, nonce=42)
+        t = PASTA_4.t
+        assert len(elements) == 300 * t
+        for counter in (0, 137, 211, 299):
+            block = slice(counter * t, (counter + 1) * t)
+            keystream = cipher.keystream_block(42, counter)
+            expected = (elements[block] + keystream) % PASTA_4.p
+            assert [int(x) for x in ciphertext[block]] == [int(x) for x in expected]
 
     def test_zero_blocks(self):
         engine = KeystreamEngine(PASTA_TOY)
@@ -225,16 +244,20 @@ PASTA_P17 = PastaParams(name="pasta-p17", t=4, rounds=2, p=17, secure=False)
 class _WordSource:
     """Hand-built lane words standing in for ``BatchedShake``."""
 
-    def __init__(self, words: np.ndarray, rate_words: int):
-        self.words = words
-        self.n = words.shape[0]
+    def __init__(self, lanes: np.ndarray, rate_words: int):
+        self.lanes = lanes
+        self.n = lanes.shape[0]
         self.rate_words = rate_words
         self.squeezed = 0
 
     def squeeze_words_block(self) -> np.ndarray:
         k, w = self.squeezed, self.rate_words
         self.squeezed += 1
-        return self.words[:, k * w : (k + 1) * w].copy()
+        return self.lanes[:, k * w : (k + 1) * w].copy()
+
+    def words(self, lo: int, hi: int) -> np.ndarray:
+        assert 0 <= lo <= hi <= self.squeezed * self.rate_words
+        return self.lanes[:, lo:hi]
 
 
 class _RecordingSampler(RejectionSampler):

@@ -2,10 +2,10 @@
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.ff import P17, P54, PrimeField, companion_matrix, is_invertible
+from repro.ff import P17, P33, P54, PrimeField, companion_matrix, is_invertible
 from repro.pasta import (
     PASTA_4,
     PASTA_TOY,
@@ -15,9 +15,19 @@ from repro.pasta import (
     next_row,
     streaming_mat_vec,
 )
+from repro.pasta.matgen import recurrence_mat_vec
 
 F17 = PrimeField(P17)
+F33 = PrimeField(P33)
 F54 = PrimeField(P54)
+F31 = PrimeField(2**31 - 1)
+
+#: (field, t) for each accumulation regime of the recurrence's dot products:
+#: one int64 einsum (17-bit), big-int object dtype (33- and 54-bit), and
+#: chunked int64 partial sums (2^31 - 1 at t = 128, where only single
+#: products fit); plus t = 3, where every window spans only three entries.
+REGIMES = [(F17, 32), (F33, 32), (F54, 32), (F31, 128), (F17, 3)]
+REGIME_IDS = ["p17", "p33", "p54", "p31-chunked", "p17-t3"]
 
 
 def nonzero_vector(field, n, seed):
@@ -102,3 +112,39 @@ class TestStreamingMatVec:
         first = next(gen)
         second = next(gen)
         assert not np.array_equal(first, second)
+
+
+class TestRecurrenceMatVec:
+    """The matrix-free product against both oracles, lane by lane."""
+
+    @staticmethod
+    def assert_matches_oracles(field, alphas, x):
+        got = recurrence_mat_vec(field, alphas, x)
+        assert got.shape == x.shape
+        for n in range(x.shape[1]):
+            full = field.mat_vec(generate_matrix(field, alphas[:, n]), x[:, n])
+            streamed = streaming_mat_vec(field, alphas[:, n], x[:, n])
+            assert [int(v) for v in got[:, n]] == [int(v) for v in full]
+            assert [int(v) for v in got[:, n]] == [int(v) for v in streamed]
+
+    @given(
+        st.sampled_from(REGIMES),
+        st.integers(min_value=1, max_value=3),
+        st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @settings(max_examples=16)
+    def test_matches_oracles(self, regime, lanes, seed):
+        field, t = regime
+        rng = np.random.default_rng(seed)
+
+        def draw(low):
+            values = rng.integers(low, field.p, size=t * lanes, dtype=np.uint64)
+            return field.array(values).reshape(t, lanes)
+
+        self.assert_matches_oracles(field, draw(1), draw(0))
+
+    @pytest.mark.parametrize("field, t", REGIMES, ids=REGIME_IDS)
+    def test_all_p_minus_one(self, field, t):
+        """The largest products every step can meet, in every regime."""
+        top = field.array([field.p - 1] * (t * 2)).reshape(t, 2)
+        self.assert_matches_oracles(field, top, top)

@@ -12,6 +12,7 @@ be bit-exact with a no-fault run regardless of thread interleaving.
 
 import struct
 import threading
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -19,7 +20,7 @@ from hypothesis import given, settings, strategies as st
 from repro.apps.video import Resolution, synthetic_frame
 from repro.errors import ParameterError, ServiceError
 from repro.keccak.shake import shake128
-from repro.obs import MetricsRegistry, get_registry, get_tracer
+from repro.obs import MetricsRegistry, get_flight_recorder, get_registry, get_tracer
 from repro.pasta.params import PASTA_MICRO, PASTA_TOY
 from repro.service import (
     NO_FAULTS,
@@ -31,6 +32,7 @@ from repro.service import (
     TILE8,
     TILE16,
     TenantSpec,
+    WireFrame,
     backoff_jitter_fraction,
     checksum,
     corrupt_payload,
@@ -68,6 +70,41 @@ def counter(name):
 
 def expected_pixels(frame):
     return bytes(synthetic_frame(frame.resolution, frame.frame_id))
+
+
+def poison_first_transmission(monkeypatch, frame_id):
+    """Make frame ``frame_id``'s first transmission carry p as its first
+    element, under a CRC recomputed over the poisoned payload."""
+    encrypt = Service._encrypt
+
+    def poisoned(self, tenant_id, jobs, elements_of):
+        wires = encrypt(self, tenant_id, jobs, elements_of)
+        for i, wire in enumerate(wires):
+            if wire.frame_id == frame_id and wire.attempt == 0:
+                payload = struct.pack("<I", self.config.params.p) + wire.payload[4:]
+                wires[i] = replace(wire, payload=payload, crc=checksum(payload))
+        return wires
+
+    monkeypatch.setattr(Service, "_encrypt", poisoned)
+
+
+def wire_carrying(payload):
+    """A first transmission of frame 0 with ``payload`` under a valid CRC."""
+    return WireFrame(
+        frame_id=0, tenant=TENANT, session=0, attempt=0, nonce=0,
+        resolution=TILE8, payload=payload, crc=checksum(payload),
+    )
+
+
+def assert_one_poisoned_retry(result, frame_id):
+    """The poisoned frame was quarantined once, retried, and every frame
+    came back bit-exact."""
+    assert counter("service.frames.poisoned") == 1
+    events = get_flight_recorder().events("poisoned_frame")
+    assert [(e.tenant, e.attributes["frame_id"]) for e in events] == [(TENANT, frame_id)]
+    assert result.attempts[frame_id] == 2
+    for frame in result.frames:
+        assert frame.pixels == expected_pixels(frame)
 
 
 class TestFaultPlan:
@@ -217,6 +254,21 @@ class TestFaultRecovery:
         # the delayed original AND its retransmit both arrive; one is dropped
         assert counter("service.frames.duplicate") + counter("service.frames.recovered") >= 25
 
+    def test_poisoned_wire_quarantined_and_retried(self, monkeypatch):
+        """A CRC-valid element >= p is rejected at decode, not reduced mod p
+        and delivered as wrong pixels."""
+        poison_first_transmission(monkeypatch, frame_id=3)
+        result = run_pipeline(n_frames=8)
+        assert len(result.frames) == 8
+        assert_one_poisoned_retry(result, frame_id=3)
+
+    def test_decode_rejects_ragged_payload(self):
+        service = Service(stream_config(n_frames=1))
+        payload = struct.pack("<I", 1) + b"\x00"
+        with pytest.raises(ParameterError, match="<u4"):
+            service._decode(wire_carrying(payload))
+        assert list(service._decode(wire_carrying(payload[:4]))) == [1]
+
     def test_retries_exhausted_raises(self):
         plan = FaultPlan(drop_at=frozenset({(0, a) for a in range(10)}))
         config = stream_config(
@@ -290,6 +342,26 @@ class TestHheMode:
         for frame in result.frames:
             assert frame.pixels == expected_pixels(frame)
         assert result.attempts[1] == 2
+
+    def test_hhe_poisoned_wire_quarantined_and_retried(self, monkeypatch):
+        """An element >= p is quarantined before it reaches the transcipher,
+        which would refuse it and stop the run; so is a partial block."""
+        poison_first_transmission(monkeypatch, frame_id=1)
+        config = stream_config(
+            n_frames=3,
+            ladder=(Resolution("TILE4", 4, 4),),
+            params=PASTA_MICRO,
+            workers_per_shard=1,
+            batch_frames=3,
+            worker_batch=3,
+            mode="hhe",
+        )
+        service = Service(config)
+        result = service.run()
+        assert len(result.frames) == 3
+        assert_one_poisoned_retry(result, frame_id=1)
+        with pytest.raises(ParameterError, match="2-element blocks"):
+            service._decode(wire_carrying(struct.pack("<3I", 1, 2, 3)))
 
 
 class TestTracePropagation:
