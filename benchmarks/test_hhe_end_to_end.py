@@ -44,18 +44,23 @@ def test_bfv_multiply(benchmark, session):
 
 def test_hhe_batched_transcipher(benchmark):
     """SIMD amortization: three blocks in one circuit evaluation."""
-    from repro.fhe import BatchEncoder, Bfv, BfvParams
+    from repro.fhe import BatchEncoder, Bfv
     from repro.hhe import BatchedHheServer, decrypt_batched_result, encrypt_key_batched
     from repro.pasta import Pasta, random_key
 
-    bfv = BfvParams(n=256, q=1 << 230, p=PASTA_MICRO.p)
+    bfv = toy_parameters(PASTA_MICRO.p, n=256, log2_q=230)
     scheme = Bfv(bfv, seed=b"batched-bench")
     sk, pk, rlk = scheme.keygen()
+    galois = scheme.rotation_keygen(
+        sk, BatchedHheServer.required_rotation_steps(PASTA_MICRO, bfv.n)
+    )
     encoder = BatchEncoder(bfv.n, PASTA_MICRO.p)
     key = random_key(PASTA_MICRO, b"batched-bench")
     cipher = Pasta(PASTA_MICRO, key)
     server = BatchedHheServer(
-        PASTA_MICRO, scheme, rlk, encoder, encrypt_key_batched(scheme, pk, encoder, [int(k) for k in key])
+        PASTA_MICRO, scheme, rlk, encoder,
+        encrypt_key_batched(scheme, pk, encoder, [int(k) for k in key]),
+        galois_keys=galois,
     )
     blocks = [[1, 2], [3, 4], [5, 6]]
     cts = [[int(x) for x in cipher.encrypt_block(b, 9, c)] for c, b in enumerate(blocks)]

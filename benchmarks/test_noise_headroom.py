@@ -2,8 +2,8 @@
 
 The noise ledger (:mod:`repro.obs.noise`) exists so the *server* can
 watch its own headroom without the secret key. This bench is its
-acceptance harness: run a full PASTA transciphering circuit on every
-evaluation engine (``scalar``, ``tensor``, ``bsgs``) at both PASTA prime
+acceptance harness: run a full PASTA transciphering circuit on the packed
+BSGS evaluator (the report's one ``bsgs`` engine row) at both PASTA prime
 widths (17- and 33-bit ω), then — holding ``sk`` on the harness side —
 check the ledger's closed-form bound against the exact measured
 invariant noise:
@@ -30,16 +30,7 @@ from repro.ff.params import P17, P33
 BENCH_JSON = Path(__file__).parent / "BENCH_noise_headroom.json"
 
 N = 256
-#: label -> (server eval engine, hoisted flag). ``bsgs`` is the shipped
-#: default (hoisted baby rotations); ``bsgs_unhoisted`` pins the chained
-#: per-rotation keyswitch path so BOTH bsgs_affine growth rules stay under
-#: the soundness gate.
-ENGINES = {
-    "scalar": ("scalar", True),
-    "tensor": ("tensor", True),
-    "bsgs": ("bsgs", True),
-    "bsgs_unhoisted": ("bsgs", False),
-}
+ENGINE = "bsgs"
 
 #: Fraction of the total budget the deepest path may consume end-to-end.
 #: The absolute floor gate: over this ceiling the circuit is one bad
@@ -82,54 +73,44 @@ def test_noise_headroom_sound_and_positive(capsys):
         message = [(7 * j + 3) % p for j in range(pasta.t)]
         block = [int(x) for x in cipher.encrypt_block(message, nonce=9, counter=0)]
 
-        width = {"log2_q": log2_q, "budget_bits": scheme.noise_model.budget_bits,
-                 "engines": {}}
-        for engine, (eval_engine, hoisted) in ENGINES.items():
-            server = BatchedHheServer(
-                pasta, scheme, rlk, encoder, enc_key,
-                engine=eval_engine, hoisted=hoisted,
-                galois_keys=gk if eval_engine == "bsgs" else None,
-            )
-            result = server.transcipher_blocks([block], nonce=9, counters=[0])
-            assert decrypt_batched_result(scheme, sk, encoder, result) == [message], (
-                f"omega={omega} engine={engine}: wrong decryption"
-            )
+        server = BatchedHheServer(pasta, scheme, rlk, encoder, enc_key, galois_keys=gk)
+        result = server.transcipher_blocks([block], nonce=9, counters=[0])
+        assert decrypt_batched_result(scheme, sk, encoder, result) == [message], (
+            f"omega={omega}: wrong decryption"
+        )
 
-            model = scheme.noise_model
-            estimate = model.merge(ct.noise for ct in result.ciphertexts)
-            assert estimate is not None, (
-                f"omega={omega} engine={engine}: ledger lost provenance"
-            )
-            modeled = model.headroom_bits(estimate)
-            measured = min(
-                scheme.noise_budget_bits(sk, ct) for ct in result.ciphertexts
-            )
-            assert modeled <= measured + 1e-9, (
-                f"omega={omega} engine={engine}: model optimistic "
-                f"({modeled:.2f} modeled > {measured:.2f} measured bits)"
-            )
-            assert modeled > 0, (
-                f"omega={omega} engine={engine}: modeled headroom exhausted "
-                f"({modeled:.2f} bits)"
-            )
-            diverge = divergence_report(
-                scheme, sk, [(f"{engine}-out", result.ciphertexts[0])]
-            )
-            assert diverge.sound
+        model = scheme.noise_model
+        estimate = model.merge(ct.noise for ct in result.ciphertexts)
+        assert estimate is not None, f"omega={omega}: ledger lost provenance"
+        modeled = model.headroom_bits(estimate)
+        measured = min(scheme.noise_budget_bits(sk, ct) for ct in result.ciphertexts)
+        assert modeled <= measured + 1e-9, (
+            f"omega={omega}: model optimistic "
+            f"({modeled:.2f} modeled > {measured:.2f} measured bits)"
+        )
+        assert modeled > 0, (
+            f"omega={omega}: modeled headroom exhausted ({modeled:.2f} bits)"
+        )
+        diverge = divergence_report(scheme, sk, [(f"{ENGINE}-out", result.ciphertexts[0])])
+        assert diverge.sound
 
-            fraction = model.noise_fraction(estimate)
-            width["engines"][engine] = {
-                "modeled_headroom_bits": round(modeled, 2),
-                "measured_headroom_bits": round(measured, 2),
-                "slack_bits": round(measured - modeled, 2),
-                "noise_fraction": round(fraction, 4),
-                "ops": estimate.ops,
-            }
-            min_headroom = min(min_headroom, modeled)
-            if fraction > worst["noise_fraction"]:
-                worst.update(engine=engine, omega=omega,
-                             noise_fraction=round(fraction, 4))
-        report["prime_widths"][str(omega)] = width
+        fraction = model.noise_fraction(estimate)
+        report["prime_widths"][str(omega)] = {
+            "log2_q": log2_q,
+            "budget_bits": model.budget_bits,
+            "engines": {
+                ENGINE: {
+                    "modeled_headroom_bits": round(modeled, 2),
+                    "measured_headroom_bits": round(measured, 2),
+                    "slack_bits": round(measured - modeled, 2),
+                    "noise_fraction": round(fraction, 4),
+                    "ops": estimate.ops,
+                }
+            },
+        }
+        min_headroom = min(min_headroom, modeled)
+        if fraction > worst["noise_fraction"]:
+            worst.update(engine=ENGINE, omega=omega, noise_fraction=round(fraction, 4))
 
     report["min_headroom_bits"] = round(min_headroom, 2)
     report["worst"] = worst

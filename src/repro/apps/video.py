@@ -144,10 +144,10 @@ def transcipher_blocks_per_frame(
 ) -> int:
     """PASTA blocks the *server* must transcipher per received frame.
 
-    With BFV slot batching the server evaluates one decryption circuit per
-    ``N`` blocks (slots), so dividing this by the ring degree gives circuit
-    evaluations per frame; the per-block wall-clock comes from the RNS
-    engine throughput benchmark (benchmarks/test_transcipher_throughput.py).
+    With packed BFV slot batching the server evaluates one decryption
+    circuit per ``(N/2)/t`` blocks (the packed capacity), so dividing this
+    by the capacity gives circuit evaluations per frame; the cold per-block
+    wall-clock is the ``hhe_frame`` workload of ``bench/run.py``.
     """
     per_element = pixels_per_element(params.p)
     elements = -(-resolution.pixels // per_element)

@@ -107,9 +107,9 @@ def generate(**_kwargs) -> ExperimentResult:
         "'17b' variant at the 17-bit modulus width (68 B/block).",
         f"Server side, each VGA frame is {transcipher_blocks_per_frame(VGA, PASTA_4)} "
         f"PASTA-4 blocks ({transcipher_blocks_per_frame(QQVGA, PASTA_4)} for QQVGA) to "
-        "transcipher; with BFV slot batching one circuit evaluation covers N blocks, "
-        "and the RNS polynomial engine's per-block rate is measured in "
-        "benchmarks/test_transcipher_throughput.py.",
+        "transcipher; with packed BFV slot batching one circuit evaluation covers "
+        "(N/2)/t blocks (the packed capacity), and the server's cold per-block "
+        "rate is the hhe_frame workload of bench/run.py.",
     ]
     return ExperimentResult(
         experiment_id="Fig. 8",

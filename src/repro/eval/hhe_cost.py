@@ -50,9 +50,9 @@ def generate(run_transcipher: bool = True, **_kwargs) -> ExperimentResult:
         "motivating HHE (paper Sec. I)."
     )
     notes.append(
-        "With BFV slot batching (repro.hhe.batched) the server transciphers up "
-        "to N blocks per circuit evaluation at this same operation count, "
-        "dividing the per-block cost by the batch size."
+        "With packed BFV slot batching (repro.hhe.batched) the server "
+        "transciphers up to (N/2)/t blocks per circuit evaluation at one "
+        "operation count, dividing the per-block cost by the batch size."
     )
 
     if run_transcipher:
@@ -94,8 +94,8 @@ def generate(run_transcipher: bool = True, **_kwargs) -> ExperimentResult:
         notes.append(
             f"Polynomial engines agree bit-exactly; RNS/CRT evaluation took "
             f"{timings['rns']:.2f}s vs {timings['bigint']:.2f}s scalar big-int "
-            f"({timings['bigint'] / timings['rns']:.1f}x) — see "
-            "benchmarks/test_transcipher_throughput.py for the full-size numbers."
+            f"({timings['bigint'] / timings['rns']:.1f}x) — see the hhe_frame "
+            "workload of bench/run.py for the packed server's cold blocks/s."
         )
 
     return ExperimentResult(

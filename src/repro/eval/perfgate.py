@@ -11,10 +11,12 @@ tolerance absorbs scheduler noise while still catching a hot path that
 lost a vectorized pass.
 
 Gated metrics are declared per file in :data:`GATED_METRICS` as
-(dotted JSON path, direction) pairs. ``higher`` means larger is better
-(throughput); ``lower`` means smaller is better (overhead); a
-``floor:<path>`` direction gates the metric *absolutely* against a bound
-stored in the report itself (e.g. ``overhead_pct`` vs
+(dotted JSON path, direction) pairs. A path that reaches a list (the
+``bench/run.py --out`` report keeps one entry per run) resolves the rest
+of the path in every element and gates their median. ``higher`` means
+larger is better (throughput); ``lower`` means smaller is better
+(overhead); a ``floor:<path>`` direction gates the metric *absolutely*
+against a bound stored in the report itself (e.g. ``overhead_pct`` vs
 ``overhead_floor_pct``) — relative gating of a small, noisy percentage
 would flag jitter as regression.
 
@@ -32,6 +34,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import statistics
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -61,17 +64,11 @@ GATED_METRICS: Dict[str, Tuple[Tuple[str, str], ...]] = {
         ("speedup", "higher"),
         ("faulted.fps", "higher"),
     ),
-    "BENCH_hom_affine.json": (
-        ("engines.tensor.blocks_per_s", "higher"),
-        ("speedup", "higher"),
-    ),
-    "BENCH_bsgs_affine.json": (
-        ("engines.bsgs.blocks_per_s", "higher"),
-        ("speedup_vs_tensor", "higher"),
-    ),
-    "BENCH_hoisted_bsgs.json": (
-        ("engines.bsgs_hoisted.blocks_per_s", "higher"),
-        ("speedup_vs_unhoisted", "higher"),
+    "BENCH_frame.json": (
+        # The cold frame benchmark (``bench/run.py --out``): each
+        # workload's blocks/s, the median over its untraced runs.
+        ("workloads.hhe_frame.runs.blocks_per_s", "higher"),
+        ("workloads.client_encrypt.runs.blocks_per_s", "higher"),
     ),
     "BENCH_obs_overhead.json": (
         ("overhead_pct", "floor:overhead_floor_pct"),
@@ -164,15 +161,25 @@ class InvalidMetricError(ValueError):
 def _extract(report: dict, dotted: str) -> Optional[float]:
     """Resolve a dotted path to a finite number, None if absent.
 
-    Booleans (``isinstance(True, int)``!) and non-finite floats raise
-    :class:`InvalidMetricError` — a report asserting ``"fps": NaN`` would
-    otherwise make every regression comparison vacuously false.
+    A list on the path stands for repeated runs: the rest of the path is
+    resolved in every element and the median returned (None if any element
+    lacks it). Booleans (``isinstance(True, int)``!) and non-finite floats
+    raise :class:`InvalidMetricError` — a report asserting ``"fps": NaN``
+    would otherwise make every regression comparison vacuously false.
     """
-    node: object = report
-    for part in dotted.split("."):
-        if not isinstance(node, dict) or part not in node:
+    return _resolve(report, dotted.split("."), dotted)
+
+
+def _resolve(node: object, parts: List[str], dotted: str) -> Optional[float]:
+    if isinstance(node, list):
+        values = [_resolve(item, parts, dotted) for item in node]
+        if not values or any(v is None for v in values):
             return None
-        node = node[part]
+        return statistics.median(values)
+    if parts:
+        if not isinstance(node, dict) or parts[0] not in node:
+            return None
+        return _resolve(node[parts[0]], parts[1:], dotted)
     if isinstance(node, bool):
         raise InvalidMetricError(f"{dotted} is a boolean, not a number")
     if not isinstance(node, (int, float)):
@@ -246,7 +253,7 @@ def compare_dirs(current_dir: Path, baseline_dir: Path) -> List[MetricDelta]:
 def render_table(deltas: Sequence[MetricDelta], tolerance: float) -> str:
     """The per-benchmark delta table the CI log shows."""
     header = (
-        f"{'benchmark':<36} {'metric':<28} {'baseline':>12} {'current':>12} "
+        f"{'benchmark':<36} {'metric':<44} {'baseline':>12} {'current':>12} "
         f"{'change':>9}  verdict"
     )
     lines = [header, "-" * len(header)]
@@ -271,7 +278,7 @@ def render_table(deltas: Sequence[MetricDelta], tolerance: float) -> str:
             else:
                 verdict = "ok"
         lines.append(
-            f"{d.bench:<36} {d.metric:<28} {baseline:>12} {current:>12} {change:>9}  {verdict}"
+            f"{d.bench:<36} {d.metric:<44} {baseline:>12} {current:>12} {change:>9}  {verdict}"
         )
     return "\n".join(lines)
 

@@ -17,7 +17,9 @@ small engine interface; two interchangeable implementations exist:
 Both engines implement the same operations *exactly* mod q, so a scheme
 instantiated from the same seed produces bit-identical keys, ciphertexts,
 decryptions and noise budgets under either — pinned by
-``tests/test_fhe_rns.py`` and the transcipher throughput benchmark.
+``tests/test_fhe_rns.py``. :class:`BigintEngine` is the arithmetic oracle;
+the packed HHE evaluator (:mod:`repro.hhe.batched`) runs only on
+:class:`RnsEngine`, through the fused :class:`CiphertextTensor` kernels.
 """
 
 from __future__ import annotations
@@ -68,7 +70,7 @@ class CiphertextTensor:
     """A stack of same-shape ciphertexts as one NTT-domain residue ndarray.
 
     ``data`` has shape ``(slots, parts, L, N)``: ``slots`` stacked
-    ciphertexts (the t PASTA state elements), each of ``parts`` ring
+    ciphertexts (the packed [L, R] PASTA state pair), each of ``parts`` ring
     polynomials held as eval-domain ``(L, N)`` residue matrices. Every
     fused kernel (affine einsum, elementwise add/neg, batched
     square/multiply) acts on the whole stack per numpy pass and *stays* in
@@ -238,10 +240,6 @@ class RnsEngine:
         else:
             self._tensor_lift = None
             self._tensor_rescale = None
-        #: Use the RNS-native int64 digit decomposition in relinearization /
-        #: keyswitching when the chain allows it. Public so benchmarks can
-        #: pin the object-dtype CRT round trip as a comparator.
-        self.exact_digits = True
         self._digit_cache: dict = {}
 
     # -- representation ----------------------------------------------------------
@@ -445,7 +443,7 @@ class RnsEngine:
 
     def _digit_decomposer(self, base: int, count: int) -> Optional[ExactBaseDigits]:
         """Cached RNS-native digit transport, None when the chain can't host it."""
-        if not self.exact_digits or self.ctx.dtype is object:
+        if self.ctx.dtype is object:
             return None
         key = (base, count)
         if key not in self._digit_cache:

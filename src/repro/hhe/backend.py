@@ -26,7 +26,7 @@ class BfvOpCounts:
     squares: int = 0
     muls: int = 0
     relins: int = 0
-    rotations: int = 0  #: Galois automorphism + key switch (BSGS engine only)
+    rotations: int = 0  #: Galois automorphism + key switch (packed evaluator only)
     decompositions: int = 0  #: Hoisted digit decompositions shared by rotations
 
     def merge(self, other: "BfvOpCounts") -> "BfvOpCounts":

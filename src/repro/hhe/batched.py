@@ -2,38 +2,25 @@
 
 The scalar server (:mod:`repro.hhe.protocol`) evaluates one PASTA
 decryption circuit per block. Real HHE deployments — including the PASTA
-paper's own server-side evaluation — amortize: with BFV batching, slot
-``b`` of every ciphertext carries block ``b``'s state, so ONE evaluation
-of the t-element circuit transciphers ``B`` blocks at once. The circuit
-structure is identical; only the affine constants differ per slot, turning
-scalar plaintext multiplications into plaintext-*polynomial*
+paper's own server-side evaluation — amortize: with BFV batching, one
+evaluation of the t-element circuit transciphers many blocks at once. The
+circuit structure is identical; only the affine constants differ per
+block, turning scalar plaintext multiplications into plaintext-*polynomial*
 multiplications of encoded constant vectors.
 
-Cost intuition (reported by the ``hhe_cost`` experiment): the homomorphic
-operation count per evaluation is unchanged, so the per-block cost drops
-by ~B at the price of polynomially heavier plain multiplications.
+:class:`BatchedHheServer` evaluates the *packed* layout: ONE ciphertext
+per state side carries the whole t-element state across slot groups
+(state j of block b sits at logical slot ``j * group + b``), and each
+affine layer side runs by the baby-step/giant-step diagonal method with
+hoisted baby rotations (Halevi-Shoup, "Algorithms in HElib") — t diagonal
+plaintext products plus O(sqrt t) Galois rotations instead of t^2 plain
+muls. It requires the RNS engine and a :class:`~repro.fhe.bfv.GaloisKey`
+covering :meth:`BatchedHheServer.required_rotation_steps`.
 
-Two evaluation engines share that circuit:
-
-* ``engine="scalar"`` — one :class:`~repro.fhe.bfv.Ciphertext` object per
-  state element, one scheme call per homomorphic op (the original path,
-  retained bit-exact).
-* ``engine="tensor"`` — the t state ciphertexts live in one
-  :class:`~repro.fhe.engine.CiphertextTensor` ``(t, 2, L, N)`` NTT-domain
-  residue ndarray; each affine layer side is a single prepared-matrix
-  einsum per residue prime plus a broadcast round-constant add, and the
-  S-boxes run batched square/multiply kernels. Requires the RNS engine.
-  Both engines produce bit-identical ciphertext residues and identical op
-  counts.
-* ``engine="bsgs"`` — the *packed* layout: ONE ciphertext per state side
-  carries the whole t-element state across slot groups (state j of block b
-  sits at logical slot ``j * group + b``), and each affine layer side runs
-  by the baby-step/giant-step diagonal method — t diagonal plaintext
-  products plus O(sqrt t) Galois rotations instead of t^2 plain muls.
-  Requires the RNS engine *and* a :class:`~repro.fhe.bfv.GaloisKey`
-  covering :meth:`BatchedHheServer.required_rotation_steps`;
-  ``engine="auto"`` (the default) picks it whenever both are available,
-  falling back to ``tensor`` (RNS without rotation keys) then ``scalar``.
+One evaluation covers the packed capacity ``(N/2) / t`` blocks at an
+operation count that does not depend on how many of them are filled
+(reported by the ``hhe_cost`` experiment); a larger batch runs as
+consecutive packed groups, one result ciphertext per group.
 """
 
 from __future__ import annotations
@@ -58,28 +45,29 @@ from repro.pasta.batch import get_engine
 from repro.pasta.cipher import field_elements
 from repro.pasta.decrypt_circuit import bsgs_split
 from repro.pasta.params import PastaParams
+from repro.pasta.xof import as_u64
 
 #: Default prepared-plaintext budget, in slot rows (one encoded plaintext
-#: polynomial = one row; a tensor matrix costs t*t rows, a row stack t).
-#: Applied per server when no shared :class:`CacheBudget` is given — the
-#: streaming service passes ONE budget to every tenant's server so the
-#: aggregate stays bounded however many tenants are live.
+#: polynomial = one row; a diagonal stack costs t rows, a round-constant
+#: pair 2). Applied per server when no shared :class:`CacheBudget` is
+#: given — the streaming service passes ONE budget to every tenant's server
+#: so the aggregate stays bounded however many tenants are live.
 DEFAULT_PREPARED_ROWS = 4096
 
 
 @dataclass
 class BatchedTranscipherResult:
-    """t ciphertexts whose slots hold the B transciphered blocks.
+    """One packed ciphertext per group of ``group_size`` transciphered blocks.
 
-    Under the packed BSGS engine there is a single ciphertext instead and
-    ``group_size`` is set: message element j of block b sits at logical
-    slot ``j * group_size + b`` (generator slot order, row 0).
+    Ciphertext g holds blocks ``g * group_size`` onward: message element j
+    of the group's b-th block sits at logical slot ``j * group_size + b``
+    (generator slot order, row 0). ``ops`` sums every group's evaluation.
     """
 
     ciphertexts: List[Ciphertext]
     counters: List[int]
     ops: BfvOpCounts
-    group_size: Optional[int] = None
+    group_size: int
 
 
 def encrypt_key_batched(
@@ -102,171 +90,146 @@ class BatchedHheServer:
         rlk: RelinKey,
         encoder: BatchEncoder,
         encrypted_key: Sequence[Ciphertext],
-        engine: str = "auto",
+        engine: str = "bsgs",
         galois_keys: Optional[GaloisKey] = None,
         tenant: str = "default",
         prepared_budget: Optional[CacheBudget] = None,
-        hoisted: bool = True,
     ):
+        if engine != "bsgs":
+            raise ParameterError(f"unknown evaluation engine {engine!r} (only 'bsgs')")
         if scheme.params.p != params.p:
             raise ParameterError("BFV plaintext modulus must equal the PASTA prime")
         if len(encrypted_key) != params.key_size:
             raise ParameterError(f"expected {params.key_size} encrypted key elements")
+        scheme_engine = getattr(scheme.engine, "name", "bigint")
+        if scheme_engine != "rns":
+            raise ParameterError(
+                f"the packed evaluator requires the RNS evaluation engine, "
+                f"scheme uses {scheme_engine!r}"
+            )
+        half = scheme.params.n // 2
+        if half < params.t or half % params.t:
+            raise ParameterError(
+                f"packing needs t={params.t} to divide the slot-row width N/2={half}"
+            )
+        if galois_keys is None:
+            raise ParameterError(
+                "the packed evaluator requires Galois rotation keys "
+                "(Bfv.rotation_keygen over required_rotation_steps)"
+            )
+        required = self.required_rotation_steps(params, scheme.params.n)
+        missing = sorted(
+            {rotation_element(scheme.params.n, step) for step in required}
+            - set(galois_keys.keys)
+            - {1}
+        )
+        if missing:
+            raise ParameterError(
+                f"Galois key is missing elements {missing} for rotation "
+                f"steps {required} (have {sorted(galois_keys.keys)})"
+            )
         self.params = params
         self.scheme = scheme
         self.rlk = rlk
         self.encoder = encoder
-        self.encrypted_key = list(encrypted_key)
         self.galois_keys = galois_keys
-        scheme_engine = getattr(scheme.engine, "name", "bigint")
-        packable = scheme.params.n // 2 >= params.t and (scheme.params.n // 2) % params.t == 0
-        if engine == "auto":
-            if scheme_engine == "rns" and galois_keys is not None and packable:
-                engine = "bsgs"
-            else:
-                engine = "tensor" if scheme_engine == "rns" else "scalar"
-        if engine not in ("scalar", "tensor", "bsgs"):
-            raise ParameterError(f"unknown evaluation engine {engine!r}")
-        if engine in ("tensor", "bsgs") and scheme_engine != "rns":
-            raise ParameterError(
-                f"engine={engine!r} requires the RNS evaluation engine, "
-                f"scheme uses {scheme_engine!r}"
-            )
-        if engine == "bsgs":
-            if not packable:
-                raise ParameterError(
-                    f"engine='bsgs' needs t={params.t} to divide the slot-row "
-                    f"width N/2={scheme.params.n // 2}"
-                )
-            if galois_keys is None:
-                raise ParameterError(
-                    "engine='bsgs' requires Galois rotation keys "
-                    "(Bfv.rotation_keygen over required_rotation_steps)"
-                )
-            required = self.required_rotation_steps(params, scheme.params.n)
-            missing = sorted(
-                {
-                    rotation_element(scheme.params.n, step)
-                    for step in required
-                }
-                - set(galois_keys.keys)
-                - {1}
-            )
-            if missing:
-                raise ParameterError(
-                    f"Galois key is missing elements {missing} for rotation "
-                    f"steps {required} (have {sorted(galois_keys.keys)})"
-                )
-        #: Which circuit evaluator ``transcipher_blocks`` dispatches to
-        #: ("scalar" | "tensor" | "bsgs"). Named ``eval_engine`` because
-        #: ``engine`` is the keystream engine below.
-        self.eval_engine = engine
-        #: Share one digit decomposition across the BSGS baby rotations
-        #: (Halevi-Shoup hoisting). ``False`` pins the per-rotation
-        #: keyswitch path — the perf baseline and the parity comparator.
-        self.hoisted = bool(hoisted)
         #: Shared batched keystream engine: materials and matrices for the
         #: public (nonce, counter) schedule come from its LRU, so the
         #: schedule builders of one frame derive each block once.
         self.engine = get_engine(params)
 
-        # Prepared-plaintext caches keyed by the public schedule. The affine
-        # constants depend only on (nonce, counters, layer, side, row[, col]),
-        # so re-serving a schedule skips both the slot encode and — under the
-        # RNS engine — the forward NTT of every matrix/round-constant
-        # plaintext (the handle caches its eval form after first use).
-        #
-        # These used to be per-server ``lru_cache`` closures (maxsize
-        # 8192/4096 each): individually bounded, unbounded in aggregate once
-        # every tenant gets its own server. They are now :class:`BudgetedLru`
-        # instances costed in slot rows against ONE shared
-        # :class:`CacheBudget` — per-server by default, process-global when
-        # the streaming service passes its budget in — with eviction
-        # pressure applied to whichever tenant holds the most rows, so a hot
-        # tenant cannot push a cold one below its fair share.
+        # Prepared-plaintext caches keyed by the public schedule: the affine
+        # diagonals and round constants depend only on (nonce, counters,
+        # layer[, side]), so re-serving a schedule skips the slot encode and
+        # the forward NTT of every prepared plaintext. They are
+        # :class:`BudgetedLru` instances costed in slot rows against ONE
+        # shared :class:`CacheBudget` — per-server by default,
+        # process-global when the streaming service passes its budget in —
+        # with eviction pressure applied to whichever tenant holds the most
+        # rows, so a hot tenant cannot push a cold one below its fair share.
         self.tenant = tenant
-        t = params.t
         self.prepared_budget = prepared_budget or CacheBudget(DEFAULT_PREPARED_ROWS)
-        self._caches: Dict[str, BudgetedLru] = {}
+        t = params.t
+        #: Slots per state group == packed block capacity.
+        self._group_size = B = half // t
+        self._bsgs = bs, giants = bsgs_split(t)
 
-        def _cache(kind: str, rows: float) -> BudgetedLru:
-            lru = BudgetedLru(
+        # Pack the 2t slot-replicated key ciphertexts into [L, R]: one
+        # (2, 2t, L, N) mask tensor contracted against the (2t, 2, L, N) key
+        # stack — a single einsum, once per server instance (key-setup cost,
+        # excluded from the per-evaluation op counts like key packing in
+        # encrypt_key_batched itself).
+        masks = np.zeros((2, 2 * t, half), dtype=np.int64)
+        for j in range(t):
+            masks[0, j, j * B : (j + 1) * B] = 1
+            masks[1, t + j, j * B : (j + 1) * B] = 1
+        encoded = self._encode_logical_rows(masks.reshape(4 * t, half))
+        prepared = scheme.prepare_matrix(encoded.reshape(2, 2 * t, scheme.params.n))
+        key_stack = scheme.stack_ciphertexts(list(encrypted_key))
+        self._packed_key = scheme.tensor_affine(key_stack, prepared)
+
+        # Feistel masks: "not the first state group" (both sides) and "the
+        # first state group" (cross term from L's last group into R's first).
+        not_first = np.ones((2, half), dtype=np.int64)
+        not_first[:, :B] = 0
+        first = np.zeros((1, half), dtype=np.int64)
+        first[0, :B] = 1
+        self._mask_not_first = scheme.prepare_mul_rows(self._encode_logical_rows(not_first))
+        self._mask_first = scheme.prepare_mul_rows(self._encode_logical_rows(first))
+
+        self._caches: Dict[str, BudgetedLru] = {
+            kind: BudgetedLru(
                 owner=tenant,
                 budget=self.prepared_budget,
                 cost_of=lambda key, value, rows=rows: rows,
             )
-            self._caches[kind] = lru
-            return lru
+            for kind, rows in (("diags_bsgs", float(bs * giants)), ("rc_bsgs", 2.0))
+        }
+        diags_cache, rc_cache = self._caches["diags_bsgs"], self._caches["rc_bsgs"]
 
-        matrix_cache = _cache("matrix", 1.0)
-        rc_cache = _cache("rc", 1.0)
-        matrix_tensor_cache = _cache("matrix_tensor", float(t * t))
-        rc_tensor_cache = _cache("rc_tensor", float(t))
-
-        def _prepared_matrix(
-            nonce: int, counters: Tuple[int, ...], layer: int, side: str, j: int, k: int
-        ):
+        # Prepared diagonal stacks per (schedule, layer, side): the G*bs
+        # generalized diagonals of the blocked affine matrix, pre-rotated
+        # for the giant-step Horner form, as ONE (G, bs, L, N) prepared
+        # matmul tensor.
+        def _prepared_diags(nonce: int, counters: Tuple[int, ...], layer: int, side: str):
             def build():
-                per_slot = [
-                    int(self.engine.matrix(nonce, c, layer, side)[j, k]) for c in counters
-                ]
-                return self.scheme.prepare_mul_plain(self.encoder.encode(per_slot))
+                n_blocks = len(counters)
+                mats = self.engine.matrices(nonce, counters, layer, side)  # (n_blocks, t, t)
+                rows = np.zeros((giants * bs, half), dtype=mats.dtype)
+                j = np.arange(t)
+                for d in range(min(giants * bs, t)):
+                    ld = np.zeros((t, B), dtype=mats.dtype)
+                    ld[:, :n_blocks] = mats[:, j, (j + d) % t].T  # ld[j, b] = M_b[j, j+d]
+                    rows[d] = np.roll(ld.reshape(half), (d // bs) * bs * B)
+                encoded = self._encode_logical_rows(rows)
+                return self.scheme.prepare_matrix(
+                    encoded.reshape(giants, bs, self.scheme.params.n)
+                )
 
-            return matrix_cache.get_or_create((nonce, counters, layer, side, j, k), build)
+            return diags_cache.get_or_create((nonce, counters, layer, side), build)
 
-        def _prepared_rc(nonce: int, counters: Tuple[int, ...], layer: int, side: str, j: int):
-            def build():
-                per_slot = [
-                    int(
-                        getattr(
-                            self.engine.materials(nonce, [c])[0].layers[layer], f"rc_{side}"
-                        )[j]
-                    )
-                    for c in counters
-                ]
-                return self.scheme.prepare_add_plain(self.encoder.encode(per_slot))
-
-            return rc_cache.get_or_create((nonce, counters, layer, side, j), build)
-
-        self._prepared_matrix = _prepared_matrix
-        self._prepared_rc = _prepared_rc
-
-        # Tensor-path prepared plaintexts: one (t, t, L, N) NTT-domain
-        # residue tensor per (nonce, counters, layer, side) — the whole
-        # affine matrix encodes with ONE batched slot-NTT (t^2 rows) and
-        # forward-transforms with one batched residue NTT, vs t^2 scalar
-        # handles. Entries cost t^2 budget rows apiece, so the shared budget
-        # keeps them correspondingly scarcer than scalar handles.
-        def _prepared_matrix_tensor(
-            nonce: int, counters: Tuple[int, ...], layer: int, side: str
-        ):
-            def build():
-                mats = np.moveaxis(
-                    self.engine.matrices(nonce, counters, layer, side), 0, -1
-                )  # (t, t, B): slot b carries block b's matrix entry
-                encoded = self.encoder.encode_rows(mats.reshape(t * t, len(counters)))
-                return self.scheme.prepare_matrix(encoded.reshape(t, t, self.encoder.n))
-
-            return matrix_tensor_cache.get_or_create((nonce, counters, layer, side), build)
-
-        def _prepared_rc_tensor(
-            nonce: int, counters: Tuple[int, ...], layer: int, side: str
-        ):
+        def _prepared_rc(nonce: int, counters: Tuple[int, ...], layer: int):
             def build():
                 materials = self.engine.materials(nonce, list(counters))
-                rows = np.stack(
-                    [np.asarray(getattr(m.layers[layer], f"rc_{side}")) for m in materials],
-                    axis=-1,
-                )  # (t, B)
-                return self.scheme.prepare_add_rows(self.encoder.encode_rows(rows))
+                n_blocks = len(counters)
+                vals = {
+                    side: np.stack(
+                        [np.asarray(getattr(m.layers[layer], f"rc_{side}")) for m in materials],
+                        axis=-1,
+                    )
+                    for side in ("l", "r")
+                }  # (t, n_blocks) each
+                rows = np.zeros((2, half), dtype=vals["l"].dtype)
+                for s_idx, side in enumerate(("l", "r")):
+                    ld = np.zeros((t, B), dtype=vals[side].dtype)
+                    ld[:, :n_blocks] = vals[side]
+                    rows[s_idx] = ld.reshape(half)
+                return self.scheme.prepare_add_rows(self._encode_logical_rows(rows))
 
-            return rc_tensor_cache.get_or_create((nonce, counters, layer, side), build)
+            return rc_cache.get_or_create((nonce, counters, layer), build)
 
-        self._prepared_matrix_tensor = _prepared_matrix_tensor
-        self._prepared_rc_tensor = _prepared_rc_tensor
-
-        if engine == "bsgs":
-            self._init_bsgs()
+        self._prepared_diags = _prepared_diags
+        self._prepared_rc = _prepared_rc
 
     def prepared_cache_info(self) -> Dict[str, Dict[str, float]]:
         """Per-cache hit/miss/size/cost plus the shared budget snapshot."""
@@ -274,20 +237,15 @@ class BatchedHheServer:
         info["budget"] = dict(self.prepared_budget.snapshot())
         return info
 
-    # -- packed BSGS layout --------------------------------------------------------
-
     @staticmethod
     def required_rotation_steps(params: PastaParams, ring_n: int) -> List[int]:
-        """Left-rotation steps the packed BSGS evaluator key-switches by.
+        """Left-rotation steps the packed evaluator key-switches by.
 
         Hoisted baby steps rotate the *source* directly by every multiple
-        ``k * group`` (k = 1..bs-1) of the state-group size — the unhoisted
-        chain only ever needed the single ``group`` step; Horner giant
+        ``k * group`` (k = 1..bs-1) of the state-group size; Horner giant
         steps advance ``bs`` groups, and the Feistel S-box shifts the
         squared state one group *right* (``N/2 - group`` left). Steps whose
-        factor collapses to 1 for the parameter set are omitted, so bs = 2
-        parameter sets keep the exact pre-hoisting key schedule (and its
-        keygen draw order).
+        factor collapses to 1 for the parameter set are omitted.
         """
         half = ring_n // 2
         group = half // params.t
@@ -309,129 +267,10 @@ class BatchedHheServer:
         slots = replicate_rows_to_slots(self.scheme.params.n, rows)
         return self.encoder.encode_rows(slots)
 
-    def _init_bsgs(self) -> None:
-        t = self.params.t
-        half = self.scheme.params.n // 2
-        #: Slots per state group == packed block capacity.
-        self._group_size = half // t
-        self._bsgs = bsgs_split(t)
+    # -- circuit pieces ---------------------------------------------------------------
 
-        # Pack the 2t slot-replicated key ciphertexts into [L, R]: one
-        # (2, 2t, L, N) mask tensor contracted against the (2t, 2, L, N) key
-        # stack — a single einsum, once per server instance (key-setup cost,
-        # excluded from the per-evaluation op counts like key packing in
-        # encrypt_key_batched itself).
-        B = self._group_size
-        masks = np.zeros((2, 2 * t, half), dtype=np.int64)
-        for j in range(t):
-            masks[0, j, j * B : (j + 1) * B] = 1
-            masks[1, t + j, j * B : (j + 1) * B] = 1
-        encoded = self._encode_logical_rows(masks.reshape(4 * t, half))
-        prepared = self.scheme.prepare_matrix(
-            encoded.reshape(2, 2 * t, self.scheme.params.n)
-        )
-        key_stack = self.scheme.stack_ciphertexts(self.encrypted_key)
-        self._packed_key = self.scheme.tensor_affine(key_stack, prepared)
-
-        # Feistel masks: "not the first state group" (both sides) and "the
-        # first state group" (cross term from L's last group into R's first).
-        not_first = np.ones((2, half), dtype=np.int64)
-        not_first[:, :B] = 0
-        first = np.zeros((1, half), dtype=np.int64)
-        first[0, :B] = 1
-        self._mask_not_first = self.scheme.prepare_mul_rows(
-            self._encode_logical_rows(not_first)
-        )
-        self._mask_first = self.scheme.prepare_mul_rows(self._encode_logical_rows(first))
-
-        # Prepared diagonal stacks per (schedule, layer, side): the G*bs
-        # generalized diagonals of the blocked affine matrix, pre-rotated
-        # for the giant-step Horner form, as ONE (G, bs, L, N) prepared
-        # matmul tensor. The budgeted cache plays the role the per-(j, k)
-        # handle cache plays for the slot engines.
-        bs_, giants_ = self._bsgs
-        diags_cache = BudgetedLru(
-            owner=self.tenant,
-            budget=self.prepared_budget,
-            cost_of=lambda key, value, rows=float(bs_ * giants_): rows,
-        )
-        self._caches["diags_bsgs"] = diags_cache
-        rc_bsgs_cache = BudgetedLru(
-            owner=self.tenant,
-            budget=self.prepared_budget,
-            cost_of=lambda key, value: 2.0,
-        )
-        self._caches["rc_bsgs"] = rc_bsgs_cache
-
-        def _prepared_diags_bsgs(
-            nonce: int, counters: Tuple[int, ...], layer: int, side: str
-        ):
-            def build():
-                bs, giants = self._bsgs
-                n_blocks = len(counters)
-                mats = self.engine.matrices(nonce, counters, layer, side)  # (n_blocks, t, t)
-                rows = np.zeros((giants * bs, half), dtype=mats.dtype)
-                j = np.arange(t)
-                for d in range(min(giants * bs, t)):
-                    ld = np.zeros((t, B), dtype=mats.dtype)
-                    ld[:, :n_blocks] = mats[:, j, (j + d) % t].T  # ld[j, b] = M_b[j, j+d]
-                    rows[d] = np.roll(ld.reshape(half), (d // bs) * bs * B)
-                encoded = self._encode_logical_rows(rows)
-                return self.scheme.prepare_matrix(
-                    encoded.reshape(giants, bs, self.scheme.params.n)
-                )
-
-            return diags_cache.get_or_create((nonce, counters, layer, side), build)
-
-        def _prepared_rc_bsgs(nonce: int, counters: Tuple[int, ...], layer: int):
-            def build():
-                materials = self.engine.materials(nonce, list(counters))
-                n_blocks = len(counters)
-                vals = {
-                    side: np.stack(
-                        [np.asarray(getattr(m.layers[layer], f"rc_{side}")) for m in materials],
-                        axis=-1,
-                    )
-                    for side in ("l", "r")
-                }  # (t, n_blocks) each
-                rows = np.zeros((2, half), dtype=vals["l"].dtype)
-                for s_idx, side in enumerate(("l", "r")):
-                    ld = np.zeros((t, B), dtype=vals[side].dtype)
-                    ld[:, :n_blocks] = vals[side]
-                    rows[s_idx] = ld.reshape(half)
-                return self.scheme.prepare_add_rows(self._encode_logical_rows(rows))
-
-            return rc_bsgs_cache.get_or_create((nonce, counters, layer), build)
-
-        self._prepared_diags_bsgs = _prepared_diags_bsgs
-        self._prepared_rc_bsgs = _prepared_rc_bsgs
-
-    # -- slot-wise circuit pieces -------------------------------------------------
-
-    def _mul_const_vector(self, ct: Ciphertext, constants: Sequence[int]) -> Ciphertext:
-        self._ops.plain_muls += 1
-        return self.scheme.mul_plain_poly(ct, self.encoder.encode(list(constants)))
-
-    def _add_const_vector(self, ct: Ciphertext, constants: Sequence[int]) -> Ciphertext:
-        self._ops.plain_adds += 1
-        return self.scheme.add_plain_poly(ct, self.encoder.encode(list(constants)))
-
-    def _add(self, a: Ciphertext, b: Ciphertext) -> Ciphertext:
-        self._ops.adds += 1
-        return self.scheme.add(a, b)
-
-    def _square(self, ct: Ciphertext) -> Ciphertext:
-        self._ops.squares += 1
-        self._ops.relins += 1
-        return self.scheme.square(ct, self.rlk)
-
-    def _mul(self, a: Ciphertext, b: Ciphertext) -> Ciphertext:
-        self._ops.muls += 1
-        self._ops.relins += 1
-        return self.scheme.multiply(a, b, self.rlk)
-
-    def _affine_span(self, engine: str, layer: int, side: str, n_blocks: int):
-        """Span for one affine layer side, nested under ``hhe.transcipher``.
+    def _affine_span(self, layer: int, side: str, n_blocks: int):
+        """Span for one affine layer, nested under ``hhe.transcipher``.
 
         Carries the MatMul stage's modeled cycles (``6 + t + log2 t`` per
         block): :func:`repro.obs.cycles.attribute` then reports the kernel's
@@ -444,80 +283,11 @@ class BatchedHheServer:
         return get_tracer().span(
             "hhe.affine",
             metric="hhe.affine.seconds",
-            engine=engine,
+            engine="bsgs",
             layer=layer,
             side=side,
             **modeled_matmul_attributes(self.params, n_blocks),
         )
-
-    def _affine(self, state, nonce: int, counters: Tuple[int, ...], layer: int, side: str):
-        """Slot-wise affine over the public schedule, via prepared handles."""
-        t = len(state)
-        with self._affine_span("scalar", layer, side, len(counters)):
-            out = []
-            for j in range(t):
-                acc = None
-                for k in range(t):
-                    handle = self._prepared_matrix(nonce, counters, layer, side, j, k)
-                    self._ops.plain_muls += 1
-                    term = self.scheme.mul_plain_poly(state[k], handle)
-                    acc = term if acc is None else self._add(acc, term)
-                self._ops.plain_adds += 1
-                rc = self._prepared_rc(nonce, counters, layer, side, j)
-                out.append(self.scheme.add_plain_poly(acc, rc))
-            return out
-
-    def _mix(self, xl, xr):
-        s = [self._add(a, b) for a, b in zip(xl, xr)]
-        return [self._add(a, m) for a, m in zip(xl, s)], [self._add(b, m) for b, m in zip(xr, s)]
-
-    def _feistel(self, state):
-        out = [state[0]]
-        for j in range(1, len(state)):
-            out.append(self._add(state[j], self._square(state[j - 1])))
-        return out
-
-    def _cube(self, state):
-        return [self._mul(self._square(x), x) for x in state]
-
-    # -- tensor-path circuit pieces (same circuit, fused kernels) ------------------
-
-    def _tensor_affine(
-        self, state: CiphertextTensor, nonce: int, counters: Tuple[int, ...], layer: int, side: str
-    ) -> CiphertextTensor:
-        """Fused affine layer side: one einsum per residue prime + rc add."""
-        t = self.params.t
-        matrix = self._prepared_matrix_tensor(nonce, counters, layer, side)
-        rc = self._prepared_rc_tensor(nonce, counters, layer, side)
-        self._ops.plain_muls += t * t
-        self._ops.adds += t * (t - 1)
-        self._ops.plain_adds += t
-        with self._affine_span("tensor", layer, side, len(counters)):
-            return self.scheme.tensor_affine(state, matrix, rc)
-
-    def _tensor_mix(self, xl: CiphertextTensor, xr: CiphertextTensor):
-        self._ops.adds += 3 * self.params.t
-        s = self.scheme.tensor_add(xl, xr)
-        return self.scheme.tensor_add(xl, s), self.scheme.tensor_add(xr, s)
-
-    def _tensor_feistel(self, full: CiphertextTensor) -> CiphertextTensor:
-        n = full.slots
-        self._ops.squares += n - 1
-        self._ops.relins += n - 1
-        self._ops.adds += n - 1
-        squared = self.scheme.tensor_square(full[:-1], self.rlk)
-        return CiphertextTensor.concat(
-            [full[:1], self.scheme.tensor_add(full[1:], squared)]
-        )
-
-    def _tensor_cube(self, full: CiphertextTensor) -> CiphertextTensor:
-        n = full.slots
-        self._ops.squares += n
-        self._ops.muls += n
-        self._ops.relins += 2 * n
-        return self.scheme.tensor_mul(self.scheme.tensor_square(full, self.rlk), full, self.rlk)
-
-    # -- packed BSGS circuit pieces ------------------------------------------------
 
     def _rotate_stack(self, state: CiphertextTensor, steps: int) -> CiphertextTensor:
         """Rotate every stacked ciphertext left by ``steps`` (keyswitch each)."""
@@ -589,30 +359,26 @@ class BatchedHheServer:
         prepared-matrix einsum per side, and each Horner step is one
         regular rotation of the fresh [L, R] accumulator pair. Total per
         side: bs*G (= t) plain muls, bs*G - 1 adds, (bs-1)+(G-1)
-        rotations, plus one decomposition when hoisted and bs > 1. With
-        ``hoisted=False`` the babies fall back to the rotation chain.
+        rotations, plus one decomposition when bs > 1.
         """
         bs, giants = self._bsgs
         B = self._group_size
         eng = self.scheme.engine
         prep = {
-            side: self._take_prepared_diags(nonce, counters, layer, side)
+            side: self.scheme._take_prepared_tensor(
+                self._prepared_diags(nonce, counters, layer, side), "matmul"
+            )
             for side in ("l", "r")
         }
-        rc = self._prepared_rc_bsgs(nonce, counters, layer)
+        rc = self._prepared_rc(nonce, counters, layer)
         self._ops.plain_muls += 2 * bs * giants
         self._ops.adds += 2 * (giants * bs - 1)
         self._ops.plain_adds += 2
-        use_hoisted = self.hoisted and bs > 1
-        with self._affine_span("bsgs", layer, "lr", 2 * len(counters)):
+        with self._affine_span(layer, "lr", 2 * len(counters)):
             babies = [state]
-            if use_hoisted:
+            if bs > 1:
                 digits = self._hoisted_decompose(state)
-                for i in range(1, bs):
-                    babies.append(self._rotate_hoisted(state, digits, i * B))
-            else:
-                for _ in range(bs - 1):
-                    babies.append(self._rotate_stack(babies[-1], B))
+                babies += [self._rotate_hoisted(state, digits, i * B) for i in range(1, bs)]
             giant_sums = [
                 eng.ctx.matmul_mod(
                     prep[side], np.stack([b.data[s_idx] for b in babies])
@@ -632,14 +398,9 @@ class BatchedHheServer:
             # The raw matmul_mod contractions above bypass the Bfv wrappers,
             # so the ledger gets the layer's closed-form bound in one step.
             out.noise = self.scheme.noise_model.bsgs_affine(
-                state.noise, bs, giants, round_constant=True, hoisted=use_hoisted
+                state.noise, bs, giants, round_constant=True
             )
             return out
-
-    def _take_prepared_diags(self, nonce, counters, layer, side):
-        return self.scheme._take_prepared_tensor(
-            self._prepared_diags_bsgs(nonce, counters, layer, side), "matmul"
-        )
 
     def _packed_mix(self, state: CiphertextTensor) -> CiphertextTensor:
         self._ops.adds += 3
@@ -687,11 +448,11 @@ class BatchedHheServer:
         nonce: int,
         counters: Sequence[int],
     ) -> BatchedTranscipherResult:
-        """Transcipher B full blocks with one circuit evaluation.
+        """Transcipher full blocks, one circuit evaluation per packed group.
 
         ``ciphertext_blocks[b]`` must hold t elements encrypted under
-        ``(nonce, counters[b])``. Slot b of output ciphertext j encrypts
-        message element j of block b.
+        ``(nonce, counters[b])``. Blocks ``g * packed_capacity`` onward land
+        in result ciphertext g (see :class:`BatchedTranscipherResult`).
         """
         from repro.obs import get_registry, get_tracer, record_headroom
         from repro.obs.cycles import modeled_cycle_attributes
@@ -710,7 +471,7 @@ class BatchedHheServer:
             metric="hhe.transcipher.seconds",
             variant=params.name,
             omega=params.modulus_bits,
-            engine=self.eval_engine,
+            engine="bsgs",
             blocks=len(counters),
             **modeled_cycle_attributes(params, len(counters)),
         ) as span:
@@ -724,9 +485,7 @@ class BatchedHheServer:
                 headroom = model.headroom_bits(worst)
                 span.set_attribute(NOISE_ATTR, round(worst.bits, 3))
                 span.set_attribute(HEADROOM_ATTR, round(headroom, 3))
-                record_headroom(
-                    headroom, engine=self.eval_engine, tenant=self.tenant
-                )
+                record_headroom(headroom, engine="bsgs", tenant=self.tenant)
             return result
 
     def _transcipher_blocks(
@@ -739,119 +498,47 @@ class BatchedHheServer:
         t = params.t
         if len(ciphertext_blocks) != len(counters):
             raise ParameterError("one counter per block required")
+        if not counters:
+            raise ParameterError("empty batch: transciphering needs at least one block")
         if len(counters) > self.encoder.n:
             raise ParameterError(f"at most {self.encoder.n} blocks per batch")
         for block in ciphertext_blocks:
             if len(block) != t:
                 raise ParameterError("batched transciphering requires full t-element blocks")
-        # The engines reduce elements mod p (or truncate them) unchecked.
+        # The evaluator reduces elements mod p unchecked.
         field_elements(ciphertext_blocks, params.p)
+        nonce = as_u64(nonce, "nonce")
+        block_counters = tuple(as_u64(c, "counter") for c in counters)
 
         # One batched derivation for every block's materials; matrices are
         # materialized through (and retained by) the engine's LRU cache, and
         # the prepared-plaintext LRUs key off the same public schedule.
-        block_counters = tuple(int(c) for c in counters)
         self.engine.materials(nonce, list(block_counters))
 
         self._ops = BfvOpCounts()
-
-        group_size = None
-        if self.eval_engine == "bsgs" and len(block_counters) <= self._group_size:
-            out = self._evaluate_bsgs(ciphertext_blocks, nonce, block_counters)
-            group_size = self._group_size
-        elif self.eval_engine in ("tensor", "bsgs"):
-            # A batch beyond the packed capacity falls back to the slot
-            # layout (capacity n instead of n / 2t) for this call only.
-            out = self._evaluate_tensor(ciphertext_blocks, nonce, block_counters)
-        else:
-            out = self._evaluate_scalar(ciphertext_blocks, nonce, block_counters)
+        capacity = self._group_size
+        out: List[Ciphertext] = []
+        for start in range(0, len(block_counters), capacity):
+            group = slice(start, start + capacity)
+            out.extend(self._evaluate(ciphertext_blocks[group], nonce, block_counters[group]))
         return BatchedTranscipherResult(
             ciphertexts=out,
-            counters=[int(c) for c in counters],
+            counters=list(block_counters),
             ops=self._ops,
-            group_size=group_size,
+            group_size=capacity,
         )
 
-    def _evaluate_scalar(
+    def _evaluate(
         self,
         ciphertext_blocks: Sequence[Sequence[int]],
         nonce: int,
         block_counters: Tuple[int, ...],
     ) -> List[Ciphertext]:
-        params = self.params
-        t = params.t
-        xl = list(self.encrypted_key[:t])
-        xr = list(self.encrypted_key[t:])
-        for i in range(params.rounds):
-            xl = self._affine(xl, nonce, block_counters, i, "l")
-            xr = self._affine(xr, nonce, block_counters, i, "r")
-            xl, xr = self._mix(xl, xr)
-            full = xl + xr
-            full = self._feistel(full) if i < params.rounds - 1 else self._cube(full)
-            xl, xr = full[:t], full[t:]
-        last = params.rounds
-        xl = self._affine(xl, nonce, block_counters, last, "l")
-        xr = self._affine(xr, nonce, block_counters, last, "r")
-        xl, _ = self._mix(xl, xr)
-
-        # m = c - KS, slot-wise: negate the keystream, add the per-block c_j.
-        out: List[Ciphertext] = []
-        for j in range(t):
-            negated = self.scheme.neg(xl[j])
-            per_slot_c = [int(block[j]) for block in ciphertext_blocks]
-            out.append(self._add_const_vector(negated, per_slot_c))
-        return out
-
-    def _evaluate_tensor(
-        self,
-        ciphertext_blocks: Sequence[Sequence[int]],
-        nonce: int,
-        block_counters: Tuple[int, ...],
-    ) -> List[Ciphertext]:
-        """Same circuit on one (2t, 2, L, N) eval-domain residue tensor.
-
-        Op counters are incremented with the per-slot totals of each fused
-        kernel, so ``ops`` is identical to the scalar path's — the kernels
-        are the amortization, not an op-count change.
-        """
-        params = self.params
-        t = params.t
-        state = self.scheme.stack_ciphertexts(self.encrypted_key)
-        xl, xr = state[:t], state[t:]
-        for i in range(params.rounds):
-            xl = self._tensor_affine(xl, nonce, block_counters, i, "l")
-            xr = self._tensor_affine(xr, nonce, block_counters, i, "r")
-            xl, xr = self._tensor_mix(xl, xr)
-            full = CiphertextTensor.concat([xl, xr])
-            full = self._tensor_feistel(full) if i < params.rounds - 1 else self._tensor_cube(full)
-            xl, xr = full[:t], full[t:]
-        last = params.rounds
-        xl = self._tensor_affine(xl, nonce, block_counters, last, "l")
-        xr = self._tensor_affine(xr, nonce, block_counters, last, "r")
-        xl, _ = self._tensor_mix(xl, xr)
-
-        # m = c - KS: one batched negate + one prepared broadcast row add.
-        negated = self.scheme.tensor_neg(xl)
-        rows = np.asarray(
-            [[int(c) for c in block] for block in ciphertext_blocks]
-        ).T  # (t, B)
-        self._ops.plain_adds += t
-        prepared = self.scheme.prepare_add_rows(self.encoder.encode_rows(rows))
-        return self.scheme.unstack_ciphertexts(
-            self.scheme.tensor_add_plain_rows(negated, prepared)
-        )
-
-    def _evaluate_bsgs(
-        self,
-        ciphertext_blocks: Sequence[Sequence[int]],
-        nonce: int,
-        block_counters: Tuple[int, ...],
-    ) -> List[Ciphertext]:
-        """The packed circuit: ONE [L, R] ciphertext pair end to end.
+        """The packed circuit for one group: ONE [L, R] ciphertext pair end to end.
 
         Same PASTA permutation, BSGS affine layers; the result is a single
         ciphertext whose slot groups hold the t message elements of every
-        block (``group_size`` on the result describes the layout).
+        block of the group.
         """
         params = self.params
         t = params.t
@@ -886,20 +573,16 @@ class BatchedHheServer:
 def decrypt_batched_result(
     scheme: Bfv, sk, encoder: BatchEncoder, result: BatchedTranscipherResult
 ) -> List[List[int]]:
-    """Client side: decode slot b of every ciphertext into block b's message.
+    """Client side: decode every group's ciphertext into its blocks' messages.
 
-    Packed (BSGS) results carry one ciphertext with ``group_size`` set:
-    message element j of block b is read from logical slot
-    ``j * group_size + b`` of the generator-ordered slot row.
+    Message element j of the b-th block of group g is read from logical
+    slot ``j * group_size + b`` of ciphertext g's generator-ordered slot row.
     """
-    n_blocks = len(result.counters)
-    if result.group_size:
-        B = result.group_size
-        (ct,) = result.ciphertexts
+    B = result.group_size
+    t = (encoder.n // 2) // B
+    blocks: List[List[int]] = []
+    for ct in result.ciphertexts:
         logical = slots_to_logical(encoder.n, encoder.decode(scheme.decrypt_poly(sk, ct)))
-        t = (encoder.n // 2) // B
-        return [[logical[j * B + b] for j in range(t)] for b in range(n_blocks)]
-    per_element_slots = [
-        encoder.decode(scheme.decrypt_poly(sk, ct))[:n_blocks] for ct in result.ciphertexts
-    ]
-    return [[per_element_slots[j][b] for j in range(len(per_element_slots))] for b in range(n_blocks)]
+        count = min(B, len(result.counters) - len(blocks))
+        blocks.extend([logical[j * B + b] for j in range(t)] for b in range(count))
+    return blocks

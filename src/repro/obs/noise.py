@@ -247,23 +247,18 @@ class NoiseModel:
         bs: int,
         giants: int,
         round_constant: bool = True,
-        hoisted: bool = False,
     ) -> Optional[NoiseEstimate]:
         """Baby-step/giant-step diagonal sum: the packed affine layer.
 
-        Babies accumulate up to ``bs - 1`` key-switch errors (a single one
-        when ``hoisted`` — every baby rotates the source through one shared
-        decomposition); every giant sums ``bs`` diagonal plain-muls of the
-        worst baby; the Horner recombination adds ``giants - 1`` more
-        rotations of partial sums (always unhoisted: each acts on a fresh
-        accumulator).
+        Every baby rotates the source through one shared hoisted
+        decomposition, so the babies carry a single key-switch error; every
+        giant sums ``bs`` diagonal plain-muls of the worst baby; the Horner
+        recombination adds ``giants - 1`` more rotations of partial sums
+        (each acts on a fresh accumulator, so none is hoisted).
         """
         if a is None:
             return None
-        baby_bits = a.bits
-        if bs > 1:
-            extra = 0.0 if hoisted else math.log2(bs - 1)
-            baby_bits = lse(a.bits, self.ks_bits + extra)
+        baby_bits = lse(a.bits, self.ks_bits) if bs > 1 else a.bits
         bits = math.log2(max(giants * bs, 1)) + self._mul_plain_poly_bits(baby_bits)
         if giants > 1:
             bits = lse(bits, self.ks_bits + math.log2(giants - 1))

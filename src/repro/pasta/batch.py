@@ -56,7 +56,7 @@ from repro.keccak.vectorized import batched_shake128
 from repro.pasta.cipher import BlockMaterials, LayerMaterials
 from repro.pasta.matgen import recurrence_mat_vec
 from repro.pasta.params import PastaParams
-from repro.pasta.xof import encode_block_seed
+from repro.pasta.xof import as_u64, encode_block_seed
 
 __all__ = [
     "KeystreamEngine",
@@ -193,7 +193,7 @@ def generate_block_materials_pairs(
     Bit-exact with the scalar derivation (values, sampler statistics, and
     permutation counts included).
     """
-    pairs = [(int(n), int(c)) for n, c in pairs]
+    pairs = [(as_u64(n, "nonce"), as_u64(c, "counter")) for n, c in pairs]
     if not pairs:
         return []
     dtype = params.field.dtype
@@ -227,7 +227,7 @@ def generate_block_materials_batch(
     scalar derivation (values, sampler statistics, and permutation counts
     included).
     """
-    return generate_block_materials_pairs(params, [(nonce, int(c)) for c in counters])
+    return generate_block_materials_pairs(params, [(nonce, c) for c in counters])
 
 
 def batched_sequential_matrices(params: PastaParams, alphas: np.ndarray) -> np.ndarray:
@@ -328,7 +328,7 @@ class KeystreamEngine:
 
     def _entries_pairs(self, pairs: Sequence[Tuple[int, int]]) -> List[_CacheEntry]:
         """Cached entries for every (nonce, counter) pair, batch-deriving misses."""
-        pairs = [(int(n), int(c)) for n, c in pairs]
+        pairs = [(as_u64(n, "nonce"), as_u64(c, "counter")) for n, c in pairs]
         entries: Dict[Tuple[int, int], _CacheEntry] = {}
         missing: List[Tuple[int, int]] = []
         with self._lock:
@@ -407,6 +407,7 @@ class KeystreamEngine:
         counter0 + i)`` exactly; the whole batch shares each XOF digest
         pass, sampling pass, and affine recurrence step.
         """
+        counter0 = as_u64(counter0, "counter")
         return self.keystream_pairs(
             key, [(nonce, c) for c in range(counter0, counter0 + n_blocks)]
         )
@@ -451,9 +452,8 @@ class KeystreamEngine:
         n_blocks = len(pairs)
         if n_blocks <= 0:
             return field.zeros(0, t)
-        layer_values, _, _ = _derive_layer_arrays(
-            params, [(int(no), int(co)) for no, co in pairs]
-        )
+        # encode_block_seed refuses any nonce or counter that is not a u64.
+        layer_values, _, _ = _derive_layer_arrays(params, pairs)
 
         def affine(x: np.ndarray, layer: int, side: int) -> np.ndarray:
             # layer_values[layer] is (alpha_L, alpha_R, rc_L, rc_R); side 0 = L.

@@ -26,7 +26,7 @@ from repro.keccak.vectorized import ShakeReader
 from repro.pasta import layers as L
 from repro.pasta.matgen import generate_matrix
 from repro.pasta.params import PastaParams
-from repro.pasta.xof import block_xof
+from repro.pasta.xof import as_u64, block_xof
 
 
 def field_elements(values, p: int) -> np.ndarray:
@@ -232,6 +232,9 @@ class Pasta:
         message deterministically (e.g. benchmarks, idempotent retries).
         """
         arr = self._elements(message)
+        # Normalize before the guard keys on it: 7 and np.int64(7) are one
+        # nonce, and 7.5 or "7" are none.
+        nonce = as_u64(nonce, "nonce")
         self._guard_nonce(nonce, self._block_count(arr.shape[0]), allow_nonce_reuse)
         return self._stream(arr, nonce, encrypt=True)
 

@@ -109,64 +109,35 @@ def bsgs_split(t: int) -> tuple:
     return bs, -(-t // bs)
 
 
-def homomorphic_op_counts(params: PastaParams, engine: str = "slots") -> dict:
-    """Closed-form BFV op counts of one homomorphic PASTA evaluation.
+def homomorphic_op_counts(params: PastaParams) -> dict:
+    """Closed-form BFV op counts of one packed homomorphic PASTA evaluation.
 
-    One batched evaluation of ``m = c - Trunc(pi(K))`` over encrypted state
-    (:class:`repro.hhe.batched.BatchedHheServer`), any batch size, for
-    either state layout:
-
-    ``engine="slots"`` — t ciphertexts per state (the scalar/tensor
-    evaluators), with ``r = rounds`` and 2(r+1) affine layer *sides* (l and
-    r for rounds 0..r):
-
-    * affine side: t^2 plain muls, t(t-1) adds, t plain rc adds
-    * mix (r+1 of them): 3t adds
-    * Feistel (r-1 of them, over the 2t concatenated state): 2t-1 each of
-      squares/relins/adds
-    * cube (1, over 2t state): 2t squares, 2t muls, 2 relins per element
-    * final ``c - KS``: t plain adds
-
-    ``engine="bsgs"`` — ONE packed ciphertext per state side (left/right),
-    t-element state across slot groups, affine layers by the
-    baby-step/giant-step diagonal method with ``(bs, G) = bsgs_split(t)``:
+    One evaluation of ``m = c - Trunc(pi(K))`` by
+    :class:`repro.hhe.batched.BatchedHheServer` covers any number of blocks
+    up to the packed capacity; a larger batch pays these counts once per
+    packed group. ONE packed ciphertext per state side (left/right) carries
+    the t-element state across slot groups, and each affine layer runs the
+    baby-step/giant-step diagonal method with ``(bs, G) = bsgs_split(t)``
+    and Halevi-Shoup hoisted babies. With ``r = rounds`` there are 2(r+1)
+    affine layer *sides* (l and r for rounds 0..r):
 
     * affine side: bs*G (= t) diagonal plain muls, bs*G - 1 adds,
-      (bs-1) + (G-1) rotations (baby chain + Horner giant steps), 1 packed
-      rc plain add
+      (bs-1) + (G-1) rotations (hoisted babies + Horner giant steps), one
+      digit decomposition shared by the babies when bs > 1, 1 packed rc
+      plain add
     * mix (r+1): 3 packed adds
     * Feistel (r-1): 2 squares/relins, 1 rotation, 3 mask plain muls, 3 adds
     * cube: 2 squares, 2 muls, 4 relins
     * final ``c - KS``: 1 packed plain add
 
-    ``engine="bsgs_hoisted"`` — same circuit with Halevi-Shoup hoisting in
-    the affine baby steps: every count matches ``"bsgs"`` (the bs-1 baby
-    rotations still key-switch, just through a shared digit stack) plus one
-    ``decompositions`` per affine side when bs > 1.
-
-    The O(t^2) -> O(t) plain-mul and O(sqrt t) rotation scaling per layer
-    side is the point of ROADMAP item 3. The benchmark and the parity tests
-    assert real runs hit these exactly.
+    That is O(t) plain muls and O(sqrt t) rotations per layer side, where
+    one ciphertext per state element pays t^2 plain muls. The benchmark's
+    check and the tests assert real runs hit these exactly.
     """
     t, r = params.t, params.rounds
     sides = 2 * (r + 1)
-    if engine == "slots":
-        feistel = (r - 1) * (2 * t - 1)
-        return {
-            "plain_muls": sides * t * t,
-            "plain_adds": sides * t + t,
-            "adds": sides * t * (t - 1) + 3 * t * (r + 1) + feistel,
-            "squares": feistel + 2 * t,
-            "muls": 2 * t,
-            "relins": feistel + 2 * t + 2 * t,
-            "rotations": 0,
-        }
-    if engine not in ("bsgs", "bsgs_hoisted"):
-        raise ParameterError(
-            f"unknown op-count engine {engine!r} ('slots', 'bsgs' or 'bsgs_hoisted')"
-        )
     bs, giants = bsgs_split(t)
-    counts = {
+    return {
         "plain_muls": sides * bs * giants + 3 * (r - 1),
         "plain_adds": sides + 1,
         "adds": sides * (bs * giants - 1) + 3 * (r + 1) + 3 * (r - 1),
@@ -174,10 +145,8 @@ def homomorphic_op_counts(params: PastaParams, engine: str = "slots") -> dict:
         "muls": 2,
         "relins": 2 * (r - 1) + 4,
         "rotations": sides * ((bs - 1) + (giants - 1)) + 2 * (r - 1),
+        "decompositions": sides if bs > 1 else 0,
     }
-    if engine == "bsgs_hoisted":
-        counts["decompositions"] = sides if bs > 1 else 0
-    return counts
 
 
 class KeystreamCircuit:

@@ -16,6 +16,7 @@ Layout absorbed into SHAKE128::
 
 from __future__ import annotations
 
+import operator
 import struct
 
 from repro.errors import ParameterError
@@ -27,19 +28,35 @@ DOMAIN_TAG = b"PASTA-on-Edge-v1"
 _U64_MAX = (1 << 64) - 1
 
 
+def as_u64(value, name: str) -> int:
+    """``value`` as a 64-bit seed word: an integer type in [0, 2^64).
+
+    Floats and strings are refused, not truncated or parsed: a nonce of 7.5
+    or ``"7"`` that silently became 7 would reuse nonce 7's keystream.
+    Anything else raises :class:`ParameterError`.
+    """
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise ParameterError(
+            f"{name} must be an integer, got {type(value).__name__} {value!r}"
+        ) from None
+    if not 0 <= value <= _U64_MAX:
+        raise ParameterError(f"{name} must fit in 64 bits, got {value}")
+    return value
+
+
 def encode_block_seed(params: PastaParams, nonce: int, counter: int) -> bytes:
     """Serialize the public per-block seed material.
 
-    Every field must fit its wire slot; an out-of-range value raises
-    :class:`ParameterError` rather than leaking ``struct.error`` from the
-    packing internals.
+    Every field must fit its wire slot; an out-of-range or non-integer
+    value raises :class:`ParameterError` rather than leaking
+    ``struct.error`` from the packing internals.
     """
     if not 0 <= params.p <= _U64_MAX:
         raise ParameterError(f"modulus must fit in 64 bits, got {params.p}")
-    if not 0 <= nonce <= _U64_MAX:
-        raise ParameterError(f"nonce must fit in 64 bits, got {nonce}")
-    if not 0 <= counter <= _U64_MAX:
-        raise ParameterError(f"counter must fit in 64 bits, got {counter}")
+    nonce = as_u64(nonce, "nonce")
+    counter = as_u64(counter, "counter")
     return DOMAIN_TAG + struct.pack(">HBQQQ", params.t, params.rounds, params.p, nonce, counter)
 
 

@@ -117,9 +117,9 @@ RUN_TIMEOUT_SECONDS = 600.0
 PREPARED_CACHE_ROWS = 4096
 
 #: BFV ring and modulus of the ``hhe`` mode's toy parameters. The packed
-#: BSGS evaluator's Galois keyswitches cost more noise than the tensor
-#: path: at 230 bits its modeled headroom is -33 bits (measured +27), at
-#: 290 bits it is +27 (measured +87), so health probes stay in budget.
+#: BSGS evaluator's Galois keyswitches cost noise: at 230 bits its modeled
+#: headroom is -33 bits (measured +27), at 290 bits it is +27 (measured
+#: +87), so health probes stay in budget.
 HHE_RING_N = 256
 HHE_LOG2_Q = 290
 
@@ -332,8 +332,7 @@ class HheRecovery:
         bfv = toy_parameters(params.p, n=HHE_RING_N, log2_q=HHE_LOG2_Q)
         self.scheme = Bfv(bfv, seed=fhe_seed)
         self.sk, pk, rlk = self.scheme.keygen()
-        # Rotation keys select the packed BSGS evaluator; without them the
-        # server falls back to the slower tensor path.
+        # The packed BSGS evaluator key-switches through these rotation keys.
         galois = self.scheme.rotation_keygen(
             self.sk, BatchedHheServer.required_rotation_steps(params, HHE_RING_N)
         )

@@ -230,7 +230,6 @@ class TestHoistedRotation:
         scheme, sk, pk, encoder = servers[17]
         eng = scheme.engine
         base, count = scheme.params.relin_base, scheme.params.relin_parts
-        assert eng.exact_digits
         assert eng._digit_decomposer(base, count) is not None
 
         gk = scheme.rotation_keygen(sk, [3])
@@ -250,18 +249,21 @@ class TestHoistedRotation:
         finally:
             eng.ctx.from_rns_batch = original
 
-    def test_exact_digits_matches_bigint_digits_bitwise(self, servers):
-        """The int64 digit path and the object divmod path agree on residues."""
+    def test_exact_digits_matches_bigint_digits_bitwise(self, servers, monkeypatch):
+        """The int64 digit path and the object divmod path agree on residues.
+
+        The CRT divmod path is what chains without an int64 decomposer run;
+        forcing it here (the decomposer resolves to None) compares the two
+        on the same chain.
+        """
         scheme, sk, pk, encoder = servers[33]
         eng = scheme.engine
         gk = scheme.rotation_keygen(sk, [4])
         pt = encoder.encode(list(range(1, N + 1)))
         stack = scheme.stack_ciphertexts([scheme.encrypt_poly(pk, list(pt))])
-        assert eng.exact_digits
+        base, count = scheme.params.relin_base, scheme.params.relin_parts
+        assert eng._digit_decomposer(base, count) is not None
         exact = scheme.tensor_rotate(stack, 4, gk)
-        eng.exact_digits = False
-        try:
-            bigint = scheme.tensor_rotate(stack, 4, gk)
-        finally:
-            eng.exact_digits = True
+        monkeypatch.setattr(eng, "_digit_decomposer", lambda base, count: None)
+        bigint = scheme.tensor_rotate(stack, 4, gk)
         assert np.array_equal(exact.data, bigint.data)

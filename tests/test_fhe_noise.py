@@ -260,20 +260,6 @@ class TestModelShape:
             model.keyswitch(est).bits
         )
 
-    def test_hoisted_bsgs_affine_never_exceeds_unhoisted(self):
-        model = NoiseModel(toy_parameters(P17, n=N, log2_q=LOG2_Q))
-        est = model.fresh()
-        for t in (2, 4, 16, 64):
-            from repro.pasta import bsgs_split
-
-            bs, giants = bsgs_split(t)
-            plain = model.bsgs_affine(est, bs, giants)
-            hoist = model.bsgs_affine(est, bs, giants, hoisted=True)
-            assert hoist.bits <= plain.bits + 1e-12
-            if bs > 2:
-                # The baby chain's log2(bs-1) accumulation term is gone.
-                assert hoist.bits < plain.bits
-
 
 class TestDivergenceReport:
     def test_report_rows_sound_and_render(self):

@@ -1,11 +1,9 @@
 """Tests for BFV slot batching and batched (SIMD) transciphering."""
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.errors import ParameterError
-from repro.ff.params import P33
 from repro.fhe import Bfv, toy_parameters
 from repro.fhe.batching import BatchEncoder
 from repro.hhe import BatchedHheServer, decrypt_batched_result, encrypt_key_batched
@@ -13,8 +11,9 @@ from repro.pasta import PASTA_MICRO, Pasta, PastaParams, random_key
 
 P = PASTA_MICRO.p
 
-#: PASTA_MICRO at the 33-bit datapath — the omega variant of the parity sweep.
-MICRO_33 = PastaParams(name="micro-33", t=2, rounds=2, p=P33, secure=False)
+#: Nonces and counters the server must refuse rather than truncate or parse.
+NON_INTEGERS = [7.5, "7", np.float64(7.0)]
+NON_INTEGER_IDS = ["float", "str", "np-float64"]
 
 
 @pytest.fixture(scope="module")
@@ -88,14 +87,28 @@ class TestSlotwiseHomomorphism:
             scheme.mul_plain_poly(ct, [1, 2, 3])
 
 
+@pytest.fixture(scope="module")
+def galois(ctx):
+    scheme, sk, _, _, encoder = ctx
+    return scheme.rotation_keygen(
+        sk, BatchedHheServer.required_rotation_steps(PASTA_MICRO, encoder.n)
+    )
+
+
+def _server(ctx, galois, key, **kwargs):
+    scheme, _, pk, rlk, encoder = ctx
+    enc_key = encrypt_key_batched(scheme, pk, encoder, [int(k) for k in key])
+    return BatchedHheServer(
+        PASTA_MICRO, scheme, rlk, encoder, enc_key, galois_keys=galois, **kwargs
+    )
+
+
 class TestBatchedTransciphering:
     @pytest.fixture(scope="class")
-    def session(self, ctx):
-        scheme, sk, pk, rlk, encoder = ctx
+    def session(self, ctx, galois):
+        _, sk, _, _, _ = ctx
         key = random_key(PASTA_MICRO, b"batched-victim")
-        enc_key = encrypt_key_batched(scheme, pk, encoder, [int(k) for k in key])
-        server = BatchedHheServer(PASTA_MICRO, scheme, rlk, encoder, enc_key)
-        return Pasta(PASTA_MICRO, key), server, sk
+        return Pasta(PASTA_MICRO, key), _server(ctx, galois, key), sk
 
     def test_three_blocks_one_evaluation(self, ctx, session):
         scheme, sk, _, _, encoder = ctx
@@ -103,10 +116,11 @@ class TestBatchedTransciphering:
         blocks = [[7, 8], [9, 10], [11, 12]]
         cts = [cipher.encrypt_block(b, 5, c) for c, b in enumerate(blocks)]
         result = server.transcipher_blocks([[int(x) for x in ct] for ct in cts], 5, [0, 1, 2])
+        assert len(result.ciphertexts) == 1
         assert decrypt_batched_result(scheme, sk, encoder, result) == blocks
 
     def test_op_count_independent_of_batch_size(self, ctx, session):
-        """The amortization claim: B blocks cost the ops of one evaluation."""
+        """The amortization claim: B blocks in one group cost the ops of one evaluation."""
         scheme, sk, _, _, encoder = ctx
         cipher, server, _ = session
         one = server.transcipher_blocks(
@@ -140,158 +154,65 @@ class TestBatchedTransciphering:
         for out in result.ciphertexts:
             assert scheme.noise_budget_bits(sk, out) > 10
 
+    def test_empty_batch_rejected(self, session):
+        _, server, _ = session
+        with pytest.raises(ParameterError, match="empty batch"):
+            server.transcipher_blocks([], 0, [])
+
+    @pytest.mark.parametrize("bad", NON_INTEGERS, ids=NON_INTEGER_IDS)
+    def test_non_integer_nonce_rejected(self, session, bad):
+        cipher, server, _ = session
+        block = [int(x) for x in cipher.encrypt_block([1, 2], 7, 0)]
+        with pytest.raises(ParameterError, match="nonce must be an integer"):
+            server.transcipher_blocks([block], bad, [0])
+
+    @pytest.mark.parametrize("bad", NON_INTEGERS, ids=NON_INTEGER_IDS)
+    def test_non_integer_counter_rejected(self, session, bad):
+        cipher, server, _ = session
+        block = [int(x) for x in cipher.encrypt_block([1, 2], 7, 0)]
+        with pytest.raises(ParameterError, match="counter must be an integer"):
+            server.transcipher_blocks([block], 7, [bad])
+
 
 class TestElementRangeCheck:
     """The server refuses what ``Pasta.decrypt`` refuses: every element must
-    be an integer in [0, p), on every engine, before any evaluation."""
+    be an integer in [0, p), in every packed group, before any evaluation."""
 
     @pytest.fixture(scope="class")
-    def servers(self, ctx):
-        scheme, sk, pk, rlk, encoder = ctx
-        key = random_key(PASTA_MICRO, b"range-check")
-        enc_key = encrypt_key_batched(scheme, pk, encoder, key)
-        galois = scheme.rotation_keygen(
-            sk, BatchedHheServer.required_rotation_steps(PASTA_MICRO, encoder.n)
-        )
-        return {
-            eng: BatchedHheServer(
-                PASTA_MICRO, scheme, rlk, encoder, enc_key,
-                engine=eng, galois_keys=galois if eng == "bsgs" else None,
-            )
-            for eng in ("scalar", "tensor", "bsgs")
-        }
+    def server(self, ctx, galois):
+        return _server(ctx, galois, random_key(PASTA_MICRO, b"range-check"))
 
-    @pytest.mark.parametrize("engine", ["scalar", "tensor", "bsgs"])
+    @pytest.mark.parametrize("n_blocks", [2, 65], ids=["one-group", "two-groups"])
     @pytest.mark.parametrize("bad", [P, -1, P + 5, 1.5], ids=["p", "minus-one", "p-plus-c", "float"])
-    def test_bad_element_rejected(self, servers, engine, bad):
+    def test_bad_element_rejected(self, server, bad, n_blocks):
+        blocks = [[5, 6]] * (n_blocks - 1) + [[7, bad]]
         with pytest.raises(ParameterError, match="elements must"):
-            servers[engine].transcipher_blocks([[5, 6], [7, bad]], 3, [0, 1])
+            server.transcipher_blocks(blocks, 3, list(range(n_blocks)))
 
 
 class TestEvalEngineSelection:
-    def test_unknown_engine_rejected(self, ctx):
-        scheme, _, pk, rlk, encoder = ctx
+    def test_unknown_engine_rejected(self, ctx, galois):
         key = random_key(PASTA_MICRO, b"sel")
-        enc_key = encrypt_key_batched(scheme, pk, encoder, key)
-        with pytest.raises(ParameterError, match="unknown evaluation engine"):
-            BatchedHheServer(PASTA_MICRO, scheme, rlk, encoder, enc_key, engine="simd")
+        for engine in ("simd", "tensor", "scalar", "auto"):
+            with pytest.raises(ParameterError, match="unknown evaluation engine"):
+                _server(ctx, galois, key, engine=engine)
 
-    def test_auto_picks_tensor_on_rns(self, ctx):
-        scheme, _, pk, rlk, encoder = ctx
-        key = random_key(PASTA_MICRO, b"sel")
-        enc_key = encrypt_key_batched(scheme, pk, encoder, key)
-        server = BatchedHheServer(PASTA_MICRO, scheme, rlk, encoder, enc_key)
-        assert server.eval_engine == "tensor"
-
-    def test_tensor_requires_rns_scheme(self):
+    def test_requires_rns_scheme(self):
         bfv = toy_parameters(P, n=256, log2_q=190, rns=False)
         scheme = Bfv(bfv, seed=b"sel-bigint")
-        _, pk, rlk = scheme.keygen()
+        sk, pk, rlk = scheme.keygen()
         encoder = BatchEncoder(bfv.n, P)
         key = random_key(PASTA_MICRO, b"sel")
         enc_key = encrypt_key_batched(scheme, pk, encoder, key)
         with pytest.raises(ParameterError, match="requires the RNS"):
-            BatchedHheServer(PASTA_MICRO, scheme, rlk, encoder, enc_key, engine="tensor")
-        # auto falls back to the scalar evaluator on the big-int engine.
-        server = BatchedHheServer(PASTA_MICRO, scheme, rlk, encoder, enc_key)
-        assert server.eval_engine == "scalar"
+            BatchedHheServer(PASTA_MICRO, scheme, rlk, encoder, enc_key)
 
-
-def _ciphertext_ints(scheme, result):
-    return [
-        [scheme.engine.to_ints(part) for part in ct.parts] for ct in result.ciphertexts
-    ]
-
-
-class TestTensorScalarParity:
-    """Property: both evaluation engines are the SAME function, bit-exact.
-
-    Identical ciphertext residues (not merely identical decryptions),
-    identical op counts, over random messages/nonces/counter schedules and
-    both prime widths (17-bit and 33-bit omega).
-    """
-
-    @pytest.fixture(scope="class")
-    def servers(self, ctx):
-        scheme, sk, pk, rlk, encoder = ctx
-        key = random_key(PASTA_MICRO, b"parity-17")
-        enc_key = encrypt_key_batched(scheme, pk, encoder, key)
-        cipher = Pasta(PASTA_MICRO, key)
-        built = {
-            eng: BatchedHheServer(PASTA_MICRO, scheme, rlk, encoder, enc_key, engine=eng)
-            for eng in ("scalar", "tensor")
-        }
-        return scheme, sk, encoder, cipher, built
-
-    @pytest.fixture(scope="class")
-    def servers_33(self):
-        bfv = toy_parameters(P33, n=256, log2_q=340, prime_bits=26)
-        scheme = Bfv(bfv, seed=b"parity-33")
-        sk, pk, rlk = scheme.keygen()
-        encoder = BatchEncoder(bfv.n, P33)
-        key = random_key(MICRO_33, b"parity-33")
-        enc_key = encrypt_key_batched(scheme, pk, encoder, key)
-        cipher = Pasta(MICRO_33, key)
-        built = {
-            eng: BatchedHheServer(MICRO_33, scheme, rlk, encoder, enc_key, engine=eng)
-            for eng in ("scalar", "tensor")
-        }
-        return scheme, sk, encoder, cipher, built
-
-    def _assert_parity(self, params, bundle, messages, nonce, counters):
-        scheme, sk, encoder, cipher, servers = bundle
-        blocks = [
-            [int(x) for x in cipher.encrypt_block(m, nonce, c)]
-            for c, m in zip(counters, messages)
-        ]
-        results = {
-            eng: server.transcipher_blocks(blocks, nonce, counters)
-            for eng, server in servers.items()
-        }
-        assert results["scalar"].ops == results["tensor"].ops
-        assert _ciphertext_ints(scheme, results["scalar"]) == _ciphertext_ints(
-            scheme, results["tensor"]
-        )
-        assert decrypt_batched_result(scheme, sk, encoder, results["tensor"]) == messages
-
-    @given(data=st.data())
-    @settings(max_examples=8, deadline=None)
-    def test_parity_17(self, servers, data):
-        n_blocks = data.draw(st.integers(min_value=1, max_value=4), label="blocks")
-        nonce = data.draw(st.integers(min_value=0, max_value=2**32 - 1), label="nonce")
-        start = data.draw(st.integers(min_value=0, max_value=1000), label="counter0")
-        counters = list(range(start, start + n_blocks))
-        messages = [
-            data.draw(
-                st.lists(
-                    st.integers(min_value=0, max_value=PASTA_MICRO.p - 1),
-                    min_size=PASTA_MICRO.t,
-                    max_size=PASTA_MICRO.t,
-                ),
-                label=f"block{b}",
-            )
-            for b in range(n_blocks)
-        ]
-        self._assert_parity(PASTA_MICRO, servers, messages, nonce, counters)
-
-    @given(data=st.data())
-    @settings(max_examples=4, deadline=None)
-    def test_parity_33(self, servers_33, data):
-        n_blocks = data.draw(st.integers(min_value=1, max_value=2), label="blocks")
-        nonce = data.draw(st.integers(min_value=0, max_value=2**32 - 1), label="nonce")
-        counters = list(range(n_blocks))
-        messages = [
-            data.draw(
-                st.lists(
-                    st.integers(min_value=0, max_value=MICRO_33.p - 1),
-                    min_size=MICRO_33.t,
-                    max_size=MICRO_33.t,
-                ),
-                label=f"block{b}",
-            )
-            for b in range(n_blocks)
-        ]
-        self._assert_parity(MICRO_33, servers_33, messages, nonce, counters)
+    def test_t_must_divide_the_slot_row(self, ctx, galois):
+        scheme, _, pk, rlk, encoder = ctx
+        odd = PastaParams(name="t3", t=3, rounds=2, p=P, secure=False)
+        enc_key = encrypt_key_batched(scheme, pk, encoder, random_key(odd, b"sel"))
+        with pytest.raises(ParameterError, match="divide the slot-row width"):
+            BatchedHheServer(odd, scheme, rlk, encoder, enc_key, galois_keys=galois)
 
 
 class TestPreparedPlaintextBudget:
@@ -304,15 +225,7 @@ class TestPreparedPlaintextBudget:
     sitting at or below its fair share.
     """
 
-    def _server(self, ctx, key, tenant, budget):
-        scheme, _, pk, rlk, encoder = ctx
-        encrypted_key = encrypt_key_batched(scheme, pk, encoder, [int(k) for k in key])
-        return BatchedHheServer(
-            PASTA_MICRO, scheme, rlk, encoder, encrypted_key,
-            tenant=tenant, prepared_budget=budget,
-        )
-
-    def test_hot_tenant_cannot_evict_quiet_fair_share(self, ctx):
+    def test_hot_tenant_cannot_evict_quiet_fair_share(self, ctx, galois):
         from repro.utils.budget import CacheBudget
 
         key_q = random_key(PASTA_MICRO, b"budget-quiet")
@@ -320,7 +233,7 @@ class TestPreparedPlaintextBudget:
 
         # Measure one block's prepared cost on a throwaway budget first.
         probe = CacheBudget(100_000)
-        probing = self._server(ctx, key_q, "probe", probe)
+        probing = _server(ctx, galois, key_q, tenant="probe", prepared_budget=probe)
         cipher = Pasta(PASTA_MICRO, key_q)
         block_q = [int(v) for v in cipher.encrypt(list(range(PASTA_MICRO.t)), nonce=1)]
         probing.transcipher_blocks([block_q], nonce=1, counters=[0])
@@ -330,8 +243,8 @@ class TestPreparedPlaintextBudget:
         # Real budget: room for exactly two blocks' rows, two owners — one
         # cached block each is precisely the fair share.
         budget = CacheBudget(2 * cost_per_block)
-        quiet = self._server(ctx, key_q, "quiet", budget)
-        hot = self._server(ctx, key_h, "hot", budget)
+        quiet = _server(ctx, galois, key_q, tenant="quiet", prepared_budget=budget)
+        hot = _server(ctx, galois, key_h, tenant="hot", prepared_budget=budget)
 
         quiet.transcipher_blocks([block_q], nonce=1, counters=[0])
         assert budget.usage("quiet") == cost_per_block
@@ -350,12 +263,12 @@ class TestPreparedPlaintextBudget:
         assert budget.evictions("quiet") == 0
         assert budget.evictions("hot") > 0
 
-    def test_prepared_cache_info_reports_budget(self, ctx):
+    def test_prepared_cache_info_reports_budget(self, ctx, galois):
         from repro.utils.budget import CacheBudget
 
         budget = CacheBudget(500)
         key = random_key(PASTA_MICRO, b"budget-info")
-        server = self._server(ctx, key, "solo", budget)
+        server = _server(ctx, galois, key, tenant="solo", prepared_budget=budget)
         cipher = Pasta(PASTA_MICRO, key)
         block = [int(v) for v in cipher.encrypt(list(range(PASTA_MICRO.t)), nonce=2)]
         server.transcipher_blocks([block], nonce=2, counters=[0])

@@ -1,11 +1,15 @@
-"""Packed BSGS transciphering vs the tensor path (repro.hhe.batched).
+"""Packed BSGS transciphering (repro.hhe.batched), against the cipher oracle.
 
-The ``engine="bsgs"`` evaluator packs the whole state into one ciphertext
-pair and evaluates affine layers as baby-step/giant-step diagonal sums.
-It must be an *amortization, not an approximation*: decrypted keystreams
-identical to the tensor path for every parameter draw, op counts matching
-the closed form exactly, across both prime variants.
+:class:`BatchedHheServer` packs the whole state into one ciphertext pair
+and evaluates affine layers as baby-step/giant-step diagonal sums with
+hoisted baby rotations. It must be an *amortization, not an
+approximation*: decrypted results equal the messages the pure-Python
+cipher encrypted, op counts match the closed form exactly, and the
+modeled noise headroom never exceeds the measured budget — for every
+batch size, including batches that span several packed groups.
 """
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -29,22 +33,28 @@ MICRO_33 = PastaParams(name="micro-33", t=2, rounds=2, p=P33, secure=False)
 #: t=4 exercises a non-trivial split (bs=2, giants=2): the giant-step
 #: Horner loop and the diagonal pre-rotation only run when giants > 1.
 QUAD = PastaParams(name="quad-17", t=4, rounds=2, p=PASTA_MICRO.p, secure=False)
+QUAD_33 = PastaParams(name="quad-33", t=4, rounds=2, p=P33, secure=False)
+#: The frame benchmark's server instance: t=32 -> (bs, G) = (8, 4) at N=512,
+#: so one packed group holds (N/2)/t = 8 blocks.
+FRAME = PastaParams(name="pasta-bsgs", t=32, rounds=2, p=PASTA_MICRO.p, secure=False)
 
 N = 256
 HALF = N // 2
 
 
-def _setup(pasta, seed=b"bsgs-tests"):
+def _setup(pasta, seed=b"bsgs-tests", n=N):
     if pasta.p == P33:
-        # Wider q than the tensor-path tests' 340: every Galois key switch
-        # adds the same ~62-bit base-T noise floor relinearization pays
-        # once, which costs 16 more budget bits against a 33-bit plaintext.
-        params = toy_parameters(P33, n=N, log2_q=400, prime_bits=26)
+        # Wider q than at omega=17: every Galois key switch adds the same
+        # ~62-bit base-T noise floor relinearization pays once, which costs
+        # more budget bits against a 33-bit plaintext.
+        params = toy_parameters(P33, n=n, log2_q=400, prime_bits=26)
+    elif n == 512:
+        params = toy_parameters(pasta.p, n=n, log2_q=240, prime_bits=26)
     else:
-        params = toy_parameters(pasta.p, n=N, log2_q=230)
+        params = toy_parameters(pasta.p, n=n, log2_q=230)
     scheme = Bfv(params, seed=seed)
     sk, pk, rlk = scheme.keygen()
-    gk = scheme.rotation_keygen(sk, BatchedHheServer.required_rotation_steps(pasta, N))
+    gk = scheme.rotation_keygen(sk, BatchedHheServer.required_rotation_steps(pasta, n))
     encoder = BatchEncoder(params.n, pasta.p)
     key = random_key(pasta, seed=seed)
     enc_key = encrypt_key_batched(scheme, pk, encoder, key)
@@ -57,31 +67,48 @@ def micro():
 
 
 @pytest.fixture(scope="module")
-def micro_33():
-    return _setup(MICRO_33)
-
-
-@pytest.fixture(scope="module")
 def quad():
     return _setup(QUAD)
 
 
-def _transcipher(pasta, rig, engine, messages, nonce, gk=None, hoisted=True):
+#: The differential rigs by (t, omega).
+RIGS = {
+    (2, 17): PASTA_MICRO,
+    (2, 33): MICRO_33,
+    (4, 17): QUAD,
+    (4, 33): QUAD_33,
+}
+
+
+@pytest.fixture(scope="module")
+def rigs():
+    """Each differential rig, built once per module on its first draw."""
+    built = {}
+
+    def rig(t, omega):
+        if (t, omega) not in built:
+            built[(t, omega)] = _setup(RIGS[(t, omega)], seed=b"bsgs-diff-%d-%d" % (t, omega))
+        return built[(t, omega)]
+
+    return rig
+
+
+def _transcipher(pasta, rig, messages, nonce, counter0=0):
+    """Client encrypts with the scalar cipher; a fresh server transciphers."""
     scheme, sk, rlk, galois, encoder, key, enc_key = rig
     cipher = Pasta(pasta, key)
+    counters = list(range(counter0, counter0 + len(messages)))
     blocks = [
         [int(x) for x in cipher.encrypt_block(m, nonce=nonce, counter=c)]
-        for c, m in enumerate(messages)
+        for c, m in zip(counters, messages)
     ]
-    server = BatchedHheServer(
-        pasta, scheme, rlk, encoder, enc_key,
-        engine=engine, galois_keys=galois if engine == "bsgs" else gk,
-        hoisted=hoisted,
-    )
-    result = server.transcipher_blocks(
-        blocks, nonce=nonce, counters=list(range(len(messages)))
-    )
+    server = BatchedHheServer(pasta, scheme, rlk, encoder, enc_key, galois_keys=galois)
+    result = server.transcipher_blocks(blocks, nonce=nonce, counters=counters)
     return server, result, decrypt_batched_result(scheme, sk, encoder, result)
+
+
+def _ops(result):
+    return dataclasses.asdict(result.ops)
 
 
 class TestBsgsSplit:
@@ -104,125 +131,74 @@ class TestBsgsSplit:
             bsgs_split(0)
 
 
-class TestBsgsVsTensor:
-    """Decrypted keystreams identical across engines, both prime widths."""
+class TestDifferential:
+    """The one evaluator against the cipher oracle, over generated batches.
 
-    @given(data=st.data())
-    @settings(max_examples=8, deadline=None)
-    def test_micro_17_bit_parity(self, micro, data):
-        p = PASTA_MICRO.p
-        n_blocks = data.draw(st.integers(min_value=1, max_value=3))
-        messages = [
-            data.draw(st.lists(st.integers(min_value=0, max_value=p - 1),
-                               min_size=PASTA_MICRO.t, max_size=PASTA_MICRO.t))
-            for _ in range(n_blocks)
-        ]
-        nonce = data.draw(st.integers(min_value=1, max_value=2**30))
-        _, _, via_tensor = _transcipher(PASTA_MICRO, micro, "tensor", messages, nonce)
-        _, _, via_bsgs = _transcipher(PASTA_MICRO, micro, "bsgs", messages, nonce)
-        assert via_bsgs == via_tensor == messages
-
-    @given(data=st.data())
-    @settings(max_examples=4, deadline=None)
-    def test_micro_33_bit_parity(self, micro_33, data):
-        p = MICRO_33.p
-        messages = [
-            data.draw(st.lists(st.integers(min_value=0, max_value=p - 1),
-                               min_size=MICRO_33.t, max_size=MICRO_33.t))
-        ]
-        nonce = data.draw(st.integers(min_value=1, max_value=2**30))
-        _, _, via_tensor = _transcipher(MICRO_33, micro_33, "tensor", messages, nonce)
-        _, _, via_bsgs = _transcipher(MICRO_33, micro_33, "bsgs", messages, nonce)
-        assert via_bsgs == via_tensor == messages
-
-    def test_giant_step_path_parity(self, quad):
-        # t=4 -> (bs, giants) = (2, 2): the Horner giant loop actually runs.
-        assert bsgs_split(QUAD.t) == (2, 2)
-        messages = [[(11 * b + j) % QUAD.p for j in range(QUAD.t)] for b in range(2)]
-        _, _, via_tensor = _transcipher(QUAD, quad, "tensor", messages, 77)
-        server, result, via_bsgs = _transcipher(QUAD, quad, "bsgs", messages, 77)
-        assert via_bsgs == via_tensor == messages
-        assert result.group_size == HALF // QUAD.t
-        assert len(result.ciphertexts) == 1
-
-
-class TestHoistedBsgs:
-    """Hoisted baby steps: same decrypted keystream, one shared decomposition.
-
-    Hoisted rotations decrypt identically but are NOT residue-identical to
-    the unhoisted chain (different keyswitch error cross terms), so parity
-    is asserted on decrypted messages — the same guarantee the BSGS-vs-
-    tensor tests pin.
+    Each draw picks a rig (t in {2, 4}, omega in {17, 33}; t=4 runs the
+    giant-step Horner loop), a batch of 1 to 2*capacity + 1 blocks (so up
+    to three packed groups), a nonce and a first counter.
     """
 
     @given(data=st.data())
-    @settings(max_examples=6, deadline=None)
-    def test_hoisted_vs_unhoisted_parity_17_bit(self, micro, data):
-        p = PASTA_MICRO.p
-        messages = [
-            data.draw(st.lists(st.integers(min_value=0, max_value=p - 1),
-                               min_size=PASTA_MICRO.t, max_size=PASTA_MICRO.t))
-            for _ in range(data.draw(st.integers(min_value=1, max_value=3)))
-        ]
-        nonce = data.draw(st.integers(min_value=1, max_value=2**30))
-        _, _, unhoisted = _transcipher(
-            PASTA_MICRO, micro, "bsgs", messages, nonce, hoisted=False
-        )
-        _, _, hoisted = _transcipher(PASTA_MICRO, micro, "bsgs", messages, nonce)
-        assert hoisted == unhoisted == messages
+    @settings(max_examples=10, deadline=None)
+    def test_matches_cipher_oracle(self, rigs, data):
+        t, omega = data.draw(st.sampled_from(sorted(RIGS)), label="rig")
+        pasta = RIGS[(t, omega)]
+        rig = rigs(t, omega)
+        scheme, sk = rig[0], rig[1]
+        capacity = HALF // t
+        n_blocks = data.draw(st.integers(min_value=1, max_value=2 * capacity + 1), label="blocks")
+        nonce = data.draw(st.integers(min_value=0, max_value=2**64 - 1), label="nonce")
+        counter0 = data.draw(st.integers(min_value=0, max_value=2**32), label="counter0")
+        seed = data.draw(st.integers(min_value=0, max_value=2**32 - 1), label="messages")
+        messages = np.random.default_rng(seed).integers(0, pasta.p, size=(n_blocks, t)).tolist()
+        _, result, decrypted = _transcipher(pasta, rig, messages, nonce, counter0)
 
-    @given(data=st.data())
-    @settings(max_examples=3, deadline=None)
-    def test_hoisted_vs_unhoisted_parity_33_bit(self, micro_33, data):
-        p = MICRO_33.p
-        messages = [
-            data.draw(st.lists(st.integers(min_value=0, max_value=p - 1),
-                               min_size=MICRO_33.t, max_size=MICRO_33.t))
-        ]
-        nonce = data.draw(st.integers(min_value=1, max_value=2**30))
-        _, _, unhoisted = _transcipher(
-            MICRO_33, micro_33, "bsgs", messages, nonce, hoisted=False
-        )
-        _, _, hoisted = _transcipher(MICRO_33, micro_33, "bsgs", messages, nonce)
-        assert hoisted == unhoisted == messages
+        assert decrypted == messages
+        groups = -(-n_blocks // capacity)
+        assert len(result.ciphertexts) == groups
+        assert result.group_size == capacity
+        assert _ops(result) == {k: groups * v for k, v in homomorphic_op_counts(pasta).items()}
+        model = scheme.noise_model
+        modeled = model.headroom_bits(model.merge(ct.noise for ct in result.ciphertexts))
+        measured = min(scheme.noise_budget_bits(sk, ct) for ct in result.ciphertexts)
+        assert modeled <= measured
 
-    def test_giant_step_hoisted_parity(self, quad):
-        messages = [[(13 * b + j) % QUAD.p for j in range(QUAD.t)] for b in range(2)]
-        _, _, unhoisted = _transcipher(QUAD, quad, "bsgs", messages, 42, hoisted=False)
-        _, _, hoisted = _transcipher(QUAD, quad, "bsgs", messages, 42)
-        assert hoisted == unhoisted == messages
+    @pytest.fixture(scope="class")
+    def frame(self):
+        return _setup(FRAME, seed=b"bsgs-frame", n=512)
+
+    @pytest.mark.parametrize("n_blocks", [8, 17])
+    def test_frame_instance(self, frame, n_blocks):
+        """The frame benchmark's instance: pinned counts, exact decryption."""
+        scheme, sk = frame[0], frame[1]
+        assert bsgs_split(FRAME.t) == (8, 4)
+        messages = [[(b * FRAME.t + j) % FRAME.p for j in range(FRAME.t)] for b in range(n_blocks)]
+        server, result, decrypted = _transcipher(FRAME, frame, messages, nonce=2**40 + 3)
+        assert server.packed_capacity == 8
+        assert decrypted == messages
+        per_group = {
+            "plain_muls": 195, "plain_adds": 7, "adds": 198, "squares": 4,
+            "muls": 2, "relins": 6, "rotations": 62, "decompositions": 6,
+        }
+        assert homomorphic_op_counts(FRAME) == per_group
+        groups = -(-n_blocks // 8)
+        assert _ops(result) == {k: groups * v for k, v in per_group.items()}
+        assert min(scheme.noise_budget_bits(sk, ct) for ct in result.ciphertexts) > 0
+
+
+class TestHoistedBsgs:
+    """Hoisted baby steps: one shared decomposition per affine layer side."""
 
     def test_hoisted_run_matches_closed_form(self, micro):
-        server, result, _ = _transcipher(PASTA_MICRO, micro, "bsgs", [[7, 9], [3, 4]], 5)
-        expected = homomorphic_op_counts(PASTA_MICRO, engine="bsgs_hoisted")
-        measured = {k: getattr(result.ops, k) for k in expected}
-        assert measured == expected
+        server, result, _ = _transcipher(PASTA_MICRO, micro, [[7, 9], [3, 4]], 5)
+        expected = homomorphic_op_counts(PASTA_MICRO)
+        assert _ops(result) == expected
         assert expected["decompositions"] == 2 * (PASTA_MICRO.rounds + 1)
 
     def test_giant_step_hoisted_run_matches_closed_form(self, quad):
-        server, result, _ = _transcipher(QUAD, quad, "bsgs", [[1, 2, 3, 4]], 5)
-        expected = homomorphic_op_counts(QUAD, engine="bsgs_hoisted")
-        measured = {k: getattr(result.ops, k) for k in expected}
-        assert measured == expected
-
-    def test_unhoisted_run_reports_zero_decompositions(self, micro):
-        _, result, _ = _transcipher(
-            PASTA_MICRO, micro, "bsgs", [[7, 9]], 5, hoisted=False
-        )
-        assert result.ops.decompositions == 0
-        expected = homomorphic_op_counts(PASTA_MICRO, engine="bsgs")
-        measured = {k: getattr(result.ops, k) for k in expected}
-        assert measured == expected
-
-    @given(t=st.sampled_from([2, 4, 16, 64]), rounds=st.integers(min_value=1, max_value=4))
-    @settings(max_examples=8, deadline=None)
-    def test_hoisted_formula_only_adds_decompositions(self, t, rounds):
-        params = PastaParams(name="x", t=t, rounds=rounds, p=PASTA_MICRO.p, secure=False)
-        plain = homomorphic_op_counts(params, engine="bsgs")
-        hoist = homomorphic_op_counts(params, engine="bsgs_hoisted")
-        bs, _ = bsgs_split(t)
-        assert hoist.pop("decompositions") == (2 * (rounds + 1) if bs > 1 else 0)
-        assert hoist == plain  # rotation totals unchanged by hoisting
+        server, result, _ = _transcipher(QUAD, quad, [[1, 2, 3, 4]], 5)
+        assert _ops(result) == homomorphic_op_counts(QUAD)
 
     def test_hoisted_superset_of_rotation_steps(self):
         # t=16 -> bs=4: hoisted babies rotate the source directly by every
@@ -239,57 +215,29 @@ class TestHoistedBsgs:
 
 class TestOpCounts:
     def test_bsgs_run_matches_closed_form(self, micro):
-        messages = [[7, 9], [3, 4]]
-        server, result, _ = _transcipher(PASTA_MICRO, micro, "bsgs", messages, 5)
-        expected = homomorphic_op_counts(PASTA_MICRO, engine="bsgs")
-        measured = {k: getattr(result.ops, k) for k in expected}
-        assert measured == expected
+        server, result, _ = _transcipher(PASTA_MICRO, micro, [[7, 9], [3, 4]], 5)
+        assert _ops(result) == homomorphic_op_counts(PASTA_MICRO)
 
     def test_giant_step_run_matches_closed_form(self, quad):
-        messages = [[1, 2, 3, 4]]
-        server, result, _ = _transcipher(QUAD, quad, "bsgs", messages, 5)
-        expected = homomorphic_op_counts(QUAD, engine="bsgs")
-        measured = {k: getattr(result.ops, k) for k in expected}
-        assert measured == expected
-
-    def test_tensor_run_reports_zero_rotations(self, micro):
-        _, result, _ = _transcipher(PASTA_MICRO, micro, "tensor", [[7, 9]], 5)
-        assert result.ops.rotations == 0
+        server, result, _ = _transcipher(QUAD, quad, [[1, 2, 3, 4]], 5)
+        assert _ops(result) == homomorphic_op_counts(QUAD)
 
     @given(t=st.sampled_from([2, 4, 8, 16, 32, 64, 128]),
            rounds=st.integers(min_value=1, max_value=4))
     @settings(max_examples=12, deadline=None)
     def test_bsgs_formula_scaling(self, t, rounds):
         params = PastaParams(name="x", t=t, rounds=rounds, p=PASTA_MICRO.p, secure=False)
-        counts = homomorphic_op_counts(params, engine="bsgs")
+        counts = homomorphic_op_counts(params)
         bs, giants = bsgs_split(t)
         sides = 2 * (rounds + 1)
-        # O(t) plain muls and O(sqrt t) rotations per affine side — the
-        # point of the BSGS path vs the slots formula's t^2 per side.
+        # O(t) plain muls and O(sqrt t) rotations per affine side, against
+        # t^2 plain muls per side with one ciphertext per state element.
         assert counts["plain_muls"] == sides * t + 3 * (rounds - 1)
         assert counts["rotations"] == sides * (bs + giants - 2) + 2 * (rounds - 1)
-        slots = homomorphic_op_counts(params, engine="slots")
-        assert slots["plain_muls"] == sides * t * t
-
-    def test_unknown_engine_rejected(self):
-        with pytest.raises(ParameterError, match="engine"):
-            homomorphic_op_counts(PASTA_MICRO, engine="banana")
+        assert counts["decompositions"] == (sides if bs > 1 else 0)
 
 
 class TestEngineSelection:
-    def test_auto_picks_bsgs_with_rotation_keys(self, micro):
-        scheme, sk, rlk, gk, encoder, key, enc_key = micro
-        server = BatchedHheServer(
-            PASTA_MICRO, scheme, rlk, encoder, enc_key, galois_keys=gk
-        )
-        assert server.eval_engine == "bsgs"
-        assert server.packed_capacity == HALF // PASTA_MICRO.t
-
-    def test_auto_without_keys_stays_tensor(self, micro):
-        scheme, sk, rlk, gk, encoder, key, enc_key = micro
-        server = BatchedHheServer(PASTA_MICRO, scheme, rlk, encoder, enc_key)
-        assert server.eval_engine == "tensor"
-
     def test_bsgs_without_keys_rejected(self, micro):
         scheme, sk, rlk, gk, encoder, key, enc_key = micro
         with pytest.raises(ParameterError, match="[Gg]alois"):
@@ -305,17 +253,18 @@ class TestEngineSelection:
                 QUAD, scheme, rlk, encoder, enc_key, engine="bsgs", galois_keys=partial
             )
 
-    def test_overflow_batch_falls_back_to_tensor_eval(self, quad):
-        # More blocks than the packed capacity: the server must still
-        # answer (tensor layout), not truncate or crash.
-        scheme, sk, rlk, gk, encoder, key, enc_key = quad
+    def test_overflow_batch_runs_in_packed_groups(self, quad):
+        # More blocks than the packed capacity: the server answers with one
+        # packed ciphertext per group, not a truncated or crashed batch.
         capacity = HALF // QUAD.t
         n_blocks = capacity + 1
         messages = [[(b + j) % QUAD.p for j in range(QUAD.t)] for b in range(n_blocks)]
-        server, result, decrypted = _transcipher(QUAD, quad, "bsgs", messages, 91)
+        server, result, decrypted = _transcipher(QUAD, quad, messages, 91)
+        assert server.packed_capacity == capacity
         assert decrypted == messages
-        assert result.group_size is None  # tensor layout, t cts per state
-        assert len(result.ciphertexts) == QUAD.t
+        assert result.group_size == capacity
+        assert len(result.ciphertexts) == 2
+        assert _ops(result) == {k: 2 * v for k, v in homomorphic_op_counts(QUAD).items()}
 
     def test_required_rotation_steps_are_deduped_and_sorted(self):
         steps = BatchedHheServer.required_rotation_steps(QUAD, N)

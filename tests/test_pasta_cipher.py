@@ -15,6 +15,7 @@ from repro.pasta import (
     generate_block_materials,
     random_key,
 )
+from repro.pasta.batch import KeystreamEngine
 
 SMALL = [PASTA_MICRO, PASTA_TOY]
 
@@ -146,6 +147,53 @@ class TestElementRange:
         cipher = Pasta(PASTA_TOY, toy_key)
         msg = [0, PASTA_TOY.p - 1] * 3
         assert [int(x) for x in cipher.decrypt(cipher.encrypt(msg, 2), 2)] == msg
+
+
+#: Nonces and counters that must be refused, not truncated (7.5 -> 7) or
+#: parsed ("7" -> 7) into another block's seed.
+NON_INTEGERS = [7.5, "7", np.float64(7.0)]
+NON_INTEGER_IDS = ["float", "str", "np-float64"]
+
+
+class TestSeedWords:
+    """Nonces and counters are integers in [0, 2^64) on every path."""
+
+    @pytest.mark.parametrize("bad", NON_INTEGERS, ids=NON_INTEGER_IDS)
+    def test_non_integer_nonce_rejected(self, toy_key, bad):
+        cipher = Pasta(PASTA_TOY, toy_key)
+        ct = cipher.encrypt([1, 2, 3], 7)
+        with pytest.raises(ParameterError, match="nonce must be an integer"):
+            cipher.encrypt([4, 5, 6], bad)
+        with pytest.raises(ParameterError, match="nonce must be an integer"):
+            cipher.decrypt(ct, bad)
+        with pytest.raises(ParameterError, match="nonce must be an integer"):
+            cipher.encrypt_block([1, 2], bad, 0)
+        with pytest.raises(ParameterError, match="nonce must be an integer"):
+            cipher.keystream_blocks(bad, 0, 2)
+        with pytest.raises(ParameterError, match="nonce must be an integer"):
+            KeystreamEngine(PASTA_TOY).keystream_pairs(toy_key, [(bad, 0)])
+
+    @pytest.mark.parametrize("bad", NON_INTEGERS, ids=NON_INTEGER_IDS)
+    def test_non_integer_counter_rejected(self, toy_key, bad):
+        cipher = Pasta(PASTA_TOY, toy_key)
+        with pytest.raises(ParameterError, match="counter must be an integer"):
+            cipher.encrypt_block([1, 2], 7, bad)
+        with pytest.raises(ParameterError, match="counter must be an integer"):
+            cipher.keystream_blocks(7, bad, 2)
+        with pytest.raises(ParameterError, match="counter must be an integer"):
+            KeystreamEngine(PASTA_TOY).keystream_pairs(toy_key, [(7, 0), (7, bad)])
+
+    @pytest.mark.parametrize("bad", NON_INTEGERS, ids=NON_INTEGER_IDS)
+    def test_non_integer_nonce_cannot_reuse_a_keystream(self, toy_key, bad):
+        """``encrypt(m2, 7.5)`` after ``encrypt(m1, 7)`` would reuse nonce 7."""
+        cipher = Pasta(PASTA_TOY, toy_key)
+        ct = cipher.encrypt([1, 2, 3], 7)
+        with pytest.raises(ParameterError, match="nonce must be an integer"):
+            cipher.encrypt([4, 5, 6], bad)
+        # Integer types are the same nonce: refused as reuse, decrypted alike.
+        with pytest.raises(ParameterError, match="already consumed"):
+            cipher.encrypt([4, 5, 6], np.int64(7))
+        assert [int(x) for x in cipher.decrypt(ct, np.uint64(7))] == [1, 2, 3]
 
 
 class TestKeyHandling:

@@ -19,6 +19,16 @@ def write_bench(directory, name, payload):
     (directory / name).write_text(json.dumps(payload))
 
 
+def frame_report(hhe_runs, client_runs=(3000.0,)):
+    """A ``bench/run.py --out`` report: one entry per untraced run."""
+    return {
+        "workloads": {
+            "hhe_frame": {"runs": [{"blocks_per_s": v} for v in hhe_runs]},
+            "client_encrypt": {"runs": [{"blocks_per_s": v} for v in client_runs]},
+        }
+    }
+
+
 class TestMetricDelta:
     def test_higher_direction_drop_is_regression(self):
         d = MetricDelta("b", "fps", "higher", baseline=100.0, current=70.0)
@@ -104,11 +114,10 @@ class TestInvalidMetrics:
 
     def test_main_exits_one_on_nan(self, tmp_path, capsys):
         current, baseline = tmp_path / "current", tmp_path / "baseline"
-        write_bench(baseline, "BENCH_hom_affine.json",
-                    {"engines": {"tensor": {"blocks_per_s": 100.0}}, "speedup": 8.0})
+        write_bench(baseline, "BENCH_frame.json", frame_report([100.0]))
         (current / "x").parent.mkdir(parents=True, exist_ok=True)
-        (current / "BENCH_hom_affine.json").write_text(
-            '{"engines": {"tensor": {"blocks_per_s": NaN}}, "speedup": 8.0}'
+        (current / "BENCH_frame.json").write_text(
+            json.dumps(frame_report([100.0])).replace("100.0", "NaN")
         )
         rc = main(["--current", str(current), "--baseline", str(baseline)])
         assert rc == 1
@@ -160,8 +169,7 @@ class TestMissingCurrentReport:
     def test_main_exits_one_when_current_report_vanishes(self, tmp_path, capsys):
         current, baseline = tmp_path / "current", tmp_path / "baseline"
         current.mkdir()
-        write_bench(baseline, "BENCH_hom_affine.json",
-                    {"engines": {"tensor": {"blocks_per_s": 100.0}}, "speedup": 8.0})
+        write_bench(baseline, "BENCH_frame.json", frame_report([100.0]))
         rc = main(["--current", str(current), "--baseline", str(baseline)])
         assert rc == 1
         assert "regressed" in capsys.readouterr().err
@@ -182,6 +190,32 @@ class TestCompareReports:
         (delta,) = compare_reports("BENCH_obs_overhead.json", current, baseline=None)
         assert delta.baseline == 5.0  # the bound, not a committed baseline
         assert not delta.regressed(0.0)
+
+    def test_list_on_the_path_gates_the_median_run(self):
+        baseline = frame_report([100.0, 120.0, 110.0], client_runs=[3000.0, 2000.0])
+        current = frame_report([60.0, 95.0, 200.0, 90.0], client_runs=[2800.0])
+        by_metric = {
+            d.metric: d for d in compare_reports("BENCH_frame.json", current, baseline)
+        }
+        hhe = by_metric["workloads.hhe_frame.runs.blocks_per_s"]
+        assert (hhe.baseline, hhe.current) == (110.0, 92.5)
+        client = by_metric["workloads.client_encrypt.runs.blocks_per_s"]
+        assert (client.baseline, client.current) == (2500.0, 2800.0)
+        assert not any(d.regressed(0.25) for d in by_metric.values())
+
+    def test_nan_inside_a_list_is_a_failure(self):
+        current = frame_report([100.0, float("nan"), 100.0])
+        (hhe, client) = compare_reports("BENCH_frame.json", current, frame_report([100.0]))
+        assert hhe.metric == "workloads.hhe_frame.runs.blocks_per_s"
+        assert "non-finite" in hhe.error
+        assert hhe.regressed(1e9)
+        assert not client.regressed(0.25)
+
+    def test_list_element_missing_the_metric_is_skipped(self):
+        current = frame_report([100.0])
+        current["workloads"]["hhe_frame"]["runs"].append({})
+        (hhe, _) = compare_reports("BENCH_frame.json", current, frame_report([100.0]))
+        assert hhe.skipped
 
     def test_unknown_bench_has_no_gates(self):
         assert compare_reports("BENCH_unknown.json", {"x": 1}, {"x": 2}) == []
@@ -249,10 +283,8 @@ class TestRenderTable:
 class TestMain:
     def _dirs(self, tmp_path, current_fps):
         current, baseline = tmp_path / "current", tmp_path / "baseline"
-        write_bench(baseline, "BENCH_hom_affine.json",
-                    {"engines": {"tensor": {"blocks_per_s": 100.0}}, "speedup": 8.0})
-        write_bench(current, "BENCH_hom_affine.json",
-                    {"engines": {"tensor": {"blocks_per_s": current_fps}}, "speedup": 8.0})
+        write_bench(baseline, "BENCH_frame.json", frame_report([100.0]))
+        write_bench(current, "BENCH_frame.json", frame_report([current_fps]))
         return current, baseline
 
     def test_exit_zero_when_within_tolerance(self, tmp_path, capsys):

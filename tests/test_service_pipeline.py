@@ -336,8 +336,6 @@ class TestHheMode:
         )
         service = Service(config, plan)
         result = service.run()
-        # The service generates rotation keys, so recovery runs packed BSGS.
-        assert service.hhe[TENANT].server.eval_engine == "bsgs"
         assert len(result.frames) == 3
         for frame in result.frames:
             assert frame.pixels == expected_pixels(frame)
