@@ -11,14 +11,15 @@ tolerance absorbs scheduler noise while still catching a hot path that
 lost a vectorized pass.
 
 Gated metrics are declared per file in :data:`GATED_METRICS` as
-(dotted JSON path, direction) pairs. A path that reaches a list (the
-``bench/run.py --out`` report keeps one entry per run) resolves the rest
-of the path in every element and gates their median. ``higher`` means
-larger is better (throughput); ``lower`` means smaller is better
-(overhead); a ``floor:<path>`` direction gates the metric *absolutely*
-against a bound stored in the report itself (e.g. ``overhead_pct`` vs
-``overhead_floor_pct``) — relative gating of a small, noisy percentage
-would flag jitter as regression.
+(dotted JSON path, direction) pairs. A key may itself contain dots
+(``fhe.rotations``); the longest key matching the path wins. A path that
+reaches a list (the ``bench/run.py --out`` report keeps one entry per
+run) resolves the rest of the path in every element and gates their
+median. ``higher`` means larger is better (throughput); ``lower`` means
+smaller is better (overhead); a ``floor:<path>`` direction gates the
+metric *absolutely* against a bound stored in the report itself (e.g.
+``overhead_pct`` vs ``overhead_floor_pct``) — relative gating of a small,
+noisy percentage would flag jitter as regression.
 
 CLI::
 
@@ -69,6 +70,11 @@ GATED_METRICS: Dict[str, Tuple[Tuple[str, str], ...]] = {
         # workload's blocks/s, the median over its untraced runs.
         ("workloads.hhe_frame.runs.blocks_per_s", "higher"),
         ("workloads.client_encrypt.runs.blocks_per_s", "higher"),
+        # The exact homomorphic op counts of the traced HHE frame: the
+        # keyswitching work per frame, which timing noise cannot hide.
+        ("workloads.hhe_frame.traced.fhe.rotations", "lower"),
+        ("workloads.hhe_frame.traced.fhe.decompositions", "lower"),
+        ("workloads.hhe_frame.traced.fhe.relins", "lower"),
     ),
     "BENCH_obs_overhead.json": (
         ("overhead_pct", "floor:overhead_floor_pct"),
@@ -177,9 +183,15 @@ def _resolve(node: object, parts: List[str], dotted: str) -> Optional[float]:
             return None
         return statistics.median(values)
     if parts:
-        if not isinstance(node, dict) or parts[0] not in node:
+        if not isinstance(node, dict):
             return None
-        return _resolve(node[parts[0]], parts[1:], dotted)
+        # Keys may hold dots themselves (``fhe.rotations``): take the
+        # longest key that is a dotted prefix of the rest of the path.
+        for cut in range(len(parts), 0, -1):
+            key = ".".join(parts[:cut])
+            if key in node:
+                return _resolve(node[key], parts[cut:], dotted)
+        return None
     if isinstance(node, bool):
         raise InvalidMetricError(f"{dotted} is a boolean, not a number")
     if not isinstance(node, (int, float)):

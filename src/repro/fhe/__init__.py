@@ -15,10 +15,10 @@ from repro.fhe.galois import (
     conjugation_element,
     eval_permutation,
     galois_slot_order,
-    replicate_rows_to_slots,
     rotation_element,
+    rows_to_slots,
     slot_exponents,
-    slots_to_logical,
+    slots_to_rows,
 )
 from repro.fhe.engine import (
     BigintEngine,
@@ -77,10 +77,10 @@ __all__ = [
     "make_engine",
     "negacyclic_mul_exact",
     "ntt_prime_chain",
-    "replicate_rows_to_slots",
     "rns_negacyclic_mul_exact",
     "rotation_element",
+    "rows_to_slots",
     "slot_exponents",
-    "slots_to_logical",
+    "slots_to_rows",
     "toy_parameters",
 ]

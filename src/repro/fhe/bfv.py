@@ -600,11 +600,14 @@ class Bfv:
         return out
 
     def _relin_key_stacks(self, rlk: RelinKey):
-        stacks = getattr(rlk, "_tensor_stacks", None)
-        if stacks is None:
-            stacks = self._tensor_engine().relin_key_stacks(rlk.parts)
-            rlk._tensor_stacks = stacks
-        return stacks
+        # Cached per RNS context, so a key stacked for one scheme is checked
+        # again before another scheme uses it.
+        eng = self._tensor_engine()
+        cached = getattr(rlk, "_tensor_stacks", None)
+        if cached is None or cached[0] is not eng.ctx:
+            cached = (eng.ctx, eng.relin_key_stacks(rlk.parts))
+            rlk._tensor_stacks = cached
+        return cached[1]
 
     def tensor_square(self, state: CiphertextTensor, rlk: RelinKey) -> CiphertextTensor:
         """Batched square + relinearize of every slot of the tensor."""
@@ -639,15 +642,16 @@ class Bfv:
         return out
 
     def _galois_key_stacks(self, gk: GaloisKey, element: int):
+        eng = self._tensor_engine()
         cache = getattr(gk, "_tensor_stacks", None)
         if cache is None:
             cache = {}
             gk._tensor_stacks = cache
-        stacks = cache.get(element)
-        if stacks is None:
-            stacks = self._tensor_engine().galois_key_stacks(gk.parts_for(element))
-            cache[element] = stacks
-        return stacks
+        cached = cache.get(element)
+        if cached is None or cached[0] is not eng.ctx:
+            cached = (eng.ctx, eng.galois_key_stacks(gk.parts_for(element)))
+            cache[element] = cached
+        return cached[1]
 
     def tensor_apply_galois(
         self, state: CiphertextTensor, element: int, gk: GaloisKey

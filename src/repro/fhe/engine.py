@@ -70,7 +70,8 @@ class CiphertextTensor:
     """A stack of same-shape ciphertexts as one NTT-domain residue ndarray.
 
     ``data`` has shape ``(slots, parts, L, N)``: ``slots`` stacked
-    ciphertexts (the packed [L, R] PASTA state pair), each of ``parts`` ring
+    ciphertexts (a packed PASTA state, or the 2t pre-rotated key
+    ciphertexts of the HHE upload), each of ``parts`` ring
     polynomials held as eval-domain ``(L, N)`` residue matrices. Every
     fused kernel (affine einsum, elementwise add/neg, batched
     square/multiply) acts on the whole stack per numpy pass and *stays* in
@@ -331,6 +332,23 @@ class RnsEngine:
 
     # -- fused ciphertext-tensor kernels -------------------------------------------
 
+    def _check_basis(self, polys: Sequence[RnsPoly], what: str) -> None:
+        """Refuse polynomials over another ring or prime chain.
+
+        Material from a different chain of the same length stacks to the
+        same shape, and would then evaluate to garbage without an error.
+        """
+        own = (self.ctx.n, self.ctx.primes)
+        for poly in polys:
+            ctx = getattr(poly, "ctx", None)
+            if ctx is self.ctx:
+                continue
+            if ctx is None or (ctx.n, ctx.primes) != own:
+                raise ParameterError(
+                    f"{what} is not over this engine's RNS basis "
+                    f"(N={self.ctx.n}, primes {self.ctx.primes})"
+                )
+
     def stack_polys(self, rows: Sequence[Sequence[RnsPoly]]) -> CiphertextTensor:
         """Stack ciphertext part lists into one eval-domain (slots, parts, L, N)."""
         if not rows:
@@ -338,6 +356,7 @@ class RnsEngine:
         parts = len(rows[0])
         if any(len(row) != parts for row in rows):
             raise ParameterError("all stacked ciphertexts must have the same part count")
+        self._check_basis([p for row in rows for p in row], "ciphertext")
         data = np.stack([np.stack([p.eval_mat() for p in row]) for row in rows])
         return CiphertextTensor(self.ctx, np.array(data, dtype=self.ctx.dtype))
 
@@ -434,6 +453,7 @@ class RnsEngine:
 
     def relin_key_stacks(self, rlk_parts: Sequence[Sequence[RnsPoly]]) -> tuple:
         """(D, L, N) eval-domain stacks of the relinearization key halves."""
+        self._check_basis([poly for pair in rlk_parts for poly in pair], "key-switching key")
         b_stack = np.stack([b.eval_mat() for b, _ in rlk_parts])
         a_stack = np.stack([a.eval_mat() for _, a in rlk_parts])
         return (

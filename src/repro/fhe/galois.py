@@ -35,7 +35,7 @@ numerically (forward-NTT of the monomial x + discrete log) by
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Sequence, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -49,8 +49,8 @@ __all__ = [
     "galois_slot_order",
     "rotation_element",
     "conjugation_element",
-    "replicate_rows_to_slots",
-    "slots_to_logical",
+    "rows_to_slots",
+    "slots_to_rows",
 ]
 
 
@@ -154,31 +154,34 @@ def conjugation_element(n: int) -> int:
     return 2 * n - 1
 
 
-# -- packed-layout helpers (one logical row, replicated across both rows) --------
+# -- packed-layout helpers (two hypercube rows, each its own logical row) --------
 
 
-def replicate_rows_to_slots(n: int, logical_rows: np.ndarray) -> np.ndarray:
-    """``(R, N/2)`` logical row vectors -> ``(R, N)`` natural slot vectors.
+def rows_to_slots(n: int, rows: np.ndarray) -> np.ndarray:
+    """``(R, 2, N/2)`` hypercube rows -> ``(R, N)`` natural slot vectors.
 
-    Each logical vector is written into BOTH hypercube rows, so a packed
-    plaintext/ciphertext only ever needs row rotations (``tau_{3^k}``),
-    never conjugation, and decoding may read either row.
+    ``rows[r, h, k]`` lands in the natural slot at generator position
+    ``(h, k)`` of :func:`galois_slot_order`. ``tau_{3^s}`` then rotates
+    each of the two rows left by s on its own, so a packed plaintext or
+    ciphertext can carry different data in each row and still need only
+    row rotations, never conjugation.
     """
-    rows = np.asarray(logical_rows)
-    if rows.ndim != 2 or rows.shape[1] != n // 2:
-        raise ParameterError(
-            f"expected (R, {n // 2}) logical rows, got {rows.shape}"
-        )
+    values = np.asarray(rows)
+    if values.ndim != 3 or values.shape[1:] != (2, n // 2):
+        raise ParameterError(f"expected (R, 2, {n // 2}) hypercube rows, got {values.shape}")
     order = galois_slot_order(n)
-    slots = np.zeros((rows.shape[0], n), dtype=rows.dtype)
-    slots[:, order[0]] = rows
-    slots[:, order[1]] = rows
+    slots = np.zeros((values.shape[0], n), dtype=values.dtype)
+    slots[:, order[0]] = values[:, 0]
+    slots[:, order[1]] = values[:, 1]
     return slots
 
 
-def slots_to_logical(n: int, slots: Sequence[int]) -> list:
-    """Natural N-slot vector -> the ``N/2`` logical values of row 0."""
-    if len(slots) != n:
-        raise ParameterError(f"expected {n} slots, got {len(slots)}")
-    order = galois_slot_order(n)
-    return [slots[i] for i in order[0]]
+def slots_to_rows(n: int, slots: np.ndarray) -> np.ndarray:
+    """``(R, N)`` natural slot vectors -> ``(R, 2, N/2)`` hypercube rows.
+
+    The inverse of :func:`rows_to_slots`.
+    """
+    values = np.asarray(slots)
+    if values.ndim != 2 or values.shape[1] != n:
+        raise ParameterError(f"expected (R, {n}) slot vectors, got {values.shape}")
+    return values[:, galois_slot_order(n)]

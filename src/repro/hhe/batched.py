@@ -3,24 +3,38 @@
 The scalar server (:mod:`repro.hhe.protocol`) evaluates one PASTA
 decryption circuit per block. Real HHE deployments — including the PASTA
 paper's own server-side evaluation — amortize: with BFV batching, one
-evaluation of the t-element circuit transciphers many blocks at once. The
-circuit structure is identical; only the affine constants differ per
-block, turning scalar plaintext multiplications into plaintext-*polynomial*
+evaluation of the circuit transciphers many blocks at once. The circuit
+structure is identical; only the affine constants differ per block,
+turning scalar plaintext multiplications into plaintext-*polynomial*
 multiplications of encoded constant vectors.
 
-:class:`BatchedHheServer` evaluates the *packed* layout: ONE ciphertext
-per state side carries the whole t-element state across slot groups
-(state j of block b sits at logical slot ``j * group + b``), and each
-affine layer side runs by the baby-step/giant-step diagonal method with
-hoisted baby rotations (Halevi-Shoup, "Algorithms in HElib") — t diagonal
-plaintext products plus O(sqrt t) Galois rotations instead of t^2 plain
-muls. It requires the RNS engine and a :class:`~repro.fhe.bfv.GaloisKey`
-covering :meth:`BatchedHheServer.required_rotation_steps`.
+:class:`BatchedHheServer` evaluates the *packed* layout. ONE ciphertext
+carries a packed group: the N slots form two hypercube rows of N/2 (see
+:func:`repro.fhe.galois.galois_slot_order`), each row holds the whole
+2t-element state ``[L ‖ R]`` of ``w = (N/2) / (2t)`` blocks, and the two
+rows hold different blocks. Block k of a group sits in row ``k // w``, its
+state element j at that row's logical slot ``j * w + k % w``. Column
+rotations ``tau_{3^s}`` rotate both rows at once, so a shift by whole
+state elements needs no conjugation key.
 
-One evaluation covers the packed capacity ``(N/2) / t`` blocks at an
-operation count that does not depend on how many of them are filled
-(reported by the ``hhe_cost`` experiment); a larger batch runs as
-consecutive packed groups, one result ciphertext per group.
+* Each affine layer runs as ``A = [[2M_L, M_R], [M_L, 2M_R]]`` with round
+  constant ``[2rc_L + rc_R, rc_L + 2rc_R]``: PASTA's Mix folded into the
+  2t generalized diagonals, all at multiples of w. The last layer keeps
+  only the L rows, so the result carries ``c - KS`` and zeros.
+* The client uploads the key pre-rotated (:func:`encrypt_key_batched`), so
+  layer 0 is a rotation-free diagonal sum (:meth:`Bfv.tensor_affine`).
+* Layers 1..r run the baby-step/giant-step diagonal method with hoisted
+  baby rotations (Halevi-Shoup, "Algorithms in HElib") — 2t diagonal
+  plaintext products plus O(sqrt t) Galois rotations.
+* The Feistel shift ``x[j] + x[j-1]^2`` is one rotation right by w and one
+  mask that drops the wrapped element.
+
+It requires the RNS engine and a :class:`~repro.fhe.bfv.GaloisKey`
+covering :meth:`BatchedHheServer.required_rotation_steps`. One evaluation
+covers the packed capacity ``2w = (N/2) / t`` blocks at an operation count
+that does not depend on how many of them are filled (reported by the
+``hhe_cost`` experiment); a larger batch runs as consecutive packed
+groups, one result ciphertext per group.
 """
 
 from __future__ import annotations
@@ -35,11 +49,7 @@ from repro.utils.budget import BudgetedLru, CacheBudget
 from repro.fhe.batching import BatchEncoder
 from repro.fhe.bfv import Bfv, Ciphertext, GaloisKey, PublicKey, RelinKey
 from repro.fhe.engine import CiphertextTensor
-from repro.fhe.galois import (
-    replicate_rows_to_slots,
-    rotation_element,
-    slots_to_logical,
-)
+from repro.fhe.galois import rotation_element, rows_to_slots, slots_to_rows
 from repro.hhe.backend import BfvOpCounts
 from repro.pasta.batch import get_engine
 from repro.pasta.cipher import field_elements
@@ -48,10 +58,11 @@ from repro.pasta.params import PastaParams
 from repro.pasta.xof import as_u64
 
 #: Default prepared-plaintext budget, in slot rows (one encoded plaintext
-#: polynomial = one row; a diagonal stack costs t rows, a round-constant
-#: pair 2). Applied per server when no shared :class:`CacheBudget` is
-#: given — the streaming service passes ONE budget to every tenant's server
-#: so the aggregate stays bounded however many tenants are live.
+#: polynomial = one row; a layer's diagonal stack costs 2t rows, its
+#: round-constant row 1). Applied per server when no shared
+#: :class:`CacheBudget` is given — the streaming service passes ONE budget
+#: to every tenant's server so the aggregate stays bounded however many
+#: tenants are live.
 DEFAULT_PREPARED_ROWS = 4096
 
 
@@ -59,9 +70,12 @@ DEFAULT_PREPARED_ROWS = 4096
 class BatchedTranscipherResult:
     """One packed ciphertext per group of ``group_size`` transciphered blocks.
 
-    Ciphertext g holds blocks ``g * group_size`` onward: message element j
-    of the group's b-th block sits at logical slot ``j * group_size + b``
-    (generator slot order, row 0). ``ops`` sums every group's evaluation.
+    Ciphertext g holds blocks ``g * group_size`` onward. With
+    ``w = group_size / 2``, the group's k-th block sits in hypercube row
+    ``k // w``, its message element j at that row's logical slot
+    ``j * w + k % w`` (:func:`repro.fhe.galois.slots_to_rows` order). Every
+    other slot — the R half of each row and the slots of unfilled blocks —
+    decrypts to 0. ``ops`` sums every group's evaluation.
     """
 
     ciphertexts: List[Ciphertext]
@@ -70,14 +84,58 @@ class BatchedTranscipherResult:
     group_size: int
 
 
+def _row_width(width: int, ring_n: int) -> int:
+    """Blocks per hypercube row, w = (N/2) / width, for a 2t-element state."""
+    half = ring_n // 2
+    if width < 1 or half < width or half % width:
+        raise ParameterError(
+            f"packing needs 2t={width} to divide the slot-row width N/2={half}"
+        )
+    return half // width
+
+
+def _place(per_block: np.ndarray, w: int) -> np.ndarray:
+    """``(n, ..., 2t)`` per-block state vectors -> ``(..., 2, N/2)`` hypercube rows.
+
+    Block k goes to row ``k // w``, its element j to slot ``j * w + k % w``;
+    the slots of the ``2w - n`` unfilled blocks stay 0.
+    """
+    grid = np.zeros((2 * w,) + per_block.shape[1:], dtype=per_block.dtype)
+    grid[: per_block.shape[0]] = per_block
+    grid = np.moveaxis(grid.reshape((2, w) + per_block.shape[1:]), (0, 1), (-3, -1))
+    return grid.reshape(grid.shape[:-2] + (-1,))
+
+
+def _mix(left: np.ndarray, right: np.ndarray, last: bool, axis: int) -> np.ndarray:
+    """PASTA's Mix over the affine output rows: ``[2L + R, L + 2R]``.
+
+    The last layer keeps only the L rows; its bottom rows are zero, so the
+    evaluation never computes the R half of the final state.
+    """
+    top = 2 * left + right
+    bottom = np.zeros_like(top) if last else left + 2 * right
+    return np.concatenate([top, bottom], axis=axis)
+
+
 def encrypt_key_batched(
     scheme: Bfv, pk: PublicKey, encoder: BatchEncoder, key: Sequence[int]
 ) -> List[Ciphertext]:
-    """Client side: encrypt each key element replicated across all slots."""
-    return [
-        scheme.encrypt_poly(pk, encoder.constant(int(k)))
-        for k in key
-    ]
+    """Client side: the 2t-element key, packed and pre-rotated 2t ways.
+
+    Ciphertext d holds the key rotated left by d state elements: slot
+    ``j * w + c`` of both hypercube rows holds ``key[(j + d) mod 2t]``, for
+    every c < w. These are exactly the inputs of layer 0's diagonal sum, so
+    the server evaluates that layer without a rotation. 2t fresh
+    encryptions, like one per key element.
+    """
+    values = np.asarray([int(k) for k in key], dtype=np.int64)
+    width = len(values)
+    w = _row_width(width, encoder.n)
+    j = np.arange(width)
+    rotated = values[(j[:, None] + j[None, :]) % width]  # [d, j] = key[(j + d) mod 2t]
+    rows = np.broadcast_to(np.repeat(rotated, w, axis=1)[:, None], (width, 2, width * w))
+    encoded = encoder.encode_rows(rows_to_slots(encoder.n, rows))
+    return [scheme.encrypt_poly(pk, poly.tolist()) for poly in encoded]
 
 
 class BatchedHheServer:
@@ -107,22 +165,18 @@ class BatchedHheServer:
                 f"the packed evaluator requires the RNS evaluation engine, "
                 f"scheme uses {scheme_engine!r}"
             )
-        half = scheme.params.n // 2
-        if half < params.t or half % params.t:
-            raise ParameterError(
-                f"packing needs t={params.t} to divide the slot-row width N/2={half}"
-            )
+        n = scheme.params.n
+        width = 2 * params.t
+        #: Blocks per hypercube row; the packed capacity is 2w.
+        self._width = w = _row_width(width, n)
         if galois_keys is None:
             raise ParameterError(
                 "the packed evaluator requires Galois rotation keys "
                 "(Bfv.rotation_keygen over required_rotation_steps)"
             )
-        required = self.required_rotation_steps(params, scheme.params.n)
-        missing = sorted(
-            {rotation_element(scheme.params.n, step) for step in required}
-            - set(galois_keys.keys)
-            - {1}
-        )
+        required = self.required_rotation_steps(params, n)
+        elements = {rotation_element(n, step) for step in required} - {1}
+        missing = sorted(elements - set(galois_keys.keys))
         if missing:
             raise ParameterError(
                 f"Galois key is missing elements {missing} for rotation "
@@ -137,11 +191,25 @@ class BatchedHheServer:
         #: public (nonce, counter) schedule come from its LRU, so the
         #: schedule builders of one frame derive each block once.
         self.engine = get_engine(params)
+        self._bsgs = bsgs_split(width)
+
+        # Stack every key now: the engine refuses material from another
+        # ring or prime chain here, at setup, instead of mid-frame.
+        self._key = scheme.stack_ciphertexts(list(encrypted_key))
+        scheme._relin_key_stacks(rlk)
+        for element in sorted(elements):
+            scheme._galois_key_stacks(galois_keys, element)
+
+        # Feistel mask: drop state element 0's slots, where the rotated
+        # square of element 2t - 1 wraps around.
+        not_first = np.ones((1, 2, n // 2), dtype=np.int64)
+        not_first[..., :w] = 0
+        self._mask_not_first = scheme.prepare_mul_rows(self._encode(not_first))
 
         # Prepared-plaintext caches keyed by the public schedule: the affine
         # diagonals and round constants depend only on (nonce, counters,
-        # layer[, side]), so re-serving a schedule skips the slot encode and
-        # the forward NTT of every prepared plaintext. They are
+        # layer), so re-serving a schedule skips the slot encode and the
+        # forward NTT of every prepared plaintext. They are
         # :class:`BudgetedLru` instances costed in slot rows against ONE
         # shared :class:`CacheBudget` — per-server by default,
         # process-global when the streaming service passes its budget in —
@@ -149,87 +217,14 @@ class BatchedHheServer:
         # rows, so a hot tenant cannot push a cold one below its fair share.
         self.tenant = tenant
         self.prepared_budget = prepared_budget or CacheBudget(DEFAULT_PREPARED_ROWS)
-        t = params.t
-        #: Slots per state group == packed block capacity.
-        self._group_size = B = half // t
-        self._bsgs = bs, giants = bsgs_split(t)
-
-        # Pack the 2t slot-replicated key ciphertexts into [L, R]: one
-        # (2, 2t, L, N) mask tensor contracted against the (2t, 2, L, N) key
-        # stack — a single einsum, once per server instance (key-setup cost,
-        # excluded from the per-evaluation op counts like key packing in
-        # encrypt_key_batched itself).
-        masks = np.zeros((2, 2 * t, half), dtype=np.int64)
-        for j in range(t):
-            masks[0, j, j * B : (j + 1) * B] = 1
-            masks[1, t + j, j * B : (j + 1) * B] = 1
-        encoded = self._encode_logical_rows(masks.reshape(4 * t, half))
-        prepared = scheme.prepare_matrix(encoded.reshape(2, 2 * t, scheme.params.n))
-        key_stack = scheme.stack_ciphertexts(list(encrypted_key))
-        self._packed_key = scheme.tensor_affine(key_stack, prepared)
-
-        # Feistel masks: "not the first state group" (both sides) and "the
-        # first state group" (cross term from L's last group into R's first).
-        not_first = np.ones((2, half), dtype=np.int64)
-        not_first[:, :B] = 0
-        first = np.zeros((1, half), dtype=np.int64)
-        first[0, :B] = 1
-        self._mask_not_first = scheme.prepare_mul_rows(self._encode_logical_rows(not_first))
-        self._mask_first = scheme.prepare_mul_rows(self._encode_logical_rows(first))
-
         self._caches: Dict[str, BudgetedLru] = {
             kind: BudgetedLru(
                 owner=tenant,
                 budget=self.prepared_budget,
                 cost_of=lambda key, value, rows=rows: rows,
             )
-            for kind, rows in (("diags_bsgs", float(bs * giants)), ("rc_bsgs", 2.0))
+            for kind, rows in (("diags_bsgs", float(width)), ("rc_bsgs", 1.0))
         }
-        diags_cache, rc_cache = self._caches["diags_bsgs"], self._caches["rc_bsgs"]
-
-        # Prepared diagonal stacks per (schedule, layer, side): the G*bs
-        # generalized diagonals of the blocked affine matrix, pre-rotated
-        # for the giant-step Horner form, as ONE (G, bs, L, N) prepared
-        # matmul tensor.
-        def _prepared_diags(nonce: int, counters: Tuple[int, ...], layer: int, side: str):
-            def build():
-                n_blocks = len(counters)
-                mats = self.engine.matrices(nonce, counters, layer, side)  # (n_blocks, t, t)
-                rows = np.zeros((giants * bs, half), dtype=mats.dtype)
-                j = np.arange(t)
-                for d in range(min(giants * bs, t)):
-                    ld = np.zeros((t, B), dtype=mats.dtype)
-                    ld[:, :n_blocks] = mats[:, j, (j + d) % t].T  # ld[j, b] = M_b[j, j+d]
-                    rows[d] = np.roll(ld.reshape(half), (d // bs) * bs * B)
-                encoded = self._encode_logical_rows(rows)
-                return self.scheme.prepare_matrix(
-                    encoded.reshape(giants, bs, self.scheme.params.n)
-                )
-
-            return diags_cache.get_or_create((nonce, counters, layer, side), build)
-
-        def _prepared_rc(nonce: int, counters: Tuple[int, ...], layer: int):
-            def build():
-                materials = self.engine.materials(nonce, list(counters))
-                n_blocks = len(counters)
-                vals = {
-                    side: np.stack(
-                        [np.asarray(getattr(m.layers[layer], f"rc_{side}")) for m in materials],
-                        axis=-1,
-                    )
-                    for side in ("l", "r")
-                }  # (t, n_blocks) each
-                rows = np.zeros((2, half), dtype=vals["l"].dtype)
-                for s_idx, side in enumerate(("l", "r")):
-                    ld = np.zeros((t, B), dtype=vals[side].dtype)
-                    ld[:, :n_blocks] = vals[side]
-                    rows[s_idx] = ld.reshape(half)
-                return self.scheme.prepare_add_rows(self._encode_logical_rows(rows))
-
-            return rc_cache.get_or_create((nonce, counters, layer), build)
-
-        self._prepared_diags = _prepared_diags
-        self._prepared_rc = _prepared_rc
 
     def prepared_cache_info(self) -> Dict[str, Dict[str, float]]:
         """Per-cache hit/miss/size/cost plus the shared budget snapshot."""
@@ -241,41 +236,96 @@ class BatchedHheServer:
     def required_rotation_steps(params: PastaParams, ring_n: int) -> List[int]:
         """Left-rotation steps the packed evaluator key-switches by.
 
-        Hoisted baby steps rotate the *source* directly by every multiple
-        ``k * group`` (k = 1..bs-1) of the state-group size; Horner giant
-        steps advance ``bs`` groups, and the Feistel S-box shifts the
-        squared state one group *right* (``N/2 - group`` left). Steps whose
+        With ``w = (N/2) / (2t)`` blocks per hypercube row, hoisted baby
+        steps rotate the *source* directly by every multiple ``k * w``
+        (k = 1..bs-1), Horner giant steps advance ``bs * w``, and the
+        Feistel S-box shifts the squared state one element *right*
+        (``N/2 - w`` left), with ``(bs, G) = bsgs_split(2t)``. Steps whose
         factor collapses to 1 for the parameter set are omitted.
         """
         half = ring_n // 2
-        group = half // params.t
-        bs, giants = bsgs_split(params.t)
-        steps: List[int] = [k * group for k in range(1, bs)]
+        w = half // (2 * params.t)
+        bs, giants = bsgs_split(2 * params.t)
+        steps: List[int] = [k * w for k in range(1, bs)]
         if giants > 1:
-            steps.append(bs * group)
+            steps.append(bs * w)
         if params.rounds > 1:
-            steps.append(half - group)
+            steps.append(half - w)
         return sorted(set(steps))
 
     @property
     def packed_capacity(self) -> int:
-        """Blocks per packed ciphertext (= slots per state group)."""
-        return self._group_size
+        """Blocks per packed ciphertext: w per hypercube row, two rows."""
+        return 2 * self._width
 
-    def _encode_logical_rows(self, rows: np.ndarray) -> np.ndarray:
-        """(R, N/2) logical rows -> (R, N) encoded plaintext polynomials."""
-        slots = replicate_rows_to_slots(self.scheme.params.n, rows)
-        return self.encoder.encode_rows(slots)
+    def _encode(self, rows: np.ndarray) -> np.ndarray:
+        """(R, 2, N/2) hypercube rows -> (R, N) encoded plaintext polynomials."""
+        return self.encoder.encode_rows(rows_to_slots(self.scheme.params.n, rows))
+
+    # -- public schedule -> prepared plaintexts ---------------------------------------
+
+    def _prepared_diags(self, nonce: int, counters: Tuple[int, ...], layer: int):
+        """The 2t generalized diagonals of layer ``layer``'s Mix∘Affine matrix.
+
+        Diagonal d holds ``A_k[j, (j + d) mod 2t]`` at block k's slot of
+        element j. Layer 0 consumes them as they are, as ONE (1, 2t) matmul
+        tensor against the pre-rotated key; layers 1..r pre-rotate
+        diagonal ``g*bs + i`` right by ``g*bs*w`` for the giant-step
+        Horner form and prepare ONE (G, bs) tensor.
+        """
+
+        def build():
+            width, w = 2 * self.params.t, self._width
+            bs, giants = self._bsgs
+            last = layer == self.params.rounds
+            sides = [self.engine.matrices(nonce, counters, layer, side) for side in "lr"]
+            zeros = np.zeros_like(sides[0])
+            matrix = _mix(
+                np.concatenate([sides[0], zeros], axis=-1),
+                np.concatenate([zeros, sides[1]], axis=-1),
+                last,
+                axis=-2,
+            ) % self.params.p  # (n, 2t, 2t)
+            j = np.arange(width)
+            diags = matrix[:, j[None, :], (j[None, :] + j[:, None]) % width]  # [k, d, j]
+            rows = _place(diags, w)  # (2t, 2, N/2)
+            if layer == 0:
+                shape = (1, width)
+            else:
+                for g in range(1, giants):
+                    rows[g * bs : (g + 1) * bs] = np.roll(
+                        rows[g * bs : (g + 1) * bs], g * bs * w, axis=-1
+                    )
+                shape = (giants, bs)
+            encoded = self._encode(rows)
+            return self.scheme.prepare_matrix(encoded.reshape(shape + (-1,)))
+
+        return self._caches["diags_bsgs"].get_or_create((nonce, counters, layer), build)
+
+    def _prepared_rc(self, nonce: int, counters: Tuple[int, ...], layer: int):
+        """Layer ``layer``'s Mix-folded round constants as one prepared row."""
+
+        def build():
+            materials = self.engine.materials(nonce, list(counters))
+            rc = [
+                np.stack([getattr(m.layers[layer], f"rc_{side}") for m in materials])
+                for side in "lr"
+            ]  # (n, t) each
+            vectors = _mix(rc[0], rc[1], layer == self.params.rounds, axis=-1)
+            rows = _place(vectors % self.params.p, self._width)
+            return self.scheme.prepare_add_rows(self._encode(rows[None]))
+
+        return self._caches["rc_bsgs"].get_or_create((nonce, counters, layer), build)
 
     # -- circuit pieces ---------------------------------------------------------------
 
-    def _affine_span(self, layer: int, side: str, n_blocks: int):
+    def _affine_span(self, layer: int, n_blocks: int):
         """Span for one affine layer, nested under ``hhe.transcipher``.
 
         Carries the MatMul stage's modeled cycles (``6 + t + log2 t`` per
-        block): :func:`repro.obs.cycles.attribute` then reports the kernel's
-        measured share of the evaluation against the stage's modeled share
-        of the block budget.
+        block and side): :func:`repro.obs.cycles.attribute` then reports
+        the kernel's measured share of the evaluation against the stage's
+        modeled share of the block budget.
         """
         from repro.obs import get_tracer
         from repro.obs.cycles import modeled_matmul_attributes
@@ -285,8 +335,8 @@ class BatchedHheServer:
             metric="hhe.affine.seconds",
             engine="bsgs",
             layer=layer,
-            side=side,
-            **modeled_matmul_attributes(self.params, n_blocks),
+            side="lr",
+            **modeled_matmul_attributes(self.params, 2 * n_blocks),
         )
 
     def _rotate_stack(self, state: CiphertextTensor, steps: int) -> CiphertextTensor:
@@ -337,105 +387,91 @@ class BatchedHheServer:
                 state, digits, steps, self.galois_keys
             )
 
-    def _bsgs_affine_pair(
+    def _key_affine(self, nonce: int, counters: Tuple[int, ...]) -> CiphertextTensor:
+        """Layer 0 on the pre-rotated key: ``sum_d diag_d . key_d + rc``.
+
+        Uploaded ciphertext d already holds the key rotated left by d
+        elements, so the layer is one 2t-term diagonal sum with no rotation
+        and no decomposition.
+        """
+        width = 2 * self.params.t
+        diags = self._prepared_diags(nonce, counters, 0)
+        rc = self._prepared_rc(nonce, counters, 0)
+        self._ops.plain_muls += width
+        self._ops.adds += width - 1
+        self._ops.plain_adds += 1
+        with self._affine_span(0, len(counters)):
+            return self.scheme.tensor_affine(self._key, diags, rc)
+
+    def _bsgs_affine(
         self, state: CiphertextTensor, nonce: int, counters: Tuple[int, ...], layer: int
     ) -> CiphertextTensor:
-        """Both affine layer sides on the packed [L, R] pair, BSGS-style.
+        """One Mix-folded affine layer on the packed state, BSGS-style.
 
-        With the state-major packing the blocked t*B x t*B matrix has t
-        generalized diagonals, all at multiples of the group size B:
+        The 2t generalized diagonals sit at multiples of w:
 
-            out = sum_d diag(d*B) . rot(d*B, v)
+            out = sum_d diag(d) . rot(d*w, x)
 
         Split d = g*bs + i and hoist the giant rotations out of the sum
-        (Horner over g), pre-rotating the diagonals by ``g*bs*B`` right at
-        preparation time:
+        (Horner over g), with the diagonals pre-rotated by ``g*bs*w``:
 
-            out = sum_g rot(g*bs*B, sum_i prep_diag[g, i] . baby_i)
+            out = sum_g rot(g*bs*w, sum_i prep_diag[g, i] . rot(i*w, x))
 
-        The bs babies share ONE digit decomposition of the source pair
-        (Halevi-Shoup hoisting; each baby rotates the original state by
-        ``i*B`` through the shared digit stack), the inner sums are ONE
-        prepared-matrix einsum per side, and each Horner step is one
-        regular rotation of the fresh [L, R] accumulator pair. Total per
-        side: bs*G (= t) plain muls, bs*G - 1 adds, (bs-1)+(G-1)
-        rotations, plus one decomposition when bs > 1.
+        The bs babies share ONE digit decomposition of the source
+        (Halevi-Shoup hoisting), the inner sums are ONE prepared-matrix
+        product, and each Horner step is one regular rotation of the
+        accumulator: bs*G (= 2t) plain muls, bs*G - 1 adds and
+        (bs-1) + (G-1) rotations, plus one decomposition when bs > 1.
         """
         bs, giants = self._bsgs
-        B = self._group_size
-        eng = self.scheme.engine
-        prep = {
-            side: self.scheme._take_prepared_tensor(
-                self._prepared_diags(nonce, counters, layer, side), "matmul"
-            )
-            for side in ("l", "r")
-        }
+        w = self._width
+        ctx = self.scheme.engine.ctx
+        diags = self.scheme._take_prepared_tensor(
+            self._prepared_diags(nonce, counters, layer), "matmul"
+        )
         rc = self._prepared_rc(nonce, counters, layer)
-        self._ops.plain_muls += 2 * bs * giants
-        self._ops.adds += 2 * (giants * bs - 1)
-        self._ops.plain_adds += 2
-        with self._affine_span(layer, "lr", 2 * len(counters)):
+        self._ops.plain_muls += bs * giants
+        self._ops.adds += bs * giants - 1
+        self._ops.plain_adds += 1
+        with self._affine_span(layer, len(counters)):
             babies = [state]
             if bs > 1:
                 digits = self._hoisted_decompose(state)
-                babies += [self._rotate_hoisted(state, digits, i * B) for i in range(1, bs)]
-            giant_sums = [
-                eng.ctx.matmul_mod(
-                    prep[side], np.stack([b.data[s_idx] for b in babies])
-                )  # (G, bs, L, N) x (bs, 2, L, N) -> (G, 2, L, N)
-                for s_idx, side in enumerate(("l", "r"))
-            ]
-            acc = CiphertextTensor(
-                eng.ctx, np.stack([giant_sums[0][giants - 1], giant_sums[1][giants - 1]])
-            )
+                babies += [self._rotate_hoisted(state, digits, i * w) for i in range(1, bs)]
+            # (G, bs, L, N) x (bs, 2, L, N) -> (G, 2, L, N)
+            sums = ctx.matmul_mod(diags, np.concatenate([b.data for b in babies]))
+            acc = CiphertextTensor(ctx, sums[giants - 1 :])
             for g in range(giants - 2, -1, -1):
-                rotated = self._rotate_stack(acc, bs * B)
-                pair = CiphertextTensor(
-                    eng.ctx, np.stack([giant_sums[0][g], giant_sums[1][g]])
-                )
-                acc = self.scheme.tensor_add(pair, rotated)
+                rotated = self._rotate_stack(acc, bs * w)
+                acc = self.scheme.tensor_add(CiphertextTensor(ctx, sums[g : g + 1]), rotated)
             out = self.scheme.tensor_add_plain_rows(acc, rc)
-            # The raw matmul_mod contractions above bypass the Bfv wrappers,
+            # The raw matmul_mod contraction above bypasses the Bfv wrappers,
             # so the ledger gets the layer's closed-form bound in one step.
             out.noise = self.scheme.noise_model.bsgs_affine(
                 state.noise, bs, giants, round_constant=True
             )
             return out
 
-    def _packed_mix(self, state: CiphertextTensor) -> CiphertextTensor:
-        self._ops.adds += 3
-        s = self.scheme.tensor_add(state[0], state[1])
-        return CiphertextTensor.concat(
-            [self.scheme.tensor_add(state[0], s), self.scheme.tensor_add(state[1], s)]
-        )
+    def _feistel(self, state: CiphertextTensor) -> CiphertextTensor:
+        """Feistel over the packed state: ``out[j] = x[j] + x[j-1]^2``, j >= 1.
 
-    def _packed_feistel(self, state: CiphertextTensor) -> CiphertextTensor:
-        """Feistel over the packed 2t-element state [L, R].
-
-        ``out[j] = x[j] + x[j-1]^2`` becomes: square both packed sides,
-        rotate the squares one state group RIGHT, then mask — groups 1..t-1
-        add their left neighbor's square in place, and R's group 0 picks up
-        L's last group through the cross mask.
+        Square, rotate the square one element RIGHT (element j - 1 lands on
+        element j in both rows), and mask out element 0, where element
+        2t - 1 wraps around.
         """
-        half = self.scheme.params.n // 2
-        B = self._group_size
-        self._ops.squares += 2
-        self._ops.relins += 2
-        self._ops.plain_muls += 3
-        self._ops.adds += 3
+        self._ops.squares += 1
+        self._ops.relins += 1
+        self._ops.plain_muls += 1
+        self._ops.adds += 1
         sq = self.scheme.tensor_square(state, self.rlk)
-        sq_rot = self._rotate_stack(sq, half - B)  # right by one group
-        masked = self.scheme.tensor_mul_plain_rows(sq_rot, self._mask_not_first)
-        out = self.scheme.tensor_add(state, masked)
-        cross = self.scheme.tensor_mul_plain_rows(sq_rot[0], self._mask_first)
-        return CiphertextTensor.concat(
-            [out[0], self.scheme.tensor_add(out[1], cross)]
-        )
+        shifted = self._rotate_stack(sq, self.scheme.params.n // 2 - self._width)
+        masked = self.scheme.tensor_mul_plain_rows(shifted, self._mask_not_first)
+        return self.scheme.tensor_add(state, masked)
 
-    def _packed_cube(self, state: CiphertextTensor) -> CiphertextTensor:
-        self._ops.squares += 2
-        self._ops.muls += 2
-        self._ops.relins += 4
+    def _cube(self, state: CiphertextTensor) -> CiphertextTensor:
+        self._ops.squares += 1
+        self._ops.muls += 1
+        self._ops.relins += 2
         return self.scheme.tensor_mul(
             self.scheme.tensor_square(state, self.rlk), state, self.rlk
         )
@@ -506,7 +542,7 @@ class BatchedHheServer:
             if len(block) != t:
                 raise ParameterError("batched transciphering requires full t-element blocks")
         # The evaluator reduces elements mod p unchecked.
-        field_elements(ciphertext_blocks, params.p)
+        elements = field_elements(ciphertext_blocks, params.p).astype(np.int64)
         nonce = as_u64(nonce, "nonce")
         block_counters = tuple(as_u64(c, "counter") for c in counters)
 
@@ -516,11 +552,15 @@ class BatchedHheServer:
         self.engine.materials(nonce, list(block_counters))
 
         self._ops = BfvOpCounts()
-        capacity = self._group_size
-        out: List[Ciphertext] = []
-        for start in range(0, len(block_counters), capacity):
-            group = slice(start, start + capacity)
-            out.extend(self._evaluate(ciphertext_blocks[group], nonce, block_counters[group]))
+        capacity = self.packed_capacity
+        out = [
+            self._evaluate(
+                elements[start : start + capacity],
+                nonce,
+                block_counters[start : start + capacity],
+            )
+            for start in range(0, len(block_counters), capacity)
+        ]
         return BatchedTranscipherResult(
             ciphertexts=out,
             counters=list(block_counters),
@@ -529,45 +569,29 @@ class BatchedHheServer:
         )
 
     def _evaluate(
-        self,
-        ciphertext_blocks: Sequence[Sequence[int]],
-        nonce: int,
-        block_counters: Tuple[int, ...],
-    ) -> List[Ciphertext]:
-        """The packed circuit for one group: ONE [L, R] ciphertext pair end to end.
+        self, elements: np.ndarray, nonce: int, block_counters: Tuple[int, ...]
+    ) -> Ciphertext:
+        """The packed circuit for one group: ONE ciphertext end to end.
 
-        Same PASTA permutation, BSGS affine layers; the result is a single
-        ciphertext whose slot groups hold the t message elements of every
-        block of the group.
+        Layer 0 on the pre-rotated key, then per round the S-box and the
+        next Mix-folded affine layer; the result holds ``c - KS`` in the L
+        half of every filled block's slots and 0 everywhere else.
         """
         params = self.params
-        t = params.t
-        B = self._group_size
-        half = self.scheme.params.n // 2
-        state = self._packed_key
+        state = self._key_affine(nonce, block_counters)
         for i in range(params.rounds):
-            state = self._bsgs_affine_pair(state, nonce, block_counters, i)
-            state = self._packed_mix(state)
-            state = (
-                self._packed_feistel(state)
-                if i < params.rounds - 1
-                else self._packed_cube(state)
-            )
-        state = self._bsgs_affine_pair(state, nonce, block_counters, params.rounds)
-        state = self._packed_mix(state)
+            state = self._feistel(state) if i < params.rounds - 1 else self._cube(state)
+            state = self._bsgs_affine(state, nonce, block_counters, i + 1)
 
-        # m = c - KS on the left side: one negate + one packed plain add.
-        negated = self.scheme.tensor_neg(state[0])
-        rows = np.zeros((1, half), dtype=np.int64)
-        grouped = rows.reshape(t, B)
-        for b, block in enumerate(ciphertext_blocks):
-            for j, c in enumerate(block):
-                grouped[j, b] = int(c) % params.p
+        # m = c - KS: one negate + one packed plain add.
+        message = np.zeros((len(elements), 2 * params.t), dtype=np.int64)
+        message[:, : params.t] = elements
+        prepared = self.scheme.prepare_add_rows(self._encode(_place(message, self._width)[None]))
         self._ops.plain_adds += 1
-        prepared = self.scheme.prepare_add_rows(self._encode_logical_rows(rows))
-        return self.scheme.unstack_ciphertexts(
-            self.scheme.tensor_add_plain_rows(negated, prepared)
+        (result,) = self.scheme.unstack_ciphertexts(
+            self.scheme.tensor_add_plain_rows(self.scheme.tensor_neg(state), prepared)
         )
+        return result
 
 
 def decrypt_batched_result(
@@ -575,14 +599,17 @@ def decrypt_batched_result(
 ) -> List[List[int]]:
     """Client side: decode every group's ciphertext into its blocks' messages.
 
-    Message element j of the b-th block of group g is read from logical
-    slot ``j * group_size + b`` of ciphertext g's generator-ordered slot row.
+    Block k of group g is read from hypercube row ``k // w`` of ciphertext
+    g (``w = group_size / 2``), its element j from that row's logical slot
+    ``j * w + k % w``.
     """
-    B = result.group_size
-    t = (encoder.n // 2) // B
+    capacity = result.group_size
+    t = (encoder.n // 2) // capacity
+    w = capacity // 2
     blocks: List[List[int]] = []
     for ct in result.ciphertexts:
-        logical = slots_to_logical(encoder.n, encoder.decode(scheme.decrypt_poly(sk, ct)))
-        count = min(B, len(result.counters) - len(blocks))
-        blocks.extend([logical[j * B + b] for j in range(t)] for b in range(count))
+        slots = np.asarray([encoder.decode(scheme.decrypt_poly(sk, ct))])
+        grid = slots_to_rows(encoder.n, slots)[0].reshape(2, 2 * t, w)  # [row, j, k % w]
+        count = min(capacity, len(result.counters) - len(blocks))
+        blocks.extend(grid[k // w, :t, k % w].tolist() for k in range(count))
     return blocks

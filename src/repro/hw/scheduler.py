@@ -160,23 +160,26 @@ def simulate_block(
 
 
 def simulate_hoisted_affine(params: PastaParams) -> Tuple[List[PhaseWindow], int]:
-    """Rotation schedule of one BSGS affine layer side with hoisting.
+    """Rotation schedule of one packed BSGS affine layer with hoisting.
 
     Extension beyond the paper's datapath (like
-    :func:`repro.hw.arith_units.rotate_stage_cycles`): the bs - 1 baby
-    rotations share ONE ``KeySwitch(Decompose)`` window — the t-cycle row
-    stream over the source digits — and each pays only the
+    :func:`repro.hw.arith_units.rotate_stage_cycles`): one ciphertext holds
+    the whole 2t-element state with Mix folded into the layer, so a layer
+    is one BSGS sum over 2t diagonals, ``(bs, G) = bsgs_split(2t)``. The
+    bs - 1 baby rotations share ONE ``KeySwitch(Decompose)`` window — the
+    t-cycle row stream over the source digits — and each pays only the
     ``Rotate(Apply)`` multiplier pass + adder-tree fold. The G - 1 Horner
     giant steps rotate fresh accumulators, so they remain full
     ``Rotate+KeySwitch`` stages. Returns the serialized key-switch unit
     windows and the total cycles; per rotation the decompose/apply split
     reconstitutes the unhoisted stage exactly, so hoisting saves
-    ``(bs - 2) * t`` cycles per side once bs > 2.
+    ``(bs - 2) * t`` cycles per layer once bs > 2. Layer 0 runs on the
+    pre-rotated key upload and has no rotation to schedule.
     """
     from repro.pasta.decrypt_circuit import bsgs_split
 
     t = params.t
-    bs, giants = bsgs_split(t)
+    bs, giants = bsgs_split(2 * t)
     windows: List[PhaseWindow] = []
     clock = 0
     if bs > 1:

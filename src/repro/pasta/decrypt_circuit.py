@@ -115,37 +115,35 @@ def homomorphic_op_counts(params: PastaParams) -> dict:
     One evaluation of ``m = c - Trunc(pi(K))`` by
     :class:`repro.hhe.batched.BatchedHheServer` covers any number of blocks
     up to the packed capacity; a larger batch pays these counts once per
-    packed group. ONE packed ciphertext per state side (left/right) carries
-    the t-element state across slot groups, and each affine layer runs the
-    baby-step/giant-step diagonal method with ``(bs, G) = bsgs_split(t)``
-    and Halevi-Shoup hoisted babies. With ``r = rounds`` there are 2(r+1)
-    affine layer *sides* (l and r for rounds 0..r):
+    packed group. ONE ciphertext carries the whole 2t-element state of
+    every block of the group, and Mix is folded into each affine layer's
+    2t generalized diagonals. With ``r = rounds`` and
+    ``(bs, G) = bsgs_split(2t)``:
 
-    * affine side: bs*G (= t) diagonal plain muls, bs*G - 1 adds,
+    * layer 0, on the pre-rotated key upload: 2t plain muls, 2t - 1 adds,
+      1 rc plain add, no rotation
+    * layers 1..r (BSGS): bs*G (= 2t) plain muls, bs*G - 1 adds,
       (bs-1) + (G-1) rotations (hoisted babies + Horner giant steps), one
-      digit decomposition shared by the babies when bs > 1, 1 packed rc
-      plain add
-    * mix (r+1): 3 packed adds
-    * Feistel (r-1): 2 squares/relins, 1 rotation, 3 mask plain muls, 3 adds
-    * cube: 2 squares, 2 muls, 4 relins
+      digit decomposition shared by the babies when bs > 1, 1 rc plain add
+    * Feistel (r-1): 1 square/relin, 1 rotation, 1 mask plain mul, 1 add
+    * cube: 1 square, 1 mul, 2 relins
     * final ``c - KS``: 1 packed plain add
 
-    That is O(t) plain muls and O(sqrt t) rotations per layer side, where
-    one ciphertext per state element pays t^2 plain muls. The benchmark's
-    check and the tests assert real runs hit these exactly.
+    That is O(t) plain muls and O(sqrt t) rotations per layer, where one
+    ciphertext per state element pays t^2 plain muls per layer side. The
+    benchmark's check and the tests assert real runs hit these exactly.
     """
-    t, r = params.t, params.rounds
-    sides = 2 * (r + 1)
-    bs, giants = bsgs_split(t)
+    width, r = 2 * params.t, params.rounds
+    bs, giants = bsgs_split(width)
     return {
-        "plain_muls": sides * bs * giants + 3 * (r - 1),
-        "plain_adds": sides + 1,
-        "adds": sides * (bs * giants - 1) + 3 * (r + 1) + 3 * (r - 1),
-        "squares": 2 * (r - 1) + 2,
-        "muls": 2,
-        "relins": 2 * (r - 1) + 4,
-        "rotations": sides * ((bs - 1) + (giants - 1)) + 2 * (r - 1),
-        "decompositions": sides if bs > 1 else 0,
+        "plain_muls": width + r * bs * giants + (r - 1),
+        "plain_adds": r + 2,
+        "adds": (width - 1) + r * (bs * giants - 1) + (r - 1),
+        "squares": r,
+        "muls": 1,
+        "relins": r + 1,
+        "rotations": r * ((bs - 1) + (giants - 1)) + (r - 1),
+        "decompositions": r if bs > 1 else 0,
     }
 
 

@@ -116,12 +116,11 @@ RUN_TIMEOUT_SECONDS = 600.0
 #: Prepared-plaintext rows all tenants' HHE servers share (``hhe`` mode).
 PREPARED_CACHE_ROWS = 4096
 
-#: BFV ring and modulus of the ``hhe`` mode's toy parameters. The packed
-#: BSGS evaluator's Galois keyswitches cost noise: at 230 bits its modeled
-#: headroom is -33 bits (measured +27), at 290 bits it is +27 (measured
-#: +87), so health probes stay in budget.
+#: BFV ring and modulus of the ``hhe`` mode's toy parameters: 8 limbs. At
+#: 230 bits the packed evaluator's modeled headroom is about +26 bits
+#: (measured about +68), so health probes stay in budget.
 HHE_RING_N = 256
-HHE_LOG2_Q = 290
+HHE_LOG2_Q = 230
 
 #: Domain for the deterministic backoff jitter draw (SHAKE over
 #: ``(frame_id, attempt)``), so retry schedules reproduce run to run.

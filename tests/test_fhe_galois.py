@@ -1,8 +1,10 @@
 """Galois automorphism / slot-rotation layer (repro.fhe.galois + BFV keys).
 
 The BSGS affine path stands on one identity: applying tau_g with
-g = 3^k to a packed ciphertext rotates the galois-ordered logical row
-left by k. These tests pin that identity end-to-end — permutation maps,
+g = 3^k to a packed ciphertext rotates each of the two galois-ordered
+hypercube rows left by k, independently — the packed layout keeps
+different blocks in the two rows. These tests pin that identity
+end-to-end on two *different* rows — permutation maps,
 coefficient-domain automorphisms, keyswitched rotations on real
 ciphertexts — under hypothesis, across both prime variants (17-bit
 Fermat-like and 33-bit NTT prime).
@@ -21,10 +23,10 @@ from repro.fhe.galois import (
     coeff_automorphism_maps,
     eval_permutation,
     galois_slot_order,
-    replicate_rows_to_slots,
     rotation_element,
+    rows_to_slots,
     slot_exponents,
-    slots_to_logical,
+    slots_to_rows,
 )
 
 N = 256
@@ -36,6 +38,27 @@ def _scheme(p, **kw):
     scheme = Bfv(params, seed=b"galois-tests")
     sk, pk, rlk = scheme.keygen()
     return scheme, sk, pk, BatchEncoder(params.n, p)
+
+
+def _two_rows(p, drawn=None):
+    """A (2, N/2) hypercube whose rows differ everywhere: ``arange(N)`` plus
+    an optional drawn offset, mod p."""
+    base = np.arange(N).reshape(2, HALF)
+    return (base if drawn is None else base + np.asarray(drawn).reshape(2, HALF)) % p
+
+
+def _encrypt_rows(scheme, pk, encoder, rows):
+    return scheme.encrypt_poly(pk, list(encoder.encode(rows_to_slots(N, rows[None])[0])))
+
+
+def _decrypt_rows(scheme, sk, encoder, ct):
+    slots = np.asarray([encoder.decode(scheme.decrypt_poly(sk, ct))])
+    return slots_to_rows(N, slots)[0]
+
+
+def _rolled(rows, steps):
+    """Each row rotated left by ``steps`` on its own."""
+    return np.roll(rows, -steps, axis=1)
 
 
 @pytest.fixture(scope="module")
@@ -83,15 +106,23 @@ class TestPermutationMaps:
         with pytest.raises(ParameterError):
             coeff_automorphism_maps(N, 2)
 
-    def test_replicate_then_read_roundtrips(self):
-        rows = np.arange(3 * HALF).reshape(3, HALF) % 97
-        slots = replicate_rows_to_slots(N, rows)
-        for r in range(3):
-            assert slots_to_logical(N, list(slots[r])) == list(rows[r])
+    def test_rows_to_slots_roundtrips(self):
+        rows = np.arange(3 * N).reshape(3, 2, HALF) % 97
+        slots = rows_to_slots(N, rows)
+        order = galois_slot_order(N)
+        assert np.array_equal(slots[:, order[0]], rows[:, 0])
+        assert np.array_equal(slots[:, order[1]], rows[:, 1])
+        assert np.array_equal(slots_to_rows(N, slots), rows)
+
+    def test_row_helpers_reject_bad_shapes(self):
+        with pytest.raises(ParameterError):
+            rows_to_slots(N, np.zeros((1, HALF)))
+        with pytest.raises(ParameterError):
+            slots_to_rows(N, np.zeros((1, HALF)))
 
 
 class TestRotationOnCiphertexts:
-    """Keyswitched rotations match np.roll on the logical row, both primes."""
+    """Keyswitched rotations match np.roll on each hypercube row, both primes."""
 
     @given(
         bits=st.sampled_from([17, 33]),
@@ -102,15 +133,12 @@ class TestRotationOnCiphertexts:
     def test_rotate_then_decode_is_np_roll(self, servers, bits, steps, data):
         scheme, sk, pk, encoder = servers[bits]
         p = encoder.p
-        logical = np.array(
-            data.draw(st.lists(st.integers(min_value=0, max_value=p - 1), min_size=HALF, max_size=HALF))
+        rows = _two_rows(
+            p, data.draw(st.lists(st.integers(min_value=0, max_value=p - 1), min_size=N, max_size=N))
         )
         gk = scheme.rotation_keygen(sk, [steps])
-        pt = encoder.encode(replicate_rows_to_slots(N, logical.reshape(1, HALF)).reshape(N))
-        ct = scheme.encrypt_poly(pk, list(pt))
-        rotated = scheme.rotate_slots(ct, steps, gk)
-        out = slots_to_logical(N, encoder.decode(scheme.decrypt_poly(sk, rotated)))
-        assert out == [int(x) for x in np.roll(logical, -steps)]
+        rotated = scheme.rotate_slots(_encrypt_rows(scheme, pk, encoder, rows), steps, gk)
+        assert np.array_equal(_decrypt_rows(scheme, sk, encoder, rotated), _rolled(rows, steps))
         assert scheme.noise_budget_bits(sk, rotated) > 0
 
     @given(
@@ -121,38 +149,27 @@ class TestRotationOnCiphertexts:
     @settings(max_examples=6, deadline=None)
     def test_chained_rotations_compose(self, servers, bits, s1, s2):
         scheme, sk, pk, encoder = servers[bits]
-        p = encoder.p
-        logical = np.arange(HALF) % p
+        rows = _two_rows(encoder.p)
         gk = scheme.rotation_keygen(sk, [s1, s2, (s1 + s2) % HALF])
-        pt = encoder.encode(replicate_rows_to_slots(N, logical.reshape(1, HALF)).reshape(N))
-        ct = scheme.encrypt_poly(pk, list(pt))
+        ct = _encrypt_rows(scheme, pk, encoder, rows)
         chained = scheme.rotate_slots(scheme.rotate_slots(ct, s1, gk), s2, gk)
         direct = scheme.rotate_slots(ct, (s1 + s2) % HALF, gk)
-        dec = lambda c: slots_to_logical(N, encoder.decode(scheme.decrypt_poly(sk, c)))
-        assert dec(chained) == dec(direct)
+        dec = lambda c: _decrypt_rows(scheme, sk, encoder, c)
+        assert np.array_equal(dec(chained), dec(direct))
+        assert np.array_equal(dec(direct), _rolled(rows, (s1 + s2) % HALF))
 
     def test_conjugation_swaps_hypercube_rows(self, servers):
         scheme, sk, pk, encoder = servers[17]
-        p = encoder.p
-        rows = np.stack([np.arange(HALF) % p, (np.arange(HALF) * 3 + 1) % p])
-        order = galois_slot_order(N)
-        slots = np.zeros(N, dtype=np.int64)
-        slots[order[0]] = rows[0]
-        slots[order[1]] = rows[1]
+        rows = _two_rows(encoder.p)
         gk = scheme.galois_keygen(sk, [conjugation_element(N)])
-        ct = scheme.encrypt_poly(pk, list(encoder.encode(slots)))
+        ct = _encrypt_rows(scheme, pk, encoder, rows)
         out = scheme.apply_galois(ct, conjugation_element(N), gk)
-        decoded = np.asarray(encoder.decode(scheme.decrypt_poly(sk, out)))
-        assert list(decoded[order[0]]) == list(rows[1])
-        assert list(decoded[order[1]]) == list(rows[0])
+        assert np.array_equal(_decrypt_rows(scheme, sk, encoder, out), rows[::-1])
 
     def test_tensor_rotation_matches_scalar(self, servers):
         scheme, sk, pk, encoder = servers[17]
-        p = encoder.p
-        logical = (np.arange(HALF) * 7 + 2) % p
         gk = scheme.rotation_keygen(sk, [5])
-        pt = encoder.encode(replicate_rows_to_slots(N, logical.reshape(1, HALF)).reshape(N))
-        ct = scheme.encrypt_poly(pk, list(pt))
+        ct = _encrypt_rows(scheme, pk, encoder, _two_rows(encoder.p))
         scalar = scheme.rotate_slots(ct, 5, gk)
         stacked = scheme.stack_ciphertexts([ct])
         (tensor,) = scheme.unstack_ciphertexts(scheme.tensor_rotate(stacked, 5, gk))
@@ -186,38 +203,31 @@ class TestHoistedRotation:
     def test_hoisted_decrypts_like_unhoisted(self, servers, bits, steps, data):
         scheme, sk, pk, encoder = servers[bits]
         p = encoder.p
-        logical = np.array(
-            data.draw(st.lists(st.integers(min_value=0, max_value=p - 1), min_size=HALF, max_size=HALF))
+        rows = _two_rows(
+            p, data.draw(st.lists(st.integers(min_value=0, max_value=p - 1), min_size=N, max_size=N))
         )
         gk = scheme.rotation_keygen(sk, [steps])
-        pt = encoder.encode(replicate_rows_to_slots(N, logical.reshape(1, HALF)).reshape(N))
-        stack = scheme.stack_ciphertexts([scheme.encrypt_poly(pk, list(pt))])
+        stack = scheme.stack_ciphertexts([_encrypt_rows(scheme, pk, encoder, rows)])
         digits = scheme.hoisted_decompose(stack)
         hoisted = scheme.tensor_rotate_hoisted(stack, digits, steps, gk)
         regular = scheme.tensor_rotate(stack, steps, gk)
-        dec = lambda t: slots_to_logical(
-            N, encoder.decode(scheme.decrypt_poly(sk, scheme.unstack_ciphertexts(t)[0]))
-        )
-        expected = [int(x) for x in np.roll(logical, -steps)]
-        assert dec(hoisted) == dec(regular) == expected
+        dec = lambda t: _decrypt_rows(scheme, sk, encoder, scheme.unstack_ciphertexts(t)[0])
+        assert np.array_equal(dec(hoisted), _rolled(rows, steps))
+        assert np.array_equal(dec(regular), _rolled(rows, steps))
         for ct in scheme.unstack_ciphertexts(hoisted):
             assert scheme.noise_budget_bits(sk, ct) > 0
 
     def test_many_rotations_share_one_decomposition(self, servers):
         scheme, sk, pk, encoder = servers[17]
-        p = encoder.p
-        logical = (np.arange(HALF) * 5 + 3) % p
+        rows = _two_rows(encoder.p)
         steps = [1, 2, 7]
         gk = scheme.rotation_keygen(sk, steps)
-        pt = encoder.encode(replicate_rows_to_slots(N, logical.reshape(1, HALF)).reshape(N))
-        stack = scheme.stack_ciphertexts([scheme.encrypt_poly(pk, list(pt))])
+        stack = scheme.stack_ciphertexts([_encrypt_rows(scheme, pk, encoder, rows)])
         digits = scheme.hoisted_decompose(stack)
         for s in steps:
             out = scheme.tensor_rotate_hoisted(stack, digits, s, gk)
-            dec = slots_to_logical(
-                N, encoder.decode(scheme.decrypt_poly(sk, scheme.unstack_ciphertexts(out)[0]))
-            )
-            assert dec == [int(x) for x in np.roll(logical, -s)]
+            dec = _decrypt_rows(scheme, sk, encoder, scheme.unstack_ciphertexts(out)[0])
+            assert np.array_equal(dec, _rolled(rows, s))
 
     def test_keyswitch_path_is_int64_exact(self, servers):
         """No object-dtype bigint round trip in the int64-eligible chain.

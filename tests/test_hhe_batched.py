@@ -208,11 +208,62 @@ class TestEvalEngineSelection:
             BatchedHheServer(PASTA_MICRO, scheme, rlk, encoder, enc_key)
 
     def test_t_must_divide_the_slot_row(self, ctx, galois):
+        # 2t = 6 does not divide N/2 = 128: the upload and the server refuse.
         scheme, _, pk, rlk, encoder = ctx
         odd = PastaParams(name="t3", t=3, rounds=2, p=P, secure=False)
-        enc_key = encrypt_key_batched(scheme, pk, encoder, random_key(odd, b"sel"))
+        key = random_key(odd, b"sel")
+        with pytest.raises(ParameterError, match="divide the slot-row width"):
+            encrypt_key_batched(scheme, pk, encoder, key)
+        enc_key = [scheme.encrypt_poly(pk, encoder.constant(int(k))) for k in key]
         with pytest.raises(ParameterError, match="divide the slot-row width"):
             BatchedHheServer(odd, scheme, rlk, encoder, enc_key, galois_keys=galois)
+
+
+class TestKeyCompatibility:
+    """Key material from another prime chain fails at setup, not mid-frame.
+
+    Both schemes have N = 256 and 10 limbs (26-bit primes for log2 q 240,
+    30-bit primes for log2 q 280), so their keys stack to the same shape;
+    only the primes differ.
+    """
+
+    @pytest.fixture(scope="class")
+    def schemes(self):
+        def build(log2_q, prime_bits, seed):
+            bfv = toy_parameters(P, n=256, log2_q=log2_q, prime_bits=prime_bits)
+            scheme = Bfv(bfv, seed=seed)
+            sk, pk, rlk = scheme.keygen()
+            steps = BatchedHheServer.required_rotation_steps(PASTA_MICRO, bfv.n)
+            return scheme, pk, rlk, scheme.rotation_keygen(sk, steps)
+
+        own, other = build(240, 26, b"compat-own"), build(280, 30, b"compat-other")
+        assert len(own[0].params.rns_primes) == len(other[0].params.rns_primes)
+        assert own[0].params.rns_primes != other[0].params.rns_primes
+        return own, other
+
+    def _build(self, schemes, foreign):
+        (scheme, pk, rlk, galois), (other, other_pk, other_rlk, other_galois) = schemes
+        encoder = BatchEncoder(scheme.params.n, P)
+        key = random_key(PASTA_MICRO, b"compat")
+        enc_key = encrypt_key_batched(
+            *((other, other_pk) if foreign == "key" else (scheme, pk)), encoder, key
+        )
+        return BatchedHheServer(
+            PASTA_MICRO,
+            scheme,
+            other_rlk if foreign == "rlk" else rlk,
+            encoder,
+            enc_key,
+            galois_keys=other_galois if foreign == "galois" else galois,
+        )
+
+    def test_matching_material_is_accepted(self, schemes):
+        assert self._build(schemes, None).packed_capacity == 64
+
+    @pytest.mark.parametrize("foreign", ["key", "rlk", "galois"])
+    def test_material_from_other_primes_rejected(self, schemes, foreign):
+        with pytest.raises(ParameterError, match="RNS basis"):
+            self._build(schemes, foreign)
 
 
 class TestPreparedPlaintextBudget:

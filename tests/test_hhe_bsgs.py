@@ -1,12 +1,14 @@
 """Packed BSGS transciphering (repro.hhe.batched), against the cipher oracle.
 
-:class:`BatchedHheServer` packs the whole state into one ciphertext pair
-and evaluates affine layers as baby-step/giant-step diagonal sums with
-hoisted baby rotations. It must be an *amortization, not an
-approximation*: decrypted results equal the messages the pure-Python
-cipher encrypted, op counts match the closed form exactly, and the
-modeled noise headroom never exceeds the measured budget — for every
-batch size, including batches that span several packed groups.
+:class:`BatchedHheServer` packs the whole 2t-element state of a packed
+group into one ciphertext, folds Mix into the affine diagonals, runs
+layer 0 on the pre-rotated key upload and layers 1..r as
+baby-step/giant-step diagonal sums with hoisted baby rotations. It must
+be an *amortization, not an approximation*: decrypted results equal the
+messages the pure-Python cipher encrypted, every other slot decrypts to
+0, op counts match the closed form exactly, and the modeled noise
+headroom never exceeds the measured budget — for every batch size,
+including batches that span several packed groups.
 """
 
 import dataclasses
@@ -19,6 +21,7 @@ from hypothesis import strategies as st
 from repro.errors import ParameterError
 from repro.ff.params import P33
 from repro.fhe import BatchEncoder, Bfv, toy_parameters
+from repro.fhe.galois import slots_to_rows
 from repro.hhe import BatchedHheServer, decrypt_batched_result, encrypt_key_batched
 from repro.pasta import (
     PASTA_MICRO,
@@ -30,12 +33,14 @@ from repro.pasta import (
 )
 
 MICRO_33 = PastaParams(name="micro-33", t=2, rounds=2, p=P33, secure=False)
-#: t=4 exercises a non-trivial split (bs=2, giants=2): the giant-step
-#: Horner loop and the diagonal pre-rotation only run when giants > 1.
+#: The split is over the 2t-element state: t=2 gives (bs, G) = (2, 2), t=4
+#: gives (4, 2), so every rig runs the giant-step Horner loop and the
+#: diagonal pre-rotation, and t=4 hoists three babies.
 QUAD = PastaParams(name="quad-17", t=4, rounds=2, p=PASTA_MICRO.p, secure=False)
 QUAD_33 = PastaParams(name="quad-33", t=4, rounds=2, p=P33, secure=False)
-#: The frame benchmark's server instance: t=32 -> (bs, G) = (8, 4) at N=512,
-#: so one packed group holds (N/2)/t = 8 blocks.
+#: The frame benchmark's server instance: t=32 -> (bs, G) = bsgs_split(64)
+#: = (8, 8) at N=512, so one packed group holds (N/2)/t = 8 blocks, w = 4
+#: per hypercube row.
 FRAME = PastaParams(name="pasta-bsgs", t=32, rounds=2, p=PASTA_MICRO.p, secure=False)
 
 N = 256
@@ -134,9 +139,9 @@ class TestBsgsSplit:
 class TestDifferential:
     """The one evaluator against the cipher oracle, over generated batches.
 
-    Each draw picks a rig (t in {2, 4}, omega in {17, 33}; t=4 runs the
-    giant-step Horner loop), a batch of 1 to 2*capacity + 1 blocks (so up
-    to three packed groups), a nonce and a first counter.
+    Each draw picks a rig (t in {2, 4}, omega in {17, 33}), a batch of 1
+    to 2*capacity + 1 blocks (so up to three packed groups), a nonce and a
+    first counter.
     """
 
     @given(data=st.data())
@@ -145,7 +150,7 @@ class TestDifferential:
         t, omega = data.draw(st.sampled_from(sorted(RIGS)), label="rig")
         pasta = RIGS[(t, omega)]
         rig = rigs(t, omega)
-        scheme, sk = rig[0], rig[1]
+        scheme, sk, encoder = rig[0], rig[1], rig[4]
         capacity = HALF // t
         n_blocks = data.draw(st.integers(min_value=1, max_value=2 * capacity + 1), label="blocks")
         nonce = data.draw(st.integers(min_value=0, max_value=2**64 - 1), label="nonce")
@@ -164,6 +169,17 @@ class TestDifferential:
         measured = min(scheme.noise_budget_bits(sk, ct) for ct in result.ciphertexts)
         assert modeled <= measured
 
+        # The response carries only c - KS: the R half of every block's
+        # slots and every slot of an unfilled block decrypt to 0.
+        w = capacity // 2
+        element = np.arange(2 * t).reshape(1, 2 * t, 1)
+        block = np.arange(capacity).reshape(2, 1, w)
+        for g, ct in enumerate(result.ciphertexts):
+            slots = np.asarray([encoder.decode(scheme.decrypt_poly(sk, ct))])
+            rows = slots_to_rows(N, slots)[0].reshape(2, 2 * t, w)  # [row, j, k % w]
+            message = (element < t) & (block < n_blocks - g * capacity)
+            assert not rows[~message].any()
+
     @pytest.fixture(scope="class")
     def frame(self):
         return _setup(FRAME, seed=b"bsgs-frame", n=512)
@@ -172,14 +188,14 @@ class TestDifferential:
     def test_frame_instance(self, frame, n_blocks):
         """The frame benchmark's instance: pinned counts, exact decryption."""
         scheme, sk = frame[0], frame[1]
-        assert bsgs_split(FRAME.t) == (8, 4)
+        assert bsgs_split(2 * FRAME.t) == (8, 8)
         messages = [[(b * FRAME.t + j) % FRAME.p for j in range(FRAME.t)] for b in range(n_blocks)]
         server, result, decrypted = _transcipher(FRAME, frame, messages, nonce=2**40 + 3)
         assert server.packed_capacity == 8
         assert decrypted == messages
         per_group = {
-            "plain_muls": 195, "plain_adds": 7, "adds": 198, "squares": 4,
-            "muls": 2, "relins": 6, "rotations": 62, "decompositions": 6,
+            "plain_muls": 193, "plain_adds": 4, "adds": 190, "squares": 2,
+            "muls": 1, "relins": 3, "rotations": 29, "decompositions": 2,
         }
         assert homomorphic_op_counts(FRAME) == per_group
         groups = -(-n_blocks // 8)
@@ -188,27 +204,28 @@ class TestDifferential:
 
 
 class TestHoistedBsgs:
-    """Hoisted baby steps: one shared decomposition per affine layer side."""
+    """Hoisted baby steps: one shared decomposition per BSGS affine layer."""
 
     def test_hoisted_run_matches_closed_form(self, micro):
         server, result, _ = _transcipher(PASTA_MICRO, micro, [[7, 9], [3, 4]], 5)
         expected = homomorphic_op_counts(PASTA_MICRO)
         assert _ops(result) == expected
-        assert expected["decompositions"] == 2 * (PASTA_MICRO.rounds + 1)
+        # Layer 0 runs on the pre-rotated key: layers 1..r decompose.
+        assert expected["decompositions"] == PASTA_MICRO.rounds
 
     def test_giant_step_hoisted_run_matches_closed_form(self, quad):
         server, result, _ = _transcipher(QUAD, quad, [[1, 2, 3, 4]], 5)
         assert _ops(result) == homomorphic_op_counts(QUAD)
 
     def test_hoisted_superset_of_rotation_steps(self):
-        # t=16 -> bs=4: hoisted babies rotate the source directly by every
-        # k*B, so the key schedule must cover 2B and 3B too.
+        # t=16 -> bsgs_split(32) = (8, 4): hoisted babies rotate the source
+        # directly by every k*w, so the key schedule must cover 2w..7w too.
         wide = PastaParams(name="x16", t=16, rounds=2, p=PASTA_MICRO.p, secure=False)
         steps = BatchedHheServer.required_rotation_steps(wide, N)
-        B = HALF // wide.t
-        bs, giants = bsgs_split(wide.t)
-        assert bs == 4
-        expected = {k * B for k in range(1, bs)} | {bs * B, HALF - B}
+        w = HALF // (2 * wide.t)
+        bs, giants = bsgs_split(2 * wide.t)
+        assert bs == 8
+        expected = {k * w for k in range(1, bs)} | {bs * w, HALF - w}
         assert set(steps) == expected
         assert steps == sorted(expected)
 
@@ -228,13 +245,13 @@ class TestOpCounts:
     def test_bsgs_formula_scaling(self, t, rounds):
         params = PastaParams(name="x", t=t, rounds=rounds, p=PASTA_MICRO.p, secure=False)
         counts = homomorphic_op_counts(params)
-        bs, giants = bsgs_split(t)
-        sides = 2 * (rounds + 1)
-        # O(t) plain muls and O(sqrt t) rotations per affine side, against
-        # t^2 plain muls per side with one ciphertext per state element.
-        assert counts["plain_muls"] == sides * t + 3 * (rounds - 1)
-        assert counts["rotations"] == sides * (bs + giants - 2) + 2 * (rounds - 1)
-        assert counts["decompositions"] == (sides if bs > 1 else 0)
+        bs, giants = bsgs_split(2 * t)
+        # O(t) plain muls per layer and O(sqrt t) rotations per BSGS layer
+        # (layers 1..r; layer 0 runs on the pre-rotated key), against t^2
+        # plain muls per layer side with one ciphertext per state element.
+        assert counts["plain_muls"] == 2 * t * (rounds + 1) + (rounds - 1)
+        assert counts["rotations"] == rounds * (bs + giants - 2) + (rounds - 1)
+        assert counts["decompositions"] == (rounds if bs > 1 else 0)
 
 
 class TestEngineSelection:
@@ -247,7 +264,7 @@ class TestEngineSelection:
 
     def test_bsgs_with_incomplete_keys_rejected(self, quad):
         scheme, sk, rlk, gk, encoder, key, enc_key = quad
-        partial = scheme.rotation_keygen(sk, [HALF // QUAD.t])  # baby step only
+        partial = scheme.rotation_keygen(sk, [HALF // (2 * QUAD.t)])  # one baby step only
         with pytest.raises(ParameterError, match="missing"):
             BatchedHheServer(
                 QUAD, scheme, rlk, encoder, enc_key, engine="bsgs", galois_keys=partial
@@ -269,7 +286,7 @@ class TestEngineSelection:
     def test_required_rotation_steps_are_deduped_and_sorted(self):
         steps = BatchedHheServer.required_rotation_steps(QUAD, N)
         assert steps == sorted(set(steps))
-        B = HALF // QUAD.t
-        bs, giants = bsgs_split(QUAD.t)
-        expected = {B, bs * B, HALF - B}
-        assert set(steps) <= expected
+        w = HALF // (2 * QUAD.t)
+        bs, giants = bsgs_split(2 * QUAD.t)
+        expected = {k * w for k in range(1, bs)} | {bs * w, HALF - w}
+        assert set(steps) == expected

@@ -101,7 +101,7 @@ class TestHoistedAffineSchedule:
         from repro.pasta import bsgs_split
 
         windows, total = simulate_hoisted_affine(PASTA_4)
-        bs, giants = bsgs_split(PASTA_4.t)  # t=32 -> (8, 4)
+        bs, giants = bsgs_split(2 * PASTA_4.t)  # 2t=64 -> (8, 8)
         names = [w.unit for w in windows]
         assert names.count("KeySwitch(Decompose)") == 1
         assert names.count("Rotate(Apply)") == bs - 1
@@ -117,11 +117,16 @@ class TestHoistedAffineSchedule:
         assert unhoisted - total == (bs - 2) * PASTA_4.t
 
     def test_trivial_split_has_no_hoisting_advantage(self):
+        from repro.hw.arith_units import rotate_stage_cycles
         from repro.hw.scheduler import simulate_hoisted_affine
         from repro.pasta import PASTA_MICRO
 
-        windows, total = simulate_hoisted_affine(PASTA_MICRO)  # t=2: bs=2, G=1
-        assert [w.unit for w in windows] == ["KeySwitch(Decompose)", "Rotate(Apply)"]
+        windows, total = simulate_hoisted_affine(PASTA_MICRO)  # 2t=4: bs=2, G=2
+        assert [w.unit for w in windows] == [
+            "KeySwitch(Decompose)", "Rotate(Apply)", "Rotate+KeySwitch"
+        ]
+        # One baby: the decompose/apply split costs exactly one full stage.
+        assert total == 2 * rotate_stage_cycles(PASTA_MICRO.t)
 
     def test_modeled_cycle_bridge_matches_split(self):
         from repro.hw.arith_units import rotate_stage_cycles

@@ -19,14 +19,22 @@ def write_bench(directory, name, payload):
     (directory / name).write_text(json.dumps(payload))
 
 
-def frame_report(hhe_runs, client_runs=(3000.0,)):
-    """A ``bench/run.py --out`` report: one entry per untraced run."""
-    return {
+def frame_report(hhe_runs, client_runs=(3000.0,), traced=None):
+    """A ``bench/run.py --out`` report: one entry per untraced run, and the
+    traced run's per-layer metrics, whose keys hold dots."""
+    report = {
         "workloads": {
             "hhe_frame": {"runs": [{"blocks_per_s": v} for v in hhe_runs]},
             "client_encrypt": {"runs": [{"blocks_per_s": v} for v in client_runs]},
         }
     }
+    if traced is not None:
+        report["workloads"]["hhe_frame"]["traced"] = traced
+    return report
+
+
+#: The traced op counts of one HHE frame, as ``bench/run.py --out`` writes them.
+TRACED_OPS = {"fhe.rotations": 29.0, "fhe.decompositions": 2.0, "fhe.relins": 3.0}
 
 
 class TestMetricDelta:
@@ -205,7 +213,7 @@ class TestCompareReports:
 
     def test_nan_inside_a_list_is_a_failure(self):
         current = frame_report([100.0, float("nan"), 100.0])
-        (hhe, client) = compare_reports("BENCH_frame.json", current, frame_report([100.0]))
+        hhe, client = compare_reports("BENCH_frame.json", current, frame_report([100.0]))[:2]
         assert hhe.metric == "workloads.hhe_frame.runs.blocks_per_s"
         assert "non-finite" in hhe.error
         assert hhe.regressed(1e9)
@@ -214,8 +222,34 @@ class TestCompareReports:
     def test_list_element_missing_the_metric_is_skipped(self):
         current = frame_report([100.0])
         current["workloads"]["hhe_frame"]["runs"].append({})
-        (hhe, _) = compare_reports("BENCH_frame.json", current, frame_report([100.0]))
+        hhe = compare_reports("BENCH_frame.json", current, frame_report([100.0]))[0]
         assert hhe.skipped
+
+    def test_dotted_key_resolves(self):
+        report = frame_report([100.0], traced=TRACED_OPS)
+        by_metric = {
+            d.metric: d for d in compare_reports("BENCH_frame.json", report, report)
+        }
+        rotations = by_metric["workloads.hhe_frame.traced.fhe.rotations"]
+        assert (rotations.baseline, rotations.current) == (29.0, 29.0)
+        assert by_metric["workloads.hhe_frame.traced.fhe.relins"].current == 3.0
+        assert not any(d.skipped or d.regressed(0.0) for d in by_metric.values())
+
+    def test_longest_dotted_key_wins(self):
+        from repro.eval.perfgate import _extract
+
+        assert _extract({"fhe": {"rotations": 1.0}, "fhe.rotations": 2.0}, "fhe.rotations") == 2.0
+        assert _extract({"fhe": {"rotations": 1.0}}, "fhe.rotations") == 1.0
+
+    def test_regressed_op_count_fails(self):
+        baseline = frame_report([100.0], traced=TRACED_OPS)
+        current = frame_report([100.0], traced={**TRACED_OPS, "fhe.rotations": 62.0})
+        regressed = [
+            d.metric
+            for d in compare_reports("BENCH_frame.json", current, baseline)
+            if d.regressed(0.25)
+        ]
+        assert regressed == ["workloads.hhe_frame.traced.fhe.rotations"]
 
     def test_unknown_bench_has_no_gates(self):
         assert compare_reports("BENCH_unknown.json", {"x": 1}, {"x": 2}) == []
