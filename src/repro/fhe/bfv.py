@@ -30,6 +30,7 @@ import numpy as np
 from repro.errors import NoiseBudgetExhausted, ParameterError
 from repro.fhe.engine import CiphertextTensor, PreparedPlain, make_engine, round_div
 from repro.fhe.galois import rotation_element
+from repro.fhe.ntt_vec import FORWARD_INPUT_LIMIT
 from repro.fhe.rns import ntt_prime_chain
 from repro.fhe.rng import PolyRng
 from repro.obs.noise import NoiseEstimate, NoiseModel
@@ -506,14 +507,33 @@ class Bfv:
             )
         return prepared.value
 
+    def _forward_centered(self, encoded: np.ndarray) -> np.ndarray:
+        """``(..., N)`` encoded plaintexts -> ``(..., L, N)`` eval-domain residues.
+
+        Each coefficient is centered mod p into ``(-p/2, p/2]`` (the lift of
+        ``prepare_mul_plain``) and enters the forward NTT unreduced,
+        broadcast over the L limbs: the transform reduces inputs below
+        :data:`~repro.fhe.ntt_vec.FORWARD_INPUT_LIMIT` in magnitude exactly,
+        so no per-limb ``%`` pass runs. A plaintext modulus too wide for that
+        bound on an int64 chain is reduced per limb first.
+        """
+        ctx = self._tensor_engine().ctx
+        p = self.params.p
+        reduced = encoded % p
+        centered = np.where(reduced > p // 2, reduced - p, reduced)
+        if ctx.dtype is np.int64 and p // 2 >= FORWARD_INPUT_LIMIT:
+            return ctx.forward(ctx.to_rns_batch(centered))
+        limbs = centered.shape[:-1] + (len(ctx.primes), ctx.n)
+        return ctx.forward(np.broadcast_to(centered[..., None, :], limbs))
+
     def prepare_matrix(self, encoded_rows: np.ndarray) -> PreparedPlain:
         """Prepare a (J, K, N) stack of encoded plaintext polynomials for
         :meth:`tensor_affine`.
 
         Each (j, k) polynomial is centered mod p (same lift as
-        ``prepare_mul_plain``), reduced into the RNS basis, and forward
-        transformed — one batched NTT for the whole matrix instead of J*K
-        scalar handle transforms.
+        ``prepare_mul_plain``) and forward transformed in the RNS basis —
+        one batched NTT for the whole matrix instead of J*K scalar handle
+        transforms.
         """
         eng = self._tensor_engine()
         encoded = np.asarray(encoded_rows)
@@ -521,18 +541,14 @@ class Bfv:
             raise ParameterError(
                 f"expected a (J, K, {self.params.n}) encoded matrix, got {encoded.shape}"
             )
-        p = self.params.p
-        half = p // 2
-        reduced = encoded % p
-        centered = np.where(reduced > half, reduced - p, reduced)
-        value = eng.ctx.forward(eng.ctx.to_rns_batch(centered))
+        value = self._forward_centered(encoded)
         return PreparedPlain(kind="matmul", engine=eng.name, value=value)
 
     def prepare_mul_rows(self, encoded_rows: np.ndarray) -> PreparedPlain:
         """Prepare a (J, N) stack of encoded plaintexts for slot-wise products.
 
         Rows get the same centered-mod-p lift as ``prepare_mul_plain`` and
-        one batched forward transform; consumed by
+        one batched forward transform (:meth:`_forward_centered`); consumed by
         :meth:`tensor_mul_plain_rows` (row j multiplies stacked ciphertext j).
         """
         eng = self._tensor_engine()
@@ -541,11 +557,7 @@ class Bfv:
             raise ParameterError(
                 f"expected a (J, {self.params.n}) encoded row stack, got {encoded.shape}"
             )
-        p = self.params.p
-        half = p // 2
-        reduced = encoded % p
-        centered = np.where(reduced > half, reduced - p, reduced)
-        value = eng.ctx.forward(eng.ctx.to_rns_batch(centered))
+        value = self._forward_centered(encoded)
         return PreparedPlain(kind="mul_rows", engine=eng.name, value=value)
 
     def prepare_add_rows(self, encoded_rows: np.ndarray) -> PreparedPlain:

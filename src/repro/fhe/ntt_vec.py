@@ -26,13 +26,23 @@ true value however far ``x * w`` overflowed.
 
 The bound: with ``u = 2^-53`` the float quotient is within ``3u|x|`` of
 ``x*w/q``, so ``|t| <= q/2 + 3u*q*|x|``, below ``q`` while ``|x| < 2^50``.
-Butterfly sums and differences are left unreduced. From inputs below ``q``
-in magnitude, forward (Cooley-Tukey) stages add one product each, so values
-stay below ``(0.501 log2 N + 1) q`` (there ``3u|x| < 0.001``); inverse
-(Gentleman-Sande) stages double the sum branch and reduce the difference
-branch, so values stay below ``N q``. Hence the int64 kernel requires
+Butterfly sums and differences are left unreduced. Forward (Cooley-Tukey)
+stages add one product each, so from inputs below ``B`` in magnitude values
+stay below ``B + q log2 N``; inverse (Gentleman-Sande) stages double the
+sum branch and reduce the difference branch, so from inputs below ``q``
+values stay below ``N q``. Hence the int64 kernel requires
 ``N (q - 1) < 2^50`` (N <= 2^18 at the widest prime
 :func:`butterfly_fits_int64` admits); other chains take the object path.
+
+Input contract. The inverse takes residues below ``q`` in magnitude. The
+forward takes any integers below :data:`FORWARD_INPUT_LIMIT` = ``2^48`` in
+magnitude, not only residues: then ``B + q log2 N < 2^48 + N q / 2 < 2^50``,
+so every stage stays inside the float quotient's range and the final
+canonicalization reduces the unreduced input exactly. A caller can hand it
+a small signed coefficient vector broadcast over the limbs
+(``np.broadcast_to(x[..., None, :], (..., L, N))``) instead of reducing it
+mod every ``q_i`` first; the prepared plaintexts of the BFV scheme enter
+it so. The object path reduces any integer input.
 Nothing is reduced mid-transform: the forward canonicalizes once at the
 end, and the inverse folds ``n^-1`` into its last stage, whose centered
 products need only a sign fold.
@@ -61,6 +71,9 @@ from repro.fhe.ntt import get_ntt
 _INT64_MAX = (1 << 63) - 1
 #: Magnitude below which every float quotient keeps its product under q.
 _FLOAT_QUOTIENT_LIMIT = 1 << 50
+#: Inputs of the int64 forward transform must stay below this in magnitude;
+#: they need not be reduced (module docstring).
+FORWARD_INPUT_LIMIT = 1 << 48
 #: Adding 1.5 * 2^52 rounds a float64 of magnitude < 2^51 to the nearest
 #: integer k (ties to even), and the sum's bit pattern is ``_ROUND_BITS + k``.
 _ROUND = 1.5 * 2.0**52
@@ -89,9 +102,10 @@ class VecNtt:
     come from the cached scalar contexts (:func:`repro.fhe.ntt.get_ntt`),
     so the vectorized and scalar transforms are bit-identical per prime.
 
-    Inputs are residue matrices: every entry must be bounded by ``q_i`` in
-    magnitude (canonical residues always are), which anchors the int64
-    kernel's static bound (module docstring).
+    Inverse inputs are residue matrices: every entry bounded by ``q_i`` in
+    magnitude (canonical residues always are). Forward inputs may be any
+    integers below :data:`FORWARD_INPUT_LIMIT` in magnitude. Both anchor the
+    int64 kernel's static bound (module docstring).
     """
 
     def __init__(self, n: int, primes: Sequence[int]):
@@ -198,6 +212,9 @@ class VecNtt:
         Accepts ``(..., L, N)``: any stack of residue matrices (ciphertext
         tensors, prepared-matrix tensors) advances through each butterfly
         stage in one numpy pass; the trailing two axes are the transform.
+        Entries need not be reduced: any integer below
+        :data:`FORWARD_INPUT_LIMIT` in magnitude comes out as its canonical
+        transform, and a read-only or broadcast view is read in place.
         """
         a = self._check(mat)
         lead = a.shape[:-2]

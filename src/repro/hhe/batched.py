@@ -35,12 +35,23 @@ covers the packed capacity ``2w = (N/2) / t`` blocks at an operation count
 that does not depend on how many of them are filled (reported by the
 ``hhe_cost`` experiment); a larger batch runs as consecutive packed
 groups, one result ciphertext per group.
+
+The prepared plaintexts of every layer depend only on the public
+(nonce, counters), so each call prepares them beside the evaluation, as
+the paper's schedule generates round i+1's matrices while round i's
+MatMul runs: the calling thread prepares group 0's layer 0 and evaluates,
+while one ``hhe-prepare`` thread prepares every later (group, layer), at
+most one group of layers ahead of the evaluator.
 """
 
 from __future__ import annotations
 
+import itertools
+from collections import deque
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from functools import partial
+from typing import Callable, Deque, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -51,6 +62,7 @@ from repro.fhe.bfv import Bfv, Ciphertext, GaloisKey, PublicKey, RelinKey
 from repro.fhe.engine import CiphertextTensor
 from repro.fhe.galois import rotation_element, rows_to_slots, slots_to_rows
 from repro.hhe.backend import BfvOpCounts
+from repro.obs.trace import SpanContext, Tracer
 from repro.pasta.batch import get_engine
 from repro.pasta.cipher import field_elements
 from repro.pasta.decrypt_circuit import bsgs_split
@@ -139,7 +151,13 @@ def encrypt_key_batched(
 
 
 class BatchedHheServer:
-    """Evaluate PASTA decryption over slot-packed BFV ciphertexts."""
+    """Evaluate PASTA decryption over slot-packed BFV ciphertexts.
+
+    One server may serve concurrent calls (the service runs several worker
+    threads against a tenant's server): all per-call state — op counts and
+    the layers prepared ahead — lives in the call, and each call starts and
+    joins its own ``hhe-prepare`` thread. Nothing runs between calls.
+    """
 
     def __init__(
         self,
@@ -317,6 +335,28 @@ class BatchedHheServer:
 
         return self._caches["rc_bsgs"].get_or_create((nonce, counters, layer), build)
 
+    def _prepare_layer(
+        self,
+        nonce: int,
+        counters: Tuple[int, ...],
+        group: int,
+        layer: int,
+        tracer: Tracer,
+        parent: SpanContext,
+    ):
+        """One (group, layer)'s prepared diagonals and round constants.
+
+        Runs in an ``hhe.prepare`` span parented explicitly under the call's
+        ``hhe.transcipher`` span, on whichever thread prepares the layer.
+        """
+        with tracer.span(
+            "hhe.prepare", parent=parent, metric="hhe.prepare.seconds", group=group, layer=layer
+        ):
+            return (
+                self._prepared_diags(nonce, counters, layer),
+                self._prepared_rc(nonce, counters, layer),
+            )
+
     # -- circuit pieces ---------------------------------------------------------------
 
     def _affine_span(self, layer: int, n_blocks: int):
@@ -339,12 +379,14 @@ class BatchedHheServer:
             **modeled_matmul_attributes(self.params, 2 * n_blocks),
         )
 
-    def _rotate_stack(self, state: CiphertextTensor, steps: int) -> CiphertextTensor:
+    def _rotate_stack(
+        self, state: CiphertextTensor, steps: int, ops: BfvOpCounts
+    ) -> CiphertextTensor:
         """Rotate every stacked ciphertext left by ``steps`` (keyswitch each)."""
         from repro.obs import get_tracer
         from repro.obs.cycles import modeled_rotation_attributes
 
-        self._ops.rotations += state.slots
+        ops.rotations += state.slots
         with get_tracer().span(
             "hhe.rotate",
             metric="hhe.rotate.seconds",
@@ -354,12 +396,12 @@ class BatchedHheServer:
         ):
             return self.scheme.tensor_rotate(state, steps, self.galois_keys)
 
-    def _hoisted_decompose(self, state: CiphertextTensor):
+    def _hoisted_decompose(self, state: CiphertextTensor, ops: BfvOpCounts):
         """Digit-decompose the c1 halves once for a batch of rotations."""
         from repro.obs import get_tracer
         from repro.obs.cycles import modeled_decompose_attributes
 
-        self._ops.decompositions += state.slots
+        ops.decompositions += state.slots
         with get_tracer().span(
             "hhe.hoist_decompose",
             metric="hhe.hoist_decompose.seconds",
@@ -369,13 +411,13 @@ class BatchedHheServer:
             return self.scheme.hoisted_decompose(state)
 
     def _rotate_hoisted(
-        self, state: CiphertextTensor, digits: np.ndarray, steps: int
+        self, state: CiphertextTensor, digits: np.ndarray, steps: int, ops: BfvOpCounts
     ) -> CiphertextTensor:
         """Rotate via a shared digit stack (apply half of a hoisted rotation)."""
         from repro.obs import get_tracer
         from repro.obs.cycles import modeled_hoisted_apply_attributes
 
-        self._ops.rotations += state.slots
+        ops.rotations += state.slots
         with get_tracer().span(
             "hhe.rotate",
             metric="hhe.rotate.seconds",
@@ -387,7 +429,7 @@ class BatchedHheServer:
                 state, digits, steps, self.galois_keys
             )
 
-    def _key_affine(self, nonce: int, counters: Tuple[int, ...]) -> CiphertextTensor:
+    def _key_affine(self, diags, rc, n_blocks: int, ops: BfvOpCounts) -> CiphertextTensor:
         """Layer 0 on the pre-rotated key: ``sum_d diag_d . key_d + rc``.
 
         Uploaded ciphertext d already holds the key rotated left by d
@@ -395,16 +437,14 @@ class BatchedHheServer:
         and no decomposition.
         """
         width = 2 * self.params.t
-        diags = self._prepared_diags(nonce, counters, 0)
-        rc = self._prepared_rc(nonce, counters, 0)
-        self._ops.plain_muls += width
-        self._ops.adds += width - 1
-        self._ops.plain_adds += 1
-        with self._affine_span(0, len(counters)):
+        ops.plain_muls += width
+        ops.adds += width - 1
+        ops.plain_adds += 1
+        with self._affine_span(0, n_blocks):
             return self.scheme.tensor_affine(self._key, diags, rc)
 
     def _bsgs_affine(
-        self, state: CiphertextTensor, nonce: int, counters: Tuple[int, ...], layer: int
+        self, state: CiphertextTensor, diags, rc, layer: int, n_blocks: int, ops: BfvOpCounts
     ) -> CiphertextTensor:
         """One Mix-folded affine layer on the packed state, BSGS-style.
 
@@ -426,23 +466,20 @@ class BatchedHheServer:
         bs, giants = self._bsgs
         w = self._width
         ctx = self.scheme.engine.ctx
-        diags = self.scheme._take_prepared_tensor(
-            self._prepared_diags(nonce, counters, layer), "matmul"
-        )
-        rc = self._prepared_rc(nonce, counters, layer)
-        self._ops.plain_muls += bs * giants
-        self._ops.adds += bs * giants - 1
-        self._ops.plain_adds += 1
-        with self._affine_span(layer, len(counters)):
+        diags = self.scheme._take_prepared_tensor(diags, "matmul")
+        ops.plain_muls += bs * giants
+        ops.adds += bs * giants - 1
+        ops.plain_adds += 1
+        with self._affine_span(layer, n_blocks):
             babies = [state]
             if bs > 1:
-                digits = self._hoisted_decompose(state)
-                babies += [self._rotate_hoisted(state, digits, i * w) for i in range(1, bs)]
+                digits = self._hoisted_decompose(state, ops)
+                babies += [self._rotate_hoisted(state, digits, i * w, ops) for i in range(1, bs)]
             # (G, bs, L, N) x (bs, 2, L, N) -> (G, 2, L, N)
             sums = ctx.matmul_mod(diags, np.concatenate([b.data for b in babies]))
             acc = CiphertextTensor(ctx, sums[giants - 1 :])
             for g in range(giants - 2, -1, -1):
-                rotated = self._rotate_stack(acc, bs * w)
+                rotated = self._rotate_stack(acc, bs * w, ops)
                 acc = self.scheme.tensor_add(CiphertextTensor(ctx, sums[g : g + 1]), rotated)
             out = self.scheme.tensor_add_plain_rows(acc, rc)
             # The raw matmul_mod contraction above bypasses the Bfv wrappers,
@@ -452,26 +489,26 @@ class BatchedHheServer:
             )
             return out
 
-    def _feistel(self, state: CiphertextTensor) -> CiphertextTensor:
+    def _feistel(self, state: CiphertextTensor, ops: BfvOpCounts) -> CiphertextTensor:
         """Feistel over the packed state: ``out[j] = x[j] + x[j-1]^2``, j >= 1.
 
         Square, rotate the square one element RIGHT (element j - 1 lands on
         element j in both rows), and mask out element 0, where element
         2t - 1 wraps around.
         """
-        self._ops.squares += 1
-        self._ops.relins += 1
-        self._ops.plain_muls += 1
-        self._ops.adds += 1
+        ops.squares += 1
+        ops.relins += 1
+        ops.plain_muls += 1
+        ops.adds += 1
         sq = self.scheme.tensor_square(state, self.rlk)
-        shifted = self._rotate_stack(sq, self.scheme.params.n // 2 - self._width)
+        shifted = self._rotate_stack(sq, self.scheme.params.n // 2 - self._width, ops)
         masked = self.scheme.tensor_mul_plain_rows(shifted, self._mask_not_first)
         return self.scheme.tensor_add(state, masked)
 
-    def _cube(self, state: CiphertextTensor) -> CiphertextTensor:
-        self._ops.squares += 1
-        self._ops.muls += 1
-        self._ops.relins += 2
+    def _cube(self, state: CiphertextTensor, ops: BfvOpCounts) -> CiphertextTensor:
+        ops.squares += 1
+        ops.muls += 1
+        ops.relins += 2
         return self.scheme.tensor_mul(
             self.scheme.tensor_square(state, self.rlk), state, self.rlk
         )
@@ -489,6 +526,17 @@ class BatchedHheServer:
         ``ciphertext_blocks[b]`` must hold t elements encrypted under
         ``(nonce, counters[b])``. Blocks ``g * packed_capacity`` onward land
         in result ciphertext g (see :class:`BatchedTranscipherResult`).
+
+        Schedule: after one batched materials derivation, the call starts
+        one ``hhe-prepare`` thread, prepares group 0's layer 0 itself and
+        evaluates. The helper prepares group 0's layers 1..r, then each
+        later group's layers 0..r, in evaluation order, at most one group
+        (r + 1 layers) ahead of the evaluator. Each layer's evaluation
+        starts when its prepared plaintexts arrive, so the critical path is
+        layer 0's preparation plus the evaluation; results and op counts
+        are those of preparing every layer in line. A preparation error is
+        raised here, where the evaluator needs that layer; on any exit the
+        call stops and joins its helper.
         """
         from repro.obs import get_registry, get_tracer, record_headroom
         from repro.obs.cycles import modeled_cycle_attributes
@@ -499,10 +547,11 @@ class BatchedHheServer:
         obs.counter(
             "hhe.transcipher.blocks", variant=params.name, omega=params.modulus_bits
         ).inc(len(counters))
+        tracer = get_tracer()
         # The modeled cycles are the accelerator's budget for deriving the
         # same keystream material — the hardware-comparable slice of the
         # homomorphic evaluation this stage performs.
-        with get_tracer().span(
+        with tracer.span(
             "hhe.transcipher",
             metric="hhe.transcipher.seconds",
             variant=params.name,
@@ -511,7 +560,9 @@ class BatchedHheServer:
             blocks=len(counters),
             **modeled_cycle_attributes(params, len(counters)),
         ) as span:
-            result = self._transcipher_blocks(ciphertext_blocks, nonce, counters)
+            result = self._transcipher_blocks(
+                ciphertext_blocks, nonce, counters, tracer, span.context
+            )
             # Ledger exit point: the worst modeled bound across the result
             # ciphertexts becomes the span's noise attributes and the
             # fhe.noise.headroom_bits gauge — no secret key involved.
@@ -529,6 +580,8 @@ class BatchedHheServer:
         ciphertext_blocks: Sequence[Sequence[int]],
         nonce: int,
         counters: Sequence[int],
+        tracer: Tracer,
+        parent: SpanContext,
     ) -> BatchedTranscipherResult:
         params = self.params
         t = params.t
@@ -551,45 +604,77 @@ class BatchedHheServer:
         # the prepared-plaintext LRUs key off the same public schedule.
         self.engine.materials(nonce, list(block_counters))
 
-        self._ops = BfvOpCounts()
         capacity = self.packed_capacity
-        out = [
-            self._evaluate(
-                elements[start : start + capacity],
-                nonce,
-                block_counters[start : start + capacity],
-            )
-            for start in range(0, len(block_counters), capacity)
-        ]
+        starts = range(0, len(block_counters), capacity)
+        groups = [block_counters[start : start + capacity] for start in starts]
+        r = params.rounds
+        ops = BfvOpCounts()
+        # Every (group, layer) after group 0's layer 0, in evaluation order.
+        later = iter([(g, layer) for g in range(len(groups)) for layer in range(r + 1)][1:])
+        ahead: Deque[Future] = deque()
+        pool = ThreadPoolExecutor(max_workers=1, thread_name_prefix="hhe-prepare")
+
+        def submit(count: int) -> None:
+            for g, layer in itertools.islice(later, count):
+                ahead.append(
+                    pool.submit(self._prepare_layer, nonce, groups[g], g, layer, tracer, parent)
+                )
+
+        def prepared(group: int, layer: int):
+            if group == layer == 0:
+                return first
+            future = ahead.popleft()
+            submit(1)
+            if future.done():
+                return future.result()
+            with tracer.span(
+                "hhe.prepare_wait", metric="hhe.prepare_wait.seconds", group=group, layer=layer
+            ):
+                return future.result()
+
+        try:
+            submit(r + 1)  # at most one group ahead of the evaluator
+            first = self._prepare_layer(nonce, groups[0], 0, 0, tracer, parent)
+            out = [
+                self._evaluate(elements[start : start + capacity], ops, partial(prepared, g))
+                for g, start in enumerate(starts)
+            ]
+        finally:
+            pool.shutdown(wait=True, cancel_futures=True)
         return BatchedTranscipherResult(
             ciphertexts=out,
             counters=list(block_counters),
-            ops=self._ops,
+            ops=ops,
             group_size=capacity,
         )
 
     def _evaluate(
-        self, elements: np.ndarray, nonce: int, block_counters: Tuple[int, ...]
+        self, elements: np.ndarray, ops: BfvOpCounts, prepared: Callable[[int], tuple]
     ) -> Ciphertext:
         """The packed circuit for one group: ONE ciphertext end to end.
 
         Layer 0 on the pre-rotated key, then per round the S-box and the
-        next Mix-folded affine layer; the result holds ``c - KS`` in the L
-        half of every filled block's slots and 0 everywhere else.
+        next Mix-folded affine layer, each affine layer on the prepared
+        ``(diags, rc)`` that ``prepared(layer)`` returns; the result holds
+        ``c - KS`` in the L half of every filled block's slots and 0
+        everywhere else.
         """
         params = self.params
-        state = self._key_affine(nonce, block_counters)
+        n_blocks = len(elements)
+        state = self._key_affine(*prepared(0), n_blocks, ops)
         for i in range(params.rounds):
-            state = self._feistel(state) if i < params.rounds - 1 else self._cube(state)
-            state = self._bsgs_affine(state, nonce, block_counters, i + 1)
+            state = self._feistel(state, ops) if i < params.rounds - 1 else self._cube(state, ops)
+            state = self._bsgs_affine(state, *prepared(i + 1), i + 1, n_blocks, ops)
 
         # m = c - KS: one negate + one packed plain add.
-        message = np.zeros((len(elements), 2 * params.t), dtype=np.int64)
+        message = np.zeros((n_blocks, 2 * params.t), dtype=np.int64)
         message[:, : params.t] = elements
-        prepared = self.scheme.prepare_add_rows(self._encode(_place(message, self._width)[None]))
-        self._ops.plain_adds += 1
+        prepared_message = self.scheme.prepare_add_rows(
+            self._encode(_place(message, self._width)[None])
+        )
+        ops.plain_adds += 1
         (result,) = self.scheme.unstack_ciphertexts(
-            self.scheme.tensor_add_plain_rows(self.scheme.tensor_neg(state), prepared)
+            self.scheme.tensor_add_plain_rows(self.scheme.tensor_neg(state), prepared_message)
         )
         return result
 

@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ParameterError
+from repro.ff.params import P54
 from repro.fhe import (
     Bfv,
     CiphertextTensor,
@@ -472,3 +473,17 @@ class TestCiphertextTensor:
             assert [scheme.engine.to_ints(p) for p in ref.parts] == [
                 scheme.engine.to_ints(p) for p in out.parts
             ]
+
+    @pytest.mark.parametrize("p", [P, P54], ids=["p17", "p54-per-limb"])
+    def test_prepared_plaintexts_equal_per_limb_lift(self, p):
+        """prepare_matrix / prepare_mul_rows: the centered lift mod p, forward
+        transformed, whether it enters the NTT broadcast over the limbs or
+        (a plaintext modulus above the transform's input bound) per limb."""
+        scheme = Bfv(toy_parameters(p, n=64, log2_q=240, prime_bits=26), seed=b"lift")
+        ctx = scheme.engine.ctx
+        encoded = np.random.default_rng(5).integers(0, p, size=(2, 3, 64))
+        encoded[0, 0, :3] = [0, p // 2, p // 2 + 1]
+        centered = np.where(encoded > p // 2, encoded - p, encoded)
+        expected = ctx.forward(ctx.to_rns_batch(centered))
+        assert np.array_equal(scheme.prepare_matrix(encoded).value, expected)
+        assert np.array_equal(scheme.prepare_mul_rows(encoded[0]).value, expected[0])

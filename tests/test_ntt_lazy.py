@@ -22,10 +22,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ParameterError
+from repro.ff.params import P17, P33
 from repro.ff.primality import is_prime
 from repro.fhe.ntt import get_ntt
-from repro.fhe.ntt_vec import VecNtt, butterfly_fits_int64, get_vec_ntt
-from repro.fhe.rns import ntt_prime_chain
+from repro.fhe.ntt_vec import FORWARD_INPUT_LIMIT, VecNtt, butterfly_fits_int64, get_vec_ntt
+from repro.fhe.rns import RnsContext, ntt_prime_chain
 
 N = 64
 
@@ -95,6 +96,41 @@ class TestStaticBound:
         mat = np.full((1, n), primes[0] - 1, dtype=np.int64)
         for direction in ("forward", "inverse"):
             _assert_rows_match_scalar(ntt, primes, mat, getattr(ntt, direction)(mat), direction)
+
+
+class TestUnreducedForwardInput:
+    """The forward transform reduces signed inputs below 2^48 itself, so a
+    small coefficient vector broadcast over the limbs transforms exactly as
+    its per-limb residues do (the BFV scheme's prepared plaintexts)."""
+
+    @pytest.mark.parametrize(
+        "n, primes, bound",
+        [
+            (*CHAINS["hhe-frame-26bit"], P17 // 2),  # omega = 17 on the hhe_frame chain
+            (256, ntt_prime_chain(256, min_bits=230), P33 // 2),  # p/2 above every 30-bit q_i
+            (N, WIDE_CHAIN, P33 // 2),  # object dtype
+            (N, ntt_prime_chain(N, min_bits=120, prime_bits=26), 1 << 40),
+        ],
+        ids=["omega17-hhe-frame", "omega33-30bit", "object-60bit", "2^40-26bit"],
+    )
+    def test_broadcast_matches_per_limb_residues(self, n, primes, bound):
+        ctx = RnsContext(n, primes)
+        x = np.random.default_rng(bound % 1009).integers(-bound, bound + 1, size=(3, 4, n))
+        x[0, 0] = bound
+        x[0, 1] = -bound
+        x[0, 2, 1::2] = -bound
+        limbs = np.broadcast_to(x[..., None, :], x.shape[:-1] + (len(primes), n))
+        got = ctx.forward(limbs)
+        assert np.array_equal(got, ctx.forward(ctx.to_rns_batch(x)))
+
+    def test_widest_prime_inputs_at_the_limit_exact_at_n4096(self):
+        n = 4096
+        primes = _widest_admitted_primes(n, 1)
+        ntt = VecNtt(n, primes)
+        assert ntt.dtype is np.int64
+        edge = FORWARD_INPUT_LIMIT - 1
+        for mat in (np.full((1, n), edge), np.full((1, n), -edge)):
+            _assert_rows_match_scalar(ntt, primes, mat % primes[0], ntt.forward(mat), "forward")
 
 
 class TestBitExactness:
