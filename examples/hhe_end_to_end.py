@@ -12,10 +12,11 @@ Roles and flow::
                  <-------Enc_FHE(f(m))---- homomorphic processing
     FHE decrypt -> f(m)
 
-By default this runs the *micro* instance (t = 2, ~10 s). Pass ``--toy``
-for the larger toy instance (t = 4, a few minutes) — the structure is the
-same as full PASTA, only the block size is reduced so that pure-Python BFV
-stays interactive (see DESIGN.md, substitution table).
+By default this runs the *micro* instance (t = 2, under a second). Pass
+``--toy`` for the larger toy instance (t = 4, a few seconds) — the
+structure is the same as full PASTA, only the block size is reduced so
+that pure-Python BFV stays interactive (see DESIGN.md, substitution
+table).
 
 Run: ``python examples/hhe_end_to_end.py [--toy]``
 """

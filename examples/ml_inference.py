@@ -7,7 +7,7 @@ ciphertext; the server transciphers it into FHE ciphertexts and evaluates
 the model homomorphically, so neither the features nor the PASTA key ever
 reach the server in the clear.
 
-Run: ``python examples/ml_inference.py``   (~15 s, reduced parameters)
+Run: ``python examples/ml_inference.py``   (under a second, reduced parameters)
 """
 
 import os
@@ -23,12 +23,12 @@ from repro.pasta import PASTA_MICRO, PASTA_TOY
 
 
 def main() -> None:
-    if "--toy" in sys.argv:  # t = 4 features; a few minutes of pure-Python BFV
+    if "--toy" in sys.argv:  # t = 4 features; a few seconds of pure-Python BFV
         pasta_params = PASTA_TOY
         client = HheClient(pasta_params, toy_parameters(pasta_params.p))
         model = LinearModel(weights=[3, 25, 7, 11], bias=500)
         features = [42, 7, 120, 3]
-    else:  # t = 2 features; ~15 s
+    else:  # t = 2 features; under a second
         pasta_params = PASTA_MICRO
         client = HheClient(pasta_params, toy_parameters(pasta_params.p, n=256, log2_q=190))
         model = LinearModel(weights=[3, 25], bias=500)

@@ -39,7 +39,6 @@ from repro.fhe.rns import (
     RnsPoly,
     get_rns_context,
     ntt_prime_chain,
-    rns_negacyclic_mul_exact,
 )
 
 __all__ = [
@@ -77,7 +76,6 @@ __all__ = [
     "make_engine",
     "negacyclic_mul_exact",
     "ntt_prime_chain",
-    "rns_negacyclic_mul_exact",
     "rotation_element",
     "rows_to_slots",
     "slot_exponents",

@@ -8,11 +8,13 @@ base-T relinearization.
 Polynomial arithmetic is delegated to a pluggable engine
 (:mod:`repro.fhe.engine`): the default is the RNS/CRT engine — q is a
 product of machine-word NTT-friendly primes, ciphertext polynomials are
-``(num_primes, N)`` residue matrices, and add/mul-plain chains run as
-vectorized pointwise NTT-domain operations (the structure of hardware FHE
-datapaths; see PAPERS.md on BASALISC/Medha). The scalar big-int engine
-(exact Kronecker-substitution products) remains available via
-``Bfv(..., engine="bigint")`` as the bit-exact reference.
+``(num_primes, N)`` eval-domain residue matrices, ring operations are
+vectorized pointwise NTT-domain operations, and every CRT crossing runs on
+int64 base transports (the structure of hardware FHE datapaths; see
+PAPERS.md on BASALISC/Medha). The scalar big-int engine (exact
+Kronecker-substitution products) remains available via
+``Bfv(..., engine="bigint")`` as the bit-exact reference, and serves
+moduli too wide for an int64 prime chain.
 
 This substrate exists to demonstrate the paper's HHE workflow (Fig. 1)
 end-to-end. Parameters produced by :func:`toy_parameters` are sized for
@@ -117,7 +119,8 @@ class Ciphertext:
     """A BFV ciphertext: a list of R_q polynomials (usually two).
 
     The polynomial representation is engine-native — coefficient lists for
-    the big-int engine, lazily dual-domain residue matrices for RNS.
+    the big-int engine, eval-domain residue matrices (:class:`RnsPoly`) for
+    RNS.
 
     ``noise`` is the ledger's modeled bound (see :mod:`repro.obs.noise`):
     every homomorphic op updates it via the scheme's closed-form growth
@@ -181,7 +184,9 @@ class Bfv:
 
     ``engine`` selects the polynomial substrate: ``"auto"`` (default) uses
     RNS whenever the parameters carry a prime chain, ``"rns"`` /
-    ``"bigint"`` force one. Both engines are bit-exact against each other:
+    ``"bigint"`` force one. The RNS engine refuses, with
+    :class:`ParameterError`, a chain or relinearization base its int64
+    kernels cannot host. Both engines are bit-exact against each other:
     same seed, same parameters => identical keys, ciphertexts, decryptions
     and noise budgets.
     """
@@ -370,9 +375,9 @@ class Bfv:
     def prepare_mul_plain(self, plain: Sequence[int]) -> PreparedPlain:
         """Pre-encode a plaintext polynomial for repeated ``mul_plain_poly``.
 
-        Under the RNS engine the handle caches its NTT form after first use,
-        so the per-round affine-matrix plaintexts of the PASTA circuit pay
-        one forward transform no matter how often they recur.
+        Under the RNS engine the handle holds the plaintext's eval-domain
+        matrix, transformed once here, so a plaintext that recurs pays one
+        forward transform no matter how often it is used.
         """
         self._reduced_plain(plain)  # length / coefficient validation
         handle = self.engine.prepare_mul_plain(self._centered_plain(plain))
@@ -515,13 +520,13 @@ class Bfv:
         broadcast over the L limbs: the transform reduces inputs below
         :data:`~repro.fhe.ntt_vec.FORWARD_INPUT_LIMIT` in magnitude exactly,
         so no per-limb ``%`` pass runs. A plaintext modulus too wide for that
-        bound on an int64 chain is reduced per limb first.
+        bound is reduced per limb first.
         """
         ctx = self._tensor_engine().ctx
         p = self.params.p
         reduced = encoded % p
         centered = np.where(reduced > p // 2, reduced - p, reduced)
-        if ctx.dtype is np.int64 and p // 2 >= FORWARD_INPUT_LIMIT:
+        if p // 2 >= FORWARD_INPUT_LIMIT:
             return ctx.forward(ctx.to_rns_batch(centered))
         limbs = centered.shape[:-1] + (len(ctx.primes), ctx.n)
         return ctx.forward(np.broadcast_to(centered[..., None, :], limbs))

@@ -9,17 +9,20 @@ small engine interface; two interchangeable implementations exist:
   for *any* modulus, slow at the ~250-bit ciphertext moduli the PASTA
   transciphering circuit needs.
 * :class:`RnsEngine` — the RNS/CRT hot path. q must be a product of
-  NTT-friendly primes; polynomials are :class:`repro.fhe.rns.RnsPoly`
-  residue matrices that stay in the NTT (eval) domain across chains of
-  additions and plaintext multiplications, reconstructing through CRT only
-  at tensor-product, relinearization and decryption boundaries.
+  NTT-friendly primes the int64 kernels can host; polynomials are
+  :class:`repro.fhe.rns.RnsPoly` eval-domain (NTT) residue matrices. Every
+  CRT crossing runs on the fused :class:`CiphertextTensor` kernels: a
+  per-ciphertext tensor product or relinearization digit decomposition is
+  the kernel on a one-ciphertext stack, whose int64 base transports
+  (:mod:`repro.fhe.rns`) never build a big int. Only decryption
+  reconstructs integers through CRT.
 
 Both engines implement the same operations *exactly* mod q, so a scheme
 instantiated from the same seed produces bit-identical keys, ciphertexts,
 decryptions and noise budgets under either — pinned by
-``tests/test_fhe_rns.py``. :class:`BigintEngine` is the arithmetic oracle;
-the packed HHE evaluator (:mod:`repro.hhe.batched`) runs only on
-:class:`RnsEngine`, through the fused :class:`CiphertextTensor` kernels.
+``tests/test_fhe_rns.py``. :class:`BigintEngine` is the arithmetic oracle,
+and serves the moduli an int64 chain cannot; the packed HHE evaluator
+(:mod:`repro.hhe.batched`) runs only on :class:`RnsEngine`.
 """
 
 from __future__ import annotations
@@ -47,10 +50,6 @@ def round_div(numerator: int, denominator: int) -> int:
     return (2 * numerator + denominator) // (2 * denominator)
 
 
-#: Largest relinearization digit base whose digits always fit int64.
-_DIGIT_INT64_MAX = 1 << 62
-
-
 @dataclass(frozen=True)
 class PreparedPlain:
     """An encoded plaintext pre-lifted into one engine's representation.
@@ -76,8 +75,8 @@ class CiphertextTensor:
     fused kernel (affine einsum, elementwise add/neg, batched
     square/multiply) acts on the whole stack per numpy pass and *stays* in
     the eval domain; coefficients are only rematerialized inside
-    ``tensor_scale`` / relinearization, the CRT boundaries the scalar path
-    crosses per ciphertext.
+    ``tensor_scale_batch`` / relinearization, the CRT boundaries, which
+    the per-ciphertext operations cross as one-ciphertext stacks.
     """
 
     ctx: RnsContext
@@ -216,11 +215,13 @@ class BigintEngine:
 
 
 class RnsEngine:
-    """RNS/CRT engine: residue-matrix polynomials, lazy NTT-domain ops."""
+    """RNS/CRT engine: eval-domain residue-matrix polynomials, int64 kernels."""
 
     name = "rns"
 
-    def __init__(self, n: int, q: int, p: int, primes: Sequence[int]):
+    def __init__(
+        self, n: int, q: int, p: int, primes: Sequence[int], relin_base_bits: int, relin_parts: int
+    ):
         self.n = n
         self.q = q
         self.p = p
@@ -231,17 +232,20 @@ class RnsEngine:
         # centered operands is <= N (q/2)^2, and d1 sums two such products.
         ext_bits = (n * (q // 2 + 1) ** 2).bit_length() + 3
         self.ext = get_rns_context(n, ntt_prime_chain(n, ext_bits))
-        # Exact int64 base transport for the fused tensor kernels: centered
-        # ctx -> ext lift on the way into a tensor product, and the p/q
-        # rescale back, both via Garner digits (no big ints). Chains with an
-        # object dtype fall back to the CRT-reconstruction path.
-        if self.ctx.dtype is not object and self.ext.dtype is not object:
-            self._tensor_lift: Optional[ExactBaseLift] = ExactBaseLift(self.ctx, self.ext.primes)
-            self._tensor_rescale: Optional[ExactRescaler] = ExactRescaler(self.ext, p, self.ctx)
-        else:
-            self._tensor_lift = None
-            self._tensor_rescale = None
-        self._digit_cache: dict = {}
+        # The exact int64 base transports, all via Garner digits (no big
+        # ints): the centered ctx -> ext lift into a tensor product, the p/q
+        # rescale back, and the base-T digits of relinearization and key
+        # switching. A base the digit transport cannot host fails here, when
+        # the scheme is built, not mid-circuit.
+        self._tensor_lift = ExactBaseLift(self.ctx, self.ext.primes)
+        self._tensor_rescale = ExactRescaler(self.ext, p, self.ctx)
+        try:
+            self._digits = ExactBaseDigits(self.ctx, relin_base_bits, relin_parts)
+        except ParameterError as exc:
+            raise ParameterError(
+                f"relinearization base 2^{relin_base_bits} does not fit the RNS engine's "
+                f"int64 digit decomposition ({exc}); use engine='bigint'"
+            ) from None
 
     # -- representation ----------------------------------------------------------
 
@@ -277,8 +281,8 @@ class RnsEngine:
     # -- plaintext handles ---------------------------------------------------------
 
     def prepare_mul_plain(self, centered_plain: List[int]) -> RnsPoly:
-        # Eval rep is computed lazily on first product and cached in the
-        # handle, so a reused handle pays its forward transform once.
+        # The handle is the eval-domain matrix: one forward transform, here,
+        # however often the handle is used.
         return self.lift(centered_plain)
 
     def mul_plain(self, poly: RnsPoly, handle: RnsPoly) -> RnsPoly:
@@ -287,34 +291,16 @@ class RnsEngine:
     # -- CRT-boundary operations ---------------------------------------------------
 
     def tensor_scale(self, a_parts: Sequence[Any], b_parts: Sequence[Any]) -> List[Any]:
-        from repro.obs import get_registry, get_tracer
-
-        get_registry().counter("fhe.tensor_scale.calls", engine="rns").inc()
-        with get_tracer().span(
-            "fhe.tensor_scale", metric="fhe.tensor_scale.seconds", engine="rns"
-        ):
-            return self._tensor_scale(a_parts, b_parts)
-
-    def _tensor_scale(self, a_parts: Sequence[Any], b_parts: Sequence[Any]) -> List[Any]:
-        ext = self.ext
-        fa = [ext.forward(ext.to_rns(p.centered())) for p in a_parts]
-        fb = fa if b_parts is a_parts else [ext.forward(ext.to_rns(p.centered())) for p in b_parts]
-        d0 = ext.mod_mul(fa[0], fb[0])
-        d1 = ext.mod_add(ext.mod_mul(fa[0], fb[1]), ext.mod_mul(fa[1], fb[0]))
-        d2 = ext.mod_mul(fa[1], fb[1])
-        out = []
-        for mat in (d0, d1, d2):
-            exact = ext.from_rns_centered(ext.inverse(mat))
-            out.append(self.lift([round_div(self.p * c, self.q) % self.q for c in exact]))
-        return out
+        """One ciphertext pair's tensor product: :meth:`tensor_scale_batch`
+        on a one-ciphertext stack (``b_parts is a_parts`` squares)."""
+        a = self.stack_polys([a_parts])
+        b = None if b_parts is a_parts else self.stack_polys([b_parts])
+        return [RnsPoly(self.ctx, part) for part in self.tensor_scale_batch(a, b)[0]]
 
     def relin_digits(self, poly: RnsPoly, base: int, count: int) -> List[RnsPoly]:
-        digits: List[RnsPoly] = []
-        remainder = poly.to_ints()
-        for _ in range(count):
-            digits.append(self.lift([c % base for c in remainder]))
-            remainder = [c // base for c in remainder]
-        return digits
+        """One polynomial's base-T digits: :meth:`_decompose_base_digits` on a one-row stack."""
+        digits = self._decompose_base_digits(poly.eval_mat()[None], base, count)[0]
+        return [RnsPoly(self.ctx, digit) for digit in digits]
 
     # -- Galois automorphisms --------------------------------------------------------
 
@@ -327,27 +313,16 @@ class RnsEngine:
         """
         from repro.fhe.galois import eval_permutation
 
+        self._check_basis([poly], "polynomial")
         perm = eval_permutation(self.n, element)
-        return RnsPoly(self.ctx, evals=np.array(poly.eval_mat()[:, perm]))
+        return RnsPoly(self.ctx, poly.eval_mat()[:, perm])
 
     # -- fused ciphertext-tensor kernels -------------------------------------------
 
     def _check_basis(self, polys: Sequence[RnsPoly], what: str) -> None:
-        """Refuse polynomials over another ring or prime chain.
-
-        Material from a different chain of the same length stacks to the
-        same shape, and would then evaluate to garbage without an error.
-        """
-        own = (self.ctx.n, self.ctx.primes)
+        """Refuse polynomials over another ring or prime chain."""
         for poly in polys:
-            ctx = getattr(poly, "ctx", None)
-            if ctx is self.ctx:
-                continue
-            if ctx is None or (ctx.n, ctx.primes) != own:
-                raise ParameterError(
-                    f"{what} is not over this engine's RNS basis "
-                    f"(N={self.ctx.n}, primes {self.ctx.primes})"
-                )
+            self.ctx.require_basis(getattr(poly, "ctx", None), what)
 
     def stack_polys(self, rows: Sequence[Sequence[RnsPoly]]) -> CiphertextTensor:
         """Stack ciphertext part lists into one eval-domain (slots, parts, L, N)."""
@@ -357,13 +332,14 @@ class RnsEngine:
         if any(len(row) != parts for row in rows):
             raise ParameterError("all stacked ciphertexts must have the same part count")
         self._check_basis([p for row in rows for p in row], "ciphertext")
-        data = np.stack([np.stack([p.eval_mat() for p in row]) for row in rows])
-        return CiphertextTensor(self.ctx, np.array(data, dtype=self.ctx.dtype))
+        return CiphertextTensor(
+            self.ctx, np.stack([np.stack([p.eval_mat() for p in row]) for row in rows])
+        )
 
     def unstack_polys(self, tensor: CiphertextTensor) -> List[List[RnsPoly]]:
         """The inverse of :meth:`stack_polys`: per-slot lists of eval-domain polys."""
         return [
-            [RnsPoly(self.ctx, evals=np.array(tensor.data[s, p])) for p in range(tensor.parts)]
+            [RnsPoly(self.ctx, np.array(tensor.data[s, p])) for p in range(tensor.parts)]
             for s in range(tensor.slots)
         ]
 
@@ -401,23 +377,17 @@ class RnsEngine:
 
     def _tensor_ext_forward(self, data: np.ndarray) -> np.ndarray:
         """Eval-domain ciphertext parts -> ext-basis NTT of the centered values."""
-        coeff = self.ctx.inverse(data)
-        if self._tensor_lift is not None:
-            lifted = self._tensor_lift.lift_centered(coeff)
-        else:
-            centered = self.ctx.from_rns_centered_batch(coeff)
-            lifted = self.ext.to_rns_batch(centered)
-        return self.ext.forward(lifted)
+        return self.ext.forward(self._tensor_lift.lift_centered(self.ctx.inverse(data)))
 
     def tensor_scale_batch(
         self, a: CiphertextTensor, b: Optional[CiphertextTensor] = None
     ) -> np.ndarray:
         """Batched BFV tensor product: (B, 2, L, N) -> (B, 3, L, N) eval-domain.
 
-        ``b=None`` squares. Bit-identical per slot to :meth:`tensor_scale`:
-        same extended basis, same d1 = cross1 + cross2 modular sum, same
-        round_div(p*c, q) rescale (via the exact mixed-radix transport on
-        int64 chains).
+        ``b=None`` squares. Exact: the centered parts lift into the
+        extended basis, d1 = cross1 + cross2 is one modular sum, and the
+        rescale is round_div(p*c, q) mod q, all on the int64 mixed-radix
+        transport, so every slot equals :meth:`BigintEngine.tensor_scale`.
         """
         from repro.obs import get_registry, get_tracer
 
@@ -443,64 +413,31 @@ class RnsEngine:
         d1 = ext.mod_add(ext.mod_mul(fa[:, 0], fb[:, 1]), ext.mod_mul(fa[:, 1], fb[:, 0]))
         d2 = ext.mod_mul(fa[:, 1], fb[:, 1])
         exact = ext.inverse(np.stack([d0, d1, d2], axis=1))
-        if self._tensor_rescale is not None:
-            scaled = self._tensor_rescale.rescale(exact)
-        else:
-            values = ext.from_rns_centered_batch(exact)
-            reduced = (2 * self.p * values + self.q) // (2 * self.q) % self.q
-            scaled = self.ctx.to_rns_batch(reduced)
-        return self.ctx.forward(scaled)
+        return self.ctx.forward(self._tensor_rescale.rescale(exact))
 
     def relin_key_stacks(self, rlk_parts: Sequence[Sequence[RnsPoly]]) -> tuple:
         """(D, L, N) eval-domain stacks of the relinearization key halves."""
         self._check_basis([poly for pair in rlk_parts for poly in pair], "key-switching key")
-        b_stack = np.stack([b.eval_mat() for b, _ in rlk_parts])
-        a_stack = np.stack([a.eval_mat() for _, a in rlk_parts])
         return (
-            np.array(b_stack, dtype=self.ctx.dtype),
-            np.array(a_stack, dtype=self.ctx.dtype),
+            np.stack([b.eval_mat() for b, _ in rlk_parts]),
+            np.stack([a.eval_mat() for _, a in rlk_parts]),
         )
-
-    def _digit_decomposer(self, base: int, count: int) -> Optional[ExactBaseDigits]:
-        """Cached RNS-native digit transport, None when the chain can't host it."""
-        if self.ctx.dtype is object:
-            return None
-        key = (base, count)
-        if key not in self._digit_cache:
-            decomposer = None
-            bits = base.bit_length() - 1
-            if base == 1 << bits:
-                try:
-                    decomposer = ExactBaseDigits(self.ctx, bits, count)
-                except ParameterError:
-                    decomposer = None
-            self._digit_cache[key] = decomposer
-        return self._digit_cache[key]
 
     def _decompose_base_digits(self, component: np.ndarray, base: int, count: int) -> np.ndarray:
         """(B, L, N) eval-domain parts -> (B, D, L, N) eval-domain digit stacks.
 
         The shared front half of relinearization, keyswitching and hoisted
-        rotation. On int64 chains the base-T digits come straight from the
-        residue stacks (Garner digits + limb contraction, no object dtype);
-        the CRT big-int round trip remains as the object-chain fallback and
-        produces bit-identical digits (both decompose the canonical value).
+        rotation: the base-T digits of each canonical coefficient come
+        straight from the residue stacks (:class:`ExactBaseDigits`: Garner
+        digits + limb contraction), equal to :meth:`BigintEngine.relin_digits`.
         """
-        coeff = self.ctx.inverse(component)
-        decomposer = self._digit_decomposer(base, count)
-        if decomposer is not None:
-            residues = decomposer.digits(coeff)
-        else:
-            remainder = self.ctx.from_rns_batch(coeff)  # (B, N) object
-            digit_mats = []
-            for _ in range(count):
-                digit = remainder % base
-                if base <= _DIGIT_INT64_MAX:
-                    digit = digit.astype(np.int64)
-                digit_mats.append(self.ctx.to_rns_batch(digit))
-                remainder = remainder // base
-            residues = np.stack(digit_mats, axis=1)
-        return self.ctx.forward(residues)  # (B, D, L, N)
+        digits = self._digits
+        if (base, count) != (1 << digits.base_bits, digits.count):
+            raise ParameterError(
+                f"this engine decomposes into {digits.count} base-2^{digits.base_bits} "
+                f"digits, not {count} base-{base} digits"
+            )
+        return self.ctx.forward(digits.digits(self.ctx.inverse(component)))  # (B, D, L, N)
 
     def tensor_relin(
         self, parts3: np.ndarray, base: int, count: int, key_stacks: tuple
@@ -508,7 +445,7 @@ class RnsEngine:
         """Batched base-T relinearization of (B, 3, L, N) eval-domain parts.
 
         The c2 stack is digit-decomposed on the RNS-native path (each base-T
-        digit fits int64 for base = 2^62), so the digit lifts and the
+        digit fits int64 for base <= 2^62), so the digit lifts and the
         weighted key contraction stay on the vectorized path.
         """
         b_stack, a_stack = key_stacks
@@ -586,7 +523,9 @@ def make_engine(params: "Any", engine: str):
 
     ``engine`` may be ``"rns"``, ``"bigint"``, or ``"auto"`` — auto picks
     RNS whenever the parameters carry a prime chain, which is what
-    :func:`repro.fhe.bfv.toy_parameters` produces by default.
+    :func:`repro.fhe.bfv.toy_parameters` produces by default. The RNS
+    engine refuses, with :class:`ParameterError`, a chain or relinearization
+    base its int64 kernels cannot host; ``"bigint"`` serves any parameters.
     """
     if engine == "auto":
         engine = "rns" if params.rns_primes else "bigint"
@@ -596,7 +535,10 @@ def make_engine(params: "Any", engine: str):
                 "RNS engine requires rns_primes (use toy_parameters, which "
                 "builds an NTT-friendly prime-product modulus)"
             )
-        return RnsEngine(params.n, params.q, params.p, params.rns_primes)
+        return RnsEngine(
+            params.n, params.q, params.p, params.rns_primes,
+            params.relin_base_bits, params.relin_parts,
+        )
     if engine == "bigint":
         return BigintEngine(params.n, params.q, params.p)
     raise ParameterError(f"unknown BFV engine {engine!r} (expected 'rns', 'bigint', 'auto')")

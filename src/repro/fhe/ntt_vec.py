@@ -12,9 +12,11 @@ Overflow policy mirrors ``ff/prime.py``: the int64 fast path is gated on a
 per-prime predicate (a product of two reduced residues, plus the reduced
 carry headroom, must fit in a signed 64-bit integer — true for the default
 ~30-bit chains; the RNS arithmetic around the transform relies on it).
-Chains with any wider prime (up to the 60-bit ``P60``) fall back to
-object-dtype numpy, which keeps the same vectorized shape with exact
-big-int elements.
+Any wider prime falls back to object-dtype numpy, which keeps the same
+vectorized shape with exact big-int elements. That path serves only
+wide single-prime transforms (:class:`repro.fhe.batching.BatchEncoder`
+at the 33- and 54-bit plaintext primes): :class:`repro.fhe.rns.RnsContext`
+refuses a ciphertext chain that would need it.
 
 The int64 path is division-free. Each twiddle product ``x * w`` is reduced
 to the *centered* residue ``t = x*w - rint(x * (w/q)) * q``, with ``w/q``
@@ -32,7 +34,7 @@ stay below ``B + q log2 N``; inverse (Gentleman-Sande) stages double the
 sum branch and reduce the difference branch, so from inputs below ``q``
 values stay below ``N q``. Hence the int64 kernel requires
 ``N (q - 1) < 2^50`` (N <= 2^18 at the widest prime
-:func:`butterfly_fits_int64` admits); other chains take the object path.
+:func:`butterfly_fits_int64` admits); other primes take the object path.
 
 Input contract. The inverse takes residues below ``q`` in magnitude. The
 forward takes any integers below :data:`FORWARD_INPUT_LIMIT` = ``2^48`` in

@@ -2,13 +2,17 @@
 
 A ciphertext modulus q is chosen as a product of machine-word NTT-friendly
 primes ``q_i = 1 (mod 2N)``. Polynomials in R_q are then held as an
-``(L, N)`` residue matrix — row ``i`` is the coefficient vector mod
-``q_i`` — and every ring operation acts per-row with numpy, exactly the
-residue-arithmetic structure of hardware FHE datapaths (BASALISC's BGV
-pipeline, Medha's residue polynomial arithmetic unit): multi-precision
-integers appear only at CRT boundaries (decryption, relinearization digit
-decomposition, the BFV tensor-product scaling), never in the add/mul-plain
-hot loop.
+``(L, N)`` residue matrix — row ``i`` is the polynomial mod ``q_i`` — and
+every ring operation acts per-row with numpy, exactly the residue-arithmetic
+structure of hardware FHE datapaths (BASALISC's BGV pipeline, Medha's
+residue polynomial arithmetic unit). Chains are int64-only: every prime
+must fit the vectorized NTT's int64 kernel, and a wider chain is refused
+(the big-int :class:`repro.fhe.engine.BigintEngine` serves wider moduli).
+Every CRT crossing inside the scheme (the BFV tensor-product lift and
+rescale, relinearization digit decomposition) runs on the exact int64
+transports below; multi-precision integers appear only at the edges:
+big-int input conversion (:meth:`RnsContext.to_rns`) and CRT
+reconstruction for decryption (:meth:`RnsContext.from_rns`).
 
 Key objects:
 
@@ -16,13 +20,10 @@ Key objects:
   covering a requested bit width;
 * :class:`RnsContext` — conversion between big-int coefficient vectors and
   residue matrices (+ CRT reconstruction) with a vectorized NTT attached;
-* :class:`RnsPoly` — a lazily dual-domain polynomial: the coefficient and
-  NTT ("eval") representations are each computed at most once and cached,
-  so chains of add/mul-plain stay in the eval domain and a ciphertext that
-  feeds many products is transformed a single time;
-* :func:`rns_negacyclic_mul_exact` — exact integer negacyclic product via
-  an extended prime basis (the RNS analogue of the Kronecker multiplier in
-  :mod:`repro.fhe.poly`).
+* :class:`MixedRadix`, :class:`ExactBaseLift`, :class:`ExactBaseDigits`,
+  :class:`ExactRescaler` — the exact int64 base transports;
+* :class:`RnsPoly` — a polynomial held as its eval-domain (NTT) residue
+  matrix, so every ring operation is pointwise.
 """
 
 from __future__ import annotations
@@ -81,9 +82,9 @@ def ntt_prime_chain(n: int, min_bits: int, prime_bits: int = DEFAULT_PRIME_BITS)
 class RnsContext:
     """CRT basis ``q = prod(q_i)`` with conversion and transform helpers.
 
-    The residue dtype follows the vectorized NTT's overflow predicate:
-    int64 matrices for chains of <= ~31-bit primes, object-dtype matrices
-    (exact big ints, same vectorized shape) otherwise.
+    Residue matrices are int64: the constructor refuses, with
+    :class:`ParameterError`, any chain the vectorized NTT's int64 kernel
+    cannot host (a prime wider than about 31 bits).
     """
 
     def __init__(self, n: int, primes: Sequence[int]):
@@ -93,19 +94,23 @@ class RnsContext:
         self.n = n
         self.primes = primes
         self.ntt: VecNtt = get_vec_ntt(n, primes)  # validates primality / 2N-friendliness
-        self.dtype = self.ntt.dtype
+        if self.ntt.dtype is not np.int64:
+            raise ParameterError(
+                f"RNS chains are int64-only: the primes {primes} exceed the int64 "
+                f"NTT kernel at N={n}; serve this modulus with engine='bigint'"
+            )
         self.modulus = 1
         for q in primes:
             self.modulus *= q
         # Garner-free CRT: x = sum_i ((r_i * inv_i) mod q_i) * M_i (mod M).
         self._crt_big = [self.modulus // q for q in primes]
         self._crt_inv = np.array(
-            [pow(m % q, q - 2, q) for m, q in zip(self._crt_big, primes)], dtype=self.dtype
+            [pow(m % q, q - 2, q) for m, q in zip(self._crt_big, primes)], dtype=np.int64
         ).reshape(len(primes), 1)
-        self._q_col = np.array(primes, dtype=self.dtype).reshape(len(primes), 1)
+        self._q_col = np.array(primes, dtype=np.int64).reshape(len(primes), 1)
         # Largest residue-product chunk that cannot overflow int64 when one
         # already-reduced addend rides along (same headroom shape as the
-        # butterfly predicate). Object-dtype chains never chunk.
+        # butterfly predicate).
         qmax = max(primes)
         self._chunk = max(1, (_INT64_MAX - (qmax - 1)) // ((qmax - 1) ** 2))
         self._mixed_radix: Optional["MixedRadix"] = None
@@ -120,6 +125,20 @@ class RnsContext:
             f"log2q={self.modulus.bit_length()})"
         )
 
+    def require_basis(self, ctx: Optional["RnsContext"], what: str) -> None:
+        """Refuse material over another ring or prime chain.
+
+        Material from a different chain of the same length has the same
+        shape, and would then evaluate to garbage without an error.
+        Contexts equal by ``(n, primes)`` are the same basis.
+        """
+        if ctx is self:
+            return
+        if ctx is None or (ctx.n, ctx.primes) != (self.n, self.primes):
+            raise ParameterError(
+                f"{what} is not over this RNS basis (N={self.n}, primes {self.primes})"
+            )
+
     # -- conversions ------------------------------------------------------------
 
     def to_rns(self, coeffs: Sequence[int]) -> np.ndarray:
@@ -130,14 +149,14 @@ class RnsContext:
             arr = np.asarray(coeffs, dtype=np.int64)
         except (OverflowError, TypeError):
             arr = np.asarray(list(coeffs), dtype=object)
-        out = np.empty((len(self.primes), self.n), dtype=self.dtype)
+        out = np.empty((len(self.primes), self.n), dtype=np.int64)
         for i, q in enumerate(self.primes):
             out[i] = arr % q
         return out
 
     def from_rns(self, mat: np.ndarray) -> List[int]:
         """(L, N) residues -> coefficients in [0, q) via CRT reconstruction."""
-        small = (np.asarray(mat, dtype=self.dtype) * self._crt_inv) % self._q_col
+        small = (np.asarray(mat, dtype=np.int64) * self._crt_inv) % self._q_col
         acc = np.zeros(self.n, dtype=object)
         for i, big in enumerate(self._crt_big):
             acc += small[i].astype(object) * big
@@ -148,30 +167,15 @@ class RnsContext:
         half = self.modulus // 2
         return [c - self.modulus if c > half else c for c in self.from_rns(mat)]
 
-    # -- batched conversions (ciphertext-tensor kernels) --------------------------
-
     def to_rns_batch(self, arr: np.ndarray) -> np.ndarray:
         """``(..., N)`` integer coefficients (any magnitude/sign) -> ``(..., L, N)``."""
         arr = np.asarray(arr)
         if arr.ndim < 1 or arr.shape[-1] != self.n:
             raise ParameterError(f"expected trailing dimension {self.n}, got {arr.shape}")
-        out = np.empty(arr.shape[:-1] + (len(self.primes), self.n), dtype=self.dtype)
+        out = np.empty(arr.shape[:-1] + (len(self.primes), self.n), dtype=np.int64)
         for i, q in enumerate(self.primes):
             out[..., i, :] = arr % q
         return out
-
-    def from_rns_batch(self, mat: np.ndarray) -> np.ndarray:
-        """``(..., L, N)`` residues -> ``(..., N)`` object array of ints in [0, q)."""
-        small = (np.asarray(mat, dtype=self.dtype) * self._crt_inv) % self._q_col
-        acc = np.zeros(small.shape[:-2] + (self.n,), dtype=object)
-        for i, big in enumerate(self._crt_big):
-            acc += small[..., i, :].astype(object) * big
-        return acc % self.modulus
-
-    def from_rns_centered_batch(self, mat: np.ndarray) -> np.ndarray:
-        """``(..., L, N)`` residues -> centered ``(..., N)`` object array."""
-        vals = self.from_rns_batch(mat)
-        return np.where(vals > self.modulus // 2, vals - self.modulus, vals)
 
     # -- chunked modular contractions ---------------------------------------------
 
@@ -183,19 +187,14 @@ class RnsContext:
         object-per-op path; modular addition is associative, so the chunked
         sums are bit-identical to any sequential accumulation order.
         """
-        matrix = np.asarray(matrix, dtype=self.dtype)
-        state = np.asarray(state, dtype=self.dtype)
+        matrix = np.asarray(matrix, dtype=np.int64)
+        state = np.asarray(state, dtype=np.int64)
         if matrix.ndim != 4 or state.ndim != 4 or matrix.shape[1] != state.shape[0]:
             raise ParameterError(
                 f"matmul_mod expects (J, K, L, N) x (K, P, L, N), "
                 f"got {matrix.shape} x {state.shape}"
             )
         k_total = matrix.shape[1]
-        if self.dtype is object:
-            out = np.zeros((matrix.shape[0],) + state.shape[1:], dtype=object)
-            for k in range(k_total):
-                out = out + matrix[:, k][:, None] * state[k][None]
-            return out % self._q_col
         out = np.zeros((matrix.shape[0],) + state.shape[1:], dtype=np.int64)
         for start in range(0, k_total, self._chunk):
             stop = start + self._chunk
@@ -209,18 +208,13 @@ class RnsContext:
         The batched relinearization accumulator: sum_d digits[d] * weights[d]
         mod q per prime, chunked along D like :meth:`matmul_mod`.
         """
-        digits = np.asarray(digits, dtype=self.dtype)
-        weights = np.asarray(weights, dtype=self.dtype)
+        digits = np.asarray(digits, dtype=np.int64)
+        weights = np.asarray(weights, dtype=np.int64)
         if digits.shape[-3] != weights.shape[0]:
             raise ParameterError(
                 f"digit count {digits.shape[-3]} != weight count {weights.shape[0]}"
             )
         d_total = weights.shape[0]
-        if self.dtype is object:
-            out = np.zeros(digits.shape[:-3] + digits.shape[-2:], dtype=object)
-            for d in range(d_total):
-                out = out + digits[..., d, :, :] * weights[d]
-            return out % self._q_col
         out = np.zeros(digits.shape[:-3] + digits.shape[-2:], dtype=np.int64)
         for start in range(0, d_total, self._chunk):
             stop = start + self._chunk
@@ -231,9 +225,7 @@ class RnsContext:
         return out
 
     def mixed_radix(self) -> "MixedRadix":
-        """The cached Garner transport for this basis (int64 chains only)."""
-        if self.dtype is object:
-            raise ParameterError("mixed-radix transport requires an int64 residue chain")
+        """The cached Garner transport for this basis."""
         if self._mixed_radix is None:
             self._mixed_radix = MixedRadix(self)
         return self._mixed_radix
@@ -260,7 +252,7 @@ class RnsContext:
 
     def scalar_residues(self, c: int) -> np.ndarray:
         """Column vector of ``c mod q_i`` (for broadcasting scalar ops)."""
-        return np.array([c % q for q in self.primes], dtype=self.dtype).reshape(-1, 1)
+        return np.array([c % q for q in self.primes], dtype=np.int64).reshape(-1, 1)
 
 
 @lru_cache(maxsize=64)
@@ -269,11 +261,11 @@ def get_rns_context(n: int, primes: Tuple[int, ...]) -> RnsContext:
     return RnsContext(n, primes)
 
 
-# -- exact machine-word base transport (the fused tensor-kernel CRT path) --------
+# -- exact machine-word base transport (the one CRT crossing) --------------------
 #
-# The object-per-op engine crosses every CRT boundary through Python big
-# ints: reconstruct, center, re-reduce. The classes below keep the same
-# *exact* semantics entirely in vectorized int64 by working in Garner's
+# The big-int oracle crosses a CRT boundary by reconstructing, centering and
+# re-reducing Python ints. The classes below keep the same *exact*
+# semantics entirely in vectorized int64 by working in Garner's
 # mixed-radix form: x = v_0 + v_1 q_0 + v_2 q_0 q_1 + ... with 0 <= v_j <
 # q_j. Each digit is machine-word sized, comparisons against q/2 are
 # lexicographic on the digit stack, and residues of x modulo a *different*
@@ -285,14 +277,11 @@ def get_rns_context(n: int, primes: Tuple[int, ...]) -> RnsContext:
 class MixedRadix:
     """Garner decomposition of a residue basis into mixed-radix digits.
 
-    Valid only for int64 chains (every pairwise product of reduced residues
-    fits the butterfly headroom predicate, which ``RnsContext`` already
-    guarantees for its int64 dtype).
+    Every pairwise product of reduced residues fits int64 (the butterfly
+    headroom predicate, which every ``RnsContext`` chain satisfies).
     """
 
     def __init__(self, ctx: RnsContext):
-        if ctx.dtype is object:
-            raise ParameterError("mixed-radix transport requires an int64 residue chain")
         self.ctx = ctx
         primes = ctx.primes
         # _inv[j][i] = q_i^{-1} mod q_j for i < j (Garner's pair inverses).
@@ -392,9 +381,8 @@ class ExactBaseDigits:
 
     The keyswitch path needs ``digit_i(x) = floor(x / T^i) mod T`` for the
     canonical representative ``x in [0, q)`` of every coefficient, with
-    ``T = 2^base_bits``. The object-dtype engine reconstructs ``x`` with
-    big-int CRT first; this class produces the *same* digits entirely in
-    int64:
+    ``T = 2^base_bits``. :class:`repro.fhe.engine.BigintEngine` divides the
+    big-int ``x``; this class produces the *same* digits entirely in int64:
 
     1. Garner mixed-radix digits ``v_j < q_j`` with
        ``x = sum_j v_j Q_j`` exactly (``Q_j = prod_{i<j} q_i``), via the
@@ -406,13 +394,13 @@ class ExactBaseDigits:
     3. limb recombination into base-``T`` digits (each < ``2^62``) and a
        per-prime reduction back to residues.
 
-    Bit-exact with the reconstruct/divmod path: both decompose the same
-    canonical ``x``.
+    Bit-exact with the big-int divmod: both decompose the same canonical
+    ``x``.
     """
 
     def __init__(self, ctx: RnsContext, base_bits: int, count: int):
         self.ctx = ctx
-        self.radix = ctx.mixed_radix()  # validates the int64 chain
+        self.radix = ctx.mixed_radix()
         if base_bits < 1 or base_bits > 62:
             raise ParameterError(f"base_bits must be in [1, 62], got {base_bits}")
         if count * base_bits < ctx.modulus.bit_length():
@@ -514,8 +502,6 @@ class ExactRescaler:
         self.ext = ext
         self.dst = dst
         self.radix = ext.mixed_radix()
-        if dst.dtype is object:
-            raise ParameterError("rescale target must be an int64 residue chain")
         n_digits = len(ext.primes)
         bound = n_digits * 2.0**-21 + n_digits**2 * 2.0**-22
         if bound * 4 > self._EPS:
@@ -585,77 +571,46 @@ class ExactRescaler:
 
 
 class RnsPoly:
-    """A polynomial in R_q held as residue matrices, lazily dual-domain.
+    """A polynomial in R_q held as its eval-domain (NTT) residue matrix.
 
-    ``_coeff`` and ``_eval`` are each an (L, N) matrix or ``None``; whichever
-    is missing is computed on first demand and cached, so a ciphertext used
-    in many pointwise products pays its forward transform once, and a chain
-    of eval-domain adds/mul-plains never transforms back until a CRT
-    boundary (tensor product, relinearization digits, decryption) asks for
-    coefficients.
+    Every ring operation is pointwise on the ``(L, N)`` matrix, so chains of
+    additions and products never transform. :meth:`from_ints` transforms
+    once on the way in; :meth:`to_ints` and :meth:`centered` apply the
+    inverse on the way out (decryption). Binary operations refuse an
+    operand over another ring or prime chain.
     """
 
-    __slots__ = ("ctx", "_coeff", "_eval")
+    __slots__ = ("ctx", "_eval")
 
-    def __init__(
-        self,
-        ctx: RnsContext,
-        coeff: Optional[np.ndarray] = None,
-        evals: Optional[np.ndarray] = None,
-    ):
-        if coeff is None and evals is None:
-            raise ParameterError("RnsPoly needs at least one representation")
+    def __init__(self, ctx: RnsContext, evals: np.ndarray):
         self.ctx = ctx
-        self._coeff = coeff
         self._eval = evals
 
     @classmethod
     def from_ints(cls, ctx: RnsContext, coeffs: Sequence[int]) -> "RnsPoly":
-        return cls(ctx, coeff=ctx.to_rns(coeffs))
-
-    # -- representations ---------------------------------------------------------
-
-    def coeff_mat(self) -> np.ndarray:
-        if self._coeff is None:
-            self._coeff = self.ctx.inverse(self._eval)
-        return self._coeff
+        return cls(ctx, ctx.forward(ctx.to_rns(coeffs)))
 
     def eval_mat(self) -> np.ndarray:
-        if self._eval is None:
-            self._eval = self.ctx.forward(self._coeff)
         return self._eval
 
-    @property
-    def domain(self) -> str:
-        """Primary domain(s) currently materialized (for tests/diagnostics)."""
-        if self._coeff is not None and self._eval is not None:
-            return "both"
-        return "coeff" if self._coeff is not None else "eval"
-
     def to_ints(self) -> List[int]:
-        return self.ctx.from_rns(self.coeff_mat())
+        return self.ctx.from_rns(self.ctx.inverse(self._eval))
 
     def centered(self) -> List[int]:
-        return self.ctx.from_rns_centered(self.coeff_mat())
+        return self.ctx.from_rns_centered(self.ctx.inverse(self._eval))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, RnsPoly):
             return NotImplemented
-        return self.ctx is other.ctx and self.to_ints() == other.to_ints()
+        return self.ctx is other.ctx and np.array_equal(self._eval, other._eval)
 
-    __hash__ = None  # mutable caches; equality is by value
+    __hash__ = None  # equality is by value
 
-    # -- arithmetic (each op emits a single-representation result) ---------------
+    # -- arithmetic -------------------------------------------------------------
 
     def _binary(self, other: "RnsPoly", op) -> "RnsPoly":
-        ctx = self.ctx
-        if self._eval is not None and other._eval is not None:
-            return RnsPoly(ctx, evals=op(self._eval, other._eval))
-        if self._coeff is not None and other._coeff is not None:
-            return RnsPoly(ctx, coeff=op(self._coeff, other._coeff))
-        # Mixed: pull both into the eval domain — the accumulator pattern of
-        # the affine layers, where the running sum must stay transform-free.
-        return RnsPoly(ctx, evals=op(self.eval_mat(), other.eval_mat()))
+        self.ctx.require_basis(other.ctx, "operand")
+        return RnsPoly(self.ctx, op(self._eval, other._eval))
 
     def add(self, other: "RnsPoly") -> "RnsPoly":
         return self._binary(other, self.ctx.mod_add)
@@ -663,69 +618,16 @@ class RnsPoly:
     def sub(self, other: "RnsPoly") -> "RnsPoly":
         return self._binary(other, self.ctx.mod_sub)
 
+    def mul(self, other: "RnsPoly") -> "RnsPoly":
+        """Negacyclic product mod q: pointwise in the eval domain."""
+        return self._binary(other, self.ctx.mod_mul)
+
     def neg(self) -> "RnsPoly":
-        if self._eval is not None:
-            return RnsPoly(self.ctx, evals=self.ctx.mod_neg(self._eval))
-        return RnsPoly(self.ctx, coeff=self.ctx.mod_neg(self._coeff))
+        return RnsPoly(self.ctx, self.ctx.mod_neg(self._eval))
 
     def scalar_mul(self, c: int) -> "RnsPoly":
-        res = self.ctx.scalar_residues(c)
-        if self._eval is not None:
-            return RnsPoly(self.ctx, evals=(self._eval * res) % self.ctx._q_col)
-        return RnsPoly(self.ctx, coeff=(self._coeff * res) % self.ctx._q_col)
-
-    def mul(self, other: "RnsPoly") -> "RnsPoly":
-        """Negacyclic product mod q — always pointwise in the eval domain."""
-        return RnsPoly(self.ctx, evals=self.ctx.mod_mul(self.eval_mat(), other.eval_mat()))
+        return RnsPoly(self.ctx, self.ctx.mod_mul(self._eval, self.ctx.scalar_residues(c)))
 
     def add_const(self, value: int) -> "RnsPoly":
         """Add the constant polynomial ``value`` (NTT of a constant is flat)."""
-        res = self.ctx.scalar_residues(value)
-        if self._eval is not None:
-            return RnsPoly(self.ctx, evals=(self._eval + res) % self.ctx._q_col)
-        coeff = np.array(self._coeff, dtype=self.ctx.dtype)
-        coeff[:, 0] = (coeff[:, 0] + res[:, 0]) % self.ctx._q_col[:, 0]
-        return RnsPoly(self.ctx, coeff=coeff)
-
-
-# -- exact products over an extended basis --------------------------------------
-
-
-@lru_cache(maxsize=32)
-def _exact_basis(n: int, min_bits: int, prime_bits: int) -> RnsContext:
-    return get_rns_context(n, ntt_prime_chain(n, min_bits, prime_bits))
-
-
-def exact_product_bits(n: int, a_bound: int, b_bound: int) -> int:
-    """Bits needed to hold any coefficient of a negacyclic product exactly.
-
-    ``|c_k| <= N * a_bound * b_bound``; one extra bit covers the sign and one
-    more the d1 = cross1 + cross2 sum of the BFV tensor product.
-    """
-    return (n * a_bound * b_bound).bit_length() + 2
-
-
-def rns_negacyclic_mul_exact(
-    a: Sequence[int],
-    b: Sequence[int],
-    prime_bits: int = DEFAULT_PRIME_BITS,
-) -> List[int]:
-    """Exact signed product in Z[x]/(x^N + 1) via an extended RNS basis.
-
-    Drop-in equivalent of :func:`repro.fhe.poly.negacyclic_mul_exact`: the
-    operands are reduced into a prime chain wide enough to hold the exact
-    result, multiplied with vectorized NTTs, and CRT-reconstructed. The
-    basis width is quantized to multiples of four prime widths so repeated
-    calls at similar magnitudes share a cached context.
-    """
-    n = len(a)
-    if len(b) != n:
-        raise ParameterError(f"operands must share the ring degree: {n} vs {len(b)}")
-    a_bound = max(max((abs(int(c)) for c in a), default=0), 1)
-    b_bound = max(max((abs(int(c)) for c in b), default=0), 1)
-    bits = exact_product_bits(n, a_bound, b_bound)
-    quantum = 4 * prime_bits
-    bits = -(-bits // quantum) * quantum
-    ctx = _exact_basis(n, bits, prime_bits)
-    product = ctx.ntt.multiply(ctx.to_rns(list(a)), ctx.to_rns(list(b)))
-    return ctx.from_rns_centered(product)
+        return RnsPoly(self.ctx, self.ctx.mod_add(self._eval, self.ctx.scalar_residues(value)))

@@ -527,16 +527,18 @@ class BatchedHheServer:
         ``(nonce, counters[b])``. Blocks ``g * packed_capacity`` onward land
         in result ciphertext g (see :class:`BatchedTranscipherResult`).
 
-        Schedule: after one batched materials derivation, the call starts
-        one ``hhe-prepare`` thread, prepares group 0's layer 0 itself and
-        evaluates. The helper prepares group 0's layers 1..r, then each
-        later group's layers 0..r, in evaluation order, at most one group
-        (r + 1 layers) ahead of the evaluator. Each layer's evaluation
-        starts when its prepared plaintexts arrive, so the critical path is
-        layer 0's preparation plus the evaluation; results and op counts
-        are those of preparing every layer in line. A preparation error is
-        raised here, where the evaluator needs that layer; on any exit the
-        call stops and joins its helper.
+        Schedule: after one batched derivation of group 0's materials, the
+        call starts one ``hhe-prepare`` thread, prepares group 0's layer 0
+        itself and evaluates. The helper prepares group 0's layers 1..r,
+        then each later group's layers 0..r (deriving the group's materials
+        at its layer 0, queued once the caller holds group 0's layer 0), in
+        evaluation order, at most one group (r + 1 layers) ahead of the
+        evaluator. Each layer's evaluation starts when its prepared
+        plaintexts arrive, so the critical path is layer 0's preparation
+        plus the evaluation; results and op counts are those of preparing
+        every layer in line. A preparation error is raised here, where the
+        evaluator needs that layer; on any exit the call stops and joins its
+        helper.
         """
         from repro.obs import get_registry, get_tracer, record_headroom
         from repro.obs.cycles import modeled_cycle_attributes
@@ -599,14 +601,16 @@ class BatchedHheServer:
         nonce = as_u64(nonce, "nonce")
         block_counters = tuple(as_u64(c, "counter") for c in counters)
 
-        # One batched derivation for every block's materials; matrices are
-        # materialized through (and retained by) the engine's LRU cache, and
-        # the prepared-plaintext LRUs key off the same public schedule.
-        self.engine.materials(nonce, list(block_counters))
-
         capacity = self.packed_capacity
         starts = range(0, len(block_counters), capacity)
         groups = [block_counters[start : start + capacity] for start in starts]
+        # One batched derivation of group 0's materials, which both threads
+        # prepare from; the helper derives each later group when it reaches
+        # its layer 0. Deriving every group here would evict the early ones
+        # from the engine's LRU before they are read. Matrices are retained
+        # by that LRU, and the prepared-plaintext LRUs key off the same
+        # public schedule.
+        self.engine.materials(nonce, list(groups[0]))
         r = params.rounds
         ops = BfvOpCounts()
         # Every (group, layer) after group 0's layer 0, in evaluation order.
@@ -633,8 +637,11 @@ class BatchedHheServer:
                 return future.result()
 
         try:
-            submit(r + 1)  # at most one group ahead of the evaluator
+            submit(r)  # group 0's layers 1..r, beside the caller's layer 0
             first = self._prepare_layer(nonce, groups[0], 0, 0, tracer, parent)
+            # Group 1's layer 0 waits for group 0's: deriving group 1 could
+            # evict the materials the caller still reads from the LRU.
+            submit(1)  # at most one group ahead of the evaluator
             out = [
                 self._evaluate(elements[start : start + capacity], ops, partial(prepared, g))
                 for g, start in enumerate(starts)

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from repro.errors import ParameterError
 from repro.ff.params import P17, P33
-from repro.fhe import BatchEncoder, Bfv, toy_parameters
+from repro.fhe import BatchEncoder, BigintEngine, Bfv, RnsContext, toy_parameters
 from repro.fhe.galois import (
     conjugation_element,
     coeff_automorphism_maps,
@@ -229,51 +229,52 @@ class TestHoistedRotation:
             dec = _decrypt_rows(scheme, sk, encoder, scheme.unstack_ciphertexts(out)[0])
             assert np.array_equal(dec, _rolled(rows, s))
 
-    def test_keyswitch_path_is_int64_exact(self, servers):
-        """No object-dtype bigint round trip in the int64-eligible chain.
+    def test_keyswitch_path_is_int64_exact(self, servers, monkeypatch):
+        """No big-int CRT reconstruction on any key-switching path.
 
-        The RNS-native digit decomposition must be active (the engine's
-        exact-digit decomposer resolves) and the keyswitch must run without
-        EVER calling the CRT recombiner ``from_rns_batch`` — the pre-fix
-        bigint round trip. The decomposed digit stack itself stays int64.
+        Batched rotations, hoisted or not, and the per-ciphertext
+        relinearization and multiply must run without EVER calling
+        ``RnsContext.from_rns`` (on any basis, the extended one included):
+        every CRT crossing is the int64 transport. The decomposed digit
+        stack itself stays int64. Decryption reconstructs afterwards.
         """
-        scheme, sk, pk, encoder = servers[17]
-        eng = scheme.engine
-        base, count = scheme.params.relin_base, scheme.params.relin_parts
-        assert eng._digit_decomposer(base, count) is not None
-
+        scheme, _, _, encoder = servers[17]
+        sk, pk, rlk = scheme.keygen()
         gk = scheme.rotation_keygen(sk, [3])
-        pt = encoder.encode([1] * N)
-        stack = scheme.stack_ciphertexts([scheme.encrypt_poly(pk, list(pt))])
+        x = scheme.encrypt_poly(pk, list(encoder.encode([1] * N)))
+        y = scheme.encrypt_poly(pk, list(encoder.encode([3] * N)))
+        stack = scheme.stack_ciphertexts([x])
         digits = scheme.hoisted_decompose(stack)
         assert digits.dtype == np.int64
 
         def boom(*a, **kw):
-            raise AssertionError("object-dtype CRT recombination in keyswitch path")
+            raise AssertionError("big-int CRT reconstruction in a key-switching path")
 
-        original = eng.ctx.from_rns_batch
-        eng.ctx.from_rns_batch = boom
-        try:
+        with monkeypatch.context() as patch:
+            patch.setattr(RnsContext, "from_rns", boom)
             scheme.tensor_rotate(stack, 3, gk)
             scheme.tensor_rotate_hoisted(stack, digits, 3, gk)
-        finally:
-            eng.ctx.from_rns_batch = original
+            relinearized = scheme.relinearize(scheme.multiply_raw(x, y), rlk)
+            product = scheme.multiply(x, y, rlk)
+        for ct in (relinearized, product):
+            assert encoder.decode(scheme.decrypt_poly(sk, ct)) == [3] * N
 
-    def test_exact_digits_matches_bigint_digits_bitwise(self, servers, monkeypatch):
-        """The int64 digit path and the object divmod path agree on residues.
+    def test_exact_digits_matches_bigint_digits_bitwise(self, servers):
+        """The int64 digit transport equals the oracle's big-int divmod.
 
-        The CRT divmod path is what chains without an int64 decomposer run;
-        forcing it here (the decomposer resolves to None) compares the two
-        on the same chain.
+        ``_decompose_base_digits`` of a ciphertext's c1 stack, brought back
+        to coefficients, holds exactly ``BigintEngine.relin_digits`` of the
+        canonical coefficients, on the omega = 33 chain.
         """
         scheme, sk, pk, encoder = servers[33]
         eng = scheme.engine
-        gk = scheme.rotation_keygen(sk, [4])
+        params = scheme.params
         pt = encoder.encode(list(range(1, N + 1)))
         stack = scheme.stack_ciphertexts([scheme.encrypt_poly(pk, list(pt))])
-        base, count = scheme.params.relin_base, scheme.params.relin_parts
-        assert eng._digit_decomposer(base, count) is not None
-        exact = scheme.tensor_rotate(stack, 4, gk)
-        monkeypatch.setattr(eng, "_digit_decomposer", lambda base, count: None)
-        bigint = scheme.tensor_rotate(stack, 4, gk)
-        assert np.array_equal(exact.data, bigint.data)
+        base, count = params.relin_base, params.relin_parts
+        got = eng._decompose_base_digits(stack.data[:, 1], base, count)
+        assert got.shape == (1, count, len(params.rns_primes), N) and got.dtype == np.int64
+        canonical = eng.ctx.from_rns(eng.ctx.inverse(stack.data[0, 1]))
+        oracle = BigintEngine(N, params.q, params.p).relin_digits(canonical, base, count)
+        for d, digit in enumerate(oracle):
+            assert eng.ctx.from_rns(eng.ctx.inverse(got[0, d])) == digit

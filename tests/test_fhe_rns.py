@@ -4,9 +4,11 @@ Pins the tentpole equivalences: the vectorized NTT is bit-identical to the
 scalar :class:`NegacyclicNtt` per prime, RNS-NTT products equal the exact
 Kronecker products, and BFV on the RNS engine is bit-exact against the
 scalar big-int reference engine (same seed => same keys, ciphertexts,
-decryptions and noise budgets).
+products, rotations, decryptions and noise budgets). RNS chains are
+int64-only: a wider chain, or an operand over another chain, is refused.
 """
 
+import dataclasses
 import random
 
 import numpy as np
@@ -15,12 +17,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ParameterError
-from repro.ff.params import P54
+from repro.ff.params import P33, P54
 from repro.fhe import (
     Bfv,
     CiphertextTensor,
     ExactBaseLift,
     ExactRescaler,
+    RnsContext,
     RnsPoly,
     butterfly_fits_int64,
     get_ntt,
@@ -28,11 +31,13 @@ from repro.fhe import (
     get_vec_ntt,
     negacyclic_mul_exact,
     ntt_prime_chain,
-    rns_negacyclic_mul_exact,
     toy_parameters,
 )
 
 P = 65537
+#: Prime widths of the int64 chains: the hhe_frame's 26, the default 30 and
+#: 31, the widest width whose primes the int64 kernel admits.
+INT64_PRIME_BITS = [26, 30, 31]
 
 
 # -- prime chains ----------------------------------------------------------------
@@ -77,7 +82,7 @@ def _coeffs_near_primes(rnd, primes, n):
 class TestRnsRoundtrip:
     @given(
         n=st.sampled_from([16, 64]),
-        prime_bits=st.sampled_from([30, 45, 60]),
+        prime_bits=st.sampled_from(INT64_PRIME_BITS),
         seed=st.integers(min_value=0, max_value=10_000),
     )
     @settings(max_examples=40, deadline=None)
@@ -141,10 +146,10 @@ class TestVecNttMatchesScalar:
 
 
 class TestMultiplyEquivalence:
-    """RNS-NTT multiply == negacyclic_mul_exact == scalar NegacyclicNtt.multiply."""
+    """RNS-NTT multiply == negacyclic_mul_exact == per-prime NTT multiply."""
 
     @given(
-        prime_bits=st.sampled_from([30, 40, 50, 60]),
+        prime_bits=st.sampled_from(INT64_PRIME_BITS),
         seed=st.integers(min_value=0, max_value=100_000),
     )
     @settings(max_examples=30, deadline=None)
@@ -152,7 +157,7 @@ class TestMultiplyEquivalence:
         self._check(16, prime_bits, seed)
 
     @given(
-        prime_bits=st.sampled_from([30, 60]),
+        prime_bits=st.sampled_from([26, 31]),
         seed=st.integers(min_value=0, max_value=100_000),
     )
     @settings(max_examples=4, deadline=None)
@@ -165,54 +170,67 @@ class TestMultiplyEquivalence:
         rnd = random.Random(seed)
         a = _coeffs_near_primes(rnd, primes, n)
         b = _coeffs_near_primes(rnd, primes, n)
+        # The RNS pointwise product mod q (via RnsPoly) is the exact integer
+        # product reduced mod q.
+        rns_mod_q = RnsPoly.from_ints(ctx, a).mul(RnsPoly.from_ints(ctx, b)).to_ints()
+        assert rns_mod_q == [c % ctx.modulus for c in negacyclic_mul_exact(a, b)]
 
-        # 1. RNS pointwise product mod q (via RnsPoly).
-        pa, pb = RnsPoly.from_ints(ctx, a), RnsPoly.from_ints(ctx, b)
-        rns_mod_q = pa.mul(pb).to_ints()
-
-        # 2. Exact integer product, then reduced mod q.
+    @given(
+        prime_bits=st.sampled_from([30, 40, 50, 60]),
+        seed=st.integers(min_value=0, max_value=100_000),
+    )
+    @settings(max_examples=20, deadline=None)
+    def test_per_prime_transforms_at_any_width(self, prime_bits, seed):
+        """The vectorized (object path above 31 bits) and scalar NTT multiply,
+        prime by prime, equal the exact product reduced mod that prime."""
+        n = 16
+        primes = ntt_prime_chain(n, 2 * prime_bits - 3, prime_bits)
+        rnd = random.Random(seed)
+        a = _coeffs_near_primes(rnd, primes, n)
+        b = _coeffs_near_primes(rnd, primes, n)
         exact = negacyclic_mul_exact(a, b)
-        assert rns_mod_q == [c % ctx.modulus for c in exact]
-
-        # 3. Extended-basis exact RNS product == Kronecker exact product.
-        assert rns_negacyclic_mul_exact(a, b, prime_bits=30) == exact
-
-        # 4. Scalar NTT multiply, prime by prime.
-        for q in primes:
-            assert get_ntt(n, q).multiply([c % q for c in a], [c % q for c in b]) == [
-                c % q for c in exact
-            ]
+        rows = lambda x: np.array([[c % q for c in x] for q in primes], dtype=object)
+        vec = get_vec_ntt(n, primes).multiply(rows(a), rows(b))
+        for i, q in enumerate(primes):
+            expected = [c % q for c in exact]
+            assert get_ntt(n, q).multiply([c % q for c in a], [c % q for c in b]) == expected
+            assert [int(c) for c in vec[i]] == expected
 
 
-# -- lazy dual-domain behavior ----------------------------------------------------
+# -- the eval-domain representation -----------------------------------------------
+
+
+def _count_inverses(monkeypatch, ctx):
+    calls = []
+    inverse = ctx.inverse
+    monkeypatch.setattr(ctx, "inverse", lambda mat: calls.append(1) or inverse(mat))
+    return calls
 
 
 class TestRnsPolyLaziness:
+    """RnsPoly holds only its eval-domain matrix: ring operations never
+    transform, and only ``to_ints`` / ``centered`` apply the inverse."""
+
     def _ctx(self):
         return get_rns_context(16, ntt_prime_chain(16, 58))
 
-    def test_eval_stays_eval(self):
+    def test_eval_stays_eval(self, monkeypatch):
         ctx = self._ctx()
         a = RnsPoly.from_ints(ctx, list(range(16)))
         b = RnsPoly.from_ints(ctx, list(range(1, 17)))
-        prod = a.mul(b)
-        assert prod.domain == "eval"
-        chained = prod.add(a.mul(a)).scalar_mul(7).add_const(3)
-        assert chained.domain == "eval"  # no inverse transform happened yet
+        inverses = _count_inverses(monkeypatch, ctx)
+        chained = a.mul(b).add(a.mul(a)).sub(b).neg().scalar_mul(7).add_const(3)
+        assert inverses == []
+        assert isinstance(chained.eval_mat(), np.ndarray)
 
-    def test_coeff_stays_coeff(self):
+    def test_exits_apply_one_inverse(self, monkeypatch):
         ctx = self._ctx()
-        a = RnsPoly.from_ints(ctx, list(range(16)))
-        b = RnsPoly.from_ints(ctx, [1] * 16)
-        assert a.add(b).domain == "coeff"
-        assert a.neg().domain == "coeff"
-
-    def test_representations_cached(self):
-        ctx = self._ctx()
-        a = RnsPoly.from_ints(ctx, list(range(16)))
-        assert a.domain == "coeff"
-        a.eval_mat()
-        assert a.domain == "both"
+        coeffs = [0, 1, ctx.modulus - 1] + list(range(13))
+        a = RnsPoly.from_ints(ctx, coeffs)
+        assert np.array_equal(a.eval_mat(), ctx.forward(ctx.to_rns(coeffs)))
+        inverses = _count_inverses(monkeypatch, ctx)
+        assert a.to_ints() == coeffs and len(inverses) == 1
+        assert a.centered()[:3] == [0, 1, -1] and len(inverses) == 2
 
     def test_arithmetic_matches_bigint(self):
         ctx = self._ctx()
@@ -290,6 +308,98 @@ class TestEngineParity:
             ref.engine.to_ints(p) for p in out_b.parts
         ]
         assert rns.decrypt_poly(sk_a, out_a) == ref.decrypt_poly(sk_b, out_b)
+
+    @pytest.mark.parametrize(
+        "p, log2_q", [(P, 120), (P33, 200)], ids=["omega17", "omega33"]
+    )
+    def test_products_and_rotations_bit_exact(self, p, log2_q):
+        """The per-ciphertext CRT crossings (tensor product, relinearization
+        and key-switch digits) against the oracle: a product of two distinct
+        ciphertexts, a square and slot rotations, bit-exact in ``to_ints``."""
+        params = toy_parameters(p, n=64, log2_q=log2_q)
+        rns = Bfv(params, seed=b"parity-ops", engine="rns")
+        ref = Bfv(params, seed=b"parity-ops", engine="bigint")
+        (sk_a, pk_a, rlk_a), (sk_b, pk_b, rlk_b) = rns.keygen(), ref.keygen()
+        gk_a, gk_b = rns.rotation_keygen(sk_a, [1, -3]), ref.rotation_keygen(sk_b, [1, -3])
+        rnd = random.Random(p)
+        msgs = [[rnd.randrange(p) for _ in range(params.n)] for _ in range(2)]
+        x_a, y_a = (rns.encrypt_poly(pk_a, m) for m in msgs)
+        x_b, y_b = (ref.encrypt_poly(pk_b, m) for m in msgs)
+
+        def same(ct_a, ct_b):
+            assert [rns.engine.to_ints(q) for q in ct_a.parts] == [
+                ref.engine.to_ints(q) for q in ct_b.parts
+            ]
+
+        raw_a, raw_b = rns.multiply_raw(x_a, y_a), ref.multiply_raw(x_b, y_b)
+        same(raw_a, raw_b)
+        prod_a, prod_b = rns.relinearize(raw_a, rlk_a), ref.relinearize(raw_b, rlk_b)
+        same(prod_a, prod_b)
+        same(rns.square(y_a, rlk_a), ref.square(y_b, rlk_b))
+        for steps in (1, -3):
+            rot_a, rot_b = rns.rotate_slots(prod_a, steps, gk_a), ref.rotate_slots(prod_b, steps, gk_b)
+            same(rot_a, rot_b)
+            assert rns.decrypt_poly(sk_a, rot_a) == ref.decrypt_poly(sk_b, rot_b)
+        assert rns.noise_budget_bits(sk_a, prod_a) == ref.noise_budget_bits(sk_b, prod_b) > 0
+
+
+class TestFailClosed:
+    """RNS chains are int64-only, and operands must share one chain."""
+
+    WIDE = toy_parameters(P, n=64, log2_q=120, prime_bits=60)
+
+    def test_wide_chain_refused(self):
+        with pytest.raises(ParameterError, match="int64"):
+            RnsContext(self.WIDE.n, self.WIDE.rns_primes)
+        for engine in ("rns", "auto"):
+            with pytest.raises(ParameterError, match="bigint"):
+                Bfv(self.WIDE, engine=engine)
+
+    def test_bigint_serves_the_wide_chain(self):
+        scheme = Bfv(self.WIDE, seed=b"wide", engine="bigint")
+        sk, pk, rlk = scheme.keygen()
+        product = scheme.multiply(scheme.encrypt(pk, 123), scheme.encrypt(pk, 456), rlk)
+        assert scheme.decrypt(sk, product) == 123 * 456 % P
+
+    def test_unhostable_relinearization_base_refused_at_construction(self):
+        params = dataclasses.replace(toy_parameters(P, n=64, log2_q=120), relin_base_bits=7)
+        with pytest.raises(ParameterError, match="bigint"):
+            Bfv(params, engine="rns")
+
+    @pytest.fixture(scope="class")
+    def chains(self):
+        """Two schemes at N = 64 whose 4-limb chains differ only in their primes."""
+        own = Bfv(toy_parameters(P, n=64, log2_q=120, prime_bits=30), seed=b"own")
+        other = Bfv(toy_parameters(P, n=64, log2_q=116, prime_bits=29), seed=b"other")
+        assert len(own.params.rns_primes) == len(other.params.rns_primes) == 4
+        return [(scheme, *scheme.keygen()) for scheme in (own, other)]
+
+    def test_foreign_chain_operands_refused(self, chains):
+        (own, sk, pk, _), (other, other_sk, other_pk, other_rlk) = chains
+        ct = own.encrypt(pk, 5)
+        foreign = other.encrypt(other_pk, 7)
+        other_gk = other.rotation_keygen(other_sk, [1])
+        with pytest.raises(ParameterError, match="RNS basis"):
+            own.add(ct, foreign)
+        with pytest.raises(ParameterError, match="RNS basis"):
+            own.multiply(ct, ct, other_rlk)
+        with pytest.raises(ParameterError, match="RNS basis"):
+            own.rotate_slots(ct, 1, other_gk)
+        # The automorphism must not relabel a foreign ciphertext as its own.
+        with pytest.raises(ParameterError, match="RNS basis"):
+            own.rotate_slots(foreign, 1, own.rotation_keygen(sk, [1]))
+
+    def test_equal_chain_contexts_interoperate(self, chains):
+        """A context equal by (n, primes) is the same basis, even if it is
+        a different object."""
+        own, sk, pk, _ = chains[0]
+        ctx = own.engine.ctx
+        twin = RnsContext(ctx.n, ctx.primes)
+        assert twin is not ctx
+        ct = own.encrypt(pk, 5)
+        moved = [RnsPoly(twin, part.eval_mat()) for part in ct.parts]
+        total = own.add(ct, type(ct)(parts=moved, noise=ct.noise))
+        assert own.decrypt(sk, total) == 10
 
 
 # -- mixed-radix transport + tensor kernels ---------------------------------------

@@ -24,7 +24,7 @@ from repro.errors import ParameterError
 from repro.fhe import BatchEncoder, Bfv, toy_parameters
 from repro.hhe import BatchedHheServer, decrypt_batched_result, encrypt_key_batched
 from repro.obs import get_tracer
-from repro.pasta import PASTA_MICRO, Pasta, PastaParams, homomorphic_op_counts, random_key
+from repro.pasta import PASTA_MICRO, Pasta, PastaParams, batch, homomorphic_op_counts, random_key
 
 N = 256
 #: t = 4: two groups of (N/2)/t = 32 blocks make the 2-group rig.
@@ -192,6 +192,29 @@ class TestFailClosed:
 
         monkeypatch.undo()
         _assert_exact(micro, *_serve(micro, 8004, n_blocks))
+
+
+class TestMaterialDerivation:
+    def test_every_block_is_derived_once_above_the_lru(self, micro, monkeypatch):
+        """Three packed groups, more blocks than the keystream engine's LRU
+        holds: group 0 is derived before the helper starts and each later
+        group when the helper reaches its layer 0, so no group is evicted
+        before it is read and derived again."""
+        server = micro.server
+        n_blocks = 3 * server.packed_capacity
+        assert n_blocks > server.engine.cache_size
+        messages, blocks = _frame(micro, 8005, n_blocks)
+        derive = batch.generate_block_materials_pairs
+        lanes = []
+
+        def counting(params, pairs):
+            lanes.append(len(pairs))
+            return derive(params, pairs)
+
+        monkeypatch.setattr(batch, "generate_block_materials_pairs", counting)
+        result = server.transcipher_blocks(blocks, 8005, list(range(n_blocks)))
+        assert sum(lanes) == n_blocks
+        _assert_exact(micro, messages, result)
 
 
 class TestSpans:

@@ -7,9 +7,10 @@ away, on the chains the system runs (BatchEncoder's p = 65537, the
 hhe_frame chain, the 30-bit default, the widest prime the int64 path
 admits) and on stacked inputs: bit-exactness against the eager per-prime
 scalar transform, the no-copy ``_check`` contract the keyswitch hot path
-relies on, non-mutation of caller inputs (the RNS engine feeds *cached*
-coefficient matrices into ``forward``), and one shared instance across
-threads (``get_vec_ntt`` hands the same object to every service worker).
+relies on, non-mutation of caller inputs (the BFV scheme hands the
+transforms broadcast views and matrices it keeps using), and one shared
+instance across threads (``get_vec_ntt`` hands the same object to every
+service worker).
 """
 
 import os
@@ -26,7 +27,7 @@ from repro.ff.params import P17, P33
 from repro.ff.primality import is_prime
 from repro.fhe.ntt import get_ntt
 from repro.fhe.ntt_vec import FORWARD_INPUT_LIMIT, VecNtt, butterfly_fits_int64, get_vec_ntt
-from repro.fhe.rns import RnsContext, ntt_prime_chain
+from repro.fhe.rns import ntt_prime_chain
 
 N = 64
 
@@ -108,20 +109,20 @@ class TestUnreducedForwardInput:
         [
             (*CHAINS["hhe-frame-26bit"], P17 // 2),  # omega = 17 on the hhe_frame chain
             (256, ntt_prime_chain(256, min_bits=230), P33 // 2),  # p/2 above every 30-bit q_i
-            (N, WIDE_CHAIN, P33 // 2),  # object dtype
+            (N, WIDE_CHAIN, P33 // 2),  # object dtype, which no RNS chain may use
             (N, ntt_prime_chain(N, min_bits=120, prime_bits=26), 1 << 40),
         ],
         ids=["omega17-hhe-frame", "omega33-30bit", "object-60bit", "2^40-26bit"],
     )
     def test_broadcast_matches_per_limb_residues(self, n, primes, bound):
-        ctx = RnsContext(n, primes)
+        ntt = get_vec_ntt(n, primes)
         x = np.random.default_rng(bound % 1009).integers(-bound, bound + 1, size=(3, 4, n))
         x[0, 0] = bound
         x[0, 1] = -bound
         x[0, 2, 1::2] = -bound
         limbs = np.broadcast_to(x[..., None, :], x.shape[:-1] + (len(primes), n))
-        got = ctx.forward(limbs)
-        assert np.array_equal(got, ctx.forward(ctx.to_rns_batch(x)))
+        residues = np.stack([x % q for q in primes], axis=-2)
+        assert np.array_equal(ntt.forward(limbs), ntt.forward(residues))
 
     def test_widest_prime_inputs_at_the_limit_exact_at_n4096(self):
         n = 4096
@@ -205,8 +206,9 @@ class TestNoCopyContract:
             ntt._check(np.zeros((len(chain), N + 1), dtype=np.int64))
 
     def test_forward_does_not_mutate_caller_input(self):
-        # RnsPoly.eval_mat() feeds its *cached* coefficient matrix into
-        # forward; a stage writing into its input would corrupt every later use.
+        # Callers keep using what they hand to forward (a key's residues, a
+        # broadcast plaintext view); a stage writing into its input would
+        # corrupt every later use.
         for ntt, _, mat in _cases(3):
             snapshot = mat.copy()
             ntt.forward(mat)
