@@ -3,11 +3,13 @@
 
 A client holds a private feature vector; the cloud holds a (public-weight)
 linear scoring model. With HHE the client ships only a tiny symmetric
-ciphertext; the server transciphers it into FHE ciphertexts and evaluates
-the model homomorphically, so neither the features nor the PASTA key ever
-reach the server in the clear.
+ciphertext; the server transciphers it with the packed evaluator into one
+BFV ciphertext and scores it homomorphically — one plaintext multiply by
+the weight row, a rotate-and-sum over the features, one bias add — so
+neither the features nor the PASTA key ever reach the server in the clear.
 
-Run: ``python examples/ml_inference.py``   (under a second, reduced parameters)
+Run: ``python examples/ml_inference.py [--toy]``   (under a second each,
+reduced parameters)
 """
 
 import os
@@ -23,14 +25,16 @@ from repro.pasta import PASTA_MICRO, PASTA_TOY
 
 
 def main() -> None:
-    if "--toy" in sys.argv:  # t = 4 features; a few seconds of pure-Python BFV
+    if "--toy" in sys.argv:  # t = 4 features, 3 rounds, N = 1024
         pasta_params = PASTA_TOY
-        client = HheClient(pasta_params, toy_parameters(pasta_params.p))
+        # 10 limbs: the weight-row multiply needs more than the ~25 bits
+        # the 9-limb default chain leaves after transciphering.
+        client = HheClient(pasta_params, toy_parameters(pasta_params.p, log2_q=280))
         model = LinearModel(weights=[3, 25, 7, 11], bias=500)
         features = [42, 7, 120, 3]
-    else:  # t = 2 features; under a second
+    else:  # t = 2 features, N = 256
         pasta_params = PASTA_MICRO
-        client = HheClient(pasta_params, toy_parameters(pasta_params.p, n=256, log2_q=190))
+        client = HheClient(pasta_params, toy_parameters(pasta_params.p, n=256, log2_q=230))
         model = LinearModel(weights=[3, 25], bias=500)
         features = [42, 7]  # the client's private data
 
@@ -47,7 +51,7 @@ def main() -> None:
     dt = time.perf_counter() - t0
 
     expected = model.evaluate_plain(features, pasta_params.p)
-    print(f"\n[server] transciphered + scored homomorphically in {dt:.1f} s")
+    print(f"\n[server] transciphered + scored homomorphically in {dt:.2f} s")
     print(f"[client] decrypted score : {score}")
     print(f"         plaintext check : {expected}  -> {'MATCH' if score == expected else 'MISMATCH'}")
     print("\nThe server computed the score without ever seeing features, key, or result.")

@@ -6,10 +6,12 @@ runs that scenario end to end:
 
 1. the client packs a feature vector into one PASTA block and encrypts it
    symmetrically (cheap, tiny ciphertext);
-2. the server transciphers the block into BFV ciphertexts and evaluates a
-   *linear model* homomorphically — a dot product with plaintext weights
-   plus a bias — never seeing features or key;
-3. the client decrypts the encrypted score.
+2. the server transciphers the blocks with the packed evaluator
+   (:class:`repro.hhe.batched.BatchedHheServer`) and evaluates a *linear
+   model* homomorphically on every block of a packed group at once — a
+   dot product with plaintext weights plus a bias — never seeing features
+   or key;
+3. the client decrypts the encrypted scores.
 
 Scores are computed over Z_p (exact integer arithmetic); fixed-point
 scaling of real-valued models is the caller's concern, as in integer-FHE
@@ -18,13 +20,16 @@ practice.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
-from typing import Sequence
+from typing import List, Sequence
+
+import numpy as np
 
 from repro.errors import ParameterError
-from repro.fhe.bfv import Ciphertext
-from repro.hhe.backend import BfvBackend
-from repro.hhe.protocol import HheClient, HheServer
+from repro.fhe.galois import rows_to_slots
+from repro.hhe.batched import BatchedHheServer, BatchedTranscipherResult
+from repro.hhe.protocol import HheClient
 
 
 @dataclass(frozen=True)
@@ -45,44 +50,73 @@ class LinearModel:
         return acc % p
 
 
-@dataclass
-class InferenceResult:
-    """Encrypted score plus the cost of producing it."""
-
-    encrypted_score: Ciphertext
-    transcipher_ops: "object"
-    linear_ops: int  #: plaintext multiplications in the model evaluation
-
-
 class HheInferenceServer:
-    """Server-side: transcipher a feature block, then evaluate the model."""
+    """Server side: transcipher feature blocks, then score a packed group at once.
 
-    def __init__(self, hhe_server: HheServer, model: LinearModel):
-        self.server = hhe_server
-        self.model = model
+    The packed result holds feature j of block k at slot ``j * w + k % w``
+    of hypercube row ``k // w``. One plaintext multiply by a weight row
+    (weight j at every slot of feature j, zero in the R half and past the
+    model's features) and a Halevi-Shoup rotate-and-sum over log2 t steps
+    of ``w * 2^i`` slots leave each block's dot product at its feature-0
+    slot; the bias is one scalar plaintext add. Those steps are a subset of
+    the packed evaluator's key steps for t <= 16; the constructor refuses a
+    server whose key steps miss one.
+    """
 
-    def score_block(
-        self, ciphertext_block: Sequence[int], nonce: int, counter: int
-    ) -> InferenceResult:
-        """Homomorphically compute the model score for one encrypted block."""
-        if len(ciphertext_block) != len(self.model.weights):
+    def __init__(self, server: BatchedHheServer, model: LinearModel):
+        params = server.params
+        t = params.t
+        if len(model.weights) > t:
             raise ParameterError(
-                f"block has {len(ciphertext_block)} elements but the model expects "
-                f"{len(self.model.weights)}"
+                f"the model expects {len(model.weights)} features but a block holds t={t}"
             )
-        trans = self.server.transcipher_block(ciphertext_block, nonce, counter)
-        backend = BfvBackend(self.server.scheme, self.server.rlk)
-
-        acc = None
-        linear_ops = 0
-        for weight, ct in zip(self.model.weights, trans.ciphertexts):
-            term = backend.mul_plain(ct, int(weight))
-            linear_ops += 1
-            acc = term if acc is None else backend.add(acc, term)
-        acc = backend.add_plain(acc, int(self.model.bias))
-        return InferenceResult(
-            encrypted_score=acc, transcipher_ops=trans.ops, linear_ops=linear_ops
+        n = server.scheme.params.n
+        w = server.packed_capacity // 2
+        steps = [w << i for i in range((t - 1).bit_length())]
+        required = BatchedHheServer.required_rotation_steps(params, n)
+        missing = sorted(set(steps) - set(required))
+        if missing:
+            raise ParameterError(
+                f"score rotation steps {missing} are not among the packed "
+                f"evaluator's key steps {required}"
+            )
+        weights = np.zeros((2, 2 * t, w), dtype=np.int64)
+        weights[:, : len(model.weights)] = (
+            np.asarray([int(v) % params.p for v in model.weights], dtype=np.int64)[:, None]
         )
+        encoded = server.encoder.encode_rows(rows_to_slots(n, weights.reshape(1, 2, -1)))
+        self.server = server
+        self.model = model
+        self._steps = steps
+        self._weights = server.scheme.prepare_mul_plain([int(c) for c in encoded[0]])
+
+    def score_blocks(
+        self, ciphertext_blocks: Sequence[Sequence[int]], nonce: int, counters: Sequence[int]
+    ) -> BatchedTranscipherResult:
+        """Transcipher full t-element blocks and score every one of them.
+
+        The result is the transcipher result with each group's ciphertext
+        replaced by its scores (block k's score in its feature-0 slot, read
+        by :func:`decrypt_scores`) and ``ops`` extended by the score steps.
+        """
+        result = self.server.transcipher_blocks(ciphertext_blocks, nonce, counters)
+        scheme, ops = self.server.scheme, result.ops
+        scores = []
+        for ct in result.ciphertexts:
+            acc = scheme.mul_plain_poly(ct, self._weights)
+            for step in self._steps:
+                acc = scheme.add(acc, scheme.rotate_slots(acc, step, self.server.galois_keys))
+            scores.append(scheme.add_plain(acc, int(self.model.bias)))
+            ops.plain_muls += 1
+            ops.rotations += len(self._steps)
+            ops.adds += len(self._steps)
+            ops.plain_adds += 1
+        return dataclasses.replace(result, ciphertexts=scores)
+
+
+def decrypt_scores(client: HheClient, result: BatchedTranscipherResult) -> List[int]:
+    """Client side: block k's score, from row ``k // w``, slot ``k % w``."""
+    return [block[0] for block in client.decrypt_result(result)]
 
 
 def run_inference(
@@ -96,11 +130,12 @@ def run_inference(
     params = client.pasta_params
     if len(features) > params.t:
         raise ParameterError(f"at most t={params.t} features per block")
-    sym_ct = client.cipher.encrypt_block(features, nonce, 0)
-    server = HheInferenceServer(HheServer.from_client(client), model)
-    result = server.score_block([int(c) for c in sym_ct], nonce, 0)
-    score = client.scheme.decrypt(client.sk, result.encrypted_score)
     expected = model.evaluate_plain(features, params.p)
+    # client.encrypt refuses a nonce this client already used: a second
+    # feature vector under the same keystream would leak their difference.
+    sym_ct = client.encrypt(list(features) + [0] * (params.t - len(features)), nonce)
+    server = HheInferenceServer(client.server(), model)
+    (score,) = decrypt_scores(client, server.score_blocks([[int(c) for c in sym_ct]], nonce, [0]))
     if score != expected:
         raise ParameterError(
             f"homomorphic score {score} != plaintext score {expected} "

@@ -1,22 +1,19 @@
 """Hybrid Homomorphic Encryption protocol (client / server / transciphering)."""
 
-from repro.hhe.backend import BfvBackend, BfvOpCounts
 from repro.hhe.batched import (
     BatchedHheServer,
     BatchedTranscipherResult,
+    BfvOpCounts,
     decrypt_batched_result,
     encrypt_key_batched,
 )
-from repro.hhe.protocol import HheClient, HheServer, TranscipherResult
+from repro.hhe.protocol import HheClient
 
 __all__ = [
     "BatchedHheServer",
     "BatchedTranscipherResult",
-    "BfvBackend",
     "BfvOpCounts",
     "HheClient",
-    "HheServer",
-    "TranscipherResult",
     "decrypt_batched_result",
     "encrypt_key_batched",
 ]

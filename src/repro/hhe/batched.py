@@ -1,11 +1,10 @@
 """Batched (SIMD) transciphering: many PASTA blocks per circuit evaluation.
 
-The scalar server (:mod:`repro.hhe.protocol`) evaluates one PASTA
-decryption circuit per block. Real HHE deployments — including the PASTA
-paper's own server-side evaluation — amortize: with BFV batching, one
-evaluation of the circuit transciphers many blocks at once. The circuit
-structure is identical; only the affine constants differ per block,
-turning scalar plaintext multiplications into plaintext-*polynomial*
+This is the one homomorphic PASTA evaluator. Real HHE deployments —
+including the PASTA paper's own server-side evaluation — amortize: with
+BFV batching, one evaluation of the decryption circuit transciphers many
+blocks at once. Only the affine constants differ per block, so the
+circuit's plaintext multiplications become plaintext-*polynomial*
 multiplications of encoded constant vectors.
 
 :class:`BatchedHheServer` evaluates the *packed* layout. ONE ciphertext
@@ -61,7 +60,6 @@ from repro.fhe.batching import BatchEncoder
 from repro.fhe.bfv import Bfv, Ciphertext, GaloisKey, PublicKey, RelinKey
 from repro.fhe.engine import CiphertextTensor
 from repro.fhe.galois import rotation_element, rows_to_slots, slots_to_rows
-from repro.hhe.backend import BfvOpCounts
 from repro.obs.trace import SpanContext, Tracer
 from repro.pasta.batch import get_engine
 from repro.pasta.cipher import field_elements
@@ -76,6 +74,20 @@ from repro.pasta.xof import as_u64
 #: to every tenant's server so the aggregate stays bounded however many
 #: tenants are live.
 DEFAULT_PREPARED_ROWS = 4096
+
+
+@dataclass
+class BfvOpCounts:
+    """Homomorphic-operation counters of one call (see ``homomorphic_op_counts``)."""
+
+    adds: int = 0
+    plain_adds: int = 0
+    plain_muls: int = 0
+    squares: int = 0
+    muls: int = 0
+    relins: int = 0
+    rotations: int = 0  #: Galois automorphism + key switch
+    decompositions: int = 0  #: Hoisted digit decompositions shared by rotations
 
 
 @dataclass
@@ -104,6 +116,19 @@ def _row_width(width: int, ring_n: int) -> int:
             f"packing needs 2t={width} to divide the slot-row width N/2={half}"
         )
     return half // width
+
+
+def _check_encoder(scheme: Bfv, encoder: BatchEncoder) -> None:
+    """Refuse a slot encoder for another ring or plaintext modulus.
+
+    Slots encoded mod another prime still encrypt and evaluate, but every
+    slot of the result then decrypts to garbage.
+    """
+    ours, theirs = (scheme.params.n, scheme.params.p), (encoder.n, encoder.p)
+    if theirs != ours:
+        raise ParameterError(
+            f"slot encoder (n, p) = {theirs} does not match the scheme's (n, p) = {ours}"
+        )
 
 
 def _place(per_block: np.ndarray, w: int) -> np.ndarray:
@@ -140,6 +165,7 @@ def encrypt_key_batched(
     the server evaluates that layer without a rotation. 2t fresh
     encryptions, like one per key element.
     """
+    _check_encoder(scheme, encoder)
     values = np.asarray([int(k) for k in key], dtype=np.int64)
     width = len(values)
     w = _row_width(width, encoder.n)
@@ -175,6 +201,7 @@ class BatchedHheServer:
             raise ParameterError(f"unknown evaluation engine {engine!r} (only 'bsgs')")
         if scheme.params.p != params.p:
             raise ParameterError("BFV plaintext modulus must equal the PASTA prime")
+        _check_encoder(scheme, encoder)
         if len(encrypted_key) != params.key_size:
             raise ParameterError(f"expected {params.key_size} encrypted key elements")
         scheme_engine = getattr(scheme.engine, "name", "bigint")
@@ -695,6 +722,7 @@ def decrypt_batched_result(
     g (``w = group_size / 2``), its element j from that row's logical slot
     ``j * w + k % w``.
     """
+    _check_encoder(scheme, encoder)
     capacity = result.group_size
     t = (encoder.n // 2) // capacity
     w = capacity // 2

@@ -1,4 +1,4 @@
-"""PASTA-3/-4 stream cipher: reference implementation + decryption circuit."""
+"""PASTA-3/-4 stream cipher: reference implementation + decryption-circuit closed forms."""
 
 from repro.pasta.batch import (
     KeystreamEngine,
@@ -22,12 +22,9 @@ from repro.pasta.encoding import (
     unpack_elements,
 )
 from repro.pasta.decrypt_circuit import (
-    ArithmeticBackend,
-    CircuitCost,
-    KeystreamCircuit,
-    PlainBackend,
     bsgs_split,
     homomorphic_op_counts,
+    multiplicative_depth,
 )
 from repro.pasta.matgen import generate_matrix, iter_rows, next_row, streaming_mat_vec
 from repro.pasta.params import (
@@ -52,15 +49,11 @@ __all__ = [
     "PASTA_MICRO",
     "PASTA_TOY",
     "VECTORS_PER_LAYER",
-    "ArithmeticBackend",
     "BlockMaterials",
-    "CircuitCost",
-    "KeystreamCircuit",
     "KeystreamEngine",
     "LayerMaterials",
     "Pasta",
     "PastaParams",
-    "PlainBackend",
     "batched_sequential_matrices",
     "block_xof",
     "deserialize_ciphertext",
@@ -76,6 +69,7 @@ __all__ = [
     "generate_matrix",
     "bsgs_split",
     "homomorphic_op_counts",
+    "multiplicative_depth",
     "iter_rows",
     "next_row",
     "random_key",

@@ -1,92 +1,24 @@
-"""PASTA decryption as an explicit arithmetic circuit (for the HHE server).
+"""Closed forms of homomorphic PASTA decryption (the HHE server's circuit).
 
 The server holds the FHE-encrypted key and the *public* per-block material
 (nonce, counter -> matrices and round constants). "Homomorphic HHE
-decryption" (paper Fig. 1) evaluates the PASTA permutation over encrypted
-state elements and subtracts the result from the symmetric ciphertext.
-
-The circuit is expressed against an abstract :class:`ArithmeticBackend`, so
-the same code path drives
-
-* :class:`PlainBackend` — plain integers (used to cross-check the circuit
-  against the reference cipher), and
-* ``repro.hhe.BfvBackend`` — BFV ciphertexts (the actual HHE server).
-
-Cost model: one affine layer costs t^2 plaintext multiplications; the
-Feistel S-box costs one ciphertext-ciphertext square per element; the cube
-S-box costs two. Multiplicative depth is ``rounds + 1`` (each Feistel round
-adds one level, the cube adds two).
+decryption" (paper Fig. 1) evaluates the PASTA permutation over the
+encrypted state and subtracts the result from the symmetric ciphertext;
+:class:`repro.hhe.batched.BatchedHheServer` runs it over slot-packed BFV
+ciphertexts. This module holds the circuit's closed forms: its
+multiplicative depth, the BSGS split of its affine layers, and the packed
+evaluator's op counts, which tests and the benchmark check runs against.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Generic, List, Sequence, TypeVar
-
 from repro.errors import ParameterError
-from repro.ff.prime import PrimeField
-from repro.pasta.cipher import BlockMaterials, generate_block_materials
 from repro.pasta.params import PastaParams
 
-T = TypeVar("T")
 
-
-class ArithmeticBackend(Generic[T]):
-    """Operations the circuit needs; plug in plain or homomorphic values."""
-
-    def add(self, a: T, b: T) -> T:
-        raise NotImplementedError
-
-    def add_plain(self, a: T, constant: int) -> T:
-        raise NotImplementedError
-
-    def mul_plain(self, a: T, constant: int) -> T:
-        raise NotImplementedError
-
-    def square(self, a: T) -> T:
-        raise NotImplementedError
-
-    def mul(self, a: T, b: T) -> T:
-        raise NotImplementedError
-
-    def neg(self, a: T) -> T:
-        raise NotImplementedError
-
-
-class PlainBackend(ArithmeticBackend[int]):
-    """Reference backend over plain field elements."""
-
-    def __init__(self, field: PrimeField):
-        self.field = field
-
-    def add(self, a: int, b: int) -> int:
-        return self.field.add(a, b)
-
-    def add_plain(self, a: int, constant: int) -> int:
-        return self.field.add(a, constant)
-
-    def mul_plain(self, a: int, constant: int) -> int:
-        return self.field.mul(a, constant)
-
-    def square(self, a: int) -> int:
-        return self.field.square(a)
-
-    def mul(self, a: int, b: int) -> int:
-        return self.field.mul(a, b)
-
-    def neg(self, a: int) -> int:
-        return self.field.neg(a)
-
-
-@dataclass
-class CircuitCost:
-    """Operation counters accumulated while evaluating the circuit."""
-
-    plain_muls: int = 0
-    plain_adds: int = 0
-    ct_adds: int = 0
-    ct_squares: int = 0
-    ct_muls: int = 0
+def multiplicative_depth(params: PastaParams) -> int:
+    """Ciphertext-multiplication depth: one per Feistel round, two for the cube."""
+    return (params.rounds - 1) + 2
 
 
 def bsgs_split(t: int) -> tuple:
@@ -145,104 +77,3 @@ def homomorphic_op_counts(params: PastaParams) -> dict:
         "rotations": r * ((bs - 1) + (giants - 1)) + (r - 1),
         "decompositions": r if bs > 1 else 0,
     }
-
-
-class KeystreamCircuit:
-    """The keystream computation KS = Trunc(pi(K)) as a backend-generic circuit."""
-
-    def __init__(self, params: PastaParams, materials: BlockMaterials):
-        # Structural equality, not identity: materials deserialized or built
-        # from an equal-but-distinct PastaParams instance are just as valid.
-        if materials.params != params:
-            raise ParameterError("materials were generated for different parameters")
-        self.params = params
-        self.materials = materials
-        self.cost = CircuitCost()
-
-    @classmethod
-    def for_block(cls, params: PastaParams, nonce: int, counter: int) -> "KeystreamCircuit":
-        """Build the circuit from public data only (what the server knows)."""
-        return cls(params, generate_block_materials(params, nonce, counter))
-
-    @staticmethod
-    def multiplicative_depth(params: PastaParams) -> int:
-        """Ciphertext-multiplication depth: one per Feistel round, two for cube."""
-        return (params.rounds - 1) + 2
-
-    # -- evaluation -----------------------------------------------------------
-
-    def _affine(
-        self, backend: ArithmeticBackend[T], matrix, state: List[T], rc
-    ) -> List[T]:
-        t = len(state)
-        out: List[T] = []
-        for j in range(t):
-            acc = backend.mul_plain(state[0], int(matrix[j, 0]))
-            self.cost.plain_muls += 1
-            for k in range(1, t):
-                acc = backend.add(acc, backend.mul_plain(state[k], int(matrix[j, k])))
-                self.cost.plain_muls += 1
-                self.cost.ct_adds += 1
-            out.append(backend.add_plain(acc, int(rc[j])))
-            self.cost.plain_adds += 1
-        return out
-
-    def _mix(self, backend: ArithmeticBackend[T], xl: List[T], xr: List[T]):
-        s = [backend.add(a, b) for a, b in zip(xl, xr)]
-        left = [backend.add(a, m) for a, m in zip(xl, s)]
-        right = [backend.add(b, m) for b, m in zip(xr, s)]
-        self.cost.ct_adds += 3 * len(xl)
-        return left, right
-
-    def _feistel(self, backend: ArithmeticBackend[T], state: List[T]) -> List[T]:
-        out = [state[0]]
-        for j in range(1, len(state)):
-            out.append(backend.add(state[j], backend.square(state[j - 1])))
-        self.cost.ct_squares += len(state) - 1
-        self.cost.ct_adds += len(state) - 1
-        return out
-
-    def _cube(self, backend: ArithmeticBackend[T], state: List[T]) -> List[T]:
-        out = [backend.mul(backend.square(x), x) for x in state]
-        self.cost.ct_squares += len(state)
-        self.cost.ct_muls += len(state)
-        return out
-
-    def evaluate(self, key: Sequence[T], backend: ArithmeticBackend[T]) -> List[T]:
-        """Run the permutation on backend values; returns the t keystream values."""
-        params = self.params
-        if len(key) != params.key_size:
-            raise ParameterError(f"expected {params.key_size} key values, got {len(key)}")
-        t = params.t
-        xl = list(key[:t])
-        xr = list(key[t:])
-        for i in range(params.rounds):
-            layer = self.materials.layers[i]
-            xl = self._affine(backend, self.materials.matrix_l(i), xl, layer.rc_l)
-            xr = self._affine(backend, self.materials.matrix_r(i), xr, layer.rc_r)
-            xl, xr = self._mix(backend, xl, xr)
-            full = xl + xr
-            full = self._feistel(backend, full) if i < params.rounds - 1 else self._cube(backend, full)
-            xl, xr = full[:t], full[t:]
-        final = self.materials.layers[params.rounds]
-        xl = self._affine(backend, self.materials.matrix_l(params.rounds), xl, final.rc_l)
-        xr = self._affine(backend, self.materials.matrix_r(params.rounds), xr, final.rc_r)
-        xl, _ = self._mix(backend, xl, xr)
-        return xl
-
-    def decrypt(
-        self, key: Sequence[T], ciphertext: Sequence[int], backend: ArithmeticBackend[T]
-    ) -> List[T]:
-        """Homomorphic HHE decryption of one block: ``m_j = c_j - KS_j``.
-
-        The ciphertext elements are plain (public) integers; the key values
-        live in the backend's domain. The result is t backend values
-        encrypting/holding the message elements.
-        """
-        if len(ciphertext) > self.params.t:
-            raise ParameterError(f"block holds at most t={self.params.t} elements")
-        keystream = self.evaluate(key, backend)
-        out: List[T] = []
-        for c, ks in zip(ciphertext, keystream):
-            out.append(backend.add_plain(backend.neg(ks), int(c)))
-        return out

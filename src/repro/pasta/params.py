@@ -6,10 +6,11 @@ Two published variants:
 * **PASTA-4**: state 2t = 64 coefficients (t = 32), 4 rounds;
 
 both evaluated over Mersenne-structured primes of 17/33/54 bits. A *toy*
-variant (t = 4) is provided for the HHE end-to-end demonstration, where
-every state element becomes a BFV ciphertext — it exercises the identical
-circuit structure at a size pure-Python FHE can evaluate quickly. The toy
-variant offers no security and is clearly marked.
+variant (t = 4, 3 rounds) is provided for the HHE end-to-end demonstration,
+where the packed server carries its whole state in one BFV ciphertext per
+packed group — it exercises the identical circuit structure at a size BFV
+at toy ring sizes evaluates quickly. The toy variant offers no security
+and is clearly marked.
 """
 
 from __future__ import annotations

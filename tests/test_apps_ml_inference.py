@@ -1,18 +1,24 @@
 """Tests for the HHE ML-inference application."""
 
+import numpy as np
 import pytest
 
-from repro.apps.ml_inference import HheInferenceServer, LinearModel, run_inference
+from repro.apps.ml_inference import (
+    HheInferenceServer,
+    LinearModel,
+    decrypt_scores,
+    run_inference,
+)
 from repro.errors import ParameterError
 from repro.fhe import toy_parameters
-from repro.hhe import HheClient, HheServer
-from repro.pasta import PASTA_MICRO
+from repro.hhe import HheClient
+from repro.pasta import PASTA_MICRO, PastaParams, homomorphic_op_counts
 
 
 @pytest.fixture(scope="module")
 def client():
     return HheClient(
-        PASTA_MICRO, toy_parameters(PASTA_MICRO.p, n=256, log2_q=190), seed=b"ml-tests"
+        PASTA_MICRO, toy_parameters(PASTA_MICRO.p, n=256, log2_q=230), seed=b"ml-tests"
     )
 
 
@@ -44,16 +50,30 @@ class TestInference:
         score = run_inference(client, model, [10, 100], nonce=2)
         assert score == (-2 * 10 + 100) % p
 
+    def test_fewer_features_than_t_are_zero_padded(self, client):
+        model = LinearModel(weights=[9], bias=4)
+        assert run_inference(client, model, [1000], nonce=4) == 9004
+
     def test_server_never_sees_plaintext(self, client):
         """The server input is the symmetric ciphertext, not the features."""
         model = LinearModel(weights=[1, 1], bias=0)
         features = [111, 222]
         sym_ct = client.cipher.encrypt_block(features, 3, 0)
         assert [int(c) for c in sym_ct] != features
-        server = HheInferenceServer(HheServer.from_client(client), model)
-        result = server.score_block([int(c) for c in sym_ct], 3, 0)
-        assert client.scheme.decrypt(client.sk, result.encrypted_score) == (111 + 222) % PASTA_MICRO.p
-        assert result.linear_ops == 2
+        server = HheInferenceServer(client.server(), model)
+        result = server.score_blocks([[int(c) for c in sym_ct]], 3, [0])
+        assert decrypt_scores(client, result) == [(111 + 222) % PASTA_MICRO.p]
+        # One weight-row multiply and log2 t rotate-and-sum steps per group.
+        counts = homomorphic_op_counts(PASTA_MICRO)
+        assert result.ops.plain_muls == counts["plain_muls"] + 1
+        assert result.ops.rotations == counts["rotations"] + 1
+
+    def test_nonce_reuse_refused(self, client):
+        """A second feature vector under one keystream would leak the difference."""
+        model = LinearModel(weights=[1, 0])
+        assert run_inference(client, model, [5, 6], nonce=5) == 5
+        with pytest.raises(ParameterError, match="already consumed"):
+            run_inference(client, model, [7, 8], nonce=5)
 
     def test_block_size_bound(self, client):
         model = LinearModel(weights=[1] * (PASTA_MICRO.t + 1))
@@ -62,6 +82,34 @@ class TestInference:
 
     def test_model_dimension_mismatch(self, client):
         model = LinearModel(weights=[1, 2, 3])
-        server = HheInferenceServer(HheServer.from_client(client), model)
         with pytest.raises(ParameterError, match="expects"):
-            server.score_block([1, 2], 0, 0)
+            HheInferenceServer(client.server(), model)
+
+
+class TestPackedScoring:
+    def test_every_block_of_two_groups_scores(self, client):
+        """Block k's score lands at row k // w, slot k % w of its group."""
+        p = PASTA_MICRO.p
+        model = LinearModel(weights=[3, p - 5], bias=77)
+        server = HheInferenceServer(client.server(), model)
+        capacity = server.server.packed_capacity
+        features = np.random.default_rng(7).integers(0, p, size=(capacity + 3, 2)).tolist()
+        blocks = [
+            [int(c) for c in client.cipher.encrypt_block(f, 11, k)]
+            for k, f in enumerate(features)
+        ]
+        result = server.score_blocks(blocks, 11, list(range(len(blocks))))
+        assert len(result.ciphertexts) == 2
+        assert decrypt_scores(client, result) == [model.evaluate_plain(f, p) for f in features]
+
+    @pytest.mark.parametrize("t", [2, 4, 8, 16, 32])
+    def test_score_steps_need_the_evaluator_keys(self, t):
+        """Up to t = 16 the rotate-and-sum steps are evaluator key steps; not at 32."""
+        params = PastaParams(name=f"t{t}", t=t, rounds=2, p=PASTA_MICRO.p, secure=False)
+        client = HheClient(params, toy_parameters(params.p, n=128, log2_q=60), seed=b"steps")
+        model = LinearModel(weights=[1] * t)
+        if t <= 16:
+            assert HheInferenceServer(client.server(), model).model is model
+        else:
+            with pytest.raises(ParameterError, match="score rotation steps"):
+                HheInferenceServer(client.server(), model)

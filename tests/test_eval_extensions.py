@@ -51,6 +51,20 @@ class TestHheCostExperiment:
         depths = result.column("Mult depth")
         assert depths == [4, 5]
 
+    def test_executed_row_is_the_packed_evaluator(self):
+        """The executed row decrypts exactly (the generator raises otherwise)
+        and reports one packed group's closed-form counts."""
+        from repro.pasta import PASTA_MICRO, homomorphic_op_counts
+
+        result = EXPERIMENTS["hhe_cost"]()
+        row = dict(zip(result.headers, result.rows[-1]))
+        counts = homomorphic_op_counts(PASTA_MICRO)
+        assert row["Instance"] == f"{PASTA_MICRO.name} (executed)"
+        assert row["Plain muls"] == counts["plain_muls"]
+        assert row["Ct muls"] == counts["squares"] + counts["muls"]
+        assert row["Rotations"] == counts["rotations"]
+        assert any("decrypted exactly" in note for note in result.notes)
+
 
 class TestReportHelpers:
     def test_markdown_table(self):

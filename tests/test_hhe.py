@@ -1,21 +1,33 @@
 """End-to-end HHE protocol tests at reduced (micro) parameters."""
 
+import numpy as np
 import pytest
 
 from repro.errors import ParameterError
 from repro.fhe import toy_parameters
-from repro.hhe import BfvBackend, HheClient, HheServer
-from repro.pasta import PASTA_MICRO, KeystreamCircuit, Pasta
+from repro.fhe.galois import slots_to_rows
+from repro.hhe import BatchedHheServer, HheClient
+from repro.pasta import PASTA_MICRO, homomorphic_op_counts
+
+#: The streaming service's hhe-mode chain at N = 256 (8 limbs).
+BFV_MICRO = toy_parameters(PASTA_MICRO.p, n=256, log2_q=230)
 
 
 @pytest.fixture(scope="module")
 def client():
-    return HheClient(PASTA_MICRO, toy_parameters(PASTA_MICRO.p, n=256, log2_q=190), seed=b"hhe-tests")
+    return HheClient(PASTA_MICRO, BFV_MICRO, seed=b"hhe-tests")
 
 
 @pytest.fixture(scope="module")
 def server(client):
-    return HheServer.from_client(client)
+    return client.server()
+
+
+def _blocks(client, messages, nonce):
+    return [
+        [int(x) for x in client.cipher.encrypt_block(m, nonce=nonce, counter=k)]
+        for k, m in enumerate(messages)
+    ]
 
 
 class TestClient:
@@ -28,64 +40,62 @@ class TestClient:
         assert len(client.encrypted_key()) == PASTA_MICRO.key_size
 
     def test_encrypted_key_decrypts_to_key(self, client):
-        for ct, k in zip(client.encrypted_key(), client.key):
-            assert client.scheme.decrypt(client.sk, ct) == int(k)
+        """Upload d holds the key rotated left by d elements at every block slot."""
+        width = PASTA_MICRO.key_size
+        n = BFV_MICRO.n
+        w = (n // 2) // width
+        key = [int(k) for k in client.key]
+        for d, ct in enumerate(client.encrypted_key()):
+            slots = np.asarray([client.encoder.decode(client.scheme.decrypt_poly(client.sk, ct))])
+            rows = slots_to_rows(n, slots)[0].reshape(2, width, w)  # [row, j, k % w]
+            expected = np.asarray([key[(j + d) % width] for j in range(width)])
+            assert (rows == expected[None, :, None]).all()
 
     def test_plain_modulus_must_match(self):
         with pytest.raises(ParameterError):
-            HheClient(PASTA_MICRO, toy_parameters(12289, n=256, log2_q=190))
+            HheClient(PASTA_MICRO, toy_parameters(12289, n=256, log2_q=230))
 
 
 class TestTranscipher:
     def test_single_block(self, client, server):
         msg = [123, 45678]
-        sym = client.encrypt(msg, nonce=1)
-        result = server.transcipher_block(list(sym), nonce=1, counter=0)
-        assert client.decrypt_result(result.ciphertexts) == msg
+        result = server.transcipher_blocks(_blocks(client, [msg], 1), nonce=1, counters=[0])
+        assert client.decrypt_result(result) == [msg]
 
     def test_multi_block_stream(self, client, server):
-        msg = [1, 2, 3, 4, 5]  # three blocks at t=2
-        sym = client.encrypt(msg, nonce=2)
-        result = server.transcipher(sym, nonce=2)
-        assert client.decrypt_result(result.ciphertexts) == msg
+        msg = [1, 2, 3, 4, 5, 6]  # three whole blocks at t=2
+        sym = [int(c) for c in client.encrypt(msg, nonce=2)]
+        blocks = [sym[i : i + PASTA_MICRO.t] for i in range(0, len(sym), PASTA_MICRO.t)]
+        result = server.transcipher_blocks(blocks, nonce=2, counters=[0, 1, 2])
+        assert client.decrypt_result(result) == [[1, 2], [3, 4], [5, 6]]
 
     def test_noise_budget_positive(self, client, server):
-        sym = client.encrypt([9, 10], nonce=3)
-        result = server.transcipher_block(list(sym), nonce=3, counter=0)
+        result = server.transcipher_blocks(_blocks(client, [[9, 10]], 3), nonce=3, counters=[0])
         for ct in result.ciphertexts:
             assert client.noise_budget_bits(ct) > 5
 
     def test_op_counts_match_circuit_cost(self, client, server):
-        sym = client.encrypt([7, 8], nonce=4)
-        result = server.transcipher_block(list(sym), nonce=4, counter=0)
-        t, layers, rounds = PASTA_MICRO.t, PASTA_MICRO.affine_layers, PASTA_MICRO.rounds
-        assert result.ops.plain_muls == layers * 2 * t * t
-        assert result.ops.squares == (rounds - 1) * (2 * t - 1) + 2 * t
-        assert result.ops.muls == 2 * t
-        assert result.ops.relins == result.ops.squares + result.ops.muls
+        result = server.transcipher_blocks(_blocks(client, [[7, 8]], 4), nonce=4, counters=[0])
+        expected = homomorphic_op_counts(PASTA_MICRO)
+        assert {k: getattr(result.ops, k) for k in expected} == expected
 
     def test_wrong_nonce_garbles(self, client, server):
         msg = [11, 22]
-        sym = client.encrypt(msg, nonce=5)
-        result = server.transcipher_block(list(sym), nonce=6, counter=0)
-        assert client.decrypt_result(result.ciphertexts) != msg
+        result = server.transcipher_blocks(_blocks(client, [msg], 5), nonce=6, counters=[0])
+        assert client.decrypt_result(result) != [msg]
 
 
 class TestServerConstruction:
     def test_wrong_key_count_rejected(self, client):
-        with pytest.raises(ParameterError):
-            HheServer(PASTA_MICRO, client.scheme, client.rlk, client.encrypted_key()[:-1])
-
-
-class TestBfvBackendAgainstPlain:
-    def test_backend_keystream_matches_plain(self, client):
-        """The BFV evaluation decrypts to exactly the plain keystream."""
-        circuit = KeystreamCircuit.for_block(PASTA_MICRO, nonce=9, counter=0)
-        backend = BfvBackend(client.scheme, client.rlk)
-        enc_ks = circuit.evaluate(client.encrypted_key(), backend)
-        plain_ks = Pasta(PASTA_MICRO, client.key).keystream_block(9, 0)
-        got = [client.scheme.decrypt(client.sk, ct) for ct in enc_ks]
-        assert got == [int(v) for v in plain_ks]
+        with pytest.raises(ParameterError, match="encrypted key elements"):
+            BatchedHheServer(
+                PASTA_MICRO,
+                client.scheme,
+                client.rlk,
+                client.encoder,
+                client.encrypted_key()[:-1],
+                galois_keys=client.galois_keys,
+            )
 
 
 class TestKeySeparation:
@@ -96,7 +106,7 @@ class TestKeySeparation:
         from repro.pasta import random_key
 
         seed = b"one-master-seed"
-        client = HheClient(PASTA_MICRO, toy_parameters(PASTA_MICRO.p, n=256, log2_q=190), seed=seed)
+        client = HheClient(PASTA_MICRO, BFV_MICRO, seed=seed)
         # The PASTA key comes from its own tagged stream, not the raw seed
         # (which, pre-fix, also fed BFV keygen).
         assert [int(k) for k in client.key] == [
@@ -108,73 +118,10 @@ class TestKeySeparation:
         assert FHE_SEED_DOMAIN != PASTA_SEED_DOMAIN
 
     def test_same_seed_clients_are_deterministic(self):
-        params = toy_parameters(PASTA_MICRO.p, n=256, log2_q=190)
-        a = HheClient(PASTA_MICRO, params, seed=b"det")
-        b = HheClient(PASTA_MICRO, params, seed=b"det")
+        a = HheClient(PASTA_MICRO, BFV_MICRO, seed=b"det")
+        b = HheClient(PASTA_MICRO, BFV_MICRO, seed=b"det")
         assert [int(k) for k in a.key] == [int(k) for k in b.key]
 
     def test_bfv_params_default_is_derived(self):
         client = HheClient(PASTA_MICRO, seed=b"defaults")
         assert client.bfv_params.p == PASTA_MICRO.p
-
-
-class TestOpCountAccumulation:
-    """Multi-block transcipher totals must cover EVERY counter field.
-
-    The original accumulation hand-listed attribute names and silently
-    dropped ``rotations`` when that field was added. ``merge`` iterates
-    ``dataclasses.fields``, so these tests fail loudly if a future counter
-    is ever skipped again.
-    """
-
-    def test_merge_covers_every_field(self):
-        import dataclasses
-
-        from repro.hhe.backend import BfvOpCounts
-
-        ones = BfvOpCounts(**{f.name: 1 for f in dataclasses.fields(BfvOpCounts)})
-        total = BfvOpCounts()
-        total.merge(ones).merge(ones)
-        for f in dataclasses.fields(BfvOpCounts):
-            assert getattr(total, f.name) == 2, f"field {f.name} dropped by merge"
-        assert total.total() == 2 * len(dataclasses.fields(BfvOpCounts))
-
-    def test_transcipher_totals_include_rotations(self, client, server, monkeypatch):
-        """A rotation counted per block must survive into the stream total."""
-        import dataclasses
-
-        from repro.hhe.backend import BfvOpCounts
-        from repro.hhe.protocol import TranscipherResult
-
-        per_block = BfvOpCounts(**{f.name: 1 for f in dataclasses.fields(BfvOpCounts)})
-        per_block.rotations = 5
-
-        def fake_block(block, nonce, counter):
-            return TranscipherResult(ciphertexts=[], ops=dataclasses.replace(per_block))
-
-        monkeypatch.setattr(server, "transcipher_block", fake_block)
-        result = server.transcipher(list(range(2 * PASTA_MICRO.t)), nonce=1)
-        assert result.ops.rotations == 10, (
-            "rotations dropped from the multi-block total (the pre-fix bug)"
-        )
-        for f in dataclasses.fields(BfvOpCounts):
-            if f.name != "rotations":
-                assert getattr(result.ops, f.name) == 2, f"field {f.name} not accumulated"
-
-    def test_real_two_block_totals_are_fieldwise_sums(self, client, server):
-        """End to end: the stream total equals the sum of per-block counts."""
-        import dataclasses
-
-        from repro.hhe.backend import BfvOpCounts
-
-        message = list(range(2 * PASTA_MICRO.t))
-        ciphertext = client.encrypt(message, nonce=931)
-        block_ops = [
-            server.transcipher_block(
-                list(ciphertext[start : start + PASTA_MICRO.t]), 931, counter
-            ).ops
-            for counter, start in enumerate(range(0, len(ciphertext), PASTA_MICRO.t))
-        ]
-        total = server.transcipher(ciphertext, nonce=931).ops
-        for f in dataclasses.fields(BfvOpCounts):
-            assert getattr(total, f.name) == sum(getattr(ops, f.name) for ops in block_ops)

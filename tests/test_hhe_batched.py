@@ -141,6 +141,11 @@ class TestBatchedTransciphering:
         with pytest.raises(ParameterError, match="full t-element"):
             server.transcipher_blocks([[1]], 0, [0])
 
+    def test_oversized_block_rejected(self, session):
+        _, server, _ = session
+        with pytest.raises(ParameterError, match="full t-element"):
+            server.transcipher_blocks([[1] * (PASTA_MICRO.t + 1)], 0, [0])
+
     def test_counter_count_mismatch(self, session):
         _, server, _ = session
         with pytest.raises(ParameterError, match="one counter per block"):
@@ -217,6 +222,30 @@ class TestEvalEngineSelection:
         enc_key = [scheme.encrypt_poly(pk, encoder.constant(int(k))) for k in key]
         with pytest.raises(ParameterError, match="divide the slot-row width"):
             BatchedHheServer(odd, scheme, rlk, encoder, enc_key, galois_keys=galois)
+
+
+class TestEncoderCompatibility:
+    """A slot encoder for another ring or plaintext modulus is refused.
+
+    51713 is a batching prime for N = 256 other than p: its slots encrypt,
+    evaluate and decode, but every block then decrypts to garbage.
+    """
+
+    @pytest.mark.parametrize("n,p", [(256, 51713), (512, P)], ids=["other-p", "other-n"])
+    def test_upload_server_and_decrypt_refuse(self, ctx, galois, n, p):
+        scheme, sk, pk, rlk, encoder = ctx
+        foreign = BatchEncoder(n, p)
+        key = random_key(PASTA_MICRO, b"encoder")
+        with pytest.raises(ParameterError, match="slot encoder"):
+            encrypt_key_batched(scheme, pk, foreign, key)
+        enc_key = encrypt_key_batched(scheme, pk, encoder, key)
+        with pytest.raises(ParameterError, match=rf"\({n}, {p}\).*\(256, {P}\)"):
+            BatchedHheServer(PASTA_MICRO, scheme, rlk, foreign, enc_key, galois_keys=galois)
+        server = BatchedHheServer(PASTA_MICRO, scheme, rlk, encoder, enc_key, galois_keys=galois)
+        block = [int(x) for x in Pasta(PASTA_MICRO, key).encrypt_block([1, 2], 4, 0)]
+        result = server.transcipher_blocks([block], 4, [0])
+        with pytest.raises(ParameterError, match="slot encoder"):
+            decrypt_batched_result(scheme, sk, foreign, result)
 
 
 class TestKeyCompatibility:

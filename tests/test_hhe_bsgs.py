@@ -25,6 +25,7 @@ from repro.fhe.galois import slots_to_rows
 from repro.hhe import BatchedHheServer, decrypt_batched_result, encrypt_key_batched
 from repro.pasta import (
     PASTA_MICRO,
+    PASTA_TOY,
     Pasta,
     PastaParams,
     bsgs_split,
@@ -47,8 +48,10 @@ N = 256
 HALF = N // 2
 
 
-def _setup(pasta, seed=b"bsgs-tests", n=N):
-    if pasta.p == P33:
+def _setup(pasta, seed=b"bsgs-tests", n=N, log2_q=None):
+    if log2_q is not None:
+        params = toy_parameters(pasta.p, n=n, log2_q=log2_q)
+    elif pasta.p == P33:
         # Wider q than at omega=17: every Galois key switch adds the same
         # ~62-bit base-T noise floor relinearization pays once, which costs
         # more budget bits against a 33-bit plaintext.
@@ -201,6 +204,34 @@ class TestDifferential:
         groups = -(-n_blocks // 8)
         assert _ops(result) == {k: groups * v for k, v in per_group.items()}
         assert min(scheme.noise_budget_bits(sk, ct) for ct in result.ciphertexts) > 0
+
+
+#: Round counts other than the differential rigs' 2, by (params, log2 q)
+#: at N = 256: one round has no Feistel layer, and PASTA_TOY (t = 4,
+#: 3 rounds) needs 10 limbs for the modeled headroom to stay >= 0.
+ROUNDS_RIGS = {
+    "rounds-1": (PastaParams(name="one-round", t=2, rounds=1, p=PASTA_MICRO.p, secure=False), 230),
+    "rounds-3": (PASTA_TOY, 290),
+}
+
+
+class TestRounds:
+    @pytest.mark.parametrize("rig", sorted(ROUNDS_RIGS))
+    def test_two_groups_match_cipher_oracle(self, rig):
+        pasta, log2_q = ROUNDS_RIGS[rig]
+        built = _setup(pasta, seed=b"bsgs-" + rig.encode(), log2_q=log2_q)
+        scheme, sk = built[0], built[1]
+        capacity = HALF // pasta.t
+        rng = np.random.default_rng(3)
+        messages = rng.integers(0, pasta.p, size=(capacity + 1, pasta.t)).tolist()
+        _, result, decrypted = _transcipher(pasta, built, messages, nonce=2**63 + 1)
+
+        assert decrypted == messages
+        assert len(result.ciphertexts) == 2
+        assert _ops(result) == {k: 2 * v for k, v in homomorphic_op_counts(pasta).items()}
+        model = scheme.noise_model
+        modeled = model.headroom_bits(model.merge(ct.noise for ct in result.ciphertexts))
+        assert modeled <= min(scheme.noise_budget_bits(sk, ct) for ct in result.ciphertexts)
 
 
 class TestHoistedBsgs:

@@ -107,7 +107,7 @@ class TestSectionV:
 class TestSectionVI_Extensions:
     def test_multiplicative_depth_for_server(self):
         """HHE decryption depth: rounds-1 Feistel squarings + 2 for the cube."""
-        from repro.pasta.decrypt_circuit import KeystreamCircuit
+        from repro.pasta.decrypt_circuit import multiplicative_depth
 
-        assert KeystreamCircuit.multiplicative_depth(PASTA_3) == 4
-        assert KeystreamCircuit.multiplicative_depth(PASTA_4) == 5
+        assert multiplicative_depth(PASTA_3) == 4
+        assert multiplicative_depth(PASTA_4) == 5

@@ -1,102 +1,10 @@
-"""Tests for the backend-generic PASTA decryption circuit."""
+"""Tests for the closed forms of homomorphic PASTA decryption."""
 
-import pytest
-
-from repro.errors import ParameterError
-from repro.pasta import (
-    PASTA_4,
-    PASTA_MICRO,
-    PASTA_TOY,
-    KeystreamCircuit,
-    Pasta,
-    PlainBackend,
-    random_key,
-)
-
-
-class TestCircuitEquivalence:
-    @pytest.mark.parametrize("params", [PASTA_MICRO, PASTA_TOY], ids=lambda p: p.name)
-    @pytest.mark.parametrize("nonce,counter", [(0, 0), (5, 9), (123456, 42)])
-    def test_matches_reference_keystream(self, params, nonce, counter):
-        key = random_key(params)
-        reference = Pasta(params, key).keystream_block(nonce, counter)
-        circuit = KeystreamCircuit.for_block(params, nonce, counter)
-        got = circuit.evaluate([int(k) for k in key], PlainBackend(params.field))
-        assert got == [int(v) for v in reference]
-
-    def test_matches_reference_pasta4(self, pasta4_key):
-        reference = Pasta(PASTA_4, pasta4_key).keystream_block(7, 3)
-        circuit = KeystreamCircuit.for_block(PASTA_4, 7, 3)
-        got = circuit.evaluate([int(k) for k in pasta4_key], PlainBackend(PASTA_4.field))
-        assert got == [int(v) for v in reference]
-
-
-class TestDecrypt:
-    def test_recovers_message(self, toy_key):
-        cipher = Pasta(PASTA_TOY, toy_key)
-        msg = [7, 8, 9, 10]
-        ct = cipher.encrypt_block(msg, 2, 2)
-        circuit = KeystreamCircuit.for_block(PASTA_TOY, 2, 2)
-        out = circuit.decrypt([int(k) for k in toy_key], [int(c) for c in ct], PlainBackend(PASTA_TOY.field))
-        assert out == msg
-
-    def test_partial_block(self, toy_key):
-        cipher = Pasta(PASTA_TOY, toy_key)
-        ct = cipher.encrypt_block([42], 2, 2)
-        circuit = KeystreamCircuit.for_block(PASTA_TOY, 2, 2)
-        out = circuit.decrypt([int(k) for k in toy_key], [int(ct[0])], PlainBackend(PASTA_TOY.field))
-        assert out == [42]
-
-    def test_oversized_block_raises(self, toy_key):
-        circuit = KeystreamCircuit.for_block(PASTA_TOY, 0, 0)
-        with pytest.raises(ParameterError):
-            circuit.decrypt([int(k) for k in toy_key], [0] * (PASTA_TOY.t + 1), PlainBackend(PASTA_TOY.field))
+from repro.pasta import PASTA_4, PASTA_MICRO, PASTA_TOY, multiplicative_depth
 
 
 class TestCosts:
     def test_multiplicative_depth(self):
-        assert KeystreamCircuit.multiplicative_depth(PASTA_TOY) == 4  # 2 Feistel + cube
-        assert KeystreamCircuit.multiplicative_depth(PASTA_MICRO) == 3
-        assert KeystreamCircuit.multiplicative_depth(PASTA_4) == 5
-
-    def test_plain_mul_count(self, toy_key):
-        circuit = KeystreamCircuit.for_block(PASTA_TOY, 1, 1)
-        circuit.evaluate([int(k) for k in toy_key], PlainBackend(PASTA_TOY.field))
-        t, layers = PASTA_TOY.t, PASTA_TOY.affine_layers
-        assert circuit.cost.plain_muls == layers * 2 * t * t
-
-    def test_ct_mul_count(self, toy_key):
-        circuit = KeystreamCircuit.for_block(PASTA_TOY, 1, 1)
-        circuit.evaluate([int(k) for k in toy_key], PlainBackend(PASTA_TOY.field))
-        t, rounds = PASTA_TOY.t, PASTA_TOY.rounds
-        expected_squares = (rounds - 1) * (2 * t - 1) + 2 * t
-        assert circuit.cost.ct_squares == expected_squares
-        assert circuit.cost.ct_muls == 2 * t  # one per element in the cube layer
-
-    def test_wrong_key_length_raises(self):
-        circuit = KeystreamCircuit.for_block(PASTA_TOY, 0, 0)
-        with pytest.raises(ParameterError):
-            circuit.evaluate([1, 2, 3], PlainBackend(PASTA_TOY.field))
-
-    def test_materials_param_mismatch_raises(self):
-        from repro.pasta import generate_block_materials
-
-        materials = generate_block_materials(PASTA_MICRO, 0, 0)
-        with pytest.raises(ParameterError):
-            KeystreamCircuit(PASTA_TOY, materials)
-
-    def test_materials_accept_equal_params_copy(self):
-        """Regression: the params check is structural equality, not identity.
-
-        Materials built from an equal-but-distinct PastaParams instance
-        (deserialized config, dataclasses.replace copy) must be accepted.
-        """
-        import dataclasses
-
-        from repro.pasta import generate_block_materials
-
-        params_copy = dataclasses.replace(PASTA_MICRO)
-        assert params_copy is not PASTA_MICRO
-        materials = generate_block_materials(params_copy, 0, 0)
-        circuit = KeystreamCircuit(PASTA_MICRO, materials)
-        assert circuit.materials is materials
+        assert multiplicative_depth(PASTA_TOY) == 4  # 2 Feistel + cube
+        assert multiplicative_depth(PASTA_MICRO) == 3
+        assert multiplicative_depth(PASTA_4) == 5
