@@ -5,8 +5,9 @@ import pytest
 
 from repro.baselines import Aes128
 from repro.ff import P17, P60, PrimeField, make_reducer
-from repro.fhe import NegacyclicNtt
-from repro.pasta import PASTA_4, Pasta, generate_matrix, random_key, streaming_mat_vec
+from repro.fhe import ExactBaseLift, ExactRescaler, NegacyclicNtt, make_engine, toy_parameters
+from repro.fhe.rns import ExactBaseDigits
+from repro.pasta import PASTA_4, PASTA_MICRO, Pasta, generate_matrix, random_key, streaming_mat_vec
 
 F17 = PrimeField(P17)
 
@@ -43,3 +44,62 @@ def test_ntt_forward_1024(benchmark):
     poly = list(range(1024))
     out = benchmark(ntt.forward, poly)
     assert len(out) == 1024
+
+
+# -- CRT transports at the hhe_frame shape ----------------------------------------
+
+
+@pytest.fixture(scope="module")
+def hhe_frame_bases():
+    """The hhe_frame chain (N = 512, ten 26-bit primes) and its 18-prime
+    extended tensor-product basis."""
+    engine = make_engine(
+        toy_parameters(PASTA_MICRO.p, n=512, log2_q=240, prime_bits=26), "rns"
+    )
+    assert (len(engine.ctx.primes), len(engine.ext.primes)) == (10, 18)
+    return engine.ctx, engine.ext
+
+
+def _uniform(ctx, lead, seed):
+    rng = np.random.default_rng(seed)
+    q_col = np.array(ctx.primes, dtype=np.int64).reshape(-1, 1)
+    return rng.integers(0, 1 << 62, size=lead + (len(ctx.primes), ctx.n)) % q_col
+
+
+def _centered_ints(ctx, rows):
+    return [ctx.from_rns_centered(row) for row in rows]
+
+
+def test_crt_lift_centered(benchmark, hhe_frame_bases):
+    """One ciphertext's two parts into the extended basis (the tensor-product lift)."""
+    ctx, ext = hhe_frame_bases
+    lift = ExactBaseLift(ctx, ext.primes)
+    parts = _uniform(ctx, (2,), 1)
+    got = benchmark(lift.lift_centered, parts)
+    expected = [ext.to_rns(c) for c in _centered_ints(ctx, parts)]
+    assert np.array_equal(got, np.stack(expected))
+
+
+def test_crt_digits(benchmark, hhe_frame_bases):
+    """One polynomial's base-2^62 key-switch digits."""
+    ctx, _ = hhe_frame_bases
+    count = -(-ctx.modulus.bit_length() // 62)
+    digits = ExactBaseDigits(ctx, 62, count)
+    poly = _uniform(ctx, (), 2)
+    got = benchmark(digits.digits, poly)
+    values = ctx.from_rns(poly)
+    expected = [ctx.to_rns([(v >> (62 * d)) % (1 << 62) for v in values]) for d in range(count)]
+    assert np.array_equal(got, np.stack(expected))
+
+
+def test_crt_rescale(benchmark, hhe_frame_bases):
+    """One tensor product's three parts scaled by p/q back to the chain."""
+    ctx, ext = hhe_frame_bases
+    rescaler = ExactRescaler(ext, PASTA_MICRO.p, ctx)
+    parts = _uniform(ext, (3,), 3)
+    got = benchmark(rescaler.rescale, parts)
+    q, p = ctx.modulus, PASTA_MICRO.p
+    expected = [
+        ctx.to_rns([(2 * p * c + q) // (2 * q) for c in row]) for row in _centered_ints(ext, parts)
+    ]
+    assert np.array_equal(got, np.stack(expected))

@@ -34,7 +34,6 @@ from repro.fhe.rng import PolyRng
 from repro.fhe.rns import (
     ExactBaseLift,
     ExactRescaler,
-    MixedRadix,
     RnsContext,
     RnsPoly,
     get_rns_context,
@@ -51,7 +50,6 @@ __all__ = [
     "ExactBaseLift",
     "ExactRescaler",
     "GaloisKey",
-    "MixedRadix",
     "NegacyclicNtt",
     "PolyRng",
     "PreparedPlain",

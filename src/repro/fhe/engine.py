@@ -14,8 +14,9 @@ small engine interface; two interchangeable implementations exist:
   CRT crossing runs on the fused :class:`CiphertextTensor` kernels: a
   per-ciphertext tensor product or relinearization digit decomposition is
   the kernel on a one-ciphertext stack, whose int64 base transports
-  (:mod:`repro.fhe.rns`) never build a big int. Only decryption
-  reconstructs integers through CRT.
+  (:mod:`repro.fhe.rns`) build a big int only for the rare coefficients
+  inside a float64 guard band (counted under ``fhe.crt.exact_fallbacks``).
+  Only decryption reconstructs integers through CRT.
 
 Both engines implement the same operations *exactly* mod q, so a scheme
 instantiated from the same seed produces bit-identical keys, ciphertexts,
@@ -232,11 +233,11 @@ class RnsEngine:
         # centered operands is <= N (q/2)^2, and d1 sums two such products.
         ext_bits = (n * (q // 2 + 1) ** 2).bit_length() + 3
         self.ext = get_rns_context(n, ntt_prime_chain(n, ext_bits))
-        # The exact int64 base transports, all via Garner digits (no big
-        # ints): the centered ctx -> ext lift into a tensor product, the p/q
-        # rescale back, and the base-T digits of relinearization and key
-        # switching. A base the digit transport cannot host fails here, when
-        # the scheme is built, not mid-circuit.
+        # The exact int64 base transports, all on the fast base conversion
+        # RnsContext.project: the centered ctx -> ext lift into a tensor
+        # product, the p/q rescale back, and the base-T digits of
+        # relinearization and key switching. A base the digit transport
+        # cannot host fails here, when the scheme is built, not mid-circuit.
         self._tensor_lift = ExactBaseLift(self.ctx, self.ext.primes)
         self._tensor_rescale = ExactRescaler(self.ext, p, self.ctx)
         try:
@@ -386,8 +387,8 @@ class RnsEngine:
 
         ``b=None`` squares. Exact: the centered parts lift into the
         extended basis, d1 = cross1 + cross2 is one modular sum, and the
-        rescale is round_div(p*c, q) mod q, all on the int64 mixed-radix
-        transport, so every slot equals :meth:`BigintEngine.tensor_scale`.
+        rescale is round_div(p*c, q) mod q, both on the int64 fast base
+        conversion, so every slot equals :meth:`BigintEngine.tensor_scale`.
         """
         from repro.obs import get_registry, get_tracer
 
@@ -428,8 +429,9 @@ class RnsEngine:
 
         The shared front half of relinearization, keyswitching and hoisted
         rotation: the base-T digits of each canonical coefficient come
-        straight from the residue stacks (:class:`ExactBaseDigits`: Garner
-        digits + limb contraction), equal to :meth:`BigintEngine.relin_digits`.
+        straight from the residue stacks (:class:`ExactBaseDigits`: the
+        canonical projection + limb contraction), equal to
+        :meth:`BigintEngine.relin_digits`.
         """
         digits = self._digits
         if (base, count) != (1 << digits.base_bits, digits.count):

@@ -8,19 +8,33 @@ structure of hardware FHE datapaths (BASALISC's BGV pipeline, Medha's
 residue polynomial arithmetic unit). Chains are int64-only: every prime
 must fit the vectorized NTT's int64 kernel, and a wider chain is refused
 (the big-int :class:`repro.fhe.engine.BigintEngine` serves wider moduli).
+
 Every CRT crossing inside the scheme (the BFV tensor-product lift and
-rescale, relinearization digit decomposition) runs on the exact int64
-transports below; multi-precision integers appear only at the edges:
-big-int input conversion (:meth:`RnsContext.to_rns`) and CRT
-reconstruction for decryption (:meth:`RnsContext.from_rns`).
+rescale, the relinearization and key-switch digit decomposition) runs on
+one fast base conversion (Bajard-Eynard-Hasan-Zucca, SAC 2016;
+Halevi-Polyakov-Shoup, CT-RSA 2019), :meth:`RnsContext.project`: with
+``q̂_i = q / q_i``, one pointwise pass gives ``y_i = [x_i q̂_i^-1]_{q_i}``
+and a float64 sum gives the small integer ``k`` such that
+``x = sum_i y_i q̂_i - k q`` exactly. Each transport is then one chunked
+int64 contraction of ``y`` against precomputed weights minus ``k`` times
+one constant. Two float64 estimates carry proven error bounds
+(:func:`float_error_bound`): ``k`` itself, to ``(L + 2)^2 2^-53``, and the
+rescaler's rounding correction, to ``(L_ext + 3)^2 max(q_ext) 2^-53``. A
+coefficient whose estimate lies within 4x its bound of a rounding edge is
+recomputed with exact Python ints; those guard-band fallbacks, counted
+under ``fhe.crt.exact_fallbacks``, are the only big ints inside the
+scheme. The others are at the edges: big-int input conversion
+(:meth:`RnsContext.to_rns`) and CRT reconstruction for decryption
+(:meth:`RnsContext.from_rns`).
 
 Key objects:
 
 * :func:`ntt_prime_chain` — deterministic chain of NTT-friendly primes
   covering a requested bit width;
 * :class:`RnsContext` — conversion between big-int coefficient vectors and
-  residue matrices (+ CRT reconstruction) with a vectorized NTT attached;
-* :class:`MixedRadix`, :class:`ExactBaseLift`, :class:`ExactBaseDigits`,
+  residue matrices (+ CRT reconstruction and the fast base conversion)
+  with a vectorized NTT attached;
+* :class:`ExactBaseLift`, :class:`ExactBaseDigits`,
   :class:`ExactRescaler` — the exact int64 base transports;
 * :class:`RnsPoly` — a polynomial held as its eval-domain (NTT) residue
   matrix, so every ring operation is pointwise.
@@ -37,6 +51,7 @@ import numpy as np
 from repro.errors import ParameterError
 from repro.ff.primality import is_prime
 from repro.fhe.ntt_vec import VecNtt, butterfly_fits_int64, get_vec_ntt
+from repro.obs import get_registry
 
 _INT64_MAX = (1 << 63) - 1
 
@@ -102,18 +117,21 @@ class RnsContext:
         self.modulus = 1
         for q in primes:
             self.modulus *= q
-        # Garner-free CRT: x = sum_i ((r_i * inv_i) mod q_i) * M_i (mod M).
-        self._crt_big = [self.modulus // q for q in primes]
+        # CRT by fast base conversion: x = sum_i y_i q̂_i - k q with
+        # y_i = [x_i q̂_i^-1]_{q_i} and q̂_i = q / q_i.
+        self._crt_hat = np.array([self.modulus // q for q in primes], dtype=object)
         self._crt_inv = np.array(
-            [pow(m % q, q - 2, q) for m, q in zip(self._crt_big, primes)], dtype=np.int64
+            [pow(m % q, q - 2, q) for m, q in zip(self._crt_hat, primes)], dtype=np.int64
         ).reshape(len(primes), 1)
+        self._recip = np.array([1.0 / q for q in primes])
+        #: Guard band of :meth:`project`'s float64 ``k``: 4x its proven error.
+        self.band = 4 * float_error_bound(len(primes), 1)
         self._q_col = np.array(primes, dtype=np.int64).reshape(len(primes), 1)
         # Largest residue-product chunk that cannot overflow int64 when one
         # already-reduced addend rides along (same headroom shape as the
         # butterfly predicate).
         qmax = max(primes)
         self._chunk = max(1, (_INT64_MAX - (qmax - 1)) // ((qmax - 1) ** 2))
-        self._mixed_radix: Optional["MixedRadix"] = None
         # Exact log2(q) in the float domain, where the noise ledger's growth
         # rules live: sum of per-prime logs avoids the precision cliff of
         # log2(product) once q outgrows a double's mantissa.
@@ -156,11 +174,8 @@ class RnsContext:
 
     def from_rns(self, mat: np.ndarray) -> List[int]:
         """(L, N) residues -> coefficients in [0, q) via CRT reconstruction."""
-        small = (np.asarray(mat, dtype=np.int64) * self._crt_inv) % self._q_col
-        acc = np.zeros(self.n, dtype=object)
-        for i, big in enumerate(self._crt_big):
-            acc += small[i].astype(object) * big
-        return [int(c) for c in acc % self.modulus]
+        y = (np.asarray(mat, dtype=np.int64) * self._crt_inv) % self._q_col
+        return [int(c) for c in (y.T.astype(object) @ self._crt_hat) % self.modulus]
 
     def from_rns_centered(self, mat: np.ndarray) -> List[int]:
         """(L, N) residues -> centered representatives in [-q/2, q/2)."""
@@ -172,10 +187,7 @@ class RnsContext:
         arr = np.asarray(arr)
         if arr.ndim < 1 or arr.shape[-1] != self.n:
             raise ParameterError(f"expected trailing dimension {self.n}, got {arr.shape}")
-        out = np.empty(arr.shape[:-1] + (len(self.primes), self.n), dtype=np.int64)
-        for i, q in enumerate(self.primes):
-            out[..., i, :] = arr % q
-        return out
+        return (arr[..., None, :] % self._q_col).astype(np.int64, copy=False)
 
     # -- chunked modular contractions ---------------------------------------------
 
@@ -224,11 +236,32 @@ class RnsContext:
             out = (out + part) % self._q_col
         return out
 
-    def mixed_radix(self) -> "MixedRadix":
-        """The cached Garner transport for this basis."""
-        if self._mixed_radix is None:
-            self._mixed_radix = MixedRadix(self)
-        return self._mixed_radix
+    def project(
+        self, mat: np.ndarray, centered: bool, transport: str
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Fast base conversion: ``(..., L, N)`` residues -> ``(y, k)``.
+
+        ``y = [x_i q̂_i^-1]_{q_i}`` (same shape) and ``k`` (``(..., N)``)
+        satisfy ``x = sum_i y_i q̂_i - k q`` exactly, for the canonical
+        ``x`` in ``[0, q)`` or, with ``centered``, the centered one (``x``
+        above ``q // 2`` stands for ``x - q``). Since ``sum_i y_i q̂_i / q
+        = sum_i y_i / q_i = k + x / q``, ``k`` is ``floor(s)``, or
+        ``floor(s + 1/2)`` centered, of that float64 sum ``s``; where the
+        estimate lies inside :attr:`band` of an integer, ``k`` is
+        recomputed with exact ints and the fallback is counted under
+        ``fhe.crt.exact_fallbacks`` with the caller's ``transport`` label.
+        """
+        y = (np.asarray(mat, dtype=np.int64) * self._crt_inv) % self._q_col
+        s = self._recip @ y.astype(np.float64)
+        if centered:
+            s += 0.5
+        k, ambiguous = _floor_in_band(s, self.band)
+        if ambiguous.any():
+            values = _columns(y, ambiguous) @ self._crt_hat
+            q = self.modulus
+            k[ambiguous] = [(2 * v + q) // (2 * q) if centered else v // q for v in values]
+            _count_fallbacks(transport, "projection", len(values))
+        return y, k
 
     # -- transforms / arithmetic on raw matrices ---------------------------------
 
@@ -261,136 +294,118 @@ def get_rns_context(n: int, primes: Tuple[int, ...]) -> RnsContext:
     return RnsContext(n, primes)
 
 
-# -- exact machine-word base transport (the one CRT crossing) --------------------
+# -- exact machine-word base transports (the one CRT crossing) -------------------
 #
 # The big-int oracle crosses a CRT boundary by reconstructing, centering and
-# re-reducing Python ints. The classes below keep the same *exact*
-# semantics entirely in vectorized int64 by working in Garner's
-# mixed-radix form: x = v_0 + v_1 q_0 + v_2 q_0 q_1 + ... with 0 <= v_j <
-# q_j. Each digit is machine-word sized, comparisons against q/2 are
-# lexicographic on the digit stack, and residues of x modulo a *different*
-# prime basis are chunked digit-weight dot products. This is the shape of
-# the base-conversion units in RNS FHE hardware (BASALISC/Medha): no
-# multi-precision value is ever materialized on the hot path.
+# re-reducing Python ints. The transports below keep the same *exact*
+# semantics in vectorized int64 on top of :meth:`RnsContext.project`: the
+# value is ``sum_i y_i q̂_i - k q`` with machine-word ``y_i`` and a small
+# ``k``, so its residues modulo another basis (or its binary limbs) are one
+# chunked contraction of ``y`` against precomputed weights minus ``k``
+# times one constant: the multiply-accumulate base conversion of RNS FHE
+# hardware (BASALISC, Medha).
 
 
-class MixedRadix:
-    """Garner decomposition of a residue basis into mixed-radix digits.
+def float_error_bound(terms: int, magnitude: float) -> float:
+    """Proven error of a float64 estimate ``sum_i c_i w_i (+ 1/2)``.
 
-    Every pairwise product of reduced residues fits int64 (the butterfly
-    headroom predicate, which every ``RnsContext`` chain satisfies).
+    ``terms`` products of exact integers ``c_i`` with correctly rounded
+    weights ``w_i``, each at most ``magnitude`` (>= 1); one product may be
+    taken apart and subtracted from the sum. With ``u = 2^-53``, the
+    weights' rounding adds at most ``terms * magnitude * u``, the sum in
+    any order (BLAS, with or without FMA) ``gamma_terms * terms *
+    magnitude`` (Higham, *Accuracy and Stability of Numerical Algorithms*,
+    Sec. 3.1), and the separate product, the subtraction and the ``1/2``
+    shift ``((2 terms + 1) magnitude + 1) u``; ``(terms + 2)^2 * magnitude
+    * u`` covers the total.
     """
-
-    def __init__(self, ctx: RnsContext):
-        self.ctx = ctx
-        primes = ctx.primes
-        # _inv[j][i] = q_i^{-1} mod q_j for i < j (Garner's pair inverses).
-        self._inv = [
-            [pow(primes[i], -1, primes[j]) for i in range(j)] for j in range(len(primes))
-        ]
-        self._half_digits = self._int_digits(ctx.modulus // 2)
-
-    def _int_digits(self, value: int) -> Tuple[int, ...]:
-        """Mixed-radix digits of a plain int in [0, q)."""
-        digits = []
-        for q in self.ctx.primes:
-            digits.append(value % q)
-            value //= q
-        return tuple(digits)
-
-    def digits(self, mat: np.ndarray) -> np.ndarray:
-        """``(..., L, N)`` residues -> mixed-radix digits of the same shape.
-
-        Pure int64: every intermediate is bounded by ``(q_j - 1)^2``.
-        """
-        a = np.asarray(mat, dtype=np.int64)
-        primes = self.ctx.primes
-        v = np.empty_like(a)
-        v[..., 0, :] = a[..., 0, :]
-        for j in range(1, len(primes)):
-            q = primes[j]
-            u = a[..., j, :]
-            for i in range(j):
-                u = ((u - v[..., i, :]) * self._inv[j][i]) % q
-            v[..., j, :] = u
-        return v
-
-    def exceeds_half(self, digits: np.ndarray) -> np.ndarray:
-        """Boolean ``(..., N)``: does the encoded value exceed ``q // 2``?
-
-        Mixed-radix digit stacks compare lexicographically from the most
-        significant digit — the vectorized analogue of the scalar
-        ``c > q // 2`` centering test.
-        """
-        gt = np.zeros(digits.shape[:-2] + digits.shape[-1:], dtype=bool)
-        eq = np.ones_like(gt)
-        for j in reversed(range(len(self.ctx.primes))):
-            d = digits[..., j, :]
-            h = self._half_digits[j]
-            gt |= eq & (d > h)
-            eq &= d == h
-        return gt
+    return (terms + 2) ** 2 * magnitude * 2.0**-53
 
 
-def _pair_chunk(src_max: int, dst_max: int) -> int:
-    """Largest cross-basis product chunk with reduced-addend headroom."""
-    return max(1, (_INT64_MAX - (dst_max - 1)) // ((src_max - 1) * (dst_max - 1)))
+def _floor_in_band(s: np.ndarray, band: float) -> Tuple[np.ndarray, np.ndarray]:
+    """``floor(s)`` as int64, and where ``s`` lies within ``band`` of an integer."""
+    floor = np.floor(s)
+    frac = s - floor
+    return floor.astype(np.int64), (frac < band) | (frac > 1.0 - band)
+
+
+def _columns(y: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """The ``(m, L)`` object-int rows of ``(..., L, N)`` ``y`` at the ``(..., N)`` mask."""
+    return np.moveaxis(y, -2, -1)[mask].astype(object)
+
+
+def _count_fallbacks(transport: str, stage: str, count: int) -> None:
+    """Count coefficients a float64 estimate left to the exact-int path."""
+    get_registry().counter(
+        "fhe.crt.exact_fallbacks", transport=transport, stage=stage
+    ).inc(count)
+
+
+def _pair_chunk(src_max: int, dst_max: int, addend: int) -> int:
+    """Largest cross-basis product chunk that keeps ``addend`` of int64 headroom."""
+    return max(1, (_INT64_MAX - addend) // ((src_max - 1) * (dst_max - 1)))
+
+
+def _contract_mod(
+    acc: np.ndarray, y: np.ndarray, weights: np.ndarray, mod_col: np.ndarray, chunk: int
+) -> np.ndarray:
+    """``acc + weights @ y`` reduced per row: ``(E, L) x (..., L, N) -> (..., E, N)``.
+
+    Chunked along ``L`` so every partial sum plus the accumulator (reduced,
+    or the caller's bounded initial value) fits int64.
+    """
+    for start in range(0, y.shape[-2], chunk):
+        stop = start + chunk
+        acc = (acc + np.matmul(weights[:, start:stop], y[..., start:stop, :])) % mod_col
+    return acc
 
 
 class ExactBaseLift:
     """Centered lift from a source basis into a destination prime set.
 
     Computes ``(x mods q) mod p_e`` for every destination prime — exactly
-    what ``from_rns_centered`` + ``to_rns`` produce — as chunked int64
-    digit-weight contractions over the source's mixed-radix digits.
+    what ``from_rns_centered`` + ``to_rns`` produce — as the centered
+    projection's ``y`` contracted against ``[q̂_i]_{p_e}``, minus
+    ``k [q]_{p_e}``.
     """
 
     def __init__(self, src: RnsContext, dst_primes: Sequence[int]):
         self.src = src
-        self.radix = src.mixed_radix()
         self.dst_primes = tuple(int(p) for p in dst_primes)
         if any(not butterfly_fits_int64(p) for p in self.dst_primes):
             raise ParameterError("destination primes exceed the int64 residue width")
-        prefix = 1
-        weights = []  # weights[j][e] = (prod_{i<j} q_i) mod p_e
-        for q in src.primes:
-            weights.append([prefix % p for p in self.dst_primes])
-            prefix *= q
-        self._weights = np.array(weights, dtype=np.int64)  # (L_src, E)
+        self._weights = np.array(
+            [[qh % p for qh in src._crt_hat] for p in self.dst_primes], dtype=np.int64
+        )  # (E, L_src)
         self._mod_src = np.array(
             [src.modulus % p for p in self.dst_primes], dtype=np.int64
         ).reshape(-1, 1)
         self._p_col = np.array(self.dst_primes, dtype=np.int64).reshape(-1, 1)
-        self._chunk = _pair_chunk(max(src.primes), max(self.dst_primes))
+        pmax = max(self.dst_primes)
+        self._chunk = _pair_chunk(max(src.primes), pmax, pmax - 1)
 
     def lift_centered(self, mat: np.ndarray) -> np.ndarray:
         """``(..., L_src, N)`` residues -> ``(..., E, N)`` centered dst residues."""
-        digits = self.radix.digits(mat)
-        gt = self.radix.exceeds_half(digits)
-        acc = np.zeros(digits.shape[:-2] + (len(self.dst_primes), digits.shape[-1]), np.int64)
-        for start in range(0, len(self.src.primes), self._chunk):
-            stop = start + self._chunk
-            part = np.einsum("...ln,le->...en", digits[..., start:stop, :], self._weights[start:stop])
-            acc = (acc + part) % self._p_col
-        # Centering: subtract q (mod p_e) wherever the value exceeded q/2.
-        return (acc - gt[..., None, :] * self._mod_src) % self._p_col
+        y, k = self.src.project(mat, centered=True, transport="lift")
+        start = -k[..., None, :] * self._mod_src
+        return _contract_mod(start, y, self._weights, self._p_col, self._chunk)
 
 
 class ExactBaseDigits:
-    """Base-``2^b`` digit decomposition of canonical values, no big ints.
+    """Base-``2^b`` digit decomposition of canonical values in int64.
 
     The keyswitch path needs ``digit_i(x) = floor(x / T^i) mod T`` for the
     canonical representative ``x in [0, q)`` of every coefficient, with
     ``T = 2^base_bits``. :class:`repro.fhe.engine.BigintEngine` divides the
-    big-int ``x``; this class produces the *same* digits entirely in int64:
+    big-int ``x``; this class produces the *same* digits in int64:
 
-    1. Garner mixed-radix digits ``v_j < q_j`` with
-       ``x = sum_j v_j Q_j`` exactly (``Q_j = prod_{i<j} q_i``), via the
-       cached :class:`MixedRadix`;
-    2. a chunked digit-weight contraction against the binary limbs of the
-       ``Q_j`` (limb width the largest divisor of ``base_bits`` <= 31, so
-       every ``v_j * limb`` product keeps int64 headroom), with a carry
-       ripple after each chunk bounding every partial limb below ``2^limb``;
+    1. the canonical projection, ``x = sum_i y_i q̂_i - k q``;
+    2. a chunked contraction of ``(y, k)`` against the binary limbs of the
+       ``q̂_i`` and of ``2^W - q`` (``W`` the limbs' total width, above
+       ``log2 q``; limb width the largest divisor of ``base_bits`` <= 31,
+       so every product keeps int64 headroom), with a carry ripple after
+       each chunk; the sum is ``x + k 2^W``, so the limbs below ``2^W``
+       hold ``x`` and the carry out of the top limb is dropped;
     3. limb recombination into base-``T`` digits (each < ``2^62``) and a
        per-prime reduction back to residues.
 
@@ -400,7 +415,6 @@ class ExactBaseDigits:
 
     def __init__(self, ctx: RnsContext, base_bits: int, count: int):
         self.ctx = ctx
-        self.radix = ctx.mixed_radix()
         if base_bits < 1 or base_bits > 62:
             raise ParameterError(f"base_bits must be in [1, 62], got {base_bits}")
         if count * base_bits < ctx.modulus.bit_length():
@@ -420,48 +434,41 @@ class ExactBaseDigits:
         self._n_limbs = count * self.limbs_per_digit
         mask = (1 << limb) - 1
         self._mask = mask
-        weights = np.zeros((len(ctx.primes), self._n_limbs), dtype=np.int64)
-        prefix = 1
-        for j, q in enumerate(ctx.primes):
-            v = prefix
-            for k in range(self._n_limbs):
-                weights[j, k] = v & mask
-                v >>= limb
-            prefix *= q
-        self._weights = weights  # (L, K): limb k of Q_j
-        # Chunk so that (partial limb) + chunk * (q-1) * mask plus the carry
-        # it spawns (< 2^(limb+1)) stays below int64; 2^(limb+2) of headroom
-        # covers limb + carry with margin.
+        rows = list(ctx._crt_hat) + [(1 << (self._n_limbs * limb)) - ctx.modulus]
+        self._weights = np.array(
+            [[(v >> (limb * j)) & mask for v in rows] for j in range(self._n_limbs)],
+            dtype=np.int64,
+        )  # (K, L + 1): limb j of each q̂_i, then of 2^W - q
+        # A chunk adds at most chunk * (q - 1) * mask to a rippled limb
+        # (< 2^limb); every carry the ripple then moves is below
+        # 2^(1 - limb) of that column bound, which the headroom covers.
         qmax = max(ctx.primes)
-        self._chunk = max(1, (_INT64_MAX - (1 << (limb + 2))) // ((qmax - 1) * mask))
+        room = _INT64_MAX - (_INT64_MAX >> (limb - 1)) - mask
+        self._chunk = max(1, room // ((qmax - 1) * mask))
 
     def _ripple(self, limbs: np.ndarray) -> None:
         """Carry-propagate in place so every limb drops below ``2^limb_bits``.
 
-        The encoded partial value is < q <= 2^(K * limb_bits), so no carry
-        ever escapes the scratch limb at index K.
+        The carry out of the top limb is a multiple of ``2^W`` and is dropped.
         """
         carry = None
-        for k in range(self._n_limbs + 1):
-            col = limbs[..., k, :]
+        for j in range(self._n_limbs):
+            col = limbs[..., j, :]
             if carry is not None:
                 col += carry
             carry = col >> self.limb_bits
             col &= self._mask
-        # carry out of the scratch limb is identically zero
 
     def digits(self, mat: np.ndarray) -> np.ndarray:
         """``(..., L, N)`` residues -> ``(..., D, L, N)`` base-``T`` digit residues."""
-        v = self.radix.digits(mat)  # (..., L, N), v[..., j, :] < q_j
-        lead = v.shape[:-2]
-        n = v.shape[-1]
-        K = self._n_limbs
-        limbs = np.zeros(lead + (K + 1, n), dtype=np.int64)
-        for start in range(0, len(self.ctx.primes), self._chunk):
+        y, k = self.ctx.project(mat, centered=False, transport="digits")
+        terms = np.concatenate([y, k[..., None, :]], axis=-2)  # (..., L + 1, N)
+        lead = y.shape[:-2]
+        n = y.shape[-1]
+        limbs = np.zeros(lead + (self._n_limbs, n), dtype=np.int64)
+        for start in range(0, terms.shape[-2], self._chunk):
             stop = start + self._chunk
-            limbs[..., :K, :] += np.einsum(
-                "...ln,lk->...kn", v[..., start:stop, :], self._weights[start:stop]
-            )
+            limbs += np.matmul(self._weights[:, start:stop], terms[..., start:stop, :])
             self._ripple(limbs)
         out = np.empty(lead + (self.count, n), dtype=np.int64)
         lpd = self.limbs_per_digit
@@ -474,57 +481,54 @@ class ExactBaseDigits:
 
 
 class ExactRescaler:
-    """``round(num * x / q) mod q_l`` from extended-basis mixed-radix digits.
+    """``round(num * x / q) mod q_l`` for the centered extended-basis value ``x``.
 
-    The BFV p/q rescale. Writing the centered value as
-    ``x = sum_j v_j Q_j - gt * M`` (Q_j the mixed-radix weights, M the
-    extended modulus) and splitting each ``num * Q_j = a_j q + b_j``::
+    The BFV p/q rescale. The centered projection writes
+    ``x = sum_i y_i M̂_i - k M`` (``M`` the extended modulus); splitting
+    ``num * M̂_i = a_i q + b_i`` and ``num * M = A q + B``::
 
-        round_div(num * x, q) = sum_j v_j a_j - gt * A + floor(S/q + 1/2),
-        S = sum_j v_j b_j - gt * B  (a_j, b_j, A, B precomputed)
+        round_div(num * x, q) = sum_i y_i a_i - k A + floor(S/q + 1/2),
+        S = sum_i y_i b_i - k B  (a_i, b_i, A, B precomputed)
 
     The first part is a chunked int64 contraction mod each q_l. The
-    correction term ``E = floor(S/q + 1/2)`` is a *small* integer
-    (|E| <= sum_j v_j + 1), estimated in float64 from precomputed b_j/q
-    weights. The estimate's worst-case error is provably below ``_EPS``
-    (digits < 2^31 are exact in float64; each of the <= L_e products and
-    partial sums rounds once), so any coefficient whose fractional part
-    falls inside the guard band around 0/1 is recomputed with exact big
-    ints — the fast path is bit-exact, not approximately so.
+    correction ``E = floor(S/q + 1/2)`` is a *small* integer
+    (``|E| <= sum_i y_i + 1``), read in float64 from precomputed ``b_i/q``
+    and ``B/q`` weights. Its error is provably below
+    ``float_error_bound(L_ext + 1, max(q_ext))`` (``L_ext`` products and the
+    ``k B/q`` term), about ``2^-14.2`` for the 18-prime extended basis of
+    the 26-bit ``hhe_frame`` chain, so any coefficient whose fractional
+    part lies within :attr:`band` (4x that bound) of 0/1 is recomputed with
+    exact ints — the fast path is bit-exact, not approximately so.
     """
 
-    #: Guard band for the float64 quotient estimate. Worst-case float error
-    #: is L_e * 2^-21 (term rounding) + L_e^2 * 2^-22 (sum rounding); the
-    #: constructor rejects digit counts that could approach the band.
-    _EPS = 1.0 / 64.0
+    #: Widest guard band the constructor accepts: past it the fallbacks
+    #: would stop being rare.
+    MAX_BAND = 1.0 / 64.0
 
     def __init__(self, ext: RnsContext, numerator: int, dst: RnsContext):
         self.ext = ext
         self.dst = dst
-        self.radix = ext.mixed_radix()
-        n_digits = len(ext.primes)
-        bound = n_digits * 2.0**-21 + n_digits**2 * 2.0**-22
-        if bound * 4 > self._EPS:
-            raise ParameterError(f"extended basis too wide ({n_digits} digits) for the float guard")
+        ymax = max(ext.primes)
+        self.band = 4 * float_error_bound(len(ext.primes) + 1, ymax)
+        if self.band > self.MAX_BAND:
+            raise ParameterError(
+                f"extended basis too wide ({len(ext.primes)} primes) for the float guard"
+            )
         q = dst.modulus
         self.q = q
-        prefix = 1
-        a_rows, b_list, w_list = [], [], []
-        for qe in ext.primes:
-            num = numerator * prefix
-            a_rows.append([(num // q) % p for p in dst.primes])
-            b_list.append(num % q)
-            w_list.append((num % q) / q)
-            prefix *= qe
-        self._a = np.array(a_rows, dtype=np.int64)  # (L_ext, L_dst)
-        self._b = b_list
-        self._w = np.array(w_list, dtype=np.float64)
-        num_m = numerator * ext.modulus
-        self._a_m = np.array([(num_m // q) % p for p in dst.primes], dtype=np.int64).reshape(-1, 1)
-        self._b_m = num_m % q
+        a_list, b_list = zip(*(divmod(numerator * mh, q) for mh in ext._crt_hat))
+        self._a = np.array(
+            [[a % ql for a in a_list] for ql in dst.primes], dtype=np.int64
+        )  # (L_dst, L_ext)
+        self._b = np.array(b_list, dtype=object)
+        self._w = np.array([b / q for b in b_list])
+        a_m, self._b_m = divmod(numerator * ext.modulus, q)
+        self._a_m = np.array([a_m % ql for ql in dst.primes], dtype=np.int64).reshape(-1, 1)
         self._w_m = self._b_m / q
         self._q_col = np.array(dst.primes, dtype=np.int64).reshape(-1, 1)
-        self._chunk = _pair_chunk(max(ext.primes), max(dst.primes))
+        # The contraction starts from E - k A, whose positive part is at most E.
+        addend = max(len(ext.primes) * ymax, max(dst.primes))
+        self._chunk = _pair_chunk(ymax, max(dst.primes), addend)
 
     def rescale(self, mat: np.ndarray) -> np.ndarray:
         """``(..., L_ext, N)`` residues of num*x*... -> ``(..., L_dst, N)`` scaled residues.
@@ -533,41 +537,16 @@ class ExactRescaler:
         output is ``round_div(numerator * centered(x), q) mod q_l`` —
         bit-identical to the scalar reconstruct/center/round/reduce chain.
         """
-        digits = self.radix.digits(mat)
-        gt = self.radix.exceeds_half(digits)
-        # E = floor(S/q + 1/2) via the float estimate + exact guard band.
-        shifted = np.einsum("...ln,l->...n", digits.astype(np.float64), self._w)
-        shifted = shifted - gt * self._w_m + 0.5
-        floor = np.floor(shifted)
-        frac = shifted - floor
-        correction = floor.astype(np.int64)
-        suspicious = (frac < self._EPS) | (frac > 1.0 - self._EPS)
-        if suspicious.any():
-            self._exact_corrections(digits, gt, correction, suspicious)
-        acc = np.zeros(digits.shape[:-2] + (len(self.dst.primes), digits.shape[-1]), np.int64)
-        for start in range(0, len(self.ext.primes), self._chunk):
-            stop = start + self._chunk
-            part = np.einsum("...ln,le->...en", digits[..., start:stop, :], self._a[start:stop])
-            acc = (acc + part) % self._q_col
-        return (acc - gt[..., None, :] * self._a_m + correction[..., None, :]) % self._q_col
-
-    def _exact_corrections(
-        self, digits: np.ndarray, gt: np.ndarray, correction: np.ndarray, suspicious: np.ndarray
-    ) -> None:
-        """Recompute E with exact integers where the float estimate is ambiguous."""
-        n_ext = len(self.ext.primes)
-        n = digits.shape[-1]
-        flat_d = digits.reshape(-1, n_ext, n)
-        flat_gt = gt.reshape(-1, n)
-        flat_c = correction.reshape(-1, n)
-        rows, cols = np.nonzero(suspicious.reshape(-1, n))
-        q = self.q
-        for r, c in zip(rows.tolist(), cols.tolist()):
-            s = sum(int(flat_d[r, j, c]) * self._b[j] for j in range(n_ext))
-            if flat_gt[r, c]:
-                s -= self._b_m
-            flat_c[r, c] = (2 * s + q) // (2 * q)
-        correction[...] = flat_c.reshape(correction.shape)
+        y, k = self.ext.project(mat, centered=True, transport="rescale")
+        shifted = self._w @ y.astype(np.float64) - k * self._w_m + 0.5
+        correction, ambiguous = _floor_in_band(shifted, self.band)
+        if ambiguous.any():
+            q = self.q
+            exact = _columns(y, ambiguous) @ self._b - k[ambiguous].astype(object) * self._b_m
+            correction[ambiguous] = [(2 * s + q) // (2 * q) for s in exact]
+            _count_fallbacks("rescale", "quotient", len(exact))
+        start = correction[..., None, :] - k[..., None, :] * self._a_m
+        return _contract_mod(start, y, self._a, self._q_col, self._chunk)
 
 
 class RnsPoly:

@@ -33,6 +33,8 @@ from repro.fhe import (
     ntt_prime_chain,
     toy_parameters,
 )
+from repro.fhe.rns import ExactBaseDigits, float_error_bound
+from repro.obs import get_registry
 
 P = 65537
 #: Prime widths of the int64 chains: the hhe_frame's 26, the default 30 and
@@ -402,7 +404,7 @@ class TestFailClosed:
         assert own.decrypt(sk, total) == 10
 
 
-# -- mixed-radix transport + tensor kernels ---------------------------------------
+# -- base transports + tensor kernels ---------------------------------------------
 
 
 def _random_residues(rnd, ctx, shape):
@@ -415,36 +417,127 @@ def _random_residues(rnd, ctx, shape):
     return out
 
 
-class TestMixedRadixTransport:
+#: Chain lengths of the projection tests: one and two primes, the
+#: hhe_frame's 10-limb ciphertext chain and its 18-prime extended basis.
+PROJECTION_LIMBS = [1, 2, 10, 18]
+
+
+def _chain(n, limbs, prime_bits):
+    """The first ``limbs`` primes of a ``prime_bits``-wide chain."""
+    return ntt_prime_chain(n, 18 * prime_bits, prime_bits)[:limbs]
+
+
+def _band_values(rnd, ctx, centered, count):
+    """Values whose float64 ``k`` lands inside the guard band: within a
+    quarter band of the rounding edge (0 or q canonical, q / 2 centered).
+    Empty on a chain too short for the band to reach past the edge."""
+    q = ctx.modulus
+    reach = int(ctx.band * q / 4)
+    out = []
+    for _ in range(count if reach else 0):
+        off = rnd.randrange(reach)
+        out += [q // 2 - off, q // 2 + 1 + off] if centered else [off, q - 1 - off]
+    return out
+
+
+def _fallbacks(stage=None):
+    return sum(
+        c.value
+        for c in get_registry().collect("fhe.crt.exact_fallbacks")
+        if stage is None or c.labels["stage"] == stage
+    )
+
+
+class TestBaseTransport:
+    @pytest.mark.parametrize("prime_bits", [26, 30])
     @given(
-        n=st.sampled_from([16, 64]),
-        min_bits=st.sampled_from([60, 120, 180]),
+        limbs=st.sampled_from(PROJECTION_LIMBS),
+        centered=st.booleans(),
         seed=st.integers(min_value=0, max_value=10_000),
     )
-    @settings(max_examples=25, deadline=None)
-    def test_digits_reconstruct_and_center(self, n, min_bits, seed):
-        ctx = get_rns_context(n, ntt_prime_chain(n, min_bits, 26))
+    @settings(max_examples=50, deadline=None)
+    def test_projection_is_exact(self, prime_bits, limbs, centered, seed):
+        """``sum_i y_i q̂_i - k q`` is the canonical (or centered) value,
+        exactly, at the rounding edges and inside the guard band too."""
+        n = 32
+        ctx = RnsContext(n, _chain(n, limbs, prime_bits))
+        q = ctx.modulus
         rnd = random.Random(seed)
-        coeffs = _coeffs_near_primes(rnd, ctx.primes, n) + [
-            0,
-            ctx.modulus // 2,
-            ctx.modulus // 2 + 1,
-            ctx.modulus - 1,
+        edges = [0, 1, q - 1, q // 2, q // 2 + 1]
+        band = _band_values(rnd, ctx, centered, 4)
+        coeffs = [c % q for c in _coeffs_near_primes(rnd, ctx.primes, n)]
+        coeffs = (edges + band + coeffs)[:n]
+        before = _fallbacks("projection")
+        y, k = ctx.project(ctx.to_rns(coeffs), centered=centered, transport="test")
+        hats = [q // qi for qi in ctx.primes]
+        got = [
+            sum(int(y[i, c]) * hats[i] for i in range(limbs)) - int(k[c]) * q
+            for c in range(n)
         ]
-        coeffs = [c % ctx.modulus for c in coeffs[: n]]
-        radix = ctx.mixed_radix()
-        digits = radix.digits(ctx.to_rns(coeffs))
-        # Garner digits reconstruct the value positionally.
-        recon = [0] * n
-        prefix = 1
-        for j, q in enumerate(ctx.primes):
-            for i in range(n):
-                recon[i] += int(digits[j, i]) * prefix
-            prefix *= q
-        assert recon == coeffs
-        # Lexicographic half-comparison == the scalar centering predicate.
-        gt = radix.exceeds_half(digits)
-        assert [bool(g) for g in gt] == [c > ctx.modulus // 2 for c in coeffs]
+        if centered:
+            assert got == [c - q if c > q // 2 else c for c in coeffs]
+        else:
+            assert got == coeffs
+        # Every value built inside the band took the exact path, and so
+        # did the canonical 0, whose float64 sum is exactly 0.
+        assert _fallbacks("projection") - before >= len(band) + (not centered)
+
+    @pytest.mark.parametrize("prime_bits", [26, 30])
+    @given(
+        limbs=st.sampled_from(PROJECTION_LIMBS),
+        seed=st.integers(min_value=0, max_value=10_000),
+    )
+    @settings(max_examples=15, deadline=None)
+    def test_digits_match_bigint_divmod(self, prime_bits, limbs, seed):
+        n = 32
+        ctx = RnsContext(n, _chain(n, limbs, prime_bits))
+        count = -(-ctx.modulus.bit_length() // 62)
+        digits = ExactBaseDigits(ctx, 62, count)
+        rnd = random.Random(seed)
+        coeffs = [c % ctx.modulus for c in _coeffs_near_primes(rnd, ctx.primes, n)]
+        coeffs = ([0, 1, ctx.modulus - 1] + _band_values(rnd, ctx, False, 2) + coeffs)[:n]
+        got = digits.digits(ctx.to_rns(coeffs))
+        for d in range(count):
+            expected = [(c >> (62 * d)) & ((1 << 62) - 1) for c in coeffs]
+            assert got[d].tolist() == [[e % qi for e in expected] for qi in ctx.primes]
+
+    def test_forced_fallbacks_match_the_float_path(self, monkeypatch):
+        """With the guard bands widened over every coefficient, the exact-int
+        path returns the same arrays as the float64 estimates."""
+        n = 64
+        src = RnsContext(n, _chain(n, 10, 26))
+        ext = RnsContext(n, _chain(n, 18, 30))
+        lift = ExactBaseLift(src, ext.primes)
+        digits = ExactBaseDigits(src, 62, 5)
+        rescaler = ExactRescaler(ext, P, src)
+        x_src = _random_residues(random.Random(3), src, (2,))
+        x_ext = _random_residues(random.Random(4), ext, (3,))
+        fast = [lift.lift_centered(x_src), digits.digits(x_src), rescaler.rescale(x_ext)]
+        assert _fallbacks() == 0
+        monkeypatch.setattr(src, "band", 1.0)
+        monkeypatch.setattr(ext, "band", 1.0)
+        monkeypatch.setattr(rescaler, "band", 1.0)
+        exact = [lift.lift_centered(x_src), digits.digits(x_src), rescaler.rescale(x_ext)]
+        for a, b in zip(fast, exact):
+            assert np.array_equal(a, b)
+        # Projection: the lift's and the digit call's (2, N) coefficients
+        # plus the rescale's (3, N); the rescale's quotient: (3, N) again.
+        assert _fallbacks("projection") == (2 + 2 + 3) * n
+        assert _fallbacks("quotient") == 3 * n
+
+    def test_rescaler_band_is_four_times_its_bound(self):
+        """The rescaler's guard band follows its own float64 error bound,
+        and a basis whose band would pass 1/64 is refused."""
+        n = 64
+        ext = RnsContext(n, _chain(n, 18, 30))
+        rescaler = ExactRescaler(ext, P, RnsContext(n, _chain(n, 10, 26)))
+        assert rescaler.band == 4 * float_error_bound(19, max(ext.primes))
+        assert 2.0**-13 < rescaler.band < 2.0**-12
+        assert ext.band == 4 * float_error_bound(18, 1)
+        # 130 31-bit primes: 4 (L + 3)^2 2^31 2^-53 passes 1/64.
+        wide = RnsContext(16, ntt_prime_chain(16, 130 * 31, 31))
+        with pytest.raises(ParameterError, match="float guard"):
+            ExactRescaler(wide, P, ext)
 
     @given(
         n=st.sampled_from([16, 64]),

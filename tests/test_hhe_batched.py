@@ -7,6 +7,7 @@ from repro.errors import ParameterError
 from repro.fhe import Bfv, toy_parameters
 from repro.fhe.batching import BatchEncoder
 from repro.hhe import BatchedHheServer, decrypt_batched_result, encrypt_key_batched
+from repro.obs import get_registry
 from repro.pasta import PASTA_MICRO, Pasta, PastaParams, random_key
 
 P = PASTA_MICRO.p
@@ -135,6 +136,28 @@ class TestBatchedTransciphering:
             [0, 1],
         )
         assert one.ops == two.ops
+
+    def test_exact_fallbacks_stay_rare(self, ctx, session):
+        """The CRT transports leave the float64 path only inside their guard
+        bands: never for the projection of ciphertext coefficients, and for
+        under 1% of the rescaled tensor-product coefficients. A band widened
+        by mistake fails here instead of slowing the evaluation unseen."""
+        scheme, sk, _, _, encoder = ctx
+        cipher, server, _ = session
+        messages = [[c, c + 1] for c in range(4)]
+        cts = [cipher.encrypt_block(m, 8, c) for c, m in enumerate(messages)]
+        result = server.transcipher_blocks([[int(x) for x in ct] for ct in cts], 8, [0, 1, 2, 3])
+        assert decrypt_batched_result(scheme, sk, encoder, result) == messages
+        registry = get_registry()
+        fallbacks = {
+            (c.labels["transport"], c.labels["stage"]): c.value
+            for c in registry.collect("fhe.crt.exact_fallbacks")
+        }
+        products = registry.counter("fhe.tensor_scale.calls", engine="tensor").value
+        rescaled = 3 * encoder.n * products
+        assert products > 0
+        assert sum(v for (_, stage), v in fallbacks.items() if stage == "projection") == 0
+        assert fallbacks.get(("rescale", "quotient"), 0) < 0.01 * rescaled
 
     def test_partial_block_rejected(self, session):
         _, server, _ = session
