@@ -36,7 +36,9 @@ from repro.pasta import PASTA_MICRO, PASTA_TOY
 def main() -> None:
     if "--toy" in sys.argv:
         pasta_params = PASTA_TOY
-        bfv_params = toy_parameters(pasta_params.p)  # N=1024, log2 q=250
+        # N = 1024, 11 limbs: the shortest chain whose modeled headroom
+        # covers 3 rounds (+3.8 bits); the server refuses a result past it.
+        bfv_params = toy_parameters(pasta_params.p, log2_q=330)
     else:
         pasta_params = PASTA_MICRO
         bfv_params = toy_parameters(pasta_params.p, n=256, log2_q=230)

@@ -27,9 +27,9 @@ from repro.pasta import PASTA_MICRO, PASTA_TOY
 def main() -> None:
     if "--toy" in sys.argv:  # t = 4 features, 3 rounds, N = 1024
         pasta_params = PASTA_TOY
-        # 10 limbs: the weight-row multiply needs more than the ~25 bits
-        # the 9-limb default chain leaves after transciphering.
-        client = HheClient(pasta_params, toy_parameters(pasta_params.p, log2_q=280))
+        # 12 limbs: the weight-row multiply needs about 27 modeled bits
+        # past the transcipher's; the server refuses a score past the model.
+        client = HheClient(pasta_params, toy_parameters(pasta_params.p, log2_q=360))
         model = LinearModel(weights=[3, 25, 7, 11], bias=500)
         features = [42, 7, 120, 3]
     else:  # t = 2 features, N = 256

@@ -38,9 +38,11 @@ trace options (all optional)::
     --tolerance T     cycle-attribution divergence flag threshold (default 0.25)
 
 Load the trace at https://ui.perfetto.dev (Open trace file). Spans nest
-producer -> encrypt -> keystream with variant/omega attributes and
-modeled-cycle annotations in each slice's args; flight-recorder time
-series (uplink queue depth, noise headroom) render as counter tracks.
+producer -> encrypt -> keystream with variant/omega attributes in each
+slice's args, and the client's keystream slices carry the accelerator
+model's cycles (the only modeled stage; ``hhe`` mode's server spans report
+time); flight-recorder time series (uplink queue depth, noise headroom)
+render as counter tracks.
 
 health options (all optional)::
 

@@ -28,7 +28,7 @@ import numpy as np
 
 from repro.errors import ParameterError
 from repro.fhe.galois import rows_to_slots
-from repro.hhe.batched import BatchedHheServer, BatchedTranscipherResult
+from repro.hhe.batched import BatchedHheServer, BatchedTranscipherResult, require_headroom
 from repro.hhe.protocol import HheClient
 
 
@@ -98,6 +98,8 @@ class HheInferenceServer:
         The result is the transcipher result with each group's ciphertext
         replaced by its scores (block k's score in its feature-0 slot, read
         by :func:`decrypt_scores`) and ``ops`` extended by the score steps.
+        Scores whose modeled noise headroom is below 0 bits are refused with
+        :class:`~repro.errors.NoiseBudgetExhausted`, as the transcipher is.
         """
         result = self.server.transcipher_blocks(ciphertext_blocks, nonce, counters)
         scheme, ops = self.server.scheme, result.ops
@@ -111,6 +113,8 @@ class HheInferenceServer:
             ops.rotations += len(self._steps)
             ops.adds += len(self._steps)
             ops.plain_adds += 1
+        model = scheme.noise_model
+        require_headroom(model.headroom_bits(model.merge(ct.noise for ct in scores)))
         return dataclasses.replace(result, ciphertexts=scores)
 
 

@@ -39,10 +39,6 @@ class CpuPastaBaseline:
     def time_us(self) -> float:
         return self.cycles / CPU_FREQ_MHZ
 
-    @property
-    def time_us_per_element(self) -> float:
-        return self.time_us / self.elements
-
     def affine_cycles_range(self) -> tuple:
         """Cycles attributable to affine generation (54-60 %)."""
         return (
@@ -77,18 +73,3 @@ def measure_python_reference(params: PastaParams, blocks: int = 3, nonce: int = 
         cipher.keystream_block(nonce, counter)
     return (time.perf_counter() - start) / blocks * 1e6
 
-
-def measure_python_batched(params: PastaParams, blocks: int = 64, nonce: int = 0) -> float:
-    """Wall-clock microseconds per block of the batched keystream engine.
-
-    Same supplementary role as :func:`measure_python_reference`, but for
-    the data-parallel path (:mod:`repro.pasta.batch`). Uses a private
-    cache-less engine so the number reflects cold derivation, not LRU hits.
-    """
-    from repro.pasta.batch import KeystreamEngine
-
-    cipher = Pasta(params, random_key(params))
-    engine = KeystreamEngine(params, cache_size=0)
-    start = time.perf_counter()
-    engine.keystream_blocks(cipher.key, nonce, 0, blocks)
-    return (time.perf_counter() - start) / blocks * 1e6

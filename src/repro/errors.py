@@ -31,10 +31,6 @@ class ServiceError(ReproError):
     """The streaming transciphering service reached an invalid state."""
 
 
-class UplinkError(ServiceError):
-    """A frame was lost or mangled on the modeled uplink (drop/corrupt)."""
-
-
 class SimulationError(ReproError):
     """The hardware/SoC simulation reached an inconsistent state."""
 

@@ -137,9 +137,6 @@ class PrimeField:
     def vec_sub(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return (a - b) % self.p
 
-    def vec_neg(self, a: np.ndarray) -> np.ndarray:
-        return (-a) % self.p
-
     def vec_mul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         if self._mul_fits_int64:
             return (a * b) % self.p

@@ -257,10 +257,14 @@ class RnsContext:
             s += 0.5
         k, ambiguous = _floor_in_band(s, self.band)
         if ambiguous.any():
-            values = _columns(y, ambiguous) @ self._crt_hat
-            q = self.modulus
-            k[ambiguous] = [(2 * v + q) // (2 * q) if centered else v // q for v in values]
-            _count_fallbacks(transport, "projection", len(values))
+            # x = 0 (every residue 0) sums to exactly s = 0, so its k = 0 is
+            # exact; only nonzero columns inside the band take the int path.
+            ambiguous &= y.any(axis=-2)
+            if ambiguous.any():
+                values = _columns(y, ambiguous) @ self._crt_hat
+                q = self.modulus
+                k[ambiguous] = [(2 * v + q) // (2 * q) if centered else v // q for v in values]
+                _count_fallbacks(transport, "projection", len(values))
         return y, k
 
     # -- transforms / arithmetic on raw matrices ---------------------------------

@@ -54,13 +54,13 @@ from typing import Callable, Deque, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.errors import ParameterError
+from repro.errors import NoiseBudgetExhausted, ParameterError
 from repro.utils.budget import BudgetedLru, CacheBudget
 from repro.fhe.batching import BatchEncoder
 from repro.fhe.bfv import Bfv, Ciphertext, GaloisKey, PublicKey, RelinKey
 from repro.fhe.engine import CiphertextTensor
 from repro.fhe.galois import rotation_element, rows_to_slots, slots_to_rows
-from repro.obs.trace import SpanContext, Tracer
+from repro.obs.trace import SpanContext, Tracer, get_tracer
 from repro.pasta.batch import get_engine
 from repro.pasta.cipher import field_elements
 from repro.pasta.decrypt_circuit import bsgs_split
@@ -106,6 +106,18 @@ class BatchedTranscipherResult:
     counters: List[int]
     ops: BfvOpCounts
     group_size: int
+
+
+def require_headroom(headroom: Optional[float]) -> None:
+    """Refuse a result whose modeled noise headroom is below 0 bits.
+
+    The server holds no secret key, so the noise ledger's bound is its only
+    evidence that a result still decrypts; past it the result may be
+    garbage, and :class:`NoiseBudgetExhausted` is raised instead of
+    returning it. ``None`` (a ciphertext the ledger never saw) passes.
+    """
+    if headroom is not None and headroom < 0:
+        raise NoiseBudgetExhausted(f"modeled headroom {headroom:.1f} bits")
 
 
 def _row_width(width: int, ring_n: int) -> int:
@@ -386,77 +398,31 @@ class BatchedHheServer:
 
     # -- circuit pieces ---------------------------------------------------------------
 
-    def _affine_span(self, layer: int, n_blocks: int):
-        """Span for one affine layer, nested under ``hhe.transcipher``.
-
-        Carries the MatMul stage's modeled cycles (``6 + t + log2 t`` per
-        block and side): :func:`repro.obs.cycles.attribute` then reports
-        the kernel's measured share of the evaluation against the stage's
-        modeled share of the block budget.
-        """
-        from repro.obs import get_tracer
-        from repro.obs.cycles import modeled_matmul_attributes
-
-        return get_tracer().span(
-            "hhe.affine",
-            metric="hhe.affine.seconds",
-            engine="bsgs",
-            layer=layer,
-            side="lr",
-            **modeled_matmul_attributes(self.params, 2 * n_blocks),
-        )
-
     def _rotate_stack(
         self, state: CiphertextTensor, steps: int, ops: BfvOpCounts
     ) -> CiphertextTensor:
         """Rotate every stacked ciphertext left by ``steps`` (keyswitch each)."""
-        from repro.obs import get_tracer
-        from repro.obs.cycles import modeled_rotation_attributes
-
         ops.rotations += state.slots
-        with get_tracer().span(
-            "hhe.rotate",
-            metric="hhe.rotate.seconds",
-            engine="bsgs",
-            steps=steps,
-            **modeled_rotation_attributes(self.params, state.slots),
-        ):
+        with get_tracer().span("hhe.rotate", metric="hhe.rotate.seconds", steps=steps):
             return self.scheme.tensor_rotate(state, steps, self.galois_keys)
 
     def _hoisted_decompose(self, state: CiphertextTensor, ops: BfvOpCounts):
         """Digit-decompose the c1 halves once for a batch of rotations."""
-        from repro.obs import get_tracer
-        from repro.obs.cycles import modeled_decompose_attributes
-
         ops.decompositions += state.slots
-        with get_tracer().span(
-            "hhe.hoist_decompose",
-            metric="hhe.hoist_decompose.seconds",
-            engine="bsgs_hoisted",
-            **modeled_decompose_attributes(self.params, state.slots),
-        ):
+        with get_tracer().span("hhe.hoist_decompose", metric="hhe.hoist_decompose.seconds"):
             return self.scheme.hoisted_decompose(state)
 
     def _rotate_hoisted(
         self, state: CiphertextTensor, digits: np.ndarray, steps: int, ops: BfvOpCounts
     ) -> CiphertextTensor:
         """Rotate via a shared digit stack (apply half of a hoisted rotation)."""
-        from repro.obs import get_tracer
-        from repro.obs.cycles import modeled_hoisted_apply_attributes
-
         ops.rotations += state.slots
-        with get_tracer().span(
-            "hhe.rotate",
-            metric="hhe.rotate.seconds",
-            engine="bsgs_hoisted",
-            steps=steps,
-            **modeled_hoisted_apply_attributes(self.params, state.slots),
-        ):
+        with get_tracer().span("hhe.rotate", metric="hhe.rotate.seconds", steps=steps):
             return self.scheme.tensor_rotate_hoisted(
                 state, digits, steps, self.galois_keys
             )
 
-    def _key_affine(self, diags, rc, n_blocks: int, ops: BfvOpCounts) -> CiphertextTensor:
+    def _key_affine(self, diags, rc, ops: BfvOpCounts) -> CiphertextTensor:
         """Layer 0 on the pre-rotated key: ``sum_d diag_d . key_d + rc``.
 
         Uploaded ciphertext d already holds the key rotated left by d
@@ -467,11 +433,11 @@ class BatchedHheServer:
         ops.plain_muls += width
         ops.adds += width - 1
         ops.plain_adds += 1
-        with self._affine_span(0, n_blocks):
+        with get_tracer().span("hhe.affine", metric="hhe.affine.seconds", layer=0):
             return self.scheme.tensor_affine(self._key, diags, rc)
 
     def _bsgs_affine(
-        self, state: CiphertextTensor, diags, rc, layer: int, n_blocks: int, ops: BfvOpCounts
+        self, state: CiphertextTensor, diags, rc, layer: int, ops: BfvOpCounts
     ) -> CiphertextTensor:
         """One Mix-folded affine layer on the packed state, BSGS-style.
 
@@ -497,7 +463,7 @@ class BatchedHheServer:
         ops.plain_muls += bs * giants
         ops.adds += bs * giants - 1
         ops.plain_adds += 1
-        with self._affine_span(layer, n_blocks):
+        with get_tracer().span("hhe.affine", metric="hhe.affine.seconds", layer=layer):
             babies = [state]
             if bs > 1:
                 digits = self._hoisted_decompose(state, ops)
@@ -565,10 +531,10 @@ class BatchedHheServer:
         plus the evaluation; results and op counts are those of preparing
         every layer in line. A preparation error is raised here, where the
         evaluator needs that layer; on any exit the call stops and joins its
-        helper.
+        helper. A result whose modeled noise headroom is below 0 bits is
+        refused with :class:`NoiseBudgetExhausted` (:func:`require_headroom`).
         """
-        from repro.obs import get_registry, get_tracer, record_headroom
-        from repro.obs.cycles import modeled_cycle_attributes
+        from repro.obs import get_registry, record_headroom
         from repro.obs.noise import HEADROOM_ATTR, NOISE_ATTR
 
         params = self.params
@@ -577,17 +543,12 @@ class BatchedHheServer:
             "hhe.transcipher.blocks", variant=params.name, omega=params.modulus_bits
         ).inc(len(counters))
         tracer = get_tracer()
-        # The modeled cycles are the accelerator's budget for deriving the
-        # same keystream material — the hardware-comparable slice of the
-        # homomorphic evaluation this stage performs.
         with tracer.span(
             "hhe.transcipher",
             metric="hhe.transcipher.seconds",
             variant=params.name,
             omega=params.modulus_bits,
-            engine="bsgs",
             blocks=len(counters),
-            **modeled_cycle_attributes(params, len(counters)),
         ) as span:
             result = self._transcipher_blocks(
                 ciphertext_blocks, nonce, counters, tracer, span.context
@@ -602,6 +563,7 @@ class BatchedHheServer:
                 span.set_attribute(NOISE_ATTR, round(worst.bits, 3))
                 span.set_attribute(HEADROOM_ATTR, round(headroom, 3))
                 record_headroom(headroom, engine="bsgs", tenant=self.tenant)
+                require_headroom(headroom)
             return result
 
     def _transcipher_blocks(
@@ -694,14 +656,13 @@ class BatchedHheServer:
         everywhere else.
         """
         params = self.params
-        n_blocks = len(elements)
-        state = self._key_affine(*prepared(0), n_blocks, ops)
+        state = self._key_affine(*prepared(0), ops)
         for i in range(params.rounds):
             state = self._feistel(state, ops) if i < params.rounds - 1 else self._cube(state, ops)
-            state = self._bsgs_affine(state, *prepared(i + 1), i + 1, n_blocks, ops)
+            state = self._bsgs_affine(state, *prepared(i + 1), i + 1, ops)
 
         # m = c - KS: one negate + one packed plain add.
-        message = np.zeros((n_blocks, 2 * params.t), dtype=np.int64)
+        message = np.zeros((len(elements), 2 * params.t), dtype=np.int64)
         message[:, : params.t] = elements
         prepared_message = self.scheme.prepare_add_rows(
             self._encode(_place(message, self._width)[None])

@@ -50,36 +50,6 @@ def matgen_row_cycles(t: int) -> int:
     return t
 
 
-def rotate_stage_cycles(t: int) -> int:
-    """Rotate+KeySwitch macro-stage latency: ``MUL_LATENCY + t + log2 t``.
-
-    Extension beyond the paper's datapath: the BSGS homomorphic affine
-    (ROADMAP item 3) adds slot rotations as a first-class operation, the
-    way BASALISC treats automorphisms as pipeline ops. The automorphism
-    itself is wiring (an index permutation); the cost is the key switch —
-    modeled like one multiplier pass over the t-element row stream plus the
-    adder-tree fold of the digit products.
-    """
-    return MUL_LATENCY + t + adder_tree_depth(t)
-
-
-def rotate_decompose_cycles(t: int) -> int:
-    """Digit-decomposition half of a hoisted rotation: the t-cycle row stream.
-
-    Halevi-Shoup hoisting splits Rotate+KeySwitch into a decomposition that
-    streams the t-element row once (shared by every rotation of the batch)
-    and a per-rotation apply. The split is exact:
-    ``rotate_decompose_cycles(t) + rotate_apply_cycles(t) ==
-    rotate_stage_cycles(t)``.
-    """
-    return t
-
-
-def rotate_apply_cycles(t: int) -> int:
-    """Per-rotation apply half of a hoisted rotation: multiplier pass + fold."""
-    return MUL_LATENCY + adder_tree_depth(t)
-
-
 def feistel_cycles() -> int:
     """Feistel S-box: one (pipelined) multiplication batch + one addition."""
     return MUL_LATENCY + 1
@@ -96,12 +66,3 @@ def final_mix_tail_cycles(params: PastaParams) -> int:
     RC-add + Mix + output drain of the t-element keystream."""
     return params.t
 
-
-def multipliers_instantiated(params: PastaParams) -> int:
-    """Two sets of t modular multipliers (MatGen MACs + MatMul)."""
-    return 2 * params.t
-
-
-def adders_instantiated(params: PastaParams) -> int:
-    """t shared modular adders (RC add / Mix / S-box)."""
-    return params.t

@@ -4,13 +4,13 @@ The paper's performance claims are *cycle*-level — 21+5 cc overlapped XOF
 batches, ``6 + t + log2 t`` MatMul latency, the Table 2 block budgets —
 while the running system reports *seconds*. This bridge joins the two:
 
-* Hot-path call sites (:meth:`~repro.pasta.batch.KeystreamEngine.keystream_pairs`,
-  :meth:`~repro.hhe.batched.BatchedHheServer.transcipher_blocks`) decorate
-  their spans with ``modeled_cycles`` — the cycles the modeled accelerator
-  (:func:`repro.hw.scheduler.simulate_block`, whose XOF timing comes from
-  :mod:`repro.keccak.hw_model`) would spend producing the same keystream
-  material. The per-block figure is simulated once per parameter set and
-  cached; annotating a span is then one multiply.
+* The client's keystream call site
+  (:meth:`~repro.pasta.batch.KeystreamEngine.keystream_pairs`) decorates
+  its ``pasta.keystream`` span with ``modeled_cycles`` — the cycles the
+  modeled accelerator (:func:`repro.hw.scheduler.simulate_block`, whose
+  XOF timing comes from :mod:`repro.keccak.hw_model`) would spend
+  producing the same keystream. The per-block figure is simulated once per
+  parameter set and cached; annotating a span is then one multiply.
 * :func:`attribute` folds a span buffer into per-stage rows: measured
   seconds and share vs modeled cycles and share, plus the implied clock
   (modeled cycles / measured second). A stage whose measured share
@@ -20,10 +20,13 @@ while the running system reports *seconds*. This bridge joins the two:
   an implementation inefficiency or a model bug, and both are worth a
   look.
 
-Shares are computed over the *modeled* stages only, so container spans
-(``service.produce.batch`` wraps ``service.encrypt`` wraps
-``pasta.keystream``) don't double-count; unmodeled stages still appear in
-the report with their measured time for context.
+Only client stages carry the paper's cycle model. The HHE server's spans
+(``hhe.transcipher``, ``hhe.affine``, ``hhe.rotate``, ...) report measured
+time, with their homomorphic op counts in
+:class:`~repro.hhe.batched.BfvOpCounts`; they appear in the report as
+unmodeled stages. Shares are computed over the *modeled* stages only, so
+container spans (``service.produce.batch`` wraps ``service.encrypt`` wraps
+``pasta.keystream``) don't double-count.
 """
 
 from __future__ import annotations
@@ -36,14 +39,6 @@ from repro.obs.trace import Span
 __all__ = [
     "modeled_block_cycles",
     "modeled_cycle_attributes",
-    "modeled_matmul_cycles",
-    "modeled_matmul_attributes",
-    "modeled_rotation_cycles",
-    "modeled_rotation_attributes",
-    "modeled_decompose_cycles",
-    "modeled_decompose_attributes",
-    "modeled_hoisted_apply_cycles",
-    "modeled_hoisted_apply_attributes",
     "StageAttribution",
     "AttributionReport",
     "attribute",
@@ -92,108 +87,6 @@ def modeled_cycle_attributes(params, n_blocks: int) -> Dict[str, object]:
     }
 
 
-def modeled_matmul_cycles(params) -> int:
-    """Accelerator cycles for one MatGen+MatMul macro stage: ``6 + t + log2 t``.
-
-    The paper's Sec. III-C latency of the shared t-multiplier MatMul array
-    — the hardware stage the server's fused affine kernel corresponds to.
-    """
-    from repro.hw.arith_units import mat_stage_cycles
-
-    return mat_stage_cycles(params.t)
-
-
-def modeled_matmul_attributes(params, n_blocks: int) -> Dict[str, object]:
-    """Span attributes for one fused affine layer side over ``n_blocks`` blocks.
-
-    Attach these to a per-layer-side ``hhe.affine`` span *nested inside* the
-    modeled ``hhe.transcipher`` span: :func:`attribute` reports nested
-    modeled stages against their parent's totals, so the affine kernel's
-    measured share of the evaluation is compared with the MatMul stage's
-    modeled share of the block budget.
-    """
-    per_block = modeled_matmul_cycles(params)
-    return {
-        CYCLES_ATTR: per_block * n_blocks,
-        "modeled_cycles_per_block": per_block,
-        "modeled_blocks": n_blocks,
-        "modeled_stage": "MatGen+MatMul",
-    }
-
-
-def modeled_rotation_cycles(params) -> int:
-    """Accelerator cycles for one Rotate+KeySwitch stage: ``3 + t + log2 t``.
-
-    The rotation stage of the BSGS homomorphic affine (an extension beyond
-    the paper's datapath — see :func:`repro.hw.arith_units.rotate_stage_cycles`).
-    """
-    from repro.hw.arith_units import rotate_stage_cycles
-
-    return rotate_stage_cycles(params.t)
-
-
-def modeled_rotation_attributes(params, n_rotations: int) -> Dict[str, object]:
-    """Span attributes for ``n_rotations`` Galois rotations (key switch each).
-
-    Attach to ``hhe.rotate`` spans nested inside the modeled
-    ``hhe.transcipher`` span, like :func:`modeled_matmul_attributes`.
-    """
-    per_rotation = modeled_rotation_cycles(params)
-    return {
-        CYCLES_ATTR: per_rotation * n_rotations,
-        "modeled_cycles_per_rotation": per_rotation,
-        "modeled_rotations": n_rotations,
-        "modeled_stage": "Rotate+KeySwitch",
-    }
-
-
-def modeled_decompose_cycles(params) -> int:
-    """Accelerator cycles for one hoisted digit decomposition: ``t``.
-
-    The row-stream half of Rotate+KeySwitch, paid once per batch of hoisted
-    rotations (see :func:`repro.hw.arith_units.rotate_decompose_cycles`).
-    """
-    from repro.hw.arith_units import rotate_decompose_cycles
-
-    return rotate_decompose_cycles(params.t)
-
-
-def modeled_decompose_attributes(params, n_decompositions: int) -> Dict[str, object]:
-    """Span attributes for ``n_decompositions`` hoisted digit decompositions."""
-    per_decompose = modeled_decompose_cycles(params)
-    return {
-        CYCLES_ATTR: per_decompose * n_decompositions,
-        "modeled_cycles_per_decompose": per_decompose,
-        "modeled_decompositions": n_decompositions,
-        "modeled_stage": "KeySwitch(Decompose)",
-    }
-
-
-def modeled_hoisted_apply_cycles(params) -> int:
-    """Accelerator cycles for one hoisted rotation apply: ``3 + log2 t``.
-
-    The per-rotation half after hoisting: automorphism wiring plus the
-    multiplier pass and adder-tree fold of the pre-decomposed digit stack
-    (see :func:`repro.hw.arith_units.rotate_apply_cycles`). Together with
-    :func:`modeled_decompose_cycles` it reconstitutes the unhoisted
-    Rotate+KeySwitch stage exactly.
-    """
-    from repro.hw.arith_units import rotate_apply_cycles
-
-    return rotate_apply_cycles(params.t)
-
-
-def modeled_hoisted_apply_attributes(params, n_rotations: int) -> Dict[str, object]:
-    """Span attributes for ``n_rotations`` hoisted rotation applies."""
-    per_rotation = modeled_hoisted_apply_cycles(params)
-    return {
-        CYCLES_ATTR: per_rotation * n_rotations,
-        "modeled_cycles_per_rotation": per_rotation,
-        "modeled_rotations": n_rotations,
-        "modeled_stage": "Rotate(Apply)",
-    }
-
-
 @dataclass(frozen=True)
 class StageAttribution:
     """One stage (span name) of the measured-vs-modeled comparison."""
@@ -205,7 +98,6 @@ class StageAttribution:
     measured_share: Optional[float]  #: share among modeled stages
     modeled_share: Optional[float]
     implied_mhz: Optional[float]  #: modeled cycles / measured microsecond
-    within: Optional[str] = None  #: parent stage for nested modeled spans
 
     @property
     def divergence(self) -> Optional[float]:
@@ -241,7 +133,6 @@ class AttributionReport:
                     "measured_share": r.measured_share,
                     "modeled_share": r.modeled_share,
                     "implied_mhz": r.implied_mhz,
-                    "within": r.within,
                     "divergence": r.divergence,
                     "flagged": r.divergence is not None
                     and abs(r.divergence) > self.tolerance,
@@ -258,7 +149,6 @@ class AttributionReport:
         )
         lines = [header, "-" * len(header)]
         for r in self.rows:
-            label = r.stage if r.within is None else f"  └ {r.stage}"
             measured = f"{r.measured_seconds * 1e3:.2f} ms"
             m_share = f"{r.measured_share:6.1%}" if r.measured_share is not None else "      -"
             cycles = f"{r.modeled_cycles:,}" if r.modeled_cycles is not None else "-"
@@ -269,104 +159,46 @@ class AttributionReport:
             if div is not None and abs(div) > self.tolerance:
                 flag = f"DIVERGES ({div:+.1%})"
             lines.append(
-                f"{label:<28} {r.spans:>6} {measured:>12} {m_share:>7} "
+                f"{r.stage:<28} {r.spans:>6} {measured:>12} {m_share:>7} "
                 f"{cycles:>12} {c_share:>7} {mhz:>8}  {flag}"
             )
         return "\n".join(lines)
 
 
 def attribute(spans: Iterable[Span], tolerance: float = DEFAULT_TOLERANCE) -> AttributionReport:
-    """Fold finished spans into a per-stage measured-vs-modeled report.
-
-    Modeled spans *nested* inside another modeled span (per-layer
-    ``hhe.affine`` kernels under ``hhe.transcipher``) are excluded from the
-    top-level share pool — the parent already accounts for their time — and
-    get a nested row instead, with shares computed against the enclosing
-    stage's own measured seconds / modeled cycles. That is the measured vs
-    modeled *within-block* comparison: the fused affine kernel's wall-time
-    share of the evaluation against the MatMul stage's share of the block's
-    cycle budget.
-    """
-    spans = list(spans)
-    by_id = {s.span_id: s for s in spans}
-
-    def _modeled(s: Span) -> bool:
-        return isinstance(s.attributes.get(CYCLES_ATTR), (int, float))
-
-    def _modeled_ancestor(s: Span) -> Optional[Span]:
-        pid = s.parent_id
-        seen = set()
-        while pid is not None and pid in by_id and pid not in seen:
-            seen.add(pid)
-            parent = by_id[pid]
-            if _modeled(parent):
-                return parent
-            pid = parent.parent_id
-        return None
-
-    # Aggregate by (name, enclosing modeled stage or None). Unmodeled spans
-    # always aggregate flat — they carry no shares either way.
-    Key = Tuple[str, Optional[str]]
-    seconds: Dict[Key, float] = {}
-    counts: Dict[Key, int] = {}
-    cycles: Dict[Key, int] = {}
-    parents: Dict[Key, Dict[str, Span]] = {}
+    """Fold finished spans into a per-stage measured-vs-modeled report."""
+    seconds: Dict[str, float] = {}
+    counts: Dict[str, int] = {}
+    cycles: Dict[str, int] = {}
     for span in spans:
-        anc = _modeled_ancestor(span) if _modeled(span) else None
-        key = (span.name, anc.name if anc is not None else None)
-        seconds[key] = seconds.get(key, 0.0) + span.duration
-        counts[key] = counts.get(key, 0) + 1
-        if _modeled(span):
-            cycles[key] = cycles.get(key, 0) + int(span.attributes[CYCLES_ATTR])
-        if anc is not None:
-            parents.setdefault(key, {})[anc.span_id] = anc
+        seconds[span.name] = seconds.get(span.name, 0.0) + span.duration
+        counts[span.name] = counts.get(span.name, 0) + 1
+        modeled = span.attributes.get(CYCLES_ATTR)
+        if isinstance(modeled, (int, float)):
+            cycles[span.name] = cycles.get(span.name, 0) + int(modeled)
 
-    top_seconds_total = sum(seconds[k] for k in cycles if k[1] is None)
-    top_cycles_total = sum(c for k, c in cycles.items() if k[1] is None)
-
-    top_keys = sorted((k for k in seconds if k[1] is None), key=lambda k: -seconds[k])
-    ordered: List[Key] = []
-    for top in top_keys:
-        ordered.append(top)
-        ordered.extend(
-            sorted(
-                (k for k in seconds if k[1] == top[0]),
-                key=lambda k: -seconds[k],
-            )
-        )
-
-    for key in sorted(seconds, key=lambda k: -seconds[k]):
-        if key not in ordered:  # nested under a stage that is itself nested
-            ordered.append(key)
-
+    seconds_total = sum(seconds[name] for name in cycles)
+    cycles_total = sum(cycles.values())
     rows: List[StageAttribution] = []
-    for key in ordered:
-        name, within = key
-        stage_cycles = cycles.get(key)
+    for name in sorted(seconds, key=lambda n: -seconds[n]):
+        stage_cycles = cycles.get(name)
         if stage_cycles is not None:
-            if within is None:
-                sec_total, cyc_total = top_seconds_total, top_cycles_total
-            else:
-                enclosing = parents[key].values()
-                sec_total = sum(s.duration for s in enclosing)
-                cyc_total = sum(int(s.attributes[CYCLES_ATTR]) for s in enclosing)
-            measured_share = seconds[key] / sec_total if sec_total > 0 else None
-            modeled_share = stage_cycles / cyc_total if cyc_total > 0 else None
+            measured_share = seconds[name] / seconds_total if seconds_total > 0 else None
+            modeled_share = stage_cycles / cycles_total if cycles_total > 0 else None
             implied_mhz = (
-                stage_cycles / (seconds[key] * 1e6) if seconds[key] > 0 else None
+                stage_cycles / (seconds[name] * 1e6) if seconds[name] > 0 else None
             )
         else:
             measured_share = modeled_share = implied_mhz = None
         rows.append(
             StageAttribution(
                 stage=name,
-                spans=counts[key],
-                measured_seconds=seconds[key],
+                spans=counts[name],
+                measured_seconds=seconds[name],
                 modeled_cycles=stage_cycles,
                 measured_share=measured_share,
                 modeled_share=modeled_share,
                 implied_mhz=implied_mhz,
-                within=within,
             )
         )
     return AttributionReport(rows=rows, tolerance=tolerance)

@@ -181,11 +181,6 @@ class Tracer:
                     registry = self._registry if self._registry is not None else get_registry()
                 registry.histogram(metric or name).observe(span.duration)
 
-    def current_context(self) -> Optional[SpanContext]:
-        """The in-flight span's context (to hand through a job record)."""
-        span = _CURRENT_SPAN.get()
-        return span.context if span is not None else None
-
     # -- inspection ------------------------------------------------------------
 
     def finished_spans(self) -> List[Span]:

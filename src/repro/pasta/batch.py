@@ -311,12 +311,6 @@ class KeystreamEngine:
                 hits=self._hits, misses=self._misses, size=len(self._cache), maxsize=self.cache_size
             )
 
-    def clear_cache(self) -> None:
-        with self._lock:
-            self._cache.clear()
-            self._hits = 0
-            self._misses = 0
-
     def _insert(self, nonce: int, counter: int, entry: _CacheEntry) -> None:
         """Install one derived entry (takes the lock; don't call holding it)."""
         key = (nonce, counter)

@@ -51,9 +51,6 @@ class Ram(Device):
             raise SimulationError(f"image of {len(image)} bytes overflows RAM")
         self.data[offset : offset + len(image)] = image
 
-    def read_bytes(self, offset: int, count: int) -> bytes:
-        return bytes(self.data[offset : offset + count])
-
     def read32(self, offset: int) -> int:
         return int.from_bytes(self.data[offset : offset + 4], "little")
 

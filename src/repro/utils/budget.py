@@ -144,13 +144,6 @@ class CacheBudget:
         with self._lock:
             return self._evictions.get(owner, 0)
 
-    @property
-    def fair_share(self) -> float:
-        """Capacity split evenly over every registered owner."""
-        with self._lock:
-            n = len(self._evictors)
-        return self.capacity / n if n else self.capacity
-
     def snapshot(self) -> BudgetSnapshot:
         with self._lock:
             return BudgetSnapshot(

@@ -9,10 +9,10 @@ from repro.apps.ml_inference import (
     decrypt_scores,
     run_inference,
 )
-from repro.errors import ParameterError
+from repro.errors import NoiseBudgetExhausted, ParameterError
 from repro.fhe import toy_parameters
 from repro.hhe import HheClient
-from repro.pasta import PASTA_MICRO, PastaParams, homomorphic_op_counts
+from repro.pasta import PASTA_MICRO, PASTA_TOY, PastaParams, homomorphic_op_counts
 
 
 @pytest.fixture(scope="module")
@@ -113,3 +113,15 @@ class TestPackedScoring:
         else:
             with pytest.raises(ParameterError, match="score rotation steps"):
                 HheInferenceServer(client.server(), model)
+
+    @pytest.mark.parametrize("log2_q", [None, 330])
+    def test_score_past_the_modeled_budget_is_refused(self, log2_q):
+        """PASTA_TOY's score needs more than the chain leaves: on the client's
+        default 9 limbs the transcipher already runs out (modeled -56 bits),
+        on 11 limbs the weight-row multiply does (+4 -> -23 bits)."""
+        bfv = None if log2_q is None else toy_parameters(PASTA_TOY.p, log2_q=log2_q)
+        client = HheClient(PASTA_TOY, bfv, seed=b"ml-budget")
+        server = HheInferenceServer(client.server(), LinearModel(weights=[3, 25, 7, 11]))
+        block = [int(c) for c in client.cipher.encrypt_block([42, 7, 120, 3], 0, 0)]
+        with pytest.raises(NoiseBudgetExhausted, match="modeled headroom"):
+            server.score_blocks([block], 0, [0])

@@ -71,6 +71,20 @@ class TestTraceCommand:
         assert "cycle attribution" in out
         assert "pasta.keystream" in out
 
+    def test_trace_hhe_mode_flags_no_stage(self, tmp_path, capsys):
+        """Server stages carry no cycle model, so a healthy run never diverges."""
+        rc = main([
+            "trace",
+            "--mode", "hhe",
+            "--out", str(tmp_path / "trace.json"),
+            "--frames", "4",
+            "--workers", "1",
+        ])
+        assert rc == 0
+        out = capsys.readouterr().out
+        assert "hhe.transcipher" in out
+        assert "DIVERGES" not in out
+
     def test_trace_rejects_unknown_option(self, tmp_path, capsys):
         assert main(["trace", "--bogus", "1"]) == 2
         assert "unknown trace option" in capsys.readouterr().err

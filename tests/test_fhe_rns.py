@@ -478,9 +478,13 @@ class TestBaseTransport:
             assert got == [c - q if c > q // 2 else c for c in coeffs]
         else:
             assert got == coeffs
-        # Every value built inside the band took the exact path, and so
-        # did the canonical 0, whose float64 sum is exactly 0.
-        assert _fallbacks("projection") - before >= len(band) + (not centered)
+        # Every value built inside the band took the exact path.
+        assert _fallbacks("projection") - before >= len(band)
+        # x = 0 sums to exactly 0: k = 0 without the exact path.
+        before = _fallbacks("projection")
+        y, k = ctx.project(ctx.to_rns([0] * n), centered=centered, transport="test")
+        assert not y.any() and not k.any()
+        assert _fallbacks("projection") == before
 
     @pytest.mark.parametrize("prime_bits", [26, 30])
     @given(

@@ -79,68 +79,6 @@ class TestCycleCounts:
         assert rep.total_cycles - rep.xof_last_word_cycle < 2 * PASTA_4.t
 
 
-class TestHoistedAffineSchedule:
-    """Decompose/apply split of the hoisted rotation stage (BSGS extension)."""
-
-    @pytest.mark.parametrize("t", [2, 4, 32, 128])
-    def test_split_reconstitutes_full_stage(self, t):
-        from repro.hw.arith_units import (
-            rotate_apply_cycles,
-            rotate_decompose_cycles,
-            rotate_stage_cycles,
-        )
-
-        assert (
-            rotate_decompose_cycles(t) + rotate_apply_cycles(t)
-            == rotate_stage_cycles(t)
-        )
-
-    def test_hoisted_schedule_beats_unhoisted_rotations(self):
-        from repro.hw.arith_units import rotate_stage_cycles
-        from repro.hw.scheduler import simulate_hoisted_affine
-        from repro.pasta import bsgs_split
-
-        windows, total = simulate_hoisted_affine(PASTA_4)
-        bs, giants = bsgs_split(2 * PASTA_4.t)  # 2t=64 -> (8, 8)
-        names = [w.unit for w in windows]
-        assert names.count("KeySwitch(Decompose)") == 1
-        assert names.count("Rotate(Apply)") == bs - 1
-        assert names.count("Rotate+KeySwitch") == giants - 1
-        # Serialized, gap-free key-switch unit schedule.
-        assert windows[0].start == 0
-        for prev, cur in zip(windows, windows[1:]):
-            assert cur.start == prev.end
-        assert total == windows[-1].end
-        unhoisted = ((bs - 1) + (giants - 1)) * rotate_stage_cycles(PASTA_4.t)
-        assert total < unhoisted
-        # Savings are exactly (bs - 2) t: all babies share one row stream.
-        assert unhoisted - total == (bs - 2) * PASTA_4.t
-
-    def test_trivial_split_has_no_hoisting_advantage(self):
-        from repro.hw.arith_units import rotate_stage_cycles
-        from repro.hw.scheduler import simulate_hoisted_affine
-        from repro.pasta import PASTA_MICRO
-
-        windows, total = simulate_hoisted_affine(PASTA_MICRO)  # 2t=4: bs=2, G=2
-        assert [w.unit for w in windows] == [
-            "KeySwitch(Decompose)", "Rotate(Apply)", "Rotate+KeySwitch"
-        ]
-        # One baby: the decompose/apply split costs exactly one full stage.
-        assert total == 2 * rotate_stage_cycles(PASTA_MICRO.t)
-
-    def test_modeled_cycle_bridge_matches_split(self):
-        from repro.hw.arith_units import rotate_stage_cycles
-        from repro.obs.cycles import (
-            modeled_decompose_cycles,
-            modeled_hoisted_apply_cycles,
-            modeled_rotation_cycles,
-        )
-
-        assert modeled_decompose_cycles(PASTA_4) + modeled_hoisted_apply_cycles(
-            PASTA_4
-        ) == modeled_rotation_cycles(PASTA_4) == rotate_stage_cycles(PASTA_4.t)
-
-
 class TestReports:
     def test_schedule_consistency(self, pasta4_key):
         _, rep = PastaAccelerator(PASTA_4, pasta4_key).keystream_block(1, 0)

@@ -21,6 +21,7 @@ from repro.apps.video import Resolution, synthetic_frame
 from repro.errors import ParameterError, ServiceError
 from repro.keccak.shake import shake128
 from repro.obs import MetricsRegistry, get_flight_recorder, get_registry, get_tracer
+from repro.obs.cycles import CYCLES_ATTR, attribute
 from repro.pasta.params import PASTA_MICRO, PASTA_TOY
 from repro.service import (
     NO_FAULTS,
@@ -360,6 +361,39 @@ class TestHheMode:
         assert_one_poisoned_retry(result, frame_id=1)
         with pytest.raises(ParameterError, match="2-element blocks"):
             service._decode(wire_carrying(struct.pack("<3I", 1, 2, 3)))
+
+
+class TestHheServerChecks:
+    """The hhe mode's noise refusal and server spans, in the fast lane."""
+
+    def test_exhausted_noise_budget_stops_the_run(self):
+        """PASTA_TOY on the service's 230-bit chain is modeled at -58.7 bits
+        of headroom: the server refuses instead of returning wrong pixels."""
+        with pytest.raises(ServiceError, match="NoiseBudgetExhausted"):
+            run_pipeline(n_frames=2, mode="hhe")
+
+    def test_only_the_client_keystream_carries_modeled_cycles(self):
+        """Server spans keep time and op counts; a healthy run flags nothing."""
+        run_pipeline(
+            n_frames=4,
+            ladder=(Resolution("TILE4", 4, 4),),
+            params=PASTA_MICRO,
+            workers_per_shard=1,
+            batch_frames=4,
+            worker_batch=4,
+            mode="hhe",
+        )
+        spans = get_tracer().finished_spans()
+        report = attribute(spans)
+        assert [r.stage for r in report.rows if r.modeled_cycles is not None] == [
+            "pasta.keystream"
+        ]
+        assert report.flagged() == []
+        server = [s for s in spans if s.name.startswith("hhe.")]
+        assert {"hhe.transcipher", "hhe.affine", "hhe.rotate", "hhe.hoist_decompose"} <= {
+            s.name for s in server
+        }
+        assert not any(CYCLES_ATTR in s.attributes for s in server)
 
 
 class TestTracePropagation:

@@ -7,10 +7,11 @@ client's keystream, the server's per-frame materials, tenant keys, and the
 service's fault, jitter and routing draws. Here the permutation raises, and
 each of those paths must still run to completion.
 
-The one sanctioned host use is the hardware model: keystream and
-transcipher spans carry modeled accelerator cycles, which run the
-hardware model (its datapath is the scalar sponge) once per parameter set
-and memoize them. The fixture fills that memo before patching.
+The one sanctioned host use is the hardware model: the client's keystream
+spans carry modeled accelerator cycles, which run the hardware model (its
+datapath is the scalar sponge) once per parameter set and memoize them.
+The fixture fills that memo for the service's parameters before patching
+and removes the HHE frame's entry, so the server path must run without it.
 """
 
 import numpy as np
@@ -19,7 +20,8 @@ import pytest
 from repro.apps.video import synthetic_frames_batch
 from repro.fhe import BatchEncoder, Bfv, toy_parameters
 from repro.hhe import BatchedHheServer, decrypt_batched_result, encrypt_key_batched
-from repro.obs.cycles import modeled_block_cycles
+from repro.keccak.hw_model import OverlappedKeccakCore
+from repro.obs.cycles import _block_cycles_cache, modeled_block_cycles
 from repro.pasta import PASTA_MICRO, PASTA_TOY, PastaParams, random_key
 from repro.pasta.batch import KeystreamEngine
 from repro.service import TILE8, FaultPlan, Service, ServiceConfig, TenantSpec, derive_tenant_key
@@ -30,11 +32,16 @@ PARAMS = PastaParams(name="pasta-bsgs", t=32, rounds=2, p=PASTA_MICRO.p, secure=
 RING_N = 512
 BLOCKS = 8
 
+#: The HHE frame's entry in the process-wide cycle memo.
+FRAME_CYCLES = (PARAMS.name, OverlappedKeccakCore.name)
+
 
 @pytest.fixture
 def no_scalar_permutation(monkeypatch):
-    for params in (PARAMS, PASTA_TOY):  # the HHE frame's and the service's
-        modeled_block_cycles(params)
+    modeled_block_cycles(PASTA_TOY)  # the service's client keystream
+    # The memo is process-wide: whatever ran before, each test starts
+    # without the HHE frame's entry.
+    monkeypatch.delitem(_block_cycles_cache, FRAME_CYCLES, raising=False)
 
     def refuse(state):
         raise AssertionError("the pure-Python Keccak-f[1600] ran on a host path")
@@ -42,7 +49,7 @@ def no_scalar_permutation(monkeypatch):
     monkeypatch.setattr("repro.keccak.sponge.keccak_f1600", refuse)
 
 
-def test_hhe_setup_and_frame(no_scalar_permutation):
+def test_hhe_setup_and_frame(no_scalar_permutation, monkeypatch):
     bfv = toy_parameters(PARAMS.p, n=RING_N, log2_q=240, prime_bits=26)
     scheme = Bfv(bfv, seed=b"sponge-guard")
     sk, pk, rlk = scheme.keygen()
@@ -56,11 +63,16 @@ def test_hhe_setup_and_frame(no_scalar_permutation):
     )
     nonce, counters = 11, list(range(BLOCKS))
     messages = np.random.default_rng(0).integers(0, PARAMS.p, size=(BLOCKS, PARAMS.t))
-    keystream = KeystreamEngine(PARAMS, cache_size=0).keystream_pairs(
-        key, [(nonce, c) for c in counters]
-    )
+    # The client's keystream span reads its modeled cycles from the memo;
+    # give it an entry for this call only.
+    with monkeypatch.context() as client:
+        client.setitem(_block_cycles_cache, FRAME_CYCLES, 1)
+        keystream = KeystreamEngine(PARAMS, cache_size=0).keystream_pairs(
+            key, [(nonce, c) for c in counters]
+        )
     result = server.transcipher_blocks(((messages + keystream) % PARAMS.p).tolist(), nonce, counters)
     assert decrypt_batched_result(scheme, sk, encoder, result) == messages.tolist()
+    assert FRAME_CYCLES not in _block_cycles_cache  # the server never asked
 
 
 def test_tenant_key(no_scalar_permutation):
