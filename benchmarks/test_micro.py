@@ -6,7 +6,7 @@ import pytest
 from repro.baselines import Aes128
 from repro.ff import P17, P60, PrimeField, make_reducer
 from repro.fhe import ExactBaseLift, ExactRescaler, NegacyclicNtt, make_engine, toy_parameters
-from repro.fhe.rns import ExactBaseDigits
+from repro.fhe.rns import ExactBaseDigits, ExactModSwitch, get_rns_context
 from repro.pasta import PASTA_4, PASTA_MICRO, Pasta, generate_matrix, random_key, streaming_mat_vec
 
 F17 = PrimeField(P17)
@@ -103,3 +103,19 @@ def test_crt_rescale(benchmark, hhe_frame_bases):
         ctx.to_rns([(2 * p * c + q) // (2 * q) for c in row]) for row in _centered_ints(ext, parts)
     ]
     assert np.array_equal(got, np.stack(expected))
+
+
+def test_crt_mod_switch(benchmark, hhe_frame_bases):
+    """One ciphertext's two parts switched from ten limbs to five: the drop
+    before the hhe_frame circuit's last affine layer, in the eval domain."""
+    ctx, _ = hhe_frame_bases
+    switch = ExactModSwitch(ctx, get_rns_context(ctx.n, ctx.primes[:5]))
+    parts = ctx.forward(_uniform(ctx, (2,), 4))
+    got = benchmark(switch.down, parts)
+    low = switch.dst
+    big_p = ctx.modulus // low.modulus
+    expected = [
+        low.to_rns([(2 * c + big_p) // (2 * big_p) for c in ctx.from_rns(row)])
+        for row in ctx.inverse(parts)
+    ]
+    assert np.array_equal(low.inverse(got), np.stack(expected))

@@ -72,7 +72,8 @@ def generate(run_transcipher: bool = True, **_kwargs) -> ExperimentResult:
             [int(c) for c in client.cipher.encrypt_block(m, nonce=3, counter=k)]
             for k, m in enumerate(messages)
         ]
-        result = client.server().transcipher_blocks(blocks, nonce=3, counters=[0, 1])
+        server = client.server()
+        result = server.transcipher_blocks(blocks, nonce=3, counters=[0, 1])
         decrypted = client.decrypt_result(result)
         if decrypted != messages:
             raise NoiseBudgetExhausted(
@@ -96,8 +97,10 @@ def generate(run_transcipher: bool = True, **_kwargs) -> ExperimentResult:
             f"log2 q={HHE_LOG2_Q}): {len(messages)} blocks in one packed group "
             f"decrypted exactly with {budget:.0f} bits of noise budget left "
             f"({ops.relins} relinearizations, {ops.decompositions} hoisted "
-            "decompositions) — see the hhe_frame workload of bench/run.py for "
-            "the packed server's cold blocks/s."
+            f"decompositions), on RNS levels {server.levels} limbs per stage "
+            "(layer 0, then each S-box and affine layer; the result is raised "
+            "back to the full chain) — see the hhe_frame workload of "
+            "bench/run.py for the packed server's cold blocks/s."
         )
 
     return ExperimentResult(

@@ -24,7 +24,9 @@ module refuses nothing, but ``BfvParams.secure`` is honest about it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import copy
+import math
+from dataclasses import dataclass, field, replace
 from typing import Any, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -90,6 +92,26 @@ class BfvParams:
         """Serialized size of a fresh 2-component ciphertext."""
         return 2 * self.n * ((self.q.bit_length() + 7) // 8)
 
+    @property
+    def levels(self) -> int:
+        """Length of the prime chain: the top RNS level."""
+        if not self.rns_primes:
+            raise ParameterError("RNS levels need a prime-chain modulus (rns_primes)")
+        return len(self.rns_primes)
+
+    def at_level(self, level: int) -> "BfvParams":
+        """The parameters of the chain's first ``level`` primes.
+
+        ``q_k`` is their product, so ``delta`` and ``relin_parts`` (``D_k``
+        base-T digits) follow from it; ``N``, ``p``, ``eta`` and ``T`` stay.
+        """
+        if not 1 <= level <= self.levels:
+            raise ParameterError(f"level {level} is not in [1, {self.levels}]")
+        if level == self.levels:
+            return self
+        primes = self.rns_primes[:level]
+        return replace(self, q=math.prod(primes), rns_primes=primes)
+
 
 def toy_parameters(
     plain_modulus: int,
@@ -98,12 +120,19 @@ def toy_parameters(
     rns: bool = True,
     prime_bits: int = 30,
 ) -> BfvParams:
-    """Functional parameters sized for the PASTA toy circuit depth.
+    """Functional (not secure) BFV parameters with a prime-chain modulus.
 
     By default the ciphertext modulus is a product of ``prime_bits``-wide
     NTT-friendly primes covering at least ``log2_q`` bits, so the scheme
     runs on the RNS engine. ``rns=False`` reproduces the historical
     power-of-two modulus served by the scalar big-int engine.
+
+    The default 250 bits (9 limbs at N = 1024) is not sized for any PASTA
+    transcipher: size ``log2_q`` to the circuit. The noise ledger admits
+    PASTA_TOY (t = 4, 3 rounds) at N = 1024 from 330 bits (11 limbs, about
+    +3 bits of modeled headroom; 250 bits model -57), and the packed
+    evaluator refuses a transcipher the ledger does not cover
+    (:class:`~repro.errors.NoiseBudgetExhausted`).
     """
     if not rns:
         return BfvParams(n=n, q=1 << log2_q, p=plain_modulus)
@@ -196,10 +225,97 @@ class Bfv:
         self.engine = make_engine(params, engine)
         self._rng = PolyRng(seed)
         self.noise_model = NoiseModel(params)
+        self._root = self
+        self._views: dict = {}
 
     @property
     def engine_name(self) -> str:
         return self.engine.name
+
+    # -- RNS levels -------------------------------------------------------------------
+
+    @property
+    def level(self) -> int:
+        """Limbs of this scheme's chain (:attr:`BfvParams.levels`)."""
+        return self.params.levels
+
+    def at_level(self, level: int) -> "Bfv":
+        """The scheme on the first ``level`` primes of the full chain, cached.
+
+        A level view has its own ``q_k``, ``Delta_k``, engine (a prefix
+        :class:`~repro.fhe.engine.RnsEngine` with its own extended basis and
+        ``D_k`` digits) and noise model, and shares the full scheme's RNG
+        and keys: its relinearization and Galois key stacks (the tensor
+        ops' key switching) are the ``[:D_k, :k]`` slices of the full
+        chain's (a key mod q reduces to a key mod q_k, and ``D_k`` digits
+        cover ``q_k``), so no key material is made. The full level is the
+        root scheme itself. A view
+        is built on its first request; a server builds its views at
+        construction, so evaluation only reads them.
+        """
+        root = self._root
+        if level == root.level:
+            return root
+        view = root._views.get(level)
+        if view is None:
+            # A shallow copy shares every other field (RNG, root, view cache).
+            view = copy.copy(root)
+            view.params = root.params.at_level(level)  # refuses a level off the chain
+            view.engine = make_engine(view.params, root.engine.name)
+            view.noise_model = root.noise_model.at_level(level)
+            root._views[level] = view
+        return view
+
+    def mod_switch(self, ct: Ciphertext, level: int) -> Ciphertext:
+        """Switch a ciphertext at this level down to ``level``: ``round(c/P)``."""
+        dst = self._lower(level)
+        return Ciphertext(
+            parts=[self.engine.mod_switch(part, dst.engine) for part in ct.parts],
+            noise=self.noise_model.mod_switch(ct.noise, dst.noise_model),
+        )
+
+    def mod_raise(self, ct: Ciphertext, level: Optional[int] = None) -> Ciphertext:
+        """Raise a ciphertext at this level to ``level`` (default: the full
+        chain) by the exact product ``P c``; it decrypts to the same plaintext."""
+        dst = self._higher(level)
+        return Ciphertext(
+            parts=[self.engine.mod_raise(part, dst.engine) for part in ct.parts],
+            noise=self.noise_model.mod_raise(ct.noise, dst.noise_model),
+        )
+
+    def tensor_mod_switch(self, state: CiphertextTensor, level: int) -> CiphertextTensor:
+        """:meth:`mod_switch` of every stacked ciphertext, in the eval domain."""
+        eng = self._tensor_engine()
+        dst = self._lower(level)
+        eng.ctx.require_basis(state.ctx, "ciphertext tensor")
+        out = CiphertextTensor(dst.engine.ctx, eng.switch_evals(state.data, dst.engine))
+        out.noise = self.noise_model.mod_switch(state.noise, dst.noise_model)
+        return out
+
+    def tensor_mod_raise(
+        self, state: CiphertextTensor, level: Optional[int] = None
+    ) -> CiphertextTensor:
+        """:meth:`mod_raise` of every stacked ciphertext, in the eval domain."""
+        eng = self._tensor_engine()
+        dst = self._higher(level)
+        eng.ctx.require_basis(state.ctx, "ciphertext tensor")
+        out = CiphertextTensor(dst.engine.ctx, eng.raise_evals(state.data, dst.engine))
+        out.noise = self.noise_model.mod_raise(state.noise, dst.noise_model)
+        return out
+
+    def _lower(self, level: int) -> "Bfv":
+        if not 1 <= level < self.level:
+            raise ParameterError(f"cannot switch from level {self.level} down to {level}")
+        return self.at_level(level)
+
+    def _higher(self, level: Optional[int]) -> "Bfv":
+        level = self._root.level if level is None else level
+        if not self.level < level <= self._root.level:
+            raise ParameterError(
+                f"cannot raise from level {self.level} to {level} "
+                f"(full chain: {self._root.level})"
+            )
+        return self.at_level(level)
 
     # -- key generation ---------------------------------------------------------
 
@@ -284,10 +400,12 @@ class Bfv:
 
     def _phase(self, sk: SecretKey, ct: Ciphertext) -> Any:
         eng = self.engine
+        # A level view decrypts with the full chain's key, reduced mod q_k.
+        s = sk.s if self._root is self else eng.reduce(sk.s)
         acc = ct.parts[0]
         s_current = None
         for i, part in enumerate(ct.parts[1:], start=1):
-            s_current = sk.s if i == 1 else eng.mul(s_current, sk.s)
+            s_current = s if i == 1 else eng.mul(s_current, s)
             acc = eng.add(acc, eng.mul(part, s_current))
         return acc
 
@@ -616,15 +734,31 @@ class Bfv:
         out.noise = self.noise_model.add_plain(state.noise)
         return out
 
-    def _relin_key_stacks(self, rlk: RelinKey):
-        # Cached per RNS context, so a key stacked for one scheme is checked
-        # again before another scheme uses it.
+    def _key_stacks(self, key, element: Optional[int], build) -> tuple:
+        """One key's (D, L, N) eval-domain stacks on this scheme's chain.
+
+        Cached on the key per (element, RNS context), so a key stacked for
+        one chain is checked again before another chain uses it. The full
+        chain stacks the key's polynomials (``build``, which refuses a key
+        from another chain); a level view slices the full stacks to
+        ``[:D_k, :k]``.
+        """
         eng = self._tensor_engine()
-        cached = getattr(rlk, "_tensor_stacks", None)
-        if cached is None or cached[0] is not eng.ctx:
-            cached = (eng.ctx, eng.relin_key_stacks(rlk.parts))
-            rlk._tensor_stacks = cached
-        return cached[1]
+        cache = key.__dict__.setdefault("_tensor_stacks", {})
+        stacks = cache.get((element, eng.ctx))
+        if stacks is None:
+            if self._root is self:
+                stacks = build(eng)
+            else:
+                digits, limbs = self.params.relin_parts, self.level
+                stacks = tuple(
+                    half[:digits, :limbs] for half in self._root._key_stacks(key, element, build)
+                )
+            cache[(element, eng.ctx)] = stacks
+        return stacks
+
+    def _relin_key_stacks(self, rlk: RelinKey):
+        return self._key_stacks(rlk, None, lambda eng: eng.relin_key_stacks(rlk.parts))
 
     def tensor_square(self, state: CiphertextTensor, rlk: RelinKey) -> CiphertextTensor:
         """Batched square + relinearize of every slot of the tensor."""
@@ -659,16 +793,9 @@ class Bfv:
         return out
 
     def _galois_key_stacks(self, gk: GaloisKey, element: int):
-        eng = self._tensor_engine()
-        cache = getattr(gk, "_tensor_stacks", None)
-        if cache is None:
-            cache = {}
-            gk._tensor_stacks = cache
-        cached = cache.get(element)
-        if cached is None or cached[0] is not eng.ctx:
-            cached = (eng.ctx, eng.galois_key_stacks(gk.parts_for(element)))
-            cache[element] = cached
-        return cached[1]
+        return self._key_stacks(
+            gk, element, lambda eng: eng.galois_key_stacks(gk.parts_for(element))
+        )
 
     def tensor_apply_galois(
         self, state: CiphertextTensor, element: int, gk: GaloisKey

@@ -38,6 +38,7 @@ from repro.fhe.poly import Rq, negacyclic_mul_exact
 from repro.fhe.rns import (
     ExactBaseDigits,
     ExactBaseLift,
+    ExactModSwitch,
     ExactRescaler,
     RnsContext,
     RnsPoly,
@@ -202,6 +203,22 @@ class BigintEngine:
             remainder = [c // base for c in remainder]
         return digits
 
+    # -- RNS levels ----------------------------------------------------------------
+
+    def mod_switch(self, poly: List[int], dst: "BigintEngine") -> List[int]:
+        """``round(c / P) mod q_k`` for ``dst``'s modulus ``q_k = q / P``."""
+        big_p = self.q // dst.q
+        return [round_div(c, big_p) % dst.q for c in poly]
+
+    def mod_raise(self, poly: List[int], dst: "BigintEngine") -> List[int]:
+        """``P c mod q`` for ``dst``'s modulus ``q = P q_k``."""
+        big_p = dst.q // self.q
+        return [c * big_p % dst.q for c in poly]
+
+    def reduce(self, poly: List[int]) -> List[int]:
+        """A polynomial mod a multiple of q (a longer chain), reduced mod q."""
+        return [c % self.q for c in poly]
+
     # -- Galois automorphisms --------------------------------------------------------
 
     def galois(self, poly: List[int], element: int) -> List[int]:
@@ -247,6 +264,9 @@ class RnsEngine:
                 f"relinearization base 2^{relin_base_bits} does not fit the RNS engine's "
                 f"int64 digit decomposition ({exc}); use engine='bigint'"
             ) from None
+        #: Modulus-switch transports to shorter prefixes of this chain, by
+        #: the prefix's context (:meth:`level_switch`).
+        self._switches = {}
 
     # -- representation ----------------------------------------------------------
 
@@ -302,6 +322,47 @@ class RnsEngine:
         """One polynomial's base-T digits: :meth:`_decompose_base_digits` on a one-row stack."""
         digits = self._decompose_base_digits(poly.eval_mat()[None], base, count)[0]
         return [RnsPoly(self.ctx, digit) for digit in digits]
+
+    # -- RNS levels ----------------------------------------------------------------
+
+    def level_switch(self, low: "RnsEngine") -> ExactModSwitch:
+        """The transport between this chain and its prefix ``low``, built once."""
+        switch = self._switches.get(low.ctx)
+        if switch is None:
+            switch = self._switches[low.ctx] = ExactModSwitch(self.ctx, low.ctx)
+        return switch
+
+    def switch_evals(self, data: np.ndarray, dst: "RnsEngine") -> np.ndarray:
+        """``(..., L, N)`` eval-domain residues -> ``dst``'s prefix: round(c/P)."""
+        from repro.obs import get_registry, get_tracer
+
+        limbs = f"{len(self.ctx.primes)}->{len(dst.ctx.primes)}"
+        get_registry().counter("fhe.mod_switch.calls", limbs=limbs).inc()
+        with get_tracer().span("fhe.mod_switch", metric="fhe.mod_switch.seconds", limbs=limbs):
+            return self.level_switch(dst).down(data)
+
+    def raise_evals(self, data: np.ndarray, dst: "RnsEngine") -> np.ndarray:
+        """``(..., k, N)`` eval-domain residues -> ``dst``'s longer chain: P c."""
+        return dst.level_switch(self).up(data)
+
+    def mod_switch(self, poly: RnsPoly, dst: "RnsEngine") -> RnsPoly:
+        self._check_basis([poly], "polynomial")
+        return RnsPoly(dst.ctx, self.switch_evals(poly.eval_mat(), dst))
+
+    def mod_raise(self, poly: RnsPoly, dst: "RnsEngine") -> RnsPoly:
+        self._check_basis([poly], "polynomial")
+        return RnsPoly(dst.ctx, self.raise_evals(poly.eval_mat(), dst))
+
+    def reduce(self, poly: RnsPoly) -> RnsPoly:
+        """A polynomial over a chain this one is a prefix of, mod this chain:
+        its first L limbs."""
+        limbs = len(self.ctx.primes)
+        if poly.ctx.n != self.ctx.n or poly.ctx.primes[:limbs] != self.ctx.primes:
+            raise ParameterError(
+                f"polynomial is not over a chain extending this RNS basis "
+                f"(N={self.ctx.n}, primes {self.ctx.primes})"
+            )
+        return RnsPoly(self.ctx, poly.eval_mat()[:limbs])
 
     # -- Galois automorphisms --------------------------------------------------------
 

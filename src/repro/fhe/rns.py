@@ -36,6 +36,8 @@ Key objects:
   with a vectorized NTT attached;
 * :class:`ExactBaseLift`, :class:`ExactBaseDigits`,
   :class:`ExactRescaler` — the exact int64 base transports;
+* :class:`ExactModSwitch` — BFV modulus switching to a chain prefix
+  (drop-and-round on the lift) and back (an exact multiply);
 * :class:`RnsPoly` — a polynomial held as its eval-domain (NTT) residue
   matrix, so every ring operation is pointwise.
 """
@@ -370,11 +372,12 @@ class ExactBaseLift:
     Computes ``(x mods q) mod p_e`` for every destination prime — exactly
     what ``from_rns_centered`` + ``to_rns`` produce — as the centered
     projection's ``y`` contracted against ``[q̂_i]_{p_e}``, minus
-    ``k [q]_{p_e}``.
+    ``k [q]_{p_e}``. ``transport`` labels its guard-band fallbacks.
     """
 
-    def __init__(self, src: RnsContext, dst_primes: Sequence[int]):
+    def __init__(self, src: RnsContext, dst_primes: Sequence[int], transport: str = "lift"):
         self.src = src
+        self.transport = transport
         self.dst_primes = tuple(int(p) for p in dst_primes)
         if any(not butterfly_fits_int64(p) for p in self.dst_primes):
             raise ParameterError("destination primes exceed the int64 residue width")
@@ -390,7 +393,7 @@ class ExactBaseLift:
 
     def lift_centered(self, mat: np.ndarray) -> np.ndarray:
         """``(..., L_src, N)`` residues -> ``(..., E, N)`` centered dst residues."""
-        y, k = self.src.project(mat, centered=True, transport="lift")
+        y, k = self.src.project(mat, centered=True, transport=self.transport)
         start = -k[..., None, :] * self._mod_src
         return _contract_mod(start, y, self._weights, self._p_col, self._chunk)
 
@@ -551,6 +554,52 @@ class ExactRescaler:
             _count_fallbacks("rescale", "quotient", len(exact))
         start = correction[..., None, :] - k[..., None, :] * self._a_m
         return _contract_mod(start, y, self._a, self._q_col, self._chunk)
+
+
+class ExactModSwitch:
+    """Modulus switching between a chain ``q`` and its prefix ``q_k``, exact.
+
+    ``P = q / q_k`` is the product of the dropped primes. :meth:`down` is
+    BFV's drop-and-round, ``round(c / P) mod q_k``: with the centered
+    ``r = c mods P`` (``P`` is odd, so no value sits on a tie),
+    ``c - r`` is a multiple of ``P`` and ``(c - r) / P = round(c / P)``.
+    Per kept prime that is ``(c_i - [r]_{q_i}) P^-1``, which is linear, so
+    it runs in the eval domain: only the dropped limbs are inverse
+    transformed, their centered value is lifted into the kept primes
+    (:class:`ExactBaseLift`, guard-band fallbacks counted as
+    ``transport="mod_switch"``) and forward transformed once. :meth:`up`
+    is the exact product ``P c mod q``: the kept limbs times ``[P]_{q_i}``,
+    and zeros, since ``P = 0`` modulo every dropped prime.
+    """
+
+    def __init__(self, src: RnsContext, dst: RnsContext):
+        keep = len(dst.primes)
+        if src.n != dst.n or keep >= len(src.primes) or src.primes[:keep] != dst.primes:
+            raise ParameterError(
+                f"{dst!r} is not a proper prefix of {src!r}: nothing to switch between"
+            )
+        self.src = src
+        self.dst = dst
+        self.dropped = get_rns_context(src.n, src.primes[keep:])
+        self._lift = ExactBaseLift(self.dropped, dst.primes, transport="mod_switch")
+        big_p = self.dropped.modulus
+        self._p = dst.scalar_residues(big_p)
+        self._p_inv = np.array(
+            [pow(big_p % q, q - 2, q) for q in dst.primes], dtype=np.int64
+        ).reshape(-1, 1)
+
+    def down(self, evals: np.ndarray) -> np.ndarray:
+        """``(..., L, N)`` eval-domain residues mod q -> ``(..., k, N)`` of round(c/P)."""
+        keep = len(self.dst.primes)
+        dropped = self.dropped.inverse(evals[..., keep:, :])
+        rounding = self.dst.forward(self._lift.lift_centered(dropped))
+        return self.dst.mod_mul(self.dst.mod_sub(evals[..., :keep, :], rounding), self._p_inv)
+
+    def up(self, evals: np.ndarray) -> np.ndarray:
+        """``(..., k, N)`` eval-domain residues mod q_k -> ``(..., L, N)`` of P c mod q."""
+        out = np.zeros(evals.shape[:-2] + (len(self.src.primes), self.src.n), dtype=np.int64)
+        out[..., : len(self.dst.primes), :] = self.dst.mod_mul(evals, self._p)
+        return out
 
 
 class RnsPoly:

@@ -35,6 +35,19 @@ that does not depend on how many of them are filled (reported by the
 ``hhe_cost`` experiment); a larger batch runs as consecutive packed
 groups, one result ciphertext per group.
 
+The circuit runs on planned RNS levels (prefixes of the prime chain,
+:meth:`repro.fhe.bfv.Bfv.at_level`). At construction,
+:func:`plan_levels` reads the noise ledger's closed forms only and picks
+one level per stage: layer 0 and the first S-box on the full chain, then
+before each later stage the fewest limbs that keep the modeled final
+headroom within :data:`LEVEL_SLACK_BITS` of the circuit that never
+switches and above the decryption floor. BFV noise is scale-invariant
+once it has grown, which it has after the first S-box, so the later
+stages (their key switches, tensor products and prepared plaintexts) run
+on fewer limbs at almost no cost in headroom. The last state is raised back to the full chain by an exact
+multiply, so results keep their chain, wire size and headroom for
+whatever the client evaluates next.
+
 The prepared plaintexts of every layer depend only on the public
 (nonce, counters), so each call prepares them beside the evaluation, as
 the paper's schedule generates round i+1's matrices while round i's
@@ -46,6 +59,7 @@ most one group of layers ahead of the evaluator.
 from __future__ import annotations
 
 import itertools
+import math
 from collections import deque
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
@@ -66,6 +80,10 @@ from repro.pasta.cipher import field_elements
 from repro.pasta.decrypt_circuit import bsgs_split
 from repro.pasta.params import PastaParams
 from repro.pasta.xof import as_u64
+
+#: How far below the never-switching circuit's modeled final headroom the
+#: level plan may go, in bits.
+LEVEL_SLACK_BITS = 1.0
 
 #: Default prepared-plaintext budget, in slot rows (one encoded plaintext
 #: polynomial = one row; a layer's diagonal stack costs 2t rows, its
@@ -141,6 +159,81 @@ def _check_encoder(scheme: Bfv, encoder: BatchEncoder) -> None:
         raise ParameterError(
             f"slot encoder (n, p) = {theirs} does not match the scheme's (n, p) = {ours}"
         )
+
+
+def circuit_noise(params: PastaParams, scheme: Bfv, levels: Sequence[int], key_noise):
+    """The ledger's closed forms along a level plan: the result's estimate.
+
+    Stage 0 is layer 0 (a 2t-term diagonal sum on the key upload), stage
+    ``2i + 1`` round i's S-box (Feistel, or the cube in the last round)
+    and stage ``2i + 2`` layer ``i + 1`` (BSGS); a drop between stages is
+    a modulus switch, and the last stage's level is raised back to the
+    full chain before the negation and the message add. These are the
+    growth rules the :class:`~repro.fhe.bfv.Bfv` wrappers apply while
+    :class:`BatchedHheServer` evaluates, so the evaluated result carries
+    this estimate.
+    """
+    bs, giants = bsgs_split(2 * params.t)
+    full = scheme.noise_model
+    estimate = full.affine(key_noise, 2 * params.t)
+    for stage in range(1, len(levels)):
+        model = full.at_level(levels[stage])
+        if levels[stage] < levels[stage - 1]:
+            estimate = full.at_level(levels[stage - 1]).mod_switch(estimate, model)
+        if stage % 2 == 0:
+            estimate = model.bsgs_affine(estimate, bs, giants)
+        elif stage < len(levels) - 2:
+            square = model.rotate(model.multiply(estimate, estimate))
+            estimate = model.add(estimate, model.mul_plain_poly(square))
+        else:
+            estimate = model.multiply(model.multiply(estimate, estimate), estimate)
+    if levels[-1] < scheme.level:
+        estimate = full.at_level(levels[-1]).mod_raise(estimate, full)
+    return full.add_plain(full.neg(estimate))
+
+
+def plan_levels(params: PastaParams, scheme: Bfv, key_noise) -> Tuple[int, ...]:
+    """One RNS level (limb count) per stage of the packed circuit, greedily.
+
+    Stages as in :func:`circuit_noise`: ``2r + 1`` of them. Layer 0 and
+    the first S-box keep the full chain: before the first product the
+    noise is small and fixed, so every dropped bit would cost a bit of
+    headroom. Before each later stage the plan takes the fewest limbs that
+    keep the modeled final headroom, with every later stage on those limbs
+    too, within :data:`LEVEL_SLACK_BITS` of the plan that never drops, and
+    above :attr:`~repro.obs.noise.NoiseModel.decryption_floor_bits`.
+
+    The second bound matters because a switch also spends the real noise's
+    slack under the worst-case bound: its rounding term puts the real
+    noise near the modeled one, and the products after it grow from there.
+    Where the bound of the unswitched circuit does not guarantee
+    decryption, only that slack does, so such a circuit plans no drop.
+    Only the ledger's closed forms are read (no level view is built); an
+    unknown key noise plans no drop.
+    """
+    full = scheme.level
+    stages = 2 * params.rounds + 1
+    if key_noise is None:
+        return (full,) * stages
+    model = scheme.noise_model
+
+    def headroom(levels) -> float:
+        return model.headroom_bits(circuit_noise(params, scheme, levels, key_noise))
+
+    floor = max(
+        headroom((full,) * stages) - LEVEL_SLACK_BITS, model.decryption_floor_bits
+    )
+    levels = [full, full]
+    for stage in range(2, stages):
+        best = levels[-1]
+        for level in range(best - 1, 0, -1):
+            if math.prod(scheme.params.rns_primes[:level]) <= params.p:
+                break
+            if headroom(levels + [level] * (stages - stage)) < floor:
+                break
+            best = level
+        levels.append(best)
+    return tuple(levels)
 
 
 def _place(per_block: np.ndarray, w: int) -> np.ndarray:
@@ -253,15 +346,28 @@ class BatchedHheServer:
         # Stack every key now: the engine refuses material from another
         # ring or prime chain here, at setup, instead of mid-frame.
         self._key = scheme.stack_ciphertexts(list(encrypted_key))
-        scheme._relin_key_stacks(rlk)
-        for element in sorted(elements):
-            scheme._galois_key_stacks(galois_keys, element)
-
+        #: The RNS level of each circuit stage (:func:`plan_levels`), and
+        #: the scheme view each stage evaluates on.
+        self.levels = plan_levels(params, scheme, self._key.noise)
+        self._stages = [scheme.at_level(level) for level in self.levels]
         # Feistel mask: drop state element 0's slots, where the rotated
         # square of element 2t - 1 wraps around.
         not_first = np.ones((1, 2, n // 2), dtype=np.int64)
         not_first[..., :w] = 0
-        self._mask_not_first = scheme.prepare_mul_rows(self._encode(not_first))
+        not_first = self._encode(not_first)
+        # Every level view, key stack, mask and switch transport the plan
+        # needs is built here, so the evaluating threads only read them.
+        for view in dict.fromkeys(self._stages):
+            view._relin_key_stacks(rlk)
+            for element in sorted(elements):
+                view._galois_key_stacks(galois_keys, element)
+        feistels = dict.fromkeys(self._stages[1 : 2 * params.rounds - 1 : 2])
+        self._masks = {view.level: view.prepare_mul_rows(not_first) for view in feistels}
+        # The drops between stages, then the raise back to the full chain.
+        moves = list(zip(self._stages, self._stages[1:])) + [(scheme, self._stages[-1])]
+        for high, low in moves:
+            if high is not low:
+                high.engine.level_switch(low.engine)
 
         # Prepared-plaintext caches keyed by the public schedule: the affine
         # diagonals and round constants depend only on (nonce, counters,
@@ -322,7 +428,8 @@ class BatchedHheServer:
     # -- public schedule -> prepared plaintexts ---------------------------------------
 
     def _prepared_diags(self, nonce: int, counters: Tuple[int, ...], layer: int):
-        """The 2t generalized diagonals of layer ``layer``'s Mix∘Affine matrix.
+        """The 2t generalized diagonals of layer ``layer``'s Mix∘Affine matrix,
+        prepared on the layer's level.
 
         Diagonal d holds ``A_k[j, (j + d) mod 2t]`` at block k's slot of
         element j. Layer 0 consumes them as they are, as ONE (1, 2t) matmul
@@ -355,12 +462,13 @@ class BatchedHheServer:
                     )
                 shape = (giants, bs)
             encoded = self._encode(rows)
-            return self.scheme.prepare_matrix(encoded.reshape(shape + (-1,)))
+            return self._stages[2 * layer].prepare_matrix(encoded.reshape(shape + (-1,)))
 
         return self._caches["diags_bsgs"].get_or_create((nonce, counters, layer), build)
 
     def _prepared_rc(self, nonce: int, counters: Tuple[int, ...], layer: int):
-        """Layer ``layer``'s Mix-folded round constants as one prepared row."""
+        """Layer ``layer``'s Mix-folded round constants as one prepared row
+        (``Delta_k``-scaled on the layer's level)."""
 
         def build():
             materials = self.engine.materials(nonce, list(counters))
@@ -370,7 +478,7 @@ class BatchedHheServer:
             ]  # (n, t) each
             vectors = _mix(rc[0], rc[1], layer == self.params.rounds, axis=-1)
             rows = _place(vectors % self.params.p, self._width)
-            return self.scheme.prepare_add_rows(self._encode(rows[None]))
+            return self._stages[2 * layer].prepare_add_rows(self._encode(rows[None]))
 
         return self._caches["rc_bsgs"].get_or_create((nonce, counters, layer), build)
 
@@ -399,28 +507,41 @@ class BatchedHheServer:
     # -- circuit pieces ---------------------------------------------------------------
 
     def _rotate_stack(
-        self, state: CiphertextTensor, steps: int, ops: BfvOpCounts
+        self, scheme: Bfv, state: CiphertextTensor, steps: int, ops: BfvOpCounts
     ) -> CiphertextTensor:
         """Rotate every stacked ciphertext left by ``steps`` (keyswitch each)."""
         ops.rotations += state.slots
         with get_tracer().span("hhe.rotate", metric="hhe.rotate.seconds", steps=steps):
-            return self.scheme.tensor_rotate(state, steps, self.galois_keys)
+            return scheme.tensor_rotate(state, steps, self.galois_keys)
 
-    def _hoisted_decompose(self, state: CiphertextTensor, ops: BfvOpCounts):
+    def _hoisted_decompose(self, scheme: Bfv, state: CiphertextTensor, ops: BfvOpCounts):
         """Digit-decompose the c1 halves once for a batch of rotations."""
         ops.decompositions += state.slots
         with get_tracer().span("hhe.hoist_decompose", metric="hhe.hoist_decompose.seconds"):
-            return self.scheme.hoisted_decompose(state)
+            return scheme.hoisted_decompose(state)
 
     def _rotate_hoisted(
-        self, state: CiphertextTensor, digits: np.ndarray, steps: int, ops: BfvOpCounts
+        self,
+        scheme: Bfv,
+        state: CiphertextTensor,
+        digits: np.ndarray,
+        steps: int,
+        ops: BfvOpCounts,
     ) -> CiphertextTensor:
         """Rotate via a shared digit stack (apply half of a hoisted rotation)."""
         ops.rotations += state.slots
         with get_tracer().span("hhe.rotate", metric="hhe.rotate.seconds", steps=steps):
-            return self.scheme.tensor_rotate_hoisted(
-                state, digits, steps, self.galois_keys
-            )
+            return scheme.tensor_rotate_hoisted(state, digits, steps, self.galois_keys)
+
+    @staticmethod
+    def _at_level(scheme: Bfv, state: CiphertextTensor, dst: Bfv) -> CiphertextTensor:
+        """Move ``state`` from ``scheme``'s level to ``dst``'s: switch down,
+        raise up, or keep it where it is."""
+        if dst.level < scheme.level:
+            return scheme.tensor_mod_switch(state, dst.level)
+        if dst.level > scheme.level:
+            return scheme.tensor_mod_raise(state, dst.level)
+        return state
 
     def _key_affine(self, diags, rc, ops: BfvOpCounts) -> CiphertextTensor:
         """Layer 0 on the pre-rotated key: ``sum_d diag_d . key_d + rc``.
@@ -437,7 +558,7 @@ class BatchedHheServer:
             return self.scheme.tensor_affine(self._key, diags, rc)
 
     def _bsgs_affine(
-        self, state: CiphertextTensor, diags, rc, layer: int, ops: BfvOpCounts
+        self, scheme: Bfv, state: CiphertextTensor, diags, rc, layer: int, ops: BfvOpCounts
     ) -> CiphertextTensor:
         """One Mix-folded affine layer on the packed state, BSGS-style.
 
@@ -458,31 +579,33 @@ class BatchedHheServer:
         """
         bs, giants = self._bsgs
         w = self._width
-        ctx = self.scheme.engine.ctx
-        diags = self.scheme._take_prepared_tensor(diags, "matmul")
+        ctx = scheme.engine.ctx
+        diags = scheme._take_prepared_tensor(diags, "matmul")
         ops.plain_muls += bs * giants
         ops.adds += bs * giants - 1
         ops.plain_adds += 1
         with get_tracer().span("hhe.affine", metric="hhe.affine.seconds", layer=layer):
             babies = [state]
             if bs > 1:
-                digits = self._hoisted_decompose(state, ops)
-                babies += [self._rotate_hoisted(state, digits, i * w, ops) for i in range(1, bs)]
+                digits = self._hoisted_decompose(scheme, state, ops)
+                babies += [
+                    self._rotate_hoisted(scheme, state, digits, i * w, ops) for i in range(1, bs)
+                ]
             # (G, bs, L, N) x (bs, 2, L, N) -> (G, 2, L, N)
             sums = ctx.matmul_mod(diags, np.concatenate([b.data for b in babies]))
             acc = CiphertextTensor(ctx, sums[giants - 1 :])
             for g in range(giants - 2, -1, -1):
-                rotated = self._rotate_stack(acc, bs * w, ops)
-                acc = self.scheme.tensor_add(CiphertextTensor(ctx, sums[g : g + 1]), rotated)
-            out = self.scheme.tensor_add_plain_rows(acc, rc)
+                rotated = self._rotate_stack(scheme, acc, bs * w, ops)
+                acc = scheme.tensor_add(CiphertextTensor(ctx, sums[g : g + 1]), rotated)
+            out = scheme.tensor_add_plain_rows(acc, rc)
             # The raw matmul_mod contraction above bypasses the Bfv wrappers,
             # so the ledger gets the layer's closed-form bound in one step.
-            out.noise = self.scheme.noise_model.bsgs_affine(
+            out.noise = scheme.noise_model.bsgs_affine(
                 state.noise, bs, giants, round_constant=True
             )
             return out
 
-    def _feistel(self, state: CiphertextTensor, ops: BfvOpCounts) -> CiphertextTensor:
+    def _feistel(self, scheme: Bfv, state: CiphertextTensor, ops: BfvOpCounts) -> CiphertextTensor:
         """Feistel over the packed state: ``out[j] = x[j] + x[j-1]^2``, j >= 1.
 
         Square, rotate the square one element RIGHT (element j - 1 lands on
@@ -493,18 +616,16 @@ class BatchedHheServer:
         ops.relins += 1
         ops.plain_muls += 1
         ops.adds += 1
-        sq = self.scheme.tensor_square(state, self.rlk)
-        shifted = self._rotate_stack(sq, self.scheme.params.n // 2 - self._width, ops)
-        masked = self.scheme.tensor_mul_plain_rows(shifted, self._mask_not_first)
-        return self.scheme.tensor_add(state, masked)
+        sq = scheme.tensor_square(state, self.rlk)
+        shifted = self._rotate_stack(scheme, sq, scheme.params.n // 2 - self._width, ops)
+        masked = scheme.tensor_mul_plain_rows(shifted, self._masks[scheme.level])
+        return scheme.tensor_add(state, masked)
 
-    def _cube(self, state: CiphertextTensor, ops: BfvOpCounts) -> CiphertextTensor:
+    def _cube(self, scheme: Bfv, state: CiphertextTensor, ops: BfvOpCounts) -> CiphertextTensor:
         ops.squares += 1
         ops.muls += 1
         ops.relins += 2
-        return self.scheme.tensor_mul(
-            self.scheme.tensor_square(state, self.rlk), state, self.rlk
-        )
+        return scheme.tensor_mul(scheme.tensor_square(state, self.rlk), state, self.rlk)
 
     # -- public API -----------------------------------------------------------------
 
@@ -549,6 +670,7 @@ class BatchedHheServer:
             variant=params.name,
             omega=params.modulus_bits,
             blocks=len(counters),
+            levels=",".join(map(str, self.levels)),
         ) as span:
             result = self._transcipher_blocks(
                 ciphertext_blocks, nonce, counters, tracer, span.context
@@ -656,10 +778,17 @@ class BatchedHheServer:
         everywhere else.
         """
         params = self.params
+        stages = self._stages
         state = self._key_affine(*prepared(0), ops)
         for i in range(params.rounds):
-            state = self._feistel(state, ops) if i < params.rounds - 1 else self._cube(state, ops)
-            state = self._bsgs_affine(state, *prepared(i + 1), i + 1, ops)
+            sbox, affine = stages[2 * i + 1], stages[2 * i + 2]
+            state = self._at_level(stages[2 * i], state, sbox)
+            last = i == params.rounds - 1
+            state = self._cube(sbox, state, ops) if last else self._feistel(sbox, state, ops)
+            state = self._at_level(sbox, state, affine)
+            state = self._bsgs_affine(affine, state, *prepared(i + 1), i + 1, ops)
+        # Back to the full chain: the exact product by P = q / q_k.
+        state = self._at_level(stages[-1], state, self.scheme)
 
         # m = c - KS: one negate + one packed plain add.
         message = np.zeros((len(elements), 2 * params.t), dtype=np.int64)

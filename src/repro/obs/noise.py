@@ -17,8 +17,10 @@ rules, so a 380-bit modulus never materializes as a float. Headroom is
     modeled bits >= log2|v|  =>  modeled headroom <= measured headroom
 
 The model is deliberately worst-case (every triangle inequality tight,
-ternary secrets at full Hamming weight): modeled headroom reaching zero
-means decryption *may* fail, never that it must. The measured-vs-modeled
+ternary secrets at full Hamming weight): modeled headroom below
+:attr:`NoiseModel.decryption_floor_bits` (about ``log2(p)``, where the
+bound reaches ``Delta/2``) means decryption *may* fail, never that it
+must. The measured-vs-modeled
 gap is surfaced by :func:`divergence_report`, the noise analogue of
 ``obs/cycles.py``'s cycle attribution.
 
@@ -42,7 +44,18 @@ hoisted_rotation          ``V + D*N*T*eta``    (one keyswitch term per shared
                           decomposition: every rotation hoisted from the same
                           digit stack switches the *source*, not a chain)
 bsgs_affine               babies -> diagonal sums -> Horner rotations, composed
+mod_switch (q -> q_k)     ``V*q_k/q + (1+N)/2 + p``  (round(c/P), P = q/q_k)
+mod_raise (q_k -> q)      ``P*(V + p)``        (exact multiply by P)
 ========================  =====================================================
+
+The rules read the level they act at: each chain prefix ``q_k`` (a level
+view, :meth:`repro.fhe.bfv.Bfv.at_level`) has its own model, whose
+``log q`` and keyswitch term (``D_k`` digits) are those of ``q_k``. The
+switch divides the noise by ``P`` and adds the rounding of both parts
+(``1/2 + |s|_1/2`` for a ternary secret) and the plaintext term ``p``
+that ``Delta/P - Delta_k`` leaves; the raise multiplies by ``P`` and pays
+``P*p`` for ``P*Delta_k - Delta``. Past the first S-box the noise is far
+above both additive terms, so a switch costs almost no headroom.
 """
 
 from __future__ import annotations
@@ -107,6 +120,8 @@ class NoiseModel:
     """
 
     def __init__(self, params) -> None:
+        self.params = params
+        self._levels: dict = {}
         self.n = int(params.n)
         self.log_n = math.log2(self.n)
         self.log_p = math.log2(int(params.p))
@@ -123,12 +138,35 @@ class NoiseModel:
         # Fresh encryption: v = e1 + e2*s - e*u with ternary s, u.
         self._fresh_bits = self.log_eta + math.log2(2 * self.n + 1)
 
+    def at_level(self, level: int) -> "NoiseModel":
+        """The model of the chain's first ``level`` primes (its own ``log q_k``
+        and ``D_k``-digit keyswitch term), cached."""
+        if level == self.params.levels:
+            return self
+        model = self._levels.get(level)
+        if model is None:
+            model = self._levels[level] = NoiseModel(self.params.at_level(level))
+        return model
+
     # -- budget normalization ----------------------------------------------------
 
     @property
     def budget_bits(self) -> float:
         """Total budget: ``log2(q) - 1``, matching ``noise_budget_bits``."""
         return self.log_q - 1.0
+
+    @property
+    def decryption_floor_bits(self) -> float:
+        """The modeled headroom above which the bound guarantees decryption.
+
+        ``round(p * phase / q)`` returns ``m`` while ``|v| < q/(2p) - p``
+        (``Delta*p = q - (q mod p)`` leaves an offset below ``p``). In this
+        normalization that is a headroom above ``log2(q) - 1 -
+        log2(q/(2p) - p)``, about ``log2(p)``: between 0 and this floor the
+        bound no longer rules out a wrong result.
+        """
+        q, p = int(self.params.q), int(self.params.p)
+        return self.budget_bits - math.log2(max(q // (2 * p) - p, 1))
 
     def headroom_bits(self, estimate: Optional[NoiseEstimate]) -> Optional[float]:
         """Modeled headroom left before decryption may fail (can go < 0)."""
@@ -265,6 +303,24 @@ class NoiseModel:
         if round_constant:
             bits = lse(bits, self.log_p)
         return a.grown(bits, extra_ops=giants * bs)
+
+    def mod_switch(
+        self, a: Optional[NoiseEstimate], dst: "NoiseModel"
+    ) -> Optional[NoiseEstimate]:
+        """Drop to ``dst``'s shorter chain: ``V q_k / q + (1 + N)/2 + p``."""
+        if a is None:
+            return None
+        drop = self.log_q - dst.log_q
+        rounding = math.log2((1 + self.n) / 2)
+        return a.grown(lse(a.bits - drop, rounding, self.log_p))
+
+    def mod_raise(
+        self, a: Optional[NoiseEstimate], dst: "NoiseModel"
+    ) -> Optional[NoiseEstimate]:
+        """Raise to ``dst``'s longer chain by ``P = q / q_k``: ``P (V + p)``."""
+        if a is None:
+            return None
+        return a.grown(dst.log_q - self.log_q + lse(a.bits, self.log_p))
 
     def merge(
         self, estimates: Iterable[Optional[NoiseEstimate]]

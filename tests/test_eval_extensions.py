@@ -64,6 +64,8 @@ class TestHheCostExperiment:
         assert row["Ct muls"] == counts["squares"] + counts["muls"]
         assert row["Rotations"] == counts["rotations"]
         assert any("decrypted exactly" in note for note in result.notes)
+        # The note names the level plan the server evaluated on.
+        assert any("RNS levels (8, 8, 8, 6, 5)" in note for note in result.notes)
 
 
 class TestReportHelpers:

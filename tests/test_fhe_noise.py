@@ -217,6 +217,86 @@ class TestTensorOps:
             assert_sound(scheme, sk, ct)
 
 
+LEVELED = {}
+
+
+def leveled_scheme_for(p: int, engine: str) -> tuple:
+    """One keyed scheme per (prime, engine) on a 6-limb chain (both engines)."""
+    key = (p, engine)
+    if key not in LEVELED:
+        scheme = Bfv(toy_parameters(p, n=N, log2_q=LOG2_Q), seed=b"levels-%d" % p, engine=engine)
+        LEVELED[key] = (scheme, *scheme.keygen())
+    return LEVELED[key]
+
+
+def _levels(scheme, p):
+    """Every level below the full chain whose modulus exceeds p."""
+    return [k for k in range(1, scheme.level) if math.prod(scheme.params.rns_primes[:k]) > p]
+
+
+class TestLevelOps:
+    """The modulus switch and raise rules, per op, at every level."""
+
+    @configs
+    @settings(max_examples=8)
+    @given(a=st.integers(0, 2**16), grow=st.booleans())
+    def test_switch_and_raise(self, p, engine, a, grow):
+        scheme, sk, pk, rlk = leveled_scheme_for(p, engine)
+        encoder = BatchEncoder(N, p)
+        ct = scheme.encrypt_poly(pk, encoder.constant(a % p))
+        if grow:  # past a product the noise is far above the switch's terms
+            ct = scheme.square(ct, rlk)
+        levels = _levels(scheme, p)
+        for level in levels:
+            view = scheme.at_level(level)
+            low = scheme.mod_switch(ct, level)
+            assert_sound(view, sk, low)
+            assert_sound(scheme, sk, view.mod_raise(low))
+            if level - 1 in levels:  # a switch between two shorter levels
+                assert_sound(view.at_level(level - 1), sk, view.mod_switch(low, level - 1))
+
+    @pytest.mark.parametrize("p", [P17, P33], ids=["p17", "p33"])
+    @settings(max_examples=5)
+    @given(a=st.integers(0, 2**16))
+    def test_tensor_switch_and_raise(self, p, a):
+        scheme, sk, pk, rlk = leveled_scheme_for(p, "rns")
+        encoder = BatchEncoder(N, p)
+        stack = scheme.tensor_square(
+            scheme.stack_ciphertexts(
+                [scheme.encrypt_poly(pk, encoder.constant((a + i) % p)) for i in range(2)]
+            ),
+            rlk,
+        )
+        for level in _levels(scheme, p):
+            view = scheme.at_level(level)
+            low = scheme.tensor_mod_switch(stack, level)
+            up = view.tensor_mod_raise(low)
+            for tensor, at in ((low, view), (up, scheme)):
+                for ct in at.unstack_ciphertexts(tensor):
+                    assert_sound(at, sk, ct)
+
+    def test_rules_and_level_models(self):
+        params = toy_parameters(P17, n=N, log2_q=LOG2_Q)
+        model = NoiseModel(params)
+        low = model.at_level(3)
+        assert model.at_level(3) is low and model.at_level(params.levels) is model
+        assert low.log_q == pytest.approx(math.log2(params.at_level(3).q))
+        assert low.ks_bits < model.ks_bits  # fewer digits cover q_k
+        drop = model.log_q - low.log_q
+        est = NoiseEstimate(150.0)
+        assert model.mod_switch(est, low).bits == pytest.approx(
+            lse(150.0 - drop, math.log2((1 + N) / 2), math.log2(P17))
+        )
+        assert low.mod_raise(est, model).bits == pytest.approx(
+            drop + lse(150.0, math.log2(P17))
+        )
+        # Switching a grown estimate keeps its headroom to within a hair.
+        assert low.headroom_bits(model.mod_switch(est, low)) == pytest.approx(
+            model.headroom_bits(est), abs=1e-6
+        )
+        assert model.mod_switch(None, low) is None and low.mod_raise(None, model) is None
+
+
 class TestNonePropagation:
     def test_handbuilt_ciphertext_stays_unannotated(self):
         scheme, sk, pk, rlk = scheme_for(P17, "rns")
@@ -244,6 +324,24 @@ class TestModelShape:
         est = NoiseEstimate(model.budget_bits / 2)
         assert model.headroom_bits(est) == pytest.approx(model.budget_bits / 2)
         assert model.noise_fraction(est) == pytest.approx(0.5)
+
+    @configs
+    def test_decryption_floor_is_the_rounding_boundary(self, p, engine):
+        """About log2(p): a phase offset that keeps |v| under q/(2p) - p
+        decrypts, one that takes it past q/(2p) + p does not."""
+        from repro.fhe.bfv import Ciphertext
+
+        scheme, sk, pk, _ = scheme_for(p, engine)
+        model, q = scheme.noise_model, scheme.params.q
+        assert model.decryption_floor_bits == pytest.approx(math.log2(p), abs=1e-6)
+        fresh = math.ceil(2 ** model.fresh().bits)
+        ct = scheme.encrypt(pk, 0)
+        for offset, decrypts in (
+            (q // (2 * p) - p - fresh, True),
+            (q // (2 * p) + p + fresh, False),
+        ):
+            shifted = Ciphertext(parts=[scheme.engine.add_const(ct.parts[0], offset), ct.parts[1]])
+            assert (scheme.decrypt(sk, shifted) == 0) is decrypts
 
     def test_model_reads_params(self):
         params = toy_parameters(P17, n=N, log2_q=LOG2_Q)

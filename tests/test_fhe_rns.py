@@ -9,6 +9,7 @@ int64-only: a wider chain, or an operand over another chain, is refused.
 """
 
 import dataclasses
+import math
 import random
 
 import numpy as np
@@ -17,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ParameterError
-from repro.ff.params import P33, P54
+from repro.ff.params import P17, P33, P54
 from repro.fhe import (
     Bfv,
     CiphertextTensor,
@@ -33,7 +34,7 @@ from repro.fhe import (
     ntt_prime_chain,
     toy_parameters,
 )
-from repro.fhe.rns import ExactBaseDigits, float_error_bound
+from repro.fhe.rns import ExactBaseDigits, ExactModSwitch, float_error_bound
 from repro.obs import get_registry
 
 P = 65537
@@ -430,12 +431,14 @@ def _chain(n, limbs, prime_bits):
 def _band_values(rnd, ctx, centered, count):
     """Values whose float64 ``k`` lands inside the guard band: within a
     quarter band of the rounding edge (0 or q canonical, q / 2 centered).
-    Empty on a chain too short for the band to reach past the edge."""
+    The canonical 0 itself is left out: its sum is exactly 0, so it takes
+    no exact path. Empty on a chain too short for the band to reach past
+    the edge."""
     q = ctx.modulus
     reach = int(ctx.band * q / 4)
     out = []
-    for _ in range(count if reach else 0):
-        off = rnd.randrange(reach)
+    for _ in range(count if reach > 1 else 0):
+        off = rnd.randrange(1, reach)
         out += [q // 2 - off, q // 2 + 1 + off] if centered else [off, q - 1 - off]
     return out
 
@@ -583,6 +586,152 @@ class TestBaseTransport:
                 row.append(((2 * num + q) // (2 * q)) % ql)
             expected_rows.append(row)
         assert got.tolist() == expected_rows
+
+
+# -- RNS levels: modulus switching -------------------------------------------------
+
+
+def _switch_edges(rnd, q, big_p, count):
+    """Values ``a P + (P -+ 1)/2``: the rounding edges of ``round(c / P)``."""
+    out = []
+    for _ in range(count):
+        a = rnd.randrange(q // big_p)
+        out += [a * big_p + (big_p - 1) // 2, a * big_p + (big_p + 1) // 2]
+    return [v % q for v in out]
+
+
+class TestExactModSwitch:
+    @pytest.mark.parametrize("prime_bits", [26, 30])
+    @given(
+        limbs=st.sampled_from([2, 3, 10]),
+        seed=st.integers(min_value=0, max_value=10_000),
+    )
+    @settings(max_examples=20, deadline=None)
+    def test_down_and_up_match_bigint(self, prime_bits, limbs, seed):
+        """``down`` is round(c / P) mod q_k and ``up`` is P c mod q, for
+        every prefix, at the rounding edges too."""
+        n = 32
+        src = get_rns_context(n, _chain(n, limbs, prime_bits))
+        rnd = random.Random(seed)
+        q = src.modulus
+        for keep in range(1, limbs):
+            dst = get_rns_context(n, src.primes[:keep])
+            switch = ExactModSwitch(src, dst)
+            big_p = q // dst.modulus
+            coeffs = [c % q for c in _coeffs_near_primes(rnd, src.primes, n)]
+            coeffs = ([0, 1, q - 1] + _switch_edges(rnd, q, big_p, 4) + coeffs)[:n]
+            down = switch.down(src.forward(src.to_rns(coeffs)))
+            expected = [(2 * c + big_p) // (2 * big_p) % dst.modulus for c in coeffs]
+            assert dst.from_rns(dst.inverse(down)) == expected
+            up = switch.up(down)
+            assert src.from_rns(src.inverse(up)) == [c * big_p % q for c in expected]
+
+    def test_forced_fallbacks_are_labeled_and_exact(self, monkeypatch):
+        n = 64
+        src = get_rns_context(n, _chain(n, 10, 26))
+        switch = ExactModSwitch(src, get_rns_context(n, src.primes[:5]))
+        x = src.forward(_random_residues(random.Random(5), src, (2,)))
+        fast = switch.down(x)
+        monkeypatch.setattr(switch.dropped, "band", 1.0)
+        before = get_registry().counter(
+            "fhe.crt.exact_fallbacks", transport="mod_switch", stage="projection"
+        ).value
+        assert np.array_equal(switch.down(x), fast)
+        after = get_registry().counter(
+            "fhe.crt.exact_fallbacks", transport="mod_switch", stage="projection"
+        ).value
+        assert after - before == 2 * n
+
+    def test_only_a_proper_prefix_is_accepted(self):
+        n = 32
+        src = get_rns_context(n, _chain(n, 4, 30))
+        for dst_primes in (src.primes, src.primes[1:3], _chain(n, 3, 26)):
+            with pytest.raises(ParameterError, match="prefix"):
+                ExactModSwitch(src, get_rns_context(n, dst_primes))
+
+
+@pytest.fixture(scope="module")
+def leveled():
+    """Per (prime width, plaintext prime): one 6-limb chain at N = 32 under
+    both engines, keyed from the same seed."""
+    built = {}
+
+    def rig(prime_bits, p):
+        if (prime_bits, p) not in built:
+            params = toy_parameters(p, n=32, log2_q=6 * prime_bits - 4, prime_bits=prime_bits)
+            schemes = [Bfv(params, seed=b"levels", engine=e) for e in ("rns", "bigint")]
+            built[(prime_bits, p)] = [(s, *s.keygen()) for s in schemes]
+        return built[(prime_bits, p)]
+
+    return rig
+
+
+class TestLevelParity:
+    """``Bfv.mod_switch`` / ``mod_raise`` on the RNS engine against the
+    ``BigintEngine`` oracle, at every level of the chain."""
+
+    @pytest.mark.parametrize("prime_bits", [26, 30])
+    @pytest.mark.parametrize("p", [P17, P33], ids=["p17", "p33"])
+    @given(seed=st.integers(min_value=0, max_value=2**32 - 1))
+    @settings(max_examples=4, deadline=None)
+    def test_every_level_bit_exact(self, leveled, prime_bits, p, seed):
+        (rns, sk_a, pk_a, rlk_a), (ref, sk_b, pk_b, rlk_b) = leveled(prime_bits, p)
+        msg = np.random.default_rng(seed).integers(0, p, size=rns.params.n).tolist()
+        # Same draws on both engines: bit-identical ciphertexts, then a
+        # square so the switched noise is large.
+        ct_a = rns.square(rns.encrypt_poly(pk_a, msg), rlk_a)
+        ct_b = ref.square(ref.encrypt_poly(pk_b, msg), rlk_b)
+        square = ref.decrypt_poly(sk_b, ct_b)
+        full = rns.level
+        for level in range(1, full):
+            if math.prod(rns.params.rns_primes[:level]) <= p:
+                with pytest.raises(ParameterError):
+                    rns.at_level(level)
+                continue
+            low_a, low_b = rns.mod_switch(ct_a, level), ref.mod_switch(ct_b, level)
+            view_a, view_b = rns.at_level(level), ref.at_level(level)
+            assert view_a.params == view_b.params == rns.params.at_level(level)
+            assert [view_a.engine.to_ints(x) for x in low_a.parts] == [
+                view_b.engine.to_ints(x) for x in low_b.parts
+            ]
+            assert low_a.noise == low_b.noise
+            up_a, up_b = view_a.mod_raise(low_a), view_b.mod_raise(low_b)
+            assert [rns.engine.to_ints(x) for x in up_a.parts] == [
+                ref.engine.to_ints(x) for x in up_b.parts
+            ]
+            if view_a.noise_model.headroom_bits(low_a.noise) > 0:
+                assert view_a.decrypt_poly(sk_a, low_a) == square
+                assert rns.decrypt_poly(sk_a, up_a) == square
+
+    def test_views_are_cached_and_share_the_keys(self, leveled):
+        (rns, _, _, rlk), _ = leveled(30, P17)
+        view = rns.at_level(3)
+        assert rns.at_level(3) is view and view.at_level(3) is view
+        assert view.at_level(rns.level) is rns and rns.at_level(rns.level) is rns
+        assert view.params.relin_parts == -(-view.params.q.bit_length() // 62)
+        assert view.params.delta == view.params.q // P17
+        full_b, full_a = rns._relin_key_stacks(rlk)
+        low_b, low_a = view._relin_key_stacks(rlk)
+        digits = view.params.relin_parts
+        assert np.array_equal(low_b, full_b[:digits, :3])
+        assert np.array_equal(low_a, full_a[:digits, :3])
+
+    def test_switch_direction_and_range_refused(self, leveled):
+        (rns, sk, pk, _), _ = leveled(30, P17)
+        ct = rns.encrypt(pk, 1)
+        with pytest.raises(ParameterError):
+            rns.mod_switch(ct, rns.level)
+        with pytest.raises(ParameterError):
+            rns.mod_raise(ct)
+        with pytest.raises(ParameterError):
+            rns.at_level(rns.level + 1)
+        with pytest.raises(ParameterError):
+            rns.at_level(0)
+        # A level view reduces only a key over a chain that extends its own.
+        (_, foreign_sk, _, _), _ = leveled(26, P17)
+        low = rns.mod_switch(ct, 3)
+        with pytest.raises(ParameterError, match="extending"):
+            rns.at_level(3).decrypt(foreign_sk, low)
 
 
 class TestBatchedContractions:

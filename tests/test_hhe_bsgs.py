@@ -12,6 +12,8 @@ including batches that span several packed groups.
 """
 
 import dataclasses
+import functools
+import itertools
 
 import numpy as np
 import pytest
@@ -21,8 +23,13 @@ from hypothesis import strategies as st
 from repro.errors import ParameterError
 from repro.ff.params import P33
 from repro.fhe import BatchEncoder, Bfv, toy_parameters
+from repro.fhe.engine import RnsEngine
 from repro.fhe.galois import slots_to_rows
+from repro.fhe.rns import ExactModSwitch
 from repro.hhe import BatchedHheServer, decrypt_batched_result, encrypt_key_batched
+from repro.hhe.batched import circuit_noise, plan_levels
+from repro.obs import get_registry, get_tracer
+from repro.obs.noise import NoiseModel
 from repro.pasta import (
     PASTA_MICRO,
     PASTA_TOY,
@@ -33,12 +40,10 @@ from repro.pasta import (
     random_key,
 )
 
-MICRO_33 = PastaParams(name="micro-33", t=2, rounds=2, p=P33, secure=False)
 #: The split is over the 2t-element state: t=2 gives (bs, G) = (2, 2), t=4
 #: gives (4, 2), so every rig runs the giant-step Horner loop and the
 #: diagonal pre-rotation, and t=4 hoists three babies.
 QUAD = PastaParams(name="quad-17", t=4, rounds=2, p=PASTA_MICRO.p, secure=False)
-QUAD_33 = PastaParams(name="quad-33", t=4, rounds=2, p=P33, secure=False)
 #: The frame benchmark's server instance: t=32 -> (bs, G) = bsgs_split(64)
 #: = (8, 8) at N=512, so one packed group holds (N/2)/t = 8 blocks, w = 4
 #: per hypercube row.
@@ -48,14 +53,9 @@ N = 256
 HALF = N // 2
 
 
-def _setup(pasta, seed=b"bsgs-tests", n=N, log2_q=None):
+def _setup(pasta, seed=b"bsgs-tests", n=N, log2_q=None, prime_bits=30):
     if log2_q is not None:
-        params = toy_parameters(pasta.p, n=n, log2_q=log2_q)
-    elif pasta.p == P33:
-        # Wider q than at omega=17: every Galois key switch adds the same
-        # ~62-bit base-T noise floor relinearization pays once, which costs
-        # more budget bits against a 33-bit plaintext.
-        params = toy_parameters(P33, n=n, log2_q=400, prime_bits=26)
+        params = toy_parameters(pasta.p, n=n, log2_q=log2_q, prime_bits=prime_bits)
     elif n == 512:
         params = toy_parameters(pasta.p, n=n, log2_q=240, prime_bits=26)
     else:
@@ -79,24 +79,55 @@ def quad():
     return _setup(QUAD)
 
 
-#: The differential rigs by (t, omega).
-RIGS = {
-    (2, 17): PASTA_MICRO,
-    (2, 33): MICRO_33,
-    (4, 17): QUAD,
-    (4, 33): QUAD_33,
-}
+#: Plaintext primes of the differential settings, by omega.
+PRIMES = {17: PASTA_MICRO.p, 33: P33}
+
+
+def _pasta(t, omega, rounds):
+    return PastaParams(
+        name=f"diff-{t}-{omega}-{rounds}", t=t, rounds=rounds, p=PRIMES[omega], secure=False
+    )
+
+
+def _log2_q(limbs, prime_bits=30):
+    """The ``log2_q`` whose ``prime_bits``-wide chain has exactly ``limbs``
+    primes (every prime sits just below ``2^prime_bits``)."""
+    return prime_bits * limbs - 5
+
+
+def _headroom(pasta, scheme, levels):
+    key = scheme.noise_model.fresh()
+    return scheme.noise_model.headroom_bits(circuit_noise(pasta, scheme, levels, key))
+
+
+@functools.lru_cache(maxsize=None)
+def _shortest_chain(t, omega, rounds, prime_bits):
+    """Fewest ``prime_bits``-wide limbs at N = 256 whose level plan keeps
+    the modeled headroom at 0 or more, so the server admits the circuit."""
+    pasta = _pasta(t, omega, rounds)
+    for limbs in itertools.count(2):
+        log2_q = _log2_q(limbs, prime_bits)
+        scheme = Bfv(toy_parameters(pasta.p, n=N, log2_q=log2_q, prime_bits=prime_bits))
+        levels = plan_levels(pasta, scheme, scheme.noise_model.fresh())
+        if _headroom(pasta, scheme, levels) >= 0:
+            return limbs
 
 
 @pytest.fixture(scope="module")
 def rigs():
-    """Each differential rig, built once per module on its first draw."""
+    """Each differential setting's rig, built once per module on its first draw."""
     built = {}
 
-    def rig(t, omega):
-        if (t, omega) not in built:
-            built[(t, omega)] = _setup(RIGS[(t, omega)], seed=b"bsgs-diff-%d-%d" % (t, omega))
-        return built[(t, omega)]
+    def rig(t, omega, rounds, prime_bits, limbs):
+        key = (t, omega, rounds, prime_bits, limbs)
+        if key not in built:
+            built[key] = _setup(
+                _pasta(t, omega, rounds),
+                seed=b"bsgs-diff-%d-%d-%d-%d-%d" % key,
+                log2_q=_log2_q(limbs, prime_bits),
+                prime_bits=prime_bits,
+            )
+        return built[key]
 
     return rig
 
@@ -140,27 +171,35 @@ class TestBsgsSplit:
 
 
 class TestDifferential:
-    """The one evaluator against the cipher oracle, over generated batches.
+    """The one evaluator against the cipher oracle, over generated settings.
 
-    Each draw picks a rig (t in {2, 4}, omega in {17, 33}), a batch of 1
-    to 2*capacity + 1 blocks (so up to three packed groups), a nonce and a
-    first counter.
+    Each draw picks a setting at N = 256 (t in {2, 4}, omega in {17, 33},
+    rounds in {1, 2, 3}, and a chain of 26- or 30-bit primes 0 to 2 limbs
+    longer than the shortest the model admits), a batch of 1 to
+    2*capacity + 1 blocks (so up to three packed groups), a nonce and a
+    first counter. The 26-bit primes are the frame benchmark's width.
     """
 
     @given(data=st.data())
-    @settings(max_examples=10, deadline=None)
+    @settings(max_examples=12, deadline=None)
     def test_matches_cipher_oracle(self, rigs, data):
-        t, omega = data.draw(st.sampled_from(sorted(RIGS)), label="rig")
-        pasta = RIGS[(t, omega)]
-        rig = rigs(t, omega)
+        t = data.draw(st.sampled_from([2, 4]), label="t")
+        omega = data.draw(st.sampled_from([17, 33]), label="omega")
+        rounds = data.draw(st.sampled_from([1, 2, 3]), label="rounds")
+        prime_bits = data.draw(st.sampled_from([26, 30]), label="prime bits")
+        extra = data.draw(st.integers(min_value=0, max_value=2), label="extra limbs")
+        limbs = _shortest_chain(t, omega, rounds, prime_bits) + extra
+        pasta = _pasta(t, omega, rounds)
+        rig = rigs(t, omega, rounds, prime_bits, limbs)
         scheme, sk, encoder = rig[0], rig[1], rig[4]
+        assert scheme.level == limbs
         capacity = HALF // t
         n_blocks = data.draw(st.integers(min_value=1, max_value=2 * capacity + 1), label="blocks")
         nonce = data.draw(st.integers(min_value=0, max_value=2**64 - 1), label="nonce")
         counter0 = data.draw(st.integers(min_value=0, max_value=2**32), label="counter0")
         seed = data.draw(st.integers(min_value=0, max_value=2**32 - 1), label="messages")
         messages = np.random.default_rng(seed).integers(0, pasta.p, size=(n_blocks, t)).tolist()
-        _, result, decrypted = _transcipher(pasta, rig, messages, nonce, counter0)
+        server, result, decrypted = _transcipher(pasta, rig, messages, nonce, counter0)
 
         assert decrypted == messages
         groups = -(-n_blocks // capacity)
@@ -171,6 +210,11 @@ class TestDifferential:
         modeled = model.headroom_bits(model.merge(ct.noise for ct in result.ciphertexts))
         measured = min(scheme.noise_budget_bits(sk, ct) for ct in result.ciphertexts)
         assert modeled <= measured
+        # The run's ledger is the plan's closed form, and the result is back
+        # on the full chain.
+        planned = circuit_noise(pasta, scheme, server.levels, server._key.noise)
+        assert all(ct.noise.bits == pytest.approx(planned.bits) for ct in result.ciphertexts)
+        assert all(len(part.ctx.primes) == limbs for ct in result.ciphertexts for part in ct.parts)
 
         # The response carries only c - KS: the R half of every block's
         # slots and every slot of an unfilled block decrypt to 0.
@@ -195,15 +239,130 @@ class TestDifferential:
         messages = [[(b * FRAME.t + j) % FRAME.p for j in range(FRAME.t)] for b in range(n_blocks)]
         server, result, decrypted = _transcipher(FRAME, frame, messages, nonce=2**40 + 3)
         assert server.packed_capacity == 8
+        assert server.levels == (10, 10, 9, 7, 5)
+        (span,) = get_tracer().spans_named("hhe.transcipher")
+        assert span.attributes["levels"] == "10,10,9,7,5"
+        switches = {
+            c.labels["limbs"]: c.value for c in get_registry().collect("fhe.mod_switch.calls")
+        }
+        groups = -(-n_blocks // 8)
+        assert switches == {"10->9": groups, "9->7": groups, "7->5": groups}
+        assert len(get_tracer().spans_named("fhe.mod_switch")) == 3 * groups
         assert decrypted == messages
         per_group = {
             "plain_muls": 193, "plain_adds": 4, "adds": 190, "squares": 2,
             "muls": 1, "relins": 3, "rotations": 29, "decompositions": 2,
         }
         assert homomorphic_op_counts(FRAME) == per_group
-        groups = -(-n_blocks // 8)
         assert _ops(result) == {k: groups * v for k, v in per_group.items()}
         assert min(scheme.noise_budget_bits(sk, ct) for ct in result.ciphertexts) > 0
+        model = scheme.noise_model
+        assert model.headroom_bits(model.merge(ct.noise for ct in result.ciphertexts)) >= 23.9
+        assert {len(part.ctx.primes) for ct in result.ciphertexts for part in ct.parts} == {10}
+
+
+#: One round at N = 64 on five 30-bit primes: after the cube the noise sits
+#: less than a limb above the BSGS layer's key-switch term, so every drop
+#: costs more than a bit.
+NO_SLACK = PastaParams(name="no-slack", t=2, rounds=1, p=PASTA_MICRO.p, secure=False)
+
+
+class TestLevelPlan:
+    """:func:`plan_levels`: one RNS level per stage, from the ledger alone."""
+
+    @given(
+        t=st.sampled_from([2, 4, 32]),
+        omega=st.sampled_from([17, 33]),
+        rounds=st.sampled_from([1, 2, 3]),
+        limbs=st.integers(min_value=4, max_value=20),
+        prime_bits=st.sampled_from([26, 30]),
+        n=st.sampled_from([256, 512]),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_plan_rule(self, t, omega, rounds, limbs, prime_bits, n):
+        """Non-increasing, the full chain for layer 0 and the first S-box,
+        a modeled final headroom within 1 bit of never switching, and a
+        plan that drops keeps the bound under the decryption floor."""
+        pasta = _pasta(t, omega, rounds)
+        log2_q = _log2_q(limbs, prime_bits)
+        scheme = Bfv(toy_parameters(pasta.p, n=n, log2_q=log2_q, prime_bits=prime_bits))
+        levels = plan_levels(pasta, scheme, scheme.noise_model.fresh())
+        assert len(levels) == 2 * rounds + 1
+        assert levels[0] == levels[1] == limbs
+        assert all(a >= b >= 1 for a, b in zip(levels, levels[1:]))
+        never = _headroom(pasta, scheme, (limbs,) * len(levels))
+        planned = _headroom(pasta, scheme, levels)
+        assert planned >= never - 1.0
+        if levels[-1] < limbs:
+            assert planned >= scheme.noise_model.decryption_floor_bits
+
+    def test_evaluation_builds_no_level_state(self, micro, monkeypatch):
+        """Level views, key stacks, masks and switch transports are built at
+        construction: a call builds none of them on its two threads."""
+        scheme, sk, rlk, gk, encoder, key, enc_key = micro
+        server = BatchedHheServer(PASTA_MICRO, scheme, rlk, encoder, enc_key, galois_keys=gk)
+        assert server.levels == (8, 8, 8, 6, 5)
+        built = []
+
+        def counting(cls):
+            init = cls.__init__
+
+            def wrapper(self, *args, **kwargs):
+                built.append(cls.__name__)
+                init(self, *args, **kwargs)
+
+            monkeypatch.setattr(cls, "__init__", wrapper)
+
+        for cls in (ExactModSwitch, RnsEngine, NoiseModel):
+            counting(cls)
+        stacks = (len(rlk._tensor_stacks), len(gk._tensor_stacks))
+        cipher = Pasta(PASTA_MICRO, key)
+        messages = [[5, 6], [7, 8]]
+        blocks = [[int(x) for x in cipher.encrypt_block(m, nonce=31, counter=c)]
+                  for c, m in enumerate(messages)]
+        result = server.transcipher_blocks(blocks, nonce=31, counters=[0, 1])
+        assert decrypt_batched_result(scheme, sk, encoder, result) == messages
+        assert built == []
+        assert (len(rlk._tensor_stacks), len(gk._tensor_stacks)) == stacks
+
+    def test_unknown_key_noise_plans_no_drop(self):
+        scheme = Bfv(toy_parameters(PASTA_MICRO.p, n=N, log2_q=230))
+        assert plan_levels(PASTA_MICRO, scheme, None) == (8,) * 5
+
+    def test_chain_with_no_slack_plans_no_drop(self):
+        rig = _setup(NO_SLACK, seed=b"bsgs-no-slack", n=64, log2_q=_log2_q(5))
+        scheme, sk = rig[0], rig[1]
+        messages = [[11, 22], [33, 44], [55, 66]]
+        server, result, decrypted = _transcipher(NO_SLACK, rig, messages, nonce=77)
+        assert server.levels == (5, 5, 5)
+        # One drop would cost more than the 1-bit slack.
+        never = _headroom(NO_SLACK, scheme, (5, 5, 5))
+        assert _headroom(NO_SLACK, scheme, (5, 5, 4)) < never - 1.0
+        assert decrypted == messages
+        assert get_tracer().spans_named("fhe.mod_switch") == []
+        model = scheme.noise_model
+        assert model.headroom_bits(result.ciphertexts[0].noise) <= scheme.noise_budget_bits(
+            sk, result.ciphertexts[0]
+        )
+
+
+    def test_chain_the_bound_does_not_guarantee_plans_no_drop(self):
+        """t = 2, omega = 33, three rounds on the shortest admitted chain of
+        26-bit primes (19 limbs): the unswitched bound leaves 12.9 bits of
+        modeled headroom, under the 33-bit decryption floor, so only the
+        real noise's slack under the bound makes the result decrypt. The
+        1-bit rule alone would plan (19, 19, 16, 13, 11, 8, 5), whose
+        switches spend that slack: every block decrypted wrongly."""
+        pasta = _pasta(2, 33, 3)
+        limbs = _shortest_chain(2, 33, 3, 26)
+        rig = _setup(pasta, seed=b"bsgs-floor", log2_q=_log2_q(limbs, 26), prime_bits=26)
+        scheme = rig[0]
+        never = _headroom(pasta, scheme, (limbs,) * 7)
+        assert 0 <= never < scheme.noise_model.decryption_floor_bits
+        messages = [[1, 2], [3, 4], [5, 6]]
+        server, _, decrypted = _transcipher(pasta, rig, messages, nonce=5)
+        assert server.levels == (limbs,) * 7
+        assert decrypted == messages
 
 
 #: Round counts other than the differential rigs' 2, by (params, log2 q)
