@@ -8,14 +8,13 @@ rotation counts, ciphertext expansion).
 import pytest
 
 from repro.eval import EXPERIMENTS
-from repro.fhe import toy_parameters
-from repro.hhe import HheClient
+from repro.hhe import HheClient, transcipher_parameters
 from repro.pasta import PASTA_MICRO
 
 
 @pytest.fixture(scope="module")
 def client():
-    return HheClient(PASTA_MICRO, toy_parameters(PASTA_MICRO.p, n=256, log2_q=230), seed=b"bench")
+    return HheClient(PASTA_MICRO, transcipher_parameters(PASTA_MICRO, 256), seed=b"bench")
 
 
 def test_bfv_multiply(benchmark, client):

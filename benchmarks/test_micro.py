@@ -5,9 +5,18 @@ import pytest
 
 from repro.baselines import Aes128
 from repro.ff import P17, P60, PrimeField, make_reducer
-from repro.fhe import ExactBaseLift, ExactRescaler, NegacyclicNtt, make_engine, toy_parameters
+from repro.fhe import ExactBaseLift, ExactRescaler, NegacyclicNtt, make_engine
 from repro.fhe.rns import ExactBaseDigits, ExactModSwitch, get_rns_context
-from repro.pasta import PASTA_4, PASTA_MICRO, Pasta, generate_matrix, random_key, streaming_mat_vec
+from repro.hhe import transcipher_parameters
+from repro.pasta import (
+    PASTA_4,
+    PASTA_MICRO,
+    Pasta,
+    PastaParams,
+    generate_matrix,
+    random_key,
+    streaming_mat_vec,
+)
 
 F17 = PrimeField(P17)
 
@@ -49,13 +58,15 @@ def test_ntt_forward_1024(benchmark):
 # -- CRT transports at the hhe_frame shape ----------------------------------------
 
 
+#: The hhe_frame server instance: t = 32, two rounds, omega = 17.
+HHE_FRAME = PastaParams(name="pasta-bsgs", t=32, rounds=2, p=PASTA_MICRO.p, secure=False)
+
+
 @pytest.fixture(scope="module")
 def hhe_frame_bases():
-    """The hhe_frame chain (N = 512, ten 26-bit primes) and its 18-prime
-    extended tensor-product basis."""
-    engine = make_engine(
-        toy_parameters(PASTA_MICRO.p, n=512, log2_q=240, prime_bits=26), "rns"
-    )
+    """The hhe_frame chain (N = 512, the ten 26-bit primes the noise model
+    admits) and its 18-prime extended tensor-product basis."""
+    engine = make_engine(transcipher_parameters(HHE_FRAME, 512, prime_bits=26), "rns")
     assert (len(engine.ctx.primes), len(engine.ext.primes)) == (10, 18)
     return engine.ctx, engine.ext
 

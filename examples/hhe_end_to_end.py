@@ -28,23 +28,20 @@ import time
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from repro.fhe import toy_parameters
-from repro.hhe import HheClient
+from repro.hhe import HheClient, transcipher_parameters
 from repro.pasta import PASTA_MICRO, PASTA_TOY
 
 
 def main() -> None:
-    if "--toy" in sys.argv:
-        pasta_params = PASTA_TOY
-        # N = 1024, 11 limbs: the shortest chain whose modeled headroom
-        # covers 3 rounds (+3.8 bits); the server refuses a result past it.
-        bfv_params = toy_parameters(pasta_params.p, log2_q=330)
-    else:
-        pasta_params = PASTA_MICRO
-        bfv_params = toy_parameters(pasta_params.p, n=256, log2_q=230)
+    pasta_params, n = (PASTA_TOY, 1024) if "--toy" in sys.argv else (PASTA_MICRO, 256)
+    # The shortest prime chain whose modeled headroom covers the circuit
+    # above the decryption floor (12 limbs for --toy, 8 otherwise); the
+    # server refuses, before evaluating, a circuit the model does not cover.
+    bfv_params = transcipher_parameters(pasta_params, n)
 
     print(f"PASTA instance : {pasta_params} (reduced size; NOT secure — demo only)")
-    print(f"BFV parameters : N={bfv_params.n}, log2 q={bfv_params.q.bit_length() - 1}, "
+    print(f"BFV parameters : N={bfv_params.n}, {bfv_params.levels} limbs, "
+          f"log2 q={bfv_params.q.bit_length()}, "
           f"p={bfv_params.p}, fresh ciphertext = {bfv_params.ciphertext_bytes / 1024:.0f} KiB")
 
     # --- client setup: FHE keys + PASTA key, uploaded once ------------------

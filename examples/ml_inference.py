@@ -12,31 +12,32 @@ Run: ``python examples/ml_inference.py [--toy]``   (under a second each,
 reduced parameters)
 """
 
+import functools
 import os
 import sys
 import time
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from repro.apps.ml_inference import LinearModel, run_inference
-from repro.fhe import toy_parameters
-from repro.hhe import HheClient
+from repro.apps.ml_inference import LinearModel, run_inference, score_noise
+from repro.hhe import HheClient, transcipher_parameters
 from repro.pasta import PASTA_MICRO, PASTA_TOY
 
 
 def main() -> None:
     if "--toy" in sys.argv:  # t = 4 features, 3 rounds, N = 1024
-        pasta_params = PASTA_TOY
-        # 12 limbs: the weight-row multiply needs about 27 modeled bits
-        # past the transcipher's; the server refuses a score past the model.
-        client = HheClient(pasta_params, toy_parameters(pasta_params.p, log2_q=360))
+        pasta_params, n = PASTA_TOY, 1024
         model = LinearModel(weights=[3, 25, 7, 11], bias=500)
         features = [42, 7, 120, 3]
     else:  # t = 2 features, N = 256
-        pasta_params = PASTA_MICRO
-        client = HheClient(pasta_params, toy_parameters(pasta_params.p, n=256, log2_q=230))
+        pasta_params, n = PASTA_MICRO, 256
         model = LinearModel(weights=[3, 25], bias=500)
         features = [42, 7]  # the client's private data
+    # The shortest chain whose modeled headroom covers the transcipher AND
+    # the score above the decryption floor (13 limbs for --toy, 9
+    # otherwise); the server refuses a score the model does not cover.
+    after = functools.partial(score_noise, t=pasta_params.t)
+    client = HheClient(pasta_params, transcipher_parameters(pasta_params, n, after=after))
 
     print(f"PASTA instance : {pasta_params} (reduced; NOT secure)")
     print(f"model          : score = <{list(model.weights)}, x> + {model.bias} (mod {pasta_params.p})")

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import List, Sequence
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -30,6 +30,7 @@ from repro.errors import ParameterError
 from repro.fhe.galois import rows_to_slots
 from repro.hhe.batched import BatchedHheServer, BatchedTranscipherResult, require_headroom
 from repro.hhe.protocol import HheClient
+from repro.obs.noise import NoiseEstimate, NoiseModel
 
 
 @dataclass(frozen=True)
@@ -50,6 +51,22 @@ class LinearModel:
         return acc % p
 
 
+def score_noise(
+    model: NoiseModel, estimate: Optional[NoiseEstimate], t: int
+) -> Optional[NoiseEstimate]:
+    """The ledger's estimate of a score, from its transcipher result's.
+
+    :meth:`HheInferenceServer.score_blocks`'s steps in closed form: the
+    weight-row multiply, log2 t rotate-and-add steps and the bias add. With
+    ``t`` bound (``functools.partial(score_noise, t=t)``) it is the
+    ``after`` of :func:`~repro.hhe.batched.transcipher_parameters`.
+    """
+    acc = model.mul_plain_poly(estimate)
+    for _ in range((t - 1).bit_length()):
+        acc = model.add(acc, model.rotate(acc))
+    return model.add_plain(acc)
+
+
 class HheInferenceServer:
     """Server side: transcipher feature blocks, then score a packed group at once.
 
@@ -60,7 +77,10 @@ class HheInferenceServer:
     of ``w * 2^i`` slots leave each block's dot product at its feature-0
     slot; the bias is one scalar plaintext add. Those steps are a subset of
     the packed evaluator's key steps for t <= 16; the constructor refuses a
-    server whose key steps miss one.
+    server whose key steps miss one, and (with
+    :class:`~repro.errors.NoiseBudgetExhausted`) a server whose planned
+    score, :func:`score_noise` of its planned result, has less modeled
+    headroom than the decryption floor.
     """
 
     def __init__(self, server: BatchedHheServer, model: LinearModel):
@@ -85,6 +105,8 @@ class HheInferenceServer:
             np.asarray([int(v) % params.p for v in model.weights], dtype=np.int64)[:, None]
         )
         encoded = server.encoder.encode_rows(rows_to_slots(n, weights.reshape(1, 2, -1)))
+        noise = server.scheme.noise_model
+        require_headroom(noise, score_noise(noise, server.result_noise, t))
         self.server = server
         self.model = model
         self._steps = steps
@@ -98,8 +120,9 @@ class HheInferenceServer:
         The result is the transcipher result with each group's ciphertext
         replaced by its scores (block k's score in its feature-0 slot, read
         by :func:`decrypt_scores`) and ``ops`` extended by the score steps.
-        Scores whose modeled noise headroom is below 0 bits are refused with
-        :class:`~repro.errors.NoiseBudgetExhausted`, as the transcipher is.
+        Scores whose modeled headroom still ends below the decryption floor
+        are refused with :class:`~repro.errors.NoiseBudgetExhausted`, as the
+        transcipher's result is.
         """
         result = self.server.transcipher_blocks(ciphertext_blocks, nonce, counters)
         scheme, ops = self.server.scheme, result.ops
@@ -114,7 +137,7 @@ class HheInferenceServer:
             ops.adds += len(self._steps)
             ops.plain_adds += 1
         model = scheme.noise_model
-        require_headroom(model.headroom_bits(model.merge(ct.noise for ct in scores)))
+        require_headroom(model, model.merge(ct.noise for ct in scores))
         return dataclasses.replace(result, ciphertexts=scores)
 
 

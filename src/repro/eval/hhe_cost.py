@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from repro.errors import NoiseBudgetExhausted
 from repro.eval.result import ExperimentResult
-from repro.fhe.bfv import toy_parameters
+from repro.hhe.batched import transcipher_parameters
 from repro.hhe.protocol import HheClient
 from repro.pasta.decrypt_circuit import multiplicative_depth
 from repro.pasta.params import PASTA_3, PASTA_4, PASTA_MICRO, PastaParams
@@ -61,12 +61,10 @@ def generate(run_transcipher: bool = True, **_kwargs) -> ExperimentResult:
     )
 
     if run_transcipher:
-        # The streaming service's hhe-mode chain (N = 256, 8 limbs).
-        from repro.service.pipeline import HHE_LOG2_Q, HHE_RING_N
-
-        client = HheClient(
-            PASTA_MICRO, toy_parameters(PASTA_MICRO.p, n=HHE_RING_N, log2_q=HHE_LOG2_Q)
-        )
+        # The shortest chain the noise model admits at N = 256: the
+        # streaming service's hhe-mode parameters.
+        bfv = transcipher_parameters(PASTA_MICRO, 256)
+        client = HheClient(PASTA_MICRO, bfv)
         messages = [[101, 2024], [7, 65000]]
         blocks = [
             [int(c) for c in client.cipher.encrypt_block(m, nonce=3, counter=k)]
@@ -93,8 +91,9 @@ def generate(run_transcipher: bool = True, **_kwargs) -> ExperimentResult:
             ]
         )
         notes.append(
-            f"Executed end-to-end at reduced size (t={PASTA_MICRO.t}, N={HHE_RING_N}, "
-            f"log2 q={HHE_LOG2_Q}): {len(messages)} blocks in one packed group "
+            f"Executed end-to-end at reduced size (t={PASTA_MICRO.t}, N={bfv.n}, "
+            f"{bfv.levels} limbs, log2 q={bfv.q.bit_length()}, the shortest chain the "
+            f"noise model admits): {len(messages)} blocks in one packed group "
             f"decrypted exactly with {budget:.0f} bits of noise budget left "
             f"({ops.relins} relinearizations, {ops.decompositions} hoisted "
             f"decompositions), on RNS levels {server.levels} limbs per stage "

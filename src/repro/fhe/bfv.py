@@ -31,7 +31,7 @@ from typing import Any, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.errors import NoiseBudgetExhausted, ParameterError
+from repro.errors import ParameterError
 from repro.fhe.engine import CiphertextTensor, PreparedPlain, make_engine, round_div
 from repro.fhe.galois import rotation_element
 from repro.fhe.ntt_vec import FORWARD_INPUT_LIMIT
@@ -117,25 +117,19 @@ def toy_parameters(
     plain_modulus: int,
     n: int = 1024,
     log2_q: int = 250,
-    rns: bool = True,
     prime_bits: int = 30,
 ) -> BfvParams:
     """Functional (not secure) BFV parameters with a prime-chain modulus.
 
-    By default the ciphertext modulus is a product of ``prime_bits``-wide
-    NTT-friendly primes covering at least ``log2_q`` bits, so the scheme
-    runs on the RNS engine. ``rns=False`` reproduces the historical
-    power-of-two modulus served by the scalar big-int engine.
-
-    The default 250 bits (9 limbs at N = 1024) is not sized for any PASTA
-    transcipher: size ``log2_q`` to the circuit. The noise ledger admits
-    PASTA_TOY (t = 4, 3 rounds) at N = 1024 from 330 bits (11 limbs, about
-    +3 bits of modeled headroom; 250 bits model -57), and the packed
-    evaluator refuses a transcipher the ledger does not cover
-    (:class:`~repro.errors.NoiseBudgetExhausted`).
+    The ciphertext modulus is a product of ``prime_bits``-wide NTT-friendly
+    primes covering at least ``log2_q`` bits, so the scheme runs on the RNS
+    engine. The default 250 bits is sized for no circuit in particular: for
+    a PASTA transcipher take
+    :func:`repro.hhe.batched.transcipher_parameters`, the shortest chain the
+    noise ledger admits, which the packed evaluator checks at construction.
+    A modulus without a prime chain (``BfvParams(n, q, p)`` directly) runs
+    on the big-int engine.
     """
-    if not rns:
-        return BfvParams(n=n, q=1 << log2_q, p=plain_modulus)
     primes = ntt_prime_chain(n, log2_q, prime_bits)
     q = 1
     for prime in primes:
@@ -419,7 +413,14 @@ class Bfv:
         return self.decrypt_poly(sk, ct)[0]
 
     def noise_budget_bits(self, sk: SecretKey, ct: Ciphertext) -> float:
-        """Remaining noise budget: log2(q / (2 |v|_inf)); <= 0 means corrupted."""
+        """Remaining noise budget: log2(q / (2 |v|_inf)).
+
+        Below about log2 p bits
+        (:attr:`~repro.obs.noise.NoiseModel.decryption_floor_bits`) the
+        decryption may be wrong. The budget is measured against the message
+        the phase decrypts to, so a wrong decryption reads about log2 p too,
+        not 0 or less.
+        """
         from math import log2
 
         params = self.params
@@ -861,12 +862,3 @@ class Bfv:
         )
         out.noise = self.noise_model.hoisted_rotation(state.noise)
         return out
-
-    def expect_correct(self, sk: SecretKey, ct: Ciphertext, expected: int) -> None:
-        """Raise :class:`NoiseBudgetExhausted` if decryption mismatches."""
-        got = self.decrypt(sk, ct)
-        if got != expected % self.params.p:
-            raise NoiseBudgetExhausted(
-                f"decrypted {got}, expected {expected % self.params.p} "
-                f"(budget {self.noise_budget_bits(sk, ct):.1f} bits)"
-            )

@@ -6,6 +6,7 @@ from repro.hhe.batched import (
     BfvOpCounts,
     decrypt_batched_result,
     encrypt_key_batched,
+    transcipher_parameters,
 )
 from repro.hhe.protocol import HheClient
 
@@ -16,4 +17,5 @@ __all__ = [
     "HheClient",
     "decrypt_batched_result",
     "encrypt_key_batched",
+    "transcipher_parameters",
 ]

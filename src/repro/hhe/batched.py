@@ -48,6 +48,12 @@ on fewer limbs at almost no cost in headroom. The last state is raised back to t
 multiply, so results keep their chain, wire size and headroom for
 whatever the client evaluates next.
 
+The same closed forms admit the circuit: the constructor refuses, with
+:class:`~repro.errors.NoiseBudgetExhausted`, a plan whose result estimate
+leaves less modeled headroom than the decryption floor (about log2 p),
+before it evaluates anything, and :func:`transcipher_parameters` returns
+the shortest prime chain that passes.
+
 The prepared plaintexts of every layer depend only on the public
 (nonce, counters), so each call prepares them beside the evaluation, as
 the paper's schedule generates round i+1's matrices while round i's
@@ -71,9 +77,11 @@ import numpy as np
 from repro.errors import NoiseBudgetExhausted, ParameterError
 from repro.utils.budget import BudgetedLru, CacheBudget
 from repro.fhe.batching import BatchEncoder
-from repro.fhe.bfv import Bfv, Ciphertext, GaloisKey, PublicKey, RelinKey
+from repro.fhe.bfv import Bfv, BfvParams, Ciphertext, GaloisKey, PublicKey, RelinKey
 from repro.fhe.engine import CiphertextTensor
 from repro.fhe.galois import rotation_element, rows_to_slots, slots_to_rows
+from repro.fhe.rns import ntt_prime_chain
+from repro.obs.noise import NoiseEstimate, NoiseModel
 from repro.obs.trace import SpanContext, Tracer, get_tracer
 from repro.pasta.batch import get_engine
 from repro.pasta.cipher import field_elements
@@ -126,16 +134,21 @@ class BatchedTranscipherResult:
     group_size: int
 
 
-def require_headroom(headroom: Optional[float]) -> None:
-    """Refuse a result whose modeled noise headroom is below 0 bits.
+def require_headroom(model: NoiseModel, estimate: Optional[NoiseEstimate]) -> None:
+    """Refuse an estimate whose modeled headroom is below the decryption floor.
 
     The server holds no secret key, so the noise ledger's bound is its only
-    evidence that a result still decrypts; past it the result may be
-    garbage, and :class:`NoiseBudgetExhausted` is raised instead of
-    returning it. ``None`` (a ciphertext the ledger never saw) passes.
+    evidence that a result still decrypts, and the bound guarantees that
+    only above :attr:`~repro.obs.noise.NoiseModel.decryption_floor_bits`
+    (about log2 p); below it :class:`NoiseBudgetExhausted` is raised
+    instead. ``None`` (a ciphertext the ledger never saw) passes.
     """
-    if headroom is not None and headroom < 0:
-        raise NoiseBudgetExhausted(f"modeled headroom {headroom:.1f} bits")
+    headroom = model.headroom_bits(estimate)
+    if headroom is not None and headroom < model.decryption_floor_bits:
+        raise NoiseBudgetExhausted(
+            f"modeled headroom {headroom:.1f} bits is below the "
+            f"{model.decryption_floor_bits:.1f}-bit decryption floor"
+        )
 
 
 def _row_width(width: int, ring_n: int) -> int:
@@ -161,7 +174,9 @@ def _check_encoder(scheme: Bfv, encoder: BatchEncoder) -> None:
         )
 
 
-def circuit_noise(params: PastaParams, scheme: Bfv, levels: Sequence[int], key_noise):
+def circuit_noise(
+    params: PastaParams, full: NoiseModel, levels: Sequence[int], key_noise
+) -> Optional[NoiseEstimate]:
     """The ledger's closed forms along a level plan: the result's estimate.
 
     Stage 0 is layer 0 (a 2t-term diagonal sum on the key upload), stage
@@ -171,10 +186,9 @@ def circuit_noise(params: PastaParams, scheme: Bfv, levels: Sequence[int], key_n
     full chain before the negation and the message add. These are the
     growth rules the :class:`~repro.fhe.bfv.Bfv` wrappers apply while
     :class:`BatchedHheServer` evaluates, so the evaluated result carries
-    this estimate.
+    this estimate. ``full`` is the full chain's model.
     """
     bs, giants = bsgs_split(2 * params.t)
-    full = scheme.noise_model
     estimate = full.affine(key_noise, 2 * params.t)
     for stage in range(1, len(levels)):
         model = full.at_level(levels[stage])
@@ -187,12 +201,12 @@ def circuit_noise(params: PastaParams, scheme: Bfv, levels: Sequence[int], key_n
             estimate = model.add(estimate, model.mul_plain_poly(square))
         else:
             estimate = model.multiply(model.multiply(estimate, estimate), estimate)
-    if levels[-1] < scheme.level:
+    if levels[-1] < full.params.levels:
         estimate = full.at_level(levels[-1]).mod_raise(estimate, full)
     return full.add_plain(full.neg(estimate))
 
 
-def plan_levels(params: PastaParams, scheme: Bfv, key_noise) -> Tuple[int, ...]:
+def plan_levels(params: PastaParams, model: NoiseModel, key_noise) -> Tuple[int, ...]:
     """One RNS level (limb count) per stage of the packed circuit, greedily.
 
     Stages as in :func:`circuit_noise`: ``2r + 1`` of them. Layer 0 and
@@ -207,18 +221,18 @@ def plan_levels(params: PastaParams, scheme: Bfv, key_noise) -> Tuple[int, ...]:
     slack under the worst-case bound: its rounding term puts the real
     noise near the modeled one, and the products after it grow from there.
     Where the bound of the unswitched circuit does not guarantee
-    decryption, only that slack does, so such a circuit plans no drop.
-    Only the ledger's closed forms are read (no level view is built); an
-    unknown key noise plans no drop.
+    decryption, only that slack does, so such a circuit plans no drop (and
+    the server refuses it). Only ``model``, the full chain's ledger, is
+    read: no level view or RNS engine is built. An unknown key noise plans
+    no drop.
     """
-    full = scheme.level
+    full = model.params.levels
     stages = 2 * params.rounds + 1
     if key_noise is None:
         return (full,) * stages
-    model = scheme.noise_model
 
     def headroom(levels) -> float:
-        return model.headroom_bits(circuit_noise(params, scheme, levels, key_noise))
+        return model.headroom_bits(circuit_noise(params, model, levels, key_noise))
 
     floor = max(
         headroom((full,) * stages) - LEVEL_SLACK_BITS, model.decryption_floor_bits
@@ -227,13 +241,60 @@ def plan_levels(params: PastaParams, scheme: Bfv, key_noise) -> Tuple[int, ...]:
     for stage in range(2, stages):
         best = levels[-1]
         for level in range(best - 1, 0, -1):
-            if math.prod(scheme.params.rns_primes[:level]) <= params.p:
+            if math.prod(model.params.rns_primes[:level]) <= params.p:
                 break
             if headroom(levels + [level] * (stages - stage)) < floor:
                 break
             best = level
         levels.append(best)
     return tuple(levels)
+
+
+def transcipher_parameters(
+    params: PastaParams,
+    n: int,
+    prime_bits: int = 30,
+    after: Optional[Callable[[NoiseModel, NoiseEstimate], NoiseEstimate]] = None,
+) -> BfvParams:
+    """The shortest BFV chain the noise ledger admits for transciphering
+    PASTA ``params`` at ring degree ``n``.
+
+    The candidates are the prefixes of one
+    :func:`~repro.fhe.rns.ntt_prime_chain` of ``prime_bits``-wide primes,
+    shortest first. A prefix qualifies when the result estimate of its
+    level plan (:func:`plan_levels` and :func:`circuit_noise` on a fresh
+    key upload), passed through ``after(model, estimate)`` when the caller
+    evaluates more on the result (e.g.
+    :func:`repro.apps.ml_inference.score_noise`), passes
+    :func:`require_headroom`: the rule :class:`BatchedHheServer` admits a
+    circuit by. Only closed forms are read; no scheme or RNS engine is
+    built. Raises :class:`ParameterError` when the primes of that width
+    run out first.
+    """
+    primes: Tuple[int, ...] = ()
+    while True:
+        # The scan is deterministic, so asking for one bit past the current
+        # product appends the chain's next prime.
+        try:
+            primes = ntt_prime_chain(n, math.prod(primes).bit_length() + 1, prime_bits)
+        except ParameterError as exc:
+            raise ParameterError(
+                f"no chain of {prime_bits}-bit primes at N = {n} admits {params.name}: {exc}"
+            ) from None
+        q = math.prod(primes)
+        if q <= params.p:
+            continue
+        bfv = BfvParams(n=n, q=q, p=params.p, rns_primes=primes)
+        model = NoiseModel(bfv)
+        key = model.fresh()
+        estimate = circuit_noise(params, model, plan_levels(params, model, key), key)
+        if after is not None:
+            estimate = after(model, estimate)
+        try:
+            require_headroom(model, estimate)
+        except NoiseBudgetExhausted:
+            continue
+        return bfv
 
 
 def _place(per_block: np.ndarray, w: int) -> np.ndarray:
@@ -347,8 +408,14 @@ class BatchedHheServer:
         # ring or prime chain here, at setup, instead of mid-frame.
         self._key = scheme.stack_ciphertexts(list(encrypted_key))
         #: The RNS level of each circuit stage (:func:`plan_levels`), and
-        #: the scheme view each stage evaluates on.
-        self.levels = plan_levels(params, scheme, self._key.noise)
+        #: the result's planned noise estimate (:func:`circuit_noise`): a
+        #: circuit the bound does not cover is refused before anything of
+        #: it is built or evaluated.
+        model = scheme.noise_model
+        self.levels = plan_levels(params, model, self._key.noise)
+        self.result_noise = circuit_noise(params, model, self.levels, self._key.noise)
+        require_headroom(model, self.result_noise)
+        #: The scheme view each stage evaluates on.
         self._stages = [scheme.at_level(level) for level in self.levels]
         # Feistel mask: drop state element 0's slots, where the rotated
         # square of element 2t - 1 wraps around.
@@ -652,8 +719,9 @@ class BatchedHheServer:
         plus the evaluation; results and op counts are those of preparing
         every layer in line. A preparation error is raised here, where the
         evaluator needs that layer; on any exit the call stops and joins its
-        helper. A result whose modeled noise headroom is below 0 bits is
-        refused with :class:`NoiseBudgetExhausted` (:func:`require_headroom`).
+        helper. The constructor admitted the planned result; a result whose
+        modeled headroom still ends below the decryption floor is refused
+        with :class:`NoiseBudgetExhausted` (:func:`require_headroom`).
         """
         from repro.obs import get_registry, record_headroom
         from repro.obs.noise import HEADROOM_ATTR, NOISE_ATTR
@@ -685,7 +753,7 @@ class BatchedHheServer:
                 span.set_attribute(NOISE_ATTR, round(worst.bits, 3))
                 span.set_attribute(HEADROOM_ATTR, round(headroom, 3))
                 record_headroom(headroom, engine="bsgs", tenant=self.tenant)
-                require_headroom(headroom)
+                require_headroom(model, worst)
             return result
 
     def _transcipher_blocks(

@@ -27,12 +27,13 @@ import numpy as np
 
 from repro.errors import ParameterError
 from repro.fhe.batching import BatchEncoder
-from repro.fhe.bfv import Bfv, BfvParams, Ciphertext, toy_parameters
+from repro.fhe.bfv import Bfv, BfvParams, Ciphertext
 from repro.hhe.batched import (
     BatchedHheServer,
     BatchedTranscipherResult,
     decrypt_batched_result,
     encrypt_key_batched,
+    transcipher_parameters,
 )
 from repro.pasta.cipher import Pasta, random_key
 from repro.pasta.params import PastaParams
@@ -50,7 +51,11 @@ class HheClient:
     Key setup makes the FHE secret, public and relinearization keys, the
     Galois keys for :meth:`BatchedHheServer.required_rotation_steps` and
     the slot encoder; :meth:`encrypted_key` is the pre-rotated packed key
-    (:func:`encrypt_key_batched`).
+    (:func:`encrypt_key_batched`). Without ``bfv_params`` the client takes
+    the shortest chain the noise ledger admits for ``pasta_params`` at
+    N = 1024 (:func:`transcipher_parameters`); pass
+    ``transcipher_parameters(..., after=...)`` to size the chain for what
+    the server evaluates on the result as well.
     """
 
     def __init__(
@@ -60,7 +65,7 @@ class HheClient:
         seed: bytes = b"hhe-demo",
     ):
         self.pasta_params = pasta_params
-        self.bfv_params = bfv_params or toy_parameters(pasta_params.p)
+        self.bfv_params = bfv_params or transcipher_parameters(pasta_params, 1024)
         if self.bfv_params.p != pasta_params.p:
             raise ParameterError("BFV plaintext modulus must equal the PASTA prime")
         n = self.bfv_params.n

@@ -116,11 +116,12 @@ RUN_TIMEOUT_SECONDS = 600.0
 #: Prepared-plaintext rows all tenants' HHE servers share (``hhe`` mode).
 PREPARED_CACHE_ROWS = 4096
 
-#: BFV ring and modulus of the ``hhe`` mode's toy parameters: 8 limbs. At
-#: 230 bits the packed evaluator's modeled headroom is about +26 bits
-#: (measured about +68), so health probes stay in budget.
+#: BFV ring degree of the ``hhe`` mode. The chain is the shortest the noise
+#: ledger admits for the service's PASTA instance
+#: (:func:`~repro.hhe.batched.transcipher_parameters`): 8 limbs at
+#: +25.9 bits of modeled headroom for PASTA_MICRO, 11 at +31.1 for
+#: PASTA_TOY.
 HHE_RING_N = 256
-HHE_LOG2_Q = 230
 
 #: Domain for the deterministic backoff jitter draw (SHAKE over
 #: ``(frame_id, attempt)``), so retry schedules reproduce run to run.
@@ -319,16 +320,17 @@ class HheRecovery:
         tenant: str,
         prepared_budget: CacheBudget,
     ):
-        from repro.fhe import Bfv, toy_parameters
+        from repro.fhe import Bfv
         from repro.fhe.batching import BatchEncoder
         from repro.hhe.batched import (
             BatchedHheServer,
             decrypt_batched_result,
             encrypt_key_batched,
+            transcipher_parameters,
         )
 
         self.params = params
-        bfv = toy_parameters(params.p, n=HHE_RING_N, log2_q=HHE_LOG2_Q)
+        bfv = transcipher_parameters(params, HHE_RING_N)
         self.scheme = Bfv(bfv, seed=fhe_seed)
         self.sk, pk, rlk = self.scheme.keygen()
         # The packed BSGS evaluator key-switches through these rotation keys.
@@ -778,18 +780,23 @@ class Service:
 
     def _decode(self, wire: WireFrame) -> np.ndarray:
         """A wire's ciphertext elements, or :class:`ParameterError` unless the
-        payload is whole ``<u4`` words of elements in [0, p) and, in ``hhe``
-        mode, whole t-element blocks."""
+        payload is whole ``<u4`` words of elements in [0, p), in ``hhe`` mode
+        whole t-element blocks, and exactly as many as a frame of the wire's
+        resolution packs."""
         params = self.config.params
         if len(wire.payload) % 4:
             raise ParameterError(f"payload of {len(wire.payload)} bytes is not whole <u4 words")
         elements = np.frombuffer(wire.payload, dtype="<u4")
-        elements = field_elements(elements, params.p).astype(np.int64)
         if self.config.mode == "hhe" and len(elements) % params.t:
             raise ParameterError(
                 f"{len(elements)} elements are not whole {params.t}-element blocks"
             )
-        return elements
+        expected = wire.resolution.pixels // pixels_per_element(params.p)
+        if len(elements) != expected:
+            raise ParameterError(
+                f"{len(elements)} elements, but a {wire.resolution.name} frame packs {expected}"
+            )
+        return field_elements(elements, params.p).astype(np.int64)
 
     def _recover(self, shard: int, wires: Sequence[WireFrame]) -> None:
         obs = self.obs

@@ -1,5 +1,7 @@
 """Tests for the HHE ML-inference application."""
 
+import functools
+
 import numpy as np
 import pytest
 
@@ -8,18 +10,24 @@ from repro.apps.ml_inference import (
     LinearModel,
     decrypt_scores,
     run_inference,
+    score_noise,
 )
 from repro.errors import NoiseBudgetExhausted, ParameterError
 from repro.fhe import toy_parameters
-from repro.hhe import HheClient
+from repro.hhe import HheClient, transcipher_parameters
+from repro.obs import get_tracer
 from repro.pasta import PASTA_MICRO, PASTA_TOY, PastaParams, homomorphic_op_counts
+
+
+def scoring_parameters(params, n):
+    """The shortest chain whose modeled headroom covers the transcipher and
+    the score above the decryption floor."""
+    return transcipher_parameters(params, n, after=functools.partial(score_noise, t=params.t))
 
 
 @pytest.fixture(scope="module")
 def client():
-    return HheClient(
-        PASTA_MICRO, toy_parameters(PASTA_MICRO.p, n=256, log2_q=230), seed=b"ml-tests"
-    )
+    return HheClient(PASTA_MICRO, scoring_parameters(PASTA_MICRO, 256), seed=b"ml-tests")
 
 
 class TestLinearModel:
@@ -106,7 +114,7 @@ class TestPackedScoring:
     def test_score_steps_need_the_evaluator_keys(self, t):
         """Up to t = 16 the rotate-and-sum steps are evaluator key steps; not at 32."""
         params = PastaParams(name=f"t{t}", t=t, rounds=2, p=PASTA_MICRO.p, secure=False)
-        client = HheClient(params, toy_parameters(params.p, n=128, log2_q=60), seed=b"steps")
+        client = HheClient(params, scoring_parameters(params, 128), seed=b"steps")
         model = LinearModel(weights=[1] * t)
         if t <= 16:
             assert HheInferenceServer(client.server(), model).model is model
@@ -116,12 +124,29 @@ class TestPackedScoring:
 
     @pytest.mark.parametrize("log2_q", [None, 330])
     def test_score_past_the_modeled_budget_is_refused(self, log2_q):
-        """PASTA_TOY's score needs more than the chain leaves: on the client's
-        default 9 limbs the transcipher already runs out (modeled -56 bits),
-        on 11 limbs the weight-row multiply does (+4 -> -23 bits)."""
+        """Refused at construction, before anything is evaluated. The
+        client's default chain (12 limbs, the transcipher's) leaves the score
+        +6.0 bits of modeled headroom, under the 16-bit decryption floor; on
+        11 limbs the transcipher itself is refused (+3.8 bits)."""
         bfv = None if log2_q is None else toy_parameters(PASTA_TOY.p, log2_q=log2_q)
         client = HheClient(PASTA_TOY, bfv, seed=b"ml-budget")
-        server = HheInferenceServer(client.server(), LinearModel(weights=[3, 25, 7, 11]))
-        block = [int(c) for c in client.cipher.encrypt_block([42, 7, 120, 3], 0, 0)]
-        with pytest.raises(NoiseBudgetExhausted, match="modeled headroom"):
-            server.score_blocks([block], 0, [0])
+        assert client.scheme.level == (12 if log2_q is None else 11)
+        headroom = "6.0" if log2_q is None else "3.8"
+        with pytest.raises(NoiseBudgetExhausted, match=f"modeled headroom {headroom} bits"):
+            HheInferenceServer(client.server(), LinearModel(weights=[3, 25, 7, 11]))
+        assert get_tracer().spans_named("hhe.transcipher") == []
+
+    def test_score_noise_is_the_tracked_estimate(self, client):
+        """The closed form equals, bit for bit, what the score's ledger carries."""
+        server = HheInferenceServer(client.server(), LinearModel(weights=[4, 9], bias=2))
+        blocks = [
+            [int(c) for c in client.cipher.encrypt_block([k, 2 * k], 21, k)] for k in range(3)
+        ]
+        transciphered = server.server.transcipher_blocks(blocks, 21, [0, 1, 2])
+        (score,) = server.score_blocks(blocks, 21, [0, 1, 2]).ciphertexts
+        model = client.scheme.noise_model
+        assert score_noise(model, transciphered.ciphertexts[0].noise, 2) == score.noise
+        assert score_noise(model, server.server.result_noise, 2).bits == pytest.approx(
+            score.noise.bits
+        )
+        assert model.headroom_bits(score.noise) >= model.decryption_floor_bits

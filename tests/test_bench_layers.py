@@ -64,13 +64,13 @@ def test_traced_self_times_fit_per_thread():
     """
     import numpy as np
 
-    from repro.fhe import BatchEncoder, Bfv, toy_parameters
-    from repro.hhe import BatchedHheServer, encrypt_key_batched
+    from repro.fhe import BatchEncoder, Bfv
+    from repro.hhe import BatchedHheServer, encrypt_key_batched, transcipher_parameters
     from repro.obs import get_tracer
     from repro.pasta import PASTA_MICRO, random_key
 
     n = 256
-    scheme = Bfv(toy_parameters(PASTA_MICRO.p, n=n, log2_q=230), seed=b"per-thread")
+    scheme = Bfv(transcipher_parameters(PASTA_MICRO, n), seed=b"per-thread")
     sk, pk, rlk = scheme.keygen()
     encoder = BatchEncoder(n, PASTA_MICRO.p)
     server = BatchedHheServer(

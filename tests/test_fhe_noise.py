@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.ff.params import P17, P33
-from repro.fhe import Bfv, toy_parameters
+from repro.fhe import Bfv, BfvParams, toy_parameters
 from repro.fhe.batching import BatchEncoder
 from repro.obs.noise import NoiseEstimate, NoiseModel, divergence_report, lse
 
@@ -29,7 +29,10 @@ def scheme_for(p: int, engine: str) -> tuple:
     """One keyed scheme per (prime, engine), shared across examples."""
     key = (p, engine)
     if key not in SCHEMES:
-        params = toy_parameters(p, n=N, log2_q=LOG2_Q, rns=engine == "rns")
+        if engine == "rns":
+            params = toy_parameters(p, n=N, log2_q=LOG2_Q)
+        else:  # a power-of-two modulus, served by the big-int engine
+            params = BfvParams(n=N, q=1 << LOG2_Q, p=p)
         scheme = Bfv(params, seed=b"noise-%d" % p, engine=engine)
         sk, pk, rlk = scheme.keygen()
         SCHEMES[key] = (scheme, sk, pk, rlk)

@@ -6,11 +6,11 @@ import pytest
 from repro.errors import ParameterError
 from repro.fhe import toy_parameters
 from repro.fhe.galois import slots_to_rows
-from repro.hhe import BatchedHheServer, HheClient
+from repro.hhe import BatchedHheServer, HheClient, transcipher_parameters
 from repro.pasta import PASTA_MICRO, homomorphic_op_counts
 
 #: The streaming service's hhe-mode chain at N = 256 (8 limbs).
-BFV_MICRO = toy_parameters(PASTA_MICRO.p, n=256, log2_q=230)
+BFV_MICRO = transcipher_parameters(PASTA_MICRO, 256)
 
 
 @pytest.fixture(scope="module")

@@ -4,9 +4,14 @@ import numpy as np
 import pytest
 
 from repro.errors import ParameterError
-from repro.fhe import Bfv, toy_parameters
+from repro.fhe import Bfv, BfvParams, toy_parameters
 from repro.fhe.batching import BatchEncoder
-from repro.hhe import BatchedHheServer, decrypt_batched_result, encrypt_key_batched
+from repro.hhe import (
+    BatchedHheServer,
+    decrypt_batched_result,
+    encrypt_key_batched,
+    transcipher_parameters,
+)
 from repro.obs import get_registry
 from repro.pasta import PASTA_MICRO, Pasta, PastaParams, random_key
 
@@ -19,7 +24,7 @@ NON_INTEGER_IDS = ["float", "str", "np-float64"]
 
 @pytest.fixture(scope="module")
 def ctx():
-    bfv = toy_parameters(P, n=256, log2_q=230)  # RNS engine, the default path
+    bfv = transcipher_parameters(PASTA_MICRO, 256)  # RNS engine, the default path
     scheme = Bfv(bfv, seed=b"batch-tests")
     sk, pk, rlk = scheme.keygen()
     encoder = BatchEncoder(bfv.n, P)
@@ -226,7 +231,7 @@ class TestEvalEngineSelection:
                 _server(ctx, galois, key, engine=engine)
 
     def test_requires_rns_scheme(self):
-        bfv = toy_parameters(P, n=256, log2_q=190, rns=False)
+        bfv = BfvParams(n=256, q=1 << 190, p=P)  # no prime chain: the big-int engine
         scheme = Bfv(bfv, seed=b"sel-bigint")
         sk, pk, rlk = scheme.keygen()
         encoder = BatchEncoder(bfv.n, P)

@@ -13,20 +13,25 @@ including batches that span several packed groups.
 
 import dataclasses
 import functools
-import itertools
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import ParameterError
+from repro.apps.ml_inference import score_noise
+from repro.errors import NoiseBudgetExhausted, ParameterError
 from repro.ff.params import P33
 from repro.fhe import BatchEncoder, Bfv, toy_parameters
 from repro.fhe.engine import RnsEngine
 from repro.fhe.galois import slots_to_rows
 from repro.fhe.rns import ExactModSwitch
-from repro.hhe import BatchedHheServer, decrypt_batched_result, encrypt_key_batched
+from repro.hhe import (
+    BatchedHheServer,
+    decrypt_batched_result,
+    encrypt_key_batched,
+    transcipher_parameters,
+)
 from repro.hhe.batched import circuit_noise, plan_levels
 from repro.obs import get_registry, get_tracer
 from repro.obs.noise import NoiseModel
@@ -53,13 +58,16 @@ N = 256
 HALF = N // 2
 
 
-def _setup(pasta, seed=b"bsgs-tests", n=N, log2_q=None, prime_bits=30):
-    if log2_q is not None:
-        params = toy_parameters(pasta.p, n=n, log2_q=log2_q, prime_bits=prime_bits)
-    elif n == 512:
-        params = toy_parameters(pasta.p, n=n, log2_q=240, prime_bits=26)
-    else:
-        params = toy_parameters(pasta.p, n=n, log2_q=230)
+def _chain(p, n, limbs, prime_bits=30):
+    """BFV parameters on the first ``limbs`` primes of the ``prime_bits``-wide
+    chain at ring ``n``: an explicit chain, for pinned and refused settings."""
+    return toy_parameters(p, n=n, log2_q=limbs * prime_bits, prime_bits=prime_bits).at_level(limbs)
+
+
+def _setup(pasta, seed=b"bsgs-tests", n=N, prime_bits=30, params=None):
+    """A client's keys and packed key upload, on ``params`` or else the
+    shortest chain the noise model admits."""
+    params = params or transcipher_parameters(pasta, n, prime_bits)
     scheme = Bfv(params, seed=seed)
     sk, pk, rlk = scheme.keygen()
     gk = scheme.rotation_keygen(sk, BatchedHheServer.required_rotation_steps(pasta, n))
@@ -89,28 +97,17 @@ def _pasta(t, omega, rounds):
     )
 
 
-def _log2_q(limbs, prime_bits=30):
-    """The ``log2_q`` whose ``prime_bits``-wide chain has exactly ``limbs``
-    primes (every prime sits just below ``2^prime_bits``)."""
-    return prime_bits * limbs - 5
-
-
-def _headroom(pasta, scheme, levels):
-    key = scheme.noise_model.fresh()
-    return scheme.noise_model.headroom_bits(circuit_noise(pasta, scheme, levels, key))
+def _headroom(pasta, model, levels, after=None):
+    """Modeled headroom of the result (or of ``after`` of it) along a plan."""
+    key = model.fresh()
+    estimate = circuit_noise(pasta, model, levels, key)
+    return model.headroom_bits(after(model, estimate) if after else estimate)
 
 
 @functools.lru_cache(maxsize=None)
-def _shortest_chain(t, omega, rounds, prime_bits):
-    """Fewest ``prime_bits``-wide limbs at N = 256 whose level plan keeps
-    the modeled headroom at 0 or more, so the server admits the circuit."""
-    pasta = _pasta(t, omega, rounds)
-    for limbs in itertools.count(2):
-        log2_q = _log2_q(limbs, prime_bits)
-        scheme = Bfv(toy_parameters(pasta.p, n=N, log2_q=log2_q, prime_bits=prime_bits))
-        levels = plan_levels(pasta, scheme, scheme.noise_model.fresh())
-        if _headroom(pasta, scheme, levels) >= 0:
-            return limbs
+def _admitted(t, omega, rounds, prime_bits):
+    """The shortest chain the model admits for a differential setting."""
+    return transcipher_parameters(_pasta(t, omega, rounds), N, prime_bits)
 
 
 @pytest.fixture(scope="module")
@@ -118,14 +115,15 @@ def rigs():
     """Each differential setting's rig, built once per module on its first draw."""
     built = {}
 
-    def rig(t, omega, rounds, prime_bits, limbs):
-        key = (t, omega, rounds, prime_bits, limbs)
+    def rig(t, omega, rounds, prime_bits, extra):
+        key = (t, omega, rounds, prime_bits, extra)
         if key not in built:
+            pasta = _pasta(t, omega, rounds)
+            limbs = _admitted(t, omega, rounds, prime_bits).levels + extra
             built[key] = _setup(
-                _pasta(t, omega, rounds),
+                pasta,
                 seed=b"bsgs-diff-%d-%d-%d-%d-%d" % key,
-                log2_q=_log2_q(limbs, prime_bits),
-                prime_bits=prime_bits,
+                params=_chain(pasta.p, N, limbs, prime_bits),
             )
         return built[key]
 
@@ -175,7 +173,7 @@ class TestDifferential:
 
     Each draw picks a setting at N = 256 (t in {2, 4}, omega in {17, 33},
     rounds in {1, 2, 3}, and a chain of 26- or 30-bit primes 0 to 2 limbs
-    longer than the shortest the model admits), a batch of 1 to
+    longer than :func:`transcipher_parameters` returns), a batch of 1 to
     2*capacity + 1 blocks (so up to three packed groups), a nonce and a
     first counter. The 26-bit primes are the frame benchmark's width.
     """
@@ -188,9 +186,9 @@ class TestDifferential:
         rounds = data.draw(st.sampled_from([1, 2, 3]), label="rounds")
         prime_bits = data.draw(st.sampled_from([26, 30]), label="prime bits")
         extra = data.draw(st.integers(min_value=0, max_value=2), label="extra limbs")
-        limbs = _shortest_chain(t, omega, rounds, prime_bits) + extra
+        limbs = _admitted(t, omega, rounds, prime_bits).levels + extra
         pasta = _pasta(t, omega, rounds)
-        rig = rigs(t, omega, rounds, prime_bits, limbs)
+        rig = rigs(t, omega, rounds, prime_bits, extra)
         scheme, sk, encoder = rig[0], rig[1], rig[4]
         assert scheme.level == limbs
         capacity = HALF // t
@@ -212,7 +210,8 @@ class TestDifferential:
         assert modeled <= measured
         # The run's ledger is the plan's closed form, and the result is back
         # on the full chain.
-        planned = circuit_noise(pasta, scheme, server.levels, server._key.noise)
+        planned = server.result_noise
+        assert model.headroom_bits(planned) >= model.decryption_floor_bits
         assert all(ct.noise.bits == pytest.approx(planned.bits) for ct in result.ciphertexts)
         assert all(len(part.ctx.primes) == limbs for ct in result.ciphertexts for part in ct.parts)
 
@@ -229,7 +228,7 @@ class TestDifferential:
 
     @pytest.fixture(scope="class")
     def frame(self):
-        return _setup(FRAME, seed=b"bsgs-frame", n=512)
+        return _setup(FRAME, seed=b"bsgs-frame", n=512, prime_bits=26)
 
     @pytest.mark.parametrize("n_blocks", [8, 17])
     def test_frame_instance(self, frame, n_blocks):
@@ -284,17 +283,16 @@ class TestLevelPlan:
         a modeled final headroom within 1 bit of never switching, and a
         plan that drops keeps the bound under the decryption floor."""
         pasta = _pasta(t, omega, rounds)
-        log2_q = _log2_q(limbs, prime_bits)
-        scheme = Bfv(toy_parameters(pasta.p, n=n, log2_q=log2_q, prime_bits=prime_bits))
-        levels = plan_levels(pasta, scheme, scheme.noise_model.fresh())
+        model = NoiseModel(_chain(pasta.p, n, limbs, prime_bits))
+        levels = plan_levels(pasta, model, model.fresh())
         assert len(levels) == 2 * rounds + 1
         assert levels[0] == levels[1] == limbs
         assert all(a >= b >= 1 for a, b in zip(levels, levels[1:]))
-        never = _headroom(pasta, scheme, (limbs,) * len(levels))
-        planned = _headroom(pasta, scheme, levels)
+        never = _headroom(pasta, model, (limbs,) * len(levels))
+        planned = _headroom(pasta, model, levels)
         assert planned >= never - 1.0
         if levels[-1] < limbs:
-            assert planned >= scheme.noise_model.decryption_floor_bits
+            assert planned >= model.decryption_floor_bits
 
     def test_evaluation_builds_no_level_state(self, micro, monkeypatch):
         """Level views, key stacks, masks and switch transports are built at
@@ -326,18 +324,19 @@ class TestLevelPlan:
         assert (len(rlk._tensor_stacks), len(gk._tensor_stacks)) == stacks
 
     def test_unknown_key_noise_plans_no_drop(self):
-        scheme = Bfv(toy_parameters(PASTA_MICRO.p, n=N, log2_q=230))
-        assert plan_levels(PASTA_MICRO, scheme, None) == (8,) * 5
+        model = NoiseModel(transcipher_parameters(PASTA_MICRO, N))
+        assert plan_levels(PASTA_MICRO, model, None) == (8,) * 5
 
     def test_chain_with_no_slack_plans_no_drop(self):
-        rig = _setup(NO_SLACK, seed=b"bsgs-no-slack", n=64, log2_q=_log2_q(5))
+        rig = _setup(NO_SLACK, seed=b"bsgs-no-slack", n=64)
         scheme, sk = rig[0], rig[1]
+        assert scheme.level == 5
         messages = [[11, 22], [33, 44], [55, 66]]
         server, result, decrypted = _transcipher(NO_SLACK, rig, messages, nonce=77)
         assert server.levels == (5, 5, 5)
         # One drop would cost more than the 1-bit slack.
-        never = _headroom(NO_SLACK, scheme, (5, 5, 5))
-        assert _headroom(NO_SLACK, scheme, (5, 5, 4)) < never - 1.0
+        never = _headroom(NO_SLACK, scheme.noise_model, (5, 5, 5))
+        assert _headroom(NO_SLACK, scheme.noise_model, (5, 5, 4)) < never - 1.0
         assert decrypted == messages
         assert get_tracer().spans_named("fhe.mod_switch") == []
         model = scheme.noise_model
@@ -345,40 +344,102 @@ class TestLevelPlan:
             sk, result.ciphertexts[0]
         )
 
-
     def test_chain_the_bound_does_not_guarantee_plans_no_drop(self):
-        """t = 2, omega = 33, three rounds on the shortest admitted chain of
-        26-bit primes (19 limbs): the unswitched bound leaves 12.9 bits of
-        modeled headroom, under the 33-bit decryption floor, so only the
-        real noise's slack under the bound makes the result decrypt. The
-        1-bit rule alone would plan (19, 19, 16, 13, 11, 8, 5), whose
-        switches spend that slack: every block decrypted wrongly."""
+        """t = 2, omega = 33, three rounds on 19 limbs of 26-bit primes: the
+        unswitched bound leaves 12.9 bits of modeled headroom, under the
+        33-bit decryption floor, so only the real noise's slack under the
+        bound could make the result decrypt. The 1-bit rule alone would plan
+        (19, 19, 16, 13, 11, 8, 5), whose switches spend that slack (every
+        block decrypted wrongly), so the plan keeps the full chain; and the
+        server refuses the circuit before evaluating it."""
         pasta = _pasta(2, 33, 3)
-        limbs = _shortest_chain(2, 33, 3, 26)
-        rig = _setup(pasta, seed=b"bsgs-floor", log2_q=_log2_q(limbs, 26), prime_bits=26)
-        scheme = rig[0]
-        never = _headroom(pasta, scheme, (limbs,) * 7)
-        assert 0 <= never < scheme.noise_model.decryption_floor_bits
-        messages = [[1, 2], [3, 4], [5, 6]]
-        server, _, decrypted = _transcipher(pasta, rig, messages, nonce=5)
-        assert server.levels == (limbs,) * 7
-        assert decrypted == messages
+        params = _chain(pasta.p, N, 19, 26)
+        model = NoiseModel(params)
+        never = _headroom(pasta, model, (19,) * 7)
+        assert 0 <= never < model.decryption_floor_bits
+        assert plan_levels(pasta, model, model.fresh()) == (19,) * 7
+        assert transcipher_parameters(pasta, N, prime_bits=26).levels > 19
+        scheme, sk, rlk, gk, encoder, key, enc_key = _setup(
+            pasta, seed=b"bsgs-floor", params=params
+        )
+        with pytest.raises(NoiseBudgetExhausted, match="decryption floor"):
+            BatchedHheServer(pasta, scheme, rlk, encoder, enc_key, galois_keys=gk)
 
 
-#: Round counts other than the differential rigs' 2, by (params, log2 q)
-#: at N = 256: one round has no Feistel layer, and PASTA_TOY (t = 4,
-#: 3 rounds) needs 10 limbs for the modeled headroom to stay >= 0.
+#: Chains :func:`transcipher_parameters` derives, by (instance, N, prime
+#: width, whether the ML score follows): limbs and planned headroom. The
+#: floor is 16.0 bits at p = 65537.
+DERIVED = {
+    "hhe_frame": (FRAME, 512, 26, False, 10, 24.1),
+    "service-micro": (PASTA_MICRO, 256, 30, False, 8, 25.9),
+    "client-micro": (PASTA_MICRO, 1024, 30, False, 9, 35.9),
+    "service-toy": (PASTA_TOY, 256, 30, False, 11, 31.1),
+    "client-toy": (PASTA_TOY, 1024, 30, False, 12, 33.0),
+    "ml-micro": (PASTA_MICRO, 256, 30, True, 9, 31.8),
+    "ml-toy": (PASTA_TOY, 1024, 30, True, 13, 36.0),
+}
+
+
+class TestAdmission:
+    """:func:`transcipher_parameters` and the server's construction-time
+    admission: one rule, the decryption floor."""
+
+    @pytest.mark.parametrize("case", sorted(DERIVED))
+    def test_derived_chain_is_the_shortest_admitted(self, case):
+        pasta, n, prime_bits, scored, limbs, headroom = DERIVED[case]
+        after = functools.partial(score_noise, t=pasta.t) if scored else None
+        params = transcipher_parameters(pasta, n, prime_bits, after=after)
+        assert params == _chain(pasta.p, n, limbs, prime_bits)
+
+        def planned(params):
+            model = NoiseModel(params)
+            levels = plan_levels(pasta, model, model.fresh())
+            return _headroom(pasta, model, levels, after), model.decryption_floor_bits
+
+        got, floor = planned(params)
+        assert round(got, 1) == headroom and got >= floor
+        shorter, floor = planned(params.at_level(limbs - 1))
+        assert shorter < floor
+
+    def test_benchmarked_chains_are_unchanged(self):
+        """hhe_frame's chain is the bench's 240 bits of 26-bit primes, and
+        the service's PASTA_MICRO chain its former 230 bits."""
+        frame = toy_parameters(FRAME.p, n=512, log2_q=240, prime_bits=26)
+        assert transcipher_parameters(FRAME, 512, prime_bits=26) == frame
+        micro = toy_parameters(PASTA_MICRO.p, n=N, log2_q=230)
+        assert transcipher_parameters(PASTA_MICRO, N) == micro
+
+    def test_no_chain_of_the_width_qualifies(self):
+        # The 15-bit primes = 1 mod 512 cover 183 bits: too few for PASTA_TOY.
+        with pytest.raises(ParameterError, match="no chain of 15-bit primes"):
+            transcipher_parameters(PASTA_TOY, N, prime_bits=15)
+
+    def test_server_refuses_before_evaluating(self):
+        """PASTA_TOY at N = 1024 on 11 limbs plans +3.8 bits of modeled
+        headroom, under the 16-bit floor: the constructor refuses it."""
+        scheme, sk, rlk, gk, encoder, key, enc_key = _setup(
+            PASTA_TOY, seed=b"bsgs-refused", n=1024, params=_chain(PASTA_TOY.p, 1024, 11)
+        )
+        with pytest.raises(NoiseBudgetExhausted, match="modeled headroom 3.8 bits"):
+            BatchedHheServer(PASTA_TOY, scheme, rlk, encoder, enc_key, galois_keys=gk)
+        assert get_tracer().spans_named("hhe.transcipher") == []
+        assert get_tracer().spans_named("hhe.prepare") == []
+
+
+#: Round counts other than the differential rigs' 2 at N = 256, on the
+#: chains the model admits: one round has no Feistel layer, and PASTA_TOY
+#: (t = 4, 3 rounds) takes 11 limbs.
 ROUNDS_RIGS = {
-    "rounds-1": (PastaParams(name="one-round", t=2, rounds=1, p=PASTA_MICRO.p, secure=False), 230),
-    "rounds-3": (PASTA_TOY, 290),
+    "rounds-1": PastaParams(name="one-round", t=2, rounds=1, p=PASTA_MICRO.p, secure=False),
+    "rounds-3": PASTA_TOY,
 }
 
 
 class TestRounds:
     @pytest.mark.parametrize("rig", sorted(ROUNDS_RIGS))
     def test_two_groups_match_cipher_oracle(self, rig):
-        pasta, log2_q = ROUNDS_RIGS[rig]
-        built = _setup(pasta, seed=b"bsgs-" + rig.encode(), log2_q=log2_q)
+        pasta = ROUNDS_RIGS[rig]
+        built = _setup(pasta, seed=b"bsgs-" + rig.encode())
         scheme, sk = built[0], built[1]
         capacity = HALF // pasta.t
         rng = np.random.default_rng(3)

@@ -21,8 +21,13 @@ import numpy as np
 import pytest
 
 from repro.errors import ParameterError
-from repro.fhe import BatchEncoder, Bfv, toy_parameters
-from repro.hhe import BatchedHheServer, decrypt_batched_result, encrypt_key_batched
+from repro.fhe import BatchEncoder, Bfv
+from repro.hhe import (
+    BatchedHheServer,
+    decrypt_batched_result,
+    encrypt_key_batched,
+    transcipher_parameters,
+)
 from repro.obs import get_tracer
 from repro.pasta import PASTA_MICRO, Pasta, PastaParams, batch, homomorphic_op_counts, random_key
 
@@ -32,7 +37,7 @@ QUAD = PastaParams(name="quad-17", t=4, rounds=2, p=PASTA_MICRO.p, secure=False)
 
 
 def _rig(pasta, seed):
-    params = toy_parameters(pasta.p, n=N, log2_q=230)
+    params = transcipher_parameters(pasta, N)
     scheme = Bfv(params, seed=seed)
     sk, pk, rlk = scheme.keygen()
     galois = scheme.rotation_keygen(sk, BatchedHheServer.required_rotation_steps(pasta, N))

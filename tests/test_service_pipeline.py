@@ -14,9 +14,11 @@ import struct
 import threading
 from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.apps.packing import pixels_per_element
 from repro.apps.video import Resolution, synthetic_frame
 from repro.errors import ParameterError, ServiceError
 from repro.keccak.shake import shake128
@@ -45,6 +47,8 @@ from repro.service.pipeline import BACKOFF_JITTER_DOMAIN
 # globals — no per-test registry plumbing or resets needed.
 
 TENANT = "camera"
+#: 4x4 tiles: 8 elements, four PASTA_MICRO or two PASTA_TOY blocks per frame.
+TILE4 = Resolution("TILE4", 4, 4)
 
 
 def stream_config(n_frames=24, ladder=(TILE8,), **overrides):
@@ -73,20 +77,34 @@ def expected_pixels(frame):
     return bytes(synthetic_frame(frame.resolution, frame.frame_id))
 
 
-def poison_first_transmission(monkeypatch, frame_id):
-    """Make frame ``frame_id``'s first transmission carry p as its first
-    element, under a CRC recomputed over the poisoned payload."""
+def forge_first_transmission(monkeypatch, frame_id, forge):
+    """Replace frame ``frame_id``'s first payload with ``forge(payload,
+    params)``, under a CRC recomputed over the forged payload."""
     encrypt = Service._encrypt
 
-    def poisoned(self, tenant_id, jobs, elements_of):
+    def forged(self, tenant_id, jobs, elements_of):
         wires = encrypt(self, tenant_id, jobs, elements_of)
         for i, wire in enumerate(wires):
             if wire.frame_id == frame_id and wire.attempt == 0:
-                payload = struct.pack("<I", self.config.params.p) + wire.payload[4:]
+                payload = forge(wire.payload, self.config.params)
                 wires[i] = replace(wire, payload=payload, crc=checksum(payload))
         return wires
 
-    monkeypatch.setattr(Service, "_encrypt", poisoned)
+    monkeypatch.setattr(Service, "_encrypt", forged)
+
+
+def poison_first_transmission(monkeypatch, frame_id):
+    """Make frame ``frame_id``'s first transmission carry p as its first element."""
+    forge_first_transmission(
+        monkeypatch, frame_id, lambda payload, params: struct.pack("<I", params.p) + payload[4:]
+    )
+
+
+#: CRC-valid payloads of the wrong length for their frame.
+WRONG_LENGTH = {
+    "empty": lambda payload, params: b"",
+    "one-block-short": lambda payload, params: payload[: -4 * params.t],
+}
 
 
 def wire_carrying(payload):
@@ -265,10 +283,29 @@ class TestFaultRecovery:
 
     def test_decode_rejects_ragged_payload(self):
         service = Service(stream_config(n_frames=1))
-        payload = struct.pack("<I", 1) + b"\x00"
+        count = TILE8.pixels // pixels_per_element(PASTA_TOY.p)
+        payload = struct.pack(f"<{count}I", *range(count))
         with pytest.raises(ParameterError, match="<u4"):
-            service._decode(wire_carrying(payload))
-        assert list(service._decode(wire_carrying(payload[:4]))) == [1]
+            service._decode(wire_carrying(payload + b"\x00"))
+        assert list(service._decode(wire_carrying(payload))) == list(range(count))
+
+    @pytest.mark.parametrize("mode", ["symmetric", "hhe"])
+    @pytest.mark.parametrize("forged", sorted(WRONG_LENGTH))
+    def test_wrong_length_payload_quarantined_and_retried(self, monkeypatch, mode, forged):
+        """A CRC-valid payload that is not exactly its resolution's element
+        count is quarantined, not delivered short or handed to the server."""
+        forge_first_transmission(monkeypatch, 1, WRONG_LENGTH[forged])
+        result = run_pipeline(
+            n_frames=3,
+            ladder=(TILE4,),
+            params=PASTA_MICRO,
+            workers_per_shard=1,
+            batch_frames=3,
+            worker_batch=3,
+            mode=mode,
+        )
+        assert len(result.frames) == 3
+        assert_one_poisoned_retry(result, frame_id=1)
 
     def test_retries_exhausted_raises(self):
         plan = FaultPlan(drop_at=frozenset({(0, a) for a in range(10)}))
@@ -324,11 +361,10 @@ class TestBackpressureDegradation:
 class TestHheMode:
     def test_hhe_smoke_bit_exact(self):
         # 4x4 tile -> 8 elements -> 4 full PASTA_MICRO blocks per frame.
-        tile = Resolution("TILE4", 4, 4)
         plan = FaultPlan(drop_at=frozenset({(1, 0)}))
         config = stream_config(
             n_frames=3,
-            ladder=(tile,),
+            ladder=(TILE4,),
             params=PASTA_MICRO,
             workers_per_shard=1,
             batch_frames=3,
@@ -348,7 +384,7 @@ class TestHheMode:
         poison_first_transmission(monkeypatch, frame_id=1)
         config = stream_config(
             n_frames=3,
-            ladder=(Resolution("TILE4", 4, 4),),
+            ladder=(TILE4,),
             params=PASTA_MICRO,
             workers_per_shard=1,
             batch_frames=3,
@@ -363,20 +399,66 @@ class TestHheMode:
             service._decode(wire_carrying(struct.pack("<3I", 1, 2, 3)))
 
 
-class TestHheServerChecks:
-    """The hhe mode's noise refusal and server spans, in the fast lane."""
+class TestWireFuzz:
+    """``Service._decode`` is the trust boundary: whatever CRC-valid payload
+    arrives, it returns exactly one frame's elements or refuses."""
 
-    def test_exhausted_noise_budget_stops_the_run(self):
-        """PASTA_TOY on the service's 230-bit chain is modeled at -58.7 bits
-        of headroom: the server refuses instead of returning wrong pixels."""
-        with pytest.raises(ServiceError, match="NoiseBudgetExhausted"):
-            run_pipeline(n_frames=2, mode="hhe")
+    @pytest.fixture(scope="class")
+    def services(self):
+        return {mode: Service(stream_config(n_frames=1, mode=mode)) for mode in ("symmetric", "hhe")}
+
+    @given(data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_decode_returns_one_frame_or_refuses(self, services, data):
+        mode = data.draw(st.sampled_from(sorted(services)), label="mode")
+        service = services[mode]
+        params = service.config.params
+        resolution = data.draw(st.sampled_from([TILE4, TILE8, TILE16]), label="resolution")
+        count = resolution.pixels // pixels_per_element(params.p)
+        words = data.draw(
+            st.just(count) | st.sampled_from([0, count - 1, count + 1]) | st.integers(0, 2 * count),
+            label="words",
+        )
+        top = data.draw(st.sampled_from([params.p - 1, 2**32 - 1]), label="largest word")
+        values = st.lists(st.integers(0, top), min_size=words, max_size=words)
+        packed = struct.pack(f"<{words}I", *data.draw(values, label="words"))
+        payload = data.draw(
+            st.just(packed) | st.just(packed + b"\x00") | st.binary(max_size=4 * count + 5),
+            label="payload",
+        )
+        wire = replace(wire_carrying(payload), resolution=resolution)
+        try:
+            elements = service._decode(wire)
+        except ParameterError:
+            return
+        assert elements.dtype == np.int64
+        assert elements.shape == (count,)
+        assert ((0 <= elements) & (elements < params.p)).all()
+        if mode == "hhe":
+            assert count % params.t == 0
+
+
+class TestHheServerChecks:
+    """The hhe mode's noise admission and server spans, in the fast lane."""
+
+    def test_default_toy_chain_recovers_bit_exact(self):
+        """The default PASTA_TOY runs on the chain the noise model admits
+        (11 limbs at N = 256, +31.1 bits modeled) and recovers bit-exactly."""
+        service = Service(stream_config(n_frames=2, mode="hhe"))
+        server = service.hhe[TENANT].server
+        assert server.levels == (11, 11, 11, 9, 8, 6, 5)
+        model = server.scheme.noise_model
+        assert model.headroom_bits(server.result_noise) >= model.decryption_floor_bits
+        result = service.run()
+        assert len(result.frames) == 2
+        for frame in result.frames:
+            assert frame.pixels == expected_pixels(frame)
 
     def test_only_the_client_keystream_carries_modeled_cycles(self):
         """Server spans keep time and op counts; a healthy run flags nothing."""
         run_pipeline(
             n_frames=4,
-            ladder=(Resolution("TILE4", 4, 4),),
+            ladder=(TILE4,),
             params=PASTA_MICRO,
             workers_per_shard=1,
             batch_frames=4,

@@ -18,8 +18,13 @@ import numpy as np
 import pytest
 
 from repro.apps.video import synthetic_frames_batch
-from repro.fhe import BatchEncoder, Bfv, toy_parameters
-from repro.hhe import BatchedHheServer, decrypt_batched_result, encrypt_key_batched
+from repro.fhe import BatchEncoder, Bfv
+from repro.hhe import (
+    BatchedHheServer,
+    decrypt_batched_result,
+    encrypt_key_batched,
+    transcipher_parameters,
+)
 from repro.keccak.hw_model import OverlappedKeccakCore
 from repro.obs.cycles import _block_cycles_cache, modeled_block_cycles
 from repro.pasta import PASTA_MICRO, PASTA_TOY, PastaParams, random_key
@@ -50,7 +55,7 @@ def no_scalar_permutation(monkeypatch):
 
 
 def test_hhe_setup_and_frame(no_scalar_permutation, monkeypatch):
-    bfv = toy_parameters(PARAMS.p, n=RING_N, log2_q=240, prime_bits=26)
+    bfv = transcipher_parameters(PARAMS, RING_N, prime_bits=26)
     scheme = Bfv(bfv, seed=b"sponge-guard")
     sk, pk, rlk = scheme.keygen()
     galois = scheme.rotation_keygen(sk, BatchedHheServer.required_rotation_steps(PARAMS, RING_N))
