@@ -5,9 +5,9 @@ import pytest
 
 from repro.baselines import Aes128
 from repro.ff import P17, P60, PrimeField, make_reducer
-from repro.fhe import ExactBaseLift, ExactRescaler, NegacyclicNtt, make_engine
-from repro.fhe.rns import ExactBaseDigits, ExactModSwitch, get_rns_context
-from repro.hhe import transcipher_parameters
+from repro.fhe import BatchEncoder, Bfv, ExactBaseLift, ExactRescaler, NegacyclicNtt, make_engine
+from repro.fhe.rns import AuxiliaryBasis, ExactBaseDigits, ExactModSwitch, get_rns_context
+from repro.hhe import BatchedHheServer, encrypt_key_batched, transcipher_parameters
 from repro.pasta import (
     PASTA_4,
     PASTA_MICRO,
@@ -130,3 +130,52 @@ def test_crt_mod_switch(benchmark, hhe_frame_bases):
         for row in ctx.inverse(parts)
     ]
     assert np.array_equal(low.inverse(got), np.stack(expected))
+
+
+def test_layer0_aux_basis(benchmark, hhe_frame_bases):
+    """One frame's layer 0 at the hhe_frame shape: 2t = 64 encoded diagonals
+    into the two-prime auxiliary basis, the contraction against the
+    converted key upload and the exact lift back, residue for residue the
+    chain-basis product of the diagonals' ten-limb transforms."""
+    ctx, _ = hhe_frame_bases
+    p = PASTA_MICRO.p
+    width = 2 * HHE_FRAME.t
+    basis = AuxiliaryBasis(ctx, width, p // 2)
+    assert len(basis.aux.primes) == 2
+    rng = np.random.default_rng(5)
+    key = ctx.forward(_uniform(ctx, (width, 2), 6))
+    diagonals = rng.integers(-(p // 2), p // 2 + 1, size=(1, width, ctx.n))
+    converted = basis.convert(key)
+    got = benchmark(lambda: basis.product(basis.prepare(diagonals), converted))
+    limbs = (1, width, len(ctx.primes), ctx.n)
+    chain = ctx.forward(np.broadcast_to(diagonals[..., None, :], limbs))
+    assert np.array_equal(got, ctx.matmul_mod(chain, key))
+
+
+def test_batched_key_setup(benchmark, hhe_frame_bases):
+    """The hhe_frame build's Galois keys and key upload, batched, against the
+    same draws made one key and one ciphertext at a time, bit for bit."""
+    ctx, _ = hhe_frame_bases
+    params = transcipher_parameters(HHE_FRAME, 512, prime_bits=26)
+    steps = BatchedHheServer.required_rotation_steps(HHE_FRAME, params.n)
+    encoder = BatchEncoder(params.n, HHE_FRAME.p)
+    key = random_key(HHE_FRAME, b"micro-setup")
+
+    def batched():
+        scheme = Bfv(params, seed=b"micro-setup")
+        sk, pk, _ = scheme.keygen()
+        return scheme.rotation_keygen(sk, steps), encrypt_key_batched(scheme, pk, encoder, key)
+
+    galois, upload = benchmark(batched)
+    scheme = Bfv(params, seed=b"micro-setup")
+    sk, pk, _ = scheme.keygen()
+    single = [scheme.rotation_keygen(sk, [step]) for step in steps]
+    assert len(galois.keys) == len(single) == 18
+    for one in single:
+        ((element, parts),) = one.keys.items()
+        for (b, a), (b1, a1) in zip(galois.keys[element], parts):
+            assert b == b1 and a == a1
+    # The upload's plaintexts, each encrypted on its own.
+    for ct in upload:
+        one = scheme.encrypt_poly(pk, scheme.decrypt_poly(sk, ct))
+        assert all(x == y for x, y in zip(ct.parts, one.parts))

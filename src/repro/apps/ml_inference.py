@@ -72,11 +72,12 @@ class HheInferenceServer:
 
     The packed result holds feature j of block k at slot ``j * w + k % w``
     of hypercube row ``k // w``. One plaintext multiply by a weight row
-    (weight j at every slot of feature j, zero in the R half and past the
-    model's features) and a Halevi-Shoup rotate-and-sum over log2 t steps
+    (weight j at every slot of feature j, zero in the R half, which holds a
+    copy of the L half, and past the model's features) and a Halevi-Shoup
+    rotate-and-sum over log2 t steps
     of ``w * 2^i`` slots leave each block's dot product at its feature-0
     slot; the bias is one scalar plaintext add. Those steps are a subset of
-    the packed evaluator's key steps for t <= 16; the constructor refuses a
+    the packed evaluator's key steps for t <= 32; the constructor refuses a
     server whose key steps miss one, and (with
     :class:`~repro.errors.NoiseBudgetExhausted`) a server whose planned
     score, :func:`score_noise` of its planned result, has less modeled
@@ -134,6 +135,7 @@ class HheInferenceServer:
             scores.append(scheme.add_plain(acc, int(self.model.bias)))
             ops.plain_muls += 1
             ops.rotations += len(self._steps)
+            ops.keyswitches += len(self._steps)
             ops.adds += len(self._steps)
             ops.plain_adds += 1
         model = scheme.noise_model

@@ -56,8 +56,8 @@ def generate(run_transcipher: bool = True, **_kwargs) -> ExperimentResult:
         "PASTA-3/-4 rows: the textbook circuit, one BFV ciphertext per state "
         "element, t^2 plain muls per affine layer side. The packed evaluator "
         "(repro.hhe.batched) carries the whole state of up to (N/2)/t blocks "
-        "in one ciphertext, at O(t) plain muls and O(sqrt t) rotations per "
-        "layer for the whole group (homomorphic_op_counts)."
+        "in one ciphertext, at O(t) plain muls and O(t^(1/3)) giant-step key "
+        "switches per layer for the whole group (homomorphic_op_counts)."
     )
 
     if run_transcipher:
@@ -95,8 +95,10 @@ def generate(run_transcipher: bool = True, **_kwargs) -> ExperimentResult:
             f"{bfv.levels} limbs, log2 q={bfv.q.bit_length()}, the shortest chain the "
             f"noise model admits): {len(messages)} blocks in one packed group "
             f"decrypted exactly with {budget:.0f} bits of noise budget left "
-            f"({ops.relins} relinearizations, {ops.decompositions} hoisted "
-            f"decompositions), on RNS levels {server.levels} limbs per stage "
+            f"({ops.keyswitches} key switches: {ops.relins} relinearizations, "
+            f"{ops.keyswitches - ops.relins - ops.decompositions} rotations not "
+            f"hoisted and {ops.decompositions} hoisted decomposition(s)), on RNS "
+            f"levels {server.levels} limbs per stage "
             "(layer 0, then each S-box and affine layer; the result is raised "
             "back to the full chain) — see the hhe_frame workload of "
             "bench/run.py for the packed server's cold blocks/s."

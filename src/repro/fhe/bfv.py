@@ -34,7 +34,6 @@ import numpy as np
 from repro.errors import ParameterError
 from repro.fhe.engine import CiphertextTensor, PreparedPlain, make_engine, round_div
 from repro.fhe.galois import rotation_element
-from repro.fhe.ntt_vec import FORWARD_INPUT_LIMIT
 from repro.fhe.rns import ntt_prime_chain
 from repro.fhe.rng import PolyRng
 from repro.obs.noise import NoiseEstimate, NoiseModel
@@ -324,16 +323,33 @@ class Bfv:
         pk = PublicKey(b=b, a=a)
 
         # Relinearization key: rlk_i = (-(a_i s + e_i) + T^i s^2, a_i).
-        s_sq = eng.mul(s, s)
-        parts = []
-        power = 1
-        for _ in range(params.relin_parts):
-            a_i = eng.lift(self._rng.uniform_mod(params.q, params.n))
-            e_i = eng.lift(self._rng.centered_binomial(params.eta, params.n))
-            b_i = eng.add(eng.sub(eng.neg(eng.mul(a_i, s)), e_i), eng.scalar_mul(power, s_sq))
-            parts.append((b_i, a_i))
-            power = (power * params.relin_base) % params.q
+        (parts,) = self._switching_keys(s, [eng.mul(s, s)])
         return sk, pk, RelinKey(parts=parts)
+
+    def _switching_keys(self, s, targets) -> List[List[Tuple[Any, Any]]]:
+        """Base-T key-switching parts ``(-(a_i s + e_i) + T^i target, a_i)``
+        for each target in turn.
+
+        Each part draws ``a_i`` then ``e_i``, in the order of generating the
+        keys one polynomial at a time, so the keys are bit for bit those;
+        the engine lifts and combines all of them as stacks
+        (:meth:`~repro.fhe.engine.RnsEngine.switching_keys`).
+        """
+        params = self.params
+        draws = [
+            (
+                self._rng.uniform_candidates(params.q, params.n),
+                self._rng.centered_binomial_array(params.eta, params.n),
+            )
+            for _ in range(len(targets) * params.relin_parts)
+        ]
+        return self.engine.switching_keys(
+            s,
+            targets,
+            np.stack([raw for raw, _ in draws]),
+            np.stack([err for _, err in draws]),
+            params.relin_base,
+        )
 
     def galois_keygen(self, sk: SecretKey, elements: Sequence[int]) -> GaloisKey:
         """Generate key-switching material for the given Galois elements.
@@ -341,26 +357,18 @@ class Bfv:
         The identity element 1 needs no key switch and is skipped; duplicate
         elements are generated once. Key material is deterministic given the
         scheme seed and the *order* of prior RNG draws, like every other
-        keygen here.
+        keygen here; all keys are made as one batch
+        (:meth:`_switching_keys`), equal to making them one by one.
         """
-        eng = self.engine
-        params = self.params
-        keys: dict = {}
+        targets: List[int] = []
         for element in elements:
-            g = int(element) % (2 * params.n)
-            if g == 1 or g in keys:
-                continue
-            s_g = eng.galois(sk.s, g)
-            parts = []
-            power = 1
-            for _ in range(params.relin_parts):
-                a_i = eng.lift(self._rng.uniform_mod(params.q, params.n))
-                e_i = eng.lift(self._rng.centered_binomial(params.eta, params.n))
-                b_i = eng.add(eng.sub(eng.neg(eng.mul(a_i, sk.s)), e_i), eng.scalar_mul(power, s_g))
-                parts.append((b_i, a_i))
-                power = (power * params.relin_base) % params.q
-            keys[g] = parts
-        return GaloisKey(keys=keys)
+            g = int(element) % (2 * self.params.n)
+            if g != 1 and g not in targets:
+                targets.append(g)
+        if not targets:
+            return GaloisKey(keys={})
+        parts = self._switching_keys(sk.s, [self.engine.galois(sk.s, g) for g in targets])
+        return GaloisKey(keys=dict(zip(targets, parts)))
 
     def rotation_keygen(self, sk: SecretKey, steps: Sequence[int]) -> GaloisKey:
         """Galois keys for slot rotations by each of ``steps`` (see rotate_slots)."""
@@ -382,15 +390,36 @@ class Bfv:
         return plain
 
     def encrypt_poly(self, pk: PublicKey, plain: Sequence[int]) -> Ciphertext:
-        eng = self.engine
+        return self.encrypt_polys(pk, [plain])[0]
+
+    def encrypt_polys(self, pk: PublicKey, plains: Sequence[Sequence[int]]) -> List[Ciphertext]:
+        """Encrypt plaintext polynomials as one batch.
+
+        Each ciphertext draws ``u``, ``e1`` and ``e2`` in turn, in the order
+        of one :meth:`encrypt_poly` call per plaintext, so the batch is bit
+        for bit those calls; the engine lifts and combines the draws as
+        stacks (:meth:`~repro.fhe.engine.RnsEngine.encrypt_stack`).
+        """
         params = self.params
-        u = eng.lift(self._rng.ternary(params.n))
-        e1 = eng.lift(self._rng.centered_binomial(params.eta, params.n))
-        e2 = eng.lift(self._rng.centered_binomial(params.eta, params.n))
-        scaled = eng.scalar_mul(params.delta, eng.lift(self._reduced_plain(plain)))
-        c0 = eng.add(eng.add(eng.mul(pk.b, u), e1), scaled)
-        c1 = eng.add(eng.mul(pk.a, u), e2)
-        return Ciphertext(parts=[c0, c1], noise=self.noise_model.fresh())
+        plains = np.asarray(plains)
+        if plains.ndim != 2 or plains.shape[1] != params.n:
+            raise ParameterError(f"plaintext must have {params.n} coefficients")
+        draws = [
+            (
+                self._rng.ternary_array(params.n),
+                self._rng.centered_binomial_array(params.eta, params.n),
+                self._rng.centered_binomial_array(params.eta, params.n),
+            )
+            for _ in plains
+        ]
+        stacks = [np.stack([draw[k] for draw in draws]) for k in range(3)]
+        fresh = self.noise_model.fresh()
+        return [
+            Ciphertext(parts=parts, noise=fresh)
+            for parts in self.engine.encrypt_stack(
+                pk.b, pk.a, stacks, plains % params.p, params.delta
+            )
+        ]
 
     def _phase(self, sk: SecretKey, ct: Ciphertext) -> Any:
         eng = self.engine
@@ -635,24 +664,18 @@ class Bfv:
         """``(..., N)`` encoded plaintexts -> ``(..., L, N)`` eval-domain residues.
 
         Each coefficient is centered mod p into ``(-p/2, p/2]`` (the lift of
-        ``prepare_mul_plain``) and enters the forward NTT unreduced,
-        broadcast over the L limbs: the transform reduces inputs below
-        :data:`~repro.fhe.ntt_vec.FORWARD_INPUT_LIMIT` in magnitude exactly,
-        so no per-limb ``%`` pass runs. A plaintext modulus too wide for that
-        bound is reduced per limb first.
+        ``prepare_mul_plain``) and transformed by
+        :meth:`~repro.fhe.rns.RnsContext.forward_small`.
         """
-        ctx = self._tensor_engine().ctx
         p = self.params.p
         reduced = encoded % p
         centered = np.where(reduced > p // 2, reduced - p, reduced)
-        if p // 2 >= FORWARD_INPUT_LIMIT:
-            return ctx.forward(ctx.to_rns_batch(centered))
-        limbs = centered.shape[:-1] + (len(ctx.primes), ctx.n)
-        return ctx.forward(np.broadcast_to(centered[..., None, :], limbs))
+        return self._tensor_engine().ctx.forward_small(centered)
 
     def prepare_matrix(self, encoded_rows: np.ndarray) -> PreparedPlain:
-        """Prepare a (J, K, N) stack of encoded plaintext polynomials for
-        :meth:`tensor_affine`.
+        """Prepare a (J, K, N) stack of encoded plaintext polynomials for a
+        :meth:`RnsContext.matmul_mod` contraction (the packed evaluator's
+        BSGS layers).
 
         Each (j, k) polynomial is centered mod p (same lift as
         ``prepare_mul_plain``) and forward transformed in the RNS basis —
@@ -700,21 +723,6 @@ class Bfv:
         delta = eng.ctx.scalar_residues(self.params.delta)
         value = eng.ctx.forward(eng.ctx.mod_mul(residues, delta))
         return PreparedPlain(kind="add_rows", engine=eng.name, value=value)
-
-    def tensor_affine(
-        self,
-        state: CiphertextTensor,
-        matrix: PreparedPlain,
-        rc: Optional[PreparedPlain] = None,
-    ) -> CiphertextTensor:
-        """Fused affine layer: prepared matrix einsum + round-constant add."""
-        eng = self._tensor_engine()
-        rc_rows = self._take_prepared_tensor(rc, "add_rows") if rc is not None else None
-        out = eng.tensor_affine(self._take_prepared_tensor(matrix, "matmul"), state, rc_rows)
-        out.noise = self.noise_model.affine(
-            state.noise, state.slots, round_constant=rc is not None
-        )
-        return out
 
     def tensor_add(self, a: CiphertextTensor, b: CiphertextTensor) -> CiphertextTensor:
         if a.data.shape != b.data.shape:
@@ -841,24 +849,25 @@ class Bfv:
         )
 
     def tensor_rotate_hoisted(
-        self, state: CiphertextTensor, digits: np.ndarray, steps: int, gk: GaloisKey
+        self, state: CiphertextTensor, digits: np.ndarray, steps: Sequence[int], gk: GaloisKey
     ) -> CiphertextTensor:
-        """Rotate ``state`` by ``steps`` via its pre-hoisted digit stack.
+        """Rotate ``state`` by each of ``steps`` via its pre-hoisted digit stack.
 
         ``digits`` must come from :meth:`hoisted_decompose` of the same
-        ``state``. Decrypts identically to :meth:`tensor_rotate` (the error
-        cross terms differ below the same bound, so residues are not
-        expected to match bit-for-bit — parity holds at the plaintext).
+        ``state``. One engine call returns the (len(steps) * B)-slot stack of
+        the B ciphertexts rotated by each step in turn. Each decrypts like
+        :meth:`tensor_rotate` (the error cross terms differ below the same
+        bound, so residues are not expected to match bit-for-bit — parity
+        holds at the plaintext) and carries one key-switch term over the
+        source.
         """
         eng = self._tensor_engine()
-        params = self.params
-        g = rotation_element(params.n, steps)
-        if g == 1:
-            return CiphertextTensor(eng.ctx, np.array(state.data), noise=state.noise)
         if state.parts != 2:
             raise ParameterError("hoisted rotation expects 2-part ciphertext tensors")
-        out = eng.tensor_keyswitch_hoisted(
-            state.data, digits, g, self._galois_key_stacks(gk, g)
-        )
-        out.noise = self.noise_model.hoisted_rotation(state.noise)
-        return out
+        elements = [rotation_element(self.params.n, step) for step in steps]
+        stacks = [None if g == 1 else self._galois_key_stacks(gk, g) for g in elements]
+        data = eng.tensor_keyswitch_hoisted(state.data, digits, elements, stacks)
+        noise = self.noise_model.hoisted_rotation(state.noise)
+        if all(g == 1 for g in elements):
+            noise = state.noise
+        return CiphertextTensor(eng.ctx, data, noise=noise)

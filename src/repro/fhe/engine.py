@@ -35,6 +35,7 @@ import numpy as np
 
 from repro.errors import ParameterError
 from repro.fhe.poly import Rq, negacyclic_mul_exact
+from repro.fhe.rng import decode_uniform
 from repro.fhe.rns import (
     ExactBaseDigits,
     ExactBaseLift,
@@ -44,7 +45,14 @@ from repro.fhe.rns import (
     RnsPoly,
     get_rns_context,
     ntt_prime_chain,
+    uniform_residues,
 )
+
+#: Rows per forward transform when a key setup lifts a stack of
+#: polynomials: about 40 rows of N = 512 keep a transform's working set in
+#: cache, where one call per polynomial pays numpy's per-call cost and one
+#: call for the whole stack spills (about 22 against 50 us per row).
+SETUP_CHUNK_ROWS = 40
 
 
 def round_div(numerator: int, denominator: int) -> int:
@@ -74,7 +82,7 @@ class CiphertextTensor:
     ciphertexts (a packed PASTA state, or the 2t pre-rotated key
     ciphertexts of the HHE upload), each of ``parts`` ring
     polynomials held as eval-domain ``(L, N)`` residue matrices. Every
-    fused kernel (affine einsum, elementwise add/neg, batched
+    fused kernel (diagonal contraction, elementwise add/neg, batched
     square/multiply) acts on the whole stack per numpy pass and *stays* in
     the eval domain; coefficients are only rematerialized inside
     ``tensor_scale_batch`` / relinearization, the CRT boundaries, which
@@ -141,6 +149,49 @@ class BigintEngine:
         if len(coeffs) != self.n:
             raise ParameterError(f"expected {self.n} coefficients, got {len(coeffs)}")
         return [int(c) % self.q for c in coeffs]
+
+    # -- batched key setup ---------------------------------------------------------
+
+    def switching_keys(
+        self, s: List[int], targets: Sequence[List[int]], uniforms: np.ndarray,
+        errors: np.ndarray, base: int,
+    ) -> List[List[tuple]]:
+        """Base-T key-switching parts for every target, one polynomial at a time.
+
+        ``uniforms`` holds ``(len(targets) * D, N, nbytes)`` uniform
+        candidates (``PolyRng.uniform_candidates``) and ``errors`` the
+        matching ``(len(targets) * D, N)`` error draws; target k's part i is
+        ``(-(a s + e) + T^i target, a)`` for draw ``k D + i``.
+        """
+        digits = len(uniforms) // len(targets)
+        out = []
+        for k, target in enumerate(targets):
+            parts = []
+            power = 1
+            for i in range(k * digits, (k + 1) * digits):
+                a = self.lift(decode_uniform(uniforms[i], self.q))
+                b = self.add(
+                    self.sub(self.neg(self.mul(a, s)), self.lift(errors[i])),
+                    self.scalar_mul(power, target),
+                )
+                parts.append((b, a))
+                power = (power * base) % self.q
+            out.append(parts)
+        return out
+
+    def encrypt_stack(
+        self, b: List[int], a: List[int], draws: Sequence[np.ndarray],
+        plains: np.ndarray, delta: int,
+    ) -> List[List[List[int]]]:
+        """``[b u + e1 + delta m, a u + e2]`` per plaintext row ``m``, from the
+        ``(K, N)`` draws ``(u, e1, e2)``, one ciphertext at a time."""
+        out = []
+        for u, e1, e2, m in zip(*draws, plains):
+            u = self.lift(u)
+            scaled = self.scalar_mul(delta, self.lift(m))
+            c0 = self.add(self.add(self.mul(b, u), self.lift(e1)), scaled)
+            out.append([c0, self.add(self.mul(a, u), self.lift(e2))])
+        return out
 
     def to_ints(self, poly: List[int]) -> List[int]:
         return list(poly)
@@ -272,6 +323,66 @@ class RnsEngine:
 
     def lift(self, coeffs: Sequence[int]) -> RnsPoly:
         return RnsPoly.from_ints(self.ctx, list(coeffs))
+
+    # -- batched key setup ---------------------------------------------------------
+
+    def _forward_stack(self, coeffs: np.ndarray, transform) -> np.ndarray:
+        """K polynomials -> ``(K, L, N)`` eval-domain residues, transformed in
+        cache-sized chunks (:data:`SETUP_CHUNK_ROWS`) by ``transform``:
+        ``ctx.forward`` for (K, L, N) residues, ``ctx.forward_small`` for
+        (K, N) small signed draws."""
+        chunk = max(1, SETUP_CHUNK_ROWS // len(self.ctx.primes))
+        out = np.empty((len(coeffs), len(self.ctx.primes), self.n), dtype=np.int64)
+        for start in range(0, len(coeffs), chunk):
+            out[start : start + chunk] = transform(coeffs[start : start + chunk])
+        return out
+
+    def switching_keys(
+        self, s: RnsPoly, targets: Sequence[RnsPoly], uniforms: np.ndarray,
+        errors: np.ndarray, base: int,
+    ) -> List[List[tuple]]:
+        """:meth:`BigintEngine.switching_keys` on stacks, residue for residue.
+
+        The uniform candidates decode straight to residues
+        (:func:`~repro.fhe.rns.uniform_residues`), each kind is transformed
+        as one stack, and every part's ``T^i target - a s - e`` is one
+        pointwise pass over all of them, reduced once: each product of
+        residues stays below 2^62, so the sum fits int64.
+        """
+        ctx = self.ctx
+        digits = len(uniforms) // len(targets)
+        shape = (len(targets), digits, len(ctx.primes), self.n)
+        residues = uniform_residues(uniforms, ctx.primes)
+        a = self._forward_stack(residues, ctx.forward).reshape(shape)
+        e = self._forward_stack(errors, ctx.forward_small).reshape(shape)
+        powers = np.stack(
+            [ctx.scalar_residues(pow(base, i, self.q)) for i in range(digits)]
+        )  # (D, L, 1)
+        target = np.stack([t.eval_mat() for t in targets])[:, None]  # (K, 1, L, N)
+        b = (target * powers - a * s.eval_mat() - e) % ctx._q_col
+        return [
+            [(RnsPoly(ctx, b[k, i]), RnsPoly(ctx, a[k, i])) for i in range(digits)]
+            for k in range(len(targets))
+        ]
+
+    def encrypt_stack(
+        self, b: RnsPoly, a: RnsPoly, draws: Sequence[np.ndarray],
+        plains: np.ndarray, delta: int,
+    ) -> List[List[RnsPoly]]:
+        """:meth:`BigintEngine.encrypt_stack` on stacks, residue for residue:
+        ``e1 + delta m`` is formed per limb before its one transform, and
+        each part is reduced once (a product of residues plus a residue
+        fits int64)."""
+        ctx = self.ctx
+        u_rows, e1_rows, e2_rows = draws
+        u = self._forward_stack(u_rows, ctx.forward_small)
+        scaled = ctx.mod_mul(ctx.to_rns_batch(plains), ctx.scalar_residues(delta))
+        noisy = self._forward_stack(
+            scaled + np.asarray(e1_rows, dtype=np.int64)[:, None, :], ctx.forward
+        )
+        c0 = (b.eval_mat() * u + noisy) % ctx._q_col
+        c1 = (a.eval_mat() * u + self._forward_stack(e2_rows, ctx.forward_small)) % ctx._q_col
+        return [[RnsPoly(ctx, c0[k]), RnsPoly(ctx, c1[k])] for k in range(len(plains))]
 
     def to_ints(self, poly: RnsPoly) -> List[int]:
         return poly.to_ints()
@@ -411,24 +522,6 @@ class RnsEngine:
     def tensor_neg(self, a: CiphertextTensor) -> CiphertextTensor:
         return CiphertextTensor(self.ctx, self.ctx.mod_neg(a.data))
 
-    def tensor_affine(
-        self,
-        matrix: np.ndarray,
-        state: CiphertextTensor,
-        rc: Optional[np.ndarray] = None,
-    ) -> CiphertextTensor:
-        """Fused affine layer: one chunked einsum per residue prime.
-
-        ``matrix`` is a prepared (J, K, L, N) eval-domain plaintext tensor,
-        ``state`` the (K, parts, L, N) ciphertext tensor; ``rc`` an optional
-        (J, L, N) Delta-scaled round-constant stack added onto part 0 (the
-        broadcast equivalent of ``add_plain_poly``).
-        """
-        out = self.ctx.matmul_mod(matrix, state.data)
-        if rc is not None:
-            out[:, 0] = self.ctx.mod_add(out[:, 0], rc)
-        return CiphertextTensor(self.ctx, out)
-
     def tensor_add_rows(self, state: CiphertextTensor, rows: np.ndarray) -> CiphertextTensor:
         """Add a prepared (slots, L, N) Delta-scaled plaintext stack onto part 0."""
         if rows.shape[0] != state.slots:
@@ -562,23 +655,38 @@ class RnsEngine:
         return self._decompose_base_digits(parts2[:, 1], base, count)
 
     def tensor_keyswitch_hoisted(
-        self, parts2: np.ndarray, digits: np.ndarray, element: int, key_stacks: tuple
-    ) -> CiphertextTensor:
+        self,
+        parts2: np.ndarray,
+        digits: np.ndarray,
+        elements: Sequence[int],
+        key_stacks: Sequence[tuple],
+    ) -> np.ndarray:
         """Rotate via a pre-hoisted digit stack: permute, then one inner product.
 
-        ``parts2`` and ``digits`` are both *unrotated* — tau_g is applied
-        here, to the c0 component and the digit stack, replacing the
-        per-rotation decomposition with a coefficient permutation.
+        ``parts2`` and ``digits`` are both *unrotated* — each ``tau_g`` is
+        applied here, to the c0 component and the digit stack, replacing
+        the per-rotation decomposition with a coefficient permutation.
+        Returns the (E * B, 2, L, N) stack of the B ciphertexts rotated by
+        each of the E ``elements`` in turn, against their key stacks; the
+        identity element 1 copies them.
         """
         from repro.fhe.galois import eval_permutation
 
-        b_stack, a_stack = key_stacks
-        perm = eval_permutation(self.ctx.n, element)
-        rotated = np.ascontiguousarray(digits[..., perm])
-        c0 = np.ascontiguousarray(parts2[:, 0][..., perm])
-        new0 = self.ctx.mod_add(c0, self.ctx.weighted_sum_mod(rotated, b_stack))
-        new1 = self.ctx.weighted_sum_mod(rotated, a_stack)
-        return CiphertextTensor(self.ctx, np.stack([new0, new1], axis=1))
+        slots = parts2.shape[0]
+        out = np.empty((len(elements) * slots,) + parts2.shape[1:], dtype=np.int64)
+        for index, (element, stacks) in enumerate(zip(elements, key_stacks)):
+            rotated = out[index * slots : (index + 1) * slots]
+            if element == 1:
+                rotated[...] = parts2
+                continue
+            b_stack, a_stack = stacks
+            perm = eval_permutation(self.ctx.n, element)
+            moved = digits[..., perm]
+            rotated[:, 0] = self.ctx.mod_add(
+                parts2[:, 0][..., perm], self.ctx.weighted_sum_mod(moved, b_stack)
+            )
+            rotated[:, 1] = self.ctx.weighted_sum_mod(moved, a_stack)
+        return out
 
 
 def make_engine(params: "Any", engine: str):

@@ -38,6 +38,8 @@ Key objects:
   :class:`ExactRescaler` — the exact int64 base transports;
 * :class:`ExactModSwitch` — BFV modulus switching to a chain prefix
   (drop-and-round on the lift) and back (an exact multiply);
+* :class:`AuxiliaryBasis` — small-plaintext products against a fixed
+  operand in a two- or three-prime auxiliary basis, lifted back exactly;
 * :class:`RnsPoly` — a polynomial held as its eval-domain (NTT) residue
   matrix, so every ring operation is pointwise.
 """
@@ -52,7 +54,7 @@ import numpy as np
 
 from repro.errors import ParameterError
 from repro.ff.primality import is_prime
-from repro.fhe.ntt_vec import VecNtt, butterfly_fits_int64, get_vec_ntt
+from repro.fhe.ntt_vec import FORWARD_INPUT_LIMIT, VecNtt, butterfly_fits_int64, get_vec_ntt
 from repro.obs import get_registry
 
 _INT64_MAX = (1 << 63) - 1
@@ -274,6 +276,20 @@ class RnsContext:
     def forward(self, mat: np.ndarray) -> np.ndarray:
         return self.ntt.forward(mat)
 
+    def forward_small(self, values: np.ndarray) -> np.ndarray:
+        """``(..., N)`` signed integers -> ``(..., L, N)`` eval-domain residues.
+
+        Values below :data:`~repro.fhe.ntt_vec.FORWARD_INPUT_LIMIT` in
+        magnitude enter the transform unreduced, broadcast over the L limbs
+        (it reduces them exactly), so no per-limb ``%`` pass runs; larger
+        ones are reduced per limb first (:meth:`to_rns_batch`).
+        """
+        values = np.asarray(values, dtype=np.int64)
+        if np.abs(values).max(initial=0) >= FORWARD_INPUT_LIMIT:
+            return self.forward(self.to_rns_batch(values))
+        limbs = values.shape[:-1] + (len(self.primes), self.n)
+        return self.forward(np.broadcast_to(values[..., None, :], limbs))
+
     def inverse(self, mat: np.ndarray) -> np.ndarray:
         return self.ntt.inverse(mat)
 
@@ -396,6 +412,18 @@ class ExactBaseLift:
         y, k = self.src.project(mat, centered=True, transport=self.transport)
         start = -k[..., None, :] * self._mod_src
         return _contract_mod(start, y, self._weights, self._p_col, self._chunk)
+
+    def lift_centered_rows(self, mat: np.ndarray) -> np.ndarray:
+        """``(..., E, L_src, N)`` residues -> ``(..., E, N)``: value e's
+        centered lift into destination prime e only."""
+        y, k = self.src.project(mat, centered=True, transport=self.transport)
+        acc = -k * self._mod_src
+        for start in range(0, y.shape[-2], self._chunk):
+            stop = start + self._chunk
+            weights = self._weights[:, start:stop]
+            part = np.einsum("el,...eln->...en", weights, y[..., start:stop, :])
+            acc = (acc + part) % self._p_col
+        return acc
 
 
 class ExactBaseDigits:
@@ -600,6 +628,102 @@ class ExactModSwitch:
         out = np.zeros(evals.shape[:-2] + (len(self.src.primes), self.src.n), dtype=np.int64)
         out[..., : len(self.dst.primes), :] = self.dst.mod_mul(evals, self._p)
         return out
+
+
+#: Prime width of :class:`AuxiliaryBasis`: two residues multiply below
+#: 2^58, so :meth:`RnsContext.matmul_mod` contracts 31 terms per int64 pass.
+AUX_PRIME_BITS = 29
+
+#: Fixed operands :meth:`AuxiliaryBasis.convert` transforms per pass: at
+#: N = 512 and ten limbs, four key ciphertexts (80 inverse and 160 forward
+#: rows) kept a pass in cache, about 120 ms for the 64-ciphertext upload
+#: against 190 ms as one stack.
+AUX_CONVERT_CHUNK = 4
+
+
+class AuxiliaryBasis:
+    """Sums of small plaintexts times fixed chain polynomials, in a short basis.
+
+    For plaintexts ``a_k`` with centered coefficients ``|a| <= plain_bound``
+    and fixed polynomials ``f_k`` over the chain ``ctx``, limb i of
+    ``sum_k a_k f_k`` is the integer negacyclic sum of products of ``a_k``
+    with the centered residues ``[f_k]_{q_i}``, reduced mod ``q_i``. Its
+    coefficients stay below ``terms N plain_bound (max q_i - 1)/2`` in
+    magnitude, so an auxiliary NTT basis ``B`` of :data:`AUX_PRIME_BITS`
+    primes whose product exceeds twice that holds every limb's sum exactly
+    (centered): two primes for the ``hhe_frame`` server's layer 0, three at
+    33-bit p.
+
+    :meth:`convert` moves the fixed operand into ``B`` once (an inverse
+    transform at the chain, then ``L`` centered limbs forward into ``B``),
+    :meth:`prepare` transforms plaintexts into ``B`` only (``|B|`` rows
+    each instead of ``L``), and :meth:`product` contracts, inverse
+    transforms ``P L |B|`` rows and returns each limb to its own prime
+    (:meth:`ExactBaseLift.lift_centered_rows`): residue for residue the
+    chain's eval-domain product. Key-switching datapaths precompute their
+    static operand the same way (Medha, BASALISC).
+    """
+
+    def __init__(self, ctx: RnsContext, terms: int, plain_bound: int):
+        bound = 2 * terms * ctx.n * plain_bound * ((max(ctx.primes) - 1) // 2)
+        self.ctx = ctx
+        self.aux = get_rns_context(
+            ctx.n, ntt_prime_chain(ctx.n, bound.bit_length() + 1, AUX_PRIME_BITS)
+        )
+        self._lift = ExactBaseLift(self.aux, ctx.primes, transport="aux")
+        self._half = ctx._q_col // 2
+
+    def convert(self, evals: np.ndarray) -> np.ndarray:
+        """``(K, P, L, N)`` eval-domain chain residues -> ``(K, P L, |B|, N)`` in ``B``,
+        :data:`AUX_CONVERT_CHUNK` fixed operands per pass."""
+        k, parts, limbs, n = evals.shape
+        out = np.empty((k, parts * limbs, len(self.aux.primes), n), dtype=np.int64)
+        for start in range(0, k, AUX_CONVERT_CHUNK):
+            stop = start + AUX_CONVERT_CHUNK
+            coeffs = self.ctx.inverse(evals[start:stop])
+            centered = np.where(coeffs > self._half, coeffs - self.ctx._q_col, coeffs)
+            out[start:stop] = self.aux.forward_small(centered).reshape((-1,) + out.shape[1:])
+        return out
+
+    def prepare(self, centered: np.ndarray) -> np.ndarray:
+        """``(J, K, N)`` centered plaintext coefficients -> ``(J, K, |B|, N)`` in ``B``."""
+        return self.aux.forward_small(centered)
+
+    def product(self, prepared: np.ndarray, converted: np.ndarray) -> np.ndarray:
+        """``(J, K, |B|, N) x (K, P L, |B|, N) -> (J, P, L, N)`` eval-domain chain residues."""
+        sums = self.aux.inverse(self.aux.matmul_mod(prepared, converted))
+        limbs = len(self.ctx.primes)
+        sums = sums.reshape((sums.shape[0], -1, limbs) + sums.shape[-2:])  # (J, P, L, |B|, N)
+        return self.ctx.forward(self._lift.lift_centered_rows(sums))
+
+
+def uniform_residues(raw: np.ndarray, primes: Sequence[int]) -> np.ndarray:
+    """``(..., count, nbytes)`` little-endian integers -> ``(..., L, count)`` residues.
+
+    One contraction of the values' 16-bit half-words against
+    ``2^(16 m) mod q_i``, then one reduction. Each product stays below
+    ``2^16 q_i``; while the sum of all of them stays below ``2^53`` the
+    contraction runs exactly in float64 (BLAS), else in int64 (below
+    ``2^63``). A value mod a chain's product ``q`` has the value's residue
+    mod each ``q_i``, so this decodes
+    :meth:`repro.fhe.rng.PolyRng.uniform_candidates` straight into RNS
+    residues.
+    """
+    raw = np.asarray(raw, dtype=np.uint8)
+    nbytes = raw.shape[-1]
+    halves = -(-nbytes // 2)
+    total = halves * ((1 << 16) - 1) * (max(primes) - 1)
+    if total > _INT64_MAX:
+        raise ParameterError(f"{nbytes}-byte values do not decode in int64 for these primes")
+    dtype = np.float64 if total < 1 << 53 else np.int64
+    padded = np.zeros(raw.shape[:-1] + (2 * halves,), dtype=np.uint8)
+    padded[..., :nbytes] = raw
+    words = padded.view("<u2").astype(dtype)  # (..., count, H)
+    weights = np.array(
+        [[pow(2, 16 * m, q) for m in range(halves)] for q in primes], dtype=dtype
+    )  # (L, H)
+    sums = np.matmul(weights, np.swapaxes(words, -1, -2)).astype(np.int64)
+    return sums % np.array(primes, dtype=np.int64).reshape(-1, 1)
 
 
 class RnsPoly:

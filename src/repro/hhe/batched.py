@@ -18,13 +18,22 @@ state elements needs no conjugation key.
 
 * Each affine layer runs as ``A = [[2M_L, M_R], [M_L, 2M_R]]`` with round
   constant ``[2rc_L + rc_R, rc_L + 2rc_R]``: PASTA's Mix folded into the
-  2t generalized diagonals, all at multiples of w. The last layer keeps
-  only the L rows, so the result carries ``c - KS`` and zeros.
+  2t generalized diagonals, all at multiples of w.
 * The client uploads the key pre-rotated (:func:`encrypt_key_batched`), so
-  layer 0 is a rotation-free diagonal sum (:meth:`Bfv.tensor_affine`).
+  layer 0 is a rotation-free diagonal sum. Its diagonals are small
+  plaintexts, so it runs in a two- or three-prime auxiliary NTT basis
+  (:class:`~repro.fhe.rns.AuxiliaryBasis`, sized by
+  ``|B| > 2 * 2t * N * (p-1)/2 * (max q_i - 1)/2``) that the key upload is
+  converted into once, at construction: each frame transforms its 2t
+  diagonals into |B| limbs instead of L, and an exact lift returns the
+  product to the chain, residue for residue.
 * Layers 1..r run the baby-step/giant-step diagonal method with hoisted
-  baby rotations (Halevi-Shoup, "Algorithms in HElib") — 2t diagonal
-  plaintext products plus O(sqrt t) Galois rotations.
+  baby rotations (Halevi-Shoup, "Algorithms in HElib"), split by
+  :func:`~repro.pasta.decrypt_circuit.bsgs_split`: (16, 4) for 2t = 64.
+  The last layer keeps only the L rows, so it is the t x 2t rectangle it
+  is: t extended diagonals at (8, 4) for t = 32, then one fold
+  ``out = z + rot(z, t*w)``, which leaves a copy of the L half in the R
+  half (:class:`BatchedTranscipherResult`).
 * The Feistel shift ``x[j] + x[j-1]^2`` is one rotation right by w and one
   mask that drops the wrapped element.
 
@@ -59,13 +68,17 @@ The prepared plaintexts of every layer depend only on the public
 the paper's schedule generates round i+1's matrices while round i's
 MatMul runs: the calling thread prepares group 0's layer 0 and evaluates,
 while one ``hhe-prepare`` thread prepares every later (group, layer), at
-most one group of layers ahead of the evaluator.
+most one group of layers ahead of the evaluator. A group's block
+materials are derived at most once per call, only when one of its layers
+misses the prepared-plaintext caches, and every layer's matrices are built
+from them.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import threading
 from collections import deque
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
@@ -80,12 +93,12 @@ from repro.fhe.batching import BatchEncoder
 from repro.fhe.bfv import Bfv, BfvParams, Ciphertext, GaloisKey, PublicKey, RelinKey
 from repro.fhe.engine import CiphertextTensor
 from repro.fhe.galois import rotation_element, rows_to_slots, slots_to_rows
-from repro.fhe.rns import ntt_prime_chain
+from repro.fhe.rns import AuxiliaryBasis, ntt_prime_chain
 from repro.obs.noise import NoiseEstimate, NoiseModel
 from repro.obs.trace import SpanContext, Tracer, get_tracer
-from repro.pasta.batch import get_engine
+from repro.pasta.batch import batched_sequential_matrices, get_engine
 from repro.pasta.cipher import field_elements
-from repro.pasta.decrypt_circuit import bsgs_split
+from repro.pasta.decrypt_circuit import affine_diagonals, bsgs_split
 from repro.pasta.params import PastaParams
 from repro.pasta.xof import as_u64
 
@@ -114,6 +127,9 @@ class BfvOpCounts:
     relins: int = 0
     rotations: int = 0  #: Galois automorphism + key switch
     decompositions: int = 0  #: Hoisted digit decompositions shared by rotations
+    #: Digit decompositions run: relinearizations, rotations that are not
+    #: hoisted, and hoisted decompositions.
+    keyswitches: int = 0
 
 
 @dataclass
@@ -123,9 +139,12 @@ class BatchedTranscipherResult:
     Ciphertext g holds blocks ``g * group_size`` onward. With
     ``w = group_size / 2``, the group's k-th block sits in hypercube row
     ``k // w``, its message element j at that row's logical slot
-    ``j * w + k % w`` (:func:`repro.fhe.galois.slots_to_rows` order). Every
-    other slot — the R half of each row and the slots of unfilled blocks —
-    decrypts to 0. ``ops`` sums every group's evaluation.
+    ``j * w + k % w`` (:func:`repro.fhe.galois.slots_to_rows` order), for
+    j < t (the L half). The R half holds a copy: slot ``(t + j) * w + k % w``
+    decrypts to element j too, since the last affine layer runs as a t x 2t
+    rectangle whose fold fills both halves. The slots of unfilled blocks
+    decrypt to 0. Readers take the L half (:func:`decrypt_batched_result`)
+    or mask the R half off. ``ops`` sums every group's evaluation.
     """
 
     ciphertexts: List[Ciphertext]
@@ -179,23 +198,30 @@ def circuit_noise(
 ) -> Optional[NoiseEstimate]:
     """The ledger's closed forms along a level plan: the result's estimate.
 
-    Stage 0 is layer 0 (a 2t-term diagonal sum on the key upload), stage
-    ``2i + 1`` round i's S-box (Feistel, or the cube in the last round)
-    and stage ``2i + 2`` layer ``i + 1`` (BSGS); a drop between stages is
-    a modulus switch, and the last stage's level is raised back to the
-    full chain before the negation and the message add. These are the
-    growth rules the :class:`~repro.fhe.bfv.Bfv` wrappers apply while
-    :class:`BatchedHheServer` evaluates, so the evaluated result carries
-    this estimate. ``full`` is the full chain's model.
+    Stage 0 is layer 0 (a 2t-term diagonal sum on the key upload, then the
+    round-constant add), stage ``2i + 1`` round i's S-box (Feistel, or the
+    cube in the last round) and stage ``2i + 2`` layer ``i + 1`` (BSGS,
+    then the round-constant add; the last layer folds its rectangle
+    first); a drop between stages is a modulus switch, and the last
+    stage's level is raised back to the full chain before the negation and
+    the message add. These are the growth rules the
+    :class:`~repro.fhe.bfv.Bfv` wrappers apply while
+    :class:`BatchedHheServer` evaluates, in the same order, so the
+    evaluated result carries exactly this estimate. ``full`` is the full
+    chain's model.
     """
-    bs, giants = bsgs_split(2 * params.t)
-    estimate = full.affine(key_noise, 2 * params.t)
+    estimate = full.add_plain(full.affine(key_noise, 2 * params.t))
     for stage in range(1, len(levels)):
         model = full.at_level(levels[stage])
         if levels[stage] < levels[stage - 1]:
             estimate = full.at_level(levels[stage - 1]).mod_switch(estimate, model)
         if stage % 2 == 0:
-            estimate = model.bsgs_affine(estimate, bs, giants)
+            estimate = model.bsgs_affine(
+                estimate, *bsgs_split(affine_diagonals(params, stage // 2))
+            )
+            if stage == len(levels) - 1:  # the rectangle's fold
+                estimate = model.add(estimate, model.rotate(estimate))
+            estimate = model.add_plain(estimate)
         elif stage < len(levels) - 2:
             square = model.rotate(model.multiply(estimate, estimate))
             estimate = model.add(estimate, model.mul_plain_poly(square))
@@ -309,15 +335,9 @@ def _place(per_block: np.ndarray, w: int) -> np.ndarray:
     return grid.reshape(grid.shape[:-2] + (-1,))
 
 
-def _mix(left: np.ndarray, right: np.ndarray, last: bool, axis: int) -> np.ndarray:
-    """PASTA's Mix over the affine output rows: ``[2L + R, L + 2R]``.
-
-    The last layer keeps only the L rows; its bottom rows are zero, so the
-    evaluation never computes the R half of the final state.
-    """
-    top = 2 * left + right
-    bottom = np.zeros_like(top) if last else left + 2 * right
-    return np.concatenate([top, bottom], axis=axis)
+def _mix(left: np.ndarray, right: np.ndarray, axis: int) -> np.ndarray:
+    """PASTA's Mix over the affine output rows: ``[2L + R, L + 2R]``."""
+    return np.concatenate([2 * left + right, left + 2 * right], axis=axis)
 
 
 def encrypt_key_batched(
@@ -329,7 +349,10 @@ def encrypt_key_batched(
     ``j * w + c`` of both hypercube rows holds ``key[(j + d) mod 2t]``, for
     every c < w. These are exactly the inputs of layer 0's diagonal sum, so
     the server evaluates that layer without a rotation. 2t fresh
-    encryptions, like one per key element.
+    encryptions, like one per key element, made as one batch
+    (:meth:`Bfv.encrypt_polys`): each ciphertext's randomness is drawn in
+    the order of 2t :meth:`Bfv.encrypt_poly` calls, so the upload is bit for
+    bit theirs, and the batch's polynomials are transformed as stacks.
     """
     _check_encoder(scheme, encoder)
     values = np.asarray([int(k) for k in key], dtype=np.int64)
@@ -338,8 +361,7 @@ def encrypt_key_batched(
     j = np.arange(width)
     rotated = values[(j[:, None] + j[None, :]) % width]  # [d, j] = key[(j + d) mod 2t]
     rows = np.broadcast_to(np.repeat(rotated, w, axis=1)[:, None], (width, 2, width * w))
-    encoded = encoder.encode_rows(rows_to_slots(encoder.n, rows))
-    return [scheme.encrypt_poly(pk, poly.tolist()) for poly in encoded]
+    return scheme.encrypt_polys(pk, encoder.encode_rows(rows_to_slots(encoder.n, rows)))
 
 
 class BatchedHheServer:
@@ -398,23 +420,27 @@ class BatchedHheServer:
         self.rlk = rlk
         self.encoder = encoder
         self.galois_keys = galois_keys
-        #: Shared batched keystream engine: materials and matrices for the
-        #: public (nonce, counter) schedule come from its LRU, so the
-        #: schedule builders of one frame derive each block once.
+        #: Shared batched keystream engine: each packed group's block
+        #: materials for the public (nonce, counter) schedule come from it
+        #: at most once per call (:meth:`_schedule`).
         self.engine = get_engine(params)
-        self._bsgs = bsgs_split(width)
 
         # Stack every key now: the engine refuses material from another
         # ring or prime chain here, at setup, instead of mid-frame.
-        self._key = scheme.stack_ciphertexts(list(encrypted_key))
+        key = scheme.stack_ciphertexts(list(encrypted_key))
+        self._key_noise = key.noise
         #: The RNS level of each circuit stage (:func:`plan_levels`), and
         #: the result's planned noise estimate (:func:`circuit_noise`): a
         #: circuit the bound does not cover is refused before anything of
         #: it is built or evaluated.
         model = scheme.noise_model
-        self.levels = plan_levels(params, model, self._key.noise)
-        self.result_noise = circuit_noise(params, model, self.levels, self._key.noise)
+        self.levels = plan_levels(params, model, self._key_noise)
+        self.result_noise = circuit_noise(params, model, self.levels, self._key_noise)
         require_headroom(model, self.result_noise)
+        #: Layer 0's basis: the key upload is converted into it once, here,
+        #: so each frame transforms its 2t diagonals into |B| limbs, not L.
+        self._aux = AuxiliaryBasis(scheme.engine.ctx, width, params.p // 2)
+        self._key = self._aux.convert(key.data)
         #: The scheme view each stage evaluates on.
         self._stages = [scheme.at_level(level) for level in self.levels]
         # Feistel mask: drop state element 0's slots, where the rotated
@@ -468,20 +494,24 @@ class BatchedHheServer:
 
         With ``w = (N/2) / (2t)`` blocks per hypercube row, hoisted baby
         steps rotate the *source* directly by every multiple ``k * w``
-        (k = 1..bs-1), Horner giant steps advance ``bs * w``, and the
-        Feistel S-box shifts the squared state one element *right*
-        (``N/2 - w`` left), with ``(bs, G) = bsgs_split(2t)``. Steps whose
-        factor collapses to 1 for the parameter set are omitted.
+        (k = 1..bs-1), Horner giant steps advance ``bs * w``, the last
+        layer folds its rectangle by ``t * w``, and the Feistel S-box
+        shifts the squared state one element *right* (``N/2 - w`` left),
+        with ``(bs, G) = bsgs_split(D)`` for each BSGS layer's D diagonals
+        (2t, and t for the last). Steps whose factor collapses to 1 for the
+        parameter set are omitted.
         """
         half = ring_n // 2
         w = half // (2 * params.t)
-        bs, giants = bsgs_split(2 * params.t)
-        steps: List[int] = [k * w for k in range(1, bs)]
-        if giants > 1:
-            steps.append(bs * w)
+        steps = {params.t * w}  # the last layer's fold
+        for layer in range(1, params.rounds + 1):
+            bs, giants = bsgs_split(affine_diagonals(params, layer))
+            steps.update(k * w for k in range(1, bs))
+            if giants > 1:
+                steps.add(bs * w)
         if params.rounds > 1:
-            steps.append(half - w)
-        return sorted(set(steps))
+            steps.add(half - w)
+        return sorted(steps)
 
     @property
     def packed_capacity(self) -> int:
@@ -494,57 +524,87 @@ class BatchedHheServer:
 
     # -- public schedule -> prepared plaintexts ---------------------------------------
 
-    def _prepared_diags(self, nonce: int, counters: Tuple[int, ...], layer: int):
-        """The 2t generalized diagonals of layer ``layer``'s Mix∘Affine matrix,
-        prepared on the layer's level.
+    def _schedule(self, nonce: int, counters: Tuple[int, ...]):
+        """A group's block materials and every layer's ``(2, n, t, t)``
+        matrices (sides L, R), derived in one batched pass each: the
+        recurrence of paper Eq. (1) runs once over all layers and sides."""
+        params = self.params
+        materials = self.engine.materials(nonce, list(counters))
+        alphas = np.stack(
+            [
+                getattr(m.layers[layer], f"alpha_{side}")
+                for layer in range(params.rounds + 1)
+                for side in "lr"
+                for m in materials
+            ]
+        )
+        matrices = batched_sequential_matrices(params, alphas)
+        shape = (params.rounds + 1, 2, len(materials)) + matrices.shape[1:]
+        return materials, matrices.reshape(shape)
 
-        Diagonal d holds ``A_k[j, (j + d) mod 2t]`` at block k's slot of
-        element j. Layer 0 consumes them as they are, as ONE (1, 2t) matmul
-        tensor against the pre-rotated key; layers 1..r pre-rotate
-        diagonal ``g*bs + i`` right by ``g*bs*w`` for the giant-step
-        Horner form and prepare ONE (G, bs) tensor.
+    def _prepared_diags(
+        self, nonce: int, counters: Tuple[int, ...], layer: int, schedule: Callable[[], tuple]
+    ):
+        """The generalized diagonals of layer ``layer``'s Mix∘Affine matrix,
+        prepared on the layer's basis. On a cache miss they are built from
+        ``schedule()``, the group's :meth:`_schedule`.
+
+        Diagonal d holds ``A_k[j mod D, (j + d) mod 2t]`` at block k's slot
+        of element j, for the layer's ``D = affine_diagonals(...)``
+        diagonals (2t, or t for the last layer's rectangle). Layer 0
+        consumes them as they are, transformed into the auxiliary basis
+        only (:meth:`AuxiliaryBasis.prepare`), against the pre-rotated key;
+        layers 1..r pre-rotate diagonal ``g*bs + i`` right by ``g*bs*w``
+        for the giant-step Horner form and prepare ONE (G, bs) tensor on
+        the layer's level.
         """
 
         def build():
-            width, w = 2 * self.params.t, self._width
-            bs, giants = self._bsgs
-            last = layer == self.params.rounds
-            sides = [self.engine.matrices(nonce, counters, layer, side) for side in "lr"]
+            params, w = self.params, self._width
+            width = 2 * params.t
+            count = affine_diagonals(params, layer)
+            sides = schedule()[1][layer]
             zeros = np.zeros_like(sides[0])
             matrix = _mix(
                 np.concatenate([sides[0], zeros], axis=-1),
                 np.concatenate([zeros, sides[1]], axis=-1),
-                last,
                 axis=-2,
-            ) % self.params.p  # (n, 2t, 2t)
-            j = np.arange(width)
-            diags = matrix[:, j[None, :], (j[None, :] + j[:, None]) % width]  # [k, d, j]
-            rows = _place(diags, w)  # (2t, 2, N/2)
+            ) % params.p  # (n, 2t, 2t)
+            j, d = np.arange(width), np.arange(count)
+            diags = matrix[:, j[None, :] % count, (j[None, :] + d[:, None]) % width]  # [k, d, j]
+            rows = _place(diags, w)  # (D, 2, N/2)
             if layer == 0:
-                shape = (1, width)
-            else:
-                for g in range(1, giants):
-                    rows[g * bs : (g + 1) * bs] = np.roll(
-                        rows[g * bs : (g + 1) * bs], g * bs * w, axis=-1
-                    )
-                shape = (giants, bs)
+                encoded = self._encode(rows)
+                centered = (encoded + params.p // 2) % params.p - params.p // 2
+                return self._aux.prepare(centered[None])
+            bs, giants = bsgs_split(count)
+            for g in range(1, giants):
+                rows[g * bs : (g + 1) * bs] = np.roll(
+                    rows[g * bs : (g + 1) * bs], g * bs * w, axis=-1
+                )
             encoded = self._encode(rows)
-            return self._stages[2 * layer].prepare_matrix(encoded.reshape(shape + (-1,)))
+            return self._stages[2 * layer].prepare_matrix(encoded.reshape((giants, bs, -1)))
 
         return self._caches["diags_bsgs"].get_or_create((nonce, counters, layer), build)
 
-    def _prepared_rc(self, nonce: int, counters: Tuple[int, ...], layer: int):
+    def _prepared_rc(
+        self, nonce: int, counters: Tuple[int, ...], layer: int, schedule: Callable[[], tuple]
+    ):
         """Layer ``layer``'s Mix-folded round constants as one prepared row
-        (``Delta_k``-scaled on the layer's level)."""
+        (``Delta_k``-scaled on the layer's level), built on a cache miss from
+        ``schedule()``. The last layer's L half is copied into its R half,
+        where the rectangle's fold puts the L rows' copy."""
 
         def build():
-            materials = self.engine.materials(nonce, list(counters))
+            params = self.params
             rc = [
-                np.stack([getattr(m.layers[layer], f"rc_{side}") for m in materials])
+                np.stack([getattr(m.layers[layer], f"rc_{side}") for m in schedule()[0]])
                 for side in "lr"
             ]  # (n, t) each
-            vectors = _mix(rc[0], rc[1], layer == self.params.rounds, axis=-1)
-            rows = _place(vectors % self.params.p, self._width)
+            vectors = _mix(rc[0], rc[1], axis=-1)
+            if layer == params.rounds:
+                vectors[:, params.t :] = vectors[:, : params.t]
+            rows = _place(vectors % params.p, self._width)
             return self._stages[2 * layer].prepare_add_rows(self._encode(rows[None]))
 
         return self._caches["rc_bsgs"].get_or_create((nonce, counters, layer), build)
@@ -553,6 +613,7 @@ class BatchedHheServer:
         self,
         nonce: int,
         counters: Tuple[int, ...],
+        schedule: Callable[[], tuple],
         group: int,
         layer: int,
         tracer: Tracer,
@@ -560,15 +621,17 @@ class BatchedHheServer:
     ):
         """One (group, layer)'s prepared diagonals and round constants.
 
-        Runs in an ``hhe.prepare`` span parented explicitly under the call's
-        ``hhe.transcipher`` span, on whichever thread prepares the layer.
+        ``schedule()`` returns the group's :meth:`_schedule`; only a cache
+        miss calls it. Runs in an ``hhe.prepare`` span parented explicitly
+        under the call's ``hhe.transcipher`` span, on whichever thread
+        prepares the layer.
         """
         with tracer.span(
             "hhe.prepare", parent=parent, metric="hhe.prepare.seconds", group=group, layer=layer
         ):
             return (
-                self._prepared_diags(nonce, counters, layer),
-                self._prepared_rc(nonce, counters, layer),
+                self._prepared_diags(nonce, counters, layer, schedule),
+                self._prepared_rc(nonce, counters, layer, schedule),
             )
 
     # -- circuit pieces ---------------------------------------------------------------
@@ -578,12 +641,14 @@ class BatchedHheServer:
     ) -> CiphertextTensor:
         """Rotate every stacked ciphertext left by ``steps`` (keyswitch each)."""
         ops.rotations += state.slots
+        ops.keyswitches += state.slots
         with get_tracer().span("hhe.rotate", metric="hhe.rotate.seconds", steps=steps):
             return scheme.tensor_rotate(state, steps, self.galois_keys)
 
     def _hoisted_decompose(self, scheme: Bfv, state: CiphertextTensor, ops: BfvOpCounts):
         """Digit-decompose the c1 halves once for a batch of rotations."""
         ops.decompositions += state.slots
+        ops.keyswitches += state.slots
         with get_tracer().span("hhe.hoist_decompose", metric="hhe.hoist_decompose.seconds"):
             return scheme.hoisted_decompose(state)
 
@@ -592,12 +657,15 @@ class BatchedHheServer:
         scheme: Bfv,
         state: CiphertextTensor,
         digits: np.ndarray,
-        steps: int,
+        steps: Sequence[int],
         ops: BfvOpCounts,
     ) -> CiphertextTensor:
-        """Rotate via a shared digit stack (apply half of a hoisted rotation)."""
-        ops.rotations += state.slots
-        with get_tracer().span("hhe.rotate", metric="hhe.rotate.seconds", steps=steps):
+        """Rotate by each of ``steps`` via a shared digit stack (the apply
+        halves of hoisted rotations), stacked in order."""
+        ops.rotations += len(steps) * state.slots
+        with get_tracer().span(
+            "hhe.rotate", metric="hhe.rotate.seconds", steps=",".join(map(str, steps))
+        ):
             return scheme.tensor_rotate_hoisted(state, digits, steps, self.galois_keys)
 
     @staticmethod
@@ -610,67 +678,76 @@ class BatchedHheServer:
             return scheme.tensor_mod_raise(state, dst.level)
         return state
 
-    def _key_affine(self, diags, rc, ops: BfvOpCounts) -> CiphertextTensor:
+    def _key_affine(self, diags: np.ndarray, rc, ops: BfvOpCounts) -> CiphertextTensor:
         """Layer 0 on the pre-rotated key: ``sum_d diag_d . key_d + rc``.
 
         Uploaded ciphertext d already holds the key rotated left by d
         elements, so the layer is one 2t-term diagonal sum with no rotation
-        and no decomposition.
+        and no decomposition. It runs in the auxiliary basis the key was
+        converted into at construction (:class:`AuxiliaryBasis`), and its
+        residues equal the chain's eval-domain product.
         """
         width = 2 * self.params.t
         ops.plain_muls += width
         ops.adds += width - 1
         ops.plain_adds += 1
+        scheme = self.scheme
         with get_tracer().span("hhe.affine", metric="hhe.affine.seconds", layer=0):
-            return self.scheme.tensor_affine(self._key, diags, rc)
+            out = CiphertextTensor(scheme.engine.ctx, self._aux.product(diags, self._key))
+            out.noise = scheme.noise_model.affine(self._key_noise, width)
+            return scheme.tensor_add_plain_rows(out, rc)
 
     def _bsgs_affine(
         self, scheme: Bfv, state: CiphertextTensor, diags, rc, layer: int, ops: BfvOpCounts
     ) -> CiphertextTensor:
         """One Mix-folded affine layer on the packed state, BSGS-style.
 
-        The 2t generalized diagonals sit at multiples of w:
+        The layer's D generalized diagonals sit at multiples of w:
 
-            out = sum_d diag(d) . rot(d*w, x)
+            z = sum_d diag(d) . rot(d*w, x)
 
         Split d = g*bs + i and hoist the giant rotations out of the sum
         (Horner over g), with the diagonals pre-rotated by ``g*bs*w``:
 
-            out = sum_g rot(g*bs*w, sum_i prep_diag[g, i] . rot(i*w, x))
+            z = sum_g rot(g*bs*w, sum_i prep_diag[g, i] . rot(i*w, x))
 
         The bs babies share ONE digit decomposition of the source
         (Halevi-Shoup hoisting), the inner sums are ONE prepared-matrix
         product, and each Horner step is one regular rotation of the
-        accumulator: bs*G (= 2t) plain muls, bs*G - 1 adds and
-        (bs-1) + (G-1) rotations, plus one decomposition when bs > 1.
+        accumulator: bs*G (= D) plain muls, bs*G - 1 adds and
+        (bs-1) + (G-1) rotations, plus one decomposition when bs > 1. The
+        last layer's D = t extended diagonals give the L rows only in
+        halves; its fold ``out = z + rot(t*w, z)`` sums them, which puts a
+        copy of the L half in the R half.
         """
-        bs, giants = self._bsgs
-        w = self._width
+        w, t = self._width, self.params.t
+        count = affine_diagonals(self.params, layer)
+        bs, giants = bsgs_split(count)
         ctx = scheme.engine.ctx
         diags = scheme._take_prepared_tensor(diags, "matmul")
         ops.plain_muls += bs * giants
         ops.adds += bs * giants - 1
         ops.plain_adds += 1
         with get_tracer().span("hhe.affine", metric="hhe.affine.seconds", layer=layer):
-            babies = [state]
+            babies = state.data
             if bs > 1:
                 digits = self._hoisted_decompose(scheme, state, ops)
-                babies += [
-                    self._rotate_hoisted(scheme, state, digits, i * w, ops) for i in range(1, bs)
-                ]
+                steps = [i * w for i in range(1, bs)]
+                rotated = self._rotate_hoisted(scheme, state, digits, steps, ops)
+                babies = np.concatenate([babies, rotated.data])
             # (G, bs, L, N) x (bs, 2, L, N) -> (G, 2, L, N)
-            sums = ctx.matmul_mod(diags, np.concatenate([b.data for b in babies]))
+            sums = ctx.matmul_mod(diags, babies)
             acc = CiphertextTensor(ctx, sums[giants - 1 :])
             for g in range(giants - 2, -1, -1):
                 rotated = self._rotate_stack(scheme, acc, bs * w, ops)
                 acc = scheme.tensor_add(CiphertextTensor(ctx, sums[g : g + 1]), rotated)
-            out = scheme.tensor_add_plain_rows(acc, rc)
             # The raw matmul_mod contraction above bypasses the Bfv wrappers,
-            # so the ledger gets the layer's closed-form bound in one step.
-            out.noise = scheme.noise_model.bsgs_affine(
-                state.noise, bs, giants, round_constant=True
-            )
-            return out
+            # so the ledger gets the sum's closed-form bound in one step.
+            acc.noise = scheme.noise_model.bsgs_affine(state.noise, bs, giants)
+            if count < 2 * t:
+                ops.adds += 1
+                acc = scheme.tensor_add(acc, self._rotate_stack(scheme, acc, t * w, ops))
+            return scheme.tensor_add_plain_rows(acc, rc)
 
     def _feistel(self, scheme: Bfv, state: CiphertextTensor, ops: BfvOpCounts) -> CiphertextTensor:
         """Feistel over the packed state: ``out[j] = x[j] + x[j-1]^2``, j >= 1.
@@ -681,6 +758,7 @@ class BatchedHheServer:
         """
         ops.squares += 1
         ops.relins += 1
+        ops.keyswitches += 1
         ops.plain_muls += 1
         ops.adds += 1
         sq = scheme.tensor_square(state, self.rlk)
@@ -692,6 +770,7 @@ class BatchedHheServer:
         ops.squares += 1
         ops.muls += 1
         ops.relins += 2
+        ops.keyswitches += 2
         return scheme.tensor_mul(scheme.tensor_square(state, self.rlk), state, self.rlk)
 
     # -- public API -----------------------------------------------------------------
@@ -708,13 +787,15 @@ class BatchedHheServer:
         ``(nonce, counters[b])``. Blocks ``g * packed_capacity`` onward land
         in result ciphertext g (see :class:`BatchedTranscipherResult`).
 
-        Schedule: after one batched derivation of group 0's materials, the
-        call starts one ``hhe-prepare`` thread, prepares group 0's layer 0
-        itself and evaluates. The helper prepares group 0's layers 1..r,
-        then each later group's layers 0..r (deriving the group's materials
-        at its layer 0, queued once the caller holds group 0's layer 0), in
-        evaluation order, at most one group (r + 1 layers) ahead of the
-        evaluator. Each layer's evaluation starts when its prepared
+        Schedule: the call starts one ``hhe-prepare`` thread, prepares
+        group 0's layer 0 itself and evaluates. The helper prepares group
+        0's layers 1..r, then each later group's layers 0..r (queued once
+        the caller holds group 0's layer 0), in evaluation order, at most one
+        group (r + 1 layers) ahead of the evaluator. A group's layers that
+        miss the prepared-plaintext caches are built from its schedule (the
+        block materials and every layer's matrices), derived once in one
+        batched pass by the first of them and held until the group's last
+        layer is prepared. Each layer's evaluation starts when its prepared
         plaintexts arrive, so the critical path is layer 0's preparation
         plus the evaluation; results and op counts are those of preparing
         every layer in line. A preparation error is raised here, where the
@@ -783,14 +864,35 @@ class BatchedHheServer:
         capacity = self.packed_capacity
         starts = range(0, len(block_counters), capacity)
         groups = [block_counters[start : start + capacity] for start in starts]
-        # One batched derivation of group 0's materials, which both threads
-        # prepare from; the helper derives each later group when it reaches
-        # its layer 0. Deriving every group here would evict the early ones
-        # from the engine's LRU before they are read. Matrices are retained
-        # by that LRU, and the prepared-plaintext LRUs key off the same
-        # public schedule.
-        self.engine.materials(nonce, list(groups[0]))
         r = params.rounds
+        # Each group's schedule (materials and every layer's matrices) is
+        # derived at most once, by the first of its layers that misses the
+        # prepared-plaintext caches, held for its other layers and dropped
+        # once all r + 1 are prepared. No layer re-reads the engine's LRU,
+        # which a group larger than it would evict, and a group whose
+        # layers all hit derives nothing. Both threads may ask for group
+        # 0's, so the lock makes the second wait for the first's.
+        lock = threading.Lock()
+        held: Dict[int, tuple] = {}
+        unprepared = [r + 1] * len(groups)
+
+        def schedule(group: int):
+            with lock:
+                if group not in held:
+                    held[group] = self._schedule(nonce, groups[group])
+                return held[group]
+
+        def prepare(group: int, layer: int):
+            try:
+                return self._prepare_layer(
+                    nonce, groups[group], partial(schedule, group), group, layer, tracer, parent
+                )
+            finally:
+                with lock:
+                    unprepared[group] -= 1
+                    if not unprepared[group]:
+                        held.pop(group, None)
+
         ops = BfvOpCounts()
         # Every (group, layer) after group 0's layer 0, in evaluation order.
         later = iter([(g, layer) for g in range(len(groups)) for layer in range(r + 1)][1:])
@@ -799,9 +901,7 @@ class BatchedHheServer:
 
         def submit(count: int) -> None:
             for g, layer in itertools.islice(later, count):
-                ahead.append(
-                    pool.submit(self._prepare_layer, nonce, groups[g], g, layer, tracer, parent)
-                )
+                ahead.append(pool.submit(prepare, g, layer))
 
         def prepared(group: int, layer: int):
             if group == layer == 0:
@@ -817,9 +917,7 @@ class BatchedHheServer:
 
         try:
             submit(r)  # group 0's layers 1..r, beside the caller's layer 0
-            first = self._prepare_layer(nonce, groups[0], 0, 0, tracer, parent)
-            # Group 1's layer 0 waits for group 0's: deriving group 1 could
-            # evict the materials the caller still reads from the LRU.
+            first = prepare(0, 0)
             submit(1)  # at most one group ahead of the evaluator
             out = [
                 self._evaluate(elements[start : start + capacity], ops, partial(prepared, g))
@@ -842,7 +940,7 @@ class BatchedHheServer:
         Layer 0 on the pre-rotated key, then per round the S-box and the
         next Mix-folded affine layer, each affine layer on the prepared
         ``(diags, rc)`` that ``prepared(layer)`` returns; the result holds
-        ``c - KS`` in the L half of every filled block's slots and 0
+        ``c - KS`` in both halves of every filled block's slots and 0
         everywhere else.
         """
         params = self.params
@@ -859,8 +957,7 @@ class BatchedHheServer:
         state = self._at_level(stages[-1], state, self.scheme)
 
         # m = c - KS: one negate + one packed plain add.
-        message = np.zeros((len(elements), 2 * params.t), dtype=np.int64)
-        message[:, : params.t] = elements
+        message = np.concatenate([elements, elements], axis=1)
         prepared_message = self.scheme.prepare_add_rows(
             self._encode(_place(message, self._width)[None])
         )

@@ -221,15 +221,12 @@ class NoiseModel:
     def _mul_plain_poly_bits(self, bits: float) -> float:
         return self.log_n + self.log_p - 1.0 + lse(bits, self.log_p)
 
-    def affine(
-        self, a: Optional[NoiseEstimate], terms: int, round_constant: bool = True
-    ) -> Optional[NoiseEstimate]:
-        """A ``terms``-wide diagonal/row sum of plain-muls plus optional rc."""
+    def affine(self, a: Optional[NoiseEstimate], terms: int) -> Optional[NoiseEstimate]:
+        """A ``terms``-wide diagonal/row sum of plain-muls (the round
+        constant is a separate :meth:`add_plain`)."""
         if a is None:
             return None
         bits = math.log2(max(terms, 1)) + self._mul_plain_poly_bits(a.bits)
-        if round_constant:
-            bits = lse(bits, self.log_p)
         return a.grown(bits, extra_ops=max(terms, 1))
 
     def multiply_raw(
@@ -280,11 +277,7 @@ class NoiseModel:
         return self.keyswitch(a)
 
     def bsgs_affine(
-        self,
-        a: Optional[NoiseEstimate],
-        bs: int,
-        giants: int,
-        round_constant: bool = True,
+        self, a: Optional[NoiseEstimate], bs: int, giants: int
     ) -> Optional[NoiseEstimate]:
         """Baby-step/giant-step diagonal sum: the packed affine layer.
 
@@ -292,7 +285,8 @@ class NoiseModel:
         decomposition, so the babies carry a single key-switch error; every
         giant sums ``bs`` diagonal plain-muls of the worst baby; the Horner
         recombination adds ``giants - 1`` more rotations of partial sums
-        (each acts on a fresh accumulator, so none is hoisted).
+        (each acts on a fresh accumulator, so none is hoisted). The round
+        constant is a separate :meth:`add_plain`.
         """
         if a is None:
             return None
@@ -300,8 +294,6 @@ class NoiseModel:
         bits = math.log2(max(giants * bs, 1)) + self._mul_plain_poly_bits(baby_bits)
         if giants > 1:
             bits = lse(bits, self.ks_bits + math.log2(giants - 1))
-        if round_constant:
-            bits = lse(bits, self.log_p)
         return a.grown(bits, extra_ops=giants * bs)
 
     def mod_switch(

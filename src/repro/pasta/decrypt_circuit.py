@@ -24,21 +24,33 @@ def multiplicative_depth(params: PastaParams) -> int:
 def bsgs_split(t: int) -> tuple:
     """Baby-step/giant-step factorization ``(bs, giants)`` of a t-diagonal sum.
 
-    For the power-of-two t of every PASTA variant the split is exact
-    (``bs * giants == t``, no zero diagonals): ``bs = 2^ceil(log2(t)/2)``,
-    the balanced square-ish factor. Non-power-of-two t fall back to
-    ``bs = ceil(sqrt(t))`` with a padded last giant step.
+    For 2^k diagonals ``bs = 2^(k - ceil(k/3))`` and ``giants =
+    2^ceil(k/3)``, exactly (``bs * giants == t``): baby-heavy, because the
+    babies share one hoisted digit decomposition while every giant step is
+    a key switch of its own. That is (16, 4) at 64 diagonals, (8, 4) at 32,
+    (2, 2) at 4 and (1, 2) at 2. Other t take the same giant count for the
+    next power of two and ``bs = ceil(t / giants)``, with a padded last
+    giant step.
     """
     if t < 1:
         raise ParameterError(f"BSGS needs a positive dimension, got {t}")
-    if t & (t - 1) == 0:
-        k = t.bit_length() - 1
-        bs = 1 << ((k + 1) // 2)
-        return bs, t // bs
-    bs = int(t**0.5)
-    while bs * bs < t:
-        bs += 1
+    k = (t - 1).bit_length()
+    bs = -(-t // (1 << -(-k // 3)))
     return bs, -(-t // bs)
+
+
+def affine_diagonals(params: PastaParams, layer: int) -> int:
+    """How many generalized diagonals affine layer ``layer`` of the packed
+    circuit sums.
+
+    Layers 0..r-1 act on the whole 2t-element state (2t diagonals). The
+    last layer's output keeps only its t L rows, so it is evaluated as the
+    t x 2t rectangle it is: t extended diagonals
+    ``E_d[j] = A[j mod t, (j + d) mod 2t]`` and one fold
+    ``out = z + rot(z, t)`` by whole state elements (Halevi-Shoup's hybrid
+    method), which leaves a copy of the L half in the R half.
+    """
+    return params.t if layer == params.rounds else 2 * params.t
 
 
 def homomorphic_op_counts(params: PastaParams) -> dict:
@@ -49,31 +61,49 @@ def homomorphic_op_counts(params: PastaParams) -> dict:
     up to the packed capacity; a larger batch pays these counts once per
     packed group. ONE ciphertext carries the whole 2t-element state of
     every block of the group, and Mix is folded into each affine layer's
-    2t generalized diagonals. With ``r = rounds`` and
-    ``(bs, G) = bsgs_split(2t)``:
+    generalized diagonals. With ``r = rounds``, ``D_i =
+    affine_diagonals(params, i)`` (2t, or t for the last layer) and
+    ``(bs_i, G_i) = bsgs_split(D_i)``:
 
     * layer 0, on the pre-rotated key upload: 2t plain muls, 2t - 1 adds,
       1 rc plain add, no rotation
-    * layers 1..r (BSGS): bs*G (= 2t) plain muls, bs*G - 1 adds,
-      (bs-1) + (G-1) rotations (hoisted babies + Horner giant steps), one
-      digit decomposition shared by the babies when bs > 1, 1 rc plain add
+    * layers 1..r (BSGS): D_i plain muls, D_i - 1 adds,
+      (bs_i - 1) + (G_i - 1) rotations (hoisted babies + Horner giant
+      steps), one digit decomposition shared by the babies when bs_i > 1,
+      1 rc plain add; the last layer adds its fold, 1 rotation and 1 add
     * Feistel (r-1): 1 square/relin, 1 rotation, 1 mask plain mul, 1 add
     * cube: 1 square, 1 mul, 2 relins
     * final ``c - KS``: 1 packed plain add
 
-    That is O(t) plain muls and O(sqrt t) rotations per layer, where one
-    ciphertext per state element pays t^2 plain muls per layer side. The
-    benchmark's check and the tests assert real runs hit these exactly.
+    ``keyswitches`` counts every digit decomposition the evaluator runs:
+    each relinearization, each rotation that is not hoisted (giant steps,
+    the fold, the Feistel shift) and each hoisted decomposition.
+
+    That is O(t) plain muls and O(t^(1/3)) giant-step key switches per
+    layer, where one ciphertext per state element pays t^2 plain muls per
+    layer side. The benchmark's check and the tests assert real runs hit
+    these exactly.
     """
     width, r = 2 * params.t, params.rounds
-    bs, giants = bsgs_split(width)
-    return {
-        "plain_muls": width + r * bs * giants + (r - 1),
+    counts = {
+        "plain_muls": width + (r - 1),
         "plain_adds": r + 2,
-        "adds": (width - 1) + r * (bs * giants - 1) + (r - 1),
+        "adds": (width - 1) + (r - 1),
         "squares": r,
         "muls": 1,
         "relins": r + 1,
-        "rotations": r * ((bs - 1) + (giants - 1)) + (r - 1),
-        "decompositions": r if bs > 1 else 0,
+        "rotations": r - 1,
+        "decompositions": 0,
+        "keyswitches": (r + 1) + (r - 1),  # relinearizations, Feistel shifts
     }
+    for layer in range(1, r + 1):
+        diagonals = affine_diagonals(params, layer)
+        bs, giants = bsgs_split(diagonals)
+        fold = int(layer == r)
+        hoisted = int(bs > 1)
+        counts["plain_muls"] += diagonals
+        counts["adds"] += diagonals - 1 + fold
+        counts["rotations"] += (bs - 1) + (giants - 1) + fold
+        counts["decompositions"] += hoisted
+        counts["keyswitches"] += hoisted + (giants - 1) + fold
+    return counts

@@ -110,13 +110,14 @@ class TestPackedScoring:
         assert len(result.ciphertexts) == 2
         assert decrypt_scores(client, result) == [model.evaluate_plain(f, p) for f in features]
 
-    @pytest.mark.parametrize("t", [2, 4, 8, 16, 32])
+    @pytest.mark.parametrize("t", [2, 4, 8, 16, 32, 64])
     def test_score_steps_need_the_evaluator_keys(self, t):
-        """Up to t = 16 the rotate-and-sum steps are evaluator key steps; not at 32."""
+        """Up to t = 32 the rotate-and-sum steps are evaluator key steps; not
+        at 64, whose last step, 32w, is none of its babies, giants or fold."""
         params = PastaParams(name=f"t{t}", t=t, rounds=2, p=PASTA_MICRO.p, secure=False)
-        client = HheClient(params, scoring_parameters(params, 128), seed=b"steps")
+        client = HheClient(params, scoring_parameters(params, max(128, 4 * t)), seed=b"steps")
         model = LinearModel(weights=[1] * t)
-        if t <= 16:
+        if t <= 32:
             assert HheInferenceServer(client.server(), model).model is model
         else:
             with pytest.raises(ParameterError, match="score rotation steps"):

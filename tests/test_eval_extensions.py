@@ -64,8 +64,11 @@ class TestHheCostExperiment:
         assert row["Ct muls"] == counts["squares"] + counts["muls"]
         assert row["Rotations"] == counts["rotations"]
         assert any("decrypted exactly" in note for note in result.notes)
-        # The note names the level plan the server evaluated on.
-        assert any("RNS levels (8, 8, 8, 6, 5)" in note for note in result.notes)
+        # The note names the level plan the server evaluated on and its key
+        # switches.
+        assert any("RNS levels (8, 8, 8, 6, 4)" in note for note in result.notes)
+        assert counts["keyswitches"] == 8
+        assert any("(8 key switches:" in note for note in result.notes)
 
 
 class TestReportHelpers:

@@ -199,3 +199,27 @@ class TestPolyEncoding:
         assert scheme.decrypt_poly(sk, direct) == scheme.decrypt_poly(sk, via_handle)
         with pytest.raises(ParameterError):
             scheme.add_plain_poly(ct, handle)  # mul-handle in add position
+
+
+class TestBatchedKeySetup:
+    """Batched key setup draws in the order of one key, one ciphertext at a
+    time, so its keys and ciphertexts are bit for bit those, on both engines."""
+
+    @pytest.mark.parametrize("engine", ["rns", "bigint"])
+    def test_batch_equals_one_at_a_time(self, engine):
+        params = toy_parameters(65537, n=32, log2_q=120)
+        batched, single = (Bfv(params, seed=b"batched-setup", engine=engine) for _ in range(2))
+        (sk, pk, _), (sk1, pk1, _) = batched.keygen(), single.keygen()
+        steps = [1, 3, 5, -1, 3]
+        galois = batched.rotation_keygen(sk, steps)
+        ones = [single.rotation_keygen(sk1, [step]) for step in (1, 3, 5, -1)]
+        assert list(galois.keys) == [g for one in ones for g in one.keys]
+        for one in ones:
+            ((element, parts),) = one.keys.items()
+            assert galois.keys[element] == parts
+        plains = [[(7 * i + k) % 65537 for i in range(32)] for k in range(3)]
+        ints = batched.engine.to_ints
+        for ct, plain in zip(batched.encrypt_polys(pk, plains), plains):
+            one = single.encrypt_poly(pk1, plain)
+            assert [ints(part) for part in ct.parts] == [ints(part) for part in one.parts]
+            assert batched.decrypt_poly(sk, ct) == plain

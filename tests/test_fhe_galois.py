@@ -209,7 +209,7 @@ class TestHoistedRotation:
         gk = scheme.rotation_keygen(sk, [steps])
         stack = scheme.stack_ciphertexts([_encrypt_rows(scheme, pk, encoder, rows)])
         digits = scheme.hoisted_decompose(stack)
-        hoisted = scheme.tensor_rotate_hoisted(stack, digits, steps, gk)
+        hoisted = scheme.tensor_rotate_hoisted(stack, digits, [steps], gk)
         regular = scheme.tensor_rotate(stack, steps, gk)
         dec = lambda t: _decrypt_rows(scheme, sk, encoder, scheme.unstack_ciphertexts(t)[0])
         assert np.array_equal(dec(hoisted), _rolled(rows, steps))
@@ -224,9 +224,10 @@ class TestHoistedRotation:
         gk = scheme.rotation_keygen(sk, steps)
         stack = scheme.stack_ciphertexts([_encrypt_rows(scheme, pk, encoder, rows)])
         digits = scheme.hoisted_decompose(stack)
-        for s in steps:
-            out = scheme.tensor_rotate_hoisted(stack, digits, s, gk)
-            dec = _decrypt_rows(scheme, sk, encoder, scheme.unstack_ciphertexts(out)[0])
+        out = scheme.tensor_rotate_hoisted(stack, digits, steps, gk)
+        assert out.slots == len(steps)
+        for s, ct in zip(steps, scheme.unstack_ciphertexts(out)):
+            dec = _decrypt_rows(scheme, sk, encoder, ct)
             assert np.array_equal(dec, _rolled(rows, s))
 
     def test_keyswitch_path_is_int64_exact(self, servers, monkeypatch):
@@ -253,7 +254,7 @@ class TestHoistedRotation:
         with monkeypatch.context() as patch:
             patch.setattr(RnsContext, "from_rns", boom)
             scheme.tensor_rotate(stack, 3, gk)
-            scheme.tensor_rotate_hoisted(stack, digits, 3, gk)
+            scheme.tensor_rotate_hoisted(stack, digits, [3], gk)
             relinearized = scheme.relinearize(scheme.multiply_raw(x, y), rlk)
             product = scheme.multiply(x, y, rlk)
         for ct in (relinearized, product):

@@ -17,6 +17,8 @@ from hypothesis import strategies as st
 from repro.ff.params import P17, P33
 from repro.fhe import Bfv, BfvParams, toy_parameters
 from repro.fhe.batching import BatchEncoder
+from repro.fhe.engine import CiphertextTensor
+from repro.fhe.rns import AuxiliaryBasis
 from repro.obs.noise import NoiseEstimate, NoiseModel, divergence_report, lse
 
 N = 128
@@ -173,16 +175,19 @@ class TestTensorOps:
         rows = encoder.encode_rows(np.full((2, N // 2), c % p, dtype=np.int64))
         add_rows = scheme.prepare_add_rows(rows)
         mul_rows = scheme.prepare_mul_rows(rows)
-        matrix = scheme.prepare_matrix(
-            encoder.encode_rows(
-                np.full((4, N // 2), c % p, dtype=np.int64)
-            ).reshape(2, 2, N)
-        )
+        # The packed server's layer 0: a 2-term diagonal sum in the
+        # auxiliary basis, with the affine rule's bound, with and without rc.
+        basis = AuxiliaryBasis(scheme.engine.ctx, 2, p // 2)
+        diagonal = encoder.encode_rows(np.full((2, N // 2), c % p, dtype=np.int64))
+        centered = (diagonal + p // 2) % p - p // 2
+        product = basis.product(basis.prepare(centered[None]), basis.convert(stack.data))
+        affine = CiphertextTensor(scheme.engine.ctx, product)
+        affine.noise = scheme.noise_model.affine(stack.noise, 2)
         for out in (
             scheme.tensor_add_plain_rows(stack, add_rows),
             scheme.tensor_mul_plain_rows(stack, mul_rows),
-            scheme.tensor_affine(stack, matrix, add_rows),
-            scheme.tensor_affine(stack, matrix),
+            scheme.tensor_add_plain_rows(affine, scheme.prepare_add_rows(rows[:1])),
+            affine,
         ):
             for ct in scheme.unstack_ciphertexts(out):
                 assert_sound(scheme, sk, ct)
@@ -214,7 +219,7 @@ class TestTensorOps:
             [scheme.encrypt_poly(pk, encoder.constant(a % p))]
         )
         digits = scheme.hoisted_decompose(stack)
-        out = scheme.tensor_rotate_hoisted(stack, digits, steps, gk)
+        out = scheme.tensor_rotate_hoisted(stack, digits, [steps], gk)
         assert out.noise is not None
         for ct in scheme.unstack_ciphertexts(out):
             assert_sound(scheme, sk, ct)

@@ -10,11 +10,14 @@ same byte, which the next draw after them checks.
 
 from typing import List
 
+import numpy as np
+
 from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.fhe import toy_parameters
 from repro.fhe.rng import PolyRng
+from repro.fhe.rns import get_rns_context, uniform_residues
 from repro.keccak import SHAKE256_RATE_BYTES, ShakeReader, shake256
 from repro.pasta import PASTA_MICRO
 
@@ -147,3 +150,15 @@ class TestPolyRngOracle:
         rng = PolyRng(b"types")
         for values in (rng.uniform_mod(2**64 - 59, 4), rng.ternary(5), rng.centered_binomial(16, 6)):
             assert isinstance(values, list) and all(type(v) is int for v in values)
+
+    @given(SEEDS, st.integers(1, 40))
+    def test_uniform_candidates_decode_to_uniform_mod(self, seed, count):
+        """The candidates behind ``uniform_mod`` decode straight to the RNS
+        residues of its ints, and leave the stream where it leaves it."""
+        params = toy_parameters(PASTA_MICRO.p, n=64, log2_q=240)
+        raw, ints = PolyRng(seed), PolyRng(seed)
+        residues = uniform_residues(raw.uniform_candidates(params.q, count), params.rns_primes)
+        ctx = get_rns_context(64, params.rns_primes)
+        expected = [ctx.to_rns(ints.uniform_mod(params.q, count) + [0] * (64 - count))]
+        assert np.array_equal(residues, expected[0][:, :count])
+        assert raw.ternary(9) == ints.ternary(9)

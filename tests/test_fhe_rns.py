@@ -34,7 +34,13 @@ from repro.fhe import (
     ntt_prime_chain,
     toy_parameters,
 )
-from repro.fhe.rns import ExactBaseDigits, ExactModSwitch, float_error_bound
+from repro.fhe.rns import (
+    AuxiliaryBasis,
+    ExactBaseDigits,
+    ExactModSwitch,
+    float_error_bound,
+    uniform_residues,
+)
 from repro.obs import get_registry
 
 P = 65537
@@ -732,6 +738,65 @@ class TestLevelParity:
         low = rns.mod_switch(ct, 3)
         with pytest.raises(ParameterError, match="extending"):
             rns.at_level(3).decrypt(foreign_sk, low)
+
+
+class TestAuxiliaryBasis:
+    """Layer 0's products in the auxiliary basis equal the chain's, residue
+    for residue, at both prime widths and p in {P17, P33}."""
+
+    @pytest.mark.parametrize("prime_bits", [26, 30])
+    @pytest.mark.parametrize("p", [P17, P33], ids=["p17", "p33"])
+    @given(
+        n=st.sampled_from([64, 256]),
+        terms=st.sampled_from([1, 4, 64]),
+        limbs=st.integers(min_value=1, max_value=10),
+        seed=st.integers(min_value=0, max_value=10_000),
+    )
+    @settings(max_examples=8, deadline=None)
+    def test_product_equals_the_chain_product(self, prime_bits, p, n, terms, limbs, seed):
+        ctx = get_rns_context(n, _chain(n, limbs, prime_bits))
+        basis = AuxiliaryBasis(ctx, terms, p // 2)
+        bound = 2 * terms * n * (p // 2) * ((max(ctx.primes) - 1) // 2)
+        assert basis.aux.modulus > bound
+        assert basis.aux.modulus // max(basis.aux.primes) <= bound  # the fewest primes
+        rng = np.random.default_rng(seed)
+        half = p // 2
+        # The extremes the bound covers: plaintexts and key limbs at their
+        # largest magnitude, then uniform draws.
+        plains = rng.integers(-half, half + 1, size=(2, terms, n))
+        plains[0, :, : n // 2] = half
+        key = _random_residues(random.Random(seed), ctx, (terms, 2))
+        key[0, :, :, : n // 2] = (np.array(ctx.primes) // 2)[:, None]
+        key = ctx.forward(key)
+        expected = ctx.matmul_mod(ctx.forward(ctx.to_rns_batch(plains)), key)
+        got = basis.product(basis.prepare(plains), basis.convert(key))
+        assert np.array_equal(got, expected)
+
+    def test_basis_sizes(self):
+        """Two 29-bit primes at hhe_frame's shape (2t = 64, N = 512, 26-bit
+        chain, p = 65537), three at p = P33 or against 30-bit primes at
+        N = 256."""
+        frame = get_rns_context(512, _chain(512, 10, 26))
+        service = get_rns_context(256, _chain(256, 8, 30))
+        for ctx, terms, p, primes in ((frame, 64, P17, 2), (frame, 64, P33, 3),
+                                      (service, 4, P17, 2), (service, 64, P17, 3)):
+            assert len(AuxiliaryBasis(ctx, terms, p // 2).aux.primes) == primes
+
+    @given(
+        nbytes=st.integers(min_value=1, max_value=300),
+        prime_bits=st.sampled_from([26, 30, 31]),
+        seed=st.integers(min_value=0, max_value=10_000),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_uniform_residues_match_to_rns(self, nbytes, prime_bits, seed):
+        primes = _chain(16, 10, prime_bits)
+        raw = np.random.default_rng(seed).integers(0, 256, size=(3, 16, nbytes), dtype=np.uint8)
+        raw[0, 0] = 255  # the largest value of the width
+        got = uniform_residues(raw, primes)
+        ctx = get_rns_context(16, primes)
+        for row, residues in zip(raw, got):
+            values = [int.from_bytes(c.tobytes(), "little") for c in row]
+            assert np.array_equal(residues, ctx.to_rns(values))
 
 
 class TestBatchedContractions:

@@ -384,3 +384,110 @@ class TestPreparedPlaintextBudget:
         assert info["budget"]["capacity"] == 500
         assert info["budget"]["owners"]["solo"] > 0
         assert sum(c["misses"] for k, c in info.items() if k != "budget") > 0
+
+
+def _counting_derivations(monkeypatch):
+    """Count the block lanes and layer matrices the server derives: lists
+    appended to by stand-ins for the keystream engine's material
+    derivation and the packed server's batched matrix recurrence."""
+    from repro.hhe import batched
+    from repro.pasta import batch
+
+    lanes, matrices = [], []
+    derive = batch.generate_block_materials_pairs
+    recur = batched.batched_sequential_matrices
+
+    def counting_lanes(params, pairs):
+        lanes.append(len(pairs))
+        return derive(params, pairs)
+
+    def counting_matrices(params, alphas):
+        matrices.append(len(alphas))
+        return recur(params, alphas)
+
+    monkeypatch.setattr(batch, "generate_block_materials_pairs", counting_lanes)
+    monkeypatch.setattr(batched, "batched_sequential_matrices", counting_matrices)
+    return lanes, matrices
+
+
+class TestGroupScheduleDerivedOnce:
+    @pytest.fixture(scope="class")
+    def wide(self):
+        """A server at N = 512, t = 2: one packed group of 128 blocks, twice
+        the 64-block keystream LRU, and a 128-block frame for it."""
+        from repro.pasta import batch
+
+        bfv = transcipher_parameters(PASTA_MICRO, 512)
+        scheme = Bfv(bfv, seed=b"derive-once")
+        sk, pk, rlk = scheme.keygen()
+        galois = scheme.rotation_keygen(
+            sk, BatchedHheServer.required_rotation_steps(PASTA_MICRO, bfv.n)
+        )
+        encoder = BatchEncoder(bfv.n, P)
+        key = random_key(PASTA_MICRO, seed=b"derive-once")
+        server = BatchedHheServer(
+            PASTA_MICRO, scheme, rlk, encoder,
+            encrypt_key_batched(scheme, pk, encoder, key), galois_keys=galois,
+        )
+        assert server.packed_capacity == 128 > server.engine.cache_size
+        nonce, counters = 2**45 + 17, list(range(128))
+        messages = np.random.default_rng(4).integers(0, P, size=(128, PASTA_MICRO.t))
+        keystream = batch.KeystreamEngine(PASTA_MICRO, cache_size=0).keystream_pairs(
+            key, [(nonce, c) for c in counters]
+        )
+        blocks = ((messages + keystream) % P).tolist()
+        return scheme, sk, encoder, server, nonce, counters, messages.tolist(), blocks
+
+    def test_a_group_larger_than_the_lru_is_derived_once(self, wide, monkeypatch):
+        """One 128-block call derives each block's materials once: 128
+        lanes, where re-reading the LRU per layer side derived 704; and
+        every layer's matrices in one batched pass."""
+        scheme, sk, encoder, server, nonce, counters, messages, blocks = wide
+        lanes, matrices = _counting_derivations(monkeypatch)
+        result = server.transcipher_blocks(blocks, nonce, counters)
+        assert sum(lanes) == 128
+        assert matrices == [2 * (PASTA_MICRO.rounds + 1) * 128]
+        assert decrypt_batched_result(scheme, sk, encoder, result) == messages
+
+    def test_a_fully_cached_call_derives_nothing(self, wide, monkeypatch):
+        """Repeating a (nonce, counters) whose prepared plaintexts are all
+        cached derives no block materials and no matrices."""
+        scheme, sk, encoder, server, nonce, counters, messages, blocks = wide
+        server.transcipher_blocks(blocks, nonce, counters)
+        lanes, matrices = _counting_derivations(monkeypatch)
+        result = server.transcipher_blocks(blocks, nonce, counters)
+        assert (lanes, matrices) == ([], [])
+        assert decrypt_batched_result(scheme, sk, encoder, result) == messages
+
+    def test_a_group_schedule_is_dropped_once_its_layers_are_prepared(
+        self, ctx, galois, monkeypatch
+    ):
+        """Three packed groups: when a group's schedule is derived, every
+        earlier group's has been released, so a call holds at most one
+        schedule however many blocks it carries."""
+        import weakref
+
+        scheme, sk, _, _, encoder = ctx
+        key = random_key(PASTA_MICRO, b"schedule-drop")
+        server = _server(ctx, galois, key)
+        derive = server._schedule
+        released = []
+
+        def tracking(nonce, counters):
+            assert all(ref() is None for ref in released)
+            materials, matrices = derive(nonce, counters)
+            released.append(weakref.ref(matrices))
+            return materials, matrices
+
+        monkeypatch.setattr(server, "_schedule", tracking)
+        n_blocks = 2 * server.packed_capacity + 1
+        cipher = Pasta(PASTA_MICRO, key)
+        messages = np.random.default_rng(5).integers(0, P, size=(n_blocks, PASTA_MICRO.t))
+        blocks = [
+            [int(x) for x in cipher.encrypt_block(m.tolist(), nonce=41, counter=c)]
+            for c, m in enumerate(messages)
+        ]
+        result = server.transcipher_blocks(blocks, 41, list(range(n_blocks)))
+        assert len(released) == 3
+        assert all(ref() is None for ref in released)
+        assert decrypt_batched_result(scheme, sk, encoder, result) == messages.tolist()

@@ -3,12 +3,13 @@
 :class:`BatchedHheServer` packs the whole 2t-element state of a packed
 group into one ciphertext, folds Mix into the affine diagonals, runs
 layer 0 on the pre-rotated key upload and layers 1..r as
-baby-step/giant-step diagonal sums with hoisted baby rotations. It must
-be an *amortization, not an approximation*: decrypted results equal the
-messages the pure-Python cipher encrypted, every other slot decrypts to
-0, op counts match the closed form exactly, and the modeled noise
-headroom never exceeds the measured budget — for every batch size,
-including batches that span several packed groups.
+baby-step/giant-step diagonal sums with hoisted baby rotations, the last
+one as a t x 2t rectangle. It must be an *amortization, not an
+approximation*: decrypted results equal the messages the pure-Python
+cipher encrypted, the R half of each block's slots holds a copy of them,
+every other slot decrypts to 0, op counts match the closed form exactly,
+and the modeled noise headroom never exceeds the measured budget — for
+every batch size, including batches that span several packed groups.
 """
 
 import dataclasses
@@ -47,11 +48,12 @@ from repro.pasta import (
 
 #: The split is over the 2t-element state: t=2 gives (bs, G) = (2, 2), t=4
 #: gives (4, 2), so every rig runs the giant-step Horner loop and the
-#: diagonal pre-rotation, and t=4 hoists three babies.
+#: diagonal pre-rotation, and t=4 hoists three babies. The last layer's t
+#: diagonals split (1, 2) and (2, 2).
 QUAD = PastaParams(name="quad-17", t=4, rounds=2, p=PASTA_MICRO.p, secure=False)
 #: The frame benchmark's server instance: t=32 -> (bs, G) = bsgs_split(64)
-#: = (8, 8) at N=512, so one packed group holds (N/2)/t = 8 blocks, w = 4
-#: per hypercube row.
+#: = (16, 4), and (8, 4) for the last layer's 32 diagonals, at N=512, so
+#: one packed group holds (N/2)/t = 8 blocks, w = 4 per hypercube row.
 FRAME = PastaParams(name="pasta-bsgs", t=32, rounds=2, p=PASTA_MICRO.p, secure=False)
 
 N = 256
@@ -105,9 +107,9 @@ def _headroom(pasta, model, levels, after=None):
 
 
 @functools.lru_cache(maxsize=None)
-def _admitted(t, omega, rounds, prime_bits):
+def _admitted(t, omega, rounds, prime_bits, n=N):
     """The shortest chain the model admits for a differential setting."""
-    return transcipher_parameters(_pasta(t, omega, rounds), N, prime_bits)
+    return transcipher_parameters(_pasta(t, omega, rounds), n, prime_bits)
 
 
 @pytest.fixture(scope="module")
@@ -115,15 +117,16 @@ def rigs():
     """Each differential setting's rig, built once per module on its first draw."""
     built = {}
 
-    def rig(t, omega, rounds, prime_bits, extra):
-        key = (t, omega, rounds, prime_bits, extra)
+    def rig(t, omega, rounds, prime_bits, extra, n=N):
+        key = (t, omega, rounds, prime_bits, extra, n)
         if key not in built:
             pasta = _pasta(t, omega, rounds)
-            limbs = _admitted(t, omega, rounds, prime_bits).levels + extra
+            limbs = _admitted(t, omega, rounds, prime_bits, n).levels + extra
             built[key] = _setup(
                 pasta,
-                seed=b"bsgs-diff-%d-%d-%d-%d-%d" % key,
-                params=_chain(pasta.p, N, limbs, prime_bits),
+                seed=b"bsgs-diff-%d-%d-%d-%d-%d-%d" % key,
+                n=n,
+                params=_chain(pasta.p, n, limbs, prime_bits),
             )
         return built[key]
 
@@ -153,8 +156,10 @@ class TestBsgsSplit:
     @settings(max_examples=7, deadline=None)
     def test_power_of_two_split_is_exact(self, t):
         bs, giants = bsgs_split(t)
+        k = t.bit_length() - 1
         assert bs * giants == t
-        assert bs >= giants  # balanced, baby-heavy
+        assert giants == 1 << -(-k // 3)  # bs = 2^(k - ceil(k/3))
+        assert bs >= giants or t == 2  # baby-heavy; 2 diagonals split (1, 2)
 
     @given(t=st.integers(min_value=1, max_value=200))
     @settings(max_examples=40, deadline=None)
@@ -171,27 +176,29 @@ class TestBsgsSplit:
 class TestDifferential:
     """The one evaluator against the cipher oracle, over generated settings.
 
-    Each draw picks a setting at N = 256 (t in {2, 4}, omega in {17, 33},
-    rounds in {1, 2, 3}, and a chain of 26- or 30-bit primes 0 to 2 limbs
-    longer than :func:`transcipher_parameters` returns), a batch of 1 to
-    2*capacity + 1 blocks (so up to three packed groups), a nonce and a
-    first counter. The 26-bit primes are the frame benchmark's width.
+    Each draw picks a setting (N in {256, 512}, t in {2, 4}, omega in
+    {17, 33}, rounds in {1, 2, 3}, and a chain of 26- or 30-bit primes 0 to
+    2 limbs longer than :func:`transcipher_parameters` returns), a batch of
+    1 to 2*capacity + 1 blocks (so up to three packed groups), a nonce and a
+    first counter. The 26-bit primes are the frame benchmark's width; the
+    drawn shape sizes layer 0's auxiliary basis and every layer's split.
     """
 
     @given(data=st.data())
     @settings(max_examples=12, deadline=None)
     def test_matches_cipher_oracle(self, rigs, data):
+        n = data.draw(st.sampled_from([256, 512]), label="N")
         t = data.draw(st.sampled_from([2, 4]), label="t")
         omega = data.draw(st.sampled_from([17, 33]), label="omega")
         rounds = data.draw(st.sampled_from([1, 2, 3]), label="rounds")
         prime_bits = data.draw(st.sampled_from([26, 30]), label="prime bits")
         extra = data.draw(st.integers(min_value=0, max_value=2), label="extra limbs")
-        limbs = _admitted(t, omega, rounds, prime_bits).levels + extra
+        limbs = _admitted(t, omega, rounds, prime_bits, n).levels + extra
         pasta = _pasta(t, omega, rounds)
-        rig = rigs(t, omega, rounds, prime_bits, extra)
+        rig = rigs(t, omega, rounds, prime_bits, extra, n)
         scheme, sk, encoder = rig[0], rig[1], rig[4]
         assert scheme.level == limbs
-        capacity = HALF // t
+        capacity = (n // 2) // t
         n_blocks = data.draw(st.integers(min_value=1, max_value=2 * capacity + 1), label="blocks")
         nonce = data.draw(st.integers(min_value=0, max_value=2**64 - 1), label="nonce")
         counter0 = data.draw(st.integers(min_value=0, max_value=2**32), label="counter0")
@@ -212,19 +219,20 @@ class TestDifferential:
         # on the full chain.
         planned = server.result_noise
         assert model.headroom_bits(planned) >= model.decryption_floor_bits
-        assert all(ct.noise.bits == pytest.approx(planned.bits) for ct in result.ciphertexts)
+        assert all(ct.noise == planned for ct in result.ciphertexts)
         assert all(len(part.ctx.primes) == limbs for ct in result.ciphertexts for part in ct.parts)
 
         # The response carries only c - KS: the R half of every block's
-        # slots and every slot of an unfilled block decrypt to 0.
+        # slots holds a copy of the L half, and every slot of an unfilled
+        # block decrypts to 0.
         w = capacity // 2
-        element = np.arange(2 * t).reshape(1, 2 * t, 1)
         block = np.arange(capacity).reshape(2, 1, w)
         for g, ct in enumerate(result.ciphertexts):
             slots = np.asarray([encoder.decode(scheme.decrypt_poly(sk, ct))])
-            rows = slots_to_rows(N, slots)[0].reshape(2, 2 * t, w)  # [row, j, k % w]
-            message = (element < t) & (block < n_blocks - g * capacity)
-            assert not rows[~message].any()
+            rows = slots_to_rows(n, slots)[0].reshape(2, 2 * t, w)  # [row, j, k % w]
+            filled = np.broadcast_to(block < n_blocks - g * capacity, rows.shape)
+            assert not rows[~filled].any()
+            assert np.array_equal(rows[:, t:], rows[:, :t])
 
     @pytest.fixture(scope="class")
     def frame(self):
@@ -234,7 +242,9 @@ class TestDifferential:
     def test_frame_instance(self, frame, n_blocks):
         """The frame benchmark's instance: pinned counts, exact decryption."""
         scheme, sk = frame[0], frame[1]
-        assert bsgs_split(2 * FRAME.t) == (8, 8)
+        assert bsgs_split(2 * FRAME.t) == (16, 4)
+        assert bsgs_split(FRAME.t) == (8, 4)
+        assert len(frame[3].keys) == 18
         messages = [[(b * FRAME.t + j) % FRAME.p for j in range(FRAME.t)] for b in range(n_blocks)]
         server, result, decrypted = _transcipher(FRAME, frame, messages, nonce=2**40 + 3)
         assert server.packed_capacity == 8
@@ -249,8 +259,9 @@ class TestDifferential:
         assert len(get_tracer().spans_named("fhe.mod_switch")) == 3 * groups
         assert decrypted == messages
         per_group = {
-            "plain_muls": 193, "plain_adds": 4, "adds": 190, "squares": 2,
-            "muls": 1, "relins": 3, "rotations": 29, "decompositions": 2,
+            "plain_muls": 161, "plain_adds": 4, "adds": 159, "squares": 2,
+            "muls": 1, "relins": 3, "rotations": 30, "decompositions": 2,
+            "keyswitches": 13,
         }
         assert homomorphic_op_counts(FRAME) == per_group
         assert _ops(result) == {k: groups * v for k, v in per_group.items()}
@@ -260,10 +271,11 @@ class TestDifferential:
         assert {len(part.ctx.primes) for ct in result.ciphertexts for part in ct.parts} == {10}
 
 
-#: One round at N = 64 on five 30-bit primes: after the cube the noise sits
-#: less than a limb above the BSGS layer's key-switch term, so every drop
-#: costs more than a bit.
-NO_SLACK = PastaParams(name="no-slack", t=2, rounds=1, p=PASTA_MICRO.p, secure=False)
+#: One round of t = 4 at N = 64 on five 30-bit primes: after the cube the
+#: noise sits less than a limb above the key-switch term of the last
+#: layer's hoisted baby (its 4 diagonals split (2, 2)), which the diagonal
+#: products amplify, so every drop costs more than a bit.
+NO_SLACK = PastaParams(name="no-slack", t=4, rounds=1, p=PASTA_MICRO.p, secure=False)
 
 
 class TestLevelPlan:
@@ -299,7 +311,7 @@ class TestLevelPlan:
         construction: a call builds none of them on its two threads."""
         scheme, sk, rlk, gk, encoder, key, enc_key = micro
         server = BatchedHheServer(PASTA_MICRO, scheme, rlk, encoder, enc_key, galois_keys=gk)
-        assert server.levels == (8, 8, 8, 6, 5)
+        assert server.levels == (8, 8, 8, 6, 4)
         built = []
 
         def counting(cls):
@@ -331,7 +343,7 @@ class TestLevelPlan:
         rig = _setup(NO_SLACK, seed=b"bsgs-no-slack", n=64)
         scheme, sk = rig[0], rig[1]
         assert scheme.level == 5
-        messages = [[11, 22], [33, 44], [55, 66]]
+        messages = [[11, 22, 33, 44], [55, 66, 77, 88], [99, 111, 222, 333]]
         server, result, decrypted = _transcipher(NO_SLACK, rig, messages, nonce=77)
         assert server.levels == (5, 5, 5)
         # One drop would cost more than the 1-bit slack.
@@ -372,7 +384,7 @@ class TestLevelPlan:
 DERIVED = {
     "hhe_frame": (FRAME, 512, 26, False, 10, 24.1),
     "service-micro": (PASTA_MICRO, 256, 30, False, 8, 25.9),
-    "client-micro": (PASTA_MICRO, 1024, 30, False, 9, 35.9),
+    "client-micro": (PASTA_MICRO, 1024, 30, False, 9, 35.8),
     "service-toy": (PASTA_TOY, 256, 30, False, 11, 31.1),
     "client-toy": (PASTA_TOY, 1024, 30, False, 12, 33.0),
     "ml-micro": (PASTA_MICRO, 256, 30, True, 9, 31.8),
@@ -461,8 +473,12 @@ class TestHoistedBsgs:
         server, result, _ = _transcipher(PASTA_MICRO, micro, [[7, 9], [3, 4]], 5)
         expected = homomorphic_op_counts(PASTA_MICRO)
         assert _ops(result) == expected
-        # Layer 0 runs on the pre-rotated key: layers 1..r decompose.
-        assert expected["decompositions"] == PASTA_MICRO.rounds
+        # Layer 0 runs on the pre-rotated key and the last layer's two
+        # diagonals split (1, 2): only layer 1 decomposes. Three
+        # relinearizations, two giant steps, the fold, the Feistel shift
+        # and that decomposition are the key switches.
+        assert expected["decompositions"] == PASTA_MICRO.rounds - 1
+        assert expected["keyswitches"] == 8
 
     def test_giant_step_hoisted_run_matches_closed_form(self, quad):
         server, result, _ = _transcipher(QUAD, quad, [[1, 2, 3, 4]], 5)
@@ -470,13 +486,15 @@ class TestHoistedBsgs:
 
     def test_hoisted_superset_of_rotation_steps(self):
         # t=16 -> bsgs_split(32) = (8, 4): hoisted babies rotate the source
-        # directly by every k*w, so the key schedule must cover 2w..7w too.
+        # directly by every k*w, so the key schedule must cover 2w..7w too;
+        # the last layer's 16 diagonals split (4, 4) inside those steps and
+        # fold by t*w.
         wide = PastaParams(name="x16", t=16, rounds=2, p=PASTA_MICRO.p, secure=False)
         steps = BatchedHheServer.required_rotation_steps(wide, N)
         w = HALF // (2 * wide.t)
         bs, giants = bsgs_split(2 * wide.t)
         assert bs == 8
-        expected = {k * w for k in range(1, bs)} | {bs * w, HALF - w}
+        expected = {k * w for k in range(1, bs)} | {bs * w, wide.t * w, HALF - w}
         assert set(steps) == expected
         assert steps == sorted(expected)
 
@@ -497,12 +515,21 @@ class TestOpCounts:
         params = PastaParams(name="x", t=t, rounds=rounds, p=PASTA_MICRO.p, secure=False)
         counts = homomorphic_op_counts(params)
         bs, giants = bsgs_split(2 * t)
-        # O(t) plain muls per layer and O(sqrt t) rotations per BSGS layer
-        # (layers 1..r; layer 0 runs on the pre-rotated key), against t^2
-        # plain muls per layer side with one ciphertext per state element.
-        assert counts["plain_muls"] == 2 * t * (rounds + 1) + (rounds - 1)
-        assert counts["rotations"] == rounds * (bs + giants - 2) + (rounds - 1)
-        assert counts["decompositions"] == (rounds if bs > 1 else 0)
+        last_bs, last_giants = bsgs_split(t)
+        # O(t) plain muls per layer and O(t^(2/3)) rotations per BSGS layer
+        # (layers 1..r; layer 0 runs on the pre-rotated key, and the last
+        # layer is a t x 2t rectangle plus one fold), against t^2 plain muls
+        # per layer side with one ciphertext per state element.
+        assert counts["plain_muls"] == 2 * t * rounds + t + (rounds - 1)
+        assert counts["rotations"] == (
+            (rounds - 1) * (bs + giants - 2) + (last_bs + last_giants - 1) + (rounds - 1)
+        )
+        assert counts["decompositions"] == (rounds - 1) * (bs > 1) + (last_bs > 1)
+        # Not hoisted: G - 1 giant steps per layer, the fold and r - 1
+        # Feistel shifts.
+        assert counts["keyswitches"] == (
+            counts["relins"] + counts["decompositions"] + (rounds - 1) * giants + last_giants
+        )
 
 
 class TestEngineSelection:

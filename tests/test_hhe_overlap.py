@@ -148,11 +148,11 @@ class TestFailClosed:
         prepare = server._prepared_diags
         failed_on = []
 
-        def failing(nonce, counters, layer):
+        def failing(nonce, counters, layer, schedule):
             if layer == last:
                 failed_on.append(_on_helper())
                 raise ParameterError("injected preparation failure")
-            return prepare(nonce, counters, layer)
+            return prepare(nonce, counters, layer, schedule)
 
         monkeypatch.setattr(server, "_prepared_diags", failing)
         _, blocks = _frame(micro, 8001, 3)
@@ -174,8 +174,8 @@ class TestFailClosed:
         prepared_ahead = []
         helper_full = threading.Event()
 
-        def counting(nonce, counters, layer):
-            out = prepare_rc(nonce, counters, layer)
+        def counting(nonce, counters, layer, schedule):
+            out = prepare_rc(nonce, counters, layer, schedule)
             if _on_helper():
                 prepared_ahead.append(layer)
                 if len(prepared_ahead) == bound:
