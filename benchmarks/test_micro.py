@@ -1,5 +1,7 @@
 """Component microbenchmarks: the primitives behind every reproduced number."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -13,10 +15,13 @@ from repro.pasta import (
     PASTA_MICRO,
     Pasta,
     PastaParams,
+    generate_block_materials,
+    generate_block_materials_pairs,
     generate_matrix,
     random_key,
     streaming_mat_vec,
 )
+from repro.pasta.xof import encode_block_seed
 
 F17 = PrimeField(P17)
 
@@ -39,6 +44,39 @@ def test_pasta4_reference_block(benchmark):
     cipher = Pasta(PASTA_4, random_key(PASTA_4))
     ks = benchmark(cipher.keystream_block, 0, 0)
     assert ks.shape == (32,)
+
+
+def _zero_rerank_lanes(params, pairs):
+    """Lanes whose accepted words, ranked with zero allowed, put a zero
+    candidate in an alpha slot: the one-pass sampler re-ranks them."""
+    slots = params.coefficients_per_block
+    alpha_slot = np.arange(slots) // params.t % 4 < 2
+    lanes = []
+    for lane, (nonce, counter) in enumerate(pairs):
+        raw = hashlib.shake_128(encode_block_seed(params, nonce, counter)).digest(32 * slots)
+        values = np.frombuffer(raw, dtype="<u8") & np.uint64(params.sampler.mask)
+        if np.any(values[values < params.p][:slots][alpha_slot] == 0):
+            lanes.append(lane)
+    return lanes
+
+
+def test_client_frame_materials(benchmark):
+    """One client frame's materials (300 PASTA-4 lanes) in the one-pass
+    sampler, against the scalar derivation (sponge and sampler) on the
+    first lane, the last lane and every zero re-rank lane: values, sampler
+    statistics and permutations."""
+    pairs = [(7, c) for c in range(300)]
+    batched = benchmark(generate_block_materials_pairs, PASTA_4, pairs)
+    rerank = _zero_rerank_lanes(PASTA_4, pairs)
+    assert rerank
+    for lane in (0, len(pairs) - 1, *rerank):
+        scalar = generate_block_materials(PASTA_4, *pairs[lane])
+        got = batched[lane]
+        assert (got.nonce, got.counter) == pairs[lane]
+        assert got.stats == scalar.stats and got.permutations == scalar.permutations
+        for mine, theirs in zip(got.layers, scalar.layers):
+            for name in ("alpha_l", "alpha_r", "rc_l", "rc_r"):
+                assert np.array_equal(getattr(mine, name), getattr(theirs, name))
 
 
 def test_aes128_block(benchmark):

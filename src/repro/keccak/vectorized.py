@@ -8,15 +8,15 @@ integers through every round, far too slow for hundreds of lanes per
 frame. Here each lane is squeezed by one sized C digest,
 ``hashlib.shake_128(seed).digest(n)``, into one ``(N, W)`` little-endian
 ``uint64`` word buffer, handed out one rate block (21 words at the
-SHAKE128 rate) per :meth:`BatchedShake.squeeze_words_block` call; the
-blocks squeezed so far can also be read in place with
-:meth:`BatchedShake.words`. This is the software form of the paper's XOF
-front end (Sec. IV-B, Fig. 3).
+SHAKE128 rate) per :meth:`BatchedShake.squeeze_words_block` call. A
+caller that must look ahead to know how many blocks it will squeeze reads
+the whole digest in place with :meth:`BatchedShake.digested_words`. This
+is the software form of the paper's XOF front end (Sec. IV-B, Fig. 3).
 
 A digest cannot be resumed, so the caller states how many rate blocks it
-expects to read, plus a margin. Reading past the end re-digests every lane
-at twice the length: the words are the same either way, only the cost
-changes.
+expects to read, plus a margin. Squeezing past the end (or
+:meth:`BatchedShake.extend`) re-digests every lane at twice the length:
+the words are the same either way, only the cost changes.
 
 ``permutation_count`` keeps the lockstep sponge's cadence: the absorb
 permutation exposes the first block and every later block costs one more,
@@ -55,7 +55,9 @@ class BatchedShake:
     rate block so that one absorb permutation per lane is the whole absorb
     cost (true for every PASTA per-block seed: 43 bytes against SHAKE128's
     168-byte rate). Row ``n``'s word stream is bit-exact with
-    ``shake128(seeds[n]).words()``.
+    ``shake128(seeds[n]).words()``. The words are read either one squeezed
+    block at a time or, ahead of the squeezes, as the whole digest; only
+    squeezes count as permutations.
 
     Parameters
     ----------
@@ -107,23 +109,23 @@ class BatchedShake:
         """
         k = self._emitted_blocks
         if k == self._blocks:
-            self._digest(2 * self._blocks)
+            self.extend()
         self._emitted_blocks += 1
         w = self.rate_words
         return self._words[:, k * w : (k + 1) * w]
 
-    def words(self, lo: int, hi: int) -> np.ndarray:
-        """Word columns ``[lo, hi)`` of every lane, as a read-only view.
+    def digested_words(self) -> np.ndarray:
+        """Every word digested so far, ``(N, blocks * rate_words)``, read-only.
 
-        Only words of blocks already squeezed can be read, so reading
-        never changes :attr:`permutation_count`.
+        Squeezed or not: a caller may rank words ahead of the squeezes it
+        will account for. Reading never changes :attr:`permutation_count`;
+        only :meth:`squeeze_words_block` stands for permutations.
         """
-        if not 0 <= lo <= hi <= self._emitted_blocks * self.rate_words:
-            raise ValueError(
-                f"words [{lo}, {hi}) not within the"
-                f" {self._emitted_blocks * self.rate_words} squeezed so far"
-            )
-        return self._words[:, lo:hi]
+        return self._words
+
+    def extend(self) -> None:
+        """Re-digest every lane at twice the length; no digested word changes."""
+        self._digest(2 * self._blocks)
 
 
 class ShakeReader:

@@ -9,20 +9,27 @@ rejection sampling, and MatMul (Fig. 3):
 
 * **XOF**: every lane is squeezed by one sized C SHAKE128 digest into one
   ``(N, W)`` word buffer (:mod:`repro.keccak.vectorized`), sized from the
-  parameters' expected demand. The sampler reads views of that buffer;
-  no word is copied.
-* **Sampling**: each draw masks and ranks only a window of buffer columns,
-  from the slowest lane's pointer to the fastest lane's plus a margin, and
-  takes the accepted words of *all* lanes in one cumulative-count pass, no
-  Python loop over lanes. The window widens when a lane runs short; the
-  stream squeezes another block only when the whole squeezed stream is
-  short, exactly when a full-buffer scan would, so squeezes and every
-  accept/reject decision match the scalar sampler.
+  parameters' expected demand. The sampler reads the whole digest in
+  place; no word is copied.
+* **Sampling**: one pass per call. One ``candidates_batch`` masks every
+  digested word with zero allowed, and one rank takes each lane's first
+  ``4 (r + 1) t`` accepted words (a ``flatnonzero``, a search for each
+  lane's start, one gather), which are every layer's alpha_L, alpha_R,
+  rc_L and rc_R in the scalar draw order. A zero ranked into an alpha
+  slot is the one decision the rank gets wrong: the scalar sampler
+  rejects it, so those lanes alone are re-ranked with it rejected. A lane
+  short of the digest re-digests every lane at twice the length. The
+  stream then squeezes ``max(pre-squeezed blocks, ceil(longest lane's
+  words / 21))`` blocks, exactly what on-demand squeezing would, so
+  squeezes, permutation counts and every accept/reject decision match the
+  scalar sampler.
 * **MatGen / MatMul**: the client keystream builds no matrix. Each affine
-  layer side continues the Eq. (1) recurrence from the state
-  (:func:`repro.pasta.matgen.recurrence_mat_vec`): t per-lane dot products
-  of length t over a ``(2t, N)`` buffer, lanes innermost, with the field's
-  overflow-safe accumulation (:meth:`repro.ff.prime.PrimeField.batched_dot`).
+  layer continues the Eq. (1) recurrence from the state
+  (:func:`repro.pasta.matgen.recurrence_mat_vec`) for both of its sides
+  at once: t per-lane dot products of length t over a ``(2t, 2N)``
+  buffer whose columns are every lane's left half, then every lane's
+  right half, with the field's overflow-safe accumulation
+  (:meth:`repro.ff.prime.PrimeField.batched_dot`).
   :meth:`KeystreamEngine.matrices` still materializes the ``(N, t, t)``
   matrices (:func:`batched_sequential_matrices`) for the HHE server, which
   needs their diagonals.
@@ -45,7 +52,7 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field as dataclass_field
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -55,7 +62,7 @@ from repro.keccak.shake import SHAKE128_RATE_BYTES
 from repro.keccak.vectorized import batched_shake128
 from repro.pasta.cipher import BlockMaterials, LayerMaterials
 from repro.pasta.matgen import recurrence_mat_vec
-from repro.pasta.params import PastaParams
+from repro.pasta.params import VECTORS_PER_LAYER, PastaParams
 from repro.pasta.xof import as_u64, encode_block_seed
 
 __all__ = [
@@ -73,113 +80,111 @@ __all__ = [
 DEFAULT_CACHE_BLOCKS = 64
 
 
-class _BatchWordStream:
-    """Lockstep XOF word streams with per-lane consumption pointers.
+def _first_accepted(ok: np.ndarray, count: int) -> Optional[np.ndarray]:
+    """Flat indices into ``ok`` of each row's first ``count`` accepted words.
 
-    Lane ``n`` sees exactly the word stream ``shake128(seed_n).words()``
-    would produce; the batch only changes *when* words are squeezed, never
-    what each lane reads. ``shake`` is the word source: anything with
-    ``n``, ``rate_words``, ``squeeze_words_block()`` and ``words(lo, hi)``,
-    normally a :class:`~repro.keccak.vectorized.BatchedShake`, whose
-    digest buffer the words are read from in place.
+    ``(rows, count)``, row-major: one ``flatnonzero`` over the whole mask,
+    one search for where each row's accepts start, one gather. None when
+    some row has fewer than ``count`` accepted words.
     """
-
-    def __init__(self, shake):
-        self._shake = shake
-        self.n = shake.n
-        self.rate_words = shake.rate_words
-        self.capacity = 0  #: words squeezed so far on every lane
-        self.pos = np.zeros(self.n, dtype=np.intp)
-
-    def grow(self, blocks: int = 1) -> None:
-        """Squeeze ``blocks`` more 21-word batches onto every lane."""
-        for _ in range(blocks):
-            self._shake.squeeze_words_block()
-        self.capacity += blocks * self.rate_words
-
-    def words(self, lo: int, hi: int) -> np.ndarray:
-        """Columns ``[lo, hi)`` of every lane (consumed words included)."""
-        return self._shake.words(lo, hi)
+    flat = np.flatnonzero(ok)
+    first = np.searchsorted(flat, np.arange(ok.shape[0] + 1) * ok.shape[1])
+    if int(np.diff(first).min()) < count:
+        return None
+    return flat[first[:-1, None] + np.arange(count)]
 
 
-def _sample_draw(
-    stream: _BatchWordStream, sampler, count: int, min_value: int
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Draw ``count`` accepted candidates on *every* lane at once.
+def _rank(
+    values: np.ndarray, ok: np.ndarray, alpha_slot: np.ndarray
+) -> Optional[Tuple[np.ndarray, np.ndarray]]:
+    """Every lane's sampled coefficients and the words it consumed.
 
-    Returns ``(values, rejected)`` with shapes ``(N, count)`` and ``(N,)``.
-    The decisions are identical to running ``RejectionSampler.sample`` on
-    each lane's scalar word stream: a lane's draw starts at its private
-    consumption pointer and takes its first ``count`` accepted words.
-
-    Only a window of columns is masked and ranked: from the slowest lane's
-    pointer to the fastest lane's pointer plus about twice the draw's
-    expected words. When a lane runs short inside the window, the window
-    widens; the stream grows only when the window already reaches the end
-    of the buffer, i.e. when the whole buffer is short. A window that
-    starts at the slowest pointer holds every lane's unconsumed words up to
-    its end, so growth happens exactly when a full-buffer scan would grow.
+    ``values`` and ``ok`` are the ``(N, W)`` masked candidates of every
+    digested word and their acceptance with zero allowed; ``alpha_slot``
+    marks the coefficient slots whose scalar draw rejects zero. Ranking the
+    accepted words decides every slot but one kind: a zero ranked into an
+    alpha slot, which the scalar sampler rejects, shifting every later slot
+    of its lane by one word. So the first such zero of each affected lane
+    is rejected and those lanes alone are ranked again, until none is left.
+    Returns ``(values (N, slots), consumed (N,))``, or None when a lane is
+    short of the digest. Clears the rejected zeros in ``ok``.
     """
-    pos = stream.pos
-    lo = int(pos.min())
-    reach = max(1, int(2 * count * sampler.expected_words_per_element))
+    n, width = ok.shape
+    flat = _first_accepted(ok, alpha_slot.size)
+    if flat is None:
+        return None
+    picked = values.reshape(-1)[flat]
+    lanes = np.arange(n)
+    zero = (picked == 0) & alpha_slot
     while True:
-        hi = min(int(pos.max()) + reach, stream.capacity)
-        if hi > lo:
-            values, ok = sampler.candidates_batch(stream.words(lo, hi), min_value)
-            # Mask out words each lane already consumed, then rank the rest.
-            avail = ok & (np.arange(lo, hi)[None, :] >= pos[:, None])
-            cum = np.cumsum(avail, axis=1)
-            if int(cum[:, -1].min()) >= count:
-                break
-        if hi < stream.capacity:
-            reach *= 2  # a lane runs short inside the window: widen it
-        else:
-            # The whole buffer is short for some lane: squeeze another batch
-            # for every lane (lanes are in lockstep; extra words stay buffered).
-            stream.grow()
-    take = avail & (cum <= count)
-    flat = np.flatnonzero(take)  # row-major: lane-grouped, ascending
-    out = values.reshape(-1)[flat].reshape(stream.n, count)
-    last = flat.reshape(stream.n, count)[:, -1] - np.arange(stream.n) * (hi - lo)
-    ends = lo + last + 1
-    rejected = ends - pos - count
-    stream.pos = ends.astype(np.intp)
-    return out, rejected
+        hit = zero.any(axis=1)
+        lanes, zero = lanes[hit], zero[hit]
+        if not lanes.size:
+            return picked, flat[:, -1] - np.arange(n) * width + 1
+        # Everything before each lane's first alpha-slot zero is already
+        # decided; the scalar sampler rejects that zero.
+        ok.reshape(-1)[flat[lanes, zero.argmax(axis=1)]] = False
+        again = _first_accepted(ok[lanes], alpha_slot.size)
+        if again is None:
+            return None
+        # Row i of ok[lanes] is row lanes[i] of ok.
+        flat[lanes] = again + ((lanes - np.arange(lanes.size)) * width)[:, None]
+        picked[lanes] = values.reshape(-1)[flat[lanes]]
+        zero = (picked[lanes] == 0) & alpha_slot
+
+
+def _sample_lanes(
+    shake, sampler, t: int, layers: int, blocks: int
+) -> Tuple[np.ndarray, np.ndarray]:
+    """One rejection-sampling pass over every lane's digested XOF words.
+
+    ``shake`` is the word source, normally a
+    :class:`~repro.keccak.vectorized.BatchedShake`: anything with
+    ``rate_words``, ``digested_words()``, ``extend()`` and
+    ``squeeze_words_block()``. One ``candidates_batch`` call masks every
+    digested word and :func:`_rank` takes each lane's first
+    ``layers * 4 * t`` accepted words in the scalar draw order (alpha_L,
+    alpha_R, rc_L, rc_R per layer). A lane short of the digest re-digests
+    every lane at twice the length and the pass runs again. The stream then
+    squeezes ``max(blocks, ceil(longest lane's words / rate_words))``
+    blocks: exactly what a sampler that squeezes on demand after
+    pre-squeezing ``blocks`` would, so the permutation cadence is the
+    scalar sponge's.
+
+    Returns ``(values, consumed)``: ``(N, layers, 4, t)`` uint64
+    coefficients and the ``(N,)`` words each lane consumed.
+    """
+    alpha_slot = np.arange(layers * VECTORS_PER_LAYER * t) // t % VECTORS_PER_LAYER < 2
+    while True:
+        ranked = _rank(*sampler.candidates_batch(shake.digested_words(), 0), alpha_slot)
+        if ranked is not None:
+            break
+        shake.extend()
+    values, consumed = ranked
+    for _ in range(max(blocks, -(-int(consumed.max()) // shake.rate_words))):
+        shake.squeeze_words_block()
+    return values.reshape(-1, layers, VECTORS_PER_LAYER, t), consumed
 
 
 def _derive_layer_arrays(
     params: PastaParams, pairs: Sequence[Tuple[int, int]]
-) -> Tuple[List[List[np.ndarray]], np.ndarray, _BatchWordStream]:
+) -> Tuple[np.ndarray, np.ndarray]:
     """All sampled per-layer vectors for every pair, fully stacked.
 
-    Returns ``(layer_values, rejected, stream)`` where
-    ``layer_values[i][v]`` is the ``(N, t)`` uint64 matrix of the layer's
-    v-th vector (alpha_L, alpha_R, rc_L, rc_R), ``rejected`` the per-lane
-    rejection counts, and ``stream`` the word stream (its ``pos`` gives
-    per-lane words consumed). No per-lane Python work happens here.
+    Returns ``(values, consumed)``: ``values[n, i, v]`` is the uint64
+    vector v (alpha_L, alpha_R, rc_L, rc_R) of layer i of lane n, and
+    ``consumed[n]`` the words lane n read. Each lane is digested once,
+    sized at the parameters' expected demand plus 5%, with another eighth
+    and a block of margin, so a re-digest almost never happens; then
+    :func:`_sample_lanes` samples every lane in one pass. No per-lane
+    Python work happens here.
     """
     sampler = params.sampler
-    t = params.t
-    # Pre-squeeze roughly the expected demand in one go; the sampler grows
-    # the buffer on demand for unlucky lanes. The digest behind it carries
-    # another eighth, so that growth almost never has to re-digest.
     expected_words = params.coefficients_per_block * sampler.expected_words_per_element
     blocks = max(1, int(np.ceil(expected_words * 1.05 / (SHAKE128_RATE_BYTES // 8))))
     seeds = [encode_block_seed(params, no, co) for no, co in pairs]
-    stream = _BatchWordStream(batched_shake128(seeds, blocks + blocks // 8 + 1))
-    stream.grow(blocks)
-
-    rejected = np.zeros(len(pairs), dtype=np.int64)
-    layer_values: List[List[np.ndarray]] = []
-    for _ in range(params.affine_layers):
-        vectors: List[np.ndarray] = []
-        for min_value in (1, 1, 0, 0):  # alpha_L, alpha_R, rc_L, rc_R
-            values, nrej = _sample_draw(stream, sampler, t, min_value)
-            rejected += nrej
-            vectors.append(values)
-        layer_values.append(vectors)
-    return layer_values, rejected, stream
+    shake = batched_shake128(seeds, blocks + blocks // 8 + 1)
+    return _sample_lanes(shake, sampler, params.t, params.affine_layers, blocks)
 
 
 def generate_block_materials_pairs(
@@ -196,23 +201,20 @@ def generate_block_materials_pairs(
     pairs = [(as_u64(n, "nonce"), as_u64(c, "counter")) for n, c in pairs]
     if not pairs:
         return []
-    dtype = params.field.dtype
-    layer_values, rejected, stream = _derive_layer_arrays(params, pairs)
+    values, consumed = _derive_layer_arrays(params, pairs)
+    values = values.astype(params.field.dtype)
+    accepted = params.coefficients_per_block
+    rate_words = SHAKE128_RATE_BYTES // 8
     return [
         BlockMaterials(
             params=params,
             nonce=nonce,
             counter=counter,
-            layers=tuple(
-                LayerMaterials(*(values[lane].astype(dtype) for values in vectors))
-                for vectors in layer_values
-            ),
-            stats=SamplerStats(
-                accepted=params.coefficients_per_block, rejected=int(rejected[lane])
-            ),
+            layers=tuple(LayerMaterials(*vectors) for vectors in values[lane]),
+            stats=SamplerStats(accepted=accepted, rejected=int(consumed[lane]) - accepted),
             # Scalar sponges squeeze lazily: consuming w words costs
             # ceil(w / 21) permutations (absorb included).
-            permutations=-(-int(stream.pos[lane]) // stream.rate_words),
+            permutations=-(-int(consumed[lane]) // rate_words),
         )
         for lane, (nonce, counter) in enumerate(pairs)
     ]
@@ -438,45 +440,44 @@ class KeystreamEngine:
     def _keystream_pairs(
         self, key: np.ndarray, pairs: Sequence[Tuple[int, int]]
     ) -> np.ndarray:
-        """The PASTA round schedule over stacked state columns, one per block."""
+        """The PASTA round schedule over stacked state columns, one per block.
+
+        The state is ``(t, 2N)``: column n holds lane n's left half and
+        column N + n its right half, so both sides of an affine layer run
+        as one recurrence over 2N lanes.
+        """
         params = self.params
         field = params.field
         p = field.p
         t = params.t
-        n_blocks = len(pairs)
-        if n_blocks <= 0:
+        n = len(pairs)
+        if n <= 0:
             return field.zeros(0, t)
         # encode_block_seed refuses any nonce or counter that is not a u64.
-        layer_values, _, _ = _derive_layer_arrays(params, pairs)
+        values, _ = _derive_layer_arrays(params, pairs)
+        # (layer, t, 2N): alpha (or rc) of the left side, then the right.
+        per_layer = values.transpose(1, 3, 2, 0)
+        alphas = per_layer[:, :, :2].reshape(params.affine_layers, t, 2 * n).astype(field.dtype)
+        rcs = per_layer[:, :, 2:].reshape(params.affine_layers, t, 2 * n).astype(field.dtype)
 
-        def affine(x: np.ndarray, layer: int, side: int) -> np.ndarray:
-            # layer_values[layer] is (alpha_L, alpha_R, rc_L, rc_R); side 0 = L.
-            alpha = layer_values[layer][side].T.astype(field.dtype, order="C")
-            rc = layer_values[layer][2 + side].T.astype(field.dtype, order="C")
-            return (recurrence_mat_vec(field, alpha, x) + rc) % p
+        def affine_mix(x: np.ndarray, layer: int) -> np.ndarray:
+            y = (recurrence_mat_vec(field, alphas[layer], x) + rcs[layer]) % p
+            halves = y.reshape(t, 2, n)
+            s = halves.sum(axis=1) % p
+            return ((halves + s[:, None, :]) % p).reshape(t, 2 * n)
 
-        # Lanes innermost, (t, N) per half, as the affine recurrence wants.
-        state = np.repeat(np.asarray(key).reshape(-1, 1), n_blocks, axis=1)
-        xl = state[:t] % p
-        xr = state[t:] % p
+        x = np.repeat(np.asarray(key).reshape(2, t).T % p, n, axis=1)
         for i in range(params.rounds):
-            xl = affine(xl, i, 0)
-            xr = affine(xr, i, 1)
-            s = (xl + xr) % p
-            xl = (xl + s) % p
-            xr = (xr + s) % p
-            full = np.concatenate([xl, xr])
+            x = affine_mix(x, i)
             if i < params.rounds - 1:
-                squares = (full[:-1] * full[:-1]) % p
-                full[1:] = (full[1:] + squares) % p
+                # Feistel S-box over the 2t-element state [L | R]: element
+                # k gains element k - 1 squared, across the halves too.
+                carry = (x[t - 1, :n] * x[t - 1, :n]) % p
+                x[1:] = (x[1:] + (x[:-1] * x[:-1]) % p) % p
+                x[0, n:] = (x[0, n:] + carry) % p
             else:
-                full = ((full * full % p) * full) % p
-            xl, xr = full[:t], full[t:]
-        last = params.rounds
-        xl = affine(xl, last, 0)
-        xr = affine(xr, last, 1)
-        s = (xl + xr) % p
-        return np.ascontiguousarray(((xl + s) % p).T)
+                x = ((x * x % p) * x) % p
+        return np.ascontiguousarray(affine_mix(x, params.rounds)[:, :n].T)
 
 
 _ENGINES: Dict[PastaParams, KeystreamEngine] = {}

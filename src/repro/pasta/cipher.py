@@ -159,8 +159,8 @@ class Pasta:
         """Keystream for ``n_blocks`` consecutive counters as an ``(n, t)`` array.
 
         Runs on the batched engine (:mod:`repro.pasta.batch`): one sized
-        XOF digest per block, then windowed rejection sampling, then per
-        layer side the matrix-free affine recurrence
+        XOF digest per block, then one rejection-sampling pass, then per
+        affine layer the matrix-free recurrence over both sides
         (:func:`repro.pasta.matgen.recurrence_mat_vec`), each across the
         whole batch. Every block is derived fresh; nothing is cached.
         Bit-exact with calling :meth:`keystream_block` per counter, which

@@ -14,6 +14,7 @@ every batch size, including batches that span several packed groups.
 
 import dataclasses
 import functools
+import hashlib
 
 import numpy as np
 import pytest
@@ -42,9 +43,11 @@ from repro.pasta import (
     Pasta,
     PastaParams,
     bsgs_split,
+    generate_block_materials,
     homomorphic_op_counts,
     random_key,
 )
+from repro.pasta.xof import encode_block_seed
 
 #: The split is over the 2t-element state: t=2 gives (bs, G) = (2, 2), t=4
 #: gives (4, 2), so every rig runs the giant-step Horner loop and the
@@ -133,14 +136,43 @@ def rigs():
     return rig
 
 
+def _xof_words(pasta, nonce, counter):
+    """Block (nonce, counter)'s SHAKE128 word stream from hashlib, unbounded.
+
+    ``tests/test_keccak_vectorized.py`` pins these words to the scalar
+    sponge; the oracle reads them to skip the pure-Python Keccak.
+    """
+    xof = hashlib.shake_128(encode_block_seed(pasta, nonce, counter))
+    done, words = 0, 4 * pasta.coefficients_per_block
+    while True:
+        yield from np.frombuffer(xof.digest(8 * words), dtype="<u8")[done:].tolist()
+        done, words = words, 2 * words
+
+
+def _encrypt_block(cipher, message, nonce, counter):
+    """The scalar sampler and permutation over hashlib words."""
+    pasta = cipher.params
+    materials = generate_block_materials(
+        pasta, nonce, counter, words=_xof_words(pasta, nonce, counter)
+    )
+    keystream = cipher.keystream_block(nonce, counter, materials=materials)
+    return [(int(m) + int(k)) % pasta.p for m, k in zip(message, keystream)]
+
+
 def _transcipher(pasta, rig, messages, nonce, counter0=0):
-    """Client encrypts with the scalar cipher; a fresh server transciphers."""
+    """Client encrypts with the scalar cipher; a fresh server transciphers.
+
+    The first block runs the whole scalar cipher (sponge included), the
+    rest the scalar sampler and permutation over hashlib words: every block
+    is checked against code independent of the batched sampler the server
+    derives its schedule with.
+    """
     scheme, sk, rlk, galois, encoder, key, enc_key = rig
     cipher = Pasta(pasta, key)
     counters = list(range(counter0, counter0 + len(messages)))
-    blocks = [
-        [int(x) for x in cipher.encrypt_block(m, nonce=nonce, counter=c)]
-        for c, m in zip(counters, messages)
+    blocks = [[int(x) for x in cipher.encrypt_block(messages[0], nonce=nonce, counter=counter0)]]
+    blocks += [
+        _encrypt_block(cipher, m, nonce, c) for c, m in zip(counters[1:], messages[1:])
     ]
     server = BatchedHheServer(pasta, scheme, rlk, encoder, enc_key, galois_keys=galois)
     result = server.transcipher_blocks(blocks, nonce=nonce, counters=counters)

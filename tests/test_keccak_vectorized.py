@@ -77,17 +77,26 @@ class TestBatchedShake:
             words = shake128(seed).words()
             assert [int(w) for w in got[n]] == [next(words) for _ in range(got.shape[1])]
 
-    def test_words_reads_squeezed_blocks_in_place(self):
-        """``words`` serves the squeezed blocks, across a re-digest, and
-        nothing beyond them; reading costs no permutation."""
-        batch = batched_shake128([b"a", b"b"], 1)
-        got = np.concatenate([batch.squeeze_words_block() for _ in range(3)], axis=1)
-        w = 3 * batch.rate_words
-        assert np.array_equal(batch.words(0, w), got)
-        assert np.array_equal(batch.words(5, 30), got[:, 5:30])
-        assert batch.permutation_count == 3
-        with pytest.raises(ValueError):
-            batch.words(0, w + 1)
+    def test_digested_words_read_ahead_in_place(self):
+        """``digested_words`` serves the whole digest ahead of the squeezes,
+        reading costs no permutation, and ``extend`` doubles the digest
+        without changing a word; the squeezes read the same words."""
+        seeds = [b"a", b"b"]
+        batch = batched_shake128(seeds, 2)
+        w = batch.rate_words
+        ahead = batch.digested_words()
+        assert ahead.shape == (2, 2 * w)
+        assert batch.permutation_count == 1
+        batch.extend()
+        longer = batch.digested_words()
+        assert longer.shape == (2, 4 * w)
+        assert np.array_equal(longer[:, : 2 * w], ahead)
+        for n, seed in enumerate(seeds):
+            raw = longer[n].astype("<u8").tobytes()
+            assert raw == hashlib.shake_128(seed).digest(len(raw))
+        got = np.concatenate([batch.squeeze_words_block() for _ in range(5)], axis=1)
+        assert batch.permutation_count == 5
+        assert np.array_equal(got[:, : 4 * w], longer)
 
     def test_permutation_cadence_matches_scalar(self):
         """One permutation per 21-word block, absorb included — the exact

@@ -7,6 +7,9 @@ word-for-word identical to the scalar reference in
 semantics and the nonce-reuse guard that rides along in this change.
 """
 
+import hashlib
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,10 +18,13 @@ from hypothesis import strategies as st
 from repro.apps.video import QQVGA, synthetic_frames_batch
 from repro.errors import ParameterError
 from repro.ff.sampling import RejectionSampler
+from repro.keccak.vectorized import BatchedShake
 from repro.pasta import (
+    PASTA_3,
     PASTA_4,
     PASTA_4_33,
     PASTA_4_54,
+    PASTA_MICRO,
     PASTA_TOY,
     KeystreamEngine,
     Pasta,
@@ -30,8 +36,9 @@ from repro.pasta import (
     get_engine,
     random_key,
 )
-from repro.pasta.batch import DEFAULT_CACHE_BLOCKS, _BatchWordStream, _sample_draw
+from repro.pasta.batch import DEFAULT_CACHE_BLOCKS, _sample_lanes
 from repro.pasta.matgen import generate_matrix
+from repro.pasta.xof import encode_block_seed
 from repro.service.pipeline import pack_frames
 
 
@@ -46,6 +53,28 @@ def _assert_materials_equal(batched, scalar):
             b, s = getattr(bl, name), getattr(sl, name)
             assert b.dtype == s.dtype
             assert [int(x) for x in b] == [int(x) for x in s]
+
+
+def _xof_words(params, nonce, counter):
+    """Block (nonce, counter)'s XOF words from hashlib, far past any demand
+    (``tests/test_keccak_vectorized.py`` pins them to the scalar sponge)."""
+    seed = encode_block_seed(params, nonce, counter)
+    raw = hashlib.shake_128(seed).digest(32 * params.coefficients_per_block)
+    return np.frombuffer(raw, dtype="<u8")
+
+
+def _zero_rerank_counters(params, nonce, counters):
+    """Counters whose lane the one-pass sampler must re-rank: ranking the
+    accepted words with zero allowed puts a zero candidate in an alpha slot."""
+    slots = params.coefficients_per_block
+    alpha_slot = np.arange(slots) // params.t % 4 < 2
+    found = []
+    for counter in counters:
+        values = _xof_words(params, nonce, counter) & np.uint64(params.sampler.mask)
+        ranked = values[values < params.p][:slots]
+        if np.any(ranked[alpha_slot] == 0):
+            found.append(counter)
+    return found
 
 
 class TestBatchedSampler:
@@ -132,18 +161,34 @@ class TestKeystreamEngine:
 
     def test_qqvga_frame_against_scalar_cipher(self, pasta4_key):
         """A whole packed QQVGA frame (300 PASTA-4 blocks) in one encrypt:
-        first, last and two middle blocks against the scalar cipher."""
+        first, last and two middle blocks against the scalar cipher, and
+        every block whose lane took the zero re-rank (nonce 7 has two)."""
         pixels = synthetic_frames_batch(QQVGA, [17])
         elements = pack_frames(pixels, PASTA_4.p)[0]
         cipher = Pasta(PASTA_4, pasta4_key)
-        ciphertext = cipher.encrypt(elements, nonce=42)
+        nonce = 7
+        ciphertext = cipher.encrypt(elements, nonce=nonce)
         t = PASTA_4.t
         assert len(elements) == 300 * t
-        for counter in (0, 137, 211, 299):
+        rerank = _zero_rerank_counters(PASTA_4, nonce, range(300))
+        assert rerank
+        for counter in (0, 137, 211, 299, *rerank):
             block = slice(counter * t, (counter + 1) * t)
-            keystream = cipher.keystream_block(42, counter)
+            keystream = cipher.keystream_block(nonce, counter)
             expected = (elements[block] + keystream) % PASTA_4.p
             assert [int(x) for x in ciphertext[block]] == [int(x) for x in expected]
+
+    def test_frame_is_one_sampling_pass(self, pasta4_key):
+        """A 300-block keystream masks its words in one ``candidates_batch``
+        call, re-rank lanes included; per-draw passes would make 20."""
+        engine = KeystreamEngine(PASTA_4, cache_size=0)
+        assert _zero_rerank_counters(PASTA_4, 7, range(300))
+        with mock.patch.object(
+            RejectionSampler, "candidates_batch", autospec=True,
+            side_effect=RejectionSampler.candidates_batch,
+        ) as calls:
+            engine.keystream_pairs(pasta4_key, [(7, c) for c in range(300)])
+        assert calls.call_count == 1
 
     def test_zero_blocks(self):
         engine = KeystreamEngine(PASTA_TOY)
@@ -242,34 +287,37 @@ PASTA_P17 = PastaParams(name="pasta-p17", t=4, rounds=2, p=17, secure=False)
 
 
 class _WordSource:
-    """Hand-built lane words standing in for ``BatchedShake``."""
+    """Hand-built lane words standing in for ``BatchedShake``: the first
+    ``digested`` blocks are readable ahead of the squeezes, and ``extend``
+    doubles them."""
 
-    def __init__(self, lanes: np.ndarray, rate_words: int):
+    def __init__(self, lanes: np.ndarray, rate_words: int, digested: int):
         self.lanes = lanes
-        self.n = lanes.shape[0]
         self.rate_words = rate_words
+        self.digested = digested
+        self.extends = 0
         self.squeezed = 0
 
-    def squeeze_words_block(self) -> np.ndarray:
-        k, w = self.squeezed, self.rate_words
+    def digested_words(self) -> np.ndarray:
+        return self.lanes[:, : self.digested * self.rate_words]
+
+    def extend(self) -> None:
+        self.digested *= 2
+        self.extends += 1
+        assert self.digested * self.rate_words <= self.lanes.shape[1]
+
+    def squeeze_words_block(self) -> None:
         self.squeezed += 1
-        return self.lanes[:, k * w : (k + 1) * w].copy()
-
-    def words(self, lo: int, hi: int) -> np.ndarray:
-        assert 0 <= lo <= hi <= self.squeezed * self.rate_words
-        return self.lanes[:, lo:hi]
+        assert self.squeezed <= self.digested
 
 
-class _RecordingSampler(RejectionSampler):
-    """Records ``(window width, blocks squeezed)`` per candidates_batch call."""
+class _CountingSampler(RejectionSampler):
+    """Counts ``candidates_batch`` passes."""
 
-    def __init__(self, p: int, source: _WordSource):
-        super().__init__(p)
-        self.source = source
-        self.calls = []
+    passes = 0
 
     def candidates_batch(self, words, min_value=0):
-        self.calls.append((words.shape[1], self.source.squeezed))
+        self.passes += 1
         return super().candidates_batch(words, min_value)
 
 
@@ -292,8 +340,13 @@ def _full_buffer_blocks(lanes, draws, count, sampler, rate_words, blocks):
     return blocks
 
 
+#: Every parameter set the batched sampler serves: both field widths, the
+#: object-dtype variants, the HHE shapes and a 5-bit prime.
+SAMPLER_PARAMS = [PASTA_3, PASTA_4, PASTA_4_33, PASTA_4_54, PASTA_MICRO, PASTA_TOY, PASTA_P17]
+
+
 class TestRareSamplerBranches:
-    """Zero candidates in alpha draws, window widening, and stream growth."""
+    """Zero candidates in alpha slots, re-digests, and the squeeze count."""
 
     @given(st.integers(min_value=1, max_value=300), st.integers(min_value=0, max_value=2**32 - 1))
     @settings(max_examples=8)
@@ -311,49 +364,68 @@ class TestRareSamplerBranches:
             expected = cipher.keystream_block(nonce, counter, materials=scalar)
             assert [int(x) for x in row] == [int(x) for x in expected]
 
+    @pytest.mark.parametrize("params", SAMPLER_PARAMS, ids=lambda p: p.name)
+    @given(st.integers(min_value=1, max_value=300), st.integers(min_value=0, max_value=2**32 - 1))
+    @settings(max_examples=4)
+    def test_one_pass_matches_scalar_sampler(self, params, lanes, seed):
+        """Every lane's materials, statistics and permutations equal the
+        scalar derivation over the same words, and the stream squeezes what
+        on-demand squeezing after the pre-squeeze would."""
+        rng = np.random.default_rng(seed)
+        nonce = int(rng.integers(0, 2**63))
+        counters = [int(c) for c in rng.integers(0, 2**63, size=lanes)]
+        with mock.patch.object(
+            BatchedShake, "squeeze_words_block", autospec=True,
+            side_effect=BatchedShake.squeeze_words_block,
+        ) as squeezes:
+            batched = generate_block_materials_batch(params, nonce, counters)
+        for counter, materials in zip(counters, batched):
+            words = iter(_xof_words(params, nonce, counter).tolist())
+            scalar = generate_block_materials(params, nonce, counter, words=words)
+            _assert_materials_equal(materials, scalar)
+        expected_words = params.coefficients_per_block * params.sampler.expected_words_per_element
+        presqueezed = max(1, int(np.ceil(expected_words * 1.05 / 21)))
+        longest = max(m.permutations for m in batched)
+        assert squeezes.call_count == max(presqueezed, longest)
+
     def test_hand_built_stream(self):
-        """A zero candidate opens an alpha draw, a long reject run widens the
-        window, and short lanes grow the stream exactly when a full-buffer
+        """A zero candidate in an alpha slot is rejected and one in an rc
+        slot of the same lane accepted; a second zero that the first one's
+        rejection shifts into an alpha slot is rejected too; a lane short of
+        the digest re-digests twice; the stream squeezes what a full-buffer
         scan would."""
-        rate_words, count = 4, 2
+        rate_words, t, layers = 4, 2, 1
         zero = (1 << 40) | 32  # masks to the zero candidate
         reject = 31  # >= p after masking
+        filler = [7] * 32
         lanes = [
-            [3, 4, zero, 6] + [7] * 36,  # alpha draw 2 opens on a zero candidate
-            [5, 5] + [reject] * 12 + [5] * 26,  # 12 rejects: wider than the window
-            [reject] * 5 + [2] * 35,  # short after one block: the stream grows
+            # alpha_L 3, 4 (the zero is rejected), alpha_R 5, 6, rc_L 0, 7.
+            ([3, zero, 4, 5, 6, zero] + filler)[:32],
+            # Ranked with zero allowed, the second zero is rc_L's first
+            # word; once the first zero is rejected it is alpha_R's second.
+            ([1, zero, 2, 3, zero] + filler)[:32],
+            # 18 words: past the two digested blocks and past four.
+            ([reject] * 10 + filler)[:32],
         ]
-        source = _WordSource(np.array(lanes, dtype=np.uint64), rate_words)
-        sampler = _RecordingSampler(17, source)
-        stream = _BatchWordStream(source)
-        stream.grow(1)
-        draws = (1, 1, 0, 0)  # alpha_L, alpha_R, rc_L, rc_R
+        source = _WordSource(np.array(lanes, dtype=np.uint64), rate_words, digested=2)
+        sampler = _CountingSampler(17)
+        values, consumed = _sample_lanes(source, sampler, t, layers, blocks=1)
 
-        scalar = [iter(lane) for lane in lanes]
-        consumed = [0] * len(lanes)
-        widened = []
-        for draw, min_value in enumerate(draws):
-            sampler.calls.clear()
-            values, rejected = _sample_draw(stream, sampler, count, min_value)
-            for i, words in enumerate(scalar):
-                expected, stats = sampler.sample(words, count, min_value)
-                assert [int(v) for v in values[i]] == expected
-                assert int(rejected[i]) == stats.rejected
-                consumed[i] += stats.words_consumed
-            calls = sampler.calls
-            widened += [
-                draw
-                for (w1, s1), (w2, s2) in zip(calls, calls[1:])
-                if w2 > w1 and s2 == s1
-            ]
-            if draw == 1:
-                assert int(rejected[0]) == 1  # the zero candidate, rejected
-        assert stream.pos.tolist() == consumed
-        assert widened  # some lane ran short inside the window, not the buffer
+        draws = (1, 1, 0, 0)  # alpha_L, alpha_R, rc_L, rc_R
+        for i, lane in enumerate(lanes):
+            words = iter(lane)
+            used = 0
+            for vector, min_value in enumerate(draws):
+                expected, stats = sampler.sample(words, t, min_value)
+                assert [int(v) for v in values[i, 0, vector]] == expected
+                used += stats.words_consumed
+            assert int(consumed[i]) == used
+        assert values[0, 0, 0].tolist() == [3, 4] and values[0, 0, 2].tolist() == [0, 7]
+        assert values[1, 0, 1].tolist() == [3, 7] and consumed.tolist() == [9, 10, 18]
+        assert source.extends == 2 and sampler.passes == 3
         assert source.squeezed == _full_buffer_blocks(
-            lanes, draws, count, sampler, rate_words, blocks=1
-        )
-        assert source.squeezed > 1
+            lanes, draws, t, sampler, rate_words, blocks=1
+        ) == 5
 
 
 class TestConcurrentAccess:
