@@ -24,6 +24,16 @@ Subpackages
     The video-frame encryption application of Fig. 8.
 ``repro.eval``
     Generators for every table and figure in the evaluation section.
+
+Importing :mod:`repro` sets one process-wide allocator policy: on glibc,
+freed heap is kept for the next frame instead of handed back to the kernel
+(:mod:`repro.utils.memory`).
 """
 
+from repro.utils.memory import apply_allocator_policy as _apply_allocator_policy
+
 __version__ = "1.0.0"
+
+#: Whether ``import repro`` applied the allocator policy; False where the C
+#: library has no ``mallopt``.
+ALLOCATOR_POLICY_APPLIED = _apply_allocator_policy()

@@ -42,7 +42,8 @@ producer -> encrypt -> keystream with variant/omega attributes in each
 slice's args, and the client's keystream slices carry the accelerator
 model's cycles (the only modeled stage; ``hhe`` mode's server spans report
 time); flight-recorder time series (uplink queue depth, noise headroom)
-render as counter tracks.
+render as counter tracks. The summary ends with each span name's median
+minor page faults, counted on the span's own thread.
 
 health options (all optional)::
 
@@ -192,6 +193,7 @@ def trace_main(argv) -> int:
         write_chrome_trace,
     )
     from repro.obs.cycles import attribute
+    from repro.obs.trace import fault_medians
     from repro.service import FaultPlan, Service
 
     opts = _parse_options("trace", argv, {
@@ -225,7 +227,8 @@ def trace_main(argv) -> int:
         with open(opts["metrics-out"], "w") as fh:
             fh.write(prometheus_text(registry, recorder=recorder))
 
-    report = attribute(tracer.finished_spans(), tolerance=opts["tolerance"])
+    spans = tracer.finished_spans()
+    report = attribute(spans, tolerance=opts["tolerance"])
     print(f"traced service run ({config.mode}, {config.params.name}, "
           f"{config.workers_per_shard} workers): {len(result.frames)}/{opts['frames']} frames, "
           f"{result.frames_per_s:.1f} frames/s")
@@ -239,6 +242,12 @@ def trace_main(argv) -> int:
     if flagged:
         print(f"\n  {len(flagged)} stage(s) diverge past {opts['tolerance']:.0%}: "
               + ", ".join(r.stage for r in flagged))
+    faults = fault_medians(spans)
+    if faults:
+        print()
+        print("minor page faults (median per span, on the span's own thread):")
+        for name, median in faults.items():
+            print(f"  {name:<24} {median:,.1f}")
     return 0
 
 

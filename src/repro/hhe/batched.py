@@ -95,7 +95,7 @@ from repro.fhe.engine import CiphertextTensor
 from repro.fhe.galois import rotation_element, rows_to_slots, slots_to_rows
 from repro.fhe.rns import AuxiliaryBasis, ntt_prime_chain
 from repro.obs.noise import NoiseEstimate, NoiseModel
-from repro.obs.trace import SpanContext, Tracer, get_tracer
+from repro.obs.trace import SpanContext, Tracer, counting_faults, get_tracer
 from repro.pasta.batch import batched_sequential_matrices, get_engine
 from repro.pasta.cipher import field_elements
 from repro.pasta.decrypt_circuit import affine_diagonals, bsgs_split
@@ -628,7 +628,7 @@ class BatchedHheServer:
         """
         with tracer.span(
             "hhe.prepare", parent=parent, metric="hhe.prepare.seconds", group=group, layer=layer
-        ):
+        ) as span, counting_faults(span):
             return (
                 self._prepared_diags(nonce, counters, layer, schedule),
                 self._prepared_rc(nonce, counters, layer, schedule),
@@ -820,7 +820,7 @@ class BatchedHheServer:
             omega=params.modulus_bits,
             blocks=len(counters),
             levels=",".join(map(str, self.levels)),
-        ) as span:
+        ) as span, counting_faults(span):
             result = self._transcipher_blocks(
                 ciphertext_blocks, nonce, counters, tracer, span.context
             )

@@ -10,8 +10,8 @@ Grown from the original single-module metrics layer into four pieces:
 * :mod:`repro.obs.export` — Chrome trace-event / Perfetto JSON and
   Prometheus text exposition.
 * :mod:`repro.obs.cycles` — the bridge from measured span time to the
-  accelerator model's predicted cycle budgets (imported lazily by call
-  sites; it pulls in :mod:`repro.hw`).
+  accelerator model's predicted cycle budgets (not imported here; it
+  pulls in :mod:`repro.hw` on its first cycle simulation).
 * :mod:`repro.obs.noise` — the closed-form BFV noise ledger: per-op
   growth rules bounding invariant noise without the secret key, plus the
   measured-vs-modeled divergence report.

@@ -34,6 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Tuple, Type
 
+from repro.keccak.hw_model import OverlappedKeccakCore
 from repro.obs.trace import Span
 
 __all__ = [
@@ -61,15 +62,14 @@ def modeled_block_cycles(params, core_cls: Optional[Type] = None) -> int:
     Rejection counts vary slightly with (nonce, counter); the fixed
     (0, 0) block is representative at the share level this bridge reports.
     """
-    from repro.hw.scheduler import simulate_block
-    from repro.keccak.hw_model import OverlappedKeccakCore
-    from repro.pasta.cipher import random_key
-
     if core_cls is None:
         core_cls = OverlappedKeccakCore
     cache_key = (params.name, core_cls.name)
     cycles = _block_cycles_cache.get(cache_key)
     if cycles is None:
+        from repro.hw.scheduler import simulate_block
+        from repro.pasta.cipher import random_key
+
         key = random_key(params, b"obs-cycle-bridge")
         _, report = simulate_block(params, key, nonce=0, counter=0, core_cls=core_cls)
         cycles = report.total_cycles

@@ -27,25 +27,35 @@ Spans double as metrics: on exit, a span observes its duration into the
 (labeled) histogram ``metric or name`` of the tracer's registry, so every
 traced stage automatically keeps its latency distribution and nothing is
 instrumented twice.
+
+Spans that own a frame's memory traffic (the client's ``pasta.keystream``,
+the server's ``hhe.transcipher`` and ``hhe.prepare``) also count their
+thread's minor page faults (:func:`counting_faults`), so a paging
+regression shows by layer, not only as wall time.
 """
 
 from __future__ import annotations
 
 import itertools
+import statistics
 import threading
 import time
-from collections import deque
+from collections import defaultdict, deque
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
-from typing import Deque, Dict, Iterator, List, Optional
+from typing import Deque, Dict, Iterable, Iterator, List, Optional
 
 from repro.obs.metrics import MetricsRegistry, get_registry
+from repro.utils.memory import thread_minor_faults
 
 __all__ = [
+    "FAULTS_ATTR",
     "Span",
     "SpanContext",
     "Tracer",
+    "counting_faults",
+    "fault_medians",
     "get_tracer",
     "set_tracer",
 ]
@@ -57,6 +67,9 @@ DEFAULT_MAX_SPANS = 65536
 _CURRENT_SPAN: ContextVar[Optional["Span"]] = ContextVar("repro_obs_current_span", default=None)
 
 _ids = itertools.count(1)
+
+#: Span attribute: the minor page faults the span's thread took inside it.
+FAULTS_ATTR = "minor_faults"
 
 
 @dataclass(frozen=True)
@@ -201,6 +214,28 @@ class Tracer:
     def __len__(self) -> int:
         with self._lock:
             return len(self._finished)
+
+
+@contextmanager
+def counting_faults(span: Span) -> Iterator[Span]:
+    """Set ``span``'s :data:`FAULTS_ATTR` to the calling thread's minor page
+    faults inside the block; left unset where the platform cannot count
+    faults per thread."""
+    start = thread_minor_faults()
+    try:
+        yield span
+    finally:
+        if start is not None:
+            span.set_attribute(FAULTS_ATTR, thread_minor_faults() - start)
+
+
+def fault_medians(spans: Iterable[Span]) -> Dict[str, float]:
+    """Each span name's median :data:`FAULTS_ATTR`, over the spans carrying it."""
+    faults: Dict[str, List[int]] = defaultdict(list)
+    for span in spans:
+        if FAULTS_ATTR in span.attributes:
+            faults[span.name].append(span.attributes[FAULTS_ATTR])
+    return {name: statistics.median(values) for name, values in sorted(faults.items())}
 
 
 _TRACER = Tracer()

@@ -60,6 +60,9 @@ from repro.errors import ParameterError
 from repro.ff.sampling import SamplerStats
 from repro.keccak.shake import SHAKE128_RATE_BYTES
 from repro.keccak.vectorized import batched_shake128
+from repro.obs import get_registry, get_tracer
+from repro.obs.cycles import modeled_cycle_attributes
+from repro.obs.trace import counting_faults
 from repro.pasta.cipher import BlockMaterials, LayerMaterials
 from repro.pasta.matgen import recurrence_mat_vec
 from repro.pasta.params import VECTORS_PER_LAYER, PastaParams
@@ -419,9 +422,6 @@ class KeystreamEngine:
         frame currently in flight, not just one frame's blocks. Every block
         is derived fresh, without reading or filling the LRU.
         """
-        from repro.obs import get_registry, get_tracer
-        from repro.obs.cycles import modeled_cycle_attributes
-
         params = self.params
         obs = get_registry()
         obs.histogram(
@@ -434,7 +434,7 @@ class KeystreamEngine:
             omega=params.modulus_bits,
             lanes=len(pairs),
             **modeled_cycle_attributes(params, len(pairs)),
-        ):
+        ) as span, counting_faults(span):
             return self._keystream_pairs(key, pairs)
 
     def _keystream_pairs(

@@ -1,6 +1,7 @@
 """Tests for the ``python -m repro`` command-line entry."""
 
 import json
+import resource
 
 import pytest
 
@@ -84,6 +85,12 @@ class TestTraceCommand:
         out = capsys.readouterr().out
         assert "hhe.transcipher" in out
         assert "DIVERGES" not in out
+        if hasattr(resource, "RUSAGE_THREAD"):
+            # The summary ends with each fault-counting span's median.
+            faults = out.split("minor page faults")[1].splitlines()[1:]
+            assert [line.split()[0] for line in faults] == [
+                "hhe.prepare", "hhe.transcipher", "pasta.keystream"
+            ]
 
     def test_trace_rejects_unknown_option(self, tmp_path, capsys):
         assert main(["trace", "--bogus", "1"]) == 2

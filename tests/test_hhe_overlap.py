@@ -12,6 +12,7 @@ and every prepared layer is one ``hhe.prepare`` span in the call's trace.
 
 import dataclasses
 import os
+import resource
 import sys
 import threading
 import time
@@ -29,6 +30,7 @@ from repro.hhe import (
     transcipher_parameters,
 )
 from repro.obs import get_tracer
+from repro.obs.trace import FAULTS_ATTR
 from repro.pasta import PASTA_MICRO, Pasta, PastaParams, batch, homomorphic_op_counts, random_key
 
 N = 256
@@ -236,6 +238,9 @@ class TestSpans:
         where = sorted((s.attributes["group"], s.attributes["layer"]) for s in prepares)
         assert where == [(g, layer) for g in range(groups) for layer in range(layers)]
         caller = threading.current_thread().name
+        if hasattr(resource, "RUSAGE_THREAD"):
+            # Each span counts the minor faults of the thread it ran on.
+            assert all(span.attributes[FAULTS_ATTR] >= 0 for span in [call, *prepares])
         for span in prepares:
             assert (span.trace_id, span.parent_id) == (call.trace_id, call.span_id)
             if (span.attributes["group"], span.attributes["layer"]) == (0, 0):

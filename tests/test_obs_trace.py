@@ -1,6 +1,8 @@
 """Tests for the tracing layer: spans, exporters, cycle attribution."""
 
 import json
+import mmap
+import resource
 import threading
 
 import pytest
@@ -21,8 +23,10 @@ from repro.obs.cycles import (
     modeled_cycle_attributes,
 )
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.trace import Span
+from repro.obs.trace import FAULTS_ATTR, Span, counting_faults, fault_medians
 from repro.pasta.params import PASTA_4, PASTA_TOY
+
+PER_THREAD_FAULTS = hasattr(resource, "RUSAGE_THREAD")
 
 
 def make_span(name, trace_id=1, span_id=2, parent_id=None, start=0.0, dur=1.0, **attrs):
@@ -130,6 +134,33 @@ class TestTracer:
     def test_fixture_installs_fresh_tracer(self):
         # Autouse conftest fixture: no spans leak in from other tests.
         assert get_tracer().finished_spans() == []
+
+
+class TestFaultCounting:
+    @pytest.mark.skipif(not PER_THREAD_FAULTS, reason="no per-thread fault count")
+    def test_span_counts_its_threads_faults(self):
+        pages = 64
+        with Tracer().span("touch") as span, counting_faults(span):
+            with mmap.mmap(-1, pages * mmap.PAGESIZE) as fresh:
+                for page in range(pages):
+                    fresh[page * mmap.PAGESIZE] = 1
+        assert span.attributes[FAULTS_ATTR] >= pages
+
+    def test_unmeasured_platform_omits_the_attribute(self, monkeypatch):
+        monkeypatch.setattr("repro.obs.trace.thread_minor_faults", lambda: None)
+        with Tracer().span("touch") as span, counting_faults(span):
+            pass
+        assert FAULTS_ATTR not in span.attributes
+
+    def test_medians_per_span_name(self):
+        spans = [
+            make_span("a", minor_faults=1),
+            make_span("a", minor_faults=9),
+            make_span("a", minor_faults=4),
+            make_span("b", minor_faults=0),
+            make_span("c"),
+        ]
+        assert fault_medians(spans) == {"a": 4, "b": 0}
 
 
 class TestChromeTrace:

@@ -351,6 +351,10 @@ class TestRareSamplerBranches:
     @given(st.integers(min_value=1, max_value=300), st.integers(min_value=0, max_value=2**32 - 1))
     @settings(max_examples=8)
     def test_five_bit_prime_matches_scalar(self, lanes, seed):
+        """Every lane's materials and keystream equal the scalar cipher's.
+        The first lane's scalar materials come from the pure-Python sponge,
+        the others' from the hashlib words that
+        ``tests/test_keccak_vectorized.py`` pins to it."""
         params = PASTA_P17
         rng = np.random.default_rng(seed)
         pairs = [(int(n), int(c)) for n, c in rng.integers(0, 2**63, size=(lanes, 2))]
@@ -358,8 +362,9 @@ class TestRareSamplerBranches:
         cipher = Pasta(params, key)
         batched = generate_block_materials_pairs(params, pairs)
         keystream = KeystreamEngine(params, cache_size=0).keystream_pairs(key, pairs)
-        for (nonce, counter), materials, row in zip(pairs, batched, keystream):
-            scalar = generate_block_materials(params, nonce, counter)
+        for lane, ((nonce, counter), materials, row) in enumerate(zip(pairs, batched, keystream)):
+            words = None if lane == 0 else iter(_xof_words(params, nonce, counter).tolist())
+            scalar = generate_block_materials(params, nonce, counter, words=words)
             _assert_materials_equal(materials, scalar)
             expected = cipher.keystream_block(nonce, counter, materials=scalar)
             assert [int(x) for x in row] == [int(x) for x in expected]

@@ -1,11 +1,18 @@
-"""Unit tests for repro.utils (bit helpers and table rendering)."""
+"""Unit tests for repro.utils (bit helpers, table rendering, allocator policy)."""
+
+import platform
+import resource
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import repro
+from repro.utils import memory
 from repro.utils.bits import bit_length_mask, bytes_to_words_le, rotl64, words_to_bytes_le
 from repro.utils.tables import format_table
+
+GLIBC = platform.libc_ver()[0] == "glibc"
 
 U64 = st.integers(min_value=0, max_value=(1 << 64) - 1)
 
@@ -176,3 +183,52 @@ class TestBudgetedLru:
         lru.clear()
         assert budget.usage("o") == 0.0
         assert len(lru) == 0
+
+
+class TestAllocatorPolicy:
+    @pytest.mark.skipif(not GLIBC, reason="the policy is glibc's mallopt")
+    def test_import_applied_the_policy(self):
+        assert repro.ALLOCATOR_POLICY_APPLIED is True
+        assert memory.apply_allocator_policy() is True  # idempotent
+
+    @pytest.mark.skipif(not GLIBC, reason="the policy is glibc's mallopt")
+    def test_warmed_client_frame_takes_no_faults(self):
+        """One packed QQVGA frame per call, each on a fresh nonce: after
+        three warm-up frames the heap a frame frees serves the next one, so
+        its buffers are not faulted in again (about 2,600 faults a frame
+        without the policy)."""
+        from repro.apps.video import QQVGA, synthetic_frames_batch
+        from repro.pasta import PASTA_4, Pasta, random_key
+        from repro.service.pipeline import pack_frames
+
+        elements = pack_frames(synthetic_frames_batch(QQVGA, [29]), PASTA_4.p)[0]
+        cipher = Pasta(PASTA_4, random_key(PASTA_4, b"fault-budget"))
+        faults = []
+        for nonce in range(3 + 5):
+            before = resource.getrusage(resource.RUSAGE_THREAD).ru_minflt
+            cipher.encrypt(elements, nonce)
+            faults.append(resource.getrusage(resource.RUSAGE_THREAD).ru_minflt - before)
+        assert max(faults[3:]) < 50, faults
+
+    @pytest.mark.parametrize("mallopt", [None, lambda param, value: 0], ids=["missing", "refused"])
+    def test_without_mallopt_nothing_changes(self, monkeypatch, mallopt):
+        """No ``mallopt`` (macOS, Windows) or one that refuses every value:
+        the policy reports False and sets nothing else."""
+        looked_up = []
+
+        class CLibrary:
+            def __getattr__(self, name):
+                looked_up.append(name)
+                if mallopt is None:
+                    raise AttributeError(name)
+                return mallopt
+
+        monkeypatch.setattr(memory.ctypes, "CDLL", lambda name: CLibrary())
+        assert memory.apply_allocator_policy() is False
+        assert looked_up == ["mallopt"]
+
+    def test_thread_minor_faults(self, monkeypatch):
+        if hasattr(resource, "RUSAGE_THREAD"):
+            assert memory.thread_minor_faults() >= 0
+        monkeypatch.setattr(memory, "getrusage", None)
+        assert memory.thread_minor_faults() is None
