@@ -16,7 +16,6 @@ from typing import List, Sequence
 import numpy as np
 
 from repro.errors import ParameterError
-from repro.fhe.ntt import get_ntt
 from repro.fhe.ntt_vec import get_vec_ntt
 
 
@@ -31,8 +30,7 @@ class BatchEncoder:
     """
 
     def __init__(self, n: int, p: int):
-        # get_ntt validates the p = 1 (mod 2N) requirement.
-        self.ntt = get_ntt(n, p)
+        # get_vec_ntt validates the p = 1 (mod 2N) requirement.
         self.vec = get_vec_ntt(n, (p,))
         self.n = n
         self.p = p

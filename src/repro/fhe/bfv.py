@@ -38,8 +38,6 @@ from repro.fhe.rns import ntt_prime_chain
 from repro.fhe.rng import PolyRng
 from repro.obs.noise import NoiseEstimate, NoiseModel
 
-_round_div = round_div  # kept under the historical private name
-
 
 @dataclass(frozen=True)
 class BfvParams:
@@ -435,7 +433,7 @@ class Bfv:
     def decrypt_poly(self, sk: SecretKey, ct: Ciphertext) -> List[int]:
         params = self.params
         phase = self.engine.centered(self._phase(sk, ct))
-        return [_round_div(params.p * c, params.q) % params.p for c in phase]
+        return [round_div(params.p * c, params.q) % params.p for c in phase]
 
     def decrypt(self, sk: SecretKey, ct: Ciphertext) -> int:
         """Decrypt a scalar ciphertext (constant coefficient)."""
@@ -454,7 +452,7 @@ class Bfv:
 
         params = self.params
         phase = self.engine.centered(self._phase(sk, ct))
-        plain = [_round_div(params.p * c, params.q) % params.p for c in phase]
+        plain = [round_div(params.p * c, params.q) % params.p for c in phase]
         noise = 1
         for c, m in zip(phase, plain):
             v = c - params.delta * m

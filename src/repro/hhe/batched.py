@@ -64,26 +64,26 @@ before it evaluates anything, and :func:`transcipher_parameters` returns
 the shortest prime chain that passes.
 
 The prepared plaintexts of every layer depend only on the public
-(nonce, counters), so each call prepares them beside the evaluation, as
-the paper's schedule generates round i+1's matrices while round i's
-MatMul runs: the calling thread prepares group 0's layer 0 and evaluates,
-while one ``hhe-prepare`` thread prepares every later (group, layer), at
-most one group of layers ahead of the evaluator. A group's block
-materials are derived at most once per call, only when one of its layers
-misses the prepared-plaintext caches, and every layer's matrices are built
-from them.
+(nonce, counters), so each packed group runs one round of preparation
+beside its evaluation, as the paper's schedule generates round i+1's
+matrices while round i's MatMul runs: the calling thread prepares the
+group's layer 0 and evaluates, while the call's one ``hhe-prepare`` thread
+prepares the group's layers 1..r. A group's schedule, its block materials
+(:func:`~repro.pasta.batch.generate_block_materials_pairs`) and every
+layer's matrices in one
+:func:`~repro.pasta.batch.batched_sequential_matrices` pass, is derived
+at most once, only when one of its layers misses the prepared-plaintext
+caches, and released when the group's evaluation ends. The server reads
+no keystream engine.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import threading
-from collections import deque
-from concurrent.futures import Future, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import partial
-from typing import Callable, Deque, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -96,7 +96,7 @@ from repro.fhe.galois import rotation_element, rows_to_slots, slots_to_rows
 from repro.fhe.rns import AuxiliaryBasis, ntt_prime_chain
 from repro.obs.noise import NoiseEstimate, NoiseModel
 from repro.obs.trace import SpanContext, Tracer, counting_faults, get_tracer
-from repro.pasta.batch import batched_sequential_matrices, get_engine
+from repro.pasta.batch import batched_sequential_matrices, generate_block_materials_pairs
 from repro.pasta.cipher import field_elements
 from repro.pasta.decrypt_circuit import affine_diagonals, bsgs_split
 from repro.pasta.params import PastaParams
@@ -420,10 +420,6 @@ class BatchedHheServer:
         self.rlk = rlk
         self.encoder = encoder
         self.galois_keys = galois_keys
-        #: Shared batched keystream engine: each packed group's block
-        #: materials for the public (nonce, counter) schedule come from it
-        #: at most once per call (:meth:`_schedule`).
-        self.engine = get_engine(params)
 
         # Stack every key now: the engine refuses material from another
         # ring or prime chain here, at setup, instead of mid-frame.
@@ -529,7 +525,7 @@ class BatchedHheServer:
         matrices (sides L, R), derived in one batched pass each: the
         recurrence of paper Eq. (1) runs once over all layers and sides."""
         params = self.params
-        materials = self.engine.materials(nonce, list(counters))
+        materials = generate_block_materials_pairs(params, [(nonce, c) for c in counters])
         alphas = np.stack(
             [
                 getattr(m.layers[layer], f"alpha_{side}")
@@ -787,22 +783,22 @@ class BatchedHheServer:
         ``(nonce, counters[b])``. Blocks ``g * packed_capacity`` onward land
         in result ciphertext g (see :class:`BatchedTranscipherResult`).
 
-        Schedule: the call starts one ``hhe-prepare`` thread, prepares
-        group 0's layer 0 itself and evaluates. The helper prepares group
-        0's layers 1..r, then each later group's layers 0..r (queued once
-        the caller holds group 0's layer 0), in evaluation order, at most one
-        group (r + 1 layers) ahead of the evaluator. A group's layers that
-        miss the prepared-plaintext caches are built from its schedule (the
-        block materials and every layer's matrices), derived once in one
-        batched pass by the first of them and held until the group's last
-        layer is prepared. Each layer's evaluation starts when its prepared
-        plaintexts arrive, so the critical path is layer 0's preparation
-        plus the evaluation; results and op counts are those of preparing
-        every layer in line. A preparation error is raised here, where the
-        evaluator needs that layer; on any exit the call stops and joins its
-        helper. The constructor admitted the planned result; a result whose
-        modeled headroom still ends below the decryption floor is refused
-        with :class:`NoiseBudgetExhausted` (:func:`require_headroom`).
+        Schedule: the call starts one ``hhe-prepare`` thread, and each
+        packed group runs one round on it (:meth:`_transcipher_group`): the
+        helper prepares the group's layers 1..r while the caller prepares
+        layer 0 and evaluates, so at most r layers are in flight. A
+        group's layers that miss the prepared-plaintext caches are built
+        from its schedule (the block materials and every layer's
+        matrices), derived once in one batched pass by the first of them
+        and released when the group's evaluation ends. Each layer's
+        evaluation starts when its prepared plaintexts arrive, so a group's
+        critical path is layer 0's preparation plus its evaluation; results
+        and op counts are those of preparing every layer in line. A
+        preparation error is raised here, where the evaluator needs that
+        layer; on any exit the call stops and joins its helper. The
+        constructor admitted the planned result; a result whose modeled
+        headroom still ends below the decryption floor is refused with
+        :class:`NoiseBudgetExhausted` (:func:`require_headroom`).
         """
         from repro.obs import get_registry, record_headroom
         from repro.obs.noise import HEADROOM_ATTR, NOISE_ATTR
@@ -862,66 +858,21 @@ class BatchedHheServer:
         block_counters = tuple(as_u64(c, "counter") for c in counters)
 
         capacity = self.packed_capacity
-        starts = range(0, len(block_counters), capacity)
-        groups = [block_counters[start : start + capacity] for start in starts]
-        r = params.rounds
-        # Each group's schedule (materials and every layer's matrices) is
-        # derived at most once, by the first of its layers that misses the
-        # prepared-plaintext caches, held for its other layers and dropped
-        # once all r + 1 are prepared. No layer re-reads the engine's LRU,
-        # which a group larger than it would evict, and a group whose
-        # layers all hit derives nothing. Both threads may ask for group
-        # 0's, so the lock makes the second wait for the first's.
-        lock = threading.Lock()
-        held: Dict[int, tuple] = {}
-        unprepared = [r + 1] * len(groups)
-
-        def schedule(group: int):
-            with lock:
-                if group not in held:
-                    held[group] = self._schedule(nonce, groups[group])
-                return held[group]
-
-        def prepare(group: int, layer: int):
-            try:
-                return self._prepare_layer(
-                    nonce, groups[group], partial(schedule, group), group, layer, tracer, parent
-                )
-            finally:
-                with lock:
-                    unprepared[group] -= 1
-                    if not unprepared[group]:
-                        held.pop(group, None)
-
         ops = BfvOpCounts()
-        # Every (group, layer) after group 0's layer 0, in evaluation order.
-        later = iter([(g, layer) for g in range(len(groups)) for layer in range(r + 1)][1:])
-        ahead: Deque[Future] = deque()
         pool = ThreadPoolExecutor(max_workers=1, thread_name_prefix="hhe-prepare")
-
-        def submit(count: int) -> None:
-            for g, layer in itertools.islice(later, count):
-                ahead.append(pool.submit(prepare, g, layer))
-
-        def prepared(group: int, layer: int):
-            if group == layer == 0:
-                return first
-            future = ahead.popleft()
-            submit(1)
-            if future.done():
-                return future.result()
-            with tracer.span(
-                "hhe.prepare_wait", metric="hhe.prepare_wait.seconds", group=group, layer=layer
-            ):
-                return future.result()
-
         try:
-            submit(r)  # group 0's layers 1..r, beside the caller's layer 0
-            first = prepare(0, 0)
-            submit(1)  # at most one group ahead of the evaluator
             out = [
-                self._evaluate(elements[start : start + capacity], ops, partial(prepared, g))
-                for g, start in enumerate(starts)
+                self._transcipher_group(
+                    pool,
+                    elements[start : start + capacity],
+                    nonce,
+                    block_counters[start : start + capacity],
+                    group,
+                    ops,
+                    tracer,
+                    parent,
+                )
+                for group, start in enumerate(range(0, len(block_counters), capacity))
             ]
         finally:
             pool.shutdown(wait=True, cancel_futures=True)
@@ -931,6 +882,56 @@ class BatchedHheServer:
             ops=ops,
             group_size=capacity,
         )
+
+    def _transcipher_group(
+        self,
+        pool: ThreadPoolExecutor,
+        elements: np.ndarray,
+        nonce: int,
+        counters: Tuple[int, ...],
+        group: int,
+        ops: BfvOpCounts,
+        tracer: Tracer,
+        parent: SpanContext,
+    ) -> Ciphertext:
+        """One packed group's round: ``pool``'s helper prepares layers 1..r
+        while the caller prepares layer 0 and evaluates.
+
+        The group's schedule (:meth:`_schedule`) is derived at most once,
+        by the first layer that misses the prepared-plaintext caches; both
+        threads may ask for it, so the lock makes the second wait for the
+        first's. It is released when the evaluation ends.
+        """
+        lock, derived = threading.Lock(), []
+
+        def schedule():
+            with lock:
+                if not derived:
+                    derived.append(self._schedule(nonce, counters))
+                return derived[0]
+
+        def prepare(layer: int):
+            return self._prepare_layer(nonce, counters, schedule, group, layer, tracer, parent)
+
+        ahead = [pool.submit(prepare, layer) for layer in range(1, self.params.rounds + 1)]
+        first = prepare(0)
+
+        def prepared(layer: int):
+            if layer == 0:
+                return first
+            future = ahead[layer - 1]
+            if future.done():
+                return future.result()
+            with tracer.span(
+                "hhe.prepare_wait", metric="hhe.prepare_wait.seconds", group=group, layer=layer
+            ):
+                return future.result()
+
+        result = self._evaluate(elements, ops, prepared)
+        # Every layer is prepared. Release the schedule here, not when the
+        # helper drops its last finished task, which may still hold it.
+        derived.clear()
+        return result
 
     def _evaluate(
         self, elements: np.ndarray, ops: BfvOpCounts, prepared: Callable[[int], tuple]

@@ -5,7 +5,6 @@ from repro.pasta.batch import (
     batched_sequential_matrices,
     generate_block_materials_batch,
     generate_block_materials_pairs,
-    get_engine,
 )
 from repro.pasta.cipher import (
     BlockMaterials,
@@ -61,7 +60,6 @@ __all__ = [
     "generate_block_materials",
     "generate_block_materials_batch",
     "generate_block_materials_pairs",
-    "get_engine",
     "pack_elements",
     "serialize_ciphertext",
     "serialized_block_bytes",

@@ -30,17 +30,17 @@ rejection sampling, and MatMul (Fig. 3):
   buffer whose columns are every lane's left half, then every lane's
   right half, with the field's overflow-safe accumulation
   (:meth:`repro.ff.prime.PrimeField.batched_dot`).
-  :meth:`KeystreamEngine.matrices` still materializes the ``(N, t, t)``
-  matrices (:func:`batched_sequential_matrices`) for the HHE server, which
-  needs their diagonals.
+  :func:`batched_sequential_matrices` still materializes ``(N, t, t)``
+  matrices for the HHE server, which needs their diagonals.
 * **One keystream path**: :meth:`KeystreamEngine.keystream_pairs` stays in
   stacked arrays from XOF words to keystream rows for every engine and
   field width; it neither reads nor fills the LRU.
-* **Caching**: a per-``(nonce, counter)`` LRU keeps sampled materials and
-  materialized matrices for :meth:`KeystreamEngine.materials`,
-  :meth:`~KeystreamEngine.materials_pairs` and
-  :meth:`~KeystreamEngine.matrices`, which the HHE server reads several
-  times while preparing one frame's schedule.
+* **Materials LRU**: a per-``(nonce, counter)`` LRU keeps sampled materials
+  for :meth:`KeystreamEngine.materials` and
+  :meth:`~KeystreamEngine.materials_pairs`; :meth:`~KeystreamEngine.matrices`
+  builds from them in one batched pass and keeps no matrix. No engine is
+  shared per parameter set, and the HHE server reads none: it derives
+  each packed group's schedule with :func:`generate_block_materials_pairs`.
 
 Everything is bit-exact with the scalar golden model: same word stream per
 lane, same accept/reject decisions, same field arithmetic. The test suite
@@ -51,7 +51,7 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -73,13 +73,11 @@ __all__ = [
     "generate_block_materials_batch",
     "generate_block_materials_pairs",
     "batched_sequential_matrices",
-    "get_engine",
     "DEFAULT_CACHE_BLOCKS",
 ]
 
-#: Default LRU capacity in cached blocks. A PASTA-3 block's materialized
-#: matrices are ~1 MB (8 x 128 x 128 int64), so 64 blocks bound the cache
-#: at a comfortable ~64 MB worst case.
+#: Default LRU capacity in cached blocks: each holds one block's sampled
+#: vectors, ``4 (r + 1) t`` field elements.
 DEFAULT_CACHE_BLOCKS = 64
 
 
@@ -260,14 +258,6 @@ def batched_sequential_matrices(params: PastaParams, alphas: np.ndarray) -> np.n
     return out
 
 
-@dataclass
-class _CacheEntry:
-    """One cached block: sampled materials + lazily materialized matrices."""
-
-    materials: BlockMaterials
-    matrices: Dict[Tuple[int, str], np.ndarray] = dataclass_field(default_factory=dict)
-
-
 @dataclass(frozen=True)
 class CacheInfo:
     """Hit/miss counters and current occupancy of an engine's LRU."""
@@ -284,10 +274,9 @@ class KeystreamEngine:
     :meth:`keystream_pairs` (and :meth:`keystream_blocks`) derive every
     block fresh in stacked arrays and never touch the LRU: a client
     encrypts each ``(nonce, counter)`` once. The LRU, keyed by
-    ``(nonce, counter)``, serves :meth:`materials`, :meth:`materials_pairs`
-    and :meth:`matrices`; each entry carries the block's sampled materials
-    and any matrices already materialized for it, which the HHE server
-    reads several times while preparing one frame's schedule.
+    ``(nonce, counter)``, keeps each block's sampled materials for
+    :meth:`materials` and :meth:`materials_pairs`; :meth:`matrices`
+    materializes from them.
     """
 
     def __init__(self, params: PastaParams, cache_size: int = DEFAULT_CACHE_BLOCKS):
@@ -295,12 +284,11 @@ class KeystreamEngine:
             raise ParameterError(f"cache_size must be >= 0, got {cache_size}")
         self.params = params
         self.cache_size = cache_size
-        self._cache: "OrderedDict[Tuple[int, int], _CacheEntry]" = OrderedDict()
+        self._cache: "OrderedDict[Tuple[int, int], BlockMaterials]" = OrderedDict()
         self._hits = 0
         self._misses = 0
-        # Engines are shared per parameter set (get_engine) and the
-        # streaming service hits them from worker threads: every access to
-        # the OrderedDict or the hit/miss counters goes through this lock.
+        # One engine may serve several threads: every access to the
+        # OrderedDict or the hit/miss counters goes through this lock.
         # ``OrderedDict.move_to_end`` + ``popitem`` are NOT atomic under
         # concurrent mutation — unguarded interleavings corrupt the LRU
         # order or raise KeyError mid-eviction. Derivation itself runs
@@ -316,19 +304,10 @@ class KeystreamEngine:
                 hits=self._hits, misses=self._misses, size=len(self._cache), maxsize=self.cache_size
             )
 
-    def _insert(self, nonce: int, counter: int, entry: _CacheEntry) -> None:
-        """Install one derived entry (takes the lock; don't call holding it)."""
-        key = (nonce, counter)
-        with self._lock:
-            self._cache[key] = entry
-            self._cache.move_to_end(key)
-            while len(self._cache) > self.cache_size:
-                self._cache.popitem(last=False)
-
-    def _entries_pairs(self, pairs: Sequence[Tuple[int, int]]) -> List[_CacheEntry]:
-        """Cached entries for every (nonce, counter) pair, batch-deriving misses."""
+    def _entries_pairs(self, pairs: Sequence[Tuple[int, int]]) -> List[BlockMaterials]:
+        """Cached materials for every (nonce, counter) pair, batch-deriving misses."""
         pairs = [(as_u64(n, "nonce"), as_u64(c, "counter")) for n, c in pairs]
-        entries: Dict[Tuple[int, int], _CacheEntry] = {}
+        entries: Dict[Tuple[int, int], BlockMaterials] = {}
         missing: List[Tuple[int, int]] = []
         with self._lock:
             for key in pairs:
@@ -342,60 +321,36 @@ class KeystreamEngine:
                     missing.append(key)
                     entries[key] = None  # type: ignore[assignment]
         if missing:
-            for materials in generate_block_materials_pairs(self.params, missing):
-                entry = _CacheEntry(materials=materials)
-                entries[(materials.nonce, materials.counter)] = entry
-                self._insert(materials.nonce, materials.counter, entry)
+            derived = generate_block_materials_pairs(self.params, missing)
+            with self._lock:
+                for key, materials in zip(missing, derived):
+                    entries[key] = self._cache[key] = materials
+                    self._cache.move_to_end(key)
+                while len(self._cache) > self.cache_size:
+                    self._cache.popitem(last=False)
         return [entries[key] for key in pairs]
-
-    def _entries(self, nonce: int, counters: Sequence[int]) -> List[_CacheEntry]:
-        """Cached entries for every counter, batch-deriving the misses."""
-        return self._entries_pairs([(nonce, c) for c in counters])
 
     # -- public API ----------------------------------------------------------
 
     def materials(self, nonce: int, counters: Sequence[int]) -> List[BlockMaterials]:
         """Block materials for every counter (cache-backed, batch-derived)."""
-        return [e.materials for e in self._entries(nonce, counters)]
+        return self._entries_pairs([(nonce, c) for c in counters])
 
     def materials_pairs(self, pairs: Sequence[Tuple[int, int]]) -> List[BlockMaterials]:
         """Block materials for arbitrary (nonce, counter) pairs (cache-backed)."""
-        return [e.materials for e in self._entries_pairs(pairs)]
+        return self._entries_pairs(pairs)
 
     def matrices(self, nonce: int, counters: Sequence[int], layer: int, side: str) -> np.ndarray:
-        """``(B, t, t)`` affine matrices of one layer side for B counters.
-
-        The matrices not yet cached are materialized in one batched pass
-        and kept beside their materials in the LRU.
-        """
-        entries = self._entries(nonce, counters)
-        key = (layer, side)
-        todo = [i for i, e in enumerate(entries) if key not in e.matrices]
-        if todo:
-            alphas = np.stack(
-                [getattr(entries[i].materials.layers[layer], f"alpha_{side}") for i in todo]
-            )
-            mats = batched_sequential_matrices(self.params, alphas)
-            for slot, i in enumerate(todo):
-                entries[i].matrices[key] = mats[slot]
-            if len(todo) == len(entries):
-                # All fresh, already in batch order — skip the re-stack copy.
-                return mats
-        if len(entries) == 1:
-            # One cached block: a view, not a copy. The scalar HHE server
-            # reads one entry of it per (row, column) handle.
-            return entries[0].matrices[key][None]
-        return np.stack([e.matrices[key] for e in entries])
+        """``(B, t, t)`` affine matrices of one layer side for B counters,
+        materialized from the cached materials in one batched pass."""
+        alphas = np.stack(
+            [getattr(m.layers[layer], f"alpha_{side}") for m in self.materials(nonce, counters)]
+        )
+        return batched_sequential_matrices(self.params, alphas)
 
     def matrix(self, nonce: int, counter: int, layer: int, side: str) -> np.ndarray:
         """One materialized affine matrix: :meth:`matrices` for one counter."""
         return self.matrices(nonce, [counter], layer, side)[0]
-
-    def matrix_l(self, nonce: int, counter: int, layer: int) -> np.ndarray:
-        return self.matrix(nonce, counter, layer, "l")
-
-    def matrix_r(self, nonce: int, counter: int, layer: int) -> np.ndarray:
-        return self.matrix(nonce, counter, layer, "r")
 
     def keystream_blocks(
         self, key: np.ndarray, nonce: int, counter0: int, n_blocks: int
@@ -479,28 +434,3 @@ class KeystreamEngine:
                 x = ((x * x % p) * x) % p
         return np.ascontiguousarray(affine_mix(x, params.rounds)[:, :n].T)
 
-
-_ENGINES: Dict[PastaParams, KeystreamEngine] = {}
-_ENGINES_LOCK = threading.Lock()
-
-
-def get_engine(params: PastaParams) -> KeystreamEngine:
-    """The engine shared per parameter set (created on first use).
-
-    The cipher's streaming API derives its keystream on it (without the
-    LRU), and the batched HHE servers of one parameter set share its
-    :data:`DEFAULT_CACHE_BLOCKS` materials cache, which serves the repeated
-    reads of one frame's schedule. A client and a server run on different
-    machines in deployment, so nothing the client derives is reused by the
-    server. Construct a :class:`KeystreamEngine` directly for a private
-    instance, such as the cache-less one the streaming service uses. Safe
-    to call from concurrent threads: a check-then-create race would
-    otherwise hand two callers *different* engines, splitting the shared
-    cache.
-    """
-    with _ENGINES_LOCK:
-        engine = _ENGINES.get(params)
-        if engine is None:
-            engine = KeystreamEngine(params)
-            _ENGINES[params] = engine
-        return engine

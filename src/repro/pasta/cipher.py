@@ -144,6 +144,12 @@ class Pasta:
         self.key = self.field.array(key)
         #: nonce -> number of counters already consumed by :meth:`encrypt`.
         self._used_nonces: dict = {}
+        # This module is imported by repro.pasta.batch, so not at its top.
+        from repro.pasta.batch import KeystreamEngine
+
+        #: The batched engine :meth:`keystream_blocks` runs on; its keystream
+        #: path reads no cache.
+        self._engine = KeystreamEngine(params, cache_size=0)
 
     # -- keystream -----------------------------------------------------------
 
@@ -166,9 +172,7 @@ class Pasta:
         Bit-exact with calling :meth:`keystream_block` per counter, which
         streams the matrix rows instead.
         """
-        from repro.pasta.batch import get_engine
-
-        return get_engine(self.params).keystream_blocks(self.key, nonce, counter0, n_blocks)
+        return self._engine.keystream_blocks(self.key, nonce, counter0, n_blocks)
 
     def permute(self, state: np.ndarray, materials: BlockMaterials) -> np.ndarray:
         """Apply the PASTA permutation to ``state`` and truncate."""

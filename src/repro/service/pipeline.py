@@ -59,6 +59,7 @@ from __future__ import annotations
 import hashlib
 import heapq
 import itertools
+import math
 import queue
 import struct
 import threading
@@ -293,6 +294,11 @@ class ServiceConfig:
             )
         if self.max_retries < 0:
             raise ParameterError("max_retries must be >= 0")
+        times = ("timeout_seconds", "backoff_base_seconds", "backoff_max_seconds", "put_timeout")
+        for name in times:
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ParameterError(f"{name} must be a finite non-negative number, got {value}")
         if not 0.0 <= self.backoff_jitter <= 1.0:
             raise ParameterError(
                 f"backoff_jitter must be in [0, 1], got {self.backoff_jitter}"

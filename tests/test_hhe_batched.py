@@ -388,13 +388,12 @@ class TestPreparedPlaintextBudget:
 
 def _counting_derivations(monkeypatch):
     """Count the block lanes and layer matrices the server derives: lists
-    appended to by stand-ins for the keystream engine's material
-    derivation and the packed server's batched matrix recurrence."""
+    appended to by stand-ins for the packed server's batched material
+    derivation and matrix recurrence."""
     from repro.hhe import batched
-    from repro.pasta import batch
 
     lanes, matrices = [], []
-    derive = batch.generate_block_materials_pairs
+    derive = batched.generate_block_materials_pairs
     recur = batched.batched_sequential_matrices
 
     def counting_lanes(params, pairs):
@@ -405,7 +404,7 @@ def _counting_derivations(monkeypatch):
         matrices.append(len(alphas))
         return recur(params, alphas)
 
-    monkeypatch.setattr(batch, "generate_block_materials_pairs", counting_lanes)
+    monkeypatch.setattr(batched, "generate_block_materials_pairs", counting_lanes)
     monkeypatch.setattr(batched, "batched_sequential_matrices", counting_matrices)
     return lanes, matrices
 
@@ -429,7 +428,7 @@ class TestGroupScheduleDerivedOnce:
             PASTA_MICRO, scheme, rlk, encoder,
             encrypt_key_batched(scheme, pk, encoder, key), galois_keys=galois,
         )
-        assert server.packed_capacity == 128 > server.engine.cache_size
+        assert server.packed_capacity == 128 > batch.DEFAULT_CACHE_BLOCKS
         nonce, counters = 2**45 + 17, list(range(128))
         messages = np.random.default_rng(4).integers(0, P, size=(128, PASTA_MICRO.t))
         keystream = batch.KeystreamEngine(PASTA_MICRO, cache_size=0).keystream_pairs(

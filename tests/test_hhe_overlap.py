@@ -1,13 +1,14 @@
 """The HHE server's overlapped schedule: concurrency, failures and spans.
 
-:meth:`BatchedHheServer.transcipher_blocks` prepares group 0's layer 0 on
-the calling thread and every later (group, layer) on one ``hhe-prepare``
-thread per call, at most one group of layers ahead of the evaluator. These
-tests pin what the thread hop must not change: concurrent calls on one
-server each get exact results and their own op counts, an error on either
-side of the hop surfaces from the call with no helper left running and the
-server still serving, the helper never runs further ahead than one group,
-and every prepared layer is one ``hhe.prepare`` span in the call's trace.
+:meth:`BatchedHheServer.transcipher_blocks` runs one round per packed
+group: each group's layer 0 is prepared on the calling thread and its
+layers 1..r on one ``hhe-prepare`` thread per call. These tests pin what
+the thread hop must not change: concurrent calls on one server each get
+exact results and their own op counts, an error on either side of the hop
+surfaces from the call with no helper left running and the server still
+serving, the helper never prepares past the group being evaluated, the
+server reads no keystream engine, and every prepared layer is one
+``hhe.prepare`` span in the call's trace.
 """
 
 import dataclasses
@@ -29,9 +30,11 @@ from repro.hhe import (
     encrypt_key_batched,
     transcipher_parameters,
 )
+from repro.hhe import batched
 from repro.obs import get_tracer
 from repro.obs.trace import FAULTS_ATTR
-from repro.pasta import PASTA_MICRO, Pasta, PastaParams, batch, homomorphic_op_counts, random_key
+from repro.pasta import PASTA_MICRO, Pasta, PastaParams, homomorphic_op_counts, random_key
+from repro.pasta.batch import DEFAULT_CACHE_BLOCKS, KeystreamEngine
 
 N = 256
 #: t = 4: two groups of (N/2)/t = 32 blocks make the 2-group rig.
@@ -168,10 +171,10 @@ class TestFailClosed:
 
     def test_evaluation_error_stops_a_helper_one_group_ahead(self, micro, monkeypatch):
         """Three packed groups: the evaluator fails in group 0's first
-        S-box once the helper has prepared the r + 1 layers it may run
-        ahead; the helper prepares nothing further and is joined."""
+        S-box once the helper has prepared the group's layers 1..r, all it
+        may run ahead; the helper prepares nothing further and is joined."""
         server, scheme = micro.server, micro.scheme
-        bound = micro.pasta.rounds + 1
+        bound = micro.pasta.rounds
         prepare_rc = server._prepared_rc
         prepared_ahead = []
         helper_full = threading.Event()
@@ -203,24 +206,37 @@ class TestFailClosed:
 
 class TestMaterialDerivation:
     def test_every_block_is_derived_once_above_the_lru(self, micro, monkeypatch):
-        """Three packed groups, more blocks than the keystream engine's LRU
-        holds: group 0 is derived before the helper starts and each later
-        group when the helper reaches its layer 0, so no group is evicted
-        before it is read and derived again."""
+        """Three packed groups, more blocks than a keystream engine's LRU
+        holds: each group's schedule is derived once, in its own round,
+        so no block is derived twice."""
         server = micro.server
         n_blocks = 3 * server.packed_capacity
-        assert n_blocks > server.engine.cache_size
+        assert n_blocks > DEFAULT_CACHE_BLOCKS
         messages, blocks = _frame(micro, 8005, n_blocks)
-        derive = batch.generate_block_materials_pairs
+        derive = batched.generate_block_materials_pairs
         lanes = []
 
         def counting(params, pairs):
             lanes.append(len(pairs))
             return derive(params, pairs)
 
-        monkeypatch.setattr(batch, "generate_block_materials_pairs", counting)
+        monkeypatch.setattr(batched, "generate_block_materials_pairs", counting)
         result = server.transcipher_blocks(blocks, 8005, list(range(n_blocks)))
-        assert sum(lanes) == n_blocks
+        assert lanes == [server.packed_capacity] * 3
+        _assert_exact(micro, messages, result)
+
+    def test_no_keystream_engine_is_read(self, micro, monkeypatch):
+        """Three packed groups stay exact with every keystream engine's
+        materials LRU refusing to serve: the server derives each group's
+        schedule itself."""
+        n_blocks = 2 * micro.server.packed_capacity + 1
+        messages, blocks = _frame(micro, 8006, n_blocks)
+
+        def refuse(self, pairs):
+            raise AssertionError("the server read a keystream engine")
+
+        monkeypatch.setattr(KeystreamEngine, "_entries_pairs", refuse)
+        result = micro.server.transcipher_blocks(blocks, 8006, list(range(n_blocks)))
         _assert_exact(micro, messages, result)
 
 
@@ -243,7 +259,7 @@ class TestSpans:
             assert all(span.attributes[FAULTS_ATTR] >= 0 for span in [call, *prepares])
         for span in prepares:
             assert (span.trace_id, span.parent_id) == (call.trace_id, call.span_id)
-            if (span.attributes["group"], span.attributes["layer"]) == (0, 0):
+            if span.attributes["layer"] == 0:
                 assert span.thread_name == caller
             else:
                 assert span.thread_name.startswith("hhe-prepare")

@@ -33,10 +33,9 @@ from repro.pasta import (
     generate_block_materials,
     generate_block_materials_batch,
     generate_block_materials_pairs,
-    get_engine,
     random_key,
 )
-from repro.pasta.batch import DEFAULT_CACHE_BLOCKS, _sample_lanes
+from repro.pasta.batch import _sample_lanes
 from repro.pasta.matgen import generate_matrix
 from repro.pasta.xof import encode_block_seed
 from repro.service.pipeline import pack_frames
@@ -252,8 +251,8 @@ class TestKeystreamEngine:
         engine = KeystreamEngine(PASTA_TOY)
         scalar = generate_block_materials(PASTA_TOY, 1, 2)
         for layer in range(PASTA_TOY.affine_layers):
-            ml = engine.matrix_l(1, 2, layer)
-            mr = engine.matrix_r(1, 2, layer)
+            ml = engine.matrix(1, 2, layer, "l")
+            mr = engine.matrix(1, 2, layer, "r")
             assert np.array_equal(
                 np.asarray(ml), np.asarray(generate_matrix(PASTA_TOY.field, scalar.layers[layer].alpha_l))
             )
@@ -264,11 +263,6 @@ class TestKeystreamEngine:
     def test_negative_cache_size_rejected(self):
         with pytest.raises(ParameterError):
             KeystreamEngine(PASTA_TOY, cache_size=-1)
-
-    def test_get_engine_shared_per_params(self):
-        assert get_engine(PASTA_TOY) is get_engine(PASTA_TOY)
-        assert get_engine(PASTA_TOY) is not get_engine(PASTA_4)
-        assert get_engine(PASTA_TOY).cache_size == DEFAULT_CACHE_BLOCKS
 
     @given(st.integers(min_value=0, max_value=1000), st.integers(min_value=1, max_value=6))
     def test_keystream_hypothesis(self, counter0, n_blocks):
@@ -434,7 +428,7 @@ class TestRareSamplerBranches:
 
 
 class TestConcurrentAccess:
-    """The shared engine is hit from service worker threads concurrently.
+    """One engine may serve several threads at once.
 
     Before the lock, interleaved ``move_to_end`` / ``popitem`` calls could
     corrupt the LRU order, raise KeyError mid-eviction, or lose counter
@@ -488,31 +482,6 @@ class TestConcurrentAccess:
         total_lookups = sum(len(s) for s in schedules) * 5
         assert info.hits + info.misses == total_lookups
         assert 0 < info.size <= info.maxsize == 8
-
-    def test_concurrent_get_engine_returns_one_instance(self):
-        import threading
-
-        from repro.pasta.batch import _ENGINES
-        
-        params = PASTA_TOY
-        fresh = PastaParams(
-            name="toy-threads", t=params.t, rounds=params.rounds, p=params.p, secure=False
-        )
-        _ENGINES.pop(fresh, None)
-        barrier = threading.Barrier(8)
-        seen = []
-
-        def worker():
-            barrier.wait()
-            seen.append(get_engine(fresh))
-
-        threads = [threading.Thread(target=worker) for _ in range(8)]
-        for th in threads:
-            th.start()
-        for th in threads:
-            th.join()
-        _ENGINES.pop(fresh, None)
-        assert len(seen) == 8 and all(e is seen[0] for e in seen)
 
 
 class TestNonceReuseGuard:

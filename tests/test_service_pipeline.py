@@ -557,6 +557,18 @@ class TestConfigValidation:
         with pytest.raises(ParameterError):
             ServiceConfig(n_shards=0)
 
+    @pytest.mark.parametrize(
+        "name", ["timeout_seconds", "backoff_base_seconds", "backoff_max_seconds", "put_timeout"]
+    )
+    @pytest.mark.parametrize("value", [-1.0, -1e-9, float("nan"), float("inf")])
+    def test_bad_time_values(self, name, value):
+        """Refused at construction: a negative put timeout would kill the
+        run's producer mid-run, and a negative delivery timeout or backoff
+        would schedule retries before a drop is detected."""
+        with pytest.raises(ParameterError, match=name):
+            ServiceConfig(**{name: value})
+        ServiceConfig(**{name: 0.0})
+
 
 class TestBackoffJitter:
     """The retry-storm fix: deterministic SHAKE jitter on the backoff.
