@@ -12,6 +12,19 @@ automatically:
   moduli, where Python's arbitrary-precision integers guarantee
   correctness at the cost of speed.
 
+Two narrower rules serve the batched keystream:
+
+* **float64 accumulation**: a sum of ``count`` products of reduced elements
+  is an exact float64 integer while ``(p - 1)^2 * count < 2^53``
+  (:meth:`PrimeField.mul_accumulate_fits_float64`; true for the 17-bit
+  modulus at any PASTA t), and :meth:`PrimeField.batched_dot` takes float64
+  operands under that rule;
+* **constant-divisor reduction**: :meth:`PrimeField.reduce_array` reduces an
+  int64 array as ``x - (x // p) * p``, which numpy computes with a
+  multiply-and-shift by the constant p instead of a hardware division per
+  element (``%`` divides), exact for every int64 ``x``; a float64 array
+  of integers in ``[0, 2^53)`` as ``x - floor(x / p) * p``, also exact.
+
 The paper's hardware performs the same multiplications with an add-shift
 reduction unit; that unit is modeled separately in :mod:`repro.ff.reduction`
 and property-tested against this module.
@@ -29,6 +42,8 @@ from repro.ff.primality import is_prime
 ArrayLike = Union[np.ndarray, Sequence[int]]
 
 _INT64_MAX = (1 << 63) - 1
+#: Every integer of magnitude up to 2^53 is exact in float64.
+_FLOAT64_EXACT = 1 << 53
 
 
 class PrimeField:
@@ -61,6 +76,20 @@ class PrimeField:
             self._acc_chunk = max(1, (_INT64_MAX - (self.p - 1)) // ((self.p - 1) ** 2 or 1))
         else:
             self._acc_chunk = 0
+        #: Most products of reduced elements whose sum stays below 2^53.
+        self._float_terms = (_FLOAT64_EXACT - 1) // ((self.p - 1) ** 2 or 1)
+
+    def mul_accumulate_fits_float64(self, count: int) -> bool:
+        """True iff ``count`` products of reduced elements sum exactly in float64.
+
+        That is ``(p - 1)^2 * count < 2^53``: every product and every
+        partial sum, in any order, is then an integer float64 represents
+        exactly, so a float64 dot product equals the integer one. The rule
+        :func:`repro.fhe.rns.uniform_residues` uses to pick float64 below
+        2^53. At p = 65537 it holds for up to 2,097,151 terms; at
+        p = 2^24 - 3 for 32 (so a t = 33 recurrence stays in int64).
+        """
+        return int(count) <= self._float_terms
 
     def mul_accumulate_fits_int64(self, count: int) -> bool:
         """True iff ``count`` products of reduced elements sum within int64.
@@ -104,6 +133,25 @@ class PrimeField:
         if a == 0:
             raise ZeroDivisionError("0 has no inverse in F_p")
         return pow(a, self.p - 2, self.p)
+
+    def reduce_array(self, x: np.ndarray) -> np.ndarray:
+        """``x mod p`` elementwise, in [0, p), for int64, float64 or object arrays.
+
+        int64: ``x - (x // p) * p``. Floor division by a scalar runs numpy's
+        divide-by-constant path (a multiply and a shift per element) where
+        ``%`` issues a hardware division, and it floors, so negative ``x``
+        reduce as they do under ``%``; exact for every int64 ``x``.
+        float64: ``x - floor(x / p) * p``, exact for integers
+        ``0 <= x < 2^53``: a correctly rounded ``x / p`` never reaches the
+        integer above ``floor(x / p)``, and ``floor(x / p) * p <= x`` is
+        exact. Object arrays keep ``%``.
+        """
+        dtype = x.dtype
+        if dtype == np.int64:
+            return x - (x // self.p) * self.p
+        if dtype == np.float64:
+            return x - np.floor(x / self.p) * self.p
+        return x % self.p
 
     # -- array construction ------------------------------------------------
 
@@ -207,21 +255,30 @@ class PrimeField:
         """Per-lane dot products along the leading axis, lanes innermost.
 
         ``a`` and ``b`` are ``(k, N)``; ``out[n] = sum_j a[j, n] * b[j, n]
-        mod p``. The step of the matrix-free affine layer in
-        :func:`repro.pasta.matgen.recurrence_mat_vec`. Same overflow rules
-        as :meth:`batched_mat_vec`: one int64 ``einsum`` when the k-term
-        accumulation fits, ``_acc_chunk``-term partial sums when only single
-        products do, and big-int object arithmetic otherwise.
+        mod p``, in the operands' dtype. The step of the matrix-free affine
+        layer in :func:`repro.pasta.matgen.recurrence_mat_vec`. float64
+        operands take one float ``einsum`` and are refused unless the k-term
+        sum is exact (:meth:`mul_accumulate_fits_float64`). int64 operands
+        follow the same overflow rules as :meth:`batched_mat_vec`: one
+        ``einsum`` when the k-term accumulation fits, ``_acc_chunk``-term
+        partial sums when only single products do. Both reduce with
+        :meth:`reduce_array`. Anything else runs big-int object arithmetic.
         """
         inner = a.shape[0]
+        if a.dtype == np.float64:
+            if not self.mul_accumulate_fits_float64(inner):
+                raise ParameterError(
+                    f"a {inner}-term float64 dot product mod {self.p} is not exact"
+                )
+            return self.reduce_array(np.einsum("kn,kn->n", a, b))
         if self._mul_fits_int64:
             if self.mul_accumulate_fits_int64(inner):
-                return np.einsum("kn,kn->n", a, b) % self.p
+                return self.reduce_array(np.einsum("kn,kn->n", a, b))
             chunk = self._acc_chunk
             acc = np.zeros(a.shape[1:], dtype=np.int64)
             for start in range(0, inner, chunk):
                 end = min(start + chunk, inner)
-                acc = (acc + np.einsum("kn,kn->n", a[start:end], b[start:end])) % self.p
+                acc = self.reduce_array(acc + np.einsum("kn,kn->n", a[start:end], b[start:end]))
             return acc
         prods = np.asarray(a, dtype=object) * np.asarray(b, dtype=object)
         return prods.sum(axis=0) % self.p

@@ -71,18 +71,30 @@ class RejectionSampler:
     def candidates_batch(
         self, words: np.ndarray, min_value: int = 0
     ) -> Tuple[np.ndarray, np.ndarray]:
-        """Vectorized :meth:`candidate` over a uint64 word array.
+        """Vectorized :meth:`candidate` over an unsigned word array.
 
-        Returns ``(values, accepted)`` with the same shape as ``words``:
-        masked candidates and the accept decision each scalar call would
-        have made. The batched keystream engine applies this to whole word
-        matrices (paper Sec. IV-B's mask-and-filter, one numpy pass per
-        squeeze batch instead of one Python call per word).
+        Returns ``(values, accepted)`` with the same shape and dtype as
+        ``words``: masked candidates and the accept decision each scalar
+        call would have made. The batched keystream engine applies this to
+        whole word matrices (paper Sec. IV-B's mask-and-filter, one numpy
+        pass over a whole frame instead of one Python call per word).
+
+        The mask and the comparisons run in the words' own dtype. A 64-bit
+        word's candidate lives in its low ``mask_bits`` bits, so when
+        ``mask_bits <= 32`` the low 32-bit halves of the words (uint32)
+        give the same values and decisions at half the width. Words
+        narrower than ``mask_bits`` are refused.
         """
-        values = words & np.uint64(self.mask)
-        accepted = values < np.uint64(self.p)
+        kind = words.dtype.type
+        if not issubclass(kind, np.unsignedinteger) or 8 * words.itemsize < self.mask_bits:
+            raise ParameterError(
+                f"{self.mask_bits}-bit candidates need unsigned words of at least"
+                f" that width, got {words.dtype}"
+            )
+        values = words & kind(self.mask)
+        accepted = values < kind(self.p)
         if min_value > 0:
-            accepted &= values >= np.uint64(min_value)
+            accepted &= values >= kind(min_value)
         return values, accepted
 
     def sample(

@@ -14,9 +14,13 @@ the whole digest in place with :meth:`BatchedShake.digested_words`. This
 is the software form of the paper's XOF front end (Sec. IV-B, Fig. 3).
 
 A digest cannot be resumed, so the caller states how many rate blocks it
-expects to read, plus a margin. Squeezing past the end (or
+expects to read, plus a margin: the batched keystream digests the mean
+word demand plus five standard deviations
+(:func:`repro.pasta.batch._digest_blocks`). Squeezing past the end (or
 :meth:`BatchedShake.extend`) re-digests every lane at twice the length:
-the words are the same either way, only the cost changes.
+the words are the same either way, only the cost changes. The buffer is
+little-endian, so a reader whose mask keeps at most 32 bits may read the
+low halves alone, ``digested_words().view("<u4")[:, ::2]``.
 
 ``permutation_count`` keeps the lockstep sponge's cadence: the absorb
 permutation exposes the first block and every later block costs one more,

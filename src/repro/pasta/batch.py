@@ -8,11 +8,16 @@ across blocks, mirroring how the paper's hardware overlaps XOF squeezing,
 rejection sampling, and MatMul (Fig. 3):
 
 * **XOF**: every lane is squeezed by one sized C SHAKE128 digest into one
-  ``(N, W)`` word buffer (:mod:`repro.keccak.vectorized`), sized from the
-  parameters' expected demand. The sampler reads the whole digest in
+  ``(N, W)`` word buffer (:mod:`repro.keccak.vectorized`), sized at the
+  mean word demand plus five standard deviations
+  (:data:`_DIGEST_SIGMAS`). The seeds share one packed prefix, and
+  packing validates each pair. The sampler reads the whole digest in
   place; no word is copied.
-* **Sampling**: one pass per call. One ``candidates_batch`` masks every
-  digested word with zero allowed, and one rank takes each lane's first
+* **Sampling**: one pass per call, at the mask's width: the low 32-bit
+  half of each little-endian word when the mask has at most 32 bits
+  (every 17-bit set), the whole uint64 word otherwise. One
+  ``candidates_batch`` masks every digested word with zero allowed, and
+  one rank takes each lane's first
   ``4 (r + 1) t`` accepted words (a ``flatnonzero``, a search for each
   lane's start, one gather), which are every layer's alpha_L, alpha_R,
   rc_L and rc_R in the scalar draw order. A zero ranked into an alpha
@@ -29,7 +34,10 @@ rejection sampling, and MatMul (Fig. 3):
   at once: t per-lane dot products of length t over a ``(2t, 2N)``
   buffer whose columns are every lane's left half, then every lane's
   right half, with the field's overflow-safe accumulation
-  (:meth:`repro.ff.prime.PrimeField.batched_dot`).
+  (:meth:`repro.ff.prime.PrimeField.batched_dot`): in float64 while
+  ``(p - 1)^2 t < 2^53``, else in int64 or big-int. Every int64
+  reduction (round constants, Mix, both S-boxes) divides by the constant
+  p (:meth:`repro.ff.prime.PrimeField.reduce_array`).
   :func:`batched_sequential_matrices` still materializes ``(N, t, t)``
   matrices for the HHE server, which needs their diagonals.
 * **One keystream path**: :meth:`KeystreamEngine.keystream_pairs` stays in
@@ -49,6 +57,7 @@ asserts equality block-for-block.
 
 from __future__ import annotations
 
+import math
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
@@ -66,7 +75,7 @@ from repro.obs.trace import counting_faults
 from repro.pasta.cipher import BlockMaterials, LayerMaterials
 from repro.pasta.matgen import recurrence_mat_vec
 from repro.pasta.params import VECTORS_PER_LAYER, PastaParams
-from repro.pasta.xof import as_u64, encode_block_seed
+from repro.pasta.xof import as_u64, encode_block_seeds
 
 __all__ = [
     "KeystreamEngine",
@@ -79,6 +88,12 @@ __all__ = [
 #: Default LRU capacity in cached blocks: each holds one block's sampled
 #: vectors, ``4 (r + 1) t`` field elements.
 DEFAULT_CACHE_BLOCKS = 64
+
+#: Standard deviations of word demand each lane's digest holds beyond the
+#: mean. A normal tail past 5 sigma is 2.9e-7, so a 300-lane frame finds
+#: some lane short (and re-digests) less than once in 10^4 frames; the
+#: exact negative-binomial figure for a PASTA-4 frame is 9.1e-5.
+_DIGEST_SIGMAS = 5.0
 
 
 def _first_accepted(ok: np.ndarray, count: int) -> Optional[np.ndarray]:
@@ -152,12 +167,21 @@ def _sample_lanes(
     pre-squeezing ``blocks`` would, so the permutation cadence is the
     scalar sponge's.
 
-    Returns ``(values, consumed)``: ``(N, layers, 4, t)`` uint64
-    coefficients and the ``(N,)`` words each lane consumed.
+    When ``sampler.mask_bits <= 32`` (every 17-bit set) the pass reads the
+    low 32-bit half of each little-endian digest word, the only bits the
+    mask keeps, so masking, comparing and ranking run on uint32; wider
+    masks read the uint64 words.
+
+    Returns ``(values, consumed)``: ``(N, layers, 4, t)`` unsigned
+    coefficients (uint32 or uint64) and the ``(N,)`` words each lane
+    consumed.
     """
     alpha_slot = np.arange(layers * VECTORS_PER_LAYER * t) // t % VECTORS_PER_LAYER < 2
     while True:
-        ranked = _rank(*sampler.candidates_batch(shake.digested_words(), 0), alpha_slot)
+        words = shake.digested_words()
+        if sampler.mask_bits <= 32:
+            words = words.view("<u4")[:, ::2]
+        ranked = _rank(*sampler.candidates_batch(words, 0), alpha_slot)
         if ranked is not None:
             break
         shake.extend()
@@ -167,25 +191,43 @@ def _sample_lanes(
     return values.reshape(-1, layers, VECTORS_PER_LAYER, t), consumed
 
 
+def _digest_blocks(params: PastaParams) -> Tuple[int, int]:
+    """``(squeezed, digested)`` rate blocks per lane for one block's draw.
+
+    ``squeezed`` is the lockstep squeeze floor, the expected word demand
+    plus 5%. ``digested`` sizes each lane's digest from the demand's
+    distribution: the words needed for k accepted coefficients at
+    acceptance a are negative binomial, mean ``k / a`` and standard
+    deviation ``sqrt(k (1 - a)) / a``, and the digest holds the mean plus
+    :data:`_DIGEST_SIGMAS` of them (70 blocks for PASTA-4, where the mean is
+    61), never fewer than the squeeze floor.
+    """
+    sampler = params.sampler
+    k = params.coefficients_per_block
+    a = sampler.acceptance_probability
+    mean = k * sampler.expected_words_per_element
+    rate_words = SHAKE128_RATE_BYTES // 8
+    squeezed = max(1, math.ceil(mean * 1.05 / rate_words))
+    demand = mean + _DIGEST_SIGMAS * math.sqrt(k * (1 - a)) / a
+    return squeezed, max(squeezed, math.ceil(demand / rate_words))
+
+
 def _derive_layer_arrays(
     params: PastaParams, pairs: Sequence[Tuple[int, int]]
 ) -> Tuple[np.ndarray, np.ndarray]:
     """All sampled per-layer vectors for every pair, fully stacked.
 
-    Returns ``(values, consumed)``: ``values[n, i, v]`` is the uint64
+    Returns ``(values, consumed)``: ``values[n, i, v]`` is the unsigned
     vector v (alpha_L, alpha_R, rc_L, rc_R) of layer i of lane n, and
-    ``consumed[n]`` the words lane n read. Each lane is digested once,
-    sized at the parameters' expected demand plus 5%, with another eighth
-    and a block of margin, so a re-digest almost never happens; then
-    :func:`_sample_lanes` samples every lane in one pass. No per-lane
-    Python work happens here.
+    ``consumed[n]`` the words lane n read. Each lane is digested once, at
+    :func:`_digest_blocks`' size, so a re-digest almost never happens;
+    then :func:`_sample_lanes` samples every lane in one pass. The seeds
+    share one packed prefix, and packing validates each pair. No other
+    per-lane Python work happens here.
     """
-    sampler = params.sampler
-    expected_words = params.coefficients_per_block * sampler.expected_words_per_element
-    blocks = max(1, int(np.ceil(expected_words * 1.05 / (SHAKE128_RATE_BYTES // 8))))
-    seeds = [encode_block_seed(params, no, co) for no, co in pairs]
-    shake = batched_shake128(seeds, blocks + blocks // 8 + 1)
-    return _sample_lanes(shake, sampler, params.t, params.affine_layers, blocks)
+    squeezed, digested = _digest_blocks(params)
+    shake = batched_shake128(encode_block_seeds(params, pairs), digested)
+    return _sample_lanes(shake, params.sampler, params.t, params.affine_layers, squeezed)
 
 
 def generate_block_materials_pairs(
@@ -403,12 +445,12 @@ class KeystreamEngine:
         """
         params = self.params
         field = params.field
-        p = field.p
+        mod = field.reduce_array
         t = params.t
         n = len(pairs)
         if n <= 0:
             return field.zeros(0, t)
-        # encode_block_seed refuses any nonce or counter that is not a u64.
+        # Packing the seeds refuses any nonce or counter that is not a u64.
         values, _ = _derive_layer_arrays(params, pairs)
         # (layer, t, 2N): alpha (or rc) of the left side, then the right.
         per_layer = values.transpose(1, 3, 2, 0)
@@ -416,21 +458,23 @@ class KeystreamEngine:
         rcs = per_layer[:, :, 2:].reshape(params.affine_layers, t, 2 * n).astype(field.dtype)
 
         def affine_mix(x: np.ndarray, layer: int) -> np.ndarray:
-            y = (recurrence_mat_vec(field, alphas[layer], x) + rcs[layer]) % p
+            y = mod(recurrence_mat_vec(field, alphas[layer], x) + rcs[layer])
             halves = y.reshape(t, 2, n)
-            s = halves.sum(axis=1) % p
-            return ((halves + s[:, None, :]) % p).reshape(t, 2 * n)
+            # Mix: each half gains both halves' sum, below 3p unreduced.
+            return mod(halves + halves.sum(axis=1, keepdims=True)).reshape(t, 2 * n)
 
-        x = np.repeat(np.asarray(key).reshape(2, t).T % p, n, axis=1)
+        x = np.repeat(mod(np.asarray(key).reshape(2, t).T), n, axis=1)
         for i in range(params.rounds):
             x = affine_mix(x, i)
             if i < params.rounds - 1:
                 # Feistel S-box over the 2t-element state [L | R]: element
                 # k gains element k - 1 squared, across the halves too.
-                carry = (x[t - 1, :n] * x[t - 1, :n]) % p
-                x[1:] = (x[1:] + (x[:-1] * x[:-1]) % p) % p
-                x[0, n:] = (x[0, n:] + carry) % p
+                # (p - 1) + (p - 1)^2 fits in int64 whenever (p - 1)^2 does,
+                # so each sum is reduced once.
+                carry = x[t - 1, :n] * x[t - 1, :n]
+                x[1:] = mod(x[1:] + x[:-1] * x[:-1])
+                x[0, n:] = mod(x[0, n:] + carry)
             else:
-                x = ((x * x % p) * x) % p
+                x = mod(mod(x * x) * x)
         return np.ascontiguousarray(affine_mix(x, params.rounds)[:, :n].T)
 

@@ -28,6 +28,9 @@ t^2 mat-vec. The batched client keystream uses this form
 (:func:`recurrence_mat_vec`); :func:`generate_matrix` and
 :func:`streaming_mat_vec` stay its oracle, and the HHE server still
 materializes M, because its x is encrypted and it needs M's diagonals.
+Each of its dot products is a sum of t products below ``(p - 1)^2``, so
+while ``(p - 1)^2 t < 2^53`` (every 17-bit PASTA set) it runs in float64,
+where every such sum is an exact integer.
 
 The paper's hardware streams rows instead because the recurrence is
 serial: each step waits for a full multiply and adder-tree fold,
@@ -101,12 +104,19 @@ def recurrence_mat_vec(field: PrimeField, alphas: np.ndarray, x: np.ndarray) -> 
 
     One ``(2t, N)`` buffer holds the whole sequence, so every step's
     window is a contiguous block, dotted with alpha by
-    :meth:`~repro.ff.prime.PrimeField.batched_dot` under the field's
-    overflow rules.
+    :meth:`~repro.ff.prime.PrimeField.batched_dot`. The buffer is float64
+    whenever ``(p - 1)^2 t < 2^53``
+    (:meth:`~repro.ff.prime.PrimeField.mul_accumulate_fits_float64`): each
+    step's t-term sum is then an exact integer, so one float ``einsum`` and
+    a floor reduction give the int64 result bit for bit (every 17-bit PASTA
+    set; at p = 2^24 - 3 up to t = 32). Other fields keep the field's dtype
+    and its int64 or big-int overflow rules.
     """
     t = alphas.shape[0]
-    s = np.empty((2 * t,) + x.shape[1:], dtype=field.dtype)
+    dtype = np.float64 if field.mul_accumulate_fits_float64(t) else field.dtype
+    alphas = alphas.astype(dtype, copy=False)
+    s = np.empty((2 * t,) + x.shape[1:], dtype=dtype)
     s[:t] = x
     for m in range(t):
         s[t + m] = field.batched_dot(alphas, s[m : m + t])
-    return s[t:]
+    return s[t:].astype(field.dtype, copy=False)

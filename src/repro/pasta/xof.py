@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import operator
 import struct
+from typing import List, Sequence, Tuple
 
 from repro.errors import ParameterError
 from repro.keccak.shake import Shake, shake128
@@ -26,6 +27,9 @@ from repro.pasta.params import PastaParams
 DOMAIN_TAG = b"PASTA-on-Edge-v1"
 
 _U64_MAX = (1 << 64) - 1
+
+#: The per-block tail of a seed: nonce and counter, 8 bytes big-endian each.
+_NONCE_COUNTER = struct.Struct(">QQ")
 
 
 def as_u64(value, name: str) -> int:
@@ -53,11 +57,31 @@ def encode_block_seed(params: PastaParams, nonce: int, counter: int) -> bytes:
     value raises :class:`ParameterError` rather than leaking
     ``struct.error`` from the packing internals.
     """
+    return encode_block_seeds(params, [(nonce, counter)])[0]
+
+
+def encode_block_seeds(
+    params: PastaParams, pairs: Sequence[Tuple[int, int]]
+) -> List[bytes]:
+    """:func:`encode_block_seed` of every ``(nonce, counter)`` pair.
+
+    The prefix every block shares (tag, t, rounds, p) is packed once, and
+    each pair is validated once, by packing it: ``struct`` takes exactly
+    the integers :func:`as_u64` takes (anything with ``__index__``, in
+    [0, 2^64)). When a pair does not pack, :func:`as_u64` names the
+    offending value in a :class:`ParameterError`.
+    """
     if not 0 <= params.p <= _U64_MAX:
         raise ParameterError(f"modulus must fit in 64 bits, got {params.p}")
-    nonce = as_u64(nonce, "nonce")
-    counter = as_u64(counter, "counter")
-    return DOMAIN_TAG + struct.pack(">HBQQQ", params.t, params.rounds, params.p, nonce, counter)
+    prefix = DOMAIN_TAG + struct.pack(">HBQ", params.t, params.rounds, params.p)
+    pack = _NONCE_COUNTER.pack
+    try:
+        return [prefix + pack(nonce, counter) for nonce, counter in pairs]
+    except struct.error as exc:
+        for nonce, counter in pairs:
+            as_u64(nonce, "nonce")
+            as_u64(counter, "counter")
+        raise ParameterError(f"a (nonce, counter) pair does not pack: {exc}") from exc
 
 
 def block_xof(params: PastaParams, nonce: int, counter: int) -> Shake:

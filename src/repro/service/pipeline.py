@@ -299,6 +299,13 @@ class ServiceConfig:
             value = getattr(self, name)
             if not (math.isfinite(value) and value >= 0):
                 raise ParameterError(f"{name} must be a finite non-negative number, got {value}")
+        # A cap of 0 turns backoff off; a positive cap below the base would
+        # hold every retry under the base it configures.
+        if 0 < self.backoff_max_seconds < self.backoff_base_seconds:
+            raise ParameterError(
+                f"backoff_max_seconds ({self.backoff_max_seconds}) is below "
+                f"backoff_base_seconds ({self.backoff_base_seconds})"
+            )
         if not 0.0 <= self.backoff_jitter <= 1.0:
             raise ParameterError(
                 f"backoff_jitter must be in [0, 1], got {self.backoff_jitter}"

@@ -119,6 +119,77 @@ class TestVectorOps:
         assert f.dot(a, b) == 32
 
 
+class TestReduceArray:
+    """``reduce_array`` is ``%`` for every int64, for float64 integers below
+    2^53 and for object arrays."""
+
+    INT64 = np.iinfo(np.int64)
+
+    @pytest.mark.parametrize("p", [17, P17, 2**24 - 3, 2**31 - 1, 2**61 - 1])
+    def test_int64_matches_mod(self, p):
+        field = PrimeField(p)
+        x = np.array(
+            [self.INT64.min, -(2**62), -p - 1, -p, -1, 0, 1, p - 1, p, p + 1,
+             2**62, self.INT64.max],
+            dtype=np.int64,
+        )
+        got = field.reduce_array(x)
+        assert got.dtype == np.int64
+        assert got.tolist() == [v % p for v in x.tolist()]
+
+    @given(st.lists(st.integers(min_value=-(2**63), max_value=2**63 - 1), min_size=1))
+    def test_int64_matches_mod_property(self, values):
+        field = PrimeField(P17)
+        got = field.reduce_array(np.array(values, dtype=np.int64))
+        assert got.tolist() == [v % P17 for v in values]
+
+    @pytest.mark.parametrize("p", [17, P17, 2**24 - 3])
+    def test_float64_matches_mod_below_2_53(self, p):
+        field = PrimeField(p)
+        ints = [0, 1, p - 1, p, p + 1, (p - 1) ** 2, 2**53 - p, 2**53 - 1]
+        got = field.reduce_array(np.array(ints, dtype=np.float64))
+        assert got.dtype == np.float64
+        assert [int(v) for v in got] == [v % p for v in ints]
+
+    @given(st.lists(st.integers(min_value=0, max_value=2**53 - 1), min_size=1))
+    def test_float64_matches_mod_property(self, values):
+        field = PrimeField(2**24 - 3)
+        got = field.reduce_array(np.array(values, dtype=np.float64))
+        assert [int(v) for v in got] == [v % field.p for v in values]
+
+    def test_object_keeps_mod(self):
+        field = PrimeField(P54)
+        values = [-(2**100), -1, 0, P54 - 1, P54, 2**62, 2**100 + 3]
+        got = field.reduce_array(np.array(values, dtype=object))
+        assert got.dtype == object
+        assert list(got) == [v % P54 for v in values]
+
+
+class TestFloat64Accumulation:
+    def test_predicate_boundary(self):
+        """``(p - 1)^2 count < 2^53``: 2^21 - 1 terms at 65537, 32 at 2^24 - 3."""
+        f17, f24 = PrimeField(P17), PrimeField(2**24 - 3)
+        assert f17.mul_accumulate_fits_float64(2**21 - 1)
+        assert not f17.mul_accumulate_fits_float64(2**21)
+        assert f24.mul_accumulate_fits_float64(32)
+        assert not f24.mul_accumulate_fits_float64(33)
+        assert not PrimeField(P33).mul_accumulate_fits_float64(1)
+
+    @pytest.mark.parametrize("p, k", [(P17, 128), (2**24 - 3, 32)], ids=["p17", "p24"])
+    def test_batched_dot_float64_worst_case(self, p, k):
+        field = PrimeField(p)
+        a = np.full((k, 3), p - 1, dtype=np.float64)
+        got = field.batched_dot(a, a)
+        assert got.dtype == np.float64
+        assert [int(x) for x in got] == [(p - 1) ** 2 * k % p] * 3
+
+    def test_batched_dot_refuses_inexact_float64(self):
+        field = PrimeField(2**24 - 3)
+        a = np.full((33, 2), field.p - 1, dtype=np.float64)
+        with pytest.raises(ParameterError, match="33-term"):
+            field.batched_dot(a, a)
+
+
 class TestAccumulationOverflowBoundary:
     """Regression for the accumulation-unaware ``_mul_fits_int64`` predicate.
 

@@ -2,6 +2,7 @@
 
 import itertools
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -48,6 +49,35 @@ class TestCandidate:
         value, ok = sampler.candidate(word)
         if ok:
             assert 0 <= value < P17
+
+
+class TestCandidatesBatchWidth:
+    """The batched mask runs in its words' dtype; for ``mask_bits <= 32`` the
+    low 32-bit halves of the little-endian words decide exactly as the
+    whole 64-bit words do."""
+
+    @given(
+        st.integers(min_value=2, max_value=(1 << 32) - 1),
+        st.lists(U64, min_size=1, max_size=200),
+        st.sampled_from([0, 1]),
+    )
+    def test_uint32_halves_match_uint64_words(self, p, words, min_value):
+        sampler = RejectionSampler(p)
+        assert sampler.mask_bits <= 32
+        wide = np.array(words, dtype="<u8")
+        values64, ok64 = sampler.candidates_batch(wide, min_value)
+        values32, ok32 = sampler.candidates_batch(wide.view("<u4")[::2], min_value)
+        assert values64.dtype == np.uint64 and values32.dtype == np.uint32
+        assert np.array_equal(values32, values64)
+        assert np.array_equal(ok32, ok64)
+
+    def test_narrow_or_signed_words_refused(self):
+        with pytest.raises(ParameterError, match="33-bit"):
+            RejectionSampler(P33).candidates_batch(np.zeros(4, dtype=np.uint32))
+        with pytest.raises(ParameterError):
+            RejectionSampler(P17).candidates_batch(np.zeros(4, dtype=np.int64))
+        values, ok = RejectionSampler(P33).candidates_batch(np.zeros(4, dtype=np.uint64))
+        assert values.dtype == np.uint64 and ok.all()
 
 
 class TestAcceptanceProbability:

@@ -1,10 +1,17 @@
-"""Known-answer pins for the seeded host streams (FHE key setup, PASTA keys).
+"""Known-answer pins for the seeded host streams and batched client frames.
 
-The digests below were captured from the scalar-sponge implementation of
-:class:`repro.fhe.rng.PolyRng` and :func:`repro.pasta.random_key`, which
-read ``repro.keccak.shake.shake256`` one permutation at a time. They pin
-that the sized ``hashlib`` digests those streams read now leave every key
-and ciphertext unchanged, on both polynomial engines.
+The key digests below were captured from the scalar-sponge implementation
+of :class:`repro.fhe.rng.PolyRng` and :func:`repro.pasta.random_key`,
+which read ``repro.keccak.shake.shake256`` one permutation at a time. They
+pin that the sized ``hashlib`` digests those streams read now leave every
+key and ciphertext unchanged, on both polynomial engines.
+
+The frame digests pin whole batched ``Pasta.encrypt`` ciphertexts: a
+300-block PASTA-4 frame (the benchmark's client frame), a few PASTA-3
+blocks (t = 128) and a few PASTA-4 blocks over the 33-bit prime (the
+big-int path). They were captured before the client keystream's 32-bit
+sampling, float64 recurrence and constant-divisor reductions, which must
+leave every ciphertext bit unchanged.
 """
 
 import hashlib
@@ -12,7 +19,7 @@ import hashlib
 import pytest
 
 from repro.fhe import Bfv, toy_parameters
-from repro.pasta import PASTA_3, PASTA_4, PASTA_MICRO, random_key
+from repro.pasta import PASTA_3, PASTA_4, PASTA_4_33, PASTA_MICRO, Pasta, random_key
 
 #: Small RNS scheme: q ~ 240 bits (four 62-bit relinearization digits), N = 32.
 PARAMS = toy_parameters(65537, n=32, log2_q=240)
@@ -40,6 +47,14 @@ KEY_PINS = {
     ("pasta-micro", bytes(range(200))):
         "d5a8da13903bdd427ed7828a8235bf8a7edbe0b90da4ed7ef72bd87fe65646c1",
 }
+
+#: (parameter set, blocks) -> digest of the frame's ciphertext.
+FRAME_PINS = {
+    ("pasta4-17", 300): "af8eded776adfce800a192fe6884c7e276684d578a6825206454e397603d2fb5",
+    ("pasta3-17", 3): "edac8dd2388c86e1254b29c3864671c97dd7ee0c6f0845872895cd4e978535a4",
+    ("pasta4-33", 3): "619981cfb85208a3599947ef22382b2b39eb4c5193a6193e4e4bc0f67e982c71",
+}
+FRAME_NONCE = 0x5EED
 
 
 def sha256_of(values) -> str:
@@ -75,3 +90,15 @@ def test_random_key_known_answers(params, seed):
     key = random_key(params, seed)
     assert len(key) == params.key_size
     assert sha256_of([int(k) for k in key]) == KEY_PINS[(params.name, seed)]
+
+
+@pytest.mark.parametrize(
+    "params, blocks",
+    [(PASTA_4, 300), (PASTA_3, 3), (PASTA_4_33, 3)],
+    ids=["pasta4-17-300", "pasta3-17-3", "pasta4-33-3"],
+)
+def test_client_frame_known_answers(params, blocks):
+    """``Pasta.encrypt`` of ``blocks`` full blocks, element i = (7 i + 1) mod p."""
+    message = [(7 * i + 1) % params.p for i in range(blocks * params.t)]
+    ciphertext = Pasta(params, random_key(params)).encrypt(message, FRAME_NONCE)
+    assert sha256_of([int(c) for c in ciphertext]) == FRAME_PINS[(params.name, blocks)]

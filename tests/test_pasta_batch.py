@@ -8,6 +8,8 @@ semantics and the nonce-reuse guard that rides along in this change.
 """
 
 import hashlib
+from fractions import Fraction
+from math import comb
 from unittest import mock
 
 import numpy as np
@@ -17,7 +19,7 @@ from hypothesis import strategies as st
 
 from repro.apps.video import QQVGA, synthetic_frames_batch
 from repro.errors import ParameterError
-from repro.ff.sampling import RejectionSampler
+from repro.ff.sampling import RejectionSampler, SamplerStats
 from repro.keccak.vectorized import BatchedShake
 from repro.pasta import (
     PASTA_3,
@@ -35,7 +37,7 @@ from repro.pasta import (
     generate_block_materials_pairs,
     random_key,
 )
-from repro.pasta.batch import _sample_lanes
+from repro.pasta.batch import _digest_blocks, _rank, _sample_lanes
 from repro.pasta.matgen import generate_matrix
 from repro.pasta.xof import encode_block_seed
 from repro.service.pipeline import pack_frames
@@ -425,6 +427,73 @@ class TestRareSamplerBranches:
         assert source.squeezed == _full_buffer_blocks(
             lanes, draws, t, sampler, rate_words, blocks=1
         ) == 5
+
+
+class TestSamplingWidth:
+    """The 17-bit sets mask and rank the low 32-bit halves of their digest
+    words, and each lane's digest is sized from its demand's spread."""
+
+    def test_32_bit_sampling_matches_64_bit(self):
+        """Values, consumed words, statistics and permutations are the
+        64-bit ranking's, on the zero re-rank lanes too."""
+        params, nonce = PASTA_4, 7
+        rerank = _zero_rerank_counters(params, nonce, range(300))
+        assert rerank
+        counters = [0, 1, 299, *rerank]
+        _, digested = _digest_blocks(params)
+        wide = np.stack([_xof_words(params, nonce, c)[: digested * 21] for c in counters])
+        alpha_slot = np.arange(params.coefficients_per_block) // params.t % 4 < 2
+        sampler = params.sampler
+        values64, consumed64 = _rank(*sampler.candidates_batch(wide, 0), alpha_slot)
+        narrow = wide.view("<u4")[:, ::2]
+        values32, consumed32 = _rank(*sampler.candidates_batch(narrow, 0), alpha_slot)
+        assert values64.dtype == np.uint64 and values32.dtype == np.uint32
+        assert np.array_equal(values32, values64)
+        assert np.array_equal(consumed32, consumed64)
+
+        with mock.patch.object(
+            RejectionSampler, "candidates_batch", autospec=True,
+            side_effect=RejectionSampler.candidates_batch,
+        ) as calls:
+            materials = generate_block_materials_pairs(params, [(nonce, c) for c in counters])
+        assert calls.call_args.args[1].dtype == np.uint32
+        accepted = params.coefficients_per_block
+        for lane, m in enumerate(materials):
+            sampled = [
+                v for layer in m.layers for v in (layer.alpha_l, layer.alpha_r, layer.rc_l, layer.rc_r)
+            ]
+            assert np.concatenate(sampled).tolist() == values64[lane].tolist()
+            consumed = int(consumed64[lane])
+            assert m.stats == SamplerStats(accepted=accepted, rejected=consumed - accepted)
+            assert m.permutations == -(-consumed // 21)
+
+    def test_digest_size_covers_a_frame(self):
+        """PASTA-4 digests 70 blocks a lane (61 on average), and a 300-lane
+        frame finds some lane short of them with probability below 1e-4:
+        a lane needs more than n words when n words hold fewer than k
+        accepted ones, P(Binomial(n, p / 2^17) < k), summed exactly."""
+        params = PASTA_4
+        assert _digest_blocks(params) == (64, 70)
+        n, k, p, span = 70 * 21, params.coefficients_per_block, params.p, 1 << 17
+        short = Fraction(
+            sum(comb(n, j) * p**j * (span - p) ** (n - j) for j in range(k)), span**n
+        )
+        assert 300 * short < Fraction(1, 10**4)
+
+    def test_large_derivation_digests_once(self):
+        """2,400 PASTA-4 lanes fit in their first digest, and the stream
+        squeezes the lockstep count the 1.05x-plus-an-eighth digest gave:
+        67 blocks, set by the longest lane."""
+        pairs = [(11, c) for c in range(2400)]
+        with mock.patch.object(
+            BatchedShake, "extend", autospec=True, side_effect=BatchedShake.extend
+        ) as extends, mock.patch.object(
+            BatchedShake, "squeeze_words_block", autospec=True,
+            side_effect=BatchedShake.squeeze_words_block,
+        ) as squeezes:
+            materials = generate_block_materials_pairs(PASTA_4, pairs)
+        assert extends.call_count == 0
+        assert squeezes.call_count == 67 == max(m.permutations for m in materials)
 
 
 class TestConcurrentAccess:

@@ -1,5 +1,7 @@
 """Tests for the invertible sequential-matrix generation (paper Eq. (1))."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -21,13 +23,17 @@ F17 = PrimeField(P17)
 F33 = PrimeField(P33)
 F54 = PrimeField(P54)
 F31 = PrimeField(2**31 - 1)
+#: The largest prime below 2^24: (p - 1)^2 t < 2^53 holds up to t = 32.
+F24 = PrimeField(2**24 - 3)
 
 #: (field, t) for each accumulation regime of the recurrence's dot products:
-#: one int64 einsum (17-bit), big-int object dtype (33- and 54-bit), and
-#: chunked int64 partial sums (2^31 - 1 at t = 128, where only single
-#: products fit); plus t = 3, where every window spans only three entries.
-REGIMES = [(F17, 32), (F33, 32), (F54, 32), (F31, 128), (F17, 3)]
-REGIME_IDS = ["p17", "p33", "p54", "p31-chunked", "p17-t3"]
+#: float64 (17-bit, and 2^24 - 3 at t = 32, the last t below 2^53), one
+#: int64 einsum (2^24 - 3 at t = 33), big-int object dtype (33- and
+#: 54-bit), and chunked int64 partial sums (2^31 - 1 at t = 128, where only
+#: single products fit); plus t = 3, where every window spans only three
+#: entries.
+REGIMES = [(F17, 32), (F24, 32), (F24, 33), (F33, 32), (F54, 32), (F31, 128), (F17, 3)]
+REGIME_IDS = ["p17", "p24-float64", "p24-int64", "p33", "p54", "p31-chunked", "p17-t3"]
 
 
 def nonzero_vector(field, n, seed):
@@ -148,3 +154,25 @@ class TestRecurrenceMatVec:
         """The largest products every step can meet, in every regime."""
         top = field.array([field.p - 1] * (t * 2)).reshape(t, 2)
         self.assert_matches_oracles(field, top, top)
+
+    @pytest.mark.parametrize("t, dtype", [(32, np.float64), (33, np.int64)])
+    def test_float64_bound_at_p24(self, t, dtype):
+        """Both sides of ``(p - 1)^2 t < 2^53`` at p = 2^24 - 3: t = 32 runs
+        the buffer in float64 (its all-(p-1) step sums 2^53 - 2^32 + 512)
+        and t = 33 in int64. :meth:`test_all_p_minus_one` checks both
+        regimes against the oracles."""
+        p = F24.p
+        assert ((p - 1) ** 2 * t < 2**53) == (dtype is np.float64)
+        assert F24.mul_accumulate_fits_float64(t) == (dtype is np.float64)
+        seen = []
+        batched_dot = F24.batched_dot
+
+        def spy(a, b):
+            seen.append(a.dtype)
+            return batched_dot(a, b)
+
+        top = F24.array([p - 1] * (t * 3)).reshape(t, 3)
+        with mock.patch.object(F24, "batched_dot", side_effect=spy):
+            got = recurrence_mat_vec(F24, top, top)
+        assert got.dtype == np.int64
+        assert set(seen) == {np.dtype(dtype)} and len(seen) == t

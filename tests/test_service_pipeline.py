@@ -569,6 +569,15 @@ class TestConfigValidation:
             ServiceConfig(**{name: value})
         ServiceConfig(**{name: 0.0})
 
+    def test_backoff_cap_below_base(self):
+        """A positive cap below the base is refused: the backoff would never
+        reach the base (1.08-1.48 ms for a 10 ms base and a 1 ms cap). A
+        cap of 0 turns backoff off, and a cap equal to the base is fine."""
+        with pytest.raises(ParameterError, match="backoff_max_seconds"):
+            ServiceConfig(backoff_base_seconds=0.01, backoff_max_seconds=0.001)
+        ServiceConfig(backoff_base_seconds=0.01, backoff_max_seconds=0.01)
+        ServiceConfig(backoff_base_seconds=0.01, backoff_max_seconds=0.0)
+
 
 class TestBackoffJitter:
     """The retry-storm fix: deterministic SHAKE jitter on the backoff.
